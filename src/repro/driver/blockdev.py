@@ -101,7 +101,7 @@ class BlockDevice:
                 self.name, request.op, request.lba,
                 request.nblocks * self.lba_bytes, request.submit_time)
         done = Event(self.sim)
-        Process(self.sim, self._run(request, done))
+        Process(self.sim, self._run(request, done), detached=True)
         return done
 
     def io(self, request: BlockRequest) -> t.Generator[Event, t.Any, BlockRequest]:

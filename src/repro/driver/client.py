@@ -510,6 +510,7 @@ class DistributedNvmeClient(BlockDevice):
             sqe.nlb = request.nblocks - 1
         rel = self.config.reliability
         attempt = 0
+        parked = False
         while True:
             if not self._running:
                 # Killed or shut down between attempts.
@@ -523,8 +524,12 @@ class DistributedNvmeClient(BlockDevice):
                 # Admission throttle active (docs/qos.md): hold the
                 # request until a completion shrinks the outstanding
                 # set below the clamped window (the signal also fires
-                # on shutdown/crash and when the clamp is lifted).
-                self.throttled_ios += 1
+                # on shutdown/crash and when the clamp is lifted).  Every
+                # fire wakes the whole herd; the request counts as
+                # throttled once, however often it loses the re-check.
+                if not parked:
+                    parked = True
+                    self.throttled_ios += 1
                 yield self._sq_space.wait()
                 continue
             if self.sq.is_full():

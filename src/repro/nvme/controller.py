@@ -345,7 +345,7 @@ class NvmeController(PCIeFunction):
             if is_admin:
                 sim.process(self._execute_admin(sq, sqe))
             else:
-                sim.process(self._execute_io(sq, sqe))
+                sim.process(self._execute_io(sq, sqe), detached=True)
 
     def _shared_sq_worker(self, sq: _ControllerSq) -> t.Generator:
         """Fetch-and-dispatch loop for a *shared* (windowed) SQ.
@@ -422,7 +422,8 @@ class NvmeController(PCIeFunction):
                 self.tracer.emit("nvme", "fetched", qid=state.qid,
                                  opcode=sqe.opcode, cid=sqe.cid,
                                  window=win.index)
-            sim.process(self._execute_io(sq, sqe, win=win))
+            sim.process(self._execute_io(sq, sqe, win=win),
+                        detached=True)
 
     # --------------------------------------------------------------- admin
 

@@ -44,8 +44,9 @@ import typing as t
 
 from ..config import PcieConfig
 from ..memory import HostMemory
-from ..sim import NULL_TRACER, Event, Process, Request, Simulator
-from ..sim.events import NORMAL, URGENT
+from ..sim import (NULL_TRACER, Event, Process, Simulator, giver,
+                   take_all)
+from ..sim.events import URGENT
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -70,31 +71,19 @@ class _Ticket:
 _TICKET = _Ticket()
 
 
-def _release_group(resources, acquired, idxs) -> None:
-    # hot-path: one callback releases every link whose hold expired now.
-    for i in idxs:
-        resources[i].release(acquired[i])
-
-
-def _grant_inline(resource) -> Request:
-    """Acquire a free resource without a heap push.
-
-    Equivalent to ``request()`` when the grant is immediate, minus the
-    zero-delay grant event nothing would wait on — ``release()`` works
-    unchanged via the holders set.  Callers must have checked that the
-    resource has capacity and no waiters.
-    """
-    # hot-path
-    req = Request.__new__(Request)
-    req.sim = resource.sim
-    req.callbacks = []
-    req._value = req
-    req._ok = True
-    req._processed = True
-    req._defused = False
-    req.resource = resource
-    resource._holders.add(req)
-    return req
+def _hold_plan(pairs: list) -> tuple:
+    """Occupancy plan for links given as ``(resource, hold_ns)`` pairs:
+    ``(resources, timers)`` — the resources in canonical acquisition
+    order, and one ``(hold_ns, release callback)`` per distinct hold
+    time, ascending, so links with equal serialization time share a
+    single release timer and the last timer's hold is the longest."""
+    pairs.sort(key=lambda p: p[0].order)
+    by_hold: dict[int, list] = {}
+    for resource, hold in pairs:
+        by_hold.setdefault(hold, []).append(resource)
+    return (tuple(resource for resource, _hold in pairs),
+            tuple((hold, giver(tuple(group)))
+                  for hold, group in sorted(by_hold.items())))
 
 
 class FabricFaultError(Exception):
@@ -162,7 +151,7 @@ class Fabric:
         # (host, addr, length) -> _RouteEntry; None when disabled.
         self._route_cache: dict[tuple, _RouteEntry] | None = (
             None if os.environ.get("REPRO_NO_ROUTE_CACHE") == "1" else {})
-        # (path, wire_bytes) -> (resources, holds, max_hold) | ()
+        # (path, wire_bytes) -> _hold_plan() | ()
         self._occupy_plans: dict[tuple, tuple] = {}
         #: shard boundary (repro.sim.shard.ShardBoundary) or None; when
         #: installed, transactions whose target lies in a different
@@ -176,7 +165,7 @@ class Fabric:
         self._read_seq = 0
         # path -> index of the first destination-domain node
         self._cut_cache: dict[tuple, int] = {}
-        # (path, wire_bytes, cut) -> (pre_pairs, suf_pairs, fill_ns)
+        # (path, wire_bytes, cut) -> (pre_plan, suf_plan, fill_ns)
         self._cross_plans: dict[tuple, tuple] = {}
         # (host name, function name) -> PCIeFunction (message targets)
         self._fn_index: dict[tuple[str, str], t.Any] = {}
@@ -285,49 +274,45 @@ class Fabric:
             self._occupy_plans[(path, wire_bytes)] = plan
         if not plan:
             return
-        resources, _holds, max_hold, groups = plan
-        sim = self.sim
-        acquired = []
-        append = acquired.append
-        for resource in resources:
-            # Uncontended grants skip the queue entirely — no zero-delay
-            # grant event, no suspension (the dominant case by far).
-            if len(resource._holders) < resource.capacity \
-                    and not resource._waiting:
-                append(_grant_inline(resource))
-            else:
-                req = resource.request()
-                append(req)
-                yield req
-        sleep = sim.sleep
-        for hold, idxs in groups:
-            # One release timer per distinct hold time: links with equal
-            # serialization time share a single event.
-            sleep(hold).callbacks.append(
-                lambda _ev, a=acquired, r=resources, ix=idxs:
-                    _release_group(r, a, ix))
-        yield sleep(max_hold)
+        resources, timers = plan
+        # Free links are claimed by count — no grant event, no
+        # suspension (the dominant case by far); busy ones queue FIFO.
+        if not take_all(resources):
+            for resource in resources:
+                if not resource.take():
+                    yield resource.request()
+        sleep = self.sim.sleep
+        for hold, give in timers:
+            timer = sleep(hold)
+            timer.callbacks.append(give)
+        # The last timer's hold is the slowest link's, i.e. the fill
+        # time: ride it instead of pushing a second event for the same
+        # instant (it would carry the adjacent sequence number).
+        yield timer
 
     def _build_occupy_plan(self, path: tuple[Node, ...],
                            wire_bytes: int) -> tuple:
-        """Precompute the occupancy of a (path, size) pair: the link
-        resources in canonical acquisition order with their per-link
-        hold times (grouped by hold so equal holds share one release
-        timer).  Pure function of the (static) topology."""
+        """Precompute the occupancy of a (path, size) pair (see
+        :func:`_hold_plan`; empty when nothing is held).  Pure function
+        of the (static) topology."""
         trips = self.cluster.links_on(path)
         if not trips or wire_bytes <= 0:
             return ()
-        pairs = [(link.resource(a, b), link) for link, a, b in trips]
-        pairs.sort(key=lambda p: p[0].order)
-        resources = tuple(resource for resource, _link in pairs)
-        holds = tuple(serialize_ns(wire_bytes, link.bandwidth)
-                      for _resource, link in pairs)
-        by_hold: dict[int, list[int]] = {}
-        for i, hold in enumerate(holds):
-            by_hold.setdefault(hold, []).append(i)
-        groups = tuple((hold, tuple(idxs))
-                       for hold, idxs in sorted(by_hold.items()))
-        return (resources, holds, max(holds), groups)
+        return _hold_plan([(link.resource(a, b),
+                            serialize_ns(wire_bytes, link.bandwidth))
+                           for link, a, b in trips])
+
+    def _try_hold(self, plan: tuple) -> bool:
+        """Occupy every link of a plan inline if all are free right now
+        (claims plus release timers, no process); False claims nothing."""
+        # hot-path
+        resources, timers = plan
+        if not take_all(resources):
+            return False
+        sleep = self.sim.sleep
+        for hold, give in timers:
+            sleep(hold).callbacks.append(give)
+        return True
 
     # -- transactions ------------------------------------------------------------
 
@@ -336,9 +321,9 @@ class Fabric:
         """Posted memory write (generator; returns at *delivery* time).
 
         Callers that do not need to observe delivery should use
-        :meth:`post_write`, which spawns this as a detached process —
-        that is the hardware-accurate behaviour for CPU stores and
-        device DMA writes.
+        :meth:`post_write`, which returns at once — that is the
+        hardware-accurate behaviour for CPU stores and device DMA
+        writes.
         """
         # hot-path
         if type(data) is not bytes:
@@ -398,33 +383,51 @@ class Fabric:
         posted-ordering clamp, delivery."""
         # hot-path
         sim = self.sim
-        cfg = self.config
         self.inflight += 1
         try:
             yield from self._occupy(path, wire)
-            latency = self.cluster.hop_latency(path)
-            if res.crossings:
-                latency += res.crossings * cfg.ntb_translation_ns
-            faults = self.faults
-            if faults is not None:
-                latency += faults.tlp_delay_ns(host.name, res.host.name)
-            if res.kind == "mem":
-                latency += cfg.memory_write_latency_ns
-            else:
-                latency += cfg.device_mmio_write_ns
-
-            now = sim._now
-            arrival = now + latency
-            key = (initiator, res.host)
-            prior = self._posted_clamp.get(key, 0)
-            if arrival < prior:
-                arrival = prior  # posted ordering: never pass an earlier write
-            self._posted_clamp[key] = arrival
-            yield sim.sleep(arrival - now)
-
+            yield sim.sleep(
+                self._arrival(initiator, host, res, path, 0) - sim._now)
             self._finish_local_write(res, data, addr, accounted=True)
         finally:
             self.inflight -= 1
+
+    def _arrival(self, initiator: Node, host: Host, res: Resolution,
+                 path: tuple, fill: int) -> int:
+        """Delivery instant of a posted write whose (source-side) links
+        are held as of now (``fill``: pipe-fill time still to elapse),
+        with the posted-ordering clamp applied.  The hop latency of a
+        path is the same, draw for draw, whole or split at a domain cut,
+        so cross-domain writes use this too."""
+        # hot-path
+        cfg = self.config
+        latency = fill + self.cluster.hop_latency(path)
+        if res.crossings:
+            latency += res.crossings * cfg.ntb_translation_ns
+        faults = self.faults
+        if faults is not None:
+            latency += faults.tlp_delay_ns(host.name, res.host.name)
+        if res.kind == "mem":
+            latency += cfg.memory_write_latency_ns
+        else:
+            latency += cfg.device_mmio_write_ns
+        arrival = self.sim._now + latency
+        key = (initiator, res.host)
+        prior = self._posted_clamp.get(key, 0)
+        if arrival < prior:
+            arrival = prior  # posted ordering: never pass an earlier write
+        self._posted_clamp[key] = arrival
+        return arrival
+
+    def _queued_write(self, delivery: Event, initiator: Node, host: Host,
+                      res: Resolution, path: tuple, wire: int):
+        """:meth:`post_write` when a link was busy: queue FIFO for the
+        links, then schedule the delivery event as the inline issue
+        would have."""
+        yield from self._occupy(path, wire)
+        sim = self.sim
+        sim._push(delivery,
+                  self._arrival(initiator, host, res, path, 0) - sim._now)
 
     def _cross_write_tail(self, initiator: Node, host: Host,
                           res: Resolution, path: tuple, dst_dom: str,
@@ -439,40 +442,15 @@ class Fabric:
         self.inflight += 1
         try:
             cut = self._cut_of(path, dst_dom)
-            pre_pairs, _suf, fill = self._cross_plan(path, wire, cut)
-            yield from self._occupy_part(pre_pairs, fill)
-            arrival = self._cross_arrival(initiator, host, res, path, cut,
-                                          sim._now)
+            pre_plan, _suf, fill = self._cross_plan(path, wire, cut)
+            yield from self._occupy_part(pre_plan, fill)
+            arrival = self._arrival(initiator, host, res, path, 0)
             self._send(dst_dom, arrival,
                        self._write_payload(initiator, res, addr, data, wire))
             # Posted semantics: the writer observes nominal delivery.
             yield sim.sleep(arrival - sim._now)
         finally:
             self.inflight -= 1
-
-    def _cross_arrival(self, initiator: Node, host: Host, res: Resolution,
-                       path: tuple, cut: int, now: int) -> int:
-        """Nominal arrival instant of a cross-domain write whose flight
-        starts at ``now``, with the posted-ordering clamp applied."""
-        cfg = self.config
-        pre, suf = self.cluster.hop_latency_split(path, cut)
-        latency = pre + suf
-        if res.crossings:
-            latency += res.crossings * cfg.ntb_translation_ns
-        faults = self.faults
-        if faults is not None:
-            latency += faults.tlp_delay_ns(host.name, res.host.name)
-        if res.kind == "mem":
-            latency += cfg.memory_write_latency_ns
-        else:
-            latency += cfg.device_mmio_write_ns
-        arrival = now + latency
-        key = (initiator, res.host)
-        prior = self._posted_clamp.get(key, 0)
-        if arrival < prior:
-            arrival = prior
-        self._posted_clamp[key] = arrival
-        return arrival
 
     def _finish_local_write(self, res: Resolution, data: bytes, addr: int,
                             accounted: bool = False) -> None:
@@ -518,9 +496,9 @@ class Fabric:
         """
         # hot-path: when every source-side link is free, the whole issue
         # runs inline — no process spawn, no occupancy generator, no
-        # per-link grant events.  Contended issues fall back to the
-        # generator body *after* the side-effecting steps (resolve,
-        # fault draws, accounting) have run exactly once.
+        # per-link grant events.  Contended issues queue for the links
+        # in a process *after* the side-effecting steps (resolve, fault
+        # draws, accounting) have run exactly once.
         if type(data) is not bytes:
             data = bytes(data)
         sim = self.sim
@@ -530,20 +508,11 @@ class Fabric:
         res, path, wire, dst_dom = issue
         if dst_dom is not None:
             cut = self._cut_of(path, dst_dom)
-            pre_pairs, _suf, fill = self._cross_plan(path, wire, cut)
-            for resource, _hold in pre_pairs:
-                if len(resource._holders) >= resource.capacity \
-                        or resource._waiting:
-                    return Process(sim, self._cross_write_tail(
-                        initiator, host, res, path, dst_dom, addr, data,
-                        wire))
-            sleep = sim.sleep
-            for resource, hold in pre_pairs:
-                req = _grant_inline(resource)
-                sleep(hold).callbacks.append(
-                    lambda _ev, r=resource, q=req: r.release(q))
-            arrival = self._cross_arrival(initiator, host, res, path, cut,
-                                          sim._now + fill)
+            pre_plan, _suf, fill = self._cross_plan(path, wire, cut)
+            if not self._try_hold(pre_plan):
+                return Process(sim, self._cross_write_tail(
+                    initiator, host, res, path, dst_dom, addr, data, wire))
+            arrival = self._arrival(initiator, host, res, path, fill)
             return (self._send(dst_dom, arrival,
                                self._write_payload(initiator, res, addr,
                                                    data, wire))
@@ -552,39 +521,6 @@ class Fabric:
         if plan is None:
             plan = self._build_occupy_plan(path, wire)
             self._occupy_plans[(path, wire)] = plan
-        fill = 0
-        if plan:
-            resources, _holds, fill, groups = plan
-            for resource in resources:
-                if len(resource._holders) >= resource.capacity \
-                        or resource._waiting:
-                    return Process(sim, self._write_tail(
-                        initiator, host, res, path, addr, data, wire))
-            # staticcheck: ignore[hotpath-alloc] per-call grant list, no reuse possible
-            acquired = [_grant_inline(resource) for resource in resources]
-            sleep = sim.sleep
-            for hold, idxs in groups:
-                sleep(hold).callbacks.append(
-                    lambda _ev, a=acquired, r=resources, ix=idxs:
-                        _release_group(r, a, ix))
-        cfg = self.config
-        latency = fill + self.cluster.hop_latency(path)
-        if res.crossings:
-            latency += res.crossings * cfg.ntb_translation_ns
-        faults = self.faults
-        if faults is not None:
-            latency += faults.tlp_delay_ns(host.name, res.host.name)
-        if res.kind == "mem":
-            latency += cfg.memory_write_latency_ns
-        else:
-            latency += cfg.device_mmio_write_ns
-        now = sim._now
-        arrival = now + latency
-        key = (initiator, res.host)
-        prior = self._posted_clamp.get(key, 0)
-        if arrival < prior:
-            arrival = prior
-        self._posted_clamp[key] = arrival
         self.inflight += 1
         ev = Event.__new__(Event)
         ev.sim = sim
@@ -594,7 +530,18 @@ class Fabric:
         ev._ok = True
         ev._processed = False
         ev._defused = False
-        sim._push(ev, arrival - now, NORMAL)
+        if not plan:
+            fill = 0
+        elif self._try_hold(plan):
+            fill = plan[1][-1][0]       # the last timer's (longest) hold
+        else:
+            # Nobody waits on the queueing process itself (subscribers
+            # get the delivery event), so its completion is never queued.
+            Process(sim, self._queued_write(ev, initiator, host, res, path,
+                                            wire), detached=True)
+            return ev
+        sim._push(ev, self._arrival(initiator, host, res, path, fill)
+                  - sim._now)
         return ev
 
     def read(self, initiator: Node, host: Host, addr: int, length: int):
@@ -694,8 +641,8 @@ class Fabric:
         self.inflight += 1
         try:
             cut = self._cut_of(path, dst_dom)
-            pre_pairs, _suf, fill = self._cross_plan(path, wire, cut)
-            yield from self._occupy_part(pre_pairs, fill)
+            pre_plan, _suf, fill = self._cross_plan(path, wire, cut)
+            yield from self._occupy_part(pre_plan, fill)
             pre, suf = self.cluster.hop_latency_split(path, cut)
             req_latency = pre + suf
             if res.crossings:
@@ -742,8 +689,8 @@ class Fabric:
             wire = read_request_cost(length, cfg).bytes_on_wire
             self._read_req_wire[length] = wire
         cut = self._cut_of(path, self.boundary.node_domain[node_name])
-        _pre, suf_pairs, _fill = self._cross_plan(path, wire, cut)
-        yield from self._occupy_tail(suf_pairs)
+        _pre, suf_plan, _fill = self._cross_plan(path, wire, cut)
+        yield from self._occupy_tail(suf_plan)
 
         # Target service + data fetch.
         if res_kind == "mem":
@@ -766,8 +713,8 @@ class Fabric:
         if cwire is None:
             cwire = completion_cost(length, cfg).bytes_on_wire
             self._cpl_wire[length] = cwire
-        cpre_pairs, _csuf, cfill = self._cross_plan(rpath, cwire, rcut)
-        yield from self._occupy_part(cpre_pairs, cfill)
+        cpre_plan, _csuf, cfill = self._cross_plan(rpath, cwire, rcut)
+        yield from self._occupy_part(cpre_plan, cfill)
         cpre, csuf = cluster.hop_latency_split(rpath, rcut)
         self._send(src_dom, sim._now + cpre + csuf,
                    ("C", node_name, initiator_name, length, req_id, data))
@@ -806,32 +753,25 @@ class Fabric:
                             cluster.nodes[node_name])
         dst_dom = self.boundary.node_domain[node_name]
         cut = self._cut_of(path, dst_dom)
-        _pre, suf_pairs, _fill = self._cross_plan(path, wire, cut)
-        sim = self.sim
-        for resource, _hold in suf_pairs:
-            if len(resource._holders) >= resource.capacity \
-                    or resource._waiting:
-                prev = sim._domain
-                sim._domain = dst_dom
-                try:
-                    Process(sim, self._deliver_write_slow(
-                        suf_pairs, res_kind, host_name, final, data,
-                        crossings, addr))
-                finally:
-                    sim._domain = prev
-                return
-        sleep = sim.sleep
-        for resource, hold in suf_pairs:
-            req = _grant_inline(resource)
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=req: r.release(q))
+        _pre, suf_plan, _fill = self._cross_plan(path, wire, cut)
+        if not self._try_hold(suf_plan):
+            sim = self.sim
+            prev = sim._domain
+            sim._domain = dst_dom
+            try:
+                Process(sim, self._deliver_write_slow(
+                    suf_plan, res_kind, host_name, final, data, crossings,
+                    addr))
+            finally:
+                sim._domain = prev
+            return
         self._finish_cross_write(res_kind, host_name, final, data,
                                  crossings, addr, dst_dom)
 
-    def _deliver_write_slow(self, suf_pairs: tuple, res_kind: str,
+    def _deliver_write_slow(self, suf_plan: tuple, res_kind: str,
                             host_name: str, final, data: bytes,
                             crossings: int, addr: int):
-        yield from self._occupy_tail(suf_pairs)
+        yield from self._occupy_tail(suf_plan)
         # Running inside a domain-tagged process: no extra wrap needed.
         self._finish_cross_write(res_kind, host_name, final, data,
                                  crossings, addr, None)
@@ -876,28 +816,21 @@ class Fabric:
         if cwire is None:
             cwire = completion_cost(length, self.config).bytes_on_wire
             self._cpl_wire[length] = cwire
-        _pre, csuf_pairs, _fill = self._cross_plan(rpath, cwire, rcut)
-        sim = self.sim
-        for resource, _hold in csuf_pairs:
-            if len(resource._holders) >= resource.capacity \
-                    or resource._waiting:
-                prev = sim._domain
-                sim._domain = src_dom
-                try:
-                    Process(sim, self._read_cpl_slow(csuf_pairs, req_id,
-                                                     data))
-                finally:
-                    sim._domain = prev
-                return
-        sleep = sim.sleep
-        for resource, hold in csuf_pairs:
-            req = _grant_inline(resource)
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=req: r.release(q))
+        _pre, csuf_plan, _fill = self._cross_plan(rpath, cwire, rcut)
+        if not self._try_hold(csuf_plan):
+            sim = self.sim
+            prev = sim._domain
+            sim._domain = src_dom
+            try:
+                Process(sim, self._read_cpl_slow(csuf_plan, req_id, data))
+            finally:
+                sim._domain = prev
+            return
         self._finish_read(req_id, data)
 
-    def _read_cpl_slow(self, csuf_pairs: tuple, req_id: int, data: bytes):
-        yield from self._occupy_tail(csuf_pairs)
+    def _read_cpl_slow(self, csuf_plan: tuple, req_id: int,
+                       data: bytes):
+        yield from self._occupy_tail(csuf_plan)
         self._finish_read(req_id, data)
 
     def _finish_read(self, req_id: int, data: bytes) -> None:
@@ -906,44 +839,25 @@ class Fabric:
 
     # -- cross-domain plumbing ---------------------------------------------------
 
-    def _occupy_part(self, pairs: tuple, fill: int):
+    def _occupy_part(self, plan: tuple, fill: int):
         """Occupy one side of a cut path, charging the full path's
         pipe-fill time (the initiating side always pays the fill; the
         receiving side's links are occupied retroactively on arrival)."""
-        acquired = []
-        append = acquired.append
-        for resource, _hold in pairs:
-            if len(resource._holders) < resource.capacity \
-                    and not resource._waiting:
-                append(_grant_inline(resource))
-            else:
-                req = resource.request()
-                append(req)
-                yield req
-        sleep = self.sim.sleep
-        for i, (resource, hold) in enumerate(pairs):
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=acquired[i]: r.release(q))
-        yield sleep(fill)
+        yield from self._occupy_tail(plan)
+        yield self.sim.sleep(fill)
 
-    def _occupy_tail(self, pairs: tuple):
+    def _occupy_tail(self, plan: tuple):
         """Occupy the receiving side's links on message arrival.  No
         fill charge — the nominal arrival instant already includes the
         full-path latency; only contention can add delay here."""
-        acquired = []
-        append = acquired.append
-        for resource, _hold in pairs:
-            if len(resource._holders) < resource.capacity \
-                    and not resource._waiting:
-                append(_grant_inline(resource))
-            else:
-                req = resource.request()
-                append(req)
-                yield req
+        resources, timers = plan
+        if not take_all(resources):
+            for resource in resources:
+                if not resource.take():
+                    yield resource.request()
         sleep = self.sim.sleep
-        for i, (resource, hold) in enumerate(pairs):
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=acquired[i]: r.release(q))
+        for hold, give in timers:
+            sleep(hold).callbacks.append(give)
 
     def _cut_of(self, path: tuple, dst_dom: str) -> int:
         """Index of the first node on the path inside the destination
@@ -965,17 +879,16 @@ class Fabric:
         return cut
 
     def _cross_plan(self, path: tuple, wire: int, cut: int) -> tuple:
-        """Split occupancy plan of a cut path: ``(source-side pairs,
-        destination-side pairs, fill)`` where each pair is
-        ``(resource, hold_ns)`` in canonical acquisition order within
-        its side.  Link i feeds ``path[i+1]``, so it belongs to the
+        """Split occupancy plan of a cut path: ``(source-side plan,
+        destination-side plan, fill)``, each side as :func:`_hold_plan`
+        builds it.  Link i feeds ``path[i+1]``, so it belongs to the
         destination side iff ``i >= cut - 1``."""
         key = (path, wire, cut)
         plan = self._cross_plans.get(key)
         if plan is None:
             trips = self.cluster.links_on(path)
             if not trips or wire <= 0:
-                plan = ((), (), 0)
+                plan = (((), ()), ((), ()), 0)
             else:
                 pre = []
                 suf = []
@@ -989,9 +902,7 @@ class Fabric:
                         pre.append(pair)
                     else:
                         suf.append(pair)
-                pre.sort(key=lambda p: p[0].order)
-                suf.sort(key=lambda p: p[0].order)
-                plan = (tuple(pre), tuple(suf), fill)
+                plan = (_hold_plan(pre), _hold_plan(suf), fill)
             self._cross_plans[key] = plan
         return plan
 
@@ -1067,6 +978,6 @@ class Fabric:
         return int.from_bytes(data, "little")
 
     def write_u32(self, initiator: Node, host: Host, addr: int,
-                  value: int) -> Process:
+                  value: int):
         return self.post_write(initiator, host, addr,
                                (value & 0xFFFF_FFFF).to_bytes(4, "little"))

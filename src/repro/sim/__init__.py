@@ -8,7 +8,8 @@ Public surface::
 from .core import Simulator
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Interrupt, Process
-from .resources import Request, Resource, Signal, Store
+from .resources import (Request, Resource, Signal, Store, giver,
+                        take_all)
 from .rng import RngRegistry
 from .shard import (ShardBoundary, ShardError, ShardRun, merge_disjoint,
                     merge_metric_snapshots, run_sharded, value_fingerprint)
@@ -19,7 +20,7 @@ from .trace import NULL_TRACER, NullTracer, Tracer, TraceRecord
 __all__ = [
     "Simulator", "Event", "Timeout", "AnyOf", "AllOf",
     "Process", "Interrupt",
-    "Resource", "Request", "Store", "Signal",
+    "Resource", "Request", "Store", "Signal", "take_all", "giver",
     "RngRegistry",
     "ShardBoundary", "ShardError", "ShardRun", "run_sharded",
     "merge_disjoint", "merge_metric_snapshots", "value_fingerprint",

@@ -137,9 +137,11 @@ class Simulator:
             return ev
         return PooledTimeout(self, delay)
 
-    def process(self, generator: t.Generator) -> Process:
-        """Start a new process from a generator."""
-        return Process(self, generator)
+    def process(self, generator: t.Generator,
+                detached: bool = False) -> Process:
+        """Start a new process from a generator (``detached``: see
+        :class:`~repro.sim.process.Process`)."""
+        return Process(self, generator, detached=detached)
 
     def any_of(self, events: t.Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -28,12 +28,19 @@ class Interrupt(Exception):
 
 
 class Process(Event):
-    """An event-yielding coroutine scheduled on the simulator."""
+    """An event-yielding coroutine scheduled on the simulator.
 
-    __slots__ = ("_generator", "_target", "name", "domain")
+    ``detached=True`` marks a fire-and-forget spawn: if the generator
+    returns while nobody has subscribed, the process reads ``processed``
+    at once and no completion event is queued (it would have run no
+    callback).  A callback appended before the end, or a failure, goes
+    through the queue like any other process.
+    """
+
+    __slots__ = ("_generator", "_target", "name", "domain", "_detached")
 
     def __init__(self, sim: "Simulator", generator: t.Generator,
-                 name: str | None = None) -> None:
+                 name: str | None = None, detached: bool = False) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         # hot-path: inline Event field init (detached posted writes spawn
@@ -46,6 +53,7 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.domain = sim._domain
+        self._detached = detached
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current instant, ahead of normal events, so a
         # newly spawned process observes the state that existed when it
@@ -123,7 +131,12 @@ class Process(Event):
                     target = generator.throw(
                         t.cast(BaseException, event._value))
             except StopIteration as stop:
-                self.succeed(stop.value)
+                if self._detached and not self.callbacks:
+                    self._value = stop.value
+                    self._processed = True
+                    self.callbacks = None
+                else:
+                    self.succeed(stop.value)
                 break
             except BaseException as exc:
                 self.fail(exc)

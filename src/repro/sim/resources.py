@@ -32,8 +32,7 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, sim: "Simulator", resource: "Resource") -> None:
-        # hot-path: inline Event field init (one Request per link per
-        # transaction — cut-through occupancy burns these constantly).
+        # hot-path: inline Event field init (no Event.__init__ frame).
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -60,6 +59,14 @@ class Resource:
             ...  # hold the resource
         finally:
             resource.release(req)
+
+    Callers that hold units for a fixed time and never cancel (link
+    occupancy: several links per TLP) use *counted holds* instead:
+    :meth:`take` / :func:`take_all` claim a free unit without allocating
+    a :class:`Request` or scheduling a grant event, :meth:`give` /
+    :func:`giver` return it.  Both styles share one free count and one
+    FIFO of waiters; the invariant is *waiters non-empty implies no free
+    unit*, so a free unit can always be claimed on the spot.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
@@ -70,25 +77,47 @@ class Resource:
         #: deterministic creation index — use this (never ``id()``) as a
         #: canonical lock-ordering key, or runs stop being reproducible
         self.order = sim._next_resource_order()
-        self._holders: set[Request] = set()
+        self._free = capacity
         self._waiting: deque[Request] = deque()
 
     @property
     def count(self) -> int:
-        """Number of currently granted requests."""
-        return len(self._holders)
+        """Number of units currently held."""
+        return self.capacity - self._free
 
     @property
     def queued(self) -> int:
         """Number of requests waiting for a grant."""
         return len(self._waiting)
 
+    def take(self) -> bool:
+        """Counted hold: claim a unit now if one is free (no event)."""
+        if self._free:
+            self._free -= 1
+            return True
+        return False
+
+    def give(self) -> None:
+        """Return one held unit: the oldest waiter gets it, else it is
+        free again.  A granted request's unit may be returned this way
+        instead of through :meth:`release`."""
+        if self._waiting:
+            # Same zero-delay NORMAL grant event, same fresh sequence
+            # number, as an uncontended request() schedules.
+            nxt = self._waiting.popleft()
+            nxt._value = nxt
+            sim = self.sim
+            heappush(sim._queue,
+                     (sim._now, NORMAL, next(sim._sequence), nxt))
+        elif self._free < self.capacity:
+            self._free += 1
+        else:
+            raise RuntimeError("give() without a unit held")
+
     def request(self) -> Request:
-        # hot-path: the uncontended grant inlines succeed(req) — same
-        # fields, same zero-delay NORMAL enqueue, one fresh sequence
-        # number — minus the double-trigger guard a fresh event can't
-        # need.  Request construction and the push are flattened too:
-        # cut-through occupancy issues one of these per link crossing.
+        # hot-path: Request construction is flattened (no Event.__init__
+        # frame) and the uncontended grant inlines succeed(req) minus
+        # the double-trigger guard a fresh event cannot need.
         sim = self.sim
         req = Request.__new__(Request)
         req.sim = sim
@@ -97,8 +126,8 @@ class Resource:
         req._processed = False
         req._defused = False
         req.resource = self
-        if len(self._holders) < self.capacity:
-            self._holders.add(req)
+        if self._free:
+            self._free -= 1
             req._value = req
             heappush(sim._queue,
                      (sim._now, NORMAL, next(sim._sequence), req))
@@ -108,28 +137,45 @@ class Resource:
         return req
 
     def release(self, request: Request) -> None:
-        if request in self._holders:
-            self._holders.discard(request)
+        """Return a granted request's unit, or cancel a waiting one."""
+        if request.resource is not self:
+            raise RuntimeError("releasing a request not issued here")
+        request.resource = None     # released at most once
+        if request._value is _PENDING:
+            self._waiting.remove(request)
         else:
-            # Releasing a never-granted request cancels it.
-            try:
-                self._waiting.remove(request)
-                return
-            except ValueError:
-                raise RuntimeError("releasing a request not issued here") from None
-        sim = self.sim
-        while self._waiting and len(self._holders) < self.capacity:
-            nxt = self._waiting.popleft()
-            self._holders.add(nxt)
-            nxt._value = nxt
-            heappush(sim._queue,
-                     (sim._now, NORMAL, next(sim._sequence), nxt))
+            self.give()
 
     def acquire(self) -> t.Generator[Event, t.Any, Request]:
         """Convenience sub-generator: ``req = yield from res.acquire()``."""
         req = self.request()
         yield req
         return req
+
+
+def take_all(resources: t.Sequence[Resource]) -> bool:
+    """Claim one unit of every resource, or none: True iff all were free."""
+    # hot-path: one call per TLP instead of one per link
+    for resource in resources:
+        if not resource._free:
+            return False
+    for resource in resources:
+        resource._free -= 1
+    return True
+
+
+def giver(resources: t.Sequence[Resource]) -> t.Callable[[Event], None]:
+    """A reusable timer callback that returns one unit to each of
+    ``resources``, in order (built once per occupancy plan, so a hold's
+    release allocates nothing)."""
+    def give_all(_event: Event) -> None:
+        # hot-path
+        for resource in resources:
+            if resource._waiting:
+                resource.give()
+            else:
+                resource._free += 1
+    return give_all
 
 
 class Store:

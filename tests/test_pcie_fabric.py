@@ -1,8 +1,12 @@
 """Integration tests for the PCIe fabric: routing, NTB windows, posted
 ordering, and contention."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.config import PcieConfig
 from repro.pcie import (AddressError, Bar, Cluster, Fabric, NtbError,
                         NtbFunction, PCIeFunction, TopologyError)
@@ -316,6 +320,66 @@ class TestContention:
         sim.process(proc(sim))
         sim.run()
         assert abs(durations[0] - durations[1]) < 200  # only chip jitter
+
+
+class TestOccupancyEventBudget:
+    """Every link between the two root complexes runs at 7 B/ns, so a
+    TLP's holds all expire together: one release timer, which the
+    occupying process also rides instead of pushing its own."""
+
+    def _window(self, devhost, ntb_b):
+        return ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
+
+    def test_uncontended_occupy_schedules_one_timer(self, env):
+        sim, cluster, fabric, devhost, client, *_ = env
+        path = cluster.path(client.rc, devhost.rc)
+        links = [link.resource(a, b) for link, a, b in cluster.links_on(path)]
+        occupy = fabric._occupy(path, 4096)
+        next(occupy)            # runs straight to its only wait
+        assert [res.count for res in links] == [1] * 4
+        sim.run()
+        assert sim.events_processed == 1
+        assert [res.count for res in links] == [0] * 4
+
+    def test_uncontended_post_write_schedules_timer_and_delivery(self, env):
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
+        window = self._window(devhost, ntb_b)
+        delivery = fabric.post_write(client.rc, client, window, b"q" * 64)
+        sim.run()
+        assert delivery.processed
+        assert sim.events_processed == 2    # release timer + delivery
+        assert fabric.inflight == 0
+
+    def test_queued_post_write_delivers_through_the_same_event(self, env):
+        """The second write finds the links busy and queues for them in
+        a detached process; its handle is still the delivery event, so a
+        subscriber costs no queue entry either way."""
+        def run(subscribe):
+            sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = \
+                build_two_host_cluster()
+            window = self._window(devhost, ntb_b)
+            fabric.post_write(client.rc, client, window, b"a" * 4096)
+            queued = fabric.post_write(client.rc, client, window, b"b" * 64)
+            seen = []
+            if subscribe:
+                queued.callbacks.append(lambda _ev: seen.append(sim.now))
+            sim.run()
+            assert fabric.inflight == 0 and queued.processed
+            return sim.now, sim.events_processed, seen
+
+        now, events, seen = run(subscribe=True)
+        assert seen == [now]
+        assert run(subscribe=False) == (now, events, [])
+
+
+def test_resource_internals_stay_inside_the_kernel():
+    """Link occupancy goes through take/give/take_all/giver: no module
+    outside repro/sim reaches into another object's Resource state."""
+    root = pathlib.Path(repro.__file__).parent
+    pokes = re.compile(r"(?<!\bself)\._(holders|waiting|free)\b")
+    assert [str(path) for path in sorted(root.rglob("*.py"))
+            if "sim" not in path.relative_to(root).parts[:1]
+            and pokes.search(path.read_text())] == []
 
 
 class TestTopologyValidation:

@@ -16,6 +16,8 @@ Runs are module-scoped fixtures: four scenario runs shared by all the
 assertions below.
 """
 
+import re
+
 import pytest
 
 from repro.qos import run_qos
@@ -69,6 +71,17 @@ class TestWfqThrottleIsolates:
         assert report["enabled"]
         assert report["throttles_applied"] >= 1
         assert report["clamped"] == [wfq_throttle.aggressor]
+
+    def test_throttled_counts_submissions_not_wakeups(self, wfq_throttle):
+        """Every completion wakes the whole parked herd; a submission
+        that loses the re-check and parks again is still one throttled
+        submission, so the counter cannot exceed the I/Os issued."""
+        counts = {tenant: int(float(value)) for tenant, value in re.findall(
+            r'^repro_client_throttled_total\{[^}]*tenant="([^"]+)"\} (\S+)$',
+            wfq_throttle.prometheus_text(), re.M)}
+        assert set(counts) == {wfq_throttle.aggressor}
+        assert 0 < counts[wfq_throttle.aggressor] \
+            <= wfq_throttle.results[0].issued
 
     def test_aggressor_throughput_actually_cut(self, wfq,
                                                wfq_throttle):

@@ -151,3 +151,73 @@ class TestInterrupt:
         sim.process(interrupter(sim, victim))
         sim.run()
         assert victim.value == 60
+
+
+class TestDetached:
+    """``detached=True``: a fire-and-forget process whose end nobody
+    observes queues no completion event; anything observable is as for a
+    normal process."""
+
+    @staticmethod
+    def _body(sim, log):
+        yield sim.timeout(10)
+        log.append("end")
+        return "v"
+
+    def test_unobserved_end_adds_no_queue_entry(self, sim):
+        plain, detached = [], []
+        sim.process(self._body(sim, plain))
+        sim.run()
+        assert sim.events_processed == 3    # boot, timeout, completion
+        proc = sim.process(self._body(sim, detached), detached=True)
+        sim.run()
+        assert sim.events_processed == 5    # boot and timeout only
+        assert sim.peek() is None
+        assert proc.processed and not proc.is_alive
+        assert proc.ok and proc.value == "v"
+
+        def late(sim):
+            return (yield proc)             # already processed: no wait
+
+        assert sim.run(until=sim.process(late(sim))) == "v"
+
+    @pytest.mark.parametrize("subscribe", ["callback", "waiter"])
+    def test_subscriber_sees_same_time_and_position(self, subscribe):
+        """A subscriber present when the body ends is served through
+        the queue: same instant, same place among same-instant events,
+        same event count as for a normal process."""
+        def trace(detached):
+            sim = Simulator(seed=3)
+            log = []
+
+            def neighbour(sim, tag):
+                yield sim.timeout(10)
+                log.append(tag)
+                yield sim.timeout(0)
+                log.append(tag + "-later")
+
+            def waiter(sim, proc):
+                log.append(("waited", (yield proc), sim.now))
+
+            sim.process(neighbour(sim, "a"))
+            proc = sim.process(self._body(sim, log), detached=detached)
+            if subscribe == "callback":
+                proc.callbacks.append(
+                    lambda ev: log.append(("cb", ev.value, sim.now)))
+            else:
+                sim.process(waiter(sim, proc))
+            sim.process(neighbour(sim, "b"))
+            sim.run()
+            return log, sim.events_processed
+
+        assert trace(detached=True) == trace(detached=False)
+
+    def test_failure_still_fails_the_run(self, sim):
+        def doomed(sim):
+            yield sim.timeout(5)
+            raise ValueError("device model bug")
+
+        sim.process(doomed(sim), detached=True)
+        with pytest.raises(ValueError, match="device model bug"):
+            sim.run()
+        assert sim.now == 5

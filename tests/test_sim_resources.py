@@ -1,8 +1,10 @@
 """Unit tests for Resource / Store / Signal primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Resource, Signal, Simulator, Store
+from repro.sim import Resource, Signal, Simulator, Store, giver, take_all
 
 
 @pytest.fixture()
@@ -112,6 +114,94 @@ class TestResource:
         sim.run()
         assert order == ["a", "b"]
         assert res.count == 0
+
+
+class TestCountedHolds:
+    """take()/give() and take_all()/giver() hold units by count — no
+    Request, no grant event — on the same free count and FIFO as
+    request()/release()."""
+
+    def test_take_all_is_all_or_nothing(self, sim):
+        a, b = Resource(sim, 1), Resource(sim, 2)
+        assert take_all((a, b))
+        assert (a.count, b.count) == (1, 1)
+        assert not take_all((b, a))         # a is busy: b stays untouched
+        assert (a.count, b.count) == (1, 1)
+        assert sim.peek() is None           # no event was scheduled
+        giver((a, b))(None)
+        assert (a.count, b.count) == (0, 0)
+
+    def test_giver_hands_over_to_waiters_in_fifo_order(self, sim):
+        res = Resource(sim, 1)
+        assert res.take()
+        first, second = res.request(), res.request()
+        release = giver((res,))
+        release(None)
+        assert first.triggered and not second.triggered
+        assert res.count == 1 and res.queued == 1
+        release(None)                       # first's unit, returned by count
+        assert second.triggered and res.queued == 0
+        release(None)
+        assert res.count == 0
+        with pytest.raises(RuntimeError):
+            res.give()                      # nothing is held any more
+
+    def test_release_twice_raises(self, sim):
+        res = Resource(sim, 1)
+        req = res.request()
+        res.release(req)
+        with pytest.raises(RuntimeError, match="not issued here"):
+            res.release(req)
+        assert res.count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 3),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["request", "take", "give", "release",
+                                "foreign"]),
+               st.integers(0, 7)), max_size=40))
+    def test_mixed_holds_match_reference_model(self, capacity, ops):
+        sim = Simulator(seed=1)
+        res, other = Resource(sim, capacity), Resource(sim, 1)
+        counted = 0             # units held by take()
+        granted, waiting = [], []   # requests, oldest first
+
+        def unit_returned():
+            if waiting:             # FIFO hand-over, never a free unit
+                granted.append(waiting.pop(0))
+
+        for op, pick in ops:
+            free = capacity - counted - len(granted)
+            if op == "request":
+                req = res.request()
+                (granted if free else waiting).append(req)
+            elif op == "take":
+                assert res.take() == bool(free)
+                counted += bool(free)
+            elif op == "give" and counted:
+                res.give()
+                counted -= 1
+                unit_returned()
+            elif op == "release" and granted + waiting:
+                req = (granted + waiting)[pick % len(granted + waiting)]
+                res.release(req)
+                if req in waiting:
+                    waiting.remove(req)     # cancel-while-waiting
+                else:
+                    granted.remove(req)
+                    unit_returned()
+                with pytest.raises(RuntimeError, match="not issued here"):
+                    res.release(req)
+            elif op == "foreign":
+                with pytest.raises(RuntimeError, match="not issued here"):
+                    res.release(other.request())
+            assert res.count == counted + len(granted) <= capacity
+            assert res.queued == len(waiting)
+            assert not waiting or res.count == capacity
+            assert all(req.triggered for req in granted)
+            assert not any(req.triggered for req in waiting)
+        sim.run()                           # every grant event is sound
+        assert all(req.processed and req.value is req for req in granted)
 
 
 class TestStore:
