@@ -14,7 +14,10 @@ bit-identical from run to run — only host wall-clock varies):
 * ``fig10-ours-remote``   — single client, one NTB hop (paper Fig. 10);
 * ``multihost-4``         — 4 clients sharing the controller (Sec. VI);
 * ``chaos``               — 3 clients under a fixed fault plan with
-  recovery enabled (retries, resyncs, lease reclaims).
+  recovery enabled (retries, resyncs, lease reclaims);
+* ``noisy-neighbor``      — open-loop aggressor beside 3 bystanders on
+  one shared QP with every hook on: wfq arbiter, admission throttle,
+  histograms, sampler, SLO engine (docs/qos.md).
 
 Usage::
 
@@ -38,6 +41,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.faults import FaultEvent, FaultPlan               # noqa: E402
+from repro.qos import run_qos                                # noqa: E402
 from repro.scenarios import chaos_cluster, multihost, ours_remote  # noqa: E402
 from repro.workloads import (FioJob, fio_generator, run_fio,  # noqa: E402
                              run_fio_many)
@@ -59,6 +63,9 @@ SIZES = {
     "fig10-ours-remote": (2000, 400),
     "multihost-4": (1500, 300),       # per client
     "chaos": (400, 150),              # per client
+    # open loop: simulated horizon in ns; the quick one is the isolation
+    # tests', long enough for the alert to fire and the clamp to bite
+    "noisy-neighbor": (8_000_000, 4_000_000),
 }
 
 
@@ -114,6 +121,22 @@ def bench_chaos(ios_per_client: int) -> dict:
             "checksum": len(sc.trace_log())}
 
 
+def bench_noisy(horizon_ns: int) -> dict:
+    """The hook-on path; the rig is built inside run_qos, so unlike the
+    others this wall includes the (~10 ms) build."""
+    start = time.perf_counter()
+    run = run_qos("wfq", throttle=True, seed=7, horizon_ns=horizon_ns)
+    wall = time.perf_counter() - start
+    if run.throttle_report["clamped"] != [run.aggressor]:
+        raise RuntimeError("noisy-neighbor run never clamped the aggressor")
+    sim = run.telemetry.sim
+    return {"wall_s": wall,
+            "ios": sum(r.completed for r in run.results),
+            "sim_ns": sim.now, "events": _events_of(sim),
+            "checksum": sum(int(r.latencies.values().sum())
+                            for r in run.results)}
+
+
 def bench_sharded(ios_per_client: int, shards: int,
                   parallel: bool = True) -> dict:
     """Sharded multihost-4 against its own shards=1 reference.
@@ -153,6 +176,7 @@ BENCHES = {
     "fig10-ours-remote": bench_fig10,
     "multihost-4": bench_multihost,
     "chaos": bench_chaos,
+    "noisy-neighbor": bench_noisy,
 }
 
 
@@ -229,6 +253,12 @@ def check_regression(current: dict, baseline_path: pathlib.Path,
         if base is None:
             print(f"{name}: no baseline for mode {mode!r}; skipping")
             continue
+        # The modeled side first: these two never depend on the host.
+        for field in ("checksum", "sim_ns"):
+            if sample[field] != base[field]:
+                print(f"{name:24s} {field} {base[field]} -> "
+                      f"{sample[field]}  MODELED OUTPUT CHANGED")
+                failures.append(f"{name} ({field})")
         ratio = sample["wall_s"] / base["wall_s"]
         verdict = "OK" if ratio <= 1.0 + tolerance else "REGRESSION"
         print(f"{name:24s} {base['wall_s']:8.3f}s -> "

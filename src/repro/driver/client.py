@@ -524,13 +524,14 @@ class DistributedNvmeClient(BlockDevice):
                 # Admission throttle active (docs/qos.md): hold the
                 # request until a completion shrinks the outstanding
                 # set below the clamped window (the signal also fires
-                # on shutdown/crash and when the clamp is lifted).  Every
-                # fire wakes the whole herd; the request counts as
-                # throttled once, however often it loses the re-check.
+                # on shutdown/crash and when the clamp is lifted).  The
+                # wait is gated on this very guard, so a fire resumes
+                # only a request that can move on; the request counts
+                # as throttled once, however many fires pass it by.
                 if not parked:
                     parked = True
                     self.throttled_ios += 1
-                yield self._sq_space.wait()
+                yield self._sq_space.wait(self._clamp_holds)
                 continue
             if self.sq.is_full():
                 if rel.command_timeout_ns <= 0:
@@ -539,7 +540,7 @@ class DistributedNvmeClient(BlockDevice):
                     # shared slot window) — wait for a completion to
                     # free a slot (shutdown/crash fire the signal too,
                     # re-checked at the loop head).
-                    yield self._sq_space.wait()
+                    yield self._sq_space.wait(self._full_sq_holds)
                     continue
                 # The ring may be clogged with commands whose
                 # completions were lost; recover what landed beyond CQ
@@ -627,6 +628,20 @@ class DistributedNvmeClient(BlockDevice):
         if self.data_path == "iommu":
             yield self.sim.timeout(cfg.iommu_unmap_ns)
         self._parts.put(part)
+
+    # Gates for the two plain ``_sq_space`` waits of _driver_submit (see
+    # Signal.wait): each is the chain of loop guards that leads back to
+    # its own park site, and False as soon as a wake-up would take the
+    # submitter anywhere else.
+
+    def _clamp_holds(self) -> bool:
+        window = self.qos_window
+        return (self._running and window is not None
+                and len(self._inflight) >= window)
+
+    def _full_sq_holds(self) -> bool:
+        return (self._running and not self._clamp_holds()
+                and self.sq.is_full())
 
     def _issue(self, sqe: SubmissionEntry, span=None) -> None:
         """One submission: SQE store, then the doorbell behind it."""

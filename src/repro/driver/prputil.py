@@ -10,6 +10,7 @@ with NTB distance when the list lives in client memory).
 
 from __future__ import annotations
 
+import struct
 import typing as t
 
 from ..nvme.constants import PAGE_SIZE
@@ -37,8 +38,9 @@ def prps_for_contiguous(data_device_addr: int, nbytes: int,
         raise ValueError(f"transfer of {nbytes} bytes needs a chained "
                          "PRP list; unsupported by this driver")
     blob = bytearray(page_size)
-    for i in range(1, npages):
-        entry = data_device_addr + i * page_size
-        blob[(i - 1) * 8: i * 8] = entry.to_bytes(8, "little")
+    struct.pack_into("<%dQ" % (npages - 1), blob, 0,
+                     *range(data_device_addr + page_size,
+                            data_device_addr + npages * page_size,
+                            page_size))
     write_list_page(bytes(blob))
     return data_device_addr, list_page_device_addr

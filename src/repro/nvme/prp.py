@@ -15,6 +15,7 @@ shows up in large-transfer latency).
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 from .constants import PAGE_SIZE
 
@@ -89,10 +90,9 @@ def build_prps(buffer_addr: int, length: int, list_alloc,
     blobs: list[tuple[int, bytes]] = []
     for i, (page_entries, addr) in enumerate(zip(pages, addrs)):
         buf = bytearray(page_size)
-        for j, pointer in enumerate(page_entries):
-            buf[j * 8: j * 8 + 8] = pointer.to_bytes(8, "little")
+        struct.pack_into("<%dQ" % len(page_entries), buf, 0, *page_entries)
         if i + 1 < len(addrs):
-            buf[(per_page - 1) * 8:] = addrs[i + 1].to_bytes(8, "little")
+            struct.pack_into("<Q", buf, (per_page - 1) * 8, addrs[i + 1])
         blobs.append((addr, bytes(buf)))
     return PrpDescriptor(prp1=pointers[0], prp2=addrs[0],
                          list_pages=tuple(blobs))
@@ -131,19 +131,24 @@ def resolve_prps(prp1: int, prp2: int, length: int, read_page,
     list_addr = prp2
     while remaining > 0:
         page = yield from read_page(list_addr)
-        pointers = [int.from_bytes(page[i * 8:(i + 1) * 8], "little")
-                    for i in range(per_page)]
         # Determine how many data pointers this page holds: if the
         # remaining transfer needs more than (per_page-1) more pages,
-        # the last slot is a chain pointer.
+        # the last slot is a chain pointer.  Only the slots the transfer
+        # uses are decoded; the rest of the page is never looked at.
         needed = (remaining + page_size - 1) // page_size
-        if needed > per_page:
-            data_ptrs = pointers[: per_page - 1]
-            list_addr = pointers[per_page - 1]
+        chained = needed > per_page
+        try:
+            data_ptrs = struct.unpack_from(
+                "<%dQ" % (per_page if chained else needed), page)
+        except struct.error:
+            raise PrpError(
+                f"PRP list page too short: {len(page)} bytes") from None
+        if chained:
+            list_addr = data_ptrs[-1]
+            data_ptrs = data_ptrs[:-1]
             if list_addr == 0:
                 raise PrpError("PRP chain pointer is zero")
         else:
-            data_ptrs = pointers[:needed]
             list_addr = 0
         for pointer in data_ptrs:
             if pointer == 0:

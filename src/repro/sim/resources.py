@@ -11,7 +11,9 @@
     Broadcast edge: ``wait()`` returns an event triggered by the next
     ``fire()``.  Used to model "something changed, re-check your state"
     wakeups such as doorbell writes and CQ-memory watchpoints without
-    busy-poll event storms.
+    busy-poll event storms.  ``wait(blocked)`` hands ``fire()`` the
+    re-check itself, so a waiter that would only park again costs a
+    predicate call instead of a wake event and a process switch.
 """
 
 from __future__ import annotations
@@ -228,6 +230,23 @@ class Store:
         return self._items.popleft() if self._items else None
 
 
+class _GatedWait(Event):
+    """A :meth:`Signal.wait` that carries its ``blocked`` predicate."""
+
+    __slots__ = ("blocked",)
+
+
+class _Sweep(Event):
+    """One queue entry standing for a run of consecutive gated waiters.
+
+    Unlike every other event it may be dispatched more than once: each
+    dispatch wakes at most one waiter and re-queues the rest of the
+    batch under the sweep's original ``(time, NORMAL, seq)`` key.
+    """
+
+    __slots__ = ("batch", "index", "seq")
+
+
 class Signal:
     """Broadcast wakeup edge.
 
@@ -238,20 +257,121 @@ class Signal:
         while not condition():
             ev = signal.wait()
             yield ev
+
+    A waiter whose whole reaction to a wake-up would be to evaluate
+    ``condition()``, find it false and wait again may pass that test as
+    ``wait(blocked)``: ``fire()`` then evaluates ``blocked()`` in the
+    waiter's place and, while it holds, leaves the waiter parked — same
+    event, same position relative to the other waiters — without
+    resuming its process.  What every other process observes is what
+    the loop above produces; only the wake events of the losers are
+    gone (docs/performance.md, "Order preservation").  The contract for
+    ``blocked``:
+
+    * it is pure: no state change, no RNG draw, nothing scheduled;
+    * it answers "woken now, I would come straight back to *this*
+      wait" — if a wake-up could take the process anywhere else
+      (another wait, a counter increment), it must return False;
+    * it reads only state a parked loser cannot change, and it includes
+      the shutdown condition, so whatever must release the waiter
+      (a completion, a lifted clamp, a stop) makes it return False.
+
+    Pass ``blocked`` only for a wait the process yields directly; a
+    waiter nobody is subscribed to when its turn comes (its process was
+    interrupted) is dropped instead of re-parked.
     """
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._waiters: list[Event] = []
+        #: some entry of ``_waiters`` may be a :class:`_GatedWait`
+        self._gated = False
         self.fires = 0
 
-    def wait(self) -> Event:
-        ev = Event(self.sim)
+    @property
+    def waiting(self) -> int:
+        """Number of waits the next ``fire()`` will look at."""
+        return len(self._waiters)
+
+    def wait(self, blocked: t.Callable[[], bool] | None = None) -> Event:
+        if blocked is None:
+            ev = Event(self.sim)
+        else:
+            ev = _GatedWait(self.sim)
+            ev.blocked = blocked
+            self._gated = True
         self._waiters.append(ev)
         return ev
 
     def fire(self, value: t.Any = None) -> None:
         self.fires += 1
         waiters, self._waiters = self._waiters, []
+        if self._gated:
+            self._gated = False
+            self._fire_gated(waiters, value)
+            return
         for ev in waiters:
             ev.succeed(value)
+
+    def _fire_gated(self, waiters: list[Event], value: t.Any) -> None:
+        """Wake a batch that holds gated waiters: one wake event per
+        ungated waiter, as in :meth:`fire`, and one :class:`_Sweep` per
+        run of consecutive gated ones, in waiter order."""
+        sim = self.sim
+        batch: list[_GatedWait] | None = None
+        for ev in waiters:
+            if type(ev) is not _GatedWait:
+                batch = None
+                ev.succeed(value)
+            elif batch is None:
+                batch = [ev]
+                sweep = _Sweep(sim)
+                sweep.callbacks = [self._sweep]
+                sweep._value = value
+                sweep.batch = batch
+                sweep.index = 0
+                sweep.seq = next(sim._sequence)
+                heappush(sim._queue, (sim._now, NORMAL, sweep.seq, sweep))
+            else:
+                batch.append(ev)
+
+    def _sweep(self, sweep: _Sweep) -> None:
+        """Dispatch of a sweep: stand in for the batch's wake events.
+
+        Waiters are taken oldest first.  One whose predicate holds is
+        appended to ``_waiters`` — where its process would have parked a
+        fresh wait had it been resumed.  The first one whose predicate
+        fails is processed the way the run loop processes a wake event,
+        and the rest of the batch goes back on the queue under the same
+        key: nothing NORMAL at this instant can sort between two wake
+        events of one fire (their sequence numbers were consecutive),
+        but the URGENT boot of a process the winner spawned does run
+        before the next waiter is looked at, as it always did.
+        """
+        # hot-path: one pass per completion over every parked submitter
+        batch = sweep.batch
+        index = sweep.index
+        end = len(batch)
+        repark = self._waiters.append
+        while index < end:
+            ev = batch[index]
+            index += 1
+            callbacks = ev.callbacks
+            if not callbacks:
+                continue        # nobody left to wake: drop, don't re-park
+            if ev.blocked():
+                repark(ev)
+                self._gated = True
+                continue
+            if index < end:
+                sim = self.sim
+                sweep.index = index
+                sweep.callbacks = [self._sweep]
+                sweep._processed = False
+                heappush(sim._queue, (sim._now, NORMAL, sweep.seq, sweep))
+            ev._value = sweep._value
+            ev.callbacks = None
+            ev._processed = True
+            for callback in callbacks:
+                callback(ev)
+            return

@@ -255,6 +255,66 @@ class TestDataPath:
         assert slow_med > fast_med + 500
 
 
+class TestAdmissionClamp:
+    """Submitters parked on the admission clamp (docs/qos.md) wait
+    gated on the clamp itself: a completion resumes only one that can
+    issue."""
+
+    def _clamped_run(self, n_parked):
+        bed, manager = make_cluster()
+        client = start_client(bed, 1, queue_entries=128, queue_depth=100)
+        client.set_qos_window(1)
+        issued = []
+        issue = client._issue
+
+        def recording_issue(sqe, span=None):
+            issued.append(sqe.slba)
+            issue(sqe, span)
+
+        client._issue = recording_issue
+        done = [client.submit(BlockRequest("read", lba=8 * i, nblocks=8))
+                for i in range(n_parked + 1)]
+        return bed.sim, client, done, issued
+
+    def _events_to_drain(self, n_parked):
+        sim, client, done, _ = self._clamped_run(n_parked)
+        before = sim.events_processed
+        sim.run(until=sim.all_of(done))
+        assert all(ev.value.ok for ev in done)
+        assert client.throttled_ios == n_parked     # once each
+        return sim.events_processed - before
+
+    def test_events_per_completion_independent_of_parked_count(self):
+        """With a wake-all herd an I/O costs one event per submitter
+        parked behind it; gated, the marginal cost of one more I/O is
+        the same at 64 parked as at 8."""
+        e8, e16, e64 = (self._events_to_drain(n) for n in (8, 16, 64))
+        assert abs((e64 - e8) / 56 - (e16 - e8) / 8) <= 1
+
+    def test_lifting_the_clamp_issues_in_park_order(self):
+        sim, client, done, issued = self._clamped_run(5)
+        while client.throttled_ios < 5:
+            sim.step()
+        assert issued == [0]
+        client.set_qos_window(None)
+        sim.run(until=sim.all_of(done))
+        assert issued == [8 * i for i in range(6)]
+        assert client.throttled_ios == 5
+
+    def test_crash_releases_parked_submitters_in_park_order(self):
+        sim, client, done, issued = self._clamped_run(4)
+        while client.throttled_ios < 4:
+            sim.step()
+        finished = []
+        for i, ev in enumerate(done):
+            ev.callbacks.append(lambda _ev, i=i: finished.append(i))
+        client.crash()
+        sim.run(until=sim.all_of(done))
+        assert issued == [0]
+        assert finished == [0, 1, 2, 3, 4]
+        assert all(not ev.value.ok for ev in done)
+
+
 class TestMultiHostScaling:
     def test_31_clients_supported(self):
         """The paper: P4800X supports 32 QPs, so 31 hosts can share it.

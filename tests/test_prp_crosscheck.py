@@ -87,6 +87,91 @@ class TestDriverControllerAgreement:
             assert (addr % PAGE_SIZE) + size <= PAGE_SIZE
 
 
+def _build_and_resolve(base, length):
+    """build_prps -> list memory -> resolve_prps; returns the segments
+    and the list pages written."""
+    allocated = []
+
+    def alloc(n):
+        allocated.append(0x90_0000 + len(allocated) * PAGE_SIZE)
+        return allocated[-1]
+
+    descriptor = build_prps(base, length, alloc)
+    list_memory = dict(descriptor.list_pages)
+    segs = _resolve(descriptor.prp1, descriptor.prp2, length, list_memory)
+    return segs, list_memory
+
+
+class TestListWalk:
+    """The resolver decodes only the list slots a transfer uses."""
+
+    # 1 page ... MDTS (32 pages), the last single-page list (513), the
+    # first chained one (514) and a three-page chain
+    @pytest.mark.parametrize("pages", [1, 2, 3, 16, 32, 513, 514, 1100])
+    @pytest.mark.parametrize("offset", [0, 0x200])
+    def test_build_resolve_roundtrip(self, pages, offset):
+        base = 0x40_0000 + offset
+        length = pages * PAGE_SIZE - offset
+        segs, list_memory = _build_and_resolve(base, length)
+        assert segs[0][0] == base
+        assert sum(size for _, size in segs) == length
+        cursor = base
+        for addr, size in segs:
+            assert addr == cursor
+            assert (addr % PAGE_SIZE) + size <= PAGE_SIZE
+            cursor += size
+        per_page = PAGE_SIZE // 8
+        entries = len(segs) - 1
+        expected_lists = 0 if entries < 2 else \
+            1 + max(0, entries - 2) // (per_page - 1)
+        assert len(list_memory) == expected_lists
+
+    def test_garbage_in_unused_slots_is_ignored(self):
+        length = 16 * PAGE_SIZE
+        clean, list_memory = _build_and_resolve(0x40_0000, length)
+        (addr, blob), = list_memory.items()
+        used = 15 * 8
+        dirty = blob[:used] + b"\xa5" * (PAGE_SIZE - used)
+        assert _resolve(0x40_0000, addr, length, {addr: dirty}) == clean
+
+    @pytest.mark.parametrize("entry", [0, 0x41_0004, 0x41_0800])
+    def test_zero_or_misaligned_used_entry(self, entry):
+        length = 16 * PAGE_SIZE
+        _, list_memory = _build_and_resolve(0x40_0000, length)
+        (addr, blob), = list_memory.items()
+        for slot in (0, 7, 14):
+            bad = bytearray(blob)
+            bad[slot * 8:slot * 8 + 8] = entry.to_bytes(8, "little")
+            with pytest.raises(PrpError):
+                _resolve(0x40_0000, addr, length, {addr: bytes(bad)})
+
+    @pytest.mark.parametrize("have", [0, 8, 15 * 8 - 1])
+    def test_short_page_is_a_prp_error(self, have):
+        """Fewer bytes than the transfer's entries: INVALID_FIELD at the
+        controller, never a struct.error out of the event loop."""
+        length = 16 * PAGE_SIZE
+        _, list_memory = _build_and_resolve(0x40_0000, length)
+        (addr, blob), = list_memory.items()
+        with pytest.raises(PrpError):
+            _resolve(0x40_0000, addr, length, {addr: blob[:have]})
+
+    def test_short_chained_page_is_a_prp_error(self):
+        length = 600 * PAGE_SIZE
+        _, list_memory = _build_and_resolve(0x40_0000, length)
+        first = min(list_memory)
+        list_memory[first] = list_memory[first][:PAGE_SIZE - 8]
+        with pytest.raises(PrpError):
+            _resolve(0x40_0000, first, length, list_memory)
+
+    def test_zero_chain_pointer(self):
+        length = 600 * PAGE_SIZE
+        _, list_memory = _build_and_resolve(0x40_0000, length)
+        first = min(list_memory)
+        list_memory[first] = list_memory[first][:PAGE_SIZE - 8] + bytes(8)
+        with pytest.raises(PrpError):
+            _resolve(0x40_0000, first, length, list_memory)
+
+
 class TestResolverRejectsGarbage:
     def test_zero_prp2_when_required(self):
         with pytest.raises(PrpError):

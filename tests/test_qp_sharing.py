@@ -18,7 +18,8 @@ import dataclasses
 import pytest
 
 from repro.config import SimulationConfig
-from repro.driver import ClientError, DistributedNvmeClient, NvmeManager
+from repro.driver import (BlockRequest, ClientError, DistributedNvmeClient,
+                          NvmeManager)
 from repro.driver import metadata as meta
 from repro.scenarios import multihost, scale_out_cluster
 from repro.scenarios.testbed import PcieTestbed
@@ -234,6 +235,33 @@ class TestWindowHandoff:
         assert len(manager.shared_qps) == 1      # QP survives
         assert manager.queues_in_use == 1
         self._run_ios(bed, first, 5)             # co-tenant unaffected
+
+    def test_depth_beyond_the_window_waits_for_slots_in_order(self):
+        """Queue depth above the slot window with recovery off: the
+        overflow parks (gated on the ring being full) and each freed
+        slot goes to the oldest parked submission; a clamp landing on
+        top moves the parked to the clamp's wait, still in order."""
+        bed, manager, client = self._tenant_cluster()
+        assert bed.config.reliability.command_timeout_ns == 0
+        usable = client.sq.entries - 1
+        issued = []
+        issue = client._issue
+
+        def recording_issue(sqe, span=None):
+            issued.append(sqe.slba)
+            issue(sqe, span)
+
+        client._issue = recording_issue
+        n = usable + 12
+        done = [client.submit(BlockRequest("read", lba=8 * i, nblocks=8))
+                for i in range(n)]
+        while len(issued) < usable + 2:
+            bed.sim.step()
+        client.set_qos_window(3)
+        bed.sim.run(until=bed.sim.all_of(done))
+        assert issued == [8 * i for i in range(n)]
+        assert all(ev.value.ok for ev in done)
+        assert 0 < client.throttled_ios <= 10
 
     def test_doorbell_batching_completes(self):
         cfg = sharing_config(reserved_qps=1, max_queue_pairs=3,
