@@ -137,41 +137,6 @@ def bench_noisy(horizon_ns: int) -> dict:
                             for r in run.results)}
 
 
-def bench_sharded(ios_per_client: int, shards: int,
-                  parallel: bool = True) -> dict:
-    """Sharded multihost-4 against its own shards=1 reference.
-
-    Both runs happen in this one sample so ``speedup`` compares like
-    with like on the current machine.  ``checksum_equal`` is the
-    determinism contract (fio accounting + namespace digests match the
-    single-loop run bit for bit) and is gated unconditionally;
-    ``speedup`` only means anything when the host actually has a core
-    per shard, so ``check_regression`` reads the recorded ``cores``.
-    """
-    from repro.scenarios.sharded import (build_multihost,
-                                         merge_program_results)
-    from repro.sim import run_sharded
-
-    build = build_multihost(ios_per_client=ios_per_client)
-    start = time.perf_counter()
-    ref = run_sharded(build, shards=1)
-    ref_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    run = run_sharded(build, shards=shards, parallel=parallel)
-    wall = time.perf_counter() - start
-    merged_ref = merge_program_results(ref.results)
-    merged = merge_program_results(run.results)
-    equal = (merged["fio"] == merged_ref["fio"]
-             and merged["checksums"] == merged_ref["checksums"])
-    return {"wall_s": wall, "ref_wall_s": round(ref_wall, 4),
-            "speedup": round(ref_wall / wall, 3),
-            "ios": 4 * ios_per_client, "sim_ns": run.sim_now,
-            "events": run.events, "shards": shards,
-            "parallel": parallel, "windows": run.windows,
-            "messages": run.messages, "checksum_equal": equal,
-            "checksum": sum(merged["checksums"].values())}
-
-
 BENCHES = {
     "fig10-ours-remote": bench_fig10,
     "multihost-4": bench_multihost,
@@ -180,7 +145,7 @@ BENCHES = {
 }
 
 
-def run_suite(quick: bool, repeats: int, shards: int = 0) -> dict:
+def run_suite(quick: bool, repeats: int) -> dict:
     out = {}
     for name, fn in BENCHES.items():
         full, small = SIZES[name]
@@ -197,58 +162,16 @@ def run_suite(quick: bool, repeats: int, shards: int = 0) -> dict:
         print(f"{name:24s} {best['wall_s']:8.3f}s  "
               f"{best['ios']:6d} ios  "
               f"{best['events_per_sec']:>9} ev/s")
-    if shards > 1:
-        full, small = SIZES["multihost-4"]
-        ios = small if quick else full
-        best = None
-        for _ in range(repeats):
-            sample = bench_sharded(ios, shards)
-            if best is None or sample["wall_s"] < best["wall_s"]:
-                best = sample
-        assert best is not None
-        best["events_per_sec"] = round(best["events"] / best["wall_s"])
-        best["wall_s"] = round(best["wall_s"], 4)
-        name = f"multihost-4-sharded{shards}"
-        out[name] = best
-        print(f"{name:24s} {best['wall_s']:8.3f}s  "
-              f"{best['ios']:6d} ios  "
-              f"{best['events_per_sec']:>9} ev/s  "
-              f"speedup {best['speedup']:.2f}x "
-              f"checksums {'OK' if best['checksum_equal'] else 'DIFFER'}")
     return out
 
 
 def check_regression(current: dict, baseline_path: pathlib.Path,
-                     tolerance: float,
-                     speedup_floor: float = 1.5) -> int:
+                     tolerance: float) -> int:
     data = json.loads(baseline_path.read_text())
     baseline = data["runs"].get("after") or data["runs"]["before"]
     mode = "quick" if current["quick"] else "full"
-    cores = current.get("cores") or 1
     failures = []
     for name, sample in current["scenarios"].items():
-        if "speedup" in sample:
-            # Sharded entry: determinism is gated unconditionally; the
-            # speedup floor only applies when the host has a core per
-            # shard (on fewer cores, K processes time-slice one CPU
-            # and the barrier overhead is all that is measured).
-            if not sample["checksum_equal"]:
-                print(f"{name}: sharded results DIVERGED from shards=1")
-                failures.append(name)
-                continue
-            if cores >= sample["shards"]:
-                verdict = ("OK" if sample["speedup"] >= speedup_floor
-                           else "TOO SLOW")
-                print(f"{name:24s} speedup {sample['speedup']:5.2f}x "
-                      f"(floor {speedup_floor:.2f}x, {cores} cores)  "
-                      f"{verdict}")
-                if sample["speedup"] < speedup_floor:
-                    failures.append(name)
-            else:
-                print(f"{name:24s} speedup {sample['speedup']:5.2f}x "
-                      f"(not gated: {cores} cores < "
-                      f"{sample['shards']} shards), checksums OK")
-            continue
         base = baseline.get(mode, {}).get(name)
         if base is None:
             print(f"{name}: no baseline for mode {mode!r}; skipping")
@@ -299,19 +222,11 @@ def main(argv: list[str] | None = None) -> int:
                          "on regression")
     ap.add_argument("--tolerance", type=float, default=0.30,
                     help="allowed wall-clock slowdown vs baseline")
-    ap.add_argument("--shards", type=int, default=0,
-                    help="also time a multiprocess sharded multihost-4 "
-                         "run with this many shards vs its shards=1 "
-                         "reference")
-    ap.add_argument("--speedup-floor", type=float, default=1.5,
-                    help="minimum sharded speedup when the host has a "
-                         "core per shard (checksum equality is gated "
-                         "regardless)")
     ap.add_argument("--out", type=pathlib.Path, default=None,
                     help="also dump this run's raw results as JSON")
     args = ap.parse_args(argv)
 
-    scenarios = run_suite(args.quick, args.repeats, shards=args.shards)
+    scenarios = run_suite(args.quick, args.repeats)
     current = {"quick": args.quick, "cores": os.cpu_count(),
                "scenarios": scenarios}
 
@@ -327,15 +242,12 @@ def main(argv: list[str] | None = None) -> int:
                       "runs": {}})
         mode = "quick" if args.quick else "full"
         data["runs"].setdefault(args.record, {})[mode] = scenarios
-        # Sharded speedups are only meaningful relative to the core
-        # count they were measured on; record it alongside.
         data.setdefault("machine", {})["cores"] = os.cpu_count()
         path.write_text(json.dumps(data, indent=2) + "\n")
         print(f"recorded {mode!r} results as {args.record!r} in {path}")
 
     if args.check is not None:
-        return check_regression(current, args.check, args.tolerance,
-                                speedup_floor=args.speedup_floor)
+        return check_regression(current, args.check, args.tolerance)
     return 0
 
 

@@ -292,50 +292,6 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sharded(args: argparse.Namespace) -> int:
-    # Lazy import: the shard runner pulls in multiprocessing glue the
-    # plain simulation commands never need.
-    from .scenarios.sharded import build_sharded, merge_program_results
-    from .sim import run_sharded
-
-    overrides: dict[str, t.Any] = {"seed": args.seed}
-    if args.ios is not None:
-        key = ("total_ios" if args.scenario == "fig10-ours-remote"
-               else "ios_per_client")
-        overrides[key] = args.ios
-    build = build_sharded(args.scenario, **overrides)
-    mode = args.mode or ("deadline" if args.scenario == "chaos"
-                         else "goals")
-    deadline = args.deadline
-    if mode == "deadline" and deadline is None:
-        deadline = 6_000_000
-    print(f"running {args.scenario} with shards={args.shards} "
-          f"({'multiprocess' if args.parallel else 'virtual'}, "
-          f"mode={mode}) ...", file=sys.stderr)
-    run = run_sharded(build, shards=args.shards, parallel=args.parallel,
-                      mode=mode, deadline=deadline)
-    merged = merge_program_results(run.results)
-    total = sum(v["completed"] for v in merged["fio"].values())
-    errors = sum(v["errors"] for v in merged["fio"].values())
-    print(f"  {total} I/Os, {errors} errors, sim time "
-          f"{merged['sim_now']} ns; {run.windows} windows, "
-          f"{run.messages} cross-shard messages, {run.events} events")
-    for name in sorted(merged["checksums"]):
-        print(f"  checksum {name}: {merged['checksums'][name]:#010x}")
-    if args.verify and args.shards > 1:
-        ref = merge_program_results(
-            run_sharded(build, shards=1, mode=mode,
-                        deadline=deadline).results)
-        same = (merged["fio"] == ref["fio"]
-                and merged["checksums"] == ref["checksums"]
-                and (mode != "deadline"
-                     or merged["prometheus"] == ref["prometheus"]))
-        print(f"  verify vs shards=1: {'OK' if same else 'MISMATCH'}")
-        if not same:
-            return 1
-    return 0
-
-
 def _cmd_staticcheck(args: argparse.Namespace) -> int:
     # Imported lazily: the checker is a dev tool and pulls in nothing
     # the simulation needs.
@@ -507,34 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exit non-zero unless wfq/strict isolate the "
                           "bystanders (and fifo/off visibly don't)")
     qos.set_defaults(func=_cmd_qos)
-
-    sh = sub.add_parser(
-        "sharded",
-        help="run a scenario on the sharded conservative-lookahead "
-             "event loop (bit-identical to shards=1)")
-    sh.add_argument("--scenario", default="multihost-4",
-                    choices=["fig10-ours-remote", "multihost-4",
-                             "chaos", "cluster-4dev"])
-    sh.add_argument("--shards", type=int, default=2,
-                    help="replica count (1 = plain single loop)")
-    sh.add_argument("--parallel", "--mp", action="store_true",
-                    dest="parallel",
-                    help="forked worker per shard instead of virtual "
-                         "(in-process) sharding")
-    sh.add_argument("--mode", choices=["goals", "deadline"],
-                    default=None,
-                    help="stop when workloads finish (goals) or at a "
-                         "fixed simulated time (deadline); default "
-                         "deadline for chaos, goals otherwise")
-    sh.add_argument("--deadline", type=int, default=None,
-                    help="simulated end time in ns (deadline mode)")
-    sh.add_argument("--ios", type=int, default=None,
-                    help="I/Os per client (scenario default if unset)")
-    sh.add_argument("--seed", type=int, default=42)
-    sh.add_argument("--verify", action="store_true",
-                    help="also run shards=1 and compare fio stats, "
-                         "checksums and (deadline mode) metrics")
-    sh.set_defaults(func=_cmd_sharded)
 
     sc = sub.add_parser("staticcheck",
                         help="run the AST invariant checker "

@@ -140,8 +140,7 @@ class FaultPointRegistry:
         The coin stream is keyed per (point, initiating host): a lossy
         link crossed by flows from several hosts flips an independent
         coin stream per flow, so each stream's consumption depends only
-        on one timing domain's activity (the shard-partitioning
-        invariant; see repro.sim.shard)."""
+        on that host's own traffic."""
         initiator = host_names[0] if host_names else ""
         for host in host_names:
             name = f"link:{host}"

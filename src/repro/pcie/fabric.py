@@ -46,7 +46,6 @@ from ..config import PcieConfig
 from ..memory import HostMemory
 from ..sim import (NULL_TRACER, Event, Process, Simulator, giver,
                    take_all)
-from ..sim.events import URGENT
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -59,10 +58,9 @@ MAX_NTB_CROSSINGS = 3
 
 
 class _Ticket:
-    """Return value of :meth:`Fabric.post_write` when no local delivery
-    event exists (dropped writes; cross-shard sends).  Callers only ever
-    probe ``.callbacks`` (guarding on None), so a shared inert instance
-    suffices."""
+    """Return value of :meth:`Fabric.post_write` when no delivery event
+    exists (dropped writes).  Callers only ever probe ``.callbacks``
+    (guarding on None), so a shared inert instance suffices."""
 
     __slots__ = ()
     callbacks = None
@@ -153,22 +151,6 @@ class Fabric:
             None if os.environ.get("REPRO_NO_ROUTE_CACHE") == "1" else {})
         # (path, wire_bytes) -> _hold_plan() | ()
         self._occupy_plans: dict[tuple, tuple] = {}
-        #: shard boundary (repro.sim.shard.ShardBoundary) or None; when
-        #: installed, transactions whose target lies in a different
-        #: timing domain than their initiator run the decomposed
-        #: source-leg/destination-leg protocol (see docs/performance.md)
-        self.boundary = None
-        #: in-flight transaction count (shard-runner quiesce support)
-        self.inflight = 0
-        # cross-domain reads awaiting their completion message
-        self._pending_reads: dict[int, Event] = {}
-        self._read_seq = 0
-        # path -> index of the first destination-domain node
-        self._cut_cache: dict[tuple, int] = {}
-        # (path, wire_bytes, cut) -> (pre_plan, suf_plan, fill_ns)
-        self._cross_plans: dict[tuple, tuple] = {}
-        # (host name, function name) -> PCIeFunction (message targets)
-        self._fn_index: dict[tuple[str, str], t.Any] = {}
         # payload-length -> bytes_on_wire, per TLP category (pure
         # functions of the frozen config, so plain int memoization).
         self._write_wire: dict[int, int] = {}
@@ -331,19 +313,15 @@ class Fabric:
         issue = self._issue_write(initiator, host, addr, data)
         if issue is None:
             return
-        res, path, wire, dst_dom = issue
-        if dst_dom is not None:
-            yield from self._cross_write_tail(initiator, host, res, path,
-                                              dst_dom, addr, data, wire)
-        else:
-            yield from self._write_tail(initiator, host, res, path, addr,
-                                        data, wire)
+        res, path, wire = issue
+        yield from self._write_tail(initiator, host, res, path, addr, data,
+                                    wire)
 
     def _issue_write(self, initiator: Node, host: Host, addr: int,
                      data: bytes):
         """Shared posted-write issue logic: resolve, fault coin flips,
-        accounting.  Returns ``(res, path, wire, dst_domain_or_None)``,
-        or None when the write was dropped."""
+        accounting.  Returns ``(res, path, wire)``, or None when the
+        write was dropped."""
         # hot-path
         length = len(data)
         try:
@@ -368,37 +346,24 @@ class Fabric:
         if wire is None:
             wire = write_cost(length, self.config).bytes_on_wire
             self._write_wire[length] = wire
-        dst_dom = None
-        b = self.boundary
-        if b is not None:
-            nd = b.node_domain
-            dom = nd.get(res.node.name)
-            if dom is not None and dom != nd.get(initiator.name):
-                dst_dom = dom
-        return res, path, wire, dst_dom
+        return res, path, wire
 
     def _write_tail(self, initiator: Node, host: Host, res: Resolution,
                     path: tuple, addr: int, data: bytes, wire: int):
-        """Single-domain posted-write body: occupancy, hop latency,
-        posted-ordering clamp, delivery."""
+        """Posted-write body: occupancy, hop latency, posted-ordering
+        clamp, delivery."""
         # hot-path
         sim = self.sim
-        self.inflight += 1
-        try:
-            yield from self._occupy(path, wire)
-            yield sim.sleep(
-                self._arrival(initiator, host, res, path, 0) - sim._now)
-            self._finish_local_write(res, data, addr, accounted=True)
-        finally:
-            self.inflight -= 1
+        yield from self._occupy(path, wire)
+        yield sim.sleep(
+            self._arrival(initiator, host, res, path, 0) - sim._now)
+        self._finish_local_write(res, data, addr)
 
     def _arrival(self, initiator: Node, host: Host, res: Resolution,
                  path: tuple, fill: int) -> int:
-        """Delivery instant of a posted write whose (source-side) links
-        are held as of now (``fill``: pipe-fill time still to elapse),
-        with the posted-ordering clamp applied.  The hop latency of a
-        path is the same, draw for draw, whole or split at a domain cut,
-        so cross-domain writes use this too."""
+        """Delivery instant of a posted write whose links are held as of
+        now (``fill``: pipe-fill time still to elapse), with the
+        posted-ordering clamp applied."""
         # hot-path
         cfg = self.config
         latency = fill + self.cluster.hop_latency(path)
@@ -429,51 +394,14 @@ class Fabric:
         sim._push(delivery,
                   self._arrival(initiator, host, res, path, 0) - sim._now)
 
-    def _cross_write_tail(self, initiator: Node, host: Host,
-                          res: Resolution, path: tuple, dst_dom: str,
-                          addr: int, data: bytes, wire: int):
-        """Source-domain half of a cross-domain posted write: occupy the
-        source-side links (charging the full-path pipe-fill time),
-        evaluate the entire flight time from source-owned RNG streams,
-        and hand the write to the destination domain effective at its
-        nominal arrival instant.  The destination side re-models its own
-        link occupancy on arrival (store-and-forward at the boundary)."""
-        sim = self.sim
-        self.inflight += 1
-        try:
-            cut = self._cut_of(path, dst_dom)
-            pre_plan, _suf, fill = self._cross_plan(path, wire, cut)
-            yield from self._occupy_part(pre_plan, fill)
-            arrival = self._arrival(initiator, host, res, path, 0)
-            self._send(dst_dom, arrival,
-                       self._write_payload(initiator, res, addr, data, wire))
-            # Posted semantics: the writer observes nominal delivery.
-            yield sim.sleep(arrival - sim._now)
-        finally:
-            self.inflight -= 1
-
-    def _finish_local_write(self, res: Resolution, data: bytes, addr: int,
-                            accounted: bool = False) -> None:
-        """Apply a same-domain posted write at its delivery instant."""
+    def _finish_local_write(self, res: Resolution, data: bytes,
+                            addr: int) -> None:
+        """Apply a posted write at its delivery instant."""
         # hot-path
-        if not accounted:
-            self.inflight -= 1
         if res.kind == "mem":
             res.memory.write(res.addr, data)
         else:
-            b = self.boundary
-            if b is not None:
-                # Processes the MMIO handler spawns (controller fetch
-                # loops, CQE writers) belong to the target's domain.
-                sim = self.sim
-                prev = sim._domain
-                sim._domain = b.node_domain.get(res.node.name, prev)
-                try:
-                    res.bar.function.mmio_write(res.bar, res.offset, data)
-                finally:
-                    sim._domain = prev
-            else:
-                res.bar.function.mmio_write(res.bar, res.offset, data)
+            res.bar.function.mmio_write(res.bar, res.offset, data)
         if self._trace:
             self.tracer.emit("pcie", "write-delivered", addr=addr,
                              final=res.addr if res.kind == "mem"
@@ -489,12 +417,11 @@ class Fabric:
                    data: bytes | bytearray | memoryview):
         """Fire-and-forget posted write.
 
-        Returns an event that triggers at local delivery (callers may
-        append callbacks to it); dropped and cross-shard writes have no
-        local delivery instant and return an inert ticket whose
-        ``callbacks`` is None.
+        Returns an event that triggers at delivery (callers may append
+        callbacks to it); a dropped write has no delivery instant and
+        returns an inert ticket whose ``callbacks`` is None.
         """
-        # hot-path: when every source-side link is free, the whole issue
+        # hot-path: when every link on the path is free, the whole issue
         # runs inline — no process spawn, no occupancy generator, no
         # per-link grant events.  Contended issues queue for the links
         # in a process *after* the side-effecting steps (resolve, fault
@@ -505,23 +432,11 @@ class Fabric:
         issue = self._issue_write(initiator, host, addr, data)
         if issue is None:
             return _TICKET
-        res, path, wire, dst_dom = issue
-        if dst_dom is not None:
-            cut = self._cut_of(path, dst_dom)
-            pre_plan, _suf, fill = self._cross_plan(path, wire, cut)
-            if not self._try_hold(pre_plan):
-                return Process(sim, self._cross_write_tail(
-                    initiator, host, res, path, dst_dom, addr, data, wire))
-            arrival = self._arrival(initiator, host, res, path, fill)
-            return (self._send(dst_dom, arrival,
-                               self._write_payload(initiator, res, addr,
-                                                   data, wire))
-                    or _TICKET)
+        res, path, wire = issue
         plan = self._occupy_plans.get((path, wire))
         if plan is None:
             plan = self._build_occupy_plan(path, wire)
             self._occupy_plans[(path, wire)] = plan
-        self.inflight += 1
         ev = Event.__new__(Event)
         ev.sim = sim
         ev.callbacks = [lambda _ev, r=res, d=data, a=addr:
@@ -578,389 +493,40 @@ class Fabric:
             wire = read_request_cost(length, cfg).bytes_on_wire
             self._read_req_wire[length] = wire
 
-        b = self.boundary
-        if b is not None:
-            nd = b.node_domain
-            dst_dom = nd.get(res.node.name)
-            src_dom = nd.get(initiator.name)
-            if dst_dom is not None and src_dom is not None \
-                    and dst_dom != src_dom:
-                data = yield from self._cross_read_tail(
-                    initiator, host, res, path, src_dom, dst_dom, addr,
-                    length, wire)
-                return data
-
-        self.inflight += 1
-        try:
-            yield from self._occupy(path, wire)
-            req_latency = self.cluster.hop_latency(path)
-            if res.crossings:
-                req_latency += res.crossings * cfg.ntb_translation_ns
-            if faults is not None:
-                req_latency += faults.tlp_delay_ns(host.name, res.host.name)
-            yield sim.sleep(req_latency)
-
-            # Target service + data fetch.
-            if res.kind == "mem":
-                yield sim.sleep(cfg.memory_read_latency_ns)
-                data = res.memory.read(res.addr, length)
-            else:
-                yield sim.sleep(cfg.device_mmio_read_ns)
-                data = res.bar.function.mmio_read(res.bar, res.offset,
-                                                  length)
-                if len(data) != length:
-                    raise AddressError(
-                        f"{res.bar.function.name} returned {len(data)} "
-                        f"bytes for a {length}-byte read")
-
-            # Completion leg (data flows back).
-            rpath = tuple(reversed(path))
-            wire = self._cpl_wire.get(length)
-            if wire is None:
-                wire = completion_cost(length, cfg).bytes_on_wire
-                self._cpl_wire[length] = wire
-            yield from self._occupy(rpath, wire)
-            cpl_latency = self.cluster.hop_latency(rpath)
-            yield sim.sleep(cpl_latency)
-        finally:
-            self.inflight -= 1
-        if self._trace:
-            self.tracer.emit("pcie", "read-complete", addr=addr,
-                             size=length, crossings=res.crossings)
-        return data
-
-    def _cross_read_tail(self, initiator: Node, host: Host,
-                         res: Resolution, path: tuple, src_dom: str,
-                         dst_dom: str, addr: int, length: int, wire: int):
-        """Source-domain half of a cross-domain read: occupy the
-        source-side request links, send the request to the destination
-        domain (which models its own occupancy, services the target and
-        sends the completion back), then block on the completion."""
-        sim = self.sim
-        cfg = self.config
-        self.inflight += 1
-        try:
-            cut = self._cut_of(path, dst_dom)
-            pre_plan, _suf, fill = self._cross_plan(path, wire, cut)
-            yield from self._occupy_part(pre_plan, fill)
-            pre, suf = self.cluster.hop_latency_split(path, cut)
-            req_latency = pre + suf
-            if res.crossings:
-                req_latency += res.crossings * cfg.ntb_translation_ns
-            faults = self.faults
-            if faults is not None:
-                req_latency += faults.tlp_delay_ns(host.name,
-                                                   res.host.name)
-            self._read_seq += 1
-            req_id = self._read_seq
-            pending = Event(sim)
-            self._pending_reads[req_id] = pending
-            if res.kind == "mem":
-                final = res.addr
-            else:
-                bar = res.bar
-                final = (bar.function.name, bar.index, res.offset)
-            self._send(dst_dom, sim._now + req_latency,
-                       ("R", initiator.name, res.node.name, res.kind,
-                        res.host.name, final, length, src_dom, req_id))
-            data = yield pending
-        finally:
-            self.inflight -= 1
-        if self._trace:
-            self.tracer.emit("pcie", "read-complete", addr=addr,
-                             size=length, crossings=res.crossings)
-        return data
-
-    def _serve_read(self, payload: tuple):
-        """Destination-domain half of a cross-domain read (spawned on
-        request arrival): model the request's destination-side link
-        occupancy, service the target, occupy the completion's
-        source-side links and send the completion back."""
-        (_tag, initiator_name, node_name, res_kind, host_name, final,
-         length, src_dom, req_id) = payload
-        sim = self.sim
-        cfg = self.config
-        cluster = self.cluster
-        initiator = cluster.nodes[initiator_name]
-        node = cluster.nodes[node_name]
-        path = cluster.path(initiator, node)
-        wire = self._read_req_wire.get(length)
-        if wire is None:
-            wire = read_request_cost(length, cfg).bytes_on_wire
-            self._read_req_wire[length] = wire
-        cut = self._cut_of(path, self.boundary.node_domain[node_name])
-        _pre, suf_plan, _fill = self._cross_plan(path, wire, cut)
-        yield from self._occupy_tail(suf_plan)
+        yield from self._occupy(path, wire)
+        req_latency = self.cluster.hop_latency(path)
+        if res.crossings:
+            req_latency += res.crossings * cfg.ntb_translation_ns
+        if faults is not None:
+            req_latency += faults.tlp_delay_ns(host.name, res.host.name)
+        yield sim.sleep(req_latency)
 
         # Target service + data fetch.
-        if res_kind == "mem":
+        if res.kind == "mem":
             yield sim.sleep(cfg.memory_read_latency_ns)
-            data = cluster.hosts[host_name].memory.read(final, length)
+            data = res.memory.read(res.addr, length)
         else:
             yield sim.sleep(cfg.device_mmio_read_ns)
-            fn_name, bar_idx, offset = final
-            fn = self._function(host_name, fn_name)
-            data = fn.mmio_read(fn.bars[bar_idx], offset, length)
+            data = res.bar.function.mmio_read(res.bar, res.offset,
+                                              length)
             if len(data) != length:
                 raise AddressError(
-                    f"{fn.name} returned {len(data)} bytes "
-                    f"for a {length}-byte read")
+                    f"{res.bar.function.name} returned {len(data)} "
+                    f"bytes for a {length}-byte read")
 
-        # Completion leg: this side's links are its source side.
+        # Completion leg (data flows back).
         rpath = tuple(reversed(path))
-        rcut = self._cut_of(rpath, src_dom)
-        cwire = self._cpl_wire.get(length)
-        if cwire is None:
-            cwire = completion_cost(length, cfg).bytes_on_wire
-            self._cpl_wire[length] = cwire
-        cpre_plan, _csuf, cfill = self._cross_plan(rpath, cwire, rcut)
-        yield from self._occupy_part(cpre_plan, cfill)
-        cpre, csuf = cluster.hop_latency_split(rpath, rcut)
-        self._send(src_dom, sim._now + cpre + csuf,
-                   ("C", node_name, initiator_name, length, req_id, data))
-        self.inflight -= 1
-
-    # -- cross-domain message application ---------------------------------------
-
-    def _apply(self, env: tuple) -> None:
-        """Apply a cross-domain envelope at its effective instant (runs
-        as the delivery event's callback)."""
-        payload = env[4]
-        tag = payload[0]
-        if tag == "W":
-            self._apply_write(payload)
-        elif tag == "R":
-            # The service coroutine belongs to the target's domain.
-            sim = self.sim
-            prev = sim._domain
-            sim._domain = self.boundary.node_domain.get(payload[2], prev)
-            try:
-                Process(sim, self._serve_read(payload))
-            finally:
-                sim._domain = prev
-        else:
-            self._apply_read_cpl(payload)
-
-    def _apply_write(self, payload: tuple) -> None:
-        """Destination-domain half of a cross-domain posted write:
-        occupy the destination-side links (inline when free) and apply
-        the write.  Contended links delay the apply past the nominal
-        arrival — store-and-forward queueing at the domain boundary."""
-        (_tag, initiator_name, node_name, res_kind, host_name, final,
-         data, wire, crossings, addr) = payload
-        cluster = self.cluster
-        path = cluster.path(cluster.nodes[initiator_name],
-                            cluster.nodes[node_name])
-        dst_dom = self.boundary.node_domain[node_name]
-        cut = self._cut_of(path, dst_dom)
-        _pre, suf_plan, _fill = self._cross_plan(path, wire, cut)
-        if not self._try_hold(suf_plan):
-            sim = self.sim
-            prev = sim._domain
-            sim._domain = dst_dom
-            try:
-                Process(sim, self._deliver_write_slow(
-                    suf_plan, res_kind, host_name, final, data, crossings,
-                    addr))
-            finally:
-                sim._domain = prev
-            return
-        self._finish_cross_write(res_kind, host_name, final, data,
-                                 crossings, addr, dst_dom)
-
-    def _deliver_write_slow(self, suf_plan: tuple, res_kind: str,
-                            host_name: str, final, data: bytes,
-                            crossings: int, addr: int):
-        yield from self._occupy_tail(suf_plan)
-        # Running inside a domain-tagged process: no extra wrap needed.
-        self._finish_cross_write(res_kind, host_name, final, data,
-                                 crossings, addr, None)
-
-    def _finish_cross_write(self, res_kind: str, host_name: str, final,
-                            data: bytes, crossings: int, addr: int,
-                            dst_dom: str | None) -> None:
-        self.inflight -= 1
-        if res_kind == "mem":
-            self.cluster.hosts[host_name].memory.write(final, data)
-            shown = final
-        else:
-            fn_name, bar_idx, offset = final
-            fn = self._function(host_name, fn_name)
-            bar = fn.bars[bar_idx]
-            if dst_dom is not None:
-                sim = self.sim
-                prev = sim._domain
-                sim._domain = dst_dom
-                try:
-                    fn.mmio_write(bar, offset, data)
-                finally:
-                    sim._domain = prev
-            else:
-                fn.mmio_write(bar, offset, data)
-            shown = offset
+        wire = self._cpl_wire.get(length)
+        if wire is None:
+            wire = completion_cost(length, cfg).bytes_on_wire
+            self._cpl_wire[length] = wire
+        yield from self._occupy(rpath, wire)
+        cpl_latency = self.cluster.hop_latency(rpath)
+        yield sim.sleep(cpl_latency)
         if self._trace:
-            self.tracer.emit("pcie", "write-delivered", addr=addr,
-                             final=shown, size=len(data),
-                             crossings=crossings)
-
-    def _apply_read_cpl(self, payload: tuple) -> None:
-        """Initiator-domain half of a read completion: occupy the
-        destination-side completion links and wake the waiting reader."""
-        (_tag, node_name, initiator_name, length, req_id, data) = payload
-        cluster = self.cluster
-        rpath = tuple(reversed(cluster.path(cluster.nodes[initiator_name],
-                                            cluster.nodes[node_name])))
-        src_dom = self.boundary.node_domain[initiator_name]
-        rcut = self._cut_of(rpath, src_dom)
-        cwire = self._cpl_wire.get(length)
-        if cwire is None:
-            cwire = completion_cost(length, self.config).bytes_on_wire
-            self._cpl_wire[length] = cwire
-        _pre, csuf_plan, _fill = self._cross_plan(rpath, cwire, rcut)
-        if not self._try_hold(csuf_plan):
-            sim = self.sim
-            prev = sim._domain
-            sim._domain = src_dom
-            try:
-                Process(sim, self._read_cpl_slow(csuf_plan, req_id, data))
-            finally:
-                sim._domain = prev
-            return
-        self._finish_read(req_id, data)
-
-    def _read_cpl_slow(self, csuf_plan: tuple, req_id: int,
-                       data: bytes):
-        yield from self._occupy_tail(csuf_plan)
-        self._finish_read(req_id, data)
-
-    def _finish_read(self, req_id: int, data: bytes) -> None:
-        self.inflight -= 1
-        self._pending_reads.pop(req_id).succeed(data)
-
-    # -- cross-domain plumbing ---------------------------------------------------
-
-    def _occupy_part(self, plan: tuple, fill: int):
-        """Occupy one side of a cut path, charging the full path's
-        pipe-fill time (the initiating side always pays the fill; the
-        receiving side's links are occupied retroactively on arrival)."""
-        yield from self._occupy_tail(plan)
-        yield self.sim.sleep(fill)
-
-    def _occupy_tail(self, plan: tuple):
-        """Occupy the receiving side's links on message arrival.  No
-        fill charge — the nominal arrival instant already includes the
-        full-path latency; only contention can add delay here."""
-        resources, timers = plan
-        if not take_all(resources):
-            for resource in resources:
-                if not resource.take():
-                    yield resource.request()
-        sleep = self.sim.sleep
-        for hold, give in timers:
-            sleep(hold).callbacks.append(give)
-
-    def _cut_of(self, path: tuple, dst_dom: str) -> int:
-        """Index of the first node on the path inside the destination
-        domain — the boundary where source-side modelling hands over."""
-        key = (path, dst_dom)
-        cut = self._cut_cache.get(key)
-        if cut is None:
-            nd = self.boundary.node_domain
-            cut = -1
-            for i, node in enumerate(path):
-                if nd.get(node.name) == dst_dom:
-                    cut = i
-                    break
-            if cut <= 0:
-                raise RuntimeError(
-                    f"no destination-domain cut on path "
-                    f"{[n.name for n in path]} -> {dst_dom!r}")
-            self._cut_cache[key] = cut
-        return cut
-
-    def _cross_plan(self, path: tuple, wire: int, cut: int) -> tuple:
-        """Split occupancy plan of a cut path: ``(source-side plan,
-        destination-side plan, fill)``, each side as :func:`_hold_plan`
-        builds it.  Link i feeds ``path[i+1]``, so it belongs to the
-        destination side iff ``i >= cut - 1``."""
-        key = (path, wire, cut)
-        plan = self._cross_plans.get(key)
-        if plan is None:
-            trips = self.cluster.links_on(path)
-            if not trips or wire <= 0:
-                plan = (((), ()), ((), ()), 0)
-            else:
-                pre = []
-                suf = []
-                fill = 0
-                for i, (link, a, b) in enumerate(trips):
-                    hold = serialize_ns(wire, link.bandwidth)
-                    if hold > fill:
-                        fill = hold
-                    pair = (link.resource(a, b), hold)
-                    if i < cut - 1:
-                        pre.append(pair)
-                    else:
-                        suf.append(pair)
-                plan = (_hold_plan(pre), _hold_plan(suf), fill)
-            self._cross_plans[key] = plan
-        return plan
-
-    def _function(self, host_name: str, fn_name: str):
-        """Resolve a PCIe function by (host, name) — message targets
-        carry names, not object references."""
-        key = (host_name, fn_name)
-        fn = self._fn_index.get(key)
-        if fn is None:
-            for candidate in self.cluster.hosts[host_name].functions:
-                if candidate.name == fn_name:
-                    fn = candidate
-                    break
-            else:
-                raise AddressError(
-                    f"no function {fn_name!r} on host {host_name!r}")
-            self._fn_index[key] = fn
-        return fn
-
-    def _write_payload(self, initiator: Node, res: Resolution, addr: int,
-                       data: bytes, wire: int) -> tuple:
-        if res.kind == "mem":
-            final = res.addr
-        else:
-            bar = res.bar
-            final = (bar.function.name, bar.index, res.offset)
-        return ("W", initiator.name, res.node.name, res.kind,
-                res.host.name, final, data, wire, res.crossings, addr)
-
-    def _send(self, dst_dom: str, t_eff: int, payload: tuple):
-        """Route a cross-domain message.  When this replica owns the
-        destination domain the envelope self-delivers (returning the
-        delivery event); otherwise it joins the per-(src, dst) ordered
-        channel for the next barrier exchange (returning None)."""
-        b = self.boundary
-        sim = self.sim
-        env = b.stamp(dst_dom, t_eff, sim._now, payload)
-        if dst_dom in b.owned:
-            return self._deliver(env)
-        b.enqueue(dst_dom, env, sim._now)
-        return None
-
-    def _deliver(self, env: tuple) -> Event:
-        """Schedule an envelope's application at its effective instant.
-        URGENT priority: message application precedes same-instant
-        normal events regardless of local queue contents, so apply
-        order does not depend on which replica executed the send."""
-        self.inflight += 1
-        sim = self.sim
-        ev = Event.__new__(Event)
-        ev.sim = sim
-        ev.callbacks = [lambda _ev, e=env: self._apply(e)]
-        ev._value = None
-        ev._ok = True
-        ev._processed = False
-        ev._defused = False
-        sim._push(ev, env[0] - sim._now, URGENT)
-        return ev
+            self.tracer.emit("pcie", "read-complete", addr=addr,
+                             size=length, crossings=res.crossings)
+        return data
 
     def _read_timeout(self, point: str, addr: int) -> t.Generator:
         """Non-posted request into a severed/lossy path: the completion

@@ -161,8 +161,6 @@ class Cluster:
         # chip, in hop_latency call order, so RNG consumption is identical
         # with and without the cache.
         self._hop_plans: dict[tuple[Node, ...], tuple] = {}
-        # (path, cut) -> (pre_fixed, pre_draws, suf_fixed, suf_draws)
-        self._split_hop_plans: dict[tuple, tuple] = {}
         self._links_plans: dict[tuple[Node, ...],
                                 tuple[tuple[Link, Node, Node], ...]] = {}
         # Per-switch-stream batched draws, shared across all hop plans so
@@ -203,7 +201,6 @@ class Cluster:
         self.links.append(link)
         self._paths.clear()
         self._hop_plans.clear()
-        self._split_hop_plans.clear()
         self._links_plans.clear()
         return link
 
@@ -286,10 +283,9 @@ class Cluster:
                 else:
                     # Streams are keyed per (chip, initiator) so that a
                     # chip shared by flows from several hosts serves each
-                    # flow from an independent stream.  This keeps RNG
-                    # consumption a pure function of one timing domain's
-                    # activity — the property the shard runner needs for
-                    # bit-identical partitioned execution.
+                    # flow from an independent stream: one host's draws
+                    # do not depend on how its traffic interleaves with
+                    # another's.
                     stream = f"chip:{node.name}:from:{path[0].name}"
                     buf = buffers.get(stream)
                     if buf is None:
@@ -304,67 +300,6 @@ class Cluster:
             if node.kind == "rc" and len(path) > 1:
                 fixed += cfg.root_complex_latency_ns
         return (fixed, tuple(draws))
-
-    def _draw(self, d: "_BufferedDraw") -> int:
-        # hot-path
-        pos = d.pos
-        if pos == len(d.buf):
-            d.buf = d.gen.integers(d.lo, d.hi, size=d.BATCH).tolist()
-            pos = 0
-        d.pos = pos + 1
-        return d.buf[pos]
-
-    def hop_latency_split(self, path: tuple[Node, ...],
-                          cut: int) -> tuple[int, int]:
-        """Like :meth:`hop_latency` but split at node index ``cut`` into
-        ``(prefix_ns, suffix_ns)`` — the portions accounted to the
-        source-side and destination-side timing domains.  Draws come
-        from the same streams in the same (path) order as
-        :meth:`hop_latency` on the full path, so evaluating a path split
-        or whole consumes identical RNG state.
-        """
-        # hot-path
-        plan = self._split_hop_plans.get((path, cut))
-        if plan is None:
-            plan = self._build_split_hop_plan(path, cut)
-            self._split_hop_plans[(path, cut)] = plan
-        pre, pre_draws, suf, suf_draws = plan
-        draw = self._draw
-        for d in pre_draws:
-            pre += draw(d)
-        for d in suf_draws:
-            suf += draw(d)
-        return pre, suf
-
-    def _build_split_hop_plan(self, path: tuple[Node, ...],
-                              cut: int) -> tuple:
-        if not 1 <= cut <= len(path) - 1:
-            raise TopologyError(f"split index {cut} outside path")
-        cfg = self.config
-        lo, hi = cfg.switch_latency_min_ns, cfg.switch_latency_max_ns
-        rng = self.sim.rng
-        buffers = self._draw_buffers
-        parts = [[0, []], [0, []]]  # (fixed, draws) for prefix / suffix
-        for i, node in enumerate(path[1:-1], start=1):
-            part = parts[0] if i < cut else parts[1]
-            if node.kind == "switch":
-                if hi == lo:
-                    part[0] += lo
-                else:
-                    stream = f"chip:{node.name}:from:{path[0].name}"
-                    buf = buffers.get(stream)
-                    if buf is None:
-                        buf = _BufferedDraw(rng.stream(stream), lo, hi + 1)
-                        buffers[stream] = buf
-                    part[1].append(buf)
-            elif node.kind == "rc":
-                part[0] += cfg.root_complex_latency_ns
-        if path[0].kind == "rc" and len(path) > 1:
-            parts[0][0] += cfg.root_complex_latency_ns
-        if path[-1].kind == "rc" and len(path) > 1:
-            parts[1][0] += cfg.root_complex_latency_ns
-        return (parts[0][0], tuple(parts[0][1]),
-                parts[1][0], tuple(parts[1][1]))
 
     def links_on(self, path: tuple[Node, ...]) -> tuple[tuple[Link, Node, Node], ...]:
         # hot-path

@@ -90,28 +90,26 @@ def nvmeof_remote(config: SimulationConfig | None = None,
 def _ours(client_host: int, config: SimulationConfig | None,
           seed: int | None, queue_depth: int, label: str,
           n_hosts: int = 2, telemetry: bool = False,
-          shard_boundary: bool = False, **client_kwargs) -> Scenario:
+          **client_kwargs) -> Scenario:
     bed = PcieTestbed(config=config, n_hosts=n_hosts, with_nvme=True,
-                      seed=seed, shard_boundary=shard_boundary)
+                      seed=seed)
     tele = None
     if telemetry:
         tele = Telemetry(bed.sim).attach(fabric=bed.fabric, ntbs=bed.ntbs,
                                          controllers=[bed.nvme])
-    with bed.sim.domain("host0"):
-        manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
-                              bed.nvme_device_id, bed.config)
-        if tele is not None:
-            tele.attach(managers=[manager])
-        bed.sim.run(until=bed.sim.process(manager.start()))
-    with bed.sim.domain(f"host{client_host}"):
-        client = DistributedNvmeClient(bed.sim, bed.smartio,
-                                       bed.node(client_host),
-                                       bed.nvme_device_id, bed.config,
-                                       queue_depth=queue_depth,
-                                       **client_kwargs)
-        if tele is not None:
-            tele.attach(clients=[client])
-        bed.sim.run(until=bed.sim.process(client.start()))
+    manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
+                          bed.nvme_device_id, bed.config)
+    if tele is not None:
+        tele.attach(managers=[manager])
+    bed.sim.run(until=bed.sim.process(manager.start()))
+    client = DistributedNvmeClient(bed.sim, bed.smartio,
+                                   bed.node(client_host),
+                                   bed.nvme_device_id, bed.config,
+                                   queue_depth=queue_depth,
+                                   **client_kwargs)
+    if tele is not None:
+        tele.attach(clients=[client])
+    bed.sim.run(until=bed.sim.process(client.start()))
     extras: dict = {"manager": manager}
     if tele is not None:
         extras["telemetry"] = tele
@@ -120,22 +118,18 @@ def _ours(client_host: int, config: SimulationConfig | None,
 
 def ours_local(config: SimulationConfig | None = None,
                seed: int | None = None, queue_depth: int = 32,
-               telemetry: bool = False, shard_boundary: bool = False,
-               **client_kwargs) -> Scenario:
+               telemetry: bool = False, **client_kwargs) -> Scenario:
     """Distributed driver, client co-located with the device."""
     return _ours(0, config, seed, queue_depth, "ours-local",
-                 telemetry=telemetry, shard_boundary=shard_boundary,
-                 **client_kwargs)
+                 telemetry=telemetry, **client_kwargs)
 
 
 def ours_remote(config: SimulationConfig | None = None,
                 seed: int | None = None, queue_depth: int = 32,
-                telemetry: bool = False, shard_boundary: bool = False,
-                **client_kwargs) -> Scenario:
+                telemetry: bool = False, **client_kwargs) -> Scenario:
     """Distributed driver, client across the NTB cluster switch."""
     return _ours(1, config, seed, queue_depth, "ours-remote",
-                 telemetry=telemetry, shard_boundary=shard_boundary,
-                 **client_kwargs)
+                 telemetry=telemetry, **client_kwargs)
 
 
 def build_fig10_scenario(name: str,
@@ -171,8 +165,7 @@ def multihost(n_clients: int, config: SimulationConfig | None = None,
               include_device_host: bool = False,
               sharing: str = "auto",
               telemetry: bool = False,
-              sanitizer: bool = False,
-              shard_boundary: bool = False) -> MultiHostScenario:
+              sanitizer: bool = False) -> MultiHostScenario:
     """N clients sharing the single-function controller in host0.
 
     With ``include_device_host`` the device's own host also runs a
@@ -193,8 +186,7 @@ def multihost(n_clients: int, config: SimulationConfig | None = None,
     first = 0 if include_device_host else 1
     n_hosts = first + n_clients
     bed = PcieTestbed(config=cfg, n_hosts=max(2, n_hosts),
-                      with_nvme=True, seed=seed,
-                      shard_boundary=shard_boundary)
+                      with_nvme=True, seed=seed)
     tele = None
     if telemetry:
         tele = Telemetry(bed.sim).attach(fabric=bed.fabric,
@@ -204,28 +196,26 @@ def multihost(n_clients: int, config: SimulationConfig | None = None,
         from ..sanitizer import ShareSan
         san = ShareSan(bed.sim, telemetry=tele).attach(
             controllers=[bed.nvme], ntbs=bed.ntbs, hosts=bed.hosts)
-    with bed.sim.domain("host0"):
-        manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
-                              bed.nvme_device_id, bed.config)
-        if tele is not None:
-            tele.attach(managers=[manager])
-        if san is not None:
-            san.attach(managers=[manager])
-        bed.sim.run(until=bed.sim.process(manager.start()))
+    manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
+                          bed.nvme_device_id, bed.config)
+    if tele is not None:
+        tele.attach(managers=[manager])
+    if san is not None:
+        san.attach(managers=[manager])
+    bed.sim.run(until=bed.sim.process(manager.start()))
     clients = []
     for i in range(n_clients):
         host_index = first + i
-        with bed.sim.domain(f"host{host_index}"):
-            client = DistributedNvmeClient(
-                bed.sim, bed.smartio, bed.node(host_index),
-                bed.nvme_device_id, bed.config, queue_depth=queue_depth,
-                sharing=sharing, slot_index=i,
-                name=f"host{host_index}-nvme")
-            if tele is not None:
-                tele.attach(clients=[client])
-            if san is not None:
-                san.attach(clients=[client])
-            bed.sim.run(until=bed.sim.process(client.start()))
+        client = DistributedNvmeClient(
+            bed.sim, bed.smartio, bed.node(host_index),
+            bed.nvme_device_id, bed.config, queue_depth=queue_depth,
+            sharing=sharing, slot_index=i,
+            name=f"host{host_index}-nvme")
+        if tele is not None:
+            tele.attach(clients=[client])
+        if san is not None:
+            san.attach(clients=[client])
+        bed.sim.run(until=bed.sim.process(client.start()))
         clients.append(client)
     return MultiHostScenario(bed.sim, clients, manager, bed,
                              telemetry=tele, sanitizer=san)

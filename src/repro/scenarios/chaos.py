@@ -101,7 +101,6 @@ def chaos_cluster(n_clients: int = 4,
                   telemetry: bool = False,
                   sharing: str = "auto",
                   sanitizer: bool = False,
-                  shard_boundary: bool = False,
                   ) -> ChaosScenario:
     """N remote clients sharing host0's controller, faults injectable.
 
@@ -113,8 +112,7 @@ def chaos_cluster(n_clients: int = 4,
 
     n_hosts = 1 + n_clients
     bed = PcieTestbed(config=base, n_hosts=max(2, n_hosts),
-                      with_nvme=True, seed=seed,
-                      shard_boundary=shard_boundary)
+                      with_nvme=True, seed=seed)
     tracer = Tracer(bed.sim, categories=trace_categories)
     # The testbed creates the simulator, so the shared tracer can only
     # exist now; retrofit it into the already-built components.
@@ -142,36 +140,31 @@ def chaos_cluster(n_clients: int = 4,
         san = ShareSan(bed.sim, telemetry=tele).attach(
             controllers=[bed.nvme], ntbs=bed.ntbs, hosts=bed.hosts)
 
-    with bed.sim.domain("host0"):
-        manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
-                              bed.nvme_device_id, base, tracer=tracer)
-        if tele is not None:
-            tele.attach(managers=[manager])
-        if san is not None:
-            san.attach(managers=[manager])
-        bed.sim.run(until=bed.sim.process(manager.start()))
+    manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
+                          bed.nvme_device_id, base, tracer=tracer)
+    if tele is not None:
+        tele.attach(managers=[manager])
+    if san is not None:
+        san.attach(managers=[manager])
+    bed.sim.run(until=bed.sim.process(manager.start()))
 
     clients: list[DistributedNvmeClient] = []
     for i in range(n_clients):
         host_index = 1 + i
-        with bed.sim.domain(f"host{host_index}"):
-            client = DistributedNvmeClient(
-                bed.sim, bed.smartio, bed.node(host_index),
-                bed.nvme_device_id, base, queue_depth=queue_depth,
-                queue_entries=queue_entries, sharing=sharing,
-                slot_index=i, name=f"host{host_index}-nvme",
-                tracer=tracer)
-            if tele is not None:
-                tele.attach(clients=[client])
-            if san is not None:
-                san.attach(clients=[client])
-            bed.sim.run(until=bed.sim.process(client.start()))
+        client = DistributedNvmeClient(
+            bed.sim, bed.smartio, bed.node(host_index),
+            bed.nvme_device_id, base, queue_depth=queue_depth,
+            queue_entries=queue_entries, sharing=sharing,
+            slot_index=i, name=f"host{host_index}-nvme",
+            tracer=tracer)
+        if tele is not None:
+            tele.attach(clients=[client])
+        if san is not None:
+            san.attach(clients=[client])
+        bed.sim.run(until=bed.sim.process(client.start()))
         clients.append(client)
         registry.register(f"client:{client.name}", obj=client)
 
-    # Deliberately *not* domain-tagged: under sharding the injector is
-    # replicated into every shard so link state is visible at every
-    # issue-side check (see repro.scenarios.sharded).
     injector = FaultInjector(bed.sim, registry, plan or FaultPlan(()),
                              tracer=tracer)
     return ChaosScenario(sim=bed.sim, clients=clients, manager=manager,

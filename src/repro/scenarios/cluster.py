@@ -100,7 +100,6 @@ def cluster(n_clients: int = 8, n_devices: int = 2,
             faults: bool = False, plan: FaultPlan | None = None,
             reliability: ReliabilityConfig | None = None,
             trace_categories: t.Collection[str] | None = None,
-            shard_boundary: bool = False,
             ) -> ClusterScenario:
     """N controllers in hosts ``0..n_devices-1``, clients behind them.
 
@@ -124,8 +123,7 @@ def cluster(n_clients: int = 8, n_devices: int = 2,
 
     n_hosts = n_devices + n_clients
     bed = PcieTestbed(config=base, n_hosts=max(2, n_hosts),
-                      with_nvme=True, seed=seed,
-                      shard_boundary=shard_boundary)
+                      with_nvme=True, seed=seed)
     assert bed.nvme is not None
     controllers = [bed.nvme]
     for i in range(1, n_devices):
@@ -163,14 +161,13 @@ def cluster(n_clients: int = 8, n_devices: int = 2,
     device_ids = list(bed.nvme_device_ids)
     for i, ctrl in enumerate(controllers):
         device_id = device_ids[i]
-        with bed.sim.domain(f"host{i}"):
-            manager = NvmeManager(bed.sim, bed.smartio, bed.node(i),
-                                  device_id, base, tracer=trc)
-            if tele is not None:
-                tele.attach(managers=[manager])
-            if san is not None:
-                san.attach(managers=[manager])
-            bed.sim.run(until=bed.sim.process(manager.start()))
+        manager = NvmeManager(bed.sim, bed.smartio, bed.node(i),
+                              device_id, base, tracer=trc)
+        if tele is not None:
+            tele.attach(managers=[manager])
+        if san is not None:
+            san.attach(managers=[manager])
+        bed.sim.run(until=bed.sim.process(manager.start()))
         managers[device_id] = manager
         coordinator.add_backend(device_id, manager)
 
@@ -183,28 +180,27 @@ def cluster(n_clients: int = 8, n_devices: int = 2,
             f"vol{i}", capacity_lbas=volume_lbas, width=width,
             replicas=replicas, stripe_lbas=stripe_lbas)
         paths: list[DistributedNvmeClient] = []
-        with bed.sim.domain(f"host{host_index}"):
-            for device_id in layout.devices:
-                slot = next_slot[device_id]
-                next_slot[device_id] += 1
-                sub = DistributedNvmeClient(
-                    bed.sim, bed.smartio, bed.node(host_index),
-                    device_id, base, queue_depth=queue_depth,
-                    sharing=sharing, slot_index=slot,
-                    name=f"host{host_index}-d{device_id}", tracer=trc)
-                if tele is not None:
-                    tele.attach(clients=[sub])
-                if san is not None:
-                    san.attach(clients=[sub])
-                bed.sim.run(until=bed.sim.process(sub.start()))
-                if registry is not None:
-                    registry.register(f"client:{sub.name}", obj=sub)
-                paths.append(sub)
-                subclients.append(sub)
-            volume = ClusterVolume(bed.sim, layout, paths,
-                                   queue_depth=queue_depth, tracer=trc)
+        for device_id in layout.devices:
+            slot = next_slot[device_id]
+            next_slot[device_id] += 1
+            sub = DistributedNvmeClient(
+                bed.sim, bed.smartio, bed.node(host_index),
+                device_id, base, queue_depth=queue_depth,
+                sharing=sharing, slot_index=slot,
+                name=f"host{host_index}-d{device_id}", tracer=trc)
             if tele is not None:
-                tele.attach(volumes=[volume])
+                tele.attach(clients=[sub])
+            if san is not None:
+                san.attach(clients=[sub])
+            bed.sim.run(until=bed.sim.process(sub.start()))
+            if registry is not None:
+                registry.register(f"client:{sub.name}", obj=sub)
+            paths.append(sub)
+            subclients.append(sub)
+        volume = ClusterVolume(bed.sim, layout, paths,
+                               queue_depth=queue_depth, tracer=trc)
+        if tele is not None:
+            tele.attach(volumes=[volume])
         volumes.append(volume)
 
     injector = None

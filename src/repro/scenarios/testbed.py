@@ -18,7 +18,7 @@ from ..config import SimulationConfig
 from ..nvme import NvmeController
 from ..nvme.media import Media
 from ..pcie import Cluster, Fabric, Host, NtbFunction
-from ..sim import NULL_TRACER, ShardBoundary, Simulator
+from ..sim import NULL_TRACER, Simulator
 from ..sisci import SegmentId, SisciNode
 from ..smartio import SmartIoService
 from ..units import MiB
@@ -32,8 +32,7 @@ class PcieTestbed:
                  media: Media | None = None,
                  dram_size: int = 512 * MiB,
                  extra_path_chips: int = 0,
-                 tracer=NULL_TRACER, seed: int | None = None,
-                 shard_boundary: bool = False) -> None:
+                 tracer=NULL_TRACER, seed: int | None = None) -> None:
         self.config = config or SimulationConfig()
         self.sim = Simulator(seed=self.config.seed
                              if seed is None else seed)
@@ -51,57 +50,35 @@ class PcieTestbed:
         xswitch = self.cluster.add_switch("mxs924")
         ccfg = self.config.cluster
         for i in range(n_hosts):
-            # Everything a host owns — and any process spawned while
-            # building it — carries the host's timing-domain tag (inert
-            # unless a shard boundary is installed; see repro.sim.shard).
-            with self.sim.domain(f"host{i}"):
-                host = self.cluster.add_host(f"host{i}",
-                                             dram_size=dram_size)
-                adapter = self.cluster.add_switch(f"host{i}.mxh932",
-                                                  host=host)
-                self.cluster.connect(host.rc, adapter,
-                                     bandwidth=ccfg.ntb_link_bandwidth)
-                # ``extra_path_chips`` chains additional switch chips
-                # between host0's adapter and the cluster switch — the
-                # hop-count ablation for the paper's 100-150 ns/chip
-                # claim.
-                upstream = adapter
-                if i == 0:
-                    for k in range(extra_path_chips):
-                        chip = self.cluster.add_switch(f"extra-chip{k}")
-                        self.cluster.connect(
-                            upstream, chip,
-                            bandwidth=ccfg.ntb_link_bandwidth)
-                        upstream = chip
-                self.cluster.connect(upstream, xswitch,
-                                     bandwidth=ccfg.ntb_link_bandwidth)
-                ntb = NtbFunction(self.sim, f"host{i}.ntb",
-                                  aperture=ccfg.ntb_aperture_bytes)
-                ntb.install(host, adapter, self.fabric)
-                node = SisciNode(self.sim, host, ntb, self.fabric,
-                                 node_id=i + 4, directory=directory)
-                self.smartio.register_node(node)
+            host = self.cluster.add_host(f"host{i}",
+                                         dram_size=dram_size)
+            adapter = self.cluster.add_switch(f"host{i}.mxh932",
+                                              host=host)
+            self.cluster.connect(host.rc, adapter,
+                                 bandwidth=ccfg.ntb_link_bandwidth)
+            # ``extra_path_chips`` chains additional switch chips
+            # between host0's adapter and the cluster switch — the
+            # hop-count ablation for the paper's 100-150 ns/chip
+            # claim.
+            upstream = adapter
+            if i == 0:
+                for k in range(extra_path_chips):
+                    chip = self.cluster.add_switch(f"extra-chip{k}")
+                    self.cluster.connect(
+                        upstream, chip,
+                        bandwidth=ccfg.ntb_link_bandwidth)
+                    upstream = chip
+            self.cluster.connect(upstream, xswitch,
+                                 bandwidth=ccfg.ntb_link_bandwidth)
+            ntb = NtbFunction(self.sim, f"host{i}.ntb",
+                              aperture=ccfg.ntb_aperture_bytes)
+            ntb.install(host, adapter, self.fabric)
+            node = SisciNode(self.sim, host, ntb, self.fabric,
+                             node_id=i + 4, directory=directory)
+            self.smartio.register_node(node)
             self.hosts.append(host)
             self.ntbs.append(ntb)
             self.sisci_nodes.append(node)
-
-        #: timing domains, in shard-assignment order
-        self.domains: tuple[str, ...] = tuple(
-            f"host{i}" for i in range(n_hosts))
-        if shard_boundary:
-            node_domain = {name: node.host.name
-                           for name, node in self.cluster.nodes.items()
-                           if node.host is not None}
-            # The hop-count ablation chips hang off host0's branch but
-            # are built host-less; without an explicit tag they would
-            # look like shared fan-in and break replica partitioning.
-            for k in range(extra_path_chips):
-                node_domain[f"extra-chip{k}"] = "host0"
-            pcfg = self.config.pcie
-            self.fabric.boundary = ShardBoundary(
-                self.sim, self.domains, node_domain,
-                lookahead_ns=(pcfg.switch_latency_min_ns
-                              + pcfg.root_complex_latency_ns))
 
         self.nvme: NvmeController | None = None
         self.nvme_device_id: int | None = None
@@ -116,21 +93,17 @@ class PcieTestbed:
         and register it with SmartIO."""
         host = self.hosts[host_index]
         name = name or f"nvme{host_index}"
-        with self.sim.domain(host.name):
-            node = self.cluster.add_endpoint(f"{host.name}.{name}",
-                                             host=host)
-            self.cluster.connect(host.rc, node, bandwidth=3.2)
-            ctrl = NvmeController(self.sim, name, self.config.nvme,
-                                  media=media, tracer=self.tracer)
-            if self.config.qos.enabled:
-                # QoS fetch arbitration (docs/qos.md): shared SQs the
-                # manager creates on this controller get an arbiter.
-                ctrl.qos = self.config.qos
-            ctrl.install(host, node, self.fabric)
-            device_id = self.smartio.register_device(ctrl)
-        boundary = self.fabric.boundary
-        if boundary is not None:
-            boundary.node_domain[node.name] = host.name
+        node = self.cluster.add_endpoint(f"{host.name}.{name}",
+                                         host=host)
+        self.cluster.connect(host.rc, node, bandwidth=3.2)
+        ctrl = NvmeController(self.sim, name, self.config.nvme,
+                              media=media, tracer=self.tracer)
+        if self.config.qos.enabled:
+            # QoS fetch arbitration (docs/qos.md): shared SQs the
+            # manager creates on this controller get an arbiter.
+            ctrl.qos = self.config.qos
+        ctrl.install(host, node, self.fabric)
+        device_id = self.smartio.register_device(ctrl)
         self.nvme_device_ids.append(device_id)
         if self.nvme_device_id is None:
             self.nvme_device_id = device_id

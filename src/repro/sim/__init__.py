@@ -11,8 +11,6 @@ from .process import Interrupt, Process
 from .resources import (Request, Resource, Signal, Store, giver,
                         take_all)
 from .rng import RngRegistry
-from .shard import (ShardBoundary, ShardError, ShardRun, merge_disjoint,
-                    merge_metric_snapshots, run_sharded, value_fingerprint)
 from .stats import (BoxplotStats, Counter, LatencyRecorder, iops,
                     throughput_bytes_per_s)
 from .trace import NULL_TRACER, NullTracer, Tracer, TraceRecord
@@ -22,8 +20,6 @@ __all__ = [
     "Process", "Interrupt",
     "Resource", "Request", "Store", "Signal", "take_all", "giver",
     "RngRegistry",
-    "ShardBoundary", "ShardError", "ShardRun", "run_sharded",
-    "merge_disjoint", "merge_metric_snapshots", "value_fingerprint",
     "LatencyRecorder", "BoxplotStats", "Counter", "iops",
     "throughput_bytes_per_s",
     "Tracer", "TraceRecord", "NullTracer", "NULL_TRACER",

@@ -28,24 +28,6 @@ from .rng import RngRegistry
 __all__ = ["Simulator", "NORMAL", "URGENT"]
 
 
-class _DomainContext:
-    """Restores the previous domain tag on exit (tags nest)."""
-
-    __slots__ = ("sim", "name", "_prev")
-
-    def __init__(self, sim: "Simulator", name: str | None) -> None:
-        self.sim = sim
-        self.name = name
-
-    def __enter__(self) -> "_DomainContext":
-        self._prev = self.sim._domain
-        self.sim._domain = self.name
-        return self
-
-    def __exit__(self, *exc: t.Any) -> None:
-        self.sim._domain = self._prev
-
-
 class Simulator:
     """Owns the clock, the event queue and per-component RNG streams.
 
@@ -75,21 +57,6 @@ class Simulator:
         self.events_processed: int = 0
         #: free list for :meth:`sleep` timeouts (see events.PooledTimeout)
         self._timeout_pool: list[PooledTimeout] = []
-        #: timing-domain tag inherited by processes spawned while it is
-        #: set (see repro.sim.shard) — None means "global"
-        self._domain: str | None = None
-        #: domains frozen by the shard runner after switchover: processes
-        #: tagged with one of these never resume in this replica (their
-        #: authoritative state lives in another shard).  None outside
-        #: sharded runs so the hot-path check is a single identity test.
-        self._frozen: frozenset[str] | None = None
-
-    def domain(self, name: str | None):
-        """Context manager tagging processes spawned inside it with a
-        timing domain (host name).  The shard runner uses the tags to
-        freeze foreign domains after switchover; outside sharded runs
-        the tags are inert."""
-        return _DomainContext(self, name)
 
     def _next_resource_order(self) -> int:
         """Deterministic creation index for Resources (lock ordering)."""
@@ -219,7 +186,10 @@ class Simulator:
         if isinstance(until, Event):
             stop = until
             if stop.processed:
-                return stop.value if stop.ok else None
+                if not stop.ok:
+                    stop.defuse()
+                    raise t.cast(BaseException, stop._value)
+                return stop._value
             done: list[Event] = []
             if stop.callbacks is None:
                 raise RuntimeError("cannot run until an event without callbacks")

@@ -37,7 +37,7 @@ class Process(Event):
     through the queue like any other process.
     """
 
-    __slots__ = ("_generator", "_target", "name", "domain", "_detached")
+    __slots__ = ("_generator", "_target", "name", "_detached")
 
     def __init__(self, sim: "Simulator", generator: t.Generator,
                  name: str | None = None, detached: bool = False) -> None:
@@ -52,7 +52,6 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._generator = generator
-        self.domain = sim._domain
         self._detached = detached
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current instant, ahead of normal events, so a
@@ -105,21 +104,7 @@ class Process(Event):
         # (non-events surface as AttributeError on the error path).
         sim = self.sim
         generator = self._generator
-        if generator is None:
-            # Frozen by the shard runner: this domain's state is owned by
-            # another replica, so the coroutine must never advance here.
-            return
-        frozen = sim._frozen
-        if frozen is not None and self.domain is not None \
-                and self.domain in frozen:
-            # Foreign-domain process in a sharded replica: stay parked.
-            # Signal/store wake-ups may still target it (e.g. a replicated
-            # fault injector clearing a stall everywhere), but only the
-            # owning replica may advance the coroutine.
-            return
         sim._active_process = self
-        outer_domain = sim._domain
-        sim._domain = self.domain
         send = generator.send
         resume = self._resume
         while True:
@@ -165,4 +150,3 @@ class Process(Event):
             self._target = target
             break
         sim._active_process = None
-        sim._domain = outer_domain

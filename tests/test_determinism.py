@@ -244,6 +244,14 @@ GOLDEN_TRAIN = [
     (35258, 42), (36651, 43), (38122, 44), (39477, 45), (40917, 46),
     (42276, 47), (43705, 48),
 ]
+#: ``sim.events_processed`` of the same pinned runs at commit 816cc9c.
+#: Unlike the constants above these *may* move — but only in a change
+#: that says so: an optimisation that drops events edits them in its own
+#: diff, and any other change must reproduce them, so an accidental
+#: reordering or extra event in the fabric's one write path and one
+#: read path fails here, not only in the benchmark ledger.
+GOLDEN_EVENTS = {"fig10": 24493, "mh4-randread": 18812, "mh4-rw64k": 21245,
+                 "noisy": 85801, "train": 674}
 
 
 class TestGoldenModeledOutput:
@@ -269,7 +277,7 @@ class TestGoldenModeledOutput:
                             total_ios=ios, region_lbas=1 << 20))
             for i, (client, rw) in enumerate(zip(scn.clients, rws))])
         assert all(r.errors == 0 for r in results)
-        return self._sums([scn.sim], scn.clients)
+        return self._sums([scn.sim], scn.clients), scn.sim.events_processed
 
     def test_fig10_legs(self):
         legs = [(op, name) for op in ("read", "write")
@@ -280,14 +288,17 @@ class TestGoldenModeledOutput:
             run_fio(scn.device, FioJob(rw=f"rand{op}", total_ios=60))
         assert self._sums([s.sim for s in scns],
                           [s.device for s in scns]) == GOLDEN_FIG10
+        assert sum(s.sim.events_processed for s in scns) \
+            == GOLDEN_EVENTS["fig10"]
 
     def test_multihost_randread(self):
         assert self._multihost(("randread",) * 4, 4096, 100) \
-            == GOLDEN_MH4_RANDREAD
+            == (GOLDEN_MH4_RANDREAD, GOLDEN_EVENTS["mh4-randread"])
 
     def test_multihost_rw64k(self):
         assert self._multihost(("randread",) * 3 + ("randwrite",),
-                               65536, 32) == GOLDEN_MH4_RW64K
+                               65536, 32) \
+            == (GOLDEN_MH4_RW64K, GOLDEN_EVENTS["mh4-rw64k"])
 
     def test_noisy_neighbour(self):
         from repro.qos import run_qos
@@ -295,6 +306,7 @@ class TestGoldenModeledOutput:
         lat = [r.latencies.values() for r in run.results]
         assert (sum(len(v) for v in lat), sum(int(v.sum()) for v in lat),
                 run.telemetry.sim.now) == GOLDEN_NOISY
+        assert run.telemetry.sim.events_processed == GOLDEN_EVENTS["noisy"]
 
     def test_contended_tlp_train_delivery_trace(self):
         """Two 64 KiB reads in flight at once: each is a train of 16
@@ -314,3 +326,4 @@ class TestGoldenModeledOutput:
         base_t, base_a = train[0]
         assert [(when - base_t, (final - base_a) // 4096)
                 for when, final in train] == GOLDEN_TRAIN
+        assert scn.sim.events_processed == GOLDEN_EVENTS["train"]

@@ -10,7 +10,7 @@ import repro
 from repro.config import PcieConfig
 from repro.pcie import (AddressError, Bar, Cluster, Fabric, NtbError,
                         NtbFunction, PCIeFunction, TopologyError)
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 from repro.units import MiB
 
 
@@ -330,16 +330,21 @@ class TestOccupancyEventBudget:
     def _window(self, devhost, ntb_b):
         return ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
 
+    @staticmethod
+    def _held(cluster, client, devhost):
+        """Units held on each link of the client -> device-host path."""
+        path = cluster.path(client.rc, devhost.rc)
+        return [link.resource(a, b).count
+                for link, a, b in cluster.links_on(path)]
+
     def test_uncontended_occupy_schedules_one_timer(self, env):
         sim, cluster, fabric, devhost, client, *_ = env
-        path = cluster.path(client.rc, devhost.rc)
-        links = [link.resource(a, b) for link, a, b in cluster.links_on(path)]
-        occupy = fabric._occupy(path, 4096)
+        occupy = fabric._occupy(cluster.path(client.rc, devhost.rc), 4096)
         next(occupy)            # runs straight to its only wait
-        assert [res.count for res in links] == [1] * 4
+        assert self._held(cluster, client, devhost) == [1] * 4
         sim.run()
         assert sim.events_processed == 1
-        assert [res.count for res in links] == [0] * 4
+        assert self._held(cluster, client, devhost) == [0] * 4
 
     def test_uncontended_post_write_schedules_timer_and_delivery(self, env):
         sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
@@ -348,7 +353,7 @@ class TestOccupancyEventBudget:
         sim.run()
         assert delivery.processed
         assert sim.events_processed == 2    # release timer + delivery
-        assert fabric.inflight == 0
+        assert self._held(cluster, client, devhost) == [0] * 4
 
     def test_queued_post_write_delivers_through_the_same_event(self, env):
         """The second write finds the links busy and queues for them in
@@ -364,7 +369,8 @@ class TestOccupancyEventBudget:
             if subscribe:
                 queued.callbacks.append(lambda _ev: seen.append(sim.now))
             sim.run()
-            assert fabric.inflight == 0 and queued.processed
+            assert self._held(cluster, client, devhost) == [0] * 4
+            assert queued.processed
             return sim.now, sim.events_processed, seen
 
         now, events, seen = run(subscribe=True)
@@ -380,6 +386,18 @@ def test_resource_internals_stay_inside_the_kernel():
     assert [str(path) for path in sorted(root.rglob("*.py"))
             if "sim" not in path.relative_to(root).parts[:1]
             and pokes.search(path.read_text())] == []
+
+
+def test_no_timing_domain_machinery_left():
+    """One event loop, one fabric model (docs/performance.md, "Why
+    there is no sharded loop"): nothing in the package tags processes
+    with a timing domain or routes a transaction around a boundary."""
+    root = pathlib.Path(repro.__file__).parent
+    tokens = re.compile(r"shard|_frozen|node_domain|sim\._domain",
+                        re.IGNORECASE)
+    assert [str(path) for path in sorted(root.rglob("*.py"))
+            if tokens.search(path.read_text())] == []
+    assert "domain" not in Process.__slots__
 
 
 class TestTopologyValidation:

@@ -153,6 +153,24 @@ class TestRunUntilEvent:
         with pytest.raises(KeyError):
             sim.run(until=p)
 
+    def test_already_processed_target_behaves_like_a_live_one(self, sim):
+        def boom(sim):
+            yield sim.timeout(5)
+            raise ValueError("late")
+
+        def fine(sim):
+            yield sim.timeout(5)
+            return "finished"
+
+        failed = sim.process(boom(sim))
+        failed.defuse()
+        done = sim.process(fine(sim))
+        sim.run()               # drains; the failure is defused
+        assert failed.processed and done.processed
+        with pytest.raises(ValueError, match="late"):
+            sim.run(until=failed)
+        assert sim.run(until=done) == "finished"
+
     def test_starved_target_raises(self, sim):
         ev = sim.event()  # never triggered
         sim.timeout(5)

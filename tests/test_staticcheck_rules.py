@@ -508,87 +508,3 @@ def test_sanitizer_hook_scoped_to_choke_points(tmp_path):
                 self.head = cqe.sq_head
     """, rel="repro/driver/client.py")
     assert findings == []
-
-
-# --- shard-channel-order -------------------------------------------------
-
-def test_shard_order_flags_set_iteration_in_marked_function(tmp_path):
-    findings = run_rule(tmp_path, "shard-channel-order", """
-        def merge(parts):
-            # cross-shard merge
-            keys = set()
-            for part in parts:
-                keys |= set(part)
-            return [k for k in keys]
-    """, rel="repro/sim/fake.py")
-    assert [f.rule for f in findings] == ["shard-channel-order"]
-    assert "sorted" in findings[0].message
-
-
-def test_shard_order_flags_dict_views_and_set_calls(tmp_path):
-    findings = run_rule(tmp_path, "shard-channel-order", """
-        def merge(snapshots):
-            '''Union the rows.
-
-            # cross-shard merge
-            '''
-            out = {}
-            for snap in snapshots:
-                for name, row in snap.items():
-                    out[name] = row
-            for name in set(out):
-                yield out[name]
-    """, rel="repro/sim/fake.py")
-    assert len(findings) == 2
-    assert any(".items()" in f.message for f in findings)
-    assert any("set()" in f.message for f in findings)
-
-
-def test_shard_order_passes_sorted_iteration(tmp_path):
-    findings = run_rule(tmp_path, "shard-channel-order", """
-        def merge(parts):
-            # cross-shard merge
-            out = {}
-            for part in parts:
-                for key in sorted(part):
-                    out[key] = part[key]
-            return out
-    """, rel="repro/sim/fake.py")
-    assert findings == []
-
-
-def test_shard_order_ignores_unmarked_functions(tmp_path):
-    # The same set iteration is fine outside the merge contract.
-    findings = run_rule(tmp_path, "shard-channel-order", """
-        def collect(parts):
-            keys = set()
-            for part in parts:
-                for key in part.keys():
-                    keys.add(key)
-            return keys
-    """, rel="repro/sim/fake.py")
-    assert findings == []
-
-
-def test_shard_order_marker_scopes_to_innermost_function(tmp_path):
-    # The marker sits in the closure; the enclosing function's set
-    # iteration must not be dragged into the contract.
-    findings = run_rule(tmp_path, "shard-channel-order", """
-        def outer(parts):
-            def merge(box):
-                # cross-shard merge
-                return [x for x in sorted(box)]
-            for part in {p for p in parts}:
-                merge(part)
-    """, rel="repro/sim/fake.py")
-    assert findings == []
-
-
-def test_shard_order_suppression_comment(tmp_path):
-    findings = run_rule(tmp_path, "shard-channel-order", """
-        def merge(parts):
-            # cross-shard merge
-            for part in set(parts):  # staticcheck: ignore[shard-channel-order] order-free tally
-                part.tally()
-    """, rel="repro/sim/fake.py")
-    assert findings == []
