@@ -645,13 +645,14 @@ class NvmeController(PCIeFunction):
                                           win=win)
                 return
             data = ns.read_blocks(sqe.slba, nblocks)
+            # Posted writes, one burst: the clamp guarantees the
+            # subsequent CQE cannot overtake the data on the same flow.
             offset = 0
+            burst = []
             for addr, size in segs:
-                # Posted writes: the clamp guarantees the subsequent CQE
-                # cannot overtake the data on the same flow.
-                self.fabric.post_write(self.node, self.host, addr,
-                                       data[offset: offset + size])
+                burst.append((addr, data[offset: offset + size]))
                 offset += size
+            self.fabric.post_writes(self.node, self.host, burst)
             yield from self._complete(sq, sqe, Status.SUCCESS, 0, win=win)
         elif opcode == IoOpcode.COMPARE:
             # Fetch the host's reference data, read the medium, compare.

@@ -44,8 +44,8 @@ import typing as t
 
 from ..config import PcieConfig
 from ..memory import HostMemory
-from ..sim import (NULL_TRACER, Event, Process, Simulator, giver,
-                   take_all)
+from ..sim import NULL_TRACER, Event, HoldPlan, Simulator
+from ..sim.core import URGENT
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -57,31 +57,35 @@ from .topology import Cluster, Host, Node
 MAX_NTB_CROSSINGS = 3
 
 
-class _Ticket:
-    """Return value of :meth:`Fabric.post_write` when no delivery event
-    exists (dropped writes).  Callers only ever probe ``.callbacks``
-    (guarding on None), so a shared inert instance suffices."""
+class _PostedWrite(Event):
+    """One posted-write TLP in flight; the record *is* its delivery
+    event.  It is queued once, for the delivery instant: by the inline
+    issue or, when a link was busy, by :meth:`_held` once the hold
+    started from the boot event has the links — callbacks, no process."""
 
-    __slots__ = ()
-    callbacks = None
+    __slots__ = ("fabric", "res", "addr", "data", "path", "plan", "boot",
+                 "initiator", "host")
+
+    def _held(self, _fill: Event) -> None:
+        # hot-path: links held and pipe filled
+        sim = self.sim
+        sim._push(self, self.fabric._arrival(
+            self.initiator, self.host, self.res, self.path, 0) - sim._now)
+
+    def _deliver(self, _self: Event) -> None:
+        # hot-path
+        fabric = self.fabric
+        res = self.res
+        if fabric._trace or res.kind != "mem":
+            fabric._finish_local_write(res, self.data, self.addr)
+        else:
+            res.memory.write(res.addr, self.data)
 
 
-_TICKET = _Ticket()
-
-
-def _hold_plan(pairs: list) -> tuple:
-    """Occupancy plan for links given as ``(resource, hold_ns)`` pairs:
-    ``(resources, timers)`` — the resources in canonical acquisition
-    order, and one ``(hold_ns, release callback)`` per distinct hold
-    time, ascending, so links with equal serialization time share a
-    single release timer and the last timer's hold is the longest."""
-    pairs.sort(key=lambda p: p[0].order)
-    by_hold: dict[int, list] = {}
-    for resource, hold in pairs:
-        by_hold.setdefault(hold, []).append(resource)
-    return (tuple(resource for resource, _hold in pairs),
-            tuple((hold, giver(tuple(group)))
-                  for hold, group in sorted(by_hold.items())))
+#: :meth:`Fabric.post_write`'s return for a dropped write (no delivery
+#: event): callers only ever probe ``.callbacks``, guarding on None.
+_TICKET = _PostedWrite.__new__(_PostedWrite)
+_TICKET.callbacks = None
 
 
 class FabricFaultError(Exception):
@@ -149,8 +153,8 @@ class Fabric:
         # (host, addr, length) -> _RouteEntry; None when disabled.
         self._route_cache: dict[tuple, _RouteEntry] | None = (
             None if os.environ.get("REPRO_NO_ROUTE_CACHE") == "1" else {})
-        # (path, wire_bytes) -> _hold_plan() | ()
-        self._occupy_plans: dict[tuple, tuple] = {}
+        # (path, wire_bytes) -> HoldPlan | ()
+        self._occupy_plans: dict[tuple, HoldPlan | tuple] = {}
         # payload-length -> bytes_on_wire, per TLP category (pure
         # functions of the frozen config, so plain int memoization).
         self._write_wire: dict[int, int] = {}
@@ -238,8 +242,10 @@ class Fabric:
 
     # -- link occupancy -----------------------------------------------------------
 
-    def _occupy(self, path: tuple[Node, ...], wire_bytes: int):
-        """Occupy the links on the path for the transfer (cut-through).
+    def _hold_plan(self, path: tuple[Node, ...], wire_bytes: int):
+        """Occupancy of the links on the path for the transfer
+        (cut-through): a :class:`~repro.sim.HoldPlan`, ``()`` when there
+        is nothing to hold.  Memoized: the topology is static.
 
         Links are acquired in a canonical global order (deadlock-free);
         each link is then held for *its own* serialization time — a
@@ -247,54 +253,22 @@ class Fabric:
         occupancy of faster shared links, or unrelated flows through a
         cluster switch would be throttled to the slowest device's rate.
         The caller's latency charge is the slowest stage (the pipe's
-        fill time).
+        fill time, ``plan.fill``).  Free links are claimed by count, no
+        grant event (the dominant case by far); busy ones queue FIFO.
         """
         # hot-path
         plan = self._occupy_plans.get((path, wire_bytes))
         if plan is None:
-            plan = self._build_occupy_plan(path, wire_bytes)
+            trips = self.cluster.links_on(path)
+            plan = ()
+            if trips and wire_bytes > 0:
+                # staticcheck: ignore[hotpath-alloc] miss path, built once per key
+                plan = HoldPlan(self.sim, [
+                    (link.resource(a, b),
+                     serialize_ns(wire_bytes, link.bandwidth))
+                    for link, a, b in trips])
             self._occupy_plans[(path, wire_bytes)] = plan
-        if not plan:
-            return
-        resources, timers = plan
-        # Free links are claimed by count — no grant event, no
-        # suspension (the dominant case by far); busy ones queue FIFO.
-        if not take_all(resources):
-            for resource in resources:
-                if not resource.take():
-                    yield resource.request()
-        sleep = self.sim.sleep
-        for hold, give in timers:
-            timer = sleep(hold)
-            timer.callbacks.append(give)
-        # The last timer's hold is the slowest link's, i.e. the fill
-        # time: ride it instead of pushing a second event for the same
-        # instant (it would carry the adjacent sequence number).
-        yield timer
-
-    def _build_occupy_plan(self, path: tuple[Node, ...],
-                           wire_bytes: int) -> tuple:
-        """Precompute the occupancy of a (path, size) pair (see
-        :func:`_hold_plan`; empty when nothing is held).  Pure function
-        of the (static) topology."""
-        trips = self.cluster.links_on(path)
-        if not trips or wire_bytes <= 0:
-            return ()
-        return _hold_plan([(link.resource(a, b),
-                            serialize_ns(wire_bytes, link.bandwidth))
-                           for link, a, b in trips])
-
-    def _try_hold(self, plan: tuple) -> bool:
-        """Occupy every link of a plan inline if all are free right now
-        (claims plus release timers, no process); False claims nothing."""
-        # hot-path
-        resources, timers = plan
-        if not take_all(resources):
-            return False
-        sleep = self.sim.sleep
-        for hold, give in timers:
-            sleep(hold).callbacks.append(give)
-        return True
+        return plan
 
     # -- transactions ------------------------------------------------------------
 
@@ -310,20 +284,24 @@ class Fabric:
         # hot-path
         if type(data) is not bytes:
             data = bytes(data)
-        issue = self._issue_write(initiator, host, addr, data)
+        issue = self._issue_write(initiator, host, addr, len(data), None)
         if issue is None:
             return
-        res, path, wire = issue
-        yield from self._write_tail(initiator, host, res, path, addr, data,
-                                    wire)
+        res, path, plan = issue
+        if plan:
+            yield plan.hold()
+        sim = self.sim
+        yield sim.sleep(
+            self._arrival(initiator, host, res, path, 0) - sim._now)
+        self._finish_local_write(res, data, addr)
 
     def _issue_write(self, initiator: Node, host: Host, addr: int,
-                     data: bytes):
+                     length: int, after: _PostedWrite | None):
         """Shared posted-write issue logic: resolve, fault coin flips,
-        accounting.  Returns ``(res, path, wire)``, or None when the
-        write was dropped."""
+        accounting, then path and occupancy plan (those of ``after``,
+        the burst's previous TLP, if node and size match).  Returns
+        ``(res, path, plan)``, or None when the write was dropped."""
         # hot-path
-        length = len(data)
         try:
             res = self.resolve(host, addr, length)
         except NtbLinkDown as down:
@@ -339,25 +317,17 @@ class Fabric:
             if point is not None:
                 self._drop_write(point, addr, length)
                 return None
-        path = self.cluster.path(initiator, res.node)
         self.posted_writes += 1
         self.posted_bytes += length
+        if (after is not None and after.res.node is res.node
+                and len(after.data) == length):
+            return res, after.path, after.plan
+        path = self.cluster.path(initiator, res.node)
         wire = self._write_wire.get(length)
         if wire is None:
             wire = write_cost(length, self.config).bytes_on_wire
             self._write_wire[length] = wire
-        return res, path, wire
-
-    def _write_tail(self, initiator: Node, host: Host, res: Resolution,
-                    path: tuple, addr: int, data: bytes, wire: int):
-        """Posted-write body: occupancy, hop latency, posted-ordering
-        clamp, delivery."""
-        # hot-path
-        sim = self.sim
-        yield from self._occupy(path, wire)
-        yield sim.sleep(
-            self._arrival(initiator, host, res, path, 0) - sim._now)
-        self._finish_local_write(res, data, addr)
+        return res, path, self._hold_plan(path, wire)
 
     def _arrival(self, initiator: Node, host: Host, res: Resolution,
                  path: tuple, fill: int) -> int:
@@ -384,16 +354,6 @@ class Fabric:
         self._posted_clamp[key] = arrival
         return arrival
 
-    def _queued_write(self, delivery: Event, initiator: Node, host: Host,
-                      res: Resolution, path: tuple, wire: int):
-        """:meth:`post_write` when a link was busy: queue FIFO for the
-        links, then schedule the delivery event as the inline issue
-        would have."""
-        yield from self._occupy(path, wire)
-        sim = self.sim
-        sim._push(delivery,
-                  self._arrival(initiator, host, res, path, 0) - sim._now)
-
     def _finish_local_write(self, res: Resolution, data: bytes,
                             addr: int) -> None:
         """Apply a posted write at its delivery instant."""
@@ -414,50 +374,70 @@ class Fabric:
                          size=size)
 
     def post_write(self, initiator: Node, host: Host, addr: int,
-                   data: bytes | bytearray | memoryview):
+                   data: bytes | bytearray | memoryview,
+                   after: _PostedWrite | None = None):
         """Fire-and-forget posted write.
 
         Returns an event that triggers at delivery (callers may append
         callbacks to it); a dropped write has no delivery instant and
-        returns an inert ticket whose ``callbacks`` is None.
+        returns an inert ticket whose ``callbacks`` is None.  ``after``
+        is for :meth:`post_writes`.
         """
-        # hot-path: when every link on the path is free, the whole issue
-        # runs inline — no process spawn, no occupancy generator, no
-        # per-link grant events.  Contended issues queue for the links
-        # in a process *after* the side-effecting steps (resolve, fault
-        # draws, accounting) have run exactly once.
+        # hot-path: with every link on the path free the whole issue runs
+        # inline — no boot, no grant events.  A contended issue queues for
+        # the links from a boot event at this instant (where a spawned
+        # process would start), *after* the side-effecting steps (resolve,
+        # fault draws, accounting) have run exactly once.
         if type(data) is not bytes:
             data = bytes(data)
         sim = self.sim
-        issue = self._issue_write(initiator, host, addr, data)
+        issue = self._issue_write(initiator, host, addr, len(data), after)
         if issue is None:
             return _TICKET
-        res, path, wire = issue
-        plan = self._occupy_plans.get((path, wire))
-        if plan is None:
-            plan = self._build_occupy_plan(path, wire)
-            self._occupy_plans[(path, wire)] = plan
-        ev = Event.__new__(Event)
-        ev.sim = sim
-        ev.callbacks = [lambda _ev, r=res, d=data, a=addr:
-                        self._finish_local_write(r, d, a)]
-        ev._value = None
-        ev._ok = True
-        ev._processed = False
-        ev._defused = False
+        res, path, plan = issue
+        tlp = _PostedWrite.__new__(_PostedWrite)
+        tlp.sim = sim
+        tlp.callbacks = [tlp._deliver]
+        tlp._value = None
+        tlp._ok = True
+        tlp._processed = False
+        tlp._defused = False
+        tlp.fabric = self
+        tlp.res = res
+        tlp.addr = addr
+        tlp.data = data
+        tlp.path = path
+        tlp.plan = plan
+        tlp.boot = boot = None if after is None else after.boot
         if not plan:
             fill = 0
-        elif self._try_hold(plan):
-            fill = plan[1][-1][0]       # the last timer's (longest) hold
+        elif plan.take() is not None:
+            fill = plan.fill
         else:
-            # Nobody waits on the queueing process itself (subscribers
-            # get the delivery event), so its completion is never queued.
-            Process(sim, self._queued_write(ev, initiator, host, res, path,
-                                            wire), detached=True)
-            return ev
-        sim._push(ev, self._arrival(initiator, host, res, path, fill)
+            tlp.initiator = initiator
+            tlp.host = host
+            if boot is None:
+                tlp.boot = boot = Event(sim)
+                sim._push(boot, 0, URGENT)
+            plan.hold(boot).callbacks.append(tlp._held)
+            return tlp
+        sim._push(tlp, self._arrival(initiator, host, res, path, fill)
                   - sim._now)
-        return ev
+        return tlp
+
+    def post_writes(self, initiator: Node, host: Host,
+                    segments: t.Iterable[tuple[int, bytes]]) -> None:
+        """A burst of posted writes issued at one instant, in order (a
+        DMA train): a :meth:`post_write` per ``(addr, data)`` segment,
+        each handed its predecessor, so that segments to one node share
+        the path and plan lookups and those that must queue share a boot
+        event (docs/performance.md, "Order preservation")."""
+        # hot-path
+        after = None
+        for addr, data in segments:
+            tlp = self.post_write(initiator, host, addr, data, after)
+            if tlp is not _TICKET:
+                after = tlp
 
     def read(self, initiator: Node, host: Host, addr: int, length: int):
         """Non-posted memory read (generator; returns the data bytes).
@@ -493,7 +473,9 @@ class Fabric:
             wire = read_request_cost(length, cfg).bytes_on_wire
             self._read_req_wire[length] = wire
 
-        yield from self._occupy(path, wire)
+        plan = self._hold_plan(path, wire)
+        if plan:
+            yield plan.hold()
         req_latency = self.cluster.hop_latency(path)
         if res.crossings:
             req_latency += res.crossings * cfg.ntb_translation_ns
@@ -520,7 +502,9 @@ class Fabric:
         if wire is None:
             wire = completion_cost(length, cfg).bytes_on_wire
             self._cpl_wire[length] = wire
-        yield from self._occupy(rpath, wire)
+        plan = self._hold_plan(rpath, wire)
+        if plan:
+            yield plan.hold()
         cpl_latency = self.cluster.hop_latency(rpath)
         yield sim.sleep(cpl_latency)
         if self._trace:
@@ -536,14 +520,3 @@ class Fabric:
         yield self.sim.timeout(self.config.completion_timeout_ns)
         self.tracer.emit("fault", "read-timeout", point=point, addr=addr)
         raise FabricFaultError(point, addr)
-
-    # -- conveniences -----------------------------------------------------------
-
-    def read_u32(self, initiator: Node, host: Host, addr: int):
-        data = yield from self.read(initiator, host, addr, 4)
-        return int.from_bytes(data, "little")
-
-    def write_u32(self, initiator: Node, host: Host, addr: int,
-                  value: int):
-        return self.post_write(initiator, host, addr,
-                               (value & 0xFFFF_FFFF).to_bytes(4, "little"))

@@ -8,8 +8,7 @@ Public surface::
 from .core import Simulator
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Interrupt, Process
-from .resources import (Request, Resource, Signal, Store, giver,
-                        take_all)
+from .resources import HoldPlan, Request, Resource, Signal, Store
 from .rng import RngRegistry
 from .stats import (BoxplotStats, Counter, LatencyRecorder, iops,
                     throughput_bytes_per_s)
@@ -18,7 +17,7 @@ from .trace import NULL_TRACER, NullTracer, Tracer, TraceRecord
 __all__ = [
     "Simulator", "Event", "Timeout", "AnyOf", "AllOf",
     "Process", "Interrupt",
-    "Resource", "Request", "Store", "Signal", "take_all", "giver",
+    "Resource", "Request", "Store", "Signal", "HoldPlan",
     "RngRegistry",
     "LatencyRecorder", "BoxplotStats", "Counter", "iops",
     "throughput_bytes_per_s",

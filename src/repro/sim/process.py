@@ -14,6 +14,7 @@ import typing as t
 from heapq import heappush
 
 from .events import URGENT, Event, _PENDING
+from .resources import Hold
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -43,8 +44,8 @@ class Process(Event):
                  name: str | None = None, detached: bool = False) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {generator!r}")
-        # hot-path: inline Event field init (detached posted writes spawn
-        # one process per TLP, so construction cost is on the data path).
+        # hot-path: inline Event field init (every command and block
+        # request spawns a process, so construction is on the data path).
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -92,6 +93,8 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
+            if type(target) is Hold:
+                target.cancel()     # or what it took never comes back
         kick.callbacks.append(self._resume)
         self.sim._push(kick, 0, URGENT)
 

@@ -3,6 +3,9 @@
 ``Resource``
     Counted FIFO resource (link occupancy, DMA engines, media channels).
 
+``HoldPlan``
+    Several resources held for fixed times as one claim (a TLP's links).
+
 ``Store``
     Unbounded FIFO of Python objects with blocking ``get`` (mailboxes,
     request queues between driver layers).
@@ -33,16 +36,6 @@ class Request(Event):
 
     __slots__ = ("resource",)
 
-    def __init__(self, sim: "Simulator", resource: "Resource") -> None:
-        # hot-path: inline Event field init (no Event.__init__ frame).
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self.resource = resource
-
     def __enter__(self) -> "Request":
         return self
 
@@ -62,11 +55,11 @@ class Resource:
         finally:
             resource.release(req)
 
-    Callers that hold units for a fixed time and never cancel (link
-    occupancy: several links per TLP) use *counted holds* instead:
-    :meth:`take` / :func:`take_all` claim a free unit without allocating
-    a :class:`Request` or scheduling a grant event, :meth:`give` /
-    :func:`giver` return it.  Both styles share one free count and one
+    Callers that hold units for a fixed time (link occupancy: several
+    links per TLP) use *counted holds* instead: :meth:`take` claims a
+    free unit without allocating a :class:`Request` or scheduling a
+    grant event, :meth:`give` returns it, and a :class:`HoldPlan` does
+    both for a whole set.  Both styles share one free count and one
     FIFO of waiters; the invariant is *waiters non-empty implies no free
     unit*, so a free unit can always be claimed on the spot.
     """
@@ -155,21 +148,55 @@ class Resource:
         return req
 
 
-def take_all(resources: t.Sequence[Resource]) -> bool:
-    """Claim one unit of every resource, or none: True iff all were free."""
-    # hot-path: one call per TLP instead of one per link
-    for resource in resources:
-        if not resource._free:
-            return False
-    for resource in resources:
-        resource._free -= 1
-    return True
+class HoldPlan:
+    """Fixed-time occupancy of several FIFO resources at once (a TLP's
+    links), from ``(resource, hold_ns)`` pairs; built once per set.
+    ``resources`` is in acquisition (creation: canonical, deadlock-free)
+    order; ``timers`` has one ``(hold_ns, release callback)`` per
+    distinct hold, ascending — the last hold, ``fill``, is the longest."""
+
+    __slots__ = ("sim", "resources", "timers", "fill")
+
+    def __init__(self, sim: "Simulator", pairs: t.Iterable[tuple]) -> None:
+        pairs = sorted(pairs, key=lambda pair: pair[0].order)
+        holds = sorted({hold for _resource, hold in pairs})
+        self.sim = sim
+        self.resources = tuple(resource for resource, _hold in pairs)
+        self.timers = tuple(
+            (hold, _giver(tuple(r for r, h in pairs if h == hold)))
+            for hold in holds)
+        self.fill = holds[-1]
+
+    def take(self) -> Event | None:
+        """Claim every resource now if all are free (no grant event) and
+        start the release timers, else claim nothing (None).  Returns
+        the last timer for the caller to ride like a ``sim.sleep``: it
+        fires once ``fill`` has elapsed, after its releases."""
+        # hot-path: one call per TLP, not one per link
+        resources = self.resources
+        for resource in resources:
+            if not resource._free:
+                return None
+        for resource in resources:
+            resource._free -= 1
+        sleep = self.sim.sleep
+        for hold, give in self.timers:
+            timer = sleep(hold)
+            timer.callbacks.append(give)
+        return timer
+
+    def hold(self, boot: Event | None = None) -> Event:
+        """:meth:`take`, or queue FIFO for what is busy (:class:`Hold`);
+        either way the event fires once ``fill`` has elapsed.  With
+        ``boot``, start claiming when that (pending) event is processed."""
+        # hot-path
+        timer = self.take() if boot is None else None
+        return timer or Hold(self, boot)
 
 
-def giver(resources: t.Sequence[Resource]) -> t.Callable[[Event], None]:
-    """A reusable timer callback that returns one unit to each of
-    ``resources``, in order (built once per occupancy plan, so a hold's
-    release allocates nothing)."""
+def _giver(resources: tuple[Resource, ...]) -> t.Callable[[Event], None]:
+    """Release-timer callback returning one unit to each of
+    ``resources``, in order (prebuilt: a release allocates nothing)."""
     def give_all(_event: Event) -> None:
         # hot-path
         for resource in resources:
@@ -178,6 +205,75 @@ def giver(resources: t.Sequence[Resource]) -> t.Callable[[Event], None]:
             else:
                 resource._free += 1
     return give_all
+
+
+class Hold(Event):
+    """A :meth:`HoldPlan.hold` that must wait: a record that walks the
+    plan's resources in order from plain callbacks — a free one is
+    claimed by count, a busy one queued for with a :class:`Request`
+    whose grant resumes the walk — and then starts the release timers.
+    Never queued itself: subscribers run from the last timer's event."""
+
+    __slots__ = ("plan", "_index", "_request")
+
+    def __init__(self, plan: HoldPlan, boot: Event | None) -> None:
+        Event.__init__(self, plan.sim)
+        self.plan = plan
+        self._index = 0     # resources[:_index] held or, the last, awaited
+        self._request = None
+        if boot is None:
+            self._claim(None)
+        else:
+            boot.callbacks.append(self._claim)
+
+    def _claim(self, _grant: Event | None) -> None:
+        # hot-path
+        plan = self.plan
+        index = self._index
+        for resource in plan.resources[index:]:
+            index += 1
+            if resource._free:
+                resource._free -= 1
+                continue
+            req = Request.__new__(Request)
+            req.sim = plan.sim
+            req.callbacks = [self._claim]
+            req._value = _PENDING
+            req._ok = True
+            req._processed = False
+            req._defused = False
+            req.resource = resource
+            resource._waiting.append(req)
+            self._request = req
+            self._index = index
+            return
+        self._request = None
+        sleep = plan.sim.sleep
+        for hold, give in plan.timers:
+            timer = sleep(hold)
+            timer.callbacks.append(give)
+        timer.callbacks.append(self._fire)
+
+    def _fire(self, _timer: Event) -> None:
+        # hot-path
+        callbacks, self.callbacks = self.callbacks, None
+        self._value = None
+        self._processed = True
+        for callback in callbacks:
+            callback(self)
+
+    def cancel(self) -> None:
+        """Abandon the claim: leave the FIFO and give back every unit
+        taken so far (:meth:`Process.interrupt` does, for the event its
+        target is parked on).  A no-op once everything is held — the
+        release timers own the units by then."""
+        req, self._request = self._request, None
+        if req is not None:
+            req.callbacks = []      # a grant already queued wakes nobody
+            *held, awaited = self.plan.resources[:self._index]
+            awaited.release(req)
+            for resource in held:
+                resource.give()
 
 
 class Store:
@@ -353,13 +449,21 @@ class Signal:
         index = sweep.index
         end = len(batch)
         repark = self._waiters.append
+        # Guards seen to hold in this dispatch: pure, and nothing runs before
+        # the winner ends it, so an equal guard has the same verdict.
+        holding: set = set()
         while index < end:
             ev = batch[index]
             index += 1
             callbacks = ev.callbacks
             if not callbacks:
                 continue        # nobody left to wake: drop, don't re-park
-            if ev.blocked():
+            blocked = ev.blocked
+            if blocked in holding:
+                repark(ev)
+                continue
+            if blocked():
+                holding.add(blocked)
                 repark(ev)
                 self._gated = True
                 continue

@@ -315,6 +315,46 @@ class TestAdmissionClamp:
         assert all(not ev.value.ok for ev in done)
 
 
+class TestCrashUnderLinkContention:
+    """A client polling a device-side CQ reads across the NTB; its
+    completions share host0's uplink with a neighbour's 64 KiB read
+    trains and queue for it.  ``crash()`` interrupts the poller: one
+    caught queueing must leave the link's FIFO, or its dead request is
+    granted the uplink and every host behind it stalls for good (the
+    state of things at 8585d81)."""
+
+    def test_crashed_remote_pollers_leave_every_link_free(self):
+        bed, _manager = make_cluster(n_hosts=6, config=no_sharing_config())
+        sim = bed.sim
+        loader = start_client(bed, 1)
+        pollers = [start_client(bed, i, cq_placement="device")
+                   for i in range(2, 6)]
+
+        def load(client, nblocks, n, depth):
+            for base in range(0, n, depth):
+                reqs = [client.submit(BlockRequest(
+                    "read", lba=(base + i) * nblocks, nblocks=nblocks))
+                    for i in range(depth)]
+                yield sim.all_of(reqs)
+            return all(req.value.ok for req in reqs)
+
+        bulk = sim.process(load(loader, 128, 64, 8))
+        for client in pollers:      # keeps each poller at full rate
+            sim.process(load(client, 8, 400, 1))
+        for k, client in enumerate(pollers):
+            sim.run(until=sim.now + 20_000 + 333 * k)
+            client.crash()
+        assert sim.run(until=bulk)
+        sim.run(until=sim.now + 1_000_000)
+        cluster = bed.cluster
+        busy = [(link.name, res.count, res.queued)
+                for link in cluster.links
+                for res in (link.resource(link.a, link.b),
+                            link.resource(link.b, link.a))
+                if res.count or res.queued]
+        assert busy == []
+
+
 class TestMultiHostScaling:
     def test_31_clients_supported(self):
         """The paper: P4800X supports 32 QPs, so 31 hosts can share it.

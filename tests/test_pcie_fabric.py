@@ -10,7 +10,7 @@ import repro
 from repro.config import PcieConfig
 from repro.pcie import (AddressError, Bar, Cluster, Fabric, NtbError,
                         NtbFunction, PCIeFunction, TopologyError)
-from repro.sim import Process, Simulator
+from repro.sim import Interrupt, Process, Simulator, Tracer
 from repro.units import MiB
 
 
@@ -339,11 +339,11 @@ class TestOccupancyEventBudget:
 
     def test_uncontended_occupy_schedules_one_timer(self, env):
         sim, cluster, fabric, devhost, client, *_ = env
-        occupy = fabric._occupy(cluster.path(client.rc, devhost.rc), 4096)
-        next(occupy)            # runs straight to its only wait
+        plan = fabric._hold_plan(cluster.path(client.rc, devhost.rc), 4096)
+        fill = plan.hold()      # claims inline: the timer is the handle
         assert self._held(cluster, client, devhost) == [1] * 4
         sim.run()
-        assert sim.events_processed == 1
+        assert fill.processed and sim.events_processed == 1
         assert self._held(cluster, client, devhost) == [0] * 4
 
     def test_uncontended_post_write_schedules_timer_and_delivery(self, env):
@@ -356,8 +356,8 @@ class TestOccupancyEventBudget:
         assert self._held(cluster, client, devhost) == [0] * 4
 
     def test_queued_post_write_delivers_through_the_same_event(self, env):
-        """The second write finds the links busy and queues for them in
-        a detached process; its handle is still the delivery event, so a
+        """The second write finds the links busy and queues for them
+        from a boot event; its handle is still the delivery event, so a
         subscriber costs no queue entry either way."""
         def run(subscribe):
             sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = \
@@ -378,8 +378,100 @@ class TestOccupancyEventBudget:
         assert run(subscribe=False) == (now, events, [])
 
 
+class TestPostWrites:
+    """``post_writes`` is ``post_write`` per segment, in order, except
+    that the members that must queue share one boot event."""
+
+    SIZES = (4096, 4096, 64, 4096, 4096, 4096)
+
+    def _run(self, burst, trace=True, link_up=True):
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = \
+            build_two_host_cluster()
+        tracer = Tracer(sim, categories={"pcie"})
+        if trace:
+            fabric.tracer = tracer
+        window = ntb_b.map_window(devhost, devhost.alloc_dma(32768), 32768)
+        local = client.alloc_dma(4096)
+        segments = [(window + 4096 * i, bytes([i + 1]) * size)
+                    for i, size in enumerate(self.SIZES)]
+        # another node, another size, between two runs to the first
+        segments.insert(3, (local, b"L" * 512))
+        ntb_b.set_link_state(link_up)
+        if burst:
+            fabric.post_writes(client.rc, client, segments)
+        else:
+            for addr, data in segments:
+                fabric.post_write(client.rc, client, addr, data)
+        sim.run()
+        assert client.memory.read(local, 512) == b"L" * 512
+        delivered = [(r.time_ns, r.payload["addr"], r.payload["size"])
+                     for r in tracer.records
+                     if r.message == "write-delivered"]
+        return delivered, sim.events_processed, fabric
+
+    def test_same_deliveries_as_single_posts_with_one_boot(self):
+        single, single_events, _f = self._run(burst=False)
+        burst, burst_events, fabric = self._run(burst=True)
+        assert burst == single
+        # one delivery per segment, each with its own size
+        assert sorted(size for _t, _a, size in burst) \
+            == sorted(self.SIZES + (512,))
+        assert fabric.posted_writes == 7
+        # The first window segment finds the links free and the local
+        # one crosses none: the other five queue, on one boot, not five.
+        assert single_events - burst_events == 4
+
+    def test_event_count_does_not_depend_on_tracing(self):
+        _d, traced, _f = self._run(burst=True, trace=True)
+        delivered, untraced, _f = self._run(burst=True, trace=False)
+        assert delivered == [] and traced == untraced
+
+    def test_dropped_members_do_not_break_the_burst(self):
+        delivered, _events, fabric = self._run(burst=True, link_up=False)
+        assert fabric.dropped_writes == 6 and fabric.posted_writes == 1
+        assert [size for _t, _a, size in delivered] == [512]
+
+
+class TestInterruptedLinkWaiter:
+    """A process interrupted while it queues for a link must leave the
+    FIFO (``Hold.cancel``): at 8585d81 its dead request was granted the
+    link and kept it forever."""
+
+    def test_later_reader_still_gets_the_device_link(self, env):
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
+        window = ntb_b.map_window(devhost, scratch.bars[0].base, 4096)
+        (link, _a, _b), = cluster.links_on((scratch.node, devhost.rc))
+        uplink = link.resource(scratch.node, devhost.rc)
+        done = {}
+
+        def reader(tag, start):
+            yield sim.timeout(start)
+            try:
+                yield from fabric.read(client.rc, client, window, 4096)
+                done[tag] = sim.now
+            except Interrupt:
+                done[tag] = "interrupted"
+
+        sim.process(reader("a", 0))
+        b = sim.process(reader("b", 10))
+        sim.process(reader("c", 100_000))
+        # B's completion leg queues behind A's on the device's uplink.
+        while not uplink.queued:
+            sim.step()
+        assert uplink.count == 1 and "a" not in done
+        b.interrupt()
+        sim.run()
+        assert done["b"] == "interrupted"
+        assert done["a"] < 100_000 < done["c"] < 110_000
+        for path in (cluster.path(client.rc, scratch.node),
+                     cluster.path(scratch.node, client.rc)):
+            assert [(link.resource(a, b).count, link.resource(a, b).queued)
+                    for link, a, b in cluster.links_on(path)] \
+                == [(0, 0)] * 5
+
+
 def test_resource_internals_stay_inside_the_kernel():
-    """Link occupancy goes through take/give/take_all/giver: no module
+    """Link occupancy goes through take/give and HoldPlan: no module
     outside repro/sim reaches into another object's Resource state."""
     root = pathlib.Path(repro.__file__).parent
     pokes = re.compile(r"(?<!\bself)\._(holders|waiting|free)\b")
@@ -398,6 +490,20 @@ def test_no_timing_domain_machinery_left():
     assert [str(path) for path in sorted(root.rglob("*.py"))
             if tokens.search(path.read_text())] == []
     assert "domain" not in Process.__slots__
+
+
+def test_no_process_or_generator_occupancy_in_the_fabric():
+    """A TLP is a record, not a coroutine (docs/performance.md, "Order
+    preservation"): nothing under ``repro/pcie`` spawns a process, and
+    links are claimed through a :class:`~repro.sim.HoldPlan` only — no
+    per-link ``request()``/``acquire()`` for a generator to yield on,
+    none of the three occupancy routines the plan replaced."""
+    root = pathlib.Path(repro.__file__).parent / "pcie"
+    tokens = re.compile(r"\bProcess\b|\.process\(|\.request\(|\.acquire\("
+                        r"|yield from self\._\w*(occupy|hold)"
+                        r"|\b_occupy\b|_try_hold|_queued_write")
+    assert [str(path) for path in sorted(root.rglob("*.py"))
+            if tokens.search(path.read_text())] == []
 
 
 class TestTopologyValidation:

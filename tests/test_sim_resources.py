@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (Event, Interrupt, Resource, Signal, Simulator, Store,
-                       giver, take_all)
+from repro.sim import (Event, HoldPlan, Interrupt, Resource, Signal,
+                       Simulator, Store)
 
 
 @pytest.fixture()
@@ -118,31 +118,33 @@ class TestResource:
 
 
 class TestCountedHolds:
-    """take()/give() and take_all()/giver() hold units by count — no
+    """take()/give() and HoldPlan.take() hold units by count — no
     Request, no grant event — on the same free count and FIFO as
     request()/release()."""
 
     def test_take_all_is_all_or_nothing(self, sim):
         a, b = Resource(sim, 1), Resource(sim, 2)
-        assert take_all((a, b))
+        assert HoldPlan(sim, [(a, 30), (b, 30)]).take() is not None
         assert (a.count, b.count) == (1, 1)
-        assert not take_all((b, a))         # a is busy: b stays untouched
+        assert sim.peek() == 30             # one shared release timer
+        # a is busy: b stays untouched and nothing more is scheduled
+        assert HoldPlan(sim, [(b, 5), (a, 5)]).take() is None
         assert (a.count, b.count) == (1, 1)
-        assert sim.peek() is None           # no event was scheduled
-        giver((a, b))(None)
+        sim.run()
+        assert (sim.now, sim.events_processed) == (30, 1)
         assert (a.count, b.count) == (0, 0)
 
     def test_giver_hands_over_to_waiters_in_fifo_order(self, sim):
         res = Resource(sim, 1)
-        assert res.take()
+        plan = HoldPlan(sim, [(res, 10)])
+        assert plan.take() is not None
         first, second = res.request(), res.request()
-        release = giver((res,))
-        release(None)
+        sim.run(until=10)                   # the release timer fires
         assert first.triggered and not second.triggered
         assert res.count == 1 and res.queued == 1
-        release(None)                       # first's unit, returned by count
+        res.give()                          # first's unit, returned by count
         assert second.triggered and res.queued == 0
-        release(None)
+        res.give()
         assert res.count == 0
         with pytest.raises(RuntimeError):
             res.give()                      # nothing is held any more
@@ -203,6 +205,210 @@ class TestCountedHolds:
             assert not any(req.triggered for req in waiting)
         sim.run()                           # every grant event is sound
         assert all(req.processed and req.value is req for req in granted)
+
+
+def occupy_reference(plan, owners, tag):
+    """Link occupancy as a generator: ``Fabric._occupy`` as it stood
+    before :class:`HoldPlan` (commit 8585d81), kept as the reference.
+    Its ``take_all`` shortcut is the loop finding every unit free.  It
+    leaked when interrupted; the ``except`` is what it owed."""
+    held, req = [], None
+    try:
+        for resource in plan.resources:
+            if not resource.take():
+                req = resource.request()
+                owners[req] = tag
+                yield req
+                req = None
+            held.append(resource)
+    except Interrupt:
+        if req is not None:
+            resource.release(req)
+        for resource in held:
+            resource.give()
+        raise
+    for hold, give in plan.timers:
+        timer = plan.sim.sleep(hold)
+        timer.callbacks.append(give)
+    yield timer
+
+
+#: link indices per path: 0 and 5 are one path; 0, 1 and 4 share their
+#: first link; 0 and 2 share their last; 3 touches nothing of 2's
+PATHS = ((0, 1, 2), (0, 3), (4, 2), (3,), (0, 4, 1), (0, 1, 2))
+
+
+def play_holds(schedule, reference):
+    """Run holders ``(start, paths, hold times, cancel delay | None)``
+    through the primitive or the reference generator; a holder occupies
+    its paths one after the other, a zero-delay step apart (a TLP's
+    request and completion legs).  Returns one log, in order of
+    occurrence, of what each holder saw, every release by holder and
+    link, and every distinct state of the links — units held and who
+    queues, oldest first — plus the event count."""
+    sim = Simulator(seed=3)
+    links = [Resource(sim) for _ in range(5)]
+    log = []
+    owners, tags = {}, {}       # Request -> tag (reference); plan -> tag
+
+    def who(req):
+        if req in owners:
+            return owners[req]
+        return tags[req.callbacks[0].__self__.plan]
+
+    def logged(tag, group, give):
+        def release(event):
+            log.extend((sim.now, tag, "released", links.index(resource))
+                       for resource in group)
+            give(event)
+        return release
+
+    def plan_for(tag, path, holds):
+        pairs = [(links[i], hold) for i, hold in zip(PATHS[path], holds)]
+        plan = HoldPlan(sim, pairs)
+        plan.timers = tuple(
+            (hold, logged(tag, [r for r, h in pairs if h == hold], give))
+            for hold, give in plan.timers)
+        tags[plan] = tag
+        return plan
+
+    def holder(tag, start, plans):
+        try:
+            yield sim.timeout(start)
+            for plan in plans:
+                if reference:
+                    yield from occupy_reference(plan, owners, tag)
+                else:
+                    yield plan.hold()
+                log.append((sim.now, tag, "filled"))
+                yield sim.timeout(0)
+        except Interrupt:
+            pass
+
+    def canceller(tag, proc, at):
+        # The primitive gives up its claim inside interrupt(), the
+        # reference when the Interrupt reaches it, one URGENT event
+        # later: log here, ahead of both.
+        yield sim.timeout(at)
+        if proc.is_alive:
+            log.append((sim.now, tag, "cancelled"))
+            proc.interrupt()
+
+    for tag, (start, paths, holds, cancel) in enumerate(schedule):
+        proc = sim.process(holder(
+            tag, start, [plan_for(tag, path, holds) for path in paths]))
+        if cancel is not None:
+            sim.process(canceller(tag, proc, start + cancel))
+    state = None
+    while sim.peek() is not None:
+        sim.step()
+        was, state = state, tuple(
+            (link.count, tuple(who(req) for req in link._waiting))
+            for link in links)
+        if state != was:
+            log.append((sim.now, state))
+    assert all(link.count == 0 and not link.queued for link in links)
+    return log, sim.events_processed
+
+
+class TestHoldPlan:
+    def test_plan_orders_resources_and_groups_equal_holds(self, sim):
+        a, b, c = Resource(sim), Resource(sim), Resource(sim)
+        plan = HoldPlan(sim, [(c, 9), (a, 4), (b, 9)])
+        assert plan.resources == (a, b, c)          # creation order
+        assert [hold for hold, _give in plan.timers] == [4, 9]
+        assert plan.fill == 9
+
+    def test_queued_hold_claims_in_order_and_rides_the_last_timer(self, sim):
+        a, b = Resource(sim), Resource(sim)
+        assert b.take()                             # someone else's unit
+        hold = HoldPlan(sim, [(a, 10), (b, 30)]).hold()
+        fired = []
+        hold.callbacks.append(lambda ev: fired.append((sim.now, ev.ok)))
+        assert (a.count, b.queued) == (1, 1)        # a taken, queued at b
+        assert sim.peek() is None                   # and nothing scheduled
+        sim.run(until=7)
+        b.give()
+        sim.run()
+        # grant at 7, then a's timer at 17 and b's at 37: three events
+        assert fired == [(37, True)] and hold.processed
+        assert sim.events_processed == 3
+        assert (a.count, b.count) == (0, 0)
+
+    def test_cancel_leaves_the_fifo_and_returns_what_it_took(self, sim):
+        a, b, c = Resource(sim), Resource(sim), Resource(sim)
+        assert c.take()
+        hold = HoldPlan(sim, [(a, 5), (b, 5), (c, 5)]).hold()
+        assert (a.count, b.count, c.queued) == (1, 1, 1)
+        hold.cancel()
+        assert (a.count, b.count, c.count, c.queued) == (0, 0, 1, 0)
+        hold.cancel()                               # idempotent
+        c.give()
+        assert sim.peek() is None                   # nothing was started
+
+    def test_cancel_between_grant_and_dispatch_passes_the_unit_on(self, sim):
+        a = Resource(sim)
+        assert a.take()
+        plan = HoldPlan(sim, [(a, 5)])
+        first, second = plan.hold(), plan.hold()
+        a.give()                    # first's grant is on the queue now
+        first.cancel()
+        assert a.count == 1 and a.queued == 0       # handed to second
+        sim.run()
+        assert second.processed and not first.triggered
+        assert a.count == 0
+
+    def test_cancel_once_everything_is_held_is_a_noop(self, sim):
+        a = Resource(sim)
+        assert a.take()
+        hold = HoldPlan(sim, [(a, 5)]).hold()
+        a.give()
+        sim.run(until=1)            # granted: the release timer runs
+        hold.cancel()
+        assert a.count == 1
+        sim.run()
+        assert a.count == 0 and hold.processed
+
+    def test_interrupted_waiter_does_not_leak_the_resource(self, sim):
+        """A holds the link, B queues and is interrupted, C comes later:
+        C must get the link.  (Before ``Hold.cancel`` B's dead request
+        stayed in the FIFO and was granted the link forever.)"""
+        first = Resource(sim)       # taken by B before it queues
+        link = Resource(sim)
+        done = {}
+
+        def user(tag, start, pairs):
+            try:
+                yield sim.timeout(start)
+                yield HoldPlan(sim, pairs).hold()
+                done[tag] = sim.now
+            except Interrupt:
+                done[tag] = "interrupted"
+
+        sim.process(user("a", 0, [(link, 1000)]))
+        b = sim.process(user("b", 10, [(first, 50), (link, 50)]))
+        sim.process(user("c", 100, [(link, 40)]))
+        sim.run(until=20)
+        assert (first.count, link.queued) == (1, 1)
+        b.interrupt()
+        sim.run()
+        assert done == {"a": 1000, "b": "interrupted", "c": 1040}
+        assert (first.count, link.count, link.queued) == (0, 0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedule=st.lists(st.tuples(
+        st.integers(0, 12),
+        st.lists(st.integers(0, len(PATHS) - 1), min_size=1, max_size=2),
+        st.lists(st.sampled_from([3, 3, 5, 8]), min_size=3, max_size=3),
+        st.one_of(st.none(), st.integers(0, 15))), max_size=12))
+    @example(schedule=[(0, [0], [8, 8, 8], None), (1, [1], [3, 5, 3], 2),
+                       (2, [1], [3, 3, 3], None)])
+    @example(schedule=[(0, [2], [5, 8, 3], None), (0, [0], [3, 3, 8], 9),
+                       (0, [4, 3], [3, 5, 8], None),
+                       (1, [5, 1], [8, 5, 3], None)])
+    def test_matches_the_occupy_generator(self, schedule):
+        assert play_holds(schedule, reference=False) \
+            == play_holds(schedule, reference=True)
 
 
 class TestStore:
@@ -284,6 +490,19 @@ class WakeAllSignal:
             ev.succeed(value)
 
 
+class _Guard:
+    """One guard object per ``need``: its ``holds`` bound methods are
+    distinct objects that compare and hash equal."""
+
+    def __init__(self, gate, need):
+        self.gate = gate
+        self.need = need
+        gate.guards[need] = self
+
+    def holds(self):
+        return self.gate.short_of(self.need)
+
+
 class Turnstile:
     """Shared state for gated-wait tests: waiter *tag* gets through once
     ``tokens >= need`` (taking them) or the turnstile is closed."""
@@ -297,10 +516,24 @@ class Turnstile:
         self.resumes = 0        # wake-ups that reached a waiter's process
         self.procs = {}
         self.parked = set()     # tags suspended at the signal right now
+        self.guards = {}        # need -> _Guard, for shared predicates
+        self.evaluations = 0    # guard evaluations, by anyone
 
-    def park(self, tag, need=1, gated=True, on_win=None):
-        def blocked():
-            return self.open and self.tokens < need
+    def short_of(self, need):
+        """True while ``need`` tokens are missing (and the turnstile is
+        open): the guard, as a method, so that every waiter parked with
+        ``shared=True`` and the same ``need`` hands the signal an equal
+        bound method — the way the 40-odd submissions parked on one
+        client's clamp share ``client._clamp_holds``."""
+        self.evaluations += 1
+        return self.open and self.tokens < need
+
+    def park(self, tag, need=1, gated=True, on_win=None, shared=False):
+        if shared:
+            blocked = (self.guards.get(need) or _Guard(self, need)).holds
+        else:
+            def blocked():
+                return self.short_of(need)
 
         def body():
             try:
@@ -485,6 +718,31 @@ class TestSignal:
         sim.run()
         assert got == ["edge"]
 
+    def test_one_evaluation_per_distinct_guard_per_sweep(self, sim, gate):
+        for tag in range(10):
+            gate.park(tag, need=5, shared=True)
+        for tag in range(10, 13):
+            gate.park(tag, need=7, shared=True)
+        gate.park(13, need=5)               # same test, its own closure
+        sim.run()
+        gate.evaluations = 0
+        gate.give(1)
+        sim.run()
+        assert gate.evaluations == 3        # not 14
+        assert gate.resumes == 0 and gate.signal.waiting == 14
+
+    def test_a_winner_drops_the_sweeps_verdicts(self, sim, gate):
+        """Tags 0 and 2 share a guard; tag 1 wins between them and hands
+        on tokens (no fire): tag 2 must see them, not tag 0's verdict."""
+        gate.park(0, need=2, shared=True)
+        gate.park(1, need=1, on_win=lambda: gate.give(3, fire=False))
+        gate.park(2, need=2, shared=True)
+        sim.run()
+        gate.give(1)
+        sim.run()
+        assert gate.trace == [(0, 1), (0, 2)]
+        assert gate.parked == {0}
+
     def test_interrupted_waiters_are_not_pinned(self, sim, gate):
         """Lifecycle: a waiter whose process was interrupted is dropped
         at the next sweep, not re-parked for the length of the clamp."""
@@ -505,19 +763,23 @@ class TestSignal:
     @settings(max_examples=300, deadline=None)
     @given(steps=st.lists(st.one_of(
         st.tuples(st.just("park"), st.integers(1, 3), st.booleans(),
-                  st.sampled_from([None, "refire", "spawn", "give"])),
+                  st.sampled_from([None, "refire", "spawn", "give"]),
+                  st.booleans()),
         st.tuples(st.just("give"), st.integers(1, 3), st.booleans()),
         st.tuples(st.just("fire")),
         st.tuples(st.just("interrupt"), st.integers(0, 40)),
         st.tuples(st.just("advance"), st.integers(1, 5)),
         st.tuples(st.just("close"))), max_size=40))
-    @example(steps=[("park", 1, True, "spawn"), ("park", 1, True, None),
-                    ("give", 1, True)])
-    @example(steps=[("park", 2, True, None), ("park", 1, True, "give"),
-                    ("park", 2, True, None), ("give", 1, True)])
-    @example(steps=[("park", 3, True, None), ("park", 1, True, "refire"),
-                    ("park", 1, False, None), ("park", 1, True, None),
-                    ("give", 2, True), ("park", 1, True, None),
+    @example(steps=[("park", 1, True, "spawn", False),
+                    ("park", 1, True, None, False), ("give", 1, True)])
+    @example(steps=[("park", 2, True, None, True),
+                    ("park", 1, True, "give", False),
+                    ("park", 2, True, None, True), ("give", 1, True)])
+    @example(steps=[("park", 3, True, None, True),
+                    ("park", 1, True, "refire", False),
+                    ("park", 1, False, None, False),
+                    ("park", 1, True, None, True),
+                    ("give", 2, True), ("park", 1, True, None, True),
                     ("give", 3, False), ("fire",)])
     def test_matches_wake_all_reference(self, steps):
         def play(signal_type):
@@ -532,7 +794,8 @@ class TestSignal:
                     op = step[0]
                     if op == "park":
                         gate.park(len(gate.procs), need=step[1],
-                                  gated=step[2], on_win=on_win[step[3]])
+                                  gated=step[2], on_win=on_win[step[3]],
+                                  shared=step[4])
                         # let it boot and park; a fire() just before
                         # this step still has its wake events queued
                         yield sim.timeout(0)
