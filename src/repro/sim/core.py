@@ -7,11 +7,11 @@ whole-cluster simulations bit-reproducible for a given seed.
 
 The ``run`` loops inline the per-event dispatch (rather than calling
 :meth:`Simulator.step`) and hoist the queue and ``heappop`` into locals:
-fig10-scale runs process ~100 events per I/O, so attribute lookups in
-this loop are a measurable fraction of total wall-clock.  None of the
-fast paths change *which* events run or in what order — every entry
-still receives a fresh sequence number from the same counter, so traces
-and telemetry exports stay bit-identical.
+a 4 KiB read is ~45 events, a 64 KiB one ~150 (docs/performance.md), so
+attribute lookups in this loop are a measurable fraction of wall-clock.
+None of the fast paths change *which* events run or in what order —
+every entry still receives a fresh sequence number from the same
+counter, so traces and telemetry exports stay bit-identical.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import typing as t
 from heapq import heappop, heappush
 from itertools import count
 
-from .events import (NORMAL, URGENT, AllOf, AnyOf, Event, PooledTimeout,
-                     Timeout, _as_int_delay)
+from .events import (NORMAL, URGENT, AllOf, AnyOf, Event, Timeout,
+                     _as_int_delay)
 from .process import Process
 from .rng import RngRegistry
 
@@ -55,8 +55,6 @@ class Simulator:
         self.components: dict[str, t.Any] = {}
         #: total events dispatched (perf telemetry; deterministic per run)
         self.events_processed: int = 0
-        #: free list for :meth:`sleep` timeouts (see events.PooledTimeout)
-        self._timeout_pool: list[PooledTimeout] = []
 
     def _next_resource_order(self) -> int:
         """Deterministic creation index for Resources (lock ordering)."""
@@ -81,28 +79,27 @@ class Simulator:
     def timeout(self, delay: int, value: t.Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: int) -> Timeout:
-        """A pooled fire-and-forget timeout for ``yield sim.sleep(ns)``.
-
-        Behaves exactly like :meth:`timeout` on the event queue (same
-        sequence numbering, same ordering), but recycles the event object
-        through a free list once its callbacks have run.  Callers must
-        not retain the returned event past the yield or compose it with
-        ``any_of``/``all_of`` — use :meth:`timeout` for those.
-        """
-        pool = self._timeout_pool
-        if pool and type(delay) is int and delay >= 0:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = None
-            ev._ok = True
-            ev._processed = False
-            ev._defused = False
-            ev.delay = delay
-            heappush(self._queue, (self._now + delay, NORMAL,
-                                   next(self._sequence), ev))
-            return ev
-        return PooledTimeout(self, delay)
+    def sleep(self, delay: int) -> Event:
+        """:meth:`timeout` for ``yield sim.sleep(ns)``, minus the
+        allocation: a running process gets its own timer armed again —
+        the same queue entry (instant, priority, a fresh sequence
+        number) — so it yields the result at once and neither keeps it
+        nor hands it to ``any_of``/``all_of`` (staticcheck rule
+        ``sleep-discipline``; :meth:`timeout` is the event for those).
+        Outside a process, or while that timer is still armed (a sleep
+        never yielded, or interrupted and not yet off the queue), the
+        result is a plain :class:`Timeout`."""
+        # hot-path
+        process = self._active_process
+        if process is not None and type(delay) is int and delay >= 0:
+            timer = process._timer
+            if timer.callbacks is None:
+                timer.callbacks = []
+                timer._processed = False
+                heappush(self._queue, (self._now + delay, NORMAL,
+                                       next(self._sequence), timer))
+                return timer
+        return Timeout(self, delay)
 
     def process(self, generator: t.Generator,
                 detached: bool = False) -> Process:
@@ -155,13 +152,11 @@ class Simulator:
         ``until`` may be an absolute time (int) or an :class:`Event`; when
         it is an event, its value is returned (exceptions propagate).
         """
-        # The dispatch below is Event._process / PooledTimeout._process
-        # inlined (they are the only two implementations); the type check
-        # routes recycling without a second method call per event.
+        # The dispatch below is Event._process inlined.  A callback may
+        # arm the event again (an owned timer, see events.py): after the
+        # callback loop only ``_ok``/``_defused`` are read.
         queue = self._queue
         pop = heappop
-        pool = self._timeout_pool
-        pooled = PooledTimeout
         dispatched = 0
         if until is None:
             try:
@@ -174,10 +169,7 @@ class Simulator:
                     event._processed = True
                     for callback in callbacks:
                         callback(event)
-                    if type(event) is pooled:
-                        if len(pool) < 512:
-                            pool.append(event)
-                    elif not event._ok and not event._defused:
+                    if not event._ok and not event._defused:
                         raise t.cast(BaseException, event._value)
             finally:
                 self.events_processed += dispatched
@@ -204,10 +196,7 @@ class Simulator:
                     event._processed = True
                     for callback in callbacks:
                         callback(event)
-                    if type(event) is pooled:
-                        if len(pool) < 512:
-                            pool.append(event)
-                    elif not event._ok and not event._defused:
+                    if not event._ok and not event._defused:
                         raise t.cast(BaseException, event._value)
             finally:
                 self.events_processed += dispatched
@@ -233,10 +222,7 @@ class Simulator:
                 event._processed = True
                 for callback in callbacks:
                     callback(event)
-                if type(event) is pooled:
-                    if len(pool) < 512:
-                        pool.append(event)
-                elif not event._ok and not event._defused:
+                if not event._ok and not event._defused:
                     raise t.cast(BaseException, event._value)
         finally:
             self.events_processed += dispatched

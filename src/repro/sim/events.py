@@ -8,6 +8,18 @@ callbacks invoked when the simulator processes it.  Processes
 Events deliberately carry *no* timing information themselves — scheduling
 is owned by :class:`repro.sim.core.Simulator`.
 
+One-shot for everyone but an owner: a *timer* — the sleep timer of a
+:class:`~repro.sim.process.Process`, a release timer of a
+:class:`~repro.sim.resources.HoldPlan` — is a plain event whose outcome
+never changes (``None``, ok) and which its one owner arms again whenever
+it is idle.  Idle is ``callbacks is None`` (never armed, or dispatched);
+arming is ``callbacks = [...]``, ``_processed = False`` and one push
+with a fresh sequence number — legal inside the timer's own dispatch,
+where the run loop has already detached the callback list and goes on to
+read only ``_ok``/``_defused``.  An owner that finds its timer armed
+uses a fresh event instead; whoever is handed a timer waits on it at
+once and keeps no reference (staticcheck rule ``sleep-discipline``).
+
 The constructors and :meth:`Event._process` are the innermost loops of
 the whole simulator (every timeout, resource grant and process switch
 passes through them), so they trade a little repetition for speed:
@@ -191,34 +203,6 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         sim._push(self, delay)
-
-
-class PooledTimeout(Timeout):
-    """A :class:`Timeout` recycled through the simulator's free list.
-
-    Created via :meth:`Simulator.sleep`.  The object returns itself to
-    the pool the moment its callbacks have run, so callers must follow
-    the ``yield sim.sleep(ns)`` discipline: never retain a reference,
-    never inspect it after resuming, and never hand it to
-    ``any_of``/``all_of`` (composites keep references past processing).
-    Poll ticks and per-hop latency waits burn one of these every few
-    simulated nanoseconds, which without pooling makes the allocator the
-    single hottest call site in fig10-scale runs.
-    """
-
-    __slots__ = ()
-
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        # Sleeps never fail, so the unwaited-failure re-raise is not
-        # needed; recycle immediately (callbacks have all run).
-        pool = self.sim._timeout_pool
-        if len(pool) < 512:
-            pool.append(self)
 
 
 class Condition(Event):

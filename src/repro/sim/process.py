@@ -38,12 +38,15 @@ class Process(Event):
     through the queue like any other process.
     """
 
-    __slots__ = ("_generator", "_target", "name", "_detached")
+    __slots__ = ("_generator", "_target", "_timer", "name", "_detached")
 
     def __init__(self, sim: "Simulator", generator: t.Generator,
                  name: str | None = None, detached: bool = False) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"process requires a generator, got {generator!r}")
+        try:
+            generator.send, generator.throw
+        except AttributeError:
+            raise TypeError(
+                f"process requires a generator, got {generator!r}") from None
         # hot-path: inline Event field init (every command and block
         # request spawns a process, so construction is on the data path).
         self.sim = sim
@@ -57,8 +60,9 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current instant, ahead of normal events, so a
         # newly spawned process observes the state that existed when it
-        # was spawned.
-        boot = Event.__new__(Event)
+        # was spawned.  The boot event is the first arming of the timer
+        # Simulator.sleep() arms for this process from then on (events.py).
+        self._timer = self._target = boot = Event.__new__(Event)
         boot.sim = sim
         boot.callbacks = [self._resume]
         boot._value = None
@@ -66,7 +70,6 @@ class Process(Event):
         boot._processed = False
         boot._defused = False
         heappush(sim._queue, (sim._now, URGENT, next(sim._sequence), boot))
-        self._target = boot
 
     @property
     def is_alive(self) -> bool:
@@ -86,17 +89,28 @@ class Process(Event):
         kick._ok = False
         kick._value = Interrupt(cause)
         kick.defuse()
-        # Detach from the event currently waited on, then deliver.
+        self._detach()      # now: nothing due at this instant resumes it
+        kick.callbacks.append(self._interrupted)
+        self.sim._push(kick, 0, URGENT)
+
+    def _detach(self) -> None:
+        """Unsubscribe from the event the process is parked on."""
         target = self._target
-        if target is not None and target.callbacks is not None:
+        if target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
             if type(target) is Hold:
                 target.cancel()     # or what it took never comes back
-        kick.callbacks.append(self._resume)
-        self.sim._push(kick, 0, URGENT)
+
+    def _interrupted(self, kick: Event) -> None:
+        """Deliver an :class:`Interrupt`, unless one delivered earlier
+        at this instant ended the process; if that one left it parked on
+        another event, that event must not resume it a second time."""
+        if self._value is _PENDING:
+            self._detach()
+            self._resume(kick)
 
     # -- driving the generator ------------------------------------------------
 

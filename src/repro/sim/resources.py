@@ -152,8 +152,10 @@ class HoldPlan:
     """Fixed-time occupancy of several FIFO resources at once (a TLP's
     links), from ``(resource, hold_ns)`` pairs; built once per set.
     ``resources`` is in acquisition (creation: canonical, deadlock-free)
-    order; ``timers`` has one ``(hold_ns, release callback)`` per
-    distinct hold, ascending — the last hold, ``fill``, is the longest."""
+    order; ``timers`` has one ``(hold_ns, release callback, timer)`` per
+    distinct hold, ascending — the last hold, ``fill``, is the longest.
+    The timers are the plan's own (events.py); a claim that overlaps the
+    one before it (capacity > 1) finds them armed and uses fresh events."""
 
     __slots__ = ("sim", "resources", "timers", "fill")
 
@@ -163,8 +165,10 @@ class HoldPlan:
         self.sim = sim
         self.resources = tuple(resource for resource, _hold in pairs)
         self.timers = tuple(
-            (hold, _giver(tuple(r for r, h in pairs if h == hold)))
+            (hold, _giver(tuple(r for r, h in pairs if h == hold)), Event(sim))
             for hold in holds)
+        for _hold, _give, timer in self.timers:     # idle until armed
+            timer.callbacks = timer._value = None
         self.fill = holds[-1]
 
     def take(self) -> Event | None:
@@ -179,10 +183,16 @@ class HoldPlan:
                 return None
         for resource in resources:
             resource._free -= 1
-        sleep = self.sim.sleep
-        for hold, give in self.timers:
-            timer = sleep(hold)
-            timer.callbacks.append(give)
+        sim = self.sim
+        for hold, give, timer in self.timers:
+            if timer.callbacks is None:
+                timer.callbacks = [give]
+                timer._processed = False
+                heappush(sim._queue, (sim._now + hold, NORMAL,
+                                      next(sim._sequence), timer))
+            else:
+                timer = sim.timeout(hold)
+                timer.callbacks.append(give)
         return timer
 
     def hold(self, boot: Event | None = None) -> Event:
@@ -248,10 +258,16 @@ class Hold(Event):
             self._index = index
             return
         self._request = None
-        sleep = plan.sim.sleep
-        for hold, give in plan.timers:
-            timer = sleep(hold)
-            timer.callbacks.append(give)
+        sim = plan.sim
+        for hold, give, timer in plan.timers:       # as HoldPlan.take
+            if timer.callbacks is None:
+                timer.callbacks = [give]
+                timer._processed = False
+                heappush(sim._queue, (sim._now + hold, NORMAL,
+                                      next(sim._sequence), timer))
+            else:
+                timer = sim.timeout(hold)
+                timer.callbacks.append(give)
         timer.callbacks.append(self._fire)
 
     def _fire(self, _timer: Event) -> None:

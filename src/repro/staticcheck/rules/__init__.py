@@ -9,4 +9,5 @@ docs/static_analysis.md).
 
 from . import (doorbell_order, hotpath_alloc, lease_guard,  # noqa: F401
                nonposted_hotpath, no_wallclock, process_yields,
-               sanitizer_hook, seeded_rng, units_discipline, window_epoch)
+               sanitizer_hook, seeded_rng, sleep_discipline,
+               units_discipline, window_epoch)

@@ -2,7 +2,7 @@
 
 The PR that introduced the route cache and the event-loop fast paths
 pays for its speedup by keeping the innermost loops allocation-light:
-plans, caches and pooled events are built *once* (in ``_build_*``
+plans, caches and owned timers are built *once* (in ``_build_*``
 helpers) and the per-event code only indexes into them.  A function
 carrying a ``# hot-path`` marker comment has opted into that contract,
 so two allocation patterns are flagged inside it:

@@ -492,6 +492,16 @@ def test_no_timing_domain_machinery_left():
     assert "domain" not in Process.__slots__
 
 
+def test_no_sleep_pool_left():
+    """Every sleeper owns its timer (docs/performance.md): no shared
+    free list of sleep events, and so no recycling branch in the run
+    loops, anywhere in the package."""
+    root = pathlib.Path(repro.__file__).parent
+    tokens = re.compile(r"PooledTimeout|_timeout_pool")
+    assert [str(path) for path in sorted(root.rglob("*.py"))
+            if tokens.search(path.read_text())] == []
+
+
 def test_no_process_or_generator_occupancy_in_the_fabric():
     """A TLP is a record, not a coroutine (docs/performance.md, "Order
     preservation"): nothing under ``repro/pcie`` spawns a process, and

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Simulator
+from repro.sim import Event, Interrupt, Simulator
 
 
 @pytest.fixture()
@@ -264,3 +264,52 @@ class TestDeterminism:
 
         assert run_once(7) == run_once(7)
         assert run_once(7) != run_once(8)
+
+
+class TestInterruptTwice:
+    def test_second_interrupt_detaches_from_the_new_wait(self, sim):
+        """Two interrupts at one instant: the victim handles the first
+        and parks on a fresh timeout before the second arrives.  The
+        second must take it off *that* wait — left subscribed, the
+        timeout resumed it once more at t=15 (a stray value sent into an
+        unrelated yield, "already triggered" out of ``run()``)."""
+        log = []
+
+        def victim(sim):
+            for _ in range(3):
+                try:
+                    yield sim.timeout(10)
+                    log.append(("woke", sim.now))
+                except Interrupt as intr:
+                    log.append((f"interrupted {intr.cause}", sim.now))
+            yield sim.timeout(10)
+            log.append(("woke", sim.now))
+
+        def attacker(sim, proc):
+            yield sim.timeout(5)
+            proc.interrupt("a")
+            proc.interrupt("b")
+
+        proc = sim.process(victim(sim))
+        sim.process(attacker(sim, proc))
+        sim.run()
+        assert log == [("interrupted a", 5), ("interrupted b", 5),
+                       ("woke", 15), ("woke", 25)]
+        assert proc.processed and proc.ok
+
+    def test_interrupt_after_the_first_ended_the_process_is_dropped(self, sim):
+        def victim(sim):
+            try:
+                yield sim.timeout(10)
+            except Interrupt:
+                return "stopped"
+
+        def attacker(sim, proc):
+            yield sim.timeout(5)
+            proc.interrupt("a")
+            proc.interrupt("b")
+
+        proc = sim.process(victim(sim))
+        sim.process(attacker(sim, proc))
+        sim.run()
+        assert proc.value == "stopped"

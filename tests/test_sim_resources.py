@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim import (Event, HoldPlan, Interrupt, Resource, Signal,
                        Simulator, Store)
+from repro.sim.resources import Hold
 
 
 @pytest.fixture()
@@ -227,15 +228,17 @@ def occupy_reference(plan, owners, tag):
         for resource in held:
             resource.give()
         raise
-    for hold, give in plan.timers:
+    for hold, give, _timer in plan.timers:
         timer = plan.sim.sleep(hold)
         timer.callbacks.append(give)
     yield timer
 
 
 #: link indices per path: 0 and 5 are one path; 0, 1 and 4 share their
-#: first link; 0 and 2 share their last; 3 touches nothing of 2's
-PATHS = ((0, 1, 2), (0, 3), (4, 2), (3,), (0, 4, 1), (0, 1, 2))
+#: first link; 0 and 2 share their last; 3 touches nothing of 2's; 6 and
+#: 7 end on link 5, the one with two units
+PATHS = ((0, 1, 2), (0, 3), (4, 2), (3,), (0, 4, 1), (0, 1, 2),
+         (0, 5), (3, 5))
 
 
 def play_holds(schedule, reference):
@@ -247,7 +250,7 @@ def play_holds(schedule, reference):
     link, and every distinct state of the links — units held and who
     queues, oldest first — plus the event count."""
     sim = Simulator(seed=3)
-    links = [Resource(sim) for _ in range(5)]
+    links = [Resource(sim) for _ in range(5)] + [Resource(sim, capacity=2)]
     log = []
     owners, tags = {}, {}       # Request -> tag (reference); plan -> tag
 
@@ -267,8 +270,9 @@ def play_holds(schedule, reference):
         pairs = [(links[i], hold) for i, hold in zip(PATHS[path], holds)]
         plan = HoldPlan(sim, pairs)
         plan.timers = tuple(
-            (hold, logged(tag, [r for r, h in pairs if h == hold], give))
-            for hold, give in plan.timers)
+            (hold, logged(tag, [r for r, h in pairs if h == hold], give),
+             timer)
+            for hold, give, timer in plan.timers)
         tags[plan] = tag
         return plan
 
@@ -316,7 +320,7 @@ class TestHoldPlan:
         a, b, c = Resource(sim), Resource(sim), Resource(sim)
         plan = HoldPlan(sim, [(c, 9), (a, 4), (b, 9)])
         assert plan.resources == (a, b, c)          # creation order
-        assert [hold for hold, _give in plan.timers] == [4, 9]
+        assert [hold for hold, _give, _timer in plan.timers] == [4, 9]
         assert plan.fill == 9
 
     def test_queued_hold_claims_in_order_and_rides_the_last_timer(self, sim):
@@ -394,6 +398,35 @@ class TestHoldPlan:
         sim.run()
         assert done == {"a": 1000, "b": "interrupted", "c": 1040}
         assert (first.count, link.count, link.queued) == (0, 0, 0)
+
+    def test_overlapping_holds_of_one_plan_release_both(self, sim):
+        """Two units, one plan: a claim that finds the plan's release
+        timer still armed by the claim before it runs on a fresh event,
+        straight (``take``) or after queueing (``Hold``)."""
+        pair = Resource(sim, capacity=2)
+        plan = HoldPlan(sim, [(pair, 10)])
+        fired = []
+
+        def claim(tag):
+            event = plan.hold()
+            event.callbacks.append(lambda _ev: fired.append((tag, sim.now)))
+            return event
+
+        first = claim("first")                      # the plan's own timer
+        sim.run(until=4)
+        second = claim("second")                    # armed: a fresh one
+        assert second is not first
+        assert Hold not in (type(first), type(second))
+        assert plan.take() is None and pair.count == 2
+        sim.run(until=6)
+        queued = [claim("third"), claim("fourth")]  # granted at 10 and 14
+        assert all(type(hold) is Hold for hold in queued)
+        sim.run()
+        # third's grant finds the timer idle; fourth's finds it armed
+        assert fired == [("first", 10), ("second", 14),
+                         ("third", 20), ("fourth", 24)]
+        assert (pair.count, pair.queued) == (0, 0)
+        assert plan.take() is first                 # idle again: reused
 
     @settings(max_examples=300, deadline=None)
     @given(schedule=st.lists(st.tuples(

@@ -36,7 +36,7 @@ def test_at_least_six_rules_registered():
     assert names >= {
         "no-wallclock", "seeded-rng-only", "no-nonposted-hotpath",
         "doorbell-after-sq-write", "units-discipline",
-        "sim-process-yields",
+        "sim-process-yields", "sleep-discipline",
     }
     assert len(names) >= 6
 
