@@ -15,14 +15,13 @@ from __future__ import annotations
 import typing as t
 
 from ..config import SimulationConfig
-from ..nvme import (AdminOpcode, CompletionEntry, CompletionQueueState,
-                    IdentifyController, IdentifyNamespace, SubmissionEntry,
-                    SubmissionQueueState, cq_doorbell_offset,
-                    sq_doorbell_offset)
+from ..nvme import (AdminOpcode, IdentifyController, IdentifyNamespace,
+                    SubmissionEntry)
 from ..nvme.constants import (CNS_CONTROLLER, CNS_NAMESPACE, FEAT_NUM_QUEUES,
                               REG_ACQ, REG_AQA, REG_ASQ, REG_CC, REG_CSTS)
 from ..pcie import Fabric, Host
 from .dmapool import DmaPool, local_pool
+from .qpair import QueuePair
 
 
 class AdminError(Exception):
@@ -44,14 +43,14 @@ class AdminQueues:
         self.bar = bar_addr
         self.config = config
         self.pool = pool or local_pool(host, self.POOL_BYTES)
-        self._cid = 0
 
         sq_cpu, sq_dev = self.pool.alloc(self.QSIZE * 64)
         cq_cpu, cq_dev = self.pool.alloc(self.QSIZE * 16)
-        self.sq = SubmissionQueueState(qid=0, base_addr=sq_cpu,
-                                       entries=self.QSIZE)
-        self.cq = CompletionQueueState(qid=0, base_addr=cq_cpu,
-                                       entries=self.QSIZE)
+        # Rings at their CPU-side addresses; the controller is told the
+        # device-side ones in enable_controller().
+        self._qp = QueuePair.local(sim, fabric, host, bar_addr, 0,
+                                   self.QSIZE, sq_cpu, cq_cpu)
+        self.sq, self.cq = self._qp.sq, self._qp.cq
         self._sq_device_addr = sq_dev
         self._cq_device_addr = cq_dev
 
@@ -65,10 +64,6 @@ class AdminQueues:
         data = yield from self.fabric.read(self.host.rc, self.host,
                                            self.bar + offset, width)
         return int.from_bytes(data, "little")
-
-    def _next_cid(self) -> int:
-        self._cid = (self._cid + 1) % 0x10000
-        return self._cid
 
     # -- bring-up -----------------------------------------------------------
 
@@ -99,21 +94,14 @@ class AdminQueues:
 
     def submit(self, sqe: SubmissionEntry) -> t.Generator:
         """Issue one admin command and poll for its completion."""
-        sqe.cid = self._next_cid()
-        slot = self.sq.advance_tail()
-        self.host.memory.write(self.sq.slot_addr(slot), sqe.pack())
-        self._reg_write(sq_doorbell_offset(0), self.sq.tail)
-        wp = self.host.memory.watch(self.cq.base_addr,
-                                    self.cq.entries * self.cq.entry_size)
+        qp = self._qp
+        sqe.cid = qp.next_cid()
+        qp.issue(sqe)
+        wp = qp.watch()
         try:
             while True:
-                raw = self.host.memory.read(
-                    self.cq.slot_addr(self.cq.head), 16)
-                cqe = CompletionEntry.unpack(raw)
-                if cqe.phase == self.cq.consumer_phase():
-                    self.cq.consume()
-                    self.sq.head = cqe.sq_head
-                    self._reg_write(cq_doorbell_offset(0), self.cq.head)
+                cqe = qp.pop()
+                if cqe is not None:
                     return cqe
                 yield wp.signal.wait()
         finally:

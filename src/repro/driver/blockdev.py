@@ -36,7 +36,9 @@ class BlockRequest:
     #: telemetry span (an :class:`~repro.telemetry.IoSpan`) when enabled
     span: t.Any = None
 
-    #: ops that carry host data toward the device
+    #: ops that move data (their SQE carries a data pointer)
+    DATA_OPS = ("read", "write", "compare")
+    #: of those, the ones that carry host data toward the device
     DATA_OUT_OPS = ("write", "compare")
     #: ops that change media state (replicated layers land these on
     #: every live copy; "compare" only reads one)
@@ -144,7 +146,7 @@ class BlockDevice:
         self.completed += 1
         if not request.ok:
             self.errors += 1
-        elif request.op in ("read", "write", "compare"):
+        elif request.op in BlockRequest.DATA_OPS:
             self.bytes_moved += request.nblocks * self.lba_bytes
         done.succeed(request)
 

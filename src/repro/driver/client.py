@@ -28,19 +28,18 @@ from __future__ import annotations
 import typing as t
 
 from ..config import SimulationConfig
-from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
-                    SubmissionEntry, SubmissionQueueState,
-                    cq_doorbell_offset, sq_doorbell_offset)
+from ..nvme import (CompletionEntry, CompletionQueueState,
+                    SubmissionQueueState, sq_doorbell_offset)
 from ..pcie.fabric import FabricFaultError
 from ..sanitizer.hooks import NULL_SANITIZER
-from ..sim import (NULL_TRACER, Event, Interrupt, Process, Signal,
-                   Simulator, Store)
+from ..sim import NULL_TRACER, Interrupt, Process, Signal, Simulator, Store
 from ..sisci import RemoteSegment, SisciNode
 from ..smartio import Placement, SmartIoService
 from ..units import serialize_ns
 from . import metadata as meta
 from .blockdev import BlockDevice, BlockError, BlockRequest
 from .prputil import prps_for_contiguous
+from .qpair import QueuePair, io_sqe, mark_on_delivery, usable_depth
 
 
 class ClientError(Exception):
@@ -59,11 +58,6 @@ STATUS_HOST_CRASHED = 0x7_03    # client was killed with the I/O in flight
 HOST_PATH_STATUSES = frozenset({STATUS_HOST_TIMEOUT,
                                 STATUS_HOST_SHUTDOWN,
                                 STATUS_HOST_CRASHED})
-
-_IO_OPCODES = {"read": IoOpcode.READ,
-               "write": IoOpcode.WRITE,
-               "compare": IoOpcode.COMPARE,
-               "write_zeroes": IoOpcode.WRITE_ZEROES}
 
 
 class DistributedNvmeClient(BlockDevice):
@@ -97,8 +91,7 @@ class DistributedNvmeClient(BlockDevice):
             raise ClientError(
                 "interrupt completion is incompatible with a shared QP "
                 "(completions arrive by mailbox forwarding)")
-        if queue_depth >= queue_entries:
-            queue_depth = queue_entries - 1
+        queue_depth = usable_depth(queue_depth, queue_entries)
         self.smartio = smartio
         self.node = node
         self.device_id = device_id
@@ -119,15 +112,15 @@ class DistributedNvmeClient(BlockDevice):
         # sharing this label, so per-tenant series aggregate naturally.
         self.tenant = node.host.name
         self.tracer = tracer
-        self._cid = 0
-        self._inflight: dict[int, Event] = {}
+        #: the queue pair (ring mechanics); built by start()
+        self._qp: QueuePair | None = None
+        self._inflight: dict = {}       # the pair's cid -> waiter map
         self._running = False
         self._started = False
         self.crashed = False
         self.qid: int | None = None
         self._ref = None
         self._meta_conn: RemoteSegment | None = None
-        self._poll_stream = f"poll:{self.name}"
         self._poll_proc: Process | None = None
         self._hb_proc: Process | None = None
         #: shared-QP tenancy (docs/queue_sharing.md); populated when the
@@ -141,7 +134,6 @@ class DistributedNvmeClient(BlockDevice):
         #: recovery accounting
         self.timeouts = 0
         self.retries = 0
-        self.stale_completions = 0
         #: admission throttle (docs/qos.md): when set, outstanding
         #: commands are clamped to this many; None = unthrottled.
         self.qos_window: int | None = None
@@ -213,11 +205,15 @@ class DistributedNvmeClient(BlockDevice):
                                                       cq_seg.id.segment_id)
             self._cq_local = cq_seg.host is self.node.host
             self.qid = resp["qid"]
-            self.sq = SubmissionQueueState(qid=self.qid, base_addr=0,
-                                           entries=self.queue_entries,
-                                           cqid=self.qid)
-            self.cq = CompletionQueueState(qid=self.qid, base_addr=0,
-                                           entries=self.queue_entries)
+            self._adopt(
+                SubmissionQueueState(qid=self.qid, base_addr=0,
+                                     entries=self.queue_entries,
+                                     cqid=self.qid),
+                # A device-side CQ (the ablation) is only ever read
+                # across the NTB, by _poll_remote.
+                CompletionQueueState(
+                    qid=self.qid, entries=self.queue_entries,
+                    base_addr=cq_seg.phys_addr if self._cq_local else 0))
         else:
             yield from self._start_shared()
 
@@ -245,10 +241,17 @@ class DistributedNvmeClient(BlockDevice):
         san = self.sanitizer
         if san.enabled:
             san.on_client_started(self)
+            self._qp.on_issue = (
+                lambda cid, slot: san.on_client_submit(self, cid, slot))
         if self.completion_mode == "interrupt":
-            self._poll_proc = self.sim.process(self._interrupt_handler())
+            notice = self._qp.on_interrupt(self._irq_mailbox,
+                                           cfg.host.interrupt_latency_ns)
+        elif self._cq_local:
+            notice = self._qp.poll(f"poll:{self.name}",
+                                   cfg.host.poll_interval_ns)
         else:
-            self._poll_proc = self.sim.process(self._poller())
+            notice = self._poll_remote()
+        self._poll_proc = self.sim.process(notice)
         if self.config.reliability.heartbeat_interval_ns > 0:
             self._hb_proc = self.sim.process(self._heartbeat())
 
@@ -295,14 +298,33 @@ class DistributedNvmeClient(BlockDevice):
                                                   resp["share_seg"])
         self._cq_seg = mb_seg
         self._cq_local = True
-        self.sq = SubmissionQueueState(qid=self.qid, base_addr=0,
-                                       entries=win_len, cqid=self.qid,
-                                       head=tail, tail=tail)
-        self.cq = CompletionQueueState(qid=self.qid, base_addr=0,
-                                       entries=self.queue_entries)
+        # An SQ producer over our slot window that rings the tenant-
+        # encoded doorbell itself, and a doorbell-less mailbox for a CQ.
+        # CID namespacing: our tenant index in the high bits keeps
+        # in-flight ids of co-tenants disjoint and lets the manager
+        # demux completions without extra state.
+        self._adopt(
+            SubmissionQueueState(qid=self.qid, base_addr=0,
+                                 entries=win_len, cqid=self.qid,
+                                 head=tail, tail=tail),
+            CompletionQueueState(qid=self.qid, base_addr=mb_seg.phys_addr,
+                                 entries=self.queue_entries),
+            first_slot=self._win_start, sq_bell=False, cq_bell=False,
+            cid_base=meta.make_cid(self._tenant, 0),
+            cid_span=meta.CID_SEQ_MASK + 1)
         self.tracer.emit("client", "shared-qp-joined", client=self.name,
                          qid=self.qid, tenant=self._tenant,
                          win_start=self._win_start, win_len=win_len)
+
+    def _adopt(self, sq: SubmissionQueueState, cq: CompletionQueueState,
+               **window) -> None:
+        """Our queue pair: rings reached through ``_sq_conn`` and local
+        CQ memory, doorbells through the NTB-mapped BAR."""
+        self._qp = qp = QueuePair(
+            self.sim, self.node.fabric, self.node.host, self._bar, sq,
+            self._sq_conn, cq, on_cqe=self._on_cqe, name=self.name,
+            tracer=self.tracer, **window)
+        self.sq, self.cq, self._inflight = sq, cq, qp.inflight
 
     def _setup_remote_interrupts(self) -> t.Generator:
         """The remote-interrupt extension (paper future work).
@@ -376,11 +398,9 @@ class DistributedNvmeClient(BlockDevice):
 
     def _fail_inflight(self, status: int) -> None:
         """Complete every in-flight command with a synthetic host-side
-        CQE; sorted by cid for deterministic wake order."""
-        inflight, self._inflight = self._inflight, {}
-        for cid in sorted(inflight):
-            inflight[cid].succeed(CompletionEntry(cid=cid, status=status))
-        # Release submitters parked on a full (shared) SQ window.
+        CQE and release submitters parked on a full (shared) SQ window."""
+        if self._qp is not None:
+            self._qp.fail_all(status)
         self._sq_space.fire()
 
     def set_qos_window(self, window: int | None) -> None:
@@ -496,18 +516,11 @@ class DistributedNvmeClient(BlockDevice):
                 yield self.sim.sleep(self._memcpy_ns(nbytes))
             self.node.host.memory.write(part_local, request.data)
 
-        sqe = SubmissionEntry(nsid=self.nsid)
-        if request.op == "flush":
-            sqe.opcode = IoOpcode.FLUSH
-        else:
-            sqe.opcode = _IO_OPCODES[request.op]
-            if request.op != "write_zeroes":
-                sqe.prp1, sqe.prp2 = prps_for_contiguous(
-                    part_device, nbytes, list_device,
-                    lambda blob: self.node.host.memory.write(list_local,
-                                                             blob))
-            sqe.slba = request.lba
-            sqe.nlb = request.nblocks - 1
+        sqe = io_sqe(request, self.nsid)
+        if request.op in BlockRequest.DATA_OPS:
+            sqe.prp1, sqe.prp2 = prps_for_contiguous(
+                part_device, nbytes, list_device,
+                lambda blob: self.node.host.memory.write(list_local, blob))
         rel = self.config.reliability
         attempt = 0
         parked = False
@@ -563,22 +576,20 @@ class DistributedNvmeClient(BlockDevice):
                     attempt += 1
                     yield self.sim.timeout(rel.retry_backoff_ns * attempt)
                     continue
+            done = self._qp.submit(sqe, request.span, self.telemetry.spans)
             if self._shared:
-                # CID namespacing: our tenant index in the high bits
-                # keeps in-flight ids of co-tenants disjoint and lets
-                # the manager demux completions without extra state.
-                self._cid = (self._cid + 1) % (meta.CID_SEQ_MASK + 1)
-                sqe.cid = meta.make_cid(self._tenant, self._cid)
-            else:
-                self._cid = (self._cid + 1) % 0x10000
-                sqe.cid = self._cid
-            done = Event(self.sim)
-            self._inflight[sqe.cid] = done
-            if request.span is not None:
-                # Publish the span under its on-the-wire identity so the
-                # controller can stamp its boundaries.
-                self.telemetry.spans.bind(self.qid, sqe.cid, request.span)
-            self._issue(sqe, request.span)
+                # A tenant rings for itself: the pair only stored the
+                # SQE into our slot window of the manager-hosted ring.
+                self._submitted += 1
+                batch_ns = self.config.sharing.doorbell_batch_ns
+                if batch_ns <= 0:
+                    self._ring_shared_sq_doorbell(request.span)
+                elif self._db_timer is None or not self._db_timer.is_alive:
+                    # Batched ring: one doorbell covers every SQE issued
+                    # within the window.  Safe because the tail value rung
+                    # is read when the timer fires, after all those stores.
+                    self._db_timer = self.sim.process(
+                        self._doorbell_batcher(batch_ns))
 
             if rel.command_timeout_ns <= 0:
                 # Recovery disabled (the default): wait unconditionally.
@@ -596,8 +607,8 @@ class DistributedNvmeClient(BlockDevice):
                 cqe = done.value
                 break
             # Retire the cid *first*: a late CQE for it is then counted
-            # as stale in _dispatch instead of completing anything, so
-            # each request completes exactly once.
+            # as stale by the queue pair instead of completing anything,
+            # so each request completes exactly once.
             self._inflight.pop(sqe.cid, None)
             if request.span is not None:
                 self.telemetry.spans.unbind(self.qid, sqe.cid)
@@ -643,53 +654,6 @@ class DistributedNvmeClient(BlockDevice):
         return (self._running and not self._clamp_holds()
                 and self.sq.is_full())
 
-    def _issue(self, sqe: SubmissionEntry, span=None) -> None:
-        """One submission: SQE store, then the doorbell behind it."""
-        # Write the SQE into queue memory.  Device-side SQ: posted store
-        # through the NTB window; client-side SQ: plain local store;
-        # shared SQ: posted store into our slot window of the manager-
-        # hosted ring.
-        slot = self.sq.advance_tail()
-        san = self.sanitizer
-        if san.enabled:
-            san.on_client_submit(self, sqe.cid, slot)
-        if self._shared:
-            self._submitted += 1
-        offset = ((self._win_start + slot) * 64 if self._shared
-                  else slot * 64)
-        sqe_write = self._sq_conn.write(offset, sqe.pack())
-        if span is not None:
-            # Delivery-time boundaries: piggyback on the posted writes'
-            # completion events — adds no queue entries or RNG draws, so
-            # simulated timing is identical with telemetry off.
-            span.mark("sqe-issued", self.sim.now)
-            if sqe_write.callbacks is not None:
-                sqe_write.callbacks.append(
-                    lambda _ev, s=span: s.mark("sqe-delivered",
-                                               self.sim.now))
-        if self._shared:
-            batch_ns = self.config.sharing.doorbell_batch_ns
-            if batch_ns > 0:
-                # Batched ring: one doorbell covers every SQE issued
-                # within the window.  Safe because the tail value rung
-                # is read when the timer fires, after all those stores.
-                if self._db_timer is None or not self._db_timer.is_alive:
-                    self._db_timer = self.sim.process(
-                        self._doorbell_batcher(batch_ns))
-            else:
-                self._ring_shared_sq_doorbell(span)
-            return
-        # Ring the doorbell through the mapped BAR (posted; ordered
-        # behind the SQE store by PCIe posted-write ordering).
-        db_write = self.node.fabric.post_write(
-            self.node.host.rc, self.node.host,
-            self._bar + sq_doorbell_offset(self.qid),
-            self.sq.tail.to_bytes(4, "little"))
-        if span is not None and db_write.callbacks is not None:
-            db_write.callbacks.append(
-                lambda _ev, s=span: s.mark("doorbell-delivered",
-                                           self.sim.now))
-
     def _ring_shared_sq_doorbell(self, span=None) -> None:
         """Shared-SQ ring: mirror the absolute submission count into our
         doorbell shadow first (the manager reads it locally at
@@ -709,10 +673,8 @@ class DistributedNvmeClient(BlockDevice):
             self.node.host.rc, self.node.host,
             self._bar + sq_doorbell_offset(self.qid),
             ((self._tenant << 16) | self.sq.tail).to_bytes(4, "little"))
-        if span is not None and db_write.callbacks is not None:
-            db_write.callbacks.append(
-                lambda _ev, s=span: s.mark("doorbell-delivered",
-                                           self.sim.now))
+        if span is not None:
+            mark_on_delivery(self.sim, db_write, span, "doorbell-delivered")
 
     def _doorbell_batcher(self, batch_ns: int) -> t.Generator:
         """Sleep out the batching window, then ring once with the
@@ -728,89 +690,6 @@ class DistributedNvmeClient(BlockDevice):
             nbytes, cfg.memcpy_bandwidth)
 
     # ----------------------------------------------------------- completion
-
-    def _poller(self) -> t.Generator:
-        """Poll CQ memory for completions (no interrupts, paper Sec. V)."""
-        if self._cq_local:
-            yield from self._poll_local()
-        else:
-            yield from self._poll_remote()
-
-    def _poll_local(self) -> t.Generator:
-        # hot-path: the drain loop tests the CQE phase tag straight off
-        # the raw bytes (dw3 low bit lives at byte 14 of the 16-byte
-        # entry) so the common miss costs no CompletionEntry unpack, and
-        # the poll-interval draw mirrors RngRegistry.uniform_ns against
-        # a pre-resolved stream (a zero interval never draws, exactly as
-        # uniform_ns short-circuits when low == high).
-        sim = self.sim
-        cq = self.cq
-        cfg = self.config.host
-        mem = self.node.host.memory
-        read = mem.read
-        unpack = CompletionEntry.unpack
-        base = self._cq_seg.phys_addr
-        poll_ns = cfg.poll_interval_ns
-        poll_gen = (sim.rng.stream(self._poll_stream) if poll_ns else None)
-        wp = mem.watch(base, self.queue_entries * 16)
-        wait = wp.signal.wait
-        try:
-            while self._running:
-                drained = 0
-                while True:
-                    raw = read(base + cq.head * 16, 16)
-                    if raw[14] & 1 != cq.phase:
-                        break
-                    cq.consume()
-                    self._dispatch(unpack(raw))
-                    drained += 1
-                if drained:
-                    self._ring_cq_doorbell()
-                    continue   # re-check before sleeping
-                yield wait()
-                # Busy-poll granularity: the CPU notices the write at its
-                # next poll iteration.
-                if poll_ns:
-                    delay = int(poll_gen.integers(0, poll_ns + 1))
-                    if delay:
-                        yield sim.sleep(delay)
-        except Interrupt:
-            return  # shutdown/crash stopped the poller
-        finally:
-            mem.unwatch(wp)
-
-    def _interrupt_handler(self) -> t.Generator:
-        """Interrupt-driven completion: sleep until the forwarded MSI-X
-        write lands in the mailbox, pay IRQ latency, then drain."""
-        # hot-path (same raw phase test as _poll_local)
-        sim = self.sim
-        cq = self.cq
-        cfg = self.config.host
-        mem = self.node.host.memory
-        read = mem.read
-        unpack = CompletionEntry.unpack
-        irq_ns = cfg.interrupt_latency_ns
-        wp = mem.watch(self._irq_mailbox, 4)
-        wait = wp.signal.wait
-        base = self._cq_seg.phys_addr
-        try:
-            while self._running:
-                yield wait()
-                yield sim.sleep(irq_ns)
-                drained = 0
-                while True:
-                    raw = read(base + cq.head * 16, 16)
-                    if raw[14] & 1 != cq.phase:
-                        break
-                    cq.consume()
-                    self._dispatch(unpack(raw))
-                    drained += 1
-                if drained:
-                    self._ring_cq_doorbell()
-        except Interrupt:
-            return  # shutdown/crash stopped the handler
-        finally:
-            mem.unwatch(wp)
 
     def _poll_remote(self) -> t.Generator:
         """Ablation path: CQ in device-side memory — every poll is a
@@ -829,8 +708,8 @@ class DistributedNvmeClient(BlockDevice):
                     continue
                 if raw[14] & 1 == self.cq.phase:
                     self.cq.consume()
-                    self._dispatch(CompletionEntry.unpack(raw))
-                    self._ring_cq_doorbell()
+                    self._qp.complete(CompletionEntry.unpack(raw))
+                    self._qp.ring_cq()
                 elif self._inflight:
                     yield self.sim.timeout(cfg.poll_interval_ns)
                 else:
@@ -838,74 +717,21 @@ class DistributedNvmeClient(BlockDevice):
         except Interrupt:
             return  # shutdown/crash stopped the poller
 
-    def _dispatch(self, cqe: CompletionEntry) -> None:
+    def _on_cqe(self, cqe: CompletionEntry) -> None:
+        """A completion is about to be delivered and its SQ slot is free
+        again: wake submitters parked for space (flow control)."""
         san = self.sanitizer
         if san.enabled:
             san.on_client_dispatch(self, cqe)
-        # For a shared QP the controller reports the *window-relative*
-        # head, which is exactly what our window-sized ring models.
-        self.sq.head = cqe.sq_head
         self._sq_space.fire()
-        done = self._inflight.pop(cqe.cid, None)
-        if done is not None:
-            done.succeed(cqe)
-        else:
-            # Completion for a cid already retired by the timeout path:
-            # drop it (the submitter moved on to a fresh cid).
-            self.stale_completions += 1
-            self.tracer.emit("recovery", "stale-completion",
-                             client=self.name, cid=cqe.cid)
 
     def _resync_cq(self) -> int:
-        """Skip CQ slots whose CQE writes were lost on the fabric.
+        """Recover completions sitting beyond CQ holes
+        (:meth:`QueuePair.resync`); only meaningful for a client-local
+        CQ (the default placement)."""
+        return self._qp.resync() if self._cq_local else 0
 
-        The controller's producer advances (and flips phase at the
-        wrap) even when the posted CQE write is dropped, so an outage
-        leaves *holes*: the consumer waits forever at a slot whose
-        entry never arrived while valid entries sit further ahead.
-        Scan one lap forward for entries carrying the phase tag the
-        producer would have stamped there this lap — those are
-        delivered completions beyond holes.  Dispatch them in order,
-        advance the consumer past the gap, and ring the CQ doorbell.
-        Stale ring content still carries the *previous* lap's tag, so
-        the scan cannot mistake it for a fresh entry.  The holes' own
-        cids are recovered by their per-command timeouts.
-
-        Only meaningful for a client-local CQ (the default placement);
-        returns the number of recovered completions.
-        """
-        if not self._cq_local:
-            return 0
-        mem = self.node.host.memory
-        base = self._cq_seg.phys_addr
-        entries = self.queue_entries
-        head, phase = self.cq.head, self.cq.consumer_phase()
-        found: list[tuple[int, CompletionEntry]] = []
-        for i in range(entries):
-            slot = (head + i) % entries
-            expect = phase if head + i < entries else phase ^ 1
-            cqe = CompletionEntry.unpack(mem.read(base + slot * 16, 16))
-            if cqe.phase == expect:
-                found.append((i, cqe))
-        if not found:
-            return 0
-        hits = dict(found)
-        for i in range(found[-1][0] + 1):      # consume() flips phase
-            self.cq.consume()                  # at the wrap for us
-            if i in hits:
-                self._dispatch(hits[i])
-        self._ring_cq_doorbell()
-        self.tracer.emit("recovery", "cq-resync", client=self.name,
-                         recovered=len(found),
-                         skipped=found[-1][0] + 1 - len(found))
-        return len(found)
-
-    def _ring_cq_doorbell(self) -> None:
-        if self._shared:
-            # The mailbox ring has no doorbell; the manager's demux
-            # worker acknowledges the real shared CQ on our behalf.
-            return
-        self.node.fabric.post_write(
-            self.node.host.rc, self.node.host,
-            self._bar + cq_doorbell_offset(self.qid),
-            self.cq.head.to_bytes(4, "little"))
+    @property
+    def stale_completions(self) -> int:
+        """Completions for a cid the timeout path had already retired."""
+        return self._qp.stale if self._qp is not None else 0

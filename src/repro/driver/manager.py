@@ -21,11 +21,11 @@ The manager:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as t
 
 from ..config import SimulationConfig
-from ..nvme import (CompletionEntry, CompletionQueueState,
-                    cq_doorbell_offset)
+from ..nvme import CompletionEntry, CompletionQueueState
 from ..sanitizer.hooks import NULL_SANITIZER
 from ..sim import NULL_TRACER, Resource, Simulator
 from ..telemetry.hub import NULL_TELEMETRY
@@ -33,6 +33,7 @@ from ..sisci import LocalSegment, RemoteSegment, SisciError, SisciNode
 from ..smartio import SmartIoService
 from . import metadata as meta
 from .adminq import AdminError, AdminQueues
+from .qpair import QueuePair
 
 
 class ManagerError(Exception):
@@ -75,6 +76,7 @@ class _SharedQp:
     #: would let the successor receive the predecessor's completions
     #: and overwrite its unfetched SQEs.
     draining: dict[int, int] = dataclasses.field(default_factory=dict)
+    demux: QueuePair | None = None    # polls ``cq``, forwards to tenants
 
     @property
     def nwindows(self) -> int:
@@ -209,6 +211,8 @@ class NvmeManager:
 
     def stop(self) -> None:
         self._running = False
+        for qp in self._shared_qps.values():
+            qp.demux.running = False
 
     # -- RPC service ---------------------------------------------------------------
 
@@ -465,7 +469,14 @@ class NvmeManager:
         san = self.sanitizer
         if san.enabled:
             san.on_shared_qp(self, qp)
-        self.sim.process(self._shared_demux(qp))
+        # The demux worker: a CQ consumer with no SQ of its own, polling
+        # the shared CQ in manager-local memory.
+        qp.demux = QueuePair(
+            self.sim, self.node.fabric, self.node.host, self._bar, None,
+            None, qp.cq, sink=functools.partial(self._forward_cqe, qp))
+        self.sim.process(qp.demux.poll(
+            f"qp-demux:{self.device_id}:{qid}",
+            self.config.host.poll_interval_ns))
         self.tracer.emit("manager", "shared-qp-created", qid=qid,
                          windows=nwin)
         return qp
@@ -505,9 +516,9 @@ class NvmeManager:
         self.tracer.emit("manager", "window-released", slot=slot,
                          qid=qid, window=widx)
 
-    def _shared_demux(self, qp: _SharedQp) -> t.Generator:
-        """Poll a shared CQ (manager-local memory) and forward each CQE
-        to the issuing tenant's completion mailbox.
+    def _forward_cqe(self, qp: _SharedQp, cqe: CompletionEntry) -> None:
+        """Route one CQE of a shared CQ to the issuing tenant's
+        completion mailbox (the sink of the QP's demux poller).
 
         The CID's tenant bits route the entry; the forwarded copy is
         re-phased for the tenant's mailbox ring and pushed with a
@@ -516,43 +527,6 @@ class NvmeManager:
         window may already belong to a successor, whose CID sequence
         space is its own, so no misdelivery is possible.
         """
-        sim = self.sim
-        mem = self.node.host.memory
-        read = mem.read
-        cq = qp.cq
-        base = qp.cq_seg.phys_addr
-        unpack = CompletionEntry.unpack
-        poll_ns = self.config.host.poll_interval_ns
-        poll_gen = (sim.rng.stream(f"qp-demux:{self.device_id}:{qp.qid}")
-                    if poll_ns else None)
-        wp = mem.watch(base, cq.entries * 16)
-        wait = wp.signal.wait
-        try:
-            while self._running:
-                drained = 0
-                while True:
-                    raw = read(base + cq.head * 16, 16)
-                    if raw[14] & 1 != cq.phase:
-                        break
-                    cq.consume()
-                    self._forward_cqe(qp, unpack(raw))
-                    drained += 1
-                if drained:
-                    assert self._bar is not None
-                    self.node.fabric.post_write(
-                        self.node.host.rc, self.node.host,
-                        self._bar + cq_doorbell_offset(qp.qid),
-                        cq.head.to_bytes(4, "little"))
-                    continue    # re-check before sleeping
-                yield wait()
-                if poll_ns:
-                    delay = int(poll_gen.integers(0, poll_ns + 1))
-                    if delay:
-                        yield sim.sleep(delay)
-        finally:
-            mem.unwatch(wp)
-
-    def _forward_cqe(self, qp: _SharedQp, cqe: CompletionEntry) -> None:
         san = self.sanitizer
         widx = meta.cid_tenant(cqe.cid)
         if widx >= len(qp.tenants):

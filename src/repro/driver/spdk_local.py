@@ -14,20 +14,13 @@ interrupts" from "naive vs optimised software path":
 
 from __future__ import annotations
 
-import typing as t
-
 from ..config import SimulationConfig
-from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
-                    SubmissionEntry, SubmissionQueueState,
-                    cq_doorbell_offset, sq_doorbell_offset)
 from ..pcie import Fabric, Host
-from ..sim import Event, Simulator
-from .adminq import AdminQueues
-from .blockdev import BlockDevice, BlockRequest
-from .prputil import prps_for_contiguous
+from ..sim import Simulator
+from .local import LocalNvmeDriver
 
 
-class SpdkLocalDriver(BlockDevice):
+class SpdkLocalDriver(LocalNvmeDriver):
     """Userspace polling driver for a local NVMe controller."""
 
     #: userspace submission cost: build SQE + ring doorbell, no kernel.
@@ -41,116 +34,8 @@ class SpdkLocalDriver(BlockDevice):
                  bar_addr: int, config: SimulationConfig,
                  qid: int = 1, queue_entries: int = 256,
                  queue_depth: int = 64, name: str = "spdk-nvme") -> None:
-        self.fabric = fabric
-        self.host = host
-        self.bar = bar_addr
-        self.config = config
-        self.qid = qid
-        self.queue_entries = queue_entries
-        self.admin = AdminQueues(sim, fabric, host, bar_addr, config)
-        self.sq: SubmissionQueueState | None = None
-        self.cq: CompletionQueueState | None = None
-        self._cid = 0
-        self._inflight: dict[int, Event] = {}
-        self._running = False
-        super().__init__(sim, name, lba_bytes=512, capacity_lbas=0,
-                         queue_depth=queue_depth)
-
-    def start(self) -> t.Generator:
-        yield from self.admin.enable_controller()
-        ident_ns = yield from self.admin.identify_namespace(1)
-        self.lba_bytes = ident_ns.lba_bytes
-        self.capacity_lbas = ident_ns.nsze
-        cq_mem = self.host.alloc_dma(self.queue_entries * 16)
-        sq_mem = self.host.alloc_dma(self.queue_entries * 64)
-        yield from self.admin.create_io_cq(self.qid, self.queue_entries,
-                                           cq_mem, interrupts=False)
-        yield from self.admin.create_io_sq(self.qid, self.queue_entries,
-                                           sq_mem, cqid=self.qid)
-        self.sq = SubmissionQueueState(qid=self.qid, base_addr=sq_mem,
-                                       entries=self.queue_entries,
-                                       cqid=self.qid)
-        self.cq = CompletionQueueState(qid=self.qid, base_addr=cq_mem,
-                                       entries=self.queue_entries)
-        self._running = True
-        self.sim.process(self._poller())
-
-    def _driver_submit(self, request: BlockRequest) -> t.Generator:
-        assert self._running and self.sq is not None
-        yield self.sim.timeout(self.SUBMIT_NS)
-
-        nbytes = request.nblocks * self.lba_bytes
-        alloc = buf = 0
-        needs_buffer = request.op in ("read", "write", "compare")
-        if needs_buffer:
-            alloc = self.host.alloc_dma(4096 + max(nbytes, 4096))
-            buf = alloc + 4096
-            if request.op in BlockRequest.DATA_OUT_OPS:
-                assert request.data is not None
-                self.host.memory.write(buf, request.data)
-
-        sqe = SubmissionEntry(nsid=1)
-        if request.op == "flush":
-            sqe.opcode = IoOpcode.FLUSH
-        else:
-            sqe.opcode = {"read": IoOpcode.READ,
-                          "write": IoOpcode.WRITE,
-                          "compare": IoOpcode.COMPARE,
-                          "write_zeroes": IoOpcode.WRITE_ZEROES}[request.op]
-            if needs_buffer:
-                sqe.prp1, sqe.prp2 = prps_for_contiguous(
-                    buf, nbytes, alloc,
-                    lambda blob: self.host.memory.write(alloc, blob))
-            sqe.slba = request.lba
-            sqe.nlb = request.nblocks - 1
-        self._cid = (self._cid + 1) % 0x10000
-        sqe.cid = self._cid
-        done = Event(self.sim)
-        self._inflight[sqe.cid] = done
-
-        slot = self.sq.advance_tail()
-        self.host.memory.write(self.sq.slot_addr(slot), sqe.pack())
-        self.fabric.post_write(
-            self.host.rc, self.host,
-            self.bar + sq_doorbell_offset(self.qid),
-            self.sq.tail.to_bytes(4, "little"))
-
-        cqe: CompletionEntry = yield done
-        yield self.sim.timeout(self.COMPLETE_NS)
-        request.status = cqe.status
-        if request.op == "read" and cqe.ok:
-            request.result = self.host.memory.read(buf, nbytes)
-        if alloc:
-            self.host.free_dma(alloc)
-
-    def _poller(self) -> t.Generator:
-        assert self.cq is not None and self.sq is not None
-        mem = self.host.memory
-        wp = mem.watch(self.cq.base_addr, self.queue_entries * 16)
-        try:
-            while self._running:
-                drained = 0
-                while True:
-                    raw = mem.read(self.cq.slot_addr(self.cq.head), 16)
-                    cqe = CompletionEntry.unpack(raw)
-                    if cqe.phase != self.cq.consumer_phase():
-                        break
-                    self.cq.consume()
-                    self.sq.head = cqe.sq_head
-                    drained += 1
-                    done = self._inflight.pop(cqe.cid, None)
-                    if done is not None:
-                        done.succeed(cqe)
-                if drained:
-                    self.fabric.post_write(
-                        self.host.rc, self.host,
-                        self.bar + cq_doorbell_offset(self.qid),
-                        self.cq.head.to_bytes(4, "little"))
-                    continue
-                yield wp.signal.wait()
-                delay = self.sim.rng.uniform_ns(
-                    f"spdk-poll:{self.name}", 0, self.POLL_INTERVAL_NS)
-                if delay:
-                    yield self.sim.timeout(delay)
-        finally:
-            mem.unwatch(wp)
+        super().__init__(
+            sim, fabric, host, bar_addr, config, qid, queue_entries,
+            queue_depth, name, submit_ns=self.SUBMIT_NS,
+            wake_ns=self.COMPLETE_NS, poll_stream=f"spdk-poll:{name}",
+            poll_ns=self.POLL_INTERVAL_NS)

@@ -9,163 +9,25 @@ reads land at the P4800X's typical ~11 us.
 
 from __future__ import annotations
 
-import typing as t
-
 from ..config import SimulationConfig
-from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
-                    SubmissionEntry, SubmissionQueueState,
-                    cq_doorbell_offset, sq_doorbell_offset)
-from ..nvme.registers import MSIX_TABLE_OFFSET
 from ..pcie import Fabric, Host
-from ..sim import Event, Simulator
-from .adminq import AdminQueues
-from .blockdev import BlockDevice, BlockRequest
-from .prputil import prps_for_contiguous
+from ..sim import Simulator
+from .local import LocalNvmeDriver
 
 
-class StockNvmeDriver(BlockDevice):
+class StockNvmeDriver(LocalNvmeDriver):
     """Local, interrupt-driven NVMe block driver."""
 
     def __init__(self, sim: Simulator, fabric: Fabric, host: Host,
                  bar_addr: int, config: SimulationConfig,
                  qid: int = 1, queue_entries: int = 256,
                  queue_depth: int = 64, name: str = "nvme0n1") -> None:
-        self.fabric = fabric
-        self.host = host
-        self.bar = bar_addr
-        self.config = config
-        self.qid = qid
-        self.queue_entries = queue_entries
-        self.admin = AdminQueues(sim, fabric, host, bar_addr, config)
-        self.sq: SubmissionQueueState | None = None
-        self.cq: CompletionQueueState | None = None
-        self._cid = 0
-        self._inflight: dict[int, Event] = {}
-        self._started = False
-        # Filled in during start() from Identify data:
-        super().__init__(sim, name, lba_bytes=512, capacity_lbas=0,
-                         queue_depth=queue_depth)
-
-    # -- bring-up ------------------------------------------------------------
-
-    def start(self) -> t.Generator:
-        """Enable the controller, set up one I/O queue pair + MSI-X."""
-        yield from self.admin.enable_controller()
-        ident_ns = yield from self.admin.identify_namespace(1)
-        self.lba_bytes = ident_ns.lba_bytes
-        self.capacity_lbas = ident_ns.nsze
-
-        # MSI-X vector 0 -> mailbox page in local DRAM.
-        mailbox = self.host.alloc_dma(4096)
-        self._irq_mailbox = mailbox
-        base = self.bar + MSIX_TABLE_OFFSET
-        for offset, value in ((0, mailbox & 0xFFFF_FFFF),
-                              (4, mailbox >> 32), (8, 1), (12, 0)):
-            self.fabric.post_write(self.host.rc, self.host, base + offset,
-                                   value.to_bytes(4, "little"))
-
-        cq_mem = self.host.alloc_dma(self.queue_entries * 16)
-        sq_mem = self.host.alloc_dma(self.queue_entries * 64)
-        yield from self.admin.create_io_cq(self.qid, self.queue_entries,
-                                           cq_mem, interrupts=True,
-                                           vector=0)
-        yield from self.admin.create_io_sq(self.qid, self.queue_entries,
-                                           sq_mem, cqid=self.qid)
-        self.sq = SubmissionQueueState(qid=self.qid, base_addr=sq_mem,
-                                       entries=self.queue_entries,
-                                       cqid=self.qid)
-        self.cq = CompletionQueueState(qid=self.qid, base_addr=cq_mem,
-                                       entries=self.queue_entries)
-        self.sim.process(self._irq_handler())
-        self._started = True
-
-    # -- data path --------------------------------------------------------------
-
-    def _driver_submit(self, request: BlockRequest) -> t.Generator:
-        assert self._started, "driver not started"
-        assert self.sq is not None
-        cfg = self.config.host
-        # Block-layer + driver submission software path.
-        yield self.sim.timeout(cfg.block_submit_ns + cfg.nvme_submit_ns)
-
-        nbytes = request.nblocks * self.lba_bytes
-        alloc = 0
-        buf = 0
-        needs_buffer = request.op in ("read", "write", "compare")
-        if needs_buffer:
-            # [one PRP-list page][data]: contiguous, page-aligned.
-            alloc = self.host.alloc_dma(4096 + max(nbytes, 4096))
-            buf = alloc + 4096
-            if request.op in BlockRequest.DATA_OUT_OPS:
-                assert request.data is not None
-                self.host.memory.write(buf, request.data)
-
-        sqe = SubmissionEntry(nsid=1)
-        if request.op == "flush":
-            sqe.opcode = IoOpcode.FLUSH
-        else:
-            sqe.opcode = {"read": IoOpcode.READ,
-                          "write": IoOpcode.WRITE,
-                          "compare": IoOpcode.COMPARE,
-                          "write_zeroes": IoOpcode.WRITE_ZEROES}[request.op]
-            if needs_buffer:
-                sqe.prp1, sqe.prp2 = prps_for_contiguous(
-                    buf, nbytes, alloc,
-                    lambda blob: self.host.memory.write(alloc, blob))
-            sqe.slba = request.lba
-            sqe.nlb = request.nblocks - 1
-
-        self._cid = (self._cid + 1) % 0x10000
-        sqe.cid = self._cid
-        done = Event(self.sim)
-        self._inflight[sqe.cid] = done
-
-        slot = self.sq.advance_tail()
-        self.host.memory.write(self.sq.slot_addr(slot), sqe.pack())
-        self.fabric.post_write(
-            self.host.rc, self.host,
-            self.bar + sq_doorbell_offset(self.qid),
-            self.sq.tail.to_bytes(4, "little"))
-
-        cqe: CompletionEntry = yield done
-        request.status = cqe.status
-        if request.op == "read" and cqe.ok:
-            request.result = self.host.memory.read(buf, nbytes)
-        if alloc:
-            self.host.free_dma(alloc)
-
-    # -- completion path -----------------------------------------------------------
-
-    def _irq_handler(self) -> t.Generator:
-        """MSI-X interrupt service: drain the CQ after IRQ latency."""
-        assert self.cq is not None
-        cfg = self.config.host
-        wp = self.host.memory.watch(self._irq_mailbox, 4)
-        while True:
-            yield wp.signal.wait()
-            yield self.sim.timeout(cfg.interrupt_latency_ns)
-            self._drain_cq()
-            # A completion that raced the drain re-fires the watchpoint.
-
-    def _drain_cq(self) -> int:
-        assert self.cq is not None and self.sq is not None
-        cfg = self.config.host
-        drained = 0
-        while True:
-            raw = self.host.memory.read(self.cq.slot_addr(self.cq.head), 16)
-            cqe = CompletionEntry.unpack(raw)
-            if cqe.phase != self.cq.consumer_phase():
-                break
-            self.cq.consume()
-            self.sq.head = cqe.sq_head
-            drained += 1
-            done = self._inflight.pop(cqe.cid, None)
-            if done is not None:
-                # completion processing cost charged inside the waiter
-                done.succeed(cqe, delay=cfg.complete_ns)
-        if drained:
-            self.fabric.post_write(
-                self.host.rc, self.host,
-                self.bar + cq_doorbell_offset(self.qid),
-                self.cq.head.to_bytes(4, "little"))
-        return drained
+        cfg = config.host
+        super().__init__(
+            sim, fabric, host, bar_addr, config, qid, queue_entries,
+            queue_depth, name,
+            # Block-layer + driver submission software path.
+            submit_ns=cfg.block_submit_ns + cfg.nvme_submit_ns,
+            # completion processing cost charged inside the waiter
+            trigger_ns=cfg.complete_ns,
+            irq_ns=cfg.interrupt_latency_ns)

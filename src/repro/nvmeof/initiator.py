@@ -16,7 +16,7 @@ from __future__ import annotations
 import typing as t
 
 from ..config import SimulationConfig
-from ..nvme import CompletionEntry, IoOpcode, SubmissionEntry
+from ..nvme import CompletionEntry
 from ..pcie import Host
 from ..rdma import (CompletionQueue, ProtectionDomain, QueuePair, RdmaNic,
                     RecvWR, SendWR, WrOpcode)
@@ -24,6 +24,7 @@ from ..sim import Event, Simulator, Store
 from .capsules import CommandCapsule, ResponseCapsule
 from .target import SpdkTarget
 from ..driver.blockdev import BlockDevice, BlockError, BlockRequest
+from ..driver.qpair import io_sqe, usable_depth
 
 #: per-request staging area: capsule header+SQE+inline, plus data buffer.
 SLOT_DATA_BYTES = 128 * 1024
@@ -40,7 +41,8 @@ class NvmeofInitiator(BlockDevice):
         self.nic = nic
         self.config = config
         super().__init__(sim, name, lba_bytes=512, capacity_lbas=0,
-                         queue_depth=queue_depth)
+                         queue_depth=usable_depth(
+                             queue_depth, SpdkTarget.QUEUE_ENTRIES))
         self.pd = ProtectionDomain(host)
         self.qp: QueuePair | None = None
         self._slots: Store = Store(sim)
@@ -100,19 +102,12 @@ class NvmeofInitiator(BlockDevice):
         slot_addr, slot_mr = yield self._slots.get()
         data_addr = slot_addr + 8192
 
-        sqe = SubmissionEntry(nsid=1)
+        sqe = io_sqe(request)
         self._cid = (self._cid + 1) % 0x10000
         sqe.cid = self._cid
-        if request.op == "flush":
-            sqe.opcode = IoOpcode.FLUSH
-        else:
-            sqe.opcode = (IoOpcode.READ if request.op == "read"
-                          else IoOpcode.WRITE)
-            sqe.slba = request.lba
-            sqe.nlb = request.nblocks - 1
 
         capsule = CommandCapsule(sqe)
-        if request.op == "write":
+        if request.op in BlockRequest.DATA_OUT_OPS:
             assert request.data is not None
             if nbytes <= cfg.in_capsule_data_size:
                 capsule.inline_data = request.data

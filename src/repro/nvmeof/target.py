@@ -22,14 +22,14 @@ import dataclasses
 import typing as t
 
 from ..config import SimulationConfig
-from ..nvme import (CompletionEntry, CompletionQueueState, SubmissionEntry,
-                    SubmissionQueueState, cq_doorbell_offset,
-                    sq_doorbell_offset)
+from ..nvme import CompletionEntry, IoOpcode, Status
 from ..pcie import Fabric, Host
 from ..rdma import (CompletionQueue, ProtectionDomain, QueuePair, RdmaNic,
-                    RecvWR, SendWR, WrOpcode)
+                    RecvWR, SendWR, WcStatus, WrOpcode)
 from ..sim import Event, Simulator
+from ..driver import qpair
 from ..driver.adminq import AdminQueues
+from ..driver.blockdev import BlockRequest
 from ..driver.prputil import prps_for_contiguous
 from .capsules import CommandCapsule, ResponseCapsule
 
@@ -37,15 +37,18 @@ from .capsules import CommandCapsule, ResponseCapsule
 SLOT_DATA_BYTES = 128 * 1024
 SLOT_BYTES = 4096 + SLOT_DATA_BYTES
 
+#: opcodes that move data (the rest are dataless: FLUSH, WRITE_ZEROES)
+_DATA_OPCODES = [qpair.IO_OPCODES[op] for op in BlockRequest.DATA_OPS]
+#: of those, the ones whose data travels initiator -> target first
+_DATA_OUT_OPCODES = [qpair.IO_OPCODES[op] for op in BlockRequest.DATA_OUT_OPS]
+
 
 @dataclasses.dataclass
 class _Connection:
     qp: QueuePair
-    nvme_sq: SubmissionQueueState
-    nvme_cq: CompletionQueueState
+    nvme: qpair.QueuePair                 # the bound NVMe queue pair
     slots: list[int]                      # free slot base addresses
     inflight: dict[int, dict]             # cid -> context
-    next_cid: int = 0
 
 
 class SpdkTarget:
@@ -89,6 +92,7 @@ class SpdkTarget:
         connect to.
         """
         assert self._started, "target not started"
+        queue_depth = qpair.usable_depth(queue_depth, self.QUEUE_ENTRIES)
         qid = self._next_qid
         self._next_qid += 1
 
@@ -117,13 +121,10 @@ class SpdkTarget:
             slots.append(self.host.alloc_dma(SLOT_BYTES))
 
         conn = _Connection(
-            qp=qp,
-            nvme_sq=SubmissionQueueState(qid=qid, base_addr=sq_mem,
-                                         entries=self.QUEUE_ENTRIES,
-                                         cqid=qid),
-            nvme_cq=CompletionQueueState(qid=qid, base_addr=cq_mem,
-                                         entries=self.QUEUE_ENTRIES),
-            slots=slots, inflight={})
+            qp=qp, slots=slots, inflight={},
+            nvme=qpair.QueuePair.local(
+                self.sim, self.fabric, self.host, self.nvme_bar, qid,
+                self.QUEUE_ENTRIES, sq_mem, cq_mem))
         self.connections.append(conn)
         self.sim.process(self._recv_poller(conn))
         self.sim.process(self._nvme_poller(conn))
@@ -164,27 +165,34 @@ class SpdkTarget:
                 yield self.sim.timeout(self.config.rdma.cq_poll_ns)
                 yield from self._handle_capsule(conn, wc.wr_id,
                                                 wc.byte_len)
+                # Re-post the capsule buffer for the next command.
+                conn.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
+                                         length=8192))
 
     def _handle_capsule(self, conn: _Connection, buf_addr: int,
                         length: int) -> t.Generator:
-        cfg = self.config.nvmeof
         raw = self.host.memory.read(buf_addr, length)
         capsule = CommandCapsule.unpack(raw)
-        yield self.sim.timeout(cfg.target_process_ns)
-
+        yield self.sim.timeout(self.config.nvmeof.target_process_ns)
+        sqe = capsule.sqe
         if not conn.slots:
             # No free data slot: initiator exceeded the negotiated depth.
-            yield from self._respond(conn, CompletionEntry(
-                cid=capsule.sqe.cid, status=0x06, phase=0), None)
+            yield from self._refuse(conn, sqe.cid, Status.INTERNAL_ERROR)
+            return
+        # The capsule is outside input: the controller DMAs exactly what
+        # the SQE says, so a length the slot cannot hold must stop here.
+        nbytes = ((sqe.nlb + 1) * self.lba_bytes
+                  if sqe.opcode in _DATA_OPCODES else 0)
+        inline = capsule.inline_data
+        if nbytes > SLOT_DATA_BYTES or (inline and len(inline) != nbytes):
+            yield from self._refuse(conn, sqe.cid, Status.INVALID_FIELD)
             return
         slot = conn.slots.pop()
-        sqe = capsule.sqe
-        nbytes = (sqe.nlb + 1) * self.lba_bytes if sqe.opcode != 0 else 0
         data_addr = slot + 4096
 
-        if sqe.opcode == 0x01 and nbytes:        # WRITE: stage the data
-            if capsule.inline_data:
-                self.host.memory.write(data_addr, capsule.inline_data)
+        if sqe.opcode in _DATA_OUT_OPCODES:      # stage the data
+            if inline:
+                self.host.memory.write(data_addr, inline)
             else:
                 # Pull from the initiator with RDMA READ.
                 pull_done = Event(self.sim)
@@ -193,87 +201,80 @@ class SpdkTarget:
                     wr_id=_pull_id(sqe.cid), opcode=WrOpcode.RDMA_READ,
                     local_addr=data_addr, length=nbytes,
                     remote_addr=capsule.buffer_addr, rkey=capsule.rkey))
-                yield pull_done
+                wc = yield pull_done
+                if wc.status != WcStatus.SUCCESS:
+                    # Nothing arrived: the slot still holds an earlier
+                    # command's bytes, which must not reach the medium.
+                    conn.slots.append(slot)
+                    yield from self._refuse(conn, sqe.cid,
+                                            Status.DATA_TRANSFER_ERROR)
+                    return
 
         if nbytes:
-            prp1, prp2 = prps_for_contiguous(
+            sqe.prp1, sqe.prp2 = prps_for_contiguous(
                 data_addr, nbytes, slot,
                 lambda blob: self.host.memory.write(slot, blob))
-            sqe.prp1, sqe.prp2 = prp1, prp2
 
         conn.inflight[sqe.cid] = {
             "slot": slot, "capsule": capsule, "nbytes": nbytes,
             "opcode": sqe.opcode,
         }
-        # Submit on the bound NVMe SQ (userspace driver: local stores +
-        # a posted doorbell; cost inside target_process_ns).
-        sq_slot = conn.nvme_sq.advance_tail()
-        self.host.memory.write(conn.nvme_sq.slot_addr(sq_slot), sqe.pack())
-        self.fabric.post_write(
-            self.host.rc, self.host,
-            self.nvme_bar + sq_doorbell_offset(conn.nvme_sq.qid),
-            conn.nvme_sq.tail.to_bytes(4, "little"))
-        # Re-post the capsule buffer for the next command.
-        conn.qp.post_recv(RecvWR(wr_id=buf_addr, addr=buf_addr,
-                                 length=8192))
+        # Submit on the bound NVMe SQ under the initiator's cid
+        # (userspace driver: local stores + a posted doorbell; cost
+        # inside target_process_ns).
+        conn.nvme.issue(sqe)
 
     # -- NVMe-side poller ---------------------------------------------------------------
 
     def _nvme_poller(self, conn: _Connection) -> t.Generator:
         """Busy-poll the NVMe CQ; ship completions back to the initiator."""
-        cfg = self.config.nvmeof
-        mem = self.host.memory
-        base = conn.nvme_cq.base_addr
-        wp = mem.watch(base, conn.nvme_cq.entries * 16)
+        wp = conn.nvme.watch()
         try:
             while True:
-                raw = mem.read(conn.nvme_cq.slot_addr(conn.nvme_cq.head),
-                               16)
-                cqe = CompletionEntry.unpack(raw)
-                if cqe.phase != conn.nvme_cq.consumer_phase():
+                cqe = conn.nvme.pop()
+                if cqe is None:
                     yield wp.signal.wait()
                     delay = self.sim.rng.uniform_ns(
-                        "spdk-nvme-poll", 0, cfg.target_poll_interval_ns)
+                        "spdk-nvme-poll", 0,
+                        self.config.nvmeof.target_poll_interval_ns)
                     if delay:
                         yield self.sim.timeout(delay)
                     continue
-                conn.nvme_cq.consume()
-                conn.nvme_sq.head = cqe.sq_head
-                self.fabric.post_write(
-                    self.host.rc, self.host,
-                    self.nvme_bar + cq_doorbell_offset(conn.nvme_cq.qid),
-                    conn.nvme_cq.head.to_bytes(4, "little"))
                 yield from self._complete_io(conn, cqe)
         finally:
-            mem.unwatch(wp)
+            self.host.memory.unwatch(wp)
 
     def _complete_io(self, conn: _Connection,
                      cqe: CompletionEntry) -> t.Generator:
-        cfg = self.config.nvmeof
         ctx = conn.inflight.pop(cqe.cid, None)
         if ctx is None:
             return
-        yield self.sim.timeout(cfg.target_complete_ns)
+        yield self.sim.timeout(self.config.nvmeof.target_complete_ns)
         capsule: CommandCapsule = ctx["capsule"]
-        if ctx["opcode"] == 0x02 and cqe.ok and ctx["nbytes"]:
+        if ctx["opcode"] == IoOpcode.READ and cqe.ok and ctx["nbytes"]:
             # READ: push the data to the initiator's buffer, then the
             # response capsule; RC ordering keeps data ahead of it.
             conn.qp.post_send(SendWR(
                 wr_id=_data_id(cqe.cid), opcode=WrOpcode.RDMA_WRITE,
                 local_addr=ctx["slot"] + 4096, length=ctx["nbytes"],
                 remote_addr=capsule.buffer_addr, rkey=capsule.rkey))
-        yield from self._respond(conn, cqe, ctx)
+        conn.slots.append(ctx["slot"])
+        yield from self._respond(conn, cqe)
         self.commands_served += 1
 
-    def _respond(self, conn: _Connection, cqe: CompletionEntry,
-                 ctx: dict | None) -> t.Generator:
+    def _respond(self, conn: _Connection,
+                 cqe: CompletionEntry) -> t.Generator:
         rsp = ResponseCapsule(cqe)
         conn.qp.post_send(SendWR(
             wr_id=_rsp_id(cqe.cid), opcode=WrOpcode.SEND,
             inline_data=rsp.pack(), length=rsp.wire_size))
-        if ctx is not None:
-            conn.slots.append(ctx["slot"])
         yield self.sim.timeout(0)
+
+    def _refuse(self, conn: _Connection, cid: int,
+                status: Status) -> t.Generator:
+        """Answer a command that never reaches the controller."""
+        return self._respond(conn, CompletionEntry(cid=cid, status=status,
+                                                   phase=0))
 
 
 def _pull_id(cid: int) -> int:

@@ -265,13 +265,13 @@ class TestAdmissionClamp:
         client = start_client(bed, 1, queue_entries=128, queue_depth=100)
         client.set_qos_window(1)
         issued = []
-        issue = client._issue
+        issue = client._qp.issue
 
         def recording_issue(sqe, span=None):
             issued.append(sqe.slba)
             issue(sqe, span)
 
-        client._issue = recording_issue
+        client._qp.issue = recording_issue
         done = [client.submit(BlockRequest("read", lba=8 * i, nblocks=8))
                 for i in range(n_parked + 1)]
         return bed.sim, client, done, issued

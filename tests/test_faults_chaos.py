@@ -223,6 +223,23 @@ class TestLinkFaults:
         assert resyncs, "drops never exercised the resync path"
         assert sc.clients[2].stale_completions > 0
 
+    def test_skipped_holes_do_not_come_back_as_completions(self):
+        """A hole the resync skipped keeps the previous lap's phase tag,
+        which is the next lap's too: unless it is stamped consumed, the
+        consumer takes it for a fresh entry one lap later (and a scan
+        that wraps onto it jumps the head a whole lap).  Every stale
+        completion must be the late CQE of a cid a timeout retired."""
+        plan = FaultPlan((
+            FaultEvent(100_000, "tlp_drop", "link:host3",
+                       probability=0.3, duration_ns=3_000_000),))
+        sc, results = run_chaos(plan, seed=7)
+        for result in results:
+            assert result.ios == 300 and result.errors == 0
+        client = sc.clients[2]
+        assert any(r.message == "cq-resync" and r.payload["skipped"]
+                   for r in sc.tracer.records)
+        assert client.stale_completions <= client.timeouts
+
     def test_tlp_delay_slows_but_never_fails(self):
         plan = FaultPlan((
             FaultEvent(100_000, "tlp_delay", "link:host4",

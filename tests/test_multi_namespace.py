@@ -104,19 +104,7 @@ class TestNamespaceIsolation:
             sqe.prp2 = 0
             sqe.slba = 16
             sqe.nlb = 7
-            from repro.sim import Event
-            done = Event(sim)
-            drv._cid = (drv._cid + 1) % 0x10000
-            sqe.cid = drv._cid
-            drv._inflight[sqe.cid] = done
-            slot = drv.sq.advance_tail()
-            bed.host.memory.write(drv.sq.slot_addr(slot), sqe.pack())
-            from repro.nvme import sq_doorbell_offset
-            bed.fabric.post_write(
-                bed.host.rc, bed.host,
-                drv.bar + sq_doorbell_offset(drv.qid),
-                drv.sq.tail.to_bytes(4, "little"))
-            cqe = yield done
+            cqe = yield drv._qp.submit(sqe)
             return cqe
 
         cqe = bed.sim.run(until=bed.sim.process(flow(bed.sim)))

@@ -8,24 +8,40 @@ from hypothesis import strategies as st
 from repro.driver import (BlockError, BlockRequest, DistributedNvmeClient,
                           NvmeManager, StripedBlockDevice)
 from repro.nvme import Status
-from repro.scenarios import ours_remote
+from repro.scenarios import (FIG10_SCENARIOS, build_fig10_scenario,
+                             ours_remote)
 from repro.scenarios.testbed import PcieTestbed
 from repro.workloads import FioJob, run_fio
 
 
+# Every driver stack of Fig. 10 builds its SQE from the same table
+# (repro.driver.qpair.io_sqe), so every stack must perform these ops —
+# NVMe-oF used to send WRITE for both and acknowledge them unperformed.
+all_stacks = pytest.mark.parametrize("stack", FIG10_SCENARIOS)
+
+
 class TestWriteZeroes:
-    def test_zeroes_previously_written_range(self):
-        scenario = ours_remote(seed=220)
+    @all_stacks
+    def test_zeroes_previously_written_range(self, stack):
+        scenario = build_fig10_scenario(stack, seed=220)
         dev = scenario.device
 
         def flow(sim):
-            req = yield dev.submit(BlockRequest("write", lba=0,
-                                                data=b"\xff" * 4096))
+            req = yield dev.submit(BlockRequest("write", lba=8,
+                                                data=b"\xab" * 4096))
             assert req.ok
-            req = yield dev.submit(BlockRequest("write_zeroes", lba=0,
+            # A second write, so a stack that stages nothing for the
+            # zeroing has someone else's bytes lying in its buffer.
+            req = yield dev.submit(BlockRequest("write", lba=100,
+                                                data=b"\xcd" * 4096))
+            assert req.ok
+            req = yield dev.submit(BlockRequest("write_zeroes", lba=8,
                                                 nblocks=8))
             assert req.ok
-            req = yield dev.submit(BlockRequest("read", lba=0, nblocks=8))
+            other = yield dev.submit(BlockRequest("read", lba=100,
+                                                  nblocks=8))
+            assert other.ok and other.result == b"\xcd" * 4096
+            req = yield dev.submit(BlockRequest("read", lba=8, nblocks=8))
             return req
 
         req = scenario.sim.run(until=scenario.sim.process(flow(scenario.sim)))
@@ -50,8 +66,9 @@ class TestWriteZeroes:
 
 
 class TestCompare:
-    def test_compare_matches(self):
-        scenario = ours_remote(seed=222)
+    @all_stacks
+    def test_compare_matches(self, stack):
+        scenario = build_fig10_scenario(stack, seed=222)
         dev = scenario.device
         payload = bytes(range(256)) * 16
 
@@ -66,8 +83,9 @@ class TestCompare:
         req = scenario.sim.run(until=scenario.sim.process(flow(scenario.sim)))
         assert req.ok
 
-    def test_compare_mismatch_status(self):
-        scenario = ours_remote(seed=223)
+    @all_stacks
+    def test_compare_mismatch_status(self, stack):
+        scenario = build_fig10_scenario(stack, seed=223)
         dev = scenario.device
 
         def flow(sim):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nvme import SubmissionEntry, CompletionEntry
+from repro.nvme import (CompletionEntry, IoOpcode, Status,
+                        SubmissionEntry)
+from repro.rdma import SendWR, WrOpcode
+from repro.sim import Event
 from repro.nvmeof import CommandCapsule, NvmeofInitiator, ResponseCapsule, SpdkTarget
 from repro.driver.blockdev import BlockRequest
 from repro.scenarios.testbed import RdmaTestbed
@@ -127,3 +130,81 @@ class TestDataPath:
         # stock local min is ~11.9us; the paper's delta is 7.7us.
         assert 17_000 < lat.min() < 22_000
         assert np.median(lat) < 24_000
+
+
+def test_depth_beyond_the_targets_ring_is_clamped():
+    """The NVMe SQ behind a connection has 128 entries, so it holds 127
+    commands: a deeper initiator used to overflow it by construction."""
+    from repro.workloads import FioJob, run_fio
+    bed, target, initiator = make_stack(queue_depth=160)
+    assert initiator.queue_depth == 127
+    assert len(target.connections[0].slots) == 127
+    result = run_fio(initiator, FioJob(name="deep", rw="randread", bs=4096,
+                                       iodepth=160, total_ios=400))
+    assert (result.ios, result.errors) == (400, 0)
+
+
+class TestHostileCapsules:
+    """The target treats a command capsule as outside input: whatever a
+    hand-built one says, the answer is a defined status in bounded time,
+    the data slot comes back and the pollers stay alive (first entries
+    of ROADMAP's "hostile input at the NVMe-oF target" corpus)."""
+
+    def _post(self, bed, initiator, capsule):
+        done = Event(bed.sim)
+        initiator._inflight[capsule.sqe.cid] = done
+        raw = capsule.pack()
+        initiator.qp.post_send(SendWR(
+            wr_id=capsule.sqe.cid, opcode=WrOpcode.SEND, inline_data=raw,
+            length=len(raw)))
+        bed.sim.run(until=bed.sim.any_of((done,
+                                          bed.sim.timeout(5_000_000))))
+        assert done.triggered, "the target never answered"
+        return done.value
+
+    def _still_serves(self, bed, initiator):
+        req = bed.sim.run(until=initiator.submit(
+            BlockRequest("read", lba=0, nblocks=8)))
+        return req.ok
+
+    # 32 MiB used to raise out of prps_for_contiguous; 128.5 KiB and
+    # 1 MiB used to pass and let the controller DMA beyond the slot.
+    @pytest.mark.parametrize("nlb", [0xFFFF, 256, 2047])
+    @pytest.mark.parametrize("opcode", [IoOpcode.READ, IoOpcode.WRITE])
+    def test_transfer_beyond_the_slot_is_refused(self, opcode, nlb):
+        bed, target, initiator = make_stack()
+        conn = target.connections[0]
+        baseline = len(conn.slots)
+        sqe = SubmissionEntry(opcode=opcode, cid=0x51, nsid=1)
+        sqe.nlb = nlb
+        cqe = self._post(bed, initiator, CommandCapsule(sqe))
+        assert cqe.cid == 0x51 and cqe.status == Status.INVALID_FIELD
+        assert len(conn.slots) == baseline
+        assert self._still_serves(bed, initiator)
+
+    def test_inline_data_must_match_the_transfer_length(self):
+        bed, target, initiator = make_stack()
+        sqe = SubmissionEntry(opcode=IoOpcode.WRITE, cid=0x52, nsid=1)
+        sqe.nlb = 7
+        cqe = self._post(bed, initiator,
+                         CommandCapsule(sqe, inline_data=b"\xee" * 512))
+        assert cqe.status == Status.INVALID_FIELD
+        assert bed.nvme.namespaces[1].read_blocks(0, 8) == bytes(4096)
+
+    def test_failed_pull_never_reaches_the_medium(self):
+        bed, target, initiator = make_stack()
+        conn = target.connections[0]
+        baseline = len(conn.slots)
+        # An honest write first, so the slot holds somebody's bytes.
+        req = bed.sim.run(until=initiator.submit(
+            BlockRequest("write", lba=8, data=b"\xab" * 4096)))
+        assert req.ok
+        sqe = SubmissionEntry(opcode=IoOpcode.WRITE, cid=0x53, nsid=1)
+        sqe.slba, sqe.nlb = 100, 7
+        # No in-capsule data and a descriptor nobody registered: the
+        # target's RDMA_READ completes in error.
+        cqe = self._post(bed, initiator, CommandCapsule(sqe))
+        assert cqe.status == Status.DATA_TRANSFER_ERROR
+        assert bed.nvme.namespaces[1].read_blocks(100, 8) == bytes(4096)
+        assert len(conn.slots) == baseline
+        assert self._still_serves(bed, initiator)

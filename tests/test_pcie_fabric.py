@@ -516,6 +516,43 @@ def test_no_process_or_generator_occupancy_in_the_fabric():
             if tokens.search(path.read_text())] == []
 
 
+def test_ring_mechanics_live_in_the_queue_pair_core():
+    """How the host side of an NVMe ring works — doorbell offsets, tail
+    advance, the phase-tagged consume — is written once, in
+    ``repro/driver/qpair.py`` (DESIGN.md).  Outside it, ``repro/nvme``
+    (which defines the primitives) and the staticcheck rule that names
+    them, only two functions of the distributed client may touch them:
+    the deliberate ``_poll_remote`` ablation (CQ read across the NTB)
+    and the tenant-encoded shared-window doorbell."""
+    import ast
+    root = pathlib.Path(repro.__file__).parent
+    tokens = re.compile(r"sq_doorbell_offset\(|cq_doorbell_offset\("
+                        r"|\.consume\(\)|\.advance_tail\(\)"
+                        r"|\[14\] *& *1|consumer_phase\(")
+    allowed = {"driver/qpair.py": None,
+               "staticcheck/rules/doorbell_order.py": None,
+               "driver/client.py": {"_poll_remote",
+                                    "_ring_shared_sq_doorbell"}}
+    strays = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        text = path.read_text()
+        if rel.startswith("nvme/") or not tokens.search(text):
+            continue
+        functions = allowed.get(rel, set())
+        if functions is None:
+            continue
+        spans = [(node.lineno, node.end_lineno)
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name in functions]
+        strays += [f"{rel}:{number}"
+                   for number, line in enumerate(text.splitlines(), 1)
+                   if tokens.search(line)
+                   and not any(a <= number <= b for a, b in spans)]
+    assert strays == []
+
+
 class TestTopologyValidation:
     def test_duplicate_host_rejected(self, env):
         sim, cluster, *_ = env

@@ -245,13 +245,13 @@ class TestWindowHandoff:
         assert bed.config.reliability.command_timeout_ns == 0
         usable = client.sq.entries - 1
         issued = []
-        issue = client._issue
+        issue = client._qp.issue
 
         def recording_issue(sqe, span=None):
             issued.append(sqe.slba)
             issue(sqe, span)
 
-        client._issue = recording_issue
+        client._qp.issue = recording_issue
         n = usable + 12
         done = [client.submit(BlockRequest("read", lba=8 * i, nblocks=8))
                 for i in range(n)]

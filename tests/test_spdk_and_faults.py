@@ -69,6 +69,22 @@ class TestSpdkLocalDriver:
         assert req.ok and req.result == payload
 
 
+@pytest.mark.parametrize("driver", [StockNvmeDriver, SpdkLocalDriver])
+@pytest.mark.parametrize("queue_depth", [8, 64])
+def test_depth_at_or_above_the_ring_size_is_clamped(driver, queue_depth):
+    """An N-entry ring holds N-1 commands; every stack gets the clamp
+    the distributed client always had (qpair.usable_depth) instead of
+    a ``QueueError: SQ1 overflow`` out of ``sim.run``."""
+    bed = LocalTestbed(seed=161)
+    drv = driver(bed.sim, bed.fabric, bed.host, bed.nvme.bars[0].base,
+                 bed.config, queue_entries=8, queue_depth=queue_depth)
+    bed.sim.run(until=bed.sim.process(drv.start()))
+    assert drv.queue_depth == 7
+    result = run_fio(drv, FioJob(name="deep", rw="randread", bs=4096,
+                                 iodepth=8, total_ios=64))
+    assert (result.ios, result.errors) == (64, 0)
+
+
 def faulty_config(read_rate=0.0, write_rate=0.0) -> SimulationConfig:
     base = SimulationConfig()
     media = dataclasses.replace(base.nvme.media,

@@ -12,6 +12,8 @@ import json
 import pathlib
 import textwrap
 
+import pytest
+
 import repro
 from repro.cli import main as cli_main
 from repro.staticcheck import all_rules, baseline, check_file, get_rule
@@ -20,6 +22,7 @@ from repro.staticcheck.runner import run
 
 PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
 CLIENT_PY = PACKAGE_DIR / "driver" / "client.py"
+QPAIR_PY = PACKAGE_DIR / "driver" / "qpair.py"
 
 
 def write_fixture(tmp_path, rel, source):
@@ -85,18 +88,36 @@ def test_inserting_nonposted_read_in_submit_path_fails(tmp_path):
 
 
 def test_doorbell_swap_in_submit_path_fails(tmp_path):
-    source = CLIENT_PY.read_text()
-    sqe_write = "sqe_write = self._sq_conn.write(offset, sqe.pack())"
-    assert sqe_write in source
+    # Every stack's SQE store and SQ doorbell are one function of the
+    # queue-pair core, so that is where the rule has to bite.
+    source = QPAIR_PY.read_text()
+    store = ("store = self.sq_mem.write((self.first_slot + slot) * 64, "
+             "sqe.pack())")
+    assert store in source
     # Move the SQE store after the doorbell ring: classic stale-fetch bug.
-    mutated = source.replace("        " + sqe_write + "\n", "")
+    mutated = source.replace("        " + store + "\n", "")
     mutated = mutated.replace(
-        "            self.sq.tail.to_bytes(4, \"little\"))",
-        "            self.sq.tail.to_bytes(4, \"little\"))\n"
-        "        " + sqe_write)
-    path = write_fixture(tmp_path, "repro/driver/client.py", mutated)
+        "                              sq.tail.to_bytes(4, \"little\"))",
+        "                              sq.tail.to_bytes(4, \"little\"))\n"
+        "            " + store)
+    assert mutated.count(store) == 1 and mutated != source
+    path = write_fixture(tmp_path, "repro/driver/qpair.py", mutated)
     findings, _ = run([path])
     assert any(f.rule == "doorbell-after-sq-write" for f in findings)
+
+
+@pytest.mark.parametrize("anchor", [
+    "        slot = sq.advance_tail()\n",       # issue (via submit)
+    "        drained = 0\n",                    # drain
+])
+def test_nonposted_read_in_the_queue_pair_core_fails(tmp_path, anchor):
+    source = QPAIR_PY.read_text()
+    assert source.count(anchor) == 1
+    mutated = source.replace(
+        anchor, anchor + "        self._cq_conn.read(0, 16)\n")
+    path = write_fixture(tmp_path, "repro/driver/qpair.py", mutated)
+    findings, _ = run([path])
+    assert any(f.rule == "no-nonposted-hotpath" for f in findings)
 
 
 # --- suppressions --------------------------------------------------------

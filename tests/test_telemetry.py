@@ -266,6 +266,30 @@ class TestInstrumentedScenarios:
                         scenario.sim.now)
         assert lats[False] == lats[True]
 
+    def test_local_baseline_decomposes_with_no_ntb_leg(self):
+        """The local stack submits through the same queue-pair core, so
+        its spans carry the same marks: Fig. 10's local leg decomposes
+        into the same seven stages, the SQE store being a plain local
+        one (docs/observability.md has the two columns side by side)."""
+        job = FioJob(name="t", rw="randread", bs=4096, iodepth=1,
+                     total_ios=60)
+        runs = {}
+        for on in (False, True):
+            scenario = build_fig10_scenario("local-linux", seed=404,
+                                            telemetry=on)
+            result = run_fio(scenario.device, job)
+            runs[on] = (result.read_latencies.values().tolist(),
+                        scenario.sim.now, scenario.sim.events_processed)
+        assert runs[False] == runs[True]
+        spans = scenario.telemetry.spans.clean_spans()
+        assert len(spans) == 60
+        for span in spans:
+            stages = span.stage_durations()
+            assert sum(stages.values()) == span.duration_ns
+            assert stages["sq-ntb-write"] == 0
+            assert min(stages.values()) >= 0 < stages["doorbell"]
+        assert scenario.telemetry.spans._active == {}
+
     def test_span_durations_match_recorder_exactly(self):
         scenario = build_fig10_scenario("ours-remote", seed=8,
                                         telemetry=True)
