@@ -8,7 +8,7 @@ from repro.config import DEFAULT_CONFIG, QosConfig, replace
 from repro.faults import FaultEvent, FaultPlan
 from repro.scenarios import (FIG10_SCENARIOS, build_fig10_scenario,
                              chaos_cluster, cluster, multihost,
-                             nvmeof_remote, ours_remote,
+                             nvmeof_remote, ours_local, ours_remote,
                              scale_out_cluster)
 from repro.sim import Tracer
 from repro.sim.rng import RngRegistry
@@ -262,6 +262,18 @@ GOLDEN_TRAIN = [
 #:   read queues whole (-15): 674 - 29 = 645.
 GOLDEN_EVENTS = {"fig10": 24493, "mh4-randread": 18812, "mh4-rw64k": 19806,
                  "noisy": 85801, "train": 645}
+#: (I/Os, sum of latency ns, sim.now, events_processed) of one run per
+#: cluster bring-up that had no value golden, at commit 65c7b56 — taken
+#: before the four bring-up bodies became one (with the hooks each of
+#: them wires switched on, so a changed attach order shows here)
+GOLDEN_RIGS = {
+    "chaos": (450, 32592763, 402446776, 58754),
+    "cluster-kill": (480, 311705306, 56001746, 64246),
+    "scale-out": (640, 189175012, 6852208, 40673),
+    "multihost-device-host": (150, 2744057, 2688964, 7055),
+    "ours-local": (100, 1462228, 2588877, 3724),
+    "ours-remote": (100, 1636023, 2641068, 4560),
+}
 
 
 class TestGoldenModeledOutput:
@@ -338,3 +350,74 @@ class TestGoldenModeledOutput:
         assert [(when - base_t, (final - base_a) // 4096)
                 for when, final in train] == GOLDEN_TRAIN
         assert scn.sim.events_processed == GOLDEN_EVENTS["train"]
+
+    @staticmethod
+    def _rig_sums(sim, devices):
+        return (sum(dev.completed for dev in devices),
+                sum(int(dev.latencies.values().sum()) for dev in devices),
+                sim.now, sim.events_processed)
+
+    def test_chaos_cluster_fixed_plan(self):
+        """bench_sim_speed's chaos scenario: link cut, TLP drops and a
+        controller stall against three clients with recovery on."""
+        plan = FaultPlan((
+            FaultEvent(200_000, "link_down", "link:host2",
+                       duration_ns=500_000),
+            FaultEvent(400_000, "tlp_drop", "link:host3", probability=0.1,
+                       duration_ns=800_000),
+            FaultEvent(900_000, "ctrl_stall", "ctrl:nvme0",
+                       duration_ns=300_000)))
+        scn = chaos_cluster(3, plan=plan, seed=321)
+        scn.injector.start()
+        for i, client in enumerate(scn.clients):
+            scn.sim.process(fio_generator(
+                client, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
+                               total_ios=150, seed_stream=f"fio{i}")))
+        scn.sim.run(until=scn.sim.timeout(400_000_000))
+        assert self._rig_sums(scn.sim, scn.clients) == GOLDEN_RIGS["chaos"]
+        assert len(scn.trace_log()) == 16661
+        assert (sum(c.retries for c in scn.clients),
+                sum(c.timeouts for c in scn.clients)) == (5, 5)
+
+    def test_cluster_device_kill(self):
+        scn = cluster(n_clients=8, n_devices=2, width=2, replicas=2,
+                      seed=777, faults=True, telemetry=True)
+        scn.injector.plan = FaultPlan((FaultEvent(
+            300_000, "ctrl_stall", scn.ctrl_points()[-1], duration_ns=0),))
+        scn.injector.start()
+        for i, vol in enumerate(scn.volumes):
+            scn.sim.process(fio_generator(
+                vol, FioJob(name=f"v{i}", rw="randrw", iodepth=4,
+                            total_ios=60, seed_stream=f"fio{i}")))
+        scn.sim.run(until=scn.sim.timeout(50_000_000))
+        assert self._rig_sums(scn.sim, scn.volumes) \
+            == GOLDEN_RIGS["cluster-kill"]
+        assert len(scn.trace_log()) == 15721
+        assert sum(vol.errors for vol in scn.volumes) == 0
+
+    def test_scale_out_under_sharesan(self):
+        scn = scale_out_cluster(64, seed=909, queue_depth=4,
+                                telemetry=True, sanitizer=True)
+        run_fio_many([(c, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
+                                 total_ios=10, seed_stream=f"fio{i}"))
+                      for i, c in enumerate(scn.clients)])
+        assert self._rig_sums(scn.sim, scn.clients) \
+            == GOLDEN_RIGS["scale-out"]
+        assert scn.sanitizer.clean, scn.sanitizer.findings
+
+    def test_multihost_with_device_host_client(self):
+        scn = multihost(3, seed=5, include_device_host=True,
+                        telemetry=True)
+        run_fio_many([(c, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
+                                 total_ios=50))
+                      for i, c in enumerate(scn.clients)])
+        assert self._rig_sums(scn.sim, scn.clients) \
+            == GOLDEN_RIGS["multihost-device-host"]
+
+    def test_ours_local_and_remote_with_telemetry(self):
+        for build in (ours_local, ours_remote):
+            scn = build(seed=5, telemetry=True)
+            run_fio(scn.device, FioJob(rw="randrw", iodepth=4,
+                                       total_ios=100))
+            assert self._rig_sums(scn.sim, [scn.device]) \
+                == GOLDEN_RIGS[scn.label]
