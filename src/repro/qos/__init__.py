@@ -11,11 +11,11 @@ Three pieces (docs/qos.md):
   clamps an alerting tenant's driver-side window of outstanding
   commands while its burn-rate SLO alert is active, consuming the
   ISSUE-8 measurement half.
-* **The noisy-neighbour story** (:mod:`.runner`) — ``run_qos`` drives
-  one open-loop aggressor against bystanders on a single shared QP and
-  reports per-policy isolation; loaded lazily because it pulls in the
-  scenario builders (which import the driver stack, which imports the
-  controller, which imports :mod:`.arbiter`).
+* **The noisy-neighbour story** (:mod:`.runner`) — ``run_qos`` spells
+  the ``noisy`` :class:`~repro.run.RunSpec` (one open-loop aggressor
+  against bystanders on a single shared QP); loaded lazily because the
+  run module pulls in the scenario builders (which import the driver
+  stack, which imports the controller, which imports :mod:`.arbiter`).
 
 Everything defaults to off: :class:`~repro.config.QosConfig` with
 ``enabled=False`` leaves the original round-robin grant loop and seed
@@ -28,14 +28,12 @@ from .throttle import AdmissionThrottle
 
 __all__ = [
     "AdmissionThrottle", "Arbiter", "DrrArbiter", "FifoArbiter",
-    "QosRun", "StrictArbiter", "make_arbiter", "run_qos",
+    "StrictArbiter", "make_arbiter", "run_qos",
 ]
-
-_LAZY = ("run_qos", "QosRun")
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        from . import runner
-        return getattr(runner, name)
+    if name == "run_qos":
+        from .runner import run_qos
+        return run_qos
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,113 +1,13 @@
-"""One-call QoS runs: open-loop noisy-neighbour traffic under SLO watch.
-
-Used by the ``repro qos`` CLI subcommand, the isolation tests and
-``benchmarks/bench_qos_isolation.py``: build the single-shared-QP
-noisy-neighbour scenario (:func:`repro.scenarios.noisy_neighbor`), put
-every tenant under the same latency SLO, drive one open-loop job per
-tenant — an aggressor offering far more than its fair share plus
-well-behaved bystanders — and hand back per-tenant latencies, the SLO
-engine's verdict and the throttle's actions.
-
-Everything is seeded and each tenant's arrival stream is keyed by its
-own name, so the solo baseline (``aggressor_active=False``) replays the
-bystanders' exact arrivals without the aggressor — the denominator for
-"bystander p99 under policy X vs. its undisturbed p99".
-"""
+"""The noisy-neighbour story as one call (docs/qos.md): ``run_qos`` is
+a :class:`~repro.run.RunSpec` constructor with the signature it has
+always had; :data:`QOS_SLO` lives with the other run defaults."""
 
 from __future__ import annotations
 
-import dataclasses
-import typing as t
-
-import numpy as np
-
-from ..scenarios import noisy_neighbor
-from ..telemetry.hub import Telemetry
+from ..run import QOS_SLO, Run, RunSpec, run
 from ..telemetry.slo import SloSpec
-from ..workloads import OpenLoopJob, OpenLoopResult, open_loop_generator
-from .throttle import AdmissionThrottle
 
-#: Default SLO for QoS runs: 90 % of each tenant's requests within
-#: 30 us.  Solo bystanders finish in ~10 us, so a compliant tenant has
-#: head-room; a fifo run behind a 63-deep aggressor backlog (~63 grants
-#: ~ 65 us) breaches it, and the burn windows are sized to the
-#: millisecond-scale horizon so alerts fire mid-run, in time for the
-#: admission throttle to act.
-QOS_SLO = SloSpec(name="latency", objective_ns=30_000, target=0.9,
-                  fast_window_ns=400_000, slow_window_ns=1_600_000,
-                  burn_threshold=2.0)
-
-
-@dataclasses.dataclass
-class QosRun:
-    """A finished noisy-neighbour run under one arbitration policy."""
-
-    policy: str                   # off|fifo|wfq|strict
-    throttled: bool               # admission throttle armed
-    telemetry: Telemetry
-    #: OpenLoopResult per tenant, client order; index 0 is the
-    #: aggressor (None in the solo baseline)
-    results: list[OpenLoopResult | None]
-    tenants: list[str]            # histogram tenant labels, client order
-    aggressor: str                # tenants[0]
-    bystanders: list[str]         # tenants[1:]
-    report: dict[str, t.Any]      # SLO engine compliance report
-    throttle_report: dict[str, t.Any]
-    window_map: dict[int, dict[int, int]]   # qid -> window -> slot
-
-    def perfetto_json(self) -> str:
-        return self.telemetry.perfetto_json()
-
-    def prometheus_text(self) -> str:
-        return self.telemetry.prometheus_text()
-
-    def timeseries_jsonl(self) -> str:
-        return self.telemetry.timeseries_jsonl()
-
-    def slo_report_json(self) -> str:
-        return self.telemetry.slo_report_json()
-
-    # -- analysis helpers --------------------------------------------------
-
-    def p99_ns(self, tenant: str) -> float:
-        """Open-loop p99 for one tenant (scheduled-arrival latency)."""
-        index = self.tenants.index(tenant)
-        result = self.results[index]
-        if result is None or not len(result.latencies):
-            return 0.0
-        return float(np.percentile(result.latencies.values(), 99))
-
-    def bystander_p99_ns(self) -> float:
-        """Worst bystander open-loop p99 — the isolation headline."""
-        return max(self.p99_ns(tenant) for tenant in self.bystanders)
-
-    def tenant_alerts(self, tenant: str) -> list[dict]:
-        return self.report["tenants"].get(tenant, {}).get("alerts", [])
-
-    def summary(self) -> dict[str, t.Any]:
-        """Deterministic per-tenant digest (JSON-serialisable)."""
-        tenants = {}
-        for i, tenant in enumerate(self.tenants):
-            result = self.results[i]
-            entry: dict[str, t.Any] = {
-                "role": "aggressor" if i == 0 else "bystander",
-                "alerts": len(self.tenant_alerts(tenant)),
-                "met": self.report["tenants"]
-                           .get(tenant, {}).get("met", True),
-            }
-            if result is not None:
-                entry.update(
-                    issued=result.issued,
-                    completed=result.completed,
-                    errors=result.errors,
-                    offered_iops=round(result.offered_iops, 1),
-                    achieved_iops=round(result.achieved_iops, 1),
-                    p99_ns=round(self.p99_ns(tenant), 1),
-                    capped_arrivals=result.capped_arrivals,
-                )
-            tenants[tenant] = entry
-        return {"policy": self.policy, "throttled": self.throttled,
-                "tenants": tenants, "throttle": self.throttle_report}
+__all__ = ["QOS_SLO", "run_qos"]
 
 
 def run_qos(policy: str = "wfq", *, throttle: bool = False,
@@ -120,8 +20,11 @@ def run_qos(policy: str = "wfq", *, throttle: bool = False,
             throttle_window: int = 1,
             aggressor_active: bool = True,
             spec: SloSpec | None = None,
-            sanitizer: bool = False) -> QosRun:
-    """Drive the noisy-neighbour scenario under one policy.
+            sanitizer: bool = False) -> Run:
+    """Drive the ``noisy`` rig under one policy with the hub,
+    histograms, sampler and SLO engine on; the :class:`~repro.run.Run`
+    carries per-tenant latencies, the SLO verdict and the throttle's
+    actions.
 
     One aggressor (client 0) offers ``aggressor_iops`` open-loop —
     far beyond its fair share of the shared-SQ fetch loop — while
@@ -132,59 +35,14 @@ def run_qos(policy: str = "wfq", *, throttle: bool = False,
 
     ``aggressor_active=False`` runs the *solo baseline*: identical
     bystander arrival streams (they are keyed by tenant name, not
-    position) with the aggressor idle — its p99 is what a bystander
-    sees when nobody misbehaves.
-
-    Fully seeded; two calls with identical arguments produce
-    byte-identical exports.
+    position) with the aggressor idle — the denominator for "bystander
+    p99 under policy X vs. its undisturbed p99".
     """
-    sc = noisy_neighbor(n_bystanders=n_bystanders, policy=policy,
-                        throttle_window=throttle_window if throttle else 0,
-                        seed=seed, sanitizer=sanitizer)
-    cfg = sc.testbed.config
-    tele = sc.telemetry
-    assert tele is not None
-    tele.enable_histograms()
-    # Create the sampler *before* enable_slo: the hub reuses an existing
-    # sampler, so creating it first is what makes ``interval_ns`` stick.
-    sampler = tele.enable_sampler(interval_ns=interval_ns, start=False)
-    slo = tele.enable_slo(spec or QOS_SLO)
-    sampler.start()
-
-    admission = AdmissionThrottle(sc.sim, cfg.qos, slo)
-    if admission.enabled:
-        admission.attach(sc.clients)
-        admission.start()
-
-    queue_depth = sc.clients[0].queue_depth
-    procs: list[t.Any] = []
-    for i, client in enumerate(sc.clients):
-        if i == 0:
-            if not aggressor_active:
-                procs.append(None)
-                continue
-            job = OpenLoopJob(name="aggressor", rw="randread",
-                              rate_iops=aggressor_iops, arrival=arrival,
-                              total_arrivals=None, runtime_ns=horizon_ns,
-                              inflight_cap=queue_depth,
-                              seed_stream="qos")
-        else:
-            job = OpenLoopJob(name=f"bystander{i}", rw="randread",
-                              rate_iops=bystander_iops, arrival="poisson",
-                              total_arrivals=None, runtime_ns=horizon_ns,
-                              inflight_cap=16, seed_stream="qos")
-        procs.append(sc.sim.process(open_loop_generator(client, job)))
-
-    live = [p for p in procs if p is not None]
-    sc.sim.run(until=sc.sim.all_of(live))
-    sampler.stop()
-    admission.stop()
-    tele.collect()
-
-    tenants = [client.tenant for client in sc.clients]
-    return QosRun(
-        policy=policy, throttled=admission.enabled, telemetry=tele,
-        results=[p.value if p is not None else None for p in procs],
-        tenants=tenants, aggressor=tenants[0], bystanders=tenants[1:],
-        report=slo.report(), throttle_report=admission.report(),
-        window_map=sc.manager.window_map())
+    return run(RunSpec(
+        "noisy", seed=seed, horizon_ns=horizon_ns, interval_ns=interval_ns,
+        slo=spec,
+        observe={"spans", "slo"} | ({"sanitize"} if sanitizer else set()),
+        policy=policy, throttle=throttle, bystanders=n_bystanders,
+        aggressor_iops=aggressor_iops, bystander_iops=bystander_iops,
+        arrival=arrival, throttle_window=throttle_window,
+        aggressor_active=aggressor_active))

@@ -12,7 +12,6 @@ from .hooks import NULL_SANITIZER, NullSanitizer
 
 __all__ = ["NULL_SANITIZER", "NullSanitizer", "ShareSan", "Finding",
            "DETECTORS", "build_report", "render_json", "render_text",
-           "run_scenario", "SANITIZE_SCENARIOS", "SanitizeRun",
            "FIXTURES", "selftest"]
 
 _LAZY = {
@@ -22,9 +21,6 @@ _LAZY = {
     "build_report": "report",
     "render_json": "report",
     "render_text": "report",
-    "run_scenario": "runner",
-    "SANITIZE_SCENARIOS": "runner",
-    "SanitizeRun": "runner",
     "FIXTURES": "fixtures",
     "selftest": "fixtures",
 }

@@ -1,21 +1,19 @@
 """Prebuilt testbeds and benchmark scenarios (the paper's Fig. 9)."""
 
-from .builders import (FIG10_SCENARIOS, MultiHostScenario, Scenario,
-                       build_fig10_scenario, local_linux, multihost,
-                       nvmeof_remote, ours_local, ours_remote,
-                       scale_out_cluster)
-from .chaos import CHAOS_RELIABILITY, ChaosScenario, chaos_cluster
-from .cluster import (ClusterScenario, cluster, cluster_scale_out,
-                      widen_sharing)
-from .qos import QOS_MEDIA, QOS_POLICIES, noisy_neighbor
+from .builders import (FIG10_SCENARIOS, QOS_MEDIA, QOS_POLICIES,
+                       build_fig10_scenario, chaos_cluster, cluster,
+                       cluster_scale_out, local_linux, multihost,
+                       noisy_neighbor, nvmeof_remote, ours_local,
+                       ours_remote, scale_out_cluster)
+from .rig import CHAOS_RELIABILITY, Rig, build_rig, widen_sharing
 from .testbed import LocalTestbed, PcieTestbed, RdmaTestbed
 
 __all__ = [
     "PcieTestbed", "LocalTestbed", "RdmaTestbed",
-    "Scenario", "MultiHostScenario", "FIG10_SCENARIOS",
+    "Rig", "build_rig", "FIG10_SCENARIOS",
     "build_fig10_scenario", "local_linux", "nvmeof_remote",
     "ours_local", "ours_remote", "multihost", "scale_out_cluster",
-    "ChaosScenario", "chaos_cluster", "CHAOS_RELIABILITY",
-    "ClusterScenario", "cluster", "cluster_scale_out", "widen_sharing",
+    "chaos_cluster", "CHAOS_RELIABILITY",
+    "cluster", "cluster_scale_out", "widen_sharing",
     "QOS_MEDIA", "QOS_POLICIES", "noisy_neighbor",
 ]

@@ -1,7 +1,6 @@
-"""Prebuilt benchmark scenarios — the paper's Fig. 9 configurations.
-
-Each builder returns a :class:`Scenario` holding a live simulator and a
-started block device, ready for :func:`repro.workloads.run_fio`:
+"""The named scenarios — the paper's Fig. 9 configurations and the
+clusters grown from them.  Each returns a live, started
+:class:`~.rig.Rig`, ready for :func:`repro.workloads.run_fio`:
 
 * ``local_linux``      — stock Linux driver, local NVMe (Fig. 9a left);
 * ``nvmeof_remote``    — kernel initiator -> 100 Gb/s RDMA -> SPDK
@@ -11,64 +10,51 @@ started block device, ready for :func:`repro.workloads.run_fio`:
 * ``ours_remote``      — distributed driver, client one NTB hop away
   (Fig. 9b right);
 * ``multihost``        — N clients sharing one controller (Sec. VI's
-  31-host claim).
+  31-host claim); ``scale_out_cluster`` takes it beyond 31 hosts on
+  shared queue pairs, ``noisy_neighbor`` packs it onto ONE shared QP;
+* ``chaos_cluster``    — the same topology with fault injection and
+  driver-side recovery wired in (docs/fault_injection.md);
+* ``cluster``          — M clients over N controllers behind striped,
+  optionally replicated volumes (docs/cluster.md).
+
+The two baselines build their own single-purpose testbeds; everything
+on the NTB fabric is :func:`~.rig.build_rig` with different arguments.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as t
 
-from ..config import SimulationConfig
-from ..driver import (BlockDevice, DistributedNvmeClient, NvmeManager,
-                      StockNvmeDriver)
+from ..config import (MediaConfig, QosConfig, ReliabilityConfig,
+                      SimulationConfig, replace)
+from ..driver import StockNvmeDriver
+from ..faults import FaultPlan
 from ..nvmeof import NvmeofInitiator, SpdkTarget
-from ..sim import Simulator
-from ..telemetry.hub import Telemetry
-from .testbed import LocalTestbed, PcieTestbed, RdmaTestbed
+from .rig import Rig, baseline_rig, build_rig, widen_sharing
+from .testbed import LocalTestbed, RdmaTestbed
 
 #: The four Fig. 10 scenario names, in the paper's presentation order.
 FIG10_SCENARIOS = ("local-linux", "nvmeof-remote", "ours-local",
                    "ours-remote")
 
 
-@dataclasses.dataclass
-class Scenario:
-    """A live, started benchmark configuration."""
-
-    label: str
-    sim: Simulator
-    device: BlockDevice
-    testbed: t.Any
-    extras: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def telemetry(self) -> Telemetry | None:
-        """The hub wired in at build time (``telemetry=True``), if any."""
-        return self.extras.get("telemetry")
-
-
 def local_linux(config: SimulationConfig | None = None,
                 seed: int | None = None,
                 queue_depth: int = 64,
-                telemetry: bool = False) -> Scenario:
+                telemetry: bool = False) -> Rig:
     """Stock Linux NVMe driver on a local device."""
     bed = LocalTestbed(config=config, seed=seed)
     driver = StockNvmeDriver(bed.sim, bed.fabric, bed.host,
                              bed.nvme.bars[0].base, bed.config,
                              queue_depth=queue_depth)
-    extras = {}
-    if telemetry:
-        extras["telemetry"] = Telemetry(bed.sim).attach(
-            fabric=bed.fabric, controllers=[bed.nvme], devices=[driver])
-    bed.sim.run(until=bed.sim.process(driver.start()))
-    return Scenario("local-linux", bed.sim, driver, bed, extras=extras)
+    return baseline_rig("local-linux", bed, driver, driver.start(),
+                        telemetry)
 
 
 def nvmeof_remote(config: SimulationConfig | None = None,
                   seed: int | None = None,
                   queue_depth: int = 32,
-                  telemetry: bool = False) -> Scenario:
+                  telemetry: bool = False) -> Rig:
     """NVMe-oF: kernel initiator over RDMA to an SPDK target."""
     bed = RdmaTestbed(config=config, seed=seed)
     target = SpdkTarget(bed.sim, bed.fabric, bed.target_host,
@@ -77,87 +63,38 @@ def nvmeof_remote(config: SimulationConfig | None = None,
     initiator = NvmeofInitiator(bed.sim, bed.initiator_host,
                                 bed.initiator_nic, bed.config,
                                 queue_depth=queue_depth)
-    extras: dict = {"target": target}
-    if telemetry:
-        extras["telemetry"] = Telemetry(bed.sim).attach(
-            fabric=bed.fabric, controllers=[bed.nvme],
-            devices=[initiator])
-    bed.sim.run(until=bed.sim.process(initiator.connect(target)))
-    return Scenario("nvmeof-remote", bed.sim, initiator, bed,
-                    extras=extras)
-
-
-def _ours(client_host: int, config: SimulationConfig | None,
-          seed: int | None, queue_depth: int, label: str,
-          n_hosts: int = 2, telemetry: bool = False,
-          **client_kwargs) -> Scenario:
-    bed = PcieTestbed(config=config, n_hosts=n_hosts, with_nvme=True,
-                      seed=seed)
-    tele = None
-    if telemetry:
-        tele = Telemetry(bed.sim).attach(fabric=bed.fabric, ntbs=bed.ntbs,
-                                         controllers=[bed.nvme])
-    manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
-                          bed.nvme_device_id, bed.config)
-    if tele is not None:
-        tele.attach(managers=[manager])
-    bed.sim.run(until=bed.sim.process(manager.start()))
-    client = DistributedNvmeClient(bed.sim, bed.smartio,
-                                   bed.node(client_host),
-                                   bed.nvme_device_id, bed.config,
-                                   queue_depth=queue_depth,
-                                   **client_kwargs)
-    if tele is not None:
-        tele.attach(clients=[client])
-    bed.sim.run(until=bed.sim.process(client.start()))
-    extras: dict = {"manager": manager}
-    if tele is not None:
-        extras["telemetry"] = tele
-    return Scenario(label, bed.sim, client, bed, extras=extras)
+    return baseline_rig("nvmeof-remote", bed, initiator,
+                        initiator.connect(target), telemetry)
 
 
 def ours_local(config: SimulationConfig | None = None,
                seed: int | None = None, queue_depth: int = 32,
-               telemetry: bool = False, **client_kwargs) -> Scenario:
+               telemetry: bool = False, **client_kwargs) -> Rig:
     """Distributed driver, client co-located with the device."""
-    return _ours(0, config, seed, queue_depth, "ours-local",
-                 telemetry=telemetry, **client_kwargs)
+    return build_rig([0], label="ours-local", config=config, seed=seed,
+                     queue_depth=queue_depth, host_slots=True,
+                     telemetry=telemetry, **client_kwargs)
 
 
 def ours_remote(config: SimulationConfig | None = None,
                 seed: int | None = None, queue_depth: int = 32,
-                telemetry: bool = False, **client_kwargs) -> Scenario:
+                telemetry: bool = False, **client_kwargs) -> Rig:
     """Distributed driver, client across the NTB cluster switch."""
-    return _ours(1, config, seed, queue_depth, "ours-remote",
-                 telemetry=telemetry, **client_kwargs)
+    return build_rig([1], label="ours-remote", config=config, seed=seed,
+                     queue_depth=queue_depth, host_slots=True,
+                     telemetry=telemetry, **client_kwargs)
 
 
 def build_fig10_scenario(name: str,
                          config: SimulationConfig | None = None,
                          seed: int | None = None,
-                         telemetry: bool = False) -> Scenario:
-    builders = {
-        "local-linux": local_linux,
-        "nvmeof-remote": nvmeof_remote,
-        "ours-local": ours_local,
-        "ours-remote": ours_remote,
-    }
-    try:
-        return builders[name](config=config, seed=seed,
-                              telemetry=telemetry)
-    except KeyError:
+                         telemetry: bool = False) -> Rig:
+    builders = dict(zip(FIG10_SCENARIOS, (local_linux, nvmeof_remote,
+                                          ours_local, ours_remote)))
+    if name not in builders:
         raise ValueError(f"unknown scenario {name!r}; "
-                         f"pick one of {FIG10_SCENARIOS}") from None
-
-
-@dataclasses.dataclass
-class MultiHostScenario:
-    sim: Simulator
-    clients: list[DistributedNvmeClient]
-    manager: NvmeManager
-    testbed: PcieTestbed
-    telemetry: Telemetry | None = None
-    sanitizer: t.Any = None
+                         f"pick one of {FIG10_SCENARIOS}")
+    return builders[name](config=config, seed=seed, telemetry=telemetry)
 
 
 def multihost(n_clients: int, config: SimulationConfig | None = None,
@@ -165,7 +102,7 @@ def multihost(n_clients: int, config: SimulationConfig | None = None,
               include_device_host: bool = False,
               sharing: str = "auto",
               telemetry: bool = False,
-              sanitizer: bool = False) -> MultiHostScenario:
+              sanitizer: bool = False) -> Rig:
     """N clients sharing the single-function controller in host0.
 
     With ``include_device_host`` the device's own host also runs a
@@ -184,58 +121,194 @@ def multihost(n_clients: int, config: SimulationConfig | None = None,
             f"({limit} I/O queue pairs, sharing "
             f"{'on' if cap > limit else 'off'})")
     first = 0 if include_device_host else 1
-    n_hosts = first + n_clients
-    bed = PcieTestbed(config=cfg, n_hosts=max(2, n_hosts),
-                      with_nvme=True, seed=seed)
-    tele = None
-    if telemetry:
-        tele = Telemetry(bed.sim).attach(fabric=bed.fabric,
-                                         controllers=[bed.nvme])
-    san = None
-    if sanitizer:
-        from ..sanitizer import ShareSan
-        san = ShareSan(bed.sim, telemetry=tele).attach(
-            controllers=[bed.nvme], ntbs=bed.ntbs, hosts=bed.hosts)
-    manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
-                          bed.nvme_device_id, bed.config)
-    if tele is not None:
-        tele.attach(managers=[manager])
-    if san is not None:
-        san.attach(managers=[manager])
-    bed.sim.run(until=bed.sim.process(manager.start()))
-    clients = []
-    for i in range(n_clients):
-        host_index = first + i
-        client = DistributedNvmeClient(
-            bed.sim, bed.smartio, bed.node(host_index),
-            bed.nvme_device_id, bed.config, queue_depth=queue_depth,
-            sharing=sharing, slot_index=i,
-            name=f"host{host_index}-nvme")
-        if tele is not None:
-            tele.attach(clients=[client])
-        if san is not None:
-            san.attach(clients=[client])
-        bed.sim.run(until=bed.sim.process(client.start()))
-        clients.append(client)
-    return MultiHostScenario(bed.sim, clients, manager, bed,
-                             telemetry=tele, sanitizer=san)
+    return build_rig(range(first, first + n_clients), label="multihost",
+                     config=cfg, seed=seed, queue_depth=queue_depth,
+                     sharing=sharing, telemetry=telemetry,
+                     sanitizer=sanitizer)
 
 
 def scale_out_cluster(n_clients: int = 64,
                       config: SimulationConfig | None = None,
                       seed: int | None = None, queue_depth: int = 16,
                       telemetry: bool = False,
-                      sanitizer: bool = False) -> MultiHostScenario:
+                      sanitizer: bool = False) -> Rig:
     """A beyond-31-hosts cluster exercising shared queue pairs.
 
     The default 64 clients need 33 more seats than the controller has
     queue pairs; the builder widens the shared-QP reserve so capacity
     covers ``n_clients`` and lets admission place the overflow."""
-    from .cluster import widen_sharing
     cfg = config or SimulationConfig()
     if not cfg.sharing.enabled:
         raise ValueError("scale_out_cluster requires sharing.enabled")
-    cfg = widen_sharing(cfg, n_clients)
-    return multihost(n_clients, config=cfg, seed=seed,
-                     queue_depth=queue_depth, telemetry=telemetry,
-                     sanitizer=sanitizer)
+    return multihost(n_clients, config=widen_sharing(cfg, n_clients),
+                     seed=seed, queue_depth=queue_depth,
+                     telemetry=telemetry, sanitizer=sanitizer)
+
+
+#: Fast NVMe media (Z-NAND/XL-FLASH class) for QoS runs.  The QoS
+#: arbitration point (docs/qos.md) sits where the controller picks which
+#: tenant window to fetch the next SQE from, and only *matters* when it
+#: is the saturated stage: with the default Optane-class media (~6.9 us,
+#: 5 channels ~ 0.72 IO/us) the media drains slower than the serialized
+#: fetch loop (~1 IO/us), so backlog pools inside the device where no
+#: fetch policy can reorder it.  This device (~1.2 us, 8 channels ~
+#: 6.7 IO/us) makes the shared-SQ fetch loop the bottleneck — the regime
+#: where arbitration decides who waits.
+QOS_MEDIA = MediaConfig(
+    name="lowlat-znand",
+    read_median_ns=1_200,
+    write_median_ns=1_500,
+    sigma=0.02,
+    read_cap_ns=1_500,
+    write_cap_ns=1_900,
+    channels=8,
+)
+
+#: Arbitration policies :func:`noisy_neighbor` accepts; ``off`` keeps
+#: the original round-robin fetch loop (bit-identical to the seed).
+QOS_POLICIES = ("off", "fifo", "wfq", "strict")
+
+
+def noisy_neighbor(n_bystanders: int = 3,
+                   policy: str = "wfq",
+                   quantum: int = 4,
+                   weights: tuple[int, ...] = (),
+                   throttle_window: int = 0,
+                   config: SimulationConfig | None = None,
+                   seed: int | None = None,
+                   queue_depth: int = 63,
+                   window_entries: int = 64,
+                   telemetry: bool = True,
+                   sanitizer: bool = False) -> Rig:
+    """One aggressor + ``n_bystanders`` bystanders on ONE shared QP
+    (``reserved_qps=1``, ``sharing="force"``); window index = admission
+    order = tenant index, so ``qos.weights`` line up with the clients.
+
+    Client 0 (tenant ``host1``) is the designated aggressor — the
+    builder only shapes the queue topology; the caller decides what
+    load each tenant offers (see :func:`repro.qos.run_qos`).
+
+    ``policy="off"`` leaves :class:`QosConfig` disabled so the run is
+    bit-identical to a seed-configured cluster; any other value enables
+    fetch arbitration with the given knobs.  ``throttle_window`` is
+    recorded in the config for :class:`repro.qos.AdmissionThrottle`;
+    the builder itself does not start the throttle process.
+    """
+    if policy not in QOS_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; "
+                         f"pick one of {QOS_POLICIES}")
+    n_tenants = 1 + n_bystanders
+    if n_tenants < 2:
+        raise ValueError("need at least one bystander")
+    if n_tenants > 16:
+        raise ValueError("a shared QP holds at most 16 tenants")
+    cfg = config or SimulationConfig()
+    sq_entries = window_entries * n_tenants
+    if sq_entries > cfg.nvme.max_queue_entries:
+        raise ValueError(
+            f"{n_tenants} windows x {window_entries} entries exceed "
+            f"the device's {cfg.nvme.max_queue_entries}-entry queues")
+    sharing = replace(cfg.sharing, enabled=True, reserved_qps=1,
+                      sq_entries=sq_entries,
+                      window_entries=window_entries)
+    qos = QosConfig(
+        enabled=policy != "off",
+        policy=policy if policy != "off" else "fifo",
+        quantum=quantum,
+        weights=weights,
+        throttle_window=throttle_window,
+    )
+    cfg = replace(cfg, sharing=sharing, qos=qos,
+                  nvme=replace(cfg.nvme, media=QOS_MEDIA))
+    return multihost(n_tenants, config=cfg, seed=seed,
+                     queue_depth=queue_depth, sharing="force",
+                     telemetry=telemetry, sanitizer=sanitizer)
+
+
+def chaos_cluster(n_clients: int = 4,
+                  plan: FaultPlan | None = None,
+                  config: SimulationConfig | None = None,
+                  seed: int | None = None,
+                  queue_depth: int = 8,
+                  queue_entries: int = 64,
+                  reliability: ReliabilityConfig | None = None,
+                  trace_categories: t.Collection[str] | None = None,
+                  telemetry: bool = False,
+                  sharing: str = "auto",
+                  sanitizer: bool = False) -> Rig:
+    """N remote clients sharing host0's controller, faults injectable.
+
+    Recovery is on (command timeouts + retries in the clients,
+    heartbeat liveness leases in the manager) and a shared
+    :class:`~repro.sim.Tracer` records the ``fault``/``recovery``
+    streams, so a run is auditable and — given the same ``(seed,
+    plan)`` — bit-identical across replays.  The injector is created
+    but **not started**; callers start it (and the workload) so nothing
+    fires before the cluster is fully up.
+    """
+    return build_rig(range(1, 1 + n_clients), label="chaos",
+                     config=config, seed=seed, queue_depth=queue_depth,
+                     sharing=sharing, telemetry=telemetry,
+                     sanitizer=sanitizer, faults=True, plan=plan,
+                     reliability=reliability,
+                     trace_categories=trace_categories,
+                     queue_entries=queue_entries)
+
+
+def cluster(n_clients: int = 8, n_devices: int = 2,
+            width: int = 1, replicas: int = 1,
+            stripe_lbas: int = 128, volume_lbas: int = 1 << 20,
+            config: SimulationConfig | None = None,
+            seed: int | None = None, queue_depth: int = 16,
+            sharing: str = "auto",
+            telemetry: bool = False, sanitizer: bool = False,
+            faults: bool = False, plan: FaultPlan | None = None,
+            reliability: ReliabilityConfig | None = None,
+            trace_categories: t.Collection[str] | None = None) -> Rig:
+    """N controllers in hosts ``0..n_devices-1``, clients behind them.
+
+    Every client host gets one volume, placed by the least-loaded
+    scheduler over ``width`` member devices with ``replicas`` copies
+    per chunk.  The same builder serves the perf path
+    (:func:`cluster_scale_out`) and the chaos path: ``faults=True``
+    threads the fault plumbing through every controller and link so a
+    device can be killed mid-run and failover observed.
+    """
+    if n_devices < 1:
+        raise ValueError("need at least one device")
+    if not 1 <= width <= n_devices:
+        raise ValueError(f"width {width} must be in [1, {n_devices}]")
+    # Placement balances equal-size volumes, so the per-device tenant
+    # count is the balanced share; widen the shared-QP reserve for it.
+    per_device = -(-n_clients * width // n_devices)
+    cfg = widen_sharing(config or SimulationConfig(), per_device)
+    return build_rig(range(n_devices, n_devices + n_clients),
+                     label="cluster", n_devices=n_devices,
+                     volumes={"width": width, "replicas": replicas,
+                              "stripe_lbas": stripe_lbas,
+                              "capacity_lbas": volume_lbas},
+                     config=cfg, seed=seed, queue_depth=queue_depth,
+                     sharing=sharing, telemetry=telemetry,
+                     sanitizer=sanitizer, faults=faults, plan=plan,
+                     reliability=reliability,
+                     trace_categories=trace_categories)
+
+
+def cluster_scale_out(n_clients: int = 64, n_devices: int = 4,
+                      width: int = 1, replicas: int = 1,
+                      config: SimulationConfig | None = None,
+                      seed: int | None = None, queue_depth: int = 16,
+                      telemetry: bool = False,
+                      sanitizer: bool = False) -> Rig:
+    """The aggregate-IOPS scenario: 64 clients spread over 4 devices.
+
+    With one device this degenerates to the PR-5 shared-QP cluster
+    (64 tenants on a 31-QP controller); with four, placement spreads
+    the same clients 16-per-device and the aggregate scales with the
+    added media and queue resources — the ratio
+    ``benchmarks/bench_cluster_scaling.py`` records and CI gates.
+    """
+    return cluster(n_clients=n_clients, n_devices=n_devices,
+                   width=width, replicas=replicas, config=config,
+                   seed=seed, queue_depth=queue_depth,
+                   telemetry=telemetry, sanitizer=sanitizer)

@@ -29,10 +29,8 @@ attribute/None check when disabled (the :class:`~repro.sim.Tracer`
 discipline); histograms/sampler/SLO are further opt-ins on a live hub
 (``enable_histograms`` / ``enable_sampler`` / ``enable_slo``).
 
-``run_scenario`` / ``run_slo`` and friends live in :mod:`.runner` and
-are loaded lazily here — the runner pulls in the scenario builders,
-which import the driver stack, which imports this package; importing it
-eagerly would make that cycle load-order sensitive.
+Instrumented runs are built from :class:`repro.run.RunSpec`
+(``observe={"spans", "slo"}``), not from this package.
 """
 
 from .hist import (DEFAULT_SUB_BITS, QUANTILES, HistogramError,
@@ -54,18 +52,7 @@ __all__ = [
     "MetricFamily", "MetricsError", "MetricsRegistry",
     "NULL_TELEMETRY", "NullTelemetry", "SeriesBank", "SloAlert",
     "SloEngine", "SloSpec", "SpanRecorder", "Telemetry",
-    "TelemetrySampler", "TelemetryRun", "TimeSeries",
-    "TELEMETRY_SCENARIOS", "SloRun",
-    "counter_events", "registry_to_prometheus", "run_scenario",
-    "run_slo", "span_events", "spans_to_perfetto",
+    "TelemetrySampler", "TimeSeries",
+    "counter_events", "registry_to_prometheus", "span_events",
+    "spans_to_perfetto",
 ]
-
-_LAZY = ("run_scenario", "TelemetryRun", "TELEMETRY_SCENARIOS",
-         "run_slo", "SloRun")
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import runner
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -131,18 +131,24 @@ class Telemetry:
                           if sub_bits is not None else LatencyHistograms())
         return self.hists
 
-    def enable_sampler(self, interval_ns: int = DEFAULT_INTERVAL_NS,
+    def enable_sampler(self, interval_ns: int | None = None,
                        capacity: int = DEFAULT_CAPACITY,
                        start: bool = True) -> TelemetrySampler:
         """Turn on the windowed time-series sampler with the default
         source set (component gauges/rates plus, when histograms are
-        enabled, windowed latency quantiles).  ``start=True`` begins
+        enabled, windowed latency quantiles).  ``interval_ns`` (default
+        1 ms) sticks even when ``enable_slo`` created the sampler first;
+        re-timing one that already ticks raises.  ``start=True`` begins
         ticking immediately; remember :meth:`TelemetrySampler.stop`
         before a queue-draining ``sim.run()``."""
         if self.sampler is None:
-            self.sampler = TelemetrySampler(self.sim, interval_ns, capacity)
+            self.sampler = TelemetrySampler(
+                self.sim, DEFAULT_INTERVAL_NS if interval_ns is None
+                else interval_ns, capacity)
             self.sampler.add_source(self._sample_components)
             self.sampler.add_source(self._sample_hists)
+        elif interval_ns is not None:
+            self.sampler.set_interval(interval_ns)
         if start:
             self.sampler.start()
         return self.sampler

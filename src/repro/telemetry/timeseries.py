@@ -137,14 +137,24 @@ class TelemetrySampler:
     def __init__(self, sim: "Simulator",
                  interval_ns: int = DEFAULT_INTERVAL_NS,
                  capacity: int = DEFAULT_CAPACITY) -> None:
-        if interval_ns <= 0:
-            raise ValueError(f"interval_ns must be positive: {interval_ns}")
         self.sim = sim
-        self.interval_ns = interval_ns
         self.bank = SeriesBank(capacity)
         self.ticks = 0
         self._sources: list[t.Callable[[SeriesBank, int], None]] = []
         self._proc: t.Any = None
+        self.set_interval(interval_ns)
+
+    def set_interval(self, interval_ns: int) -> None:
+        """Set the tick cadence; one that already produced (or is about
+        to produce) samples at another cadence cannot be re-timed."""
+        if interval_ns <= 0:
+            raise ValueError(f"interval_ns must be positive: {interval_ns}")
+        if (self._proc is not None or self.ticks) \
+                and interval_ns != self.interval_ns:
+            raise ValueError(
+                f"sampler already started at {self.interval_ns} ns; "
+                f"cannot re-time it to {interval_ns} ns")
+        self.interval_ns = interval_ns
 
     # -- wiring ------------------------------------------------------------
 

@@ -553,6 +553,33 @@ def test_ring_mechanics_live_in_the_queue_pair_core():
     assert strays == []
 
 
+def test_observers_and_faults_are_wired_in_the_rig_builder():
+    """Who watches or perturbs a cluster is decided in one place
+    (DESIGN.md): hubs, sanitizers, fault registries, injectors and
+    random plans are created — and another object's ``faults`` /
+    ``tracer`` retrofitted — only by ``scenarios/rig.py`` and the run
+    module.  Elsewhere only their defining modules and the deliberate
+    bug rigs of ``sanitizer/fixtures.py`` may name them; and under
+    ``scenarios/`` a manager and a client are each constructed once."""
+    root = pathlib.Path(repro.__file__).parent
+    tokens = re.compile(
+        r"\b(Telemetry|ShareSan|FaultPointRegistry|FaultInjector)\("
+        r"|FaultPlan\.random\("
+        r"|^\s*(?!self\.\w+ *=)[\w.\[\]]+\.(faults|tracer) *= ", re.M)
+    allowed = {"scenarios/rig.py", "run.py", "sanitizer/fixtures.py",
+               "telemetry/hub.py", "sanitizer/sanitizer.py",
+               "faults/registry.py", "faults/injector.py", "faults/plan.py"}
+    strays = [path.relative_to(root).as_posix()
+              for path in sorted(root.rglob("*.py"))
+              if tokens.search(path.read_text())]
+    assert sorted(set(strays) - allowed) == []
+    assert {"scenarios/rig.py", "run.py"} <= set(strays)
+    bring_up = "".join(path.read_text() for path in
+                       sorted((root / "scenarios").glob("*.py")))
+    assert bring_up.count("NvmeManager(") == 1
+    assert bring_up.count("DistributedNvmeClient(") == 1
+
+
 class TestTopologyValidation:
     def test_duplicate_host_rejected(self, env):
         sim, cluster, *_ = env

@@ -254,11 +254,13 @@ class TestNoRouteCacheEscapeHatch:
     @pytest.mark.parametrize("scenario", ["ours-remote", "chaos"])
     def test_exports_identical_with_and_without_cache(self, scenario,
                                                       monkeypatch):
-        from repro.telemetry.runner import run_scenario
+        from repro.run import RunSpec, run
 
         def exports():
-            run = run_scenario(scenario, ios=60, seed=13)
-            return run.perfetto_json(), run.prometheus_text()
+            done = run(RunSpec(
+                scenario, iodepth=4, ios=60, seed=13, observe={"spans"},
+                faults="random" if scenario == "chaos" else "none"))
+            return done.perfetto_json(), done.prometheus_text()
 
         cached = exports()
         monkeypatch.setenv("REPRO_NO_ROUTE_CACHE", "1")

@@ -23,8 +23,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.sanitizer import (DETECTORS, FIXTURES, NULL_SANITIZER,
                              NullSanitizer, ShareSan, build_report,
-                             render_json, render_text, run_scenario,
-                             selftest)
+                             render_json, render_text, selftest)
 from repro.faults import FaultPlan
 from repro.scenarios import chaos_cluster, scale_out_cluster
 from repro.sim import Simulator
@@ -156,10 +155,11 @@ class TestReport:
         assert "clean" in text
 
     def test_run_scenario_multihost_smoke(self):
-        run = run_scenario("multihost", ios=5, clients=2, seed=11)
-        assert run.scenario == "multihost"
-        assert run.clean, run.sanitizer.findings
-        report = run.report()
+        from repro.run import RunSpec, run
+        done = run(RunSpec("multihost", rw="randrw", iodepth=4, ios=5,
+                           clients=2, seed=11, observe={"sanitize"}))
+        assert done.sanitizer.clean, done.sanitizer.findings
+        report = done.sanitizer_report()
         assert report["scenario"] == "multihost"
         assert report["ios"] == 10          # 2 clients x 5 ios, no errors
         assert report["errors"] == 0

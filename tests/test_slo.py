@@ -9,6 +9,7 @@ exports across identical runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from repro.sim import Simulator
 from repro.telemetry import (HistogramError, LatencyHistograms,
                              LogHistogram, SeriesBank, SloEngine, SloSpec,
                              TelemetrySampler)
-from repro.telemetry.runner import run_slo
+from repro.run import RunSpec, run
 
 
 # --- histograms ----------------------------------------------------------
@@ -261,16 +262,24 @@ class TestSloEngine:
 KILL_WINDOW_NS = 3_000_000     # alert must fire within 3 ms of the kill
 
 
+def kill_run(observe=("spans", "slo"), **shape):
+    """Four tenants, the last device stalled for good 1 ms in, watched
+    for 6 ms (docs/observability.md)."""
+    return run(RunSpec("cluster", clients=4, rw="randrw", iodepth=4,
+                       ios=400, seed=7, faults="kill", observe=observe,
+                       **shape))
+
+
 @pytest.fixture(scope="module")
 def slo_run():
     """Default (width-1) run: the kill becomes a sustained error burn."""
-    return run_slo(seed=7)
+    return kill_run()
 
 
 @pytest.fixture(scope="module")
 def slo_run_replicated():
     """Replicated run: the kill becomes a failover latency spike."""
-    return run_slo(n_devices=3, width=2, replicas=2, seed=7)
+    return kill_run(devices=3, width=2, replicas=2)
 
 
 def _p99_peaks(run):
@@ -345,7 +354,7 @@ class TestDeviceKillAcceptance:
         assert len(drops) == 2
 
     def test_exports_are_byte_identical_across_runs(self, slo_run):
-        again = run_slo(seed=7)
+        again = kill_run()
         assert slo_run.timeseries_jsonl() == again.timeseries_jsonl()
         assert slo_run.slo_report_json() == again.slo_report_json()
         assert slo_run.prometheus_text() == again.prometheus_text()
@@ -372,37 +381,53 @@ class TestDeviceKillAcceptance:
 class TestZeroPerturbation:
     def test_instrumentation_leaves_model_bit_identical(self):
         # The tentpole determinism contract: the sampler adds timeout
-        # events but only ever *reads* state, so enabling histograms +
-        # sampler + SLO leaves every modeled result bit-identical.
-        def latencies(instrument: bool):
-            import repro.telemetry.runner as runner
-            from repro.faults import FaultEvent, FaultPlan
-            from repro.scenarios import cluster
-            from repro.workloads import FioJob, fio_generator
-            sc = cluster(n_clients=4, n_devices=2, width=1, replicas=1,
-                         seed=7, faults=True, telemetry=True,
-                         reliability=runner.SLO_RELIABILITY)
-            tele = sc.telemetry
-            if instrument:
-                tele.enable_histograms()
-                tele.enable_slo(runner.DEFAULT_SLO)
-                tele.enable_sampler(interval_ns=200_000)
-            sc.injector.plan = FaultPlan((FaultEvent(
-                1_000_000, "ctrl_stall", sc.ctrl_points()[-1],
-                duration_ns=0),))
-            sc.injector.start()
-            for i, vol in enumerate(sc.volumes):
-                sc.sim.process(fio_generator(
-                    vol, FioJob(name=f"t{i}", rw="randrw", bs=4096,
-                                iodepth=4, total_ios=400,
-                                seed_stream=f"slo{i}")))
-            sc.sim.run(until=sc.sim.timeout(6_000_000))
-            if instrument:
-                tele.sampler.stop()
-            return ([vol.latencies.values().tolist()
-                     for vol in sc.volumes],
-                    [vol.completed for vol in sc.volumes],
-                    [vol.errors for vol in sc.volumes],
-                    sc.sim.now)
+        # events but only ever *reads* state, ShareSan and the span
+        # marks likewise — so a run is I/O for I/O the same run with
+        # every observer on, whatever the rig and whatever goes wrong.
+        def model(done):
+            devices = done.rig.clients
+            return ([dev.latencies.values().tolist() for dev in devices],
+                    [dev.completed for dev in devices],
+                    [dev.errors for dev in devices], done.rig.sim.now)
 
-        assert latencies(False) == latencies(True)
+        for spec in (
+                RunSpec("cluster", clients=4, rw="randrw", iodepth=4,
+                        ios=400, seed=7, faults="kill"),
+                RunSpec("chaos", clients=3, rw="randrw", iodepth=4,
+                        ios=200, seed=42, faults="random"),
+                RunSpec("noisy", seed=7, horizon_ns=1_000_000)):
+            watched = run(dataclasses.replace(
+                spec, observe={"spans", "slo", "sanitize"}))
+            assert model(run(spec)) == model(watched), spec.scenario
+            assert watched.sanitizer.clean, watched.sanitizer.findings
+            assert watched.telemetry.sampler.ticks > 2
+            if spec.faults != "none":       # the faults did bite
+                assert sum(path.timeouts
+                           for path in watched.rig.subclients) > 0
+
+
+class TestSamplerInterval:
+    def test_interval_reaches_the_sampler_through_the_spec(self):
+        # At 65c7b56 enable_slo created the sampler at the hub's 1 ms
+        # and the later enable_sampler(interval_ns=...) returned it
+        # unchanged: every interval gave the same 1 ms time series.
+        def ticks(interval_ns):
+            done = run(RunSpec("cluster", clients=2, rw="randrw",
+                               iodepth=4, ios=100, seed=7,
+                               observe={"slo"}, horizon_ns=2_000_000,
+                               interval_ns=interval_ns))
+            sampler = done.telemetry.sampler
+            assert sampler.interval_ns == interval_ns
+            return sampler.ticks
+
+        assert ticks(200_000) == 11 and ticks(50_000) == 41
+
+    def test_call_order_cannot_matter(self):
+        from repro.telemetry import Telemetry
+        tele = Telemetry(Simulator(seed=1))
+        tele.enable_slo()
+        sampler = tele.enable_sampler(interval_ns=250_000)
+        assert sampler.interval_ns == 250_000
+        tele.enable_sampler()                       # no opinion: fine
+        with pytest.raises(ValueError, match="already started"):
+            tele.enable_sampler(interval_ns=100_000)

@@ -14,13 +14,14 @@ import json
 
 import pytest
 
+from repro import scenarios
 from repro.driver import BlockRequest
+from repro.run import RunSpec, run
 from repro.scenarios import build_fig10_scenario, ours_remote
 from repro.sim import Simulator, Tracer
 from repro.telemetry import (BOUNDARIES, STAGES, IoSpan, MetricsError,
                              MetricsRegistry, SpanRecorder,
-                             registry_to_prometheus, run_scenario,
-                             spans_to_perfetto)
+                             registry_to_prometheus, spans_to_perfetto)
 from repro.workloads import FioJob, run_fio
 
 
@@ -326,10 +327,37 @@ class TestInstrumentedScenarios:
         assert m.get("repro_ntb_link_up", adapter=ntb_name) == 1
         assert m.get("repro_ntb_bytes_total", adapter=ntb_name) > 0
 
+    @pytest.mark.parametrize("build", [
+        lambda: scenarios.ours_local(seed=8, telemetry=True),
+        lambda: scenarios.ours_remote(seed=8, telemetry=True),
+        lambda: scenarios.multihost(2, seed=8, telemetry=True),
+        lambda: scenarios.scale_out_cluster(2, seed=8, telemetry=True),
+        lambda: scenarios.noisy_neighbor(1, seed=8),
+        lambda: scenarios.chaos_cluster(2, seed=8, telemetry=True),
+        lambda: scenarios.cluster(2, seed=8, telemetry=True),
+        lambda: scenarios.cluster_scale_out(2, 2, seed=8, telemetry=True),
+    ], ids=["ours-local", "ours-remote", "multihost", "scale-out", "noisy",
+            "chaos", "cluster", "cluster-scale-out"])
+    def test_every_ntb_rig_exports_its_adapters(self, build):
+        # multihost() used to build its hub without ``ntbs=``, so it,
+        # scale_out_cluster, noisy_neighbor and every QoS export carried
+        # no repro_ntb_* series at all.
+        rig = build()
+        run_fio(rig.clients[-1], FioJob(rw="randread", total_ios=5))
+        m = rig.telemetry.collect()
+        for ntb in rig.testbed.ntbs:
+            assert m.get("repro_ntb_link_up", adapter=ntb.name) == 1
+        remote = rig.testbed.ntbs[-1].name
+        assert "repro_ntb_" in rig.telemetry.prometheus_text()
+        if rig.label != "ours-local":       # its I/O never leaves host0
+            assert m.get("repro_ntb_bytes_total", adapter=remote) > 0
+
 
 class TestChaosDeterminism:
     def test_chaos_exports_are_byte_identical(self):
-        runs = [run_scenario("chaos", ios=40, seed=11, n_clients=2)
+        runs = [run(RunSpec("chaos", rw="randrw", iodepth=4, ios=40,
+                            seed=11, clients=2, faults="random",
+                            observe={"spans"}))
                 for _ in range(2)]
         a, b = runs
         assert a.perfetto_json() == b.perfetto_json()
@@ -418,7 +446,8 @@ class TestClusterMetricsContract:
 
     def test_single_manager_hub_stays_unlabeled(self):
         # The historical contract: one manager -> no device_id label.
-        tr = run_scenario("chaos", ios=20, seed=11, n_clients=2)
+        tr = run(RunSpec("chaos", ios=20, seed=11, clients=2,
+                         observe={"spans"}))
         snap = tr.telemetry.collect().snapshot()
         labels = [s["labels"]
                   for s in snap["repro_manager_rpcs_total"]["series"]]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.driver import (ClientError, DistributedNvmeClient, NvmeManager)
+from repro.faults import FaultPlan
 from repro.memory import OutOfSpace
 from repro.pcie import NtbError
 from repro.scenarios.testbed import LocalTestbed, PcieTestbed, RdmaTestbed
@@ -144,3 +145,29 @@ class TestLocalTestbed:
         path = bed.cluster.path(bed.host.rc, bed.nvme.node)
         assert len(path) == 2      # RC -> endpoint, no switches
         assert bed.nvme.regs.cap & 0xFFFF == 1023
+
+
+
+class TestNoSilentlyDroppedArguments:
+    """At 65c7b56 ``cluster()`` applied ``reliability=`` only under
+    ``faults=True`` and dropped ``plan=`` / ``trace_categories=``
+    without it: ``repro slo --no-kill`` and both arms of
+    bench_slo_overhead.py ran with timeouts, heartbeats and leases off
+    while claiming the SLO profile."""
+
+    def test_reliability_is_plain_config(self):
+        from repro.run import SLO_RELIABILITY
+        from repro.scenarios import cluster
+        rig = cluster(n_clients=2, n_devices=2,
+                      reliability=SLO_RELIABILITY)
+        assert rig.testbed.config.reliability == SLO_RELIABILITY
+        assert all(path.config.reliability.command_timeout_ns == 500_000
+                   for path in rig.subclients)
+        assert rig.injector is None and rig.tracer is None
+
+    @pytest.mark.parametrize("dropped", [
+        {"plan": FaultPlan(())}, {"trace_categories": {"fault"}}])
+    def test_fault_arguments_need_faults(self, dropped):
+        from repro.scenarios import cluster
+        with pytest.raises(ValueError, match="faults=True"):
+            cluster(n_clients=1, n_devices=1, **dropped)
