@@ -73,6 +73,9 @@ class SpdkTarget:
         self._next_qid = 1
         self._started = False
         self.commands_served = 0
+        #: SENDs that did not unpack as a command capsule (dropped: there
+        #: is no cid to answer under)
+        self.malformed_capsules = 0
 
     # -- bring-up ------------------------------------------------------------
 
@@ -172,9 +175,18 @@ class SpdkTarget:
     def _handle_capsule(self, conn: _Connection, buf_addr: int,
                         length: int) -> t.Generator:
         raw = self.host.memory.read(buf_addr, length)
-        capsule = CommandCapsule.unpack(raw)
+        try:
+            capsule = CommandCapsule.unpack(raw)
+        except ValueError:
+            self.malformed_capsules += 1
+            return
         yield self.sim.timeout(self.config.nvmeof.target_process_ns)
         sqe = capsule.sqe
+        if sqe.cid in conn.inflight:
+            # Taking it would orphan the first command's context, and
+            # with it that command's data slot.
+            yield from self._refuse(conn, sqe.cid, Status.CID_CONFLICT)
+            return
         if not conn.slots:
             # No free data slot: initiator exceeded the negotiated depth.
             yield from self._refuse(conn, sqe.cid, Status.INTERNAL_ERROR)

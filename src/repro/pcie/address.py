@@ -42,7 +42,7 @@ class AddressMap:
         self.name = name
         self._bases: list[int] = []
         self._mappings: list[Mapping] = []
-        #: bumped on every add/remove; route caches validate against it
+        #: bumped on every add/remove; flow records validate against it
         self.version = 0
 
     def add(self, base: int, size: int, target: t.Any,

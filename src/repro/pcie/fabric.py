@@ -19,21 +19,29 @@ posted writes on the same initiator->destination flow is enforced with a
 monotonic-arrival clamp, so an SQE write always lands before the doorbell
 write that follows it.
 
-**Route cache.**  Queue slots, doorbells and bounce-buffer partitions are
-hit with the same ``(host, addr, length)`` triples millions of times per
-run, and each uncached hit re-walks the address map and re-allocates a
-:class:`Resolution`.  ``resolve()`` therefore memoizes successful walks.
+**Flow records.**  Queue slots, doorbells and bounce-buffer partitions
+are hit by the same initiator with the same ``(host, addr, length)``
+millions of times per run, and nothing such a TLP needs ever changes
+between remaps.  Each transaction therefore makes *one* probe, for its
+flow's :class:`_Flow` (one table for posted writes, one for non-posted
+reads): the :class:`Resolution`, the hold plan(s), the hop latency split
+into a fixed part (NTB translation and target write service folded in)
+and the streams it draws from, and the posted-ordering clamp cell.
 Correctness contract (see docs/performance.md):
 
-* entries are validated on every hit against the ``version`` of each
-  :class:`~repro.pcie.address.AddressMap` consulted and the
-  ``lut_version`` of each NTB traversed — remaps rebuild the entry;
+* a record is validated on every hit, in this order: the
+  :class:`~repro.pcie.topology.Cluster` ``version`` (``connect()``), the
+  ``version`` of each :class:`~repro.pcie.address.AddressMap` consulted,
+  the ``lut_version`` of each NTB traversed — any mismatch rebuilds it
+  through the walk (:meth:`Fabric.resolve`);
 * ``link_up`` is checked *live* per crossing in traversal order, and the
   per-NTB ``translations``/``bytes_forwarded`` counters are replayed in
-  that same order, so a hit is byte-identical to the uncached walk even
-  mid-fault (fault-registry link events flip ``link_up`` directly);
-* ``REPRO_NO_ROUTE_CACHE=1`` disables the cache entirely (escape hatch,
-  read at Fabric construction).
+  that same order, so a hit is byte-identical to the walk even mid-fault
+  (fault-registry link events flip ``link_up`` directly);
+* a record holds *which* draw streams a leg consults, never a value, and
+  never ``faults`` or the tracer: both are read per TLP;
+* ``REPRO_NO_ROUTE_CACHE=1`` keeps no record (escape hatch, read at
+  Fabric construction): every TLP walks and builds its own.
 """
 
 from __future__ import annotations
@@ -63,19 +71,17 @@ class _PostedWrite(Event):
     issue or, when a link was busy, by :meth:`_held` once the hold
     started from the boot event has the links — callbacks, no process."""
 
-    __slots__ = ("fabric", "res", "addr", "data", "path", "plan", "boot",
-                 "initiator", "host")
+    __slots__ = ("fabric", "flow", "addr", "data", "boot")
 
     def _held(self, _fill: Event) -> None:
         # hot-path: links held and pipe filled
         sim = self.sim
-        sim._push(self, self.fabric._arrival(
-            self.initiator, self.host, self.res, self.path, 0) - sim._now)
+        sim._push(self, self.fabric._arrival(self.flow) - sim._now)
 
     def _deliver(self, _self: Event) -> None:
         # hot-path
         fabric = self.fabric
-        res = self.res
+        res = self.flow.res
         if fabric._trace or res.kind != "mem":
             fabric._finish_local_write(res, self.data, self.addr)
         else:
@@ -92,7 +98,8 @@ class FabricFaultError(Exception):
     """A non-posted transaction ended in a completion timeout because a
     fault point on its path was down or dropped the TLP.  Raised to the
     initiator *after* ``PcieConfig.completion_timeout_ns`` has elapsed,
-    mirroring real completion-timeout semantics."""
+    mirroring real completion-timeout semantics.  Inside the fabric it
+    also carries the point from the probe to a posted write's drop."""
 
     def __init__(self, point: str, addr: int) -> None:
         super().__init__(f"completion timeout at {point} (addr {addr:#x})")
@@ -114,18 +121,22 @@ class Resolution:
     offset: int = 0              # … or offset within the BAR (mmio)
 
 
-class _RouteEntry:
-    """One cached resolve() outcome with its invalidation guards."""
+class _Flow:
+    """Everything a TLP from one initiator to one ``(host, addr,
+    length)`` needs (module docstring); a read's also has the way back."""
 
-    __slots__ = ("res", "map_guards", "ntb_guards")
-
-    def __init__(self, res: Resolution,
-                 map_guards: tuple, ntb_guards: tuple) -> None:
-        self.res = res
-        #: ((AddressMap, version-at-build), ...) in walk order
-        self.map_guards = map_guards
-        #: ((NtbFunction, lut_version-at-build), ...) in walk order
-        self.ntb_guards = ntb_guards
+    __slots__ = (
+        "topo",         # Cluster.version at build
+        "res",
+        "map_guards",   # ((AddressMap, version-at-build), ...) in walk order
+        "ntb_guards",   # ((NtbFunction, lut_version-at-build), ...) likewise
+        "ends",         # (first, final) host name: the fault points crossed
+        "plan",         # HoldPlan of the way there, () with nothing to hold
+        "fixed",        # its latency but for the draws (write: to delivery)
+        "draws",        # (_BufferedDraw, ...), one per switch chip crossed
+        "clamp",        # write: [last arrival], shared per (initiator, host)
+        "service",      # read: the target's read latency
+        "rplan", "rfixed", "rdraws")    # read: the completion's way back
 
 
 class Fabric:
@@ -137,9 +148,6 @@ class Fabric:
         self.cluster = cluster
         self.config = config
         self.tracer = tracer
-        # Posted-ordering clamp: (initiator node, final host) -> last
-        # arrival time of a posted write on that flow.
-        self._posted_clamp: dict[tuple[Node, Host], int] = {}
         #: optional FaultPointRegistry consulted on every transaction;
         #: None keeps the fault-free hot path branch-light.
         self.faults = None
@@ -150,16 +158,15 @@ class Fabric:
         self.read_bytes = 0
         self.dropped_writes = 0
         self.timed_out_reads = 0
-        # (host, addr, length) -> _RouteEntry; None when disabled.
-        self._route_cache: dict[tuple, _RouteEntry] | None = (
-            None if os.environ.get("REPRO_NO_ROUTE_CACHE") == "1" else {})
+        # (initiator, host, addr, length) -> _Flow: posted writes, reads.
+        self._flows: tuple[dict, dict] = ({}, {})
+        self._memo = os.environ.get("REPRO_NO_ROUTE_CACHE") != "1"
+        # Posted-ordering clamp: (initiator node, final host) -> [last
+        # arrival time of a posted write on that flow]; the cell is
+        # shared by every write record of the pair (SQE store, doorbell).
+        self._clamps: dict[tuple[Node, Host], list[int]] = {}
         # (path, wire_bytes) -> HoldPlan | ()
         self._occupy_plans: dict[tuple, HoldPlan | tuple] = {}
-        # payload-length -> bytes_on_wire, per TLP category (pure
-        # functions of the frozen config, so plain int memoization).
-        self._write_wire: dict[int, int] = {}
-        self._read_req_wire: dict[int, int] = {}
-        self._cpl_wire: dict[int, int] = {}
 
     @property
     def tracer(self):
@@ -176,31 +183,14 @@ class Fabric:
 
     def resolve(self, host: Host, addr: int, length: int) -> Resolution:
         """Walk ``addr`` in ``host``'s space through NTB windows until it
-        lands on DRAM or a device BAR (memoized; see module docstring)."""
-        # hot-path
-        cache = self._route_cache
-        if cache is not None:
-            entry = cache.get((host, addr, length))
-            if entry is not None:
-                for amap, version in entry.map_guards:
-                    if amap.version != version:
-                        break
-                else:
-                    for fn, lut_version in entry.ntb_guards:
-                        if fn.lut_version != lut_version:
-                            break
-                    else:
-                        # Guards valid: replay the walk's observable side
-                        # effects exactly — per crossing in order, check
-                        # the live link first (NtbFunction.translate
-                        # raises *before* bumping its own counters).
-                        for fn, _v in entry.ntb_guards:
-                            if not fn.link_up:
-                                raise NtbLinkDown(fn.name)
-                            fn.translations += 1
-                            fn.bytes_forwarded += length
-                        return entry.res
-        orig_key = (host, addr, length)
+        lands on DRAM or a device BAR."""
+        return self._walk(host, addr, length).res
+
+    def _walk(self, host: Host, addr: int, length: int) -> _Flow:
+        """:meth:`resolve` into a new record: ``res``, the guards and
+        ``ends``.  The NTBs count the crossings themselves."""
+        flow = _Flow()
+        first = host.name
         crossings = 0
         map_guards: list[tuple] = []
         ntb_guards: list[tuple] = []
@@ -210,11 +200,9 @@ class Fabric:
             mapping = amap.lookup(addr, length)
             target = mapping.target
             if isinstance(target, HostMemory):
-                # One construction per cache miss; every hit returns it.
-                # staticcheck: ignore[hotpath-alloc] miss path, built once per key
-                res = Resolution(kind="mem", host=host, node=host.rc,
-                                 crossings=crossings, memory=target,
-                                 addr=addr)
+                flow.res = Resolution(kind="mem", host=host, node=host.rc,
+                                      crossings=crossings, memory=target,
+                                      addr=addr)
                 break
             if isinstance(target, Bar):
                 fn = target.function
@@ -228,24 +216,105 @@ class Fabric:
                     crossings += 1
                     continue
                 assert fn.node is not None and fn.host is not None
-                # staticcheck: ignore[hotpath-alloc] miss path, built once per key
-                res = Resolution(kind="mmio", host=fn.host, node=fn.node,
-                                 crossings=crossings, bar=target,
-                                 offset=target.offset_of(addr))
+                flow.res = Resolution(kind="mmio", host=fn.host,
+                                      node=fn.node, crossings=crossings,
+                                      bar=target,
+                                      offset=target.offset_of(addr))
                 break
             raise AddressError(
                 f"unroutable target {target!r} at {addr:#x}")
-        if cache is not None:
-            cache[orig_key] = _RouteEntry(res, tuple(map_guards),
-                                          tuple(ntb_guards))
-        return res
+        flow.map_guards = tuple(map_guards)
+        flow.ntb_guards = tuple(ntb_guards)
+        flow.ends = (first, flow.res.host.name)
+        return flow
+
+    def _flow(self, read: bool, initiator: Node, host: Host, addr: int,
+              length: int) -> _Flow:
+        """The one probe of a transaction: its flow's record, validated
+        (module docstring) and with the walk's NTB side effects replayed
+        — or walked and built, where there is none or it is stale — then
+        the fault draws.  Raises :class:`FabricFaultError` naming the
+        severed adapter or fault point that swallows the TLP."""
+        # hot-path
+        flows = self._flows[read]
+        key = (initiator, host, addr, length)
+        flow = flows.get(key)
+        if flow is not None and flow.topo != self.cluster.version:
+            flow = None
+        if flow is not None:
+            for amap, version in flow.map_guards:
+                if amap.version != version:
+                    flow = None
+                    break
+            else:
+                for fn, lut_version in flow.ntb_guards:
+                    if fn.lut_version != lut_version:
+                        flow = None
+                        break
+                else:
+                    # Guards valid: replay the walk's observable side
+                    # effects exactly — per crossing in order, check
+                    # the live link first (NtbFunction.translate
+                    # raises *before* bumping its own counters).
+                    for fn, _v in flow.ntb_guards:
+                        if not fn.link_up:
+                            raise FabricFaultError(fn.name, addr)
+                        fn.translations += 1
+                        fn.bytes_forwarded += length
+        if flow is None:
+            try:
+                flow = self._build_flow(read, initiator, host, addr, length)
+            except NtbLinkDown as down:
+                raise FabricFaultError(down.point, addr) from None
+            if self._memo:
+                flows[key] = flow
+        faults = self.faults
+        if faults is not None:
+            # link_blocked before tlp_dropped: the latter draws.
+            point = (faults.link_blocked(*flow.ends)
+                     or faults.tlp_dropped(self.sim.rng, *flow.ends))
+            if point is not None:
+                raise FabricFaultError(point, addr)
+        return flow
+
+    def _build_flow(self, read: bool, initiator: Node, host: Host,
+                    addr: int, length: int) -> _Flow:
+        """Walk, then derive what the record caches from the path."""
+        cfg = self.config
+        cluster = self.cluster
+        flow = self._walk(host, addr, length)
+        flow.topo = cluster.version
+        res = flow.res
+        mem = res.kind == "mem"
+        path = cluster.path(initiator, res.node)
+        fixed, flow.draws = cluster.hop_plan(path)
+        fixed += res.crossings * cfg.ntb_translation_ns
+        if read:
+            # Request leg: headers only; the data flows back.
+            flow.plan = self._hold_plan(
+                path, read_request_cost(length, cfg).bytes_on_wire)
+            flow.service = (cfg.memory_read_latency_ns if mem
+                            else cfg.device_mmio_read_ns)
+            rpath = path[::-1]
+            flow.rplan = self._hold_plan(
+                rpath, completion_cost(length, cfg).bytes_on_wire)
+            flow.rfixed, flow.rdraws = cluster.hop_plan(rpath)
+        else:
+            flow.plan = self._hold_plan(
+                path, write_cost(length, cfg).bytes_on_wire)
+            fixed += (cfg.memory_write_latency_ns if mem
+                      else cfg.device_mmio_write_ns)
+            flow.clamp = self._clamps.setdefault((initiator, res.host), [0])
+        flow.fixed = fixed
+        return flow
 
     # -- link occupancy -----------------------------------------------------------
 
     def _hold_plan(self, path: tuple[Node, ...], wire_bytes: int):
         """Occupancy of the links on the path for the transfer
         (cut-through): a :class:`~repro.sim.HoldPlan`, ``()`` when there
-        is nothing to hold.  Memoized: the topology is static.
+        is nothing to hold.  One per ``(path, wire_bytes)``, whichever
+        flows share it: the plan owns its release timers.
 
         Links are acquired in a canonical global order (deadlock-free);
         each link is then held for *its own* serialization time — a
@@ -256,13 +325,11 @@ class Fabric:
         fill time, ``plan.fill``).  Free links are claimed by count, no
         grant event (the dominant case by far); busy ones queue FIFO.
         """
-        # hot-path
         plan = self._occupy_plans.get((path, wire_bytes))
         if plan is None:
             trips = self.cluster.links_on(path)
             plan = ()
             if trips and wire_bytes > 0:
-                # staticcheck: ignore[hotpath-alloc] miss path, built once per key
                 plan = HoldPlan(self.sim, [
                     (link.resource(a, b),
                      serialize_ns(wire_bytes, link.bandwidth))
@@ -284,74 +351,40 @@ class Fabric:
         # hot-path
         if type(data) is not bytes:
             data = bytes(data)
-        issue = self._issue_write(initiator, host, addr, len(data), None)
-        if issue is None:
-            return
-        res, path, plan = issue
-        if plan:
-            yield plan.hold()
-        sim = self.sim
-        yield sim.sleep(
-            self._arrival(initiator, host, res, path, 0) - sim._now)
-        self._finish_local_write(res, data, addr)
-
-    def _issue_write(self, initiator: Node, host: Host, addr: int,
-                     length: int, after: _PostedWrite | None):
-        """Shared posted-write issue logic: resolve, fault coin flips,
-        accounting, then path and occupancy plan (those of ``after``,
-        the burst's previous TLP, if node and size match).  Returns
-        ``(res, path, plan)``, or None when the write was dropped."""
-        # hot-path
+        length = len(data)
         try:
-            res = self.resolve(host, addr, length)
-        except NtbLinkDown as down:
-            # Posted semantics: the write vanishes silently at the
-            # severed adapter; the initiator never learns.
-            self._drop_write(down.point, addr, length)
-            return None
-        faults = self.faults
-        if faults is not None:
-            point = (faults.link_blocked(host.name, res.host.name)
-                     or faults.tlp_dropped(self.sim.rng, host.name,
-                                           res.host.name))
-            if point is not None:
-                self._drop_write(point, addr, length)
-                return None
+            flow = self._flow(False, initiator, host, addr, length)
+        except FabricFaultError as lost:
+            self._drop_write(lost.point, addr, length)
+            return
         self.posted_writes += 1
         self.posted_bytes += length
-        if (after is not None and after.res.node is res.node
-                and len(after.data) == length):
-            return res, after.path, after.plan
-        path = self.cluster.path(initiator, res.node)
-        wire = self._write_wire.get(length)
-        if wire is None:
-            wire = write_cost(length, self.config).bytes_on_wire
-            self._write_wire[length] = wire
-        return res, path, self._hold_plan(path, wire)
+        if flow.plan:
+            yield flow.plan.hold()
+        sim = self.sim
+        yield sim.sleep(self._arrival(flow) - sim._now)
+        self._finish_local_write(flow.res, data, addr)
 
-    def _arrival(self, initiator: Node, host: Host, res: Resolution,
-                 path: tuple, fill: int) -> int:
-        """Delivery instant of a posted write whose links are held as of
-        now (``fill``: pipe-fill time still to elapse), with the
-        posted-ordering clamp applied."""
+    def _arrival(self, flow: _Flow) -> int:
+        """Delivery instant of a posted write whose links are held and
+        whose pipe has filled as of now, with the posted-ordering clamp
+        applied."""
         # hot-path
-        cfg = self.config
-        latency = fill + self.cluster.hop_latency(path)
-        if res.crossings:
-            latency += res.crossings * cfg.ntb_translation_ns
+        latency = flow.fixed
+        for draw in flow.draws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
         faults = self.faults
         if faults is not None:
-            latency += faults.tlp_delay_ns(host.name, res.host.name)
-        if res.kind == "mem":
-            latency += cfg.memory_write_latency_ns
-        else:
-            latency += cfg.device_mmio_write_ns
+            latency += faults.tlp_delay_ns(*flow.ends)
         arrival = self.sim._now + latency
-        key = (initiator, res.host)
-        prior = self._posted_clamp.get(key, 0)
-        if arrival < prior:
-            arrival = prior  # posted ordering: never pass an earlier write
-        self._posted_clamp[key] = arrival
+        clamp = flow.clamp
+        if arrival < clamp[0]:
+            return clamp[0]  # posted ordering: never pass an earlier write
+        clamp[0] = arrival
         return arrival
 
     def _finish_local_write(self, res: Resolution, data: bytes,
@@ -369,6 +402,8 @@ class Fabric:
                              size=len(data), crossings=res.crossings)
 
     def _drop_write(self, point: str, addr: int, size: int) -> None:
+        """Posted semantics: the write vanishes silently at the severed
+        adapter or lossy point; the initiator never learns."""
         self.dropped_writes += 1
         self.tracer.emit("fault", "write-dropped", point=point, addr=addr,
                          size=size)
@@ -386,15 +421,19 @@ class Fabric:
         # hot-path: with every link on the path free the whole issue runs
         # inline — no boot, no grant events.  A contended issue queues for
         # the links from a boot event at this instant (where a spawned
-        # process would start), *after* the side-effecting steps (resolve,
-        # fault draws, accounting) have run exactly once.
+        # process would start), *after* the side-effecting steps (the
+        # probe's replay, fault draws, accounting) have run exactly once.
         if type(data) is not bytes:
             data = bytes(data)
-        sim = self.sim
-        issue = self._issue_write(initiator, host, addr, len(data), after)
-        if issue is None:
+        length = len(data)
+        try:
+            flow = self._flow(False, initiator, host, addr, length)
+        except FabricFaultError as lost:
+            self._drop_write(lost.point, addr, length)
             return _TICKET
-        res, path, plan = issue
+        self.posted_writes += 1
+        self.posted_bytes += length
+        sim = self.sim
         tlp = _PostedWrite.__new__(_PostedWrite)
         tlp.sim = sim
         tlp.callbacks = [tlp._deliver]
@@ -403,35 +442,48 @@ class Fabric:
         tlp._processed = False
         tlp._defused = False
         tlp.fabric = self
-        tlp.res = res
+        tlp.flow = flow
         tlp.addr = addr
         tlp.data = data
-        tlp.path = path
-        tlp.plan = plan
         tlp.boot = boot = None if after is None else after.boot
+        plan = flow.plan
         if not plan:
             fill = 0
         elif plan.take() is not None:
             fill = plan.fill
         else:
-            tlp.initiator = initiator
-            tlp.host = host
             if boot is None:
                 tlp.boot = boot = Event(sim)
                 sim._push(boot, 0, URGENT)
             plan.hold(boot).callbacks.append(tlp._held)
             return tlp
-        sim._push(tlp, self._arrival(initiator, host, res, path, fill)
-                  - sim._now)
+        # :meth:`_arrival` with the pipe still to fill, inline (its one
+        # call would be a tenth of what an uncontended issue makes).
+        latency = fill + flow.fixed
+        for draw in flow.draws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
+        faults = self.faults
+        if faults is not None:
+            latency += faults.tlp_delay_ns(*flow.ends)
+        clamp = flow.clamp
+        prior = clamp[0] - sim._now
+        if latency < prior:
+            latency = prior  # posted ordering: never pass an earlier write
+        else:
+            clamp[0] = sim._now + latency
+        sim._push(tlp, latency)
         return tlp
 
     def post_writes(self, initiator: Node, host: Host,
                     segments: t.Iterable[tuple[int, bytes]]) -> None:
         """A burst of posted writes issued at one instant, in order (a
         DMA train): a :meth:`post_write` per ``(addr, data)`` segment,
-        each handed its predecessor, so that segments to one node share
-        the path and plan lookups and those that must queue share a boot
-        event (docs/performance.md, "Order preservation")."""
+        each handed its predecessor, so that those that must queue share
+        a boot event (docs/performance.md, "Order preservation")."""
         # hot-path
         after = None
         for addr, data in segments:
@@ -451,44 +503,34 @@ class Fabric:
         if length <= 0:
             raise ValueError("read length must be positive")
         try:
-            res = self.resolve(host, addr, length)
-        except NtbLinkDown as down:
-            yield from self._read_timeout(down.point, addr)
-        sim = self.sim
-        cfg = self.config
+            flow = self._flow(True, initiator, host, addr, length)
+        except FabricFaultError as lost:
+            yield from self._read_timeout(lost.point, addr)
         faults = self.faults
-        if faults is not None:
-            point = (faults.link_blocked(host.name, res.host.name)
-                     or faults.tlp_dropped(sim.rng, host.name,
-                                           res.host.name))
-            if point is not None:
-                yield from self._read_timeout(point, addr)
-        path = self.cluster.path(initiator, res.node)
         self.reads += 1
         self.read_bytes += length
+        sim = self.sim
 
         # Request leg (headers only).
-        wire = self._read_req_wire.get(length)
-        if wire is None:
-            wire = read_request_cost(length, cfg).bytes_on_wire
-            self._read_req_wire[length] = wire
-
-        plan = self._hold_plan(path, wire)
-        if plan:
-            yield plan.hold()
-        req_latency = self.cluster.hop_latency(path)
-        if res.crossings:
-            req_latency += res.crossings * cfg.ntb_translation_ns
+        if flow.plan:
+            yield flow.plan.hold()
+        latency = flow.fixed
+        for draw in flow.draws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
         if faults is not None:
-            req_latency += faults.tlp_delay_ns(host.name, res.host.name)
-        yield sim.sleep(req_latency)
+            latency += faults.tlp_delay_ns(*flow.ends)
+        yield sim.sleep(latency)
 
         # Target service + data fetch.
+        yield sim.sleep(flow.service)
+        res = flow.res
         if res.kind == "mem":
-            yield sim.sleep(cfg.memory_read_latency_ns)
             data = res.memory.read(res.addr, length)
         else:
-            yield sim.sleep(cfg.device_mmio_read_ns)
             data = res.bar.function.mmio_read(res.bar, res.offset,
                                               length)
             if len(data) != length:
@@ -497,16 +539,16 @@ class Fabric:
                     f"bytes for a {length}-byte read")
 
         # Completion leg (data flows back).
-        rpath = tuple(reversed(path))
-        wire = self._cpl_wire.get(length)
-        if wire is None:
-            wire = completion_cost(length, cfg).bytes_on_wire
-            self._cpl_wire[length] = wire
-        plan = self._hold_plan(rpath, wire)
-        if plan:
-            yield plan.hold()
-        cpl_latency = self.cluster.hop_latency(rpath)
-        yield sim.sleep(cpl_latency)
+        if flow.rplan:
+            yield flow.rplan.hold()
+        latency = flow.rfixed
+        for draw in flow.rdraws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
+        yield sim.sleep(latency)
         if self._trace:
             self.tracer.emit("pcie", "read-complete", addr=addr,
                              size=length, crossings=res.crossings)

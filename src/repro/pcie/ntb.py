@@ -66,7 +66,7 @@ class NtbFunction(PCIeFunction):
         #: cable state; toggled by fault injection (``link:<host>``)
         self.link_up = True
         self.link_transitions = 0
-        #: bumped on every map/unmap; route caches validate against it
+        #: bumped on every map/unmap; flow records validate against it
         self.lut_version = 0
         #: accounting: successful LUT translations and bytes forwarded
         self.translations = 0

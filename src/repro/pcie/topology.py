@@ -40,9 +40,11 @@ class _BufferedDraw:
     values, in the same order, as the scalar calls it replaces — at ~1/40th
     the per-draw cost.  One instance per stream is shared by every hop
     plan referencing that chip, so the globally served sequence matches
-    what per-call scalar draws in ``hop_latency`` order would produce.
+    what per-call scalar draws in traversal order would produce.
     The batch is converted to Python ints up front: latencies must stay
     plain ``int`` (numpy scalars would leak into heap keys and exports).
+    A consumer adds ``buf[pos]`` and steps ``pos``; the ``IndexError``
+    past the batch's end is its cue to :meth:`refill`.
     """
 
     __slots__ = ("gen", "lo", "hi", "buf", "pos")
@@ -55,6 +57,13 @@ class _BufferedDraw:
         self.hi = hi              # exclusive, mirroring uniform_ns
         self.buf: list[int] = []
         self.pos = 0
+
+    def refill(self) -> int:
+        """Fetch the next batch and serve its first value."""
+        self.buf = self.gen.integers(self.lo, self.hi,
+                                     size=self.BATCH).tolist()
+        self.pos = 1
+        return self.buf[0]
 
 
 class Node:
@@ -154,18 +163,13 @@ class Cluster:
         self.hosts: dict[str, Host] = {}
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
+        #: bumped by :meth:`connect`: whatever was derived from the graph
+        #: (the fabric's flow records) is stale once it differs.
+        self.version = 0
         self._paths: dict[tuple[Node, Node], tuple[Node, ...]] = {}
-        # Per-path latency plans: (fixed_ns, (_BufferedDraw, ...)).  Plans
-        # cache which streams to draw from, never *which value comes next*
-        # — each draw still advances its stream exactly once per traversed
-        # chip, in hop_latency call order, so RNG consumption is identical
-        # with and without the cache.
-        self._hop_plans: dict[tuple[Node, ...], tuple] = {}
-        self._links_plans: dict[tuple[Node, ...],
-                                tuple[tuple[Link, Node, Node], ...]] = {}
         # Per-switch-stream batched draws, shared across all hop plans so
         # the globally served sequence per stream is exactly what scalar
-        # ``integers`` calls in hop_latency order would have produced.
+        # ``integers`` calls in traversal order would have produced.
         # Survives ``connect()`` — clearing it would skip prefetched
         # values and diverge from the scalar draw order.
         self._draw_buffers: dict[str, "_BufferedDraw"] = {}
@@ -199,9 +203,8 @@ class Cluster:
         a.neighbors[b] = link
         b.neighbors[a] = link
         self.links.append(link)
+        self.version += 1
         self._paths.clear()
-        self._hop_plans.clear()
-        self._links_plans.clear()
         return link
 
     def _register(self, node: Node) -> None:
@@ -240,34 +243,19 @@ class Cluster:
         self._paths[(dst, src)] = tuple(chain)
         return result
 
-    def hop_latency(self, path: tuple[Node, ...]) -> int:
-        """One-way traversal latency of the intermediate nodes of a path.
-
-        Each switch chip draws uniformly from the paper's 100-150 ns
-        band; root complexes add their fixed traversal cost.  Endpoint
-        nodes at the extremes contribute nothing here (their service
-        costs are accounted by the target handler).
-        """
-        # hot-path
-        plan = self._hop_plans.get(path)
-        if plan is None:
-            plan = self._build_hop_plan(path)
-            self._hop_plans[path] = plan
-        total, draws = plan
-        for d in draws:
-            pos = d.pos
-            if pos == len(d.buf):
-                d.buf = d.gen.integers(d.lo, d.hi, size=d.BATCH).tolist()
-                pos = 0
-            total += d.buf[pos]
-            d.pos = pos + 1
-        return total
-
-    def _build_hop_plan(self, path: tuple[Node, ...]) -> tuple:
-        """Split a path's latency into its fixed part and the RNG draws
-        it performs, mirroring :meth:`RngRegistry.uniform_ns` exactly
-        (a degenerate lo==hi band folds into the fixed part with no
-        draw, just as ``uniform_ns`` short-circuits without one)."""
+    def hop_plan(self, path: tuple[Node, ...]) -> tuple:
+        """One-way traversal latency of the intermediate nodes of a
+        path, split as ``(fixed_ns, (_BufferedDraw, ...))``: each switch
+        chip draws uniformly from the paper's 100-150 ns band, root
+        complexes add their fixed traversal cost; endpoint nodes at the
+        extremes contribute nothing here (their service costs are
+        accounted by the target handler).  The plan says which streams
+        a traversal draws from, never *which value comes next* — every
+        traversal still advances each stream once, so RNG consumption
+        does not depend on who keeps the plan.  Mirrors
+        :meth:`RngRegistry.uniform_ns` exactly (a degenerate lo==hi band
+        folds into the fixed part with no draw, just as ``uniform_ns``
+        short-circuits without one)."""
         cfg = self.config
         lo, hi = cfg.switch_latency_min_ns, cfg.switch_latency_max_ns
         if hi < lo:
@@ -302,10 +290,4 @@ class Cluster:
         return (fixed, tuple(draws))
 
     def links_on(self, path: tuple[Node, ...]) -> tuple[tuple[Link, Node, Node], ...]:
-        # hot-path
-        cached = self._links_plans.get(path)
-        if cached is not None:
-            return cached
-        out = tuple((a.neighbors[b], a, b) for a, b in zip(path, path[1:]))
-        self._links_plans[path] = out
-        return out
+        return tuple((a.neighbors[b], a, b) for a, b in zip(path, path[1:]))

@@ -208,3 +208,54 @@ class TestHostileCapsules:
         assert bed.nvme.namespaces[1].read_blocks(100, 8) == bytes(4096)
         assert len(conn.slots) == baseline
         assert self._still_serves(bed, initiator)
+
+    @pytest.mark.parametrize("raw", [
+        b"\x00" * 32,                                       # too short
+        b"\x02" + CommandCapsule(SubmissionEntry(cid=1)).pack()[1:],
+        CommandCapsule(SubmissionEntry(opcode=IoOpcode.WRITE, cid=2),
+                       inline_data=b"\xee" * 512).pack()[:-100],
+    ], ids=["short", "response-type", "truncated-inline"])
+    def test_a_send_that_does_not_unpack_is_counted_and_dropped(self, raw):
+        """There is no cid to answer under: the target counts it,
+        re-posts the receive buffer and keeps polling (it used to raise
+        ``ValueError`` out of the recv poller, i.e. out of sim.run())."""
+        bed, target, initiator = make_stack()
+        conn = target.connections[0]
+        baseline = len(conn.slots)
+        posted = len(conn.qp.recv_queue)
+        initiator.qp.post_send(SendWR(
+            wr_id=0x54, opcode=WrOpcode.SEND, inline_data=raw,
+            length=len(raw)))
+        bed.sim.run(until=bed.sim.timeout(1_000_000))
+        assert target.malformed_capsules == 1
+        assert len(conn.qp.recv_queue) == posted
+        assert len(conn.slots) == baseline
+        assert self._still_serves(bed, initiator)
+
+    def test_a_cid_already_in_flight_is_refused(self):
+        """The second capsule used to overwrite the first's context and
+        leak its data slot for good."""
+        bed, target, initiator = make_stack()
+        conn = target.connections[0]
+        baseline = len(conn.slots)
+        answers = []
+        for _ in range(2):
+            sqe = SubmissionEntry(opcode=IoOpcode.READ, cid=0x55, nsid=1)
+            sqe.nlb = 7
+            raw = CommandCapsule(sqe).pack()
+            initiator.qp.post_send(SendWR(
+                wr_id=0x55, opcode=WrOpcode.SEND, inline_data=raw,
+                length=len(raw)))
+        for _ in range(2):
+            done = Event(bed.sim)
+            initiator._inflight[0x55] = done
+            bed.sim.run(until=bed.sim.any_of((done,
+                                              bed.sim.timeout(5_000_000))))
+            assert done.triggered, "the target never answered"
+            answers.append(done.value.status)
+        # The refusal never reaches the controller, so it comes back
+        # first; the command it collided with is served as usual.
+        assert answers == [Status.CID_CONFLICT, Status.SUCCESS]
+        assert conn.inflight == {}
+        assert len(conn.slots) == baseline
+        assert self._still_serves(bed, initiator)

@@ -1,8 +1,10 @@
 """Integration tests for the PCIe fabric: routing, NTB windows, posted
 ordering, and contention."""
 
+import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -377,6 +379,50 @@ class TestOccupancyEventBudget:
         assert seen == [now]
         assert run(subscribe=False) == (now, events, [])
 
+    @staticmethod
+    def _calls(fn):
+        """Python and C calls made by ``fn()`` — the unit of the ledger's
+        ``host_calls_per_io``."""
+        calls = [0]
+
+        def profile(_frame, event, _arg):
+            if event == "call" or event == "c_call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return calls[0] - 2     # fn itself, the closing setprofile
+
+    def test_warmed_tlp_call_budget(self, env):
+        """A TLP on a flow the fabric has seen makes one probe for its
+        record and then only claims, draws and pushes (24 / 34 / 88
+        calls before the record: six lookups and five helper frames)."""
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
+        window = self._window(devhost, ntb_b)
+
+        def post():
+            fabric.post_write(client.rc, client, window, b"q" * 64)
+
+        def deliver():
+            fabric.post_write(client.rc, client, window, b"q" * 64)
+            sim.run()
+
+        def read():
+            sim.run(until=sim.process(
+                fabric.read(client.rc, client, window, 64)))
+
+        for _ in range(3):
+            deliver()
+            read()
+        assert self._calls(post) <= 12
+        sim.run()
+        assert self._calls(deliver) <= 21
+        assert self._calls(read) <= 72
+        assert self._held(cluster, client, devhost) == [0] * 4
+
 
 class TestPostWrites:
     """``post_writes`` is ``post_write`` per segment, in order, except
@@ -516,6 +562,26 @@ def test_no_process_or_generator_occupancy_in_the_fabric():
             if tokens.search(path.read_text())] == []
 
 
+def test_a_transaction_derives_nothing_its_flow_record_holds():
+    """One probe per TLP (docs/performance.md, "One flow record per
+    TLP"): walking the address maps, finding the path, planning the
+    holds and splitting the hop latency belong to the record's builder;
+    the bodies a TLP runs through call none of them."""
+    derivations = {"resolve", "_walk", "path", "hop_plan", "links_on",
+                   "hop_latency", "_hold_plan", "_build_flow"}
+    per_tlp = {"post_write", "post_writes", "write", "read", "_arrival",
+               "_held", "_deliver"}
+    source = pathlib.Path(repro.__file__).parent / "pcie" / "fabric.py"
+    bodies = [node for node in ast.walk(ast.parse(source.read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name in per_tlp]
+    assert {node.name for node in bodies} == per_tlp
+    assert [(body.name, call.func.attr) for body in bodies
+            for call in ast.walk(body)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in derivations] == []
+
+
 def test_ring_mechanics_live_in_the_queue_pair_core():
     """How the host side of an NVMe ring works — doorbell offsets, tail
     advance, the phase-tagged consume — is written once, in
@@ -524,7 +590,6 @@ def test_ring_mechanics_live_in_the_queue_pair_core():
     them, only two functions of the distributed client may touch them:
     the deliberate ``_poll_remote`` ablation (CQ read across the NTB)
     and the tenant-encoded shared-window doorbell."""
-    import ast
     root = pathlib.Path(repro.__file__).parent
     tokens = re.compile(r"sq_doorbell_offset\(|cq_doorbell_offset\("
                         r"|\.consume\(\)|\.advance_tail\(\)"

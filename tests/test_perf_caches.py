@@ -1,16 +1,20 @@
-"""Perf-PR referee tests: the route cache, the owned sleep timers and
+"""Perf-PR referee tests: the flow records, the owned sleep timers and
 the integer-delay contract must never change a modeled result.
 
-The route cache in :class:`repro.pcie.Fabric` memoises ``resolve()``;
-these tests pin its invalidation contract (address-map version bumps,
-NTB LUT version bumps, live link state) and prove byte-identical
-telemetry with the cache on versus ``REPRO_NO_ROUTE_CACHE=1``.
+:class:`repro.pcie.Fabric` keeps one record per flow — everything a TLP
+from that initiator to that ``(host, addr, length)`` needs; these tests
+pin its invalidation contract through the transactions themselves
+(topology version, address-map version bumps, NTB LUT version bumps,
+live link state, live ``faults`` and tracer) and prove byte-identical
+telemetry with the records on versus ``REPRO_NO_ROUTE_CACHE=1``.
 """
 
 import pytest
 
-from repro.pcie import NtbLinkDown
-from repro.sim import Interrupt, Simulator
+from repro.faults import FaultPointRegistry
+from repro.memory import HostMemory
+from repro.pcie import FabricFaultError
+from repro.sim import Interrupt, Simulator, Tracer
 from repro.sim.events import Timeout
 
 from .test_pcie_fabric import build_two_host_cluster
@@ -177,13 +181,28 @@ class TestOwnedTimers:
         assert woke_at == 4
 
 
-# --- route-cache invalidation -------------------------------------------
+# --- flow-record invalidation ---------------------------------------------
 
 def _write_once(sim, fabric, host, addr, payload):
     def proc(sim):
+        start = sim.now
         yield from fabric.write(host.rc, host, addr, payload)
-    sim.process(proc(sim))
+        return sim.now - start
+    return sim.run(until=sim.process(proc(sim)))
+
+
+def _read_once(sim, fabric, host, addr, length):
+    def proc(sim):
+        return (yield from fabric.read(host.rc, host, addr, length))
+    return sim.run(until=sim.process(proc(sim)))
+
+
+def _warm(sim, fabric, host, addr, length):
+    """One TLP of each kind: both tables hold the flow's record."""
+    fabric.post_write(host.rc, host, addr, b"w" * length)
     sim.run()
+    _write_once(sim, fabric, host, addr, b"w" * length)
+    _read_once(sim, fabric, host, addr, length)
 
 
 class TestRouteCacheInvalidation:
@@ -194,25 +213,35 @@ class TestRouteCacheInvalidation:
         window = ntb_b.map_window(devhost, remote, 4096)
         _write_once(sim, fabric, client, window, b"a" * 64)
         first = (ntb_b.translations, ntb_b.bytes_forwarded)
+        assert first == (1, 64)
+        # Every later TLP is a hit; the observable NTB counters must
+        # advance exactly as the walk would have advanced them.
         _write_once(sim, fabric, client, window, b"b" * 64)
-        # The second resolve is a cache hit; the observable NTB counters
-        # must advance exactly as the uncached walk would have.
-        assert ntb_b.translations == 2 * first[0]
-        assert ntb_b.bytes_forwarded == 2 * first[1]
+        fabric.post_write(client.rc, client, window, b"c" * 64)
+        _read_once(sim, fabric, client, window, 64)     # built: walked
+        _read_once(sim, fabric, client, window, 64)
+        assert (ntb_b.translations, ntb_b.bytes_forwarded) == (5, 5 * 64)
 
     def test_link_down_reaches_cached_routes(self):
         sim, cluster, fabric, devhost, client, *_, ntb_b = \
             build_two_host_cluster()
         remote = devhost.alloc_dma(4096)
         window = ntb_b.map_window(devhost, remote, 4096)
-        _write_once(sim, fabric, client, window, b"x" * 32)  # warm cache
+        _warm(sim, fabric, client, window, 32)
+        counted = (ntb_b.translations, ntb_b.bytes_forwarded)
         ntb_b.set_link_state(False)
-        with pytest.raises(NtbLinkDown):
-            fabric.resolve(client, window, 32)
+        # The live link is checked before the counters are replayed.
+        ticket = fabric.post_write(client.rc, client, window, b"x" * 32)
+        assert ticket.callbacks is None
+        assert _write_once(sim, fabric, client, window, b"x" * 32) == 0
+        with pytest.raises(FabricFaultError):
+            _read_once(sim, fabric, client, window, 32)
+        assert (fabric.dropped_writes, fabric.timed_out_reads) == (2, 1)
+        assert (ntb_b.translations, ntb_b.bytes_forwarded) == counted
+        assert devhost.memory.read(remote, 32) == b"w" * 32
         ntb_b.set_link_state(True)
-        before = devhost.memory.read(remote, 32)
         _write_once(sim, fabric, client, window, b"y" * 32)
-        assert devhost.memory.read(remote, 32) == b"y" * 32 != before
+        assert _read_once(sim, fabric, client, window, 32) == b"y" * 32
 
     def test_window_remap_invalidates_cached_route(self):
         sim, cluster, fabric, devhost, client, *_, ntb_b = \
@@ -220,32 +249,97 @@ class TestRouteCacheInvalidation:
         remote_a = devhost.alloc_dma(4096)
         remote_b = devhost.alloc_dma(4096)
         window = ntb_b.map_window(devhost, remote_a, 4096)
+        _warm(sim, fabric, client, window, 16)
         _write_once(sim, fabric, client, window, b"1" * 16)
         assert devhost.memory.read(remote_a, 16) == b"1" * 16
         # Remap the same local window to a different remote page: the
-        # LUT version bump must defeat the cached resolution.
+        # LUT version bump must defeat the flow's records.
         ntb_b.unmap_window(window)
         window2 = ntb_b.map_window(devhost, remote_b, 4096)
         assert window2 == window  # same local address, new target
-        _write_once(sim, fabric, client, window, b"2" * 16)
+        assert _read_once(sim, fabric, client, window, 16) == bytes(16)
+        fabric.post_write(client.rc, client, window, b"2" * 16)
+        sim.run()
         assert devhost.memory.read(remote_b, 16) == b"2" * 16
         assert devhost.memory.read(remote_a, 16) == b"1" * 16
 
     def test_address_map_change_invalidates_cached_route(self):
         sim, cluster, fabric, devhost, client, *_ = \
             build_two_host_cluster()
-        local = client.alloc_dma(4096)
-        res1 = fabric.resolve(client, local, 64)
-        version = client.addr_map.version
-        # Any map mutation bumps the version and must defeat cached hits.
-        scratch = client.addr_map.add(0xdead_0000, 4096, client.memory,
-                                      label="scratch")
-        assert client.addr_map.version > version
-        res2 = fabric.resolve(client, local, 64)
-        assert res2.addr == res1.addr and res2.host is res1.host
-        client.addr_map.remove(scratch)
-        res3 = fabric.resolve(client, local, 64)
-        assert res3.addr == res1.addr
+        alias = 0xdead_0000
+        first = HostMemory(sim, 4096, base=alias, name="first")
+        second = HostMemory(sim, 4096, base=alias, name="second")
+        mapping = client.addr_map.add(alias, 4096, first, label="alias")
+        _warm(sim, fabric, client, alias, 64)
+        # The same address now means other memory: the map's version
+        # bump must defeat the flow's records.
+        client.addr_map.remove(mapping)
+        client.addr_map.add(alias, 4096, second, label="alias")
+        assert _read_once(sim, fabric, client, alias, 64) == bytes(64)
+        fabric.post_write(client.rc, client, alias, b"2" * 64)
+        _write_once(sim, fabric, client, alias + 64, b"3" * 64)
+        assert second.read(alias, 128) == b"2" * 64 + b"3" * 64
+        assert first.read(alias, 128) == b"w" * 64 + bytes(64)
+
+    def test_connect_after_traffic_opens_the_shorter_path(self):
+        sim, cluster, fabric, devhost, client, *_, ntb_b = \
+            build_two_host_cluster()
+        window = ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
+        _warm(sim, fabric, client, window, 64)
+        around = _write_once(sim, fabric, client, window, b"a" * 64)
+        old = [link.resource(a, b) for link, a, b in cluster.links_on(
+            cluster.path(client.rc, devhost.rc))]
+        # A cable between the root complexes: no switch chip on the way.
+        direct = cluster.connect(client.rc, devhost.rc, bandwidth=7.0)
+        arrivals = []
+        tlp = fabric.post_write(client.rc, client, window, b"b" * 64)
+        tlp.callbacks.append(lambda _ev: arrivals.append(sim.now))
+        assert direct.resource(client.rc, devhost.rc).count == 1
+        assert [res.count for res in old] == [0] * 4
+        start = sim.now
+        sim.run()
+        # three chips at >= 100 ns each no longer crossed
+        assert arrivals[0] - start <= around - 300
+        assert _write_once(sim, fabric, client, window, b"c" * 64) \
+            <= around - 300
+        start = sim.now
+        _read_once(sim, fabric, client, window, 64)
+        assert sim.now - start <= 2 * (around - 300)
+
+    def test_faults_attached_after_warm_up_are_drawn_for(self):
+        sim, cluster, fabric, devhost, client, *_, ntb_b = \
+            build_two_host_cluster()
+        window = ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
+        _warm(sim, fabric, client, window, 64)
+        delivered = _write_once(sim, fabric, client, window, b"a" * 64)
+        fabric.faults = faults = FaultPointRegistry(sim)
+        faults.register("link:client")
+        faults.set_delay("link:client", 10_000)
+        assert _write_once(sim, fabric, client, window, b"b" * 64) \
+            >= delivered + 10_000 - 200     # chip jitter
+        faults.set_drop("link:client", 1.0)
+        assert fabric.post_write(client.rc, client, window,
+                                 b"c" * 64).callbacks is None
+        with pytest.raises(FabricFaultError):
+            _read_once(sim, fabric, client, window, 64)
+        assert faults.injected == {"tlp-drop": 2}
+        faults.set_drop("link:client", 0.0)
+        faults.set_link("link:client", False)
+        assert _write_once(sim, fabric, client, window, b"d" * 64) == 0
+        assert (fabric.dropped_writes, fabric.timed_out_reads) == (2, 1)
+
+    def test_tracer_attached_after_warm_up_sees_the_next_delivery(self):
+        sim, cluster, fabric, devhost, client, *_, ntb_b = \
+            build_two_host_cluster()
+        window = ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
+        _warm(sim, fabric, client, window, 64)
+        fabric.tracer = tracer = Tracer(sim, categories={"pcie"})
+        fabric.post_write(client.rc, client, window, b"a" * 64)
+        sim.run()
+        _write_once(sim, fabric, client, window, b"b" * 64)
+        _read_once(sim, fabric, client, window, 64)
+        assert [r.message for r in tracer.records] == [
+            "write-delivered", "write-delivered", "read-complete"]
 
 
 # --- byte-identical telemetry with the cache disabled --------------------
@@ -268,9 +362,13 @@ class TestNoRouteCacheEscapeHatch:
         assert cached == uncached
 
     def test_env_var_disables_the_cache(self, monkeypatch):
+        def flows():
+            sim, cluster, fabric, devhost, client, *_ = \
+                build_two_host_cluster()
+            _warm(sim, fabric, client, client.alloc_dma(4096), 64)
+            return [len(table) for table in fabric._flows]
+
         monkeypatch.setenv("REPRO_NO_ROUTE_CACHE", "1")
-        sim, cluster, fabric, *_ = build_two_host_cluster()
-        assert fabric._route_cache is None
+        assert flows() == [0, 0]
         monkeypatch.delenv("REPRO_NO_ROUTE_CACHE")
-        sim, cluster, fabric, *_ = build_two_host_cluster()
-        assert fabric._route_cache == {}
+        assert flows() == [1, 1]
