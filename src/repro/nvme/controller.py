@@ -366,6 +366,7 @@ class NvmeController(PCIeFunction):
         arb = sq.arbiter
         nwin = len(windows)
         rr = 0
+        arb_wait = bound_to = None  # recorder handle, and whose it is
         while sq.active:
             if self.faults is not None:
                 yield from self.faults.stall_barrier(self.fault_point)
@@ -410,11 +411,14 @@ class NvmeController(PCIeFunction):
             yield sim.sleep(decode_ns)
             tele = self.telemetry
             if tele.enabled:
-                tele.metrics.observe(
-                    "repro_nvme_arb_wait_ns", wait_ns,
-                    help="time an SQE head waited for shared-SQ "
-                    "arbitration before its fetch was granted",
-                    ctrl=self.name, qid=state.qid)
+                if tele is not bound_to:
+                    bound_to = tele
+                    arb_wait = tele.metrics.recorder(
+                        "repro_nvme_arb_wait_ns",
+                        help="time an SQE head waited for shared-SQ "
+                        "arbitration before its fetch was granted",
+                        ctrl=self.name, qid=state.qid)
+                arb_wait.record(wait_ns)
                 tele.spans.mark_cmd(state.qid, sqe.cid, "arb-granted",
                                     granted_at)
             self._span_mark(sq, sqe, "fetched")

@@ -47,11 +47,19 @@ class Arbiter:
 
     #: policy label used in metrics/exports
     policy = "none"
+    #: per-window weights (the weighted policies set their own)
+    weights: tuple[int, ...] = ()
+    default_weight = 1
 
     def __init__(self, nwin: int) -> None:
         self.nwin = nwin
         #: grants per window, for telemetry (read-only outside)
         self.grant_counts = [0] * nwin
+
+    def _weight(self, index: int) -> int:
+        if index < len(self.weights):
+            return max(1, self.weights[index])
+        return max(1, self.default_weight)
 
     def on_doorbell(self, win: "SqWindowState", added: int,
                     now: int) -> None:
@@ -99,7 +107,7 @@ class FifoArbiter(Arbiter):
         best = None
         best_stamp = 0
         for win in windows:
-            if win.is_empty():
+            if win.head == win.db_tail:
                 continue
             stamps = self._stamps[win.index]
             # A missing stamp can only mean the entry predates arbiter
@@ -139,27 +147,26 @@ class DrrArbiter(Arbiter):
         self.weights = weights
         self.default_weight = default_weight
         self._deficit = [0] * nwin
+        #: credit a window earns per visit: ``quantum * weight``
+        self._refill = [quantum * self._weight(i) for i in range(nwin)]
         self._rr = 0
 
-    def _weight(self, index: int) -> int:
-        if index < len(self.weights):
-            return max(1, self.weights[index])
-        return max(1, self.default_weight)
-
     def select(self, windows):
+        # hot-path: one call per fetch; ``head == db_tail`` is is_empty()
         nwin = self.nwin
         deficit = self._deficit
         for _ in range(nwin + 1):
             idx = self._rr
             win = windows[idx]
-            if not win.is_empty() and deficit[idx] >= 1:
+            if win.head == win.db_tail:
+                deficit[idx] = 0
+            elif deficit[idx] >= 1:
                 deficit[idx] -= 1
                 return win
-            if win.is_empty():
-                deficit[idx] = 0
             self._rr = idx = (idx + 1) % nwin
-            if not windows[idx].is_empty():
-                deficit[idx] += self.quantum * self._weight(idx)
+            win = windows[idx]
+            if win.head != win.db_tail:
+                deficit[idx] += self._refill[idx]
         return None
 
     def refund(self, win):
@@ -179,15 +186,10 @@ class StrictArbiter(Arbiter):
         #: round-robin pointer per priority level
         self._rr: dict[int, int] = {}
 
-    def _weight(self, index: int) -> int:
-        if index < len(self.weights):
-            return max(1, self.weights[index])
-        return max(1, self.default_weight)
-
     def select(self, windows):
         best_prio = None
         for win in windows:
-            if win.is_empty():
+            if win.head == win.db_tail:
                 continue
             prio = self._weight(win.index)
             if best_prio is None or prio > best_prio:
@@ -198,7 +200,8 @@ class StrictArbiter(Arbiter):
         start = self._rr.get(best_prio, 0)
         for off in range(nwin):
             win = windows[(start + off) % nwin]
-            if not win.is_empty() and self._weight(win.index) == best_prio:
+            if win.head != win.db_tail \
+                    and self._weight(win.index) == best_prio:
                 self._rr[best_prio] = (win.index + 1) % nwin
                 return win
         return None

@@ -14,7 +14,7 @@ import typing as t
 from heapq import heappush
 
 from .events import URGENT, Event, _PENDING
-from .resources import Hold
+from .resources import Hold, _GatedWait
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -101,7 +101,7 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            if type(target) is Hold:
+            if type(target) is Hold or type(target) is _GatedWait:
                 target.cancel()     # or what it took never comes back
 
     def _interrupted(self, kick: Event) -> None:

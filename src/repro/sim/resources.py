@@ -343,13 +343,27 @@ class Store:
 
 
 class _GatedWait(Event):
-    """A :meth:`Signal.wait` that carries its ``blocked`` predicate."""
+    """A :meth:`Signal.wait` with a guard, parked in a :class:`_Run`."""
 
-    __slots__ = ("blocked",)
+    __slots__ = ("run",)
+
+    def cancel(self) -> None:
+        """Leave the run, parked or in a sweep's batch (what
+        :meth:`Process.interrupt` does for the wait its target is on)."""
+        run, self.run = self.run, None
+        if run is not None:
+            run.remove(self)
+
+
+class _Run(deque):
+    """Consecutive gated waits whose guards compare equal to ``guard``,
+    oldest first; an interrupted member has left."""
+
+    __slots__ = ("guard",)
 
 
 class _Sweep(Event):
-    """One queue entry standing for a run of consecutive gated waiters.
+    """One queue entry standing for a stretch of consecutive runs.
 
     Unlike every other event it may be dispatched more than once: each
     dispatch wakes at most one waiter and re-queues the rest of the
@@ -388,30 +402,47 @@ class Signal:
       the shutdown condition, so whatever must release the waiter
       (a completion, a lifted clamp, a stop) makes it return False.
 
-    Pass ``blocked`` only for a wait the process yields directly; a
-    waiter nobody is subscribed to when its turn comes (its process was
-    interrupted) is dropped instead of re-parked.
+    Gated waits park in *runs*: a wait joins the run of the wait parked
+    just before it when their guards compare equal, and a fire costs one
+    guard call and one list operation per run, however long.  A run
+    whose guard holds re-parks whole, behind whoever parked since the
+    fire; else its oldest wait wins and the rest is looked at again.
+
+    Pass ``blocked`` only for a wait the process yields directly: an
+    interrupted process takes its wait out of its run at the interrupt
+    (``waiting`` drops there and then); a wait nobody subscribed to is
+    dropped when its turn to win comes.
     """
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._waiters: list[Event] = []
-        #: some entry of ``_waiters`` may be a :class:`_GatedWait`
+        #: ungated waits and runs of gated ones, in park order
+        self._waiters: list[Event | _Run] = []
+        #: some entry of ``_waiters`` is a :class:`_Run`
         self._gated = False
         self.fires = 0
 
     @property
     def waiting(self) -> int:
-        """Number of waits the next ``fire()`` will look at."""
-        return len(self._waiters)
+        """Number of waits the next ``fire()`` will look at: ungated
+        waits plus the members of every parked run."""
+        return sum(len(entry) if type(entry) is _Run else 1
+                   for entry in self._waiters)
 
     def wait(self, blocked: t.Callable[[], bool] | None = None) -> Event:
         if blocked is None:
             ev = Event(self.sim)
         else:
             ev = _GatedWait(self.sim)
-            ev.blocked = blocked
-            self._gated = True
+            run = self._waiters[-1] if self._gated else None
+            if type(run) is not _Run or run.guard != blocked:
+                run = _Run()
+                run.guard = blocked
+                self._gated = True
+                self._waiters.append(run)
+            ev.run = run
+            run.append(ev)
+            return ev
         self._waiters.append(ev)
         return ev
 
@@ -425,18 +456,18 @@ class Signal:
         for ev in waiters:
             ev.succeed(value)
 
-    def _fire_gated(self, waiters: list[Event], value: t.Any) -> None:
-        """Wake a batch that holds gated waiters: one wake event per
-        ungated waiter, as in :meth:`fire`, and one :class:`_Sweep` per
-        run of consecutive gated ones, in waiter order."""
+    def _fire_gated(self, waiters: list[Event | _Run], value: t.Any) -> None:
+        """Wake a batch that holds runs: one wake event per ungated
+        waiter, as in :meth:`fire`, and one :class:`_Sweep` per stretch
+        of consecutive runs, in park order."""
         sim = self.sim
-        batch: list[_GatedWait] | None = None
-        for ev in waiters:
-            if type(ev) is not _GatedWait:
+        batch: list[_Run] | None = None
+        for entry in waiters:
+            if type(entry) is not _Run:
                 batch = None
-                ev.succeed(value)
+                entry.succeed(value)
             elif batch is None:
-                batch = [ev]
+                batch = [entry]
                 sweep = _Sweep(sim)
                 sweep.callbacks = [self._sweep]
                 sweep._value = value
@@ -445,44 +476,43 @@ class Signal:
                 sweep.seq = next(sim._sequence)
                 heappush(sim._queue, (sim._now, NORMAL, sweep.seq, sweep))
             else:
-                batch.append(ev)
+                batch.append(entry)
 
     def _sweep(self, sweep: _Sweep) -> None:
         """Dispatch of a sweep: stand in for the batch's wake events.
 
-        Waiters are taken oldest first.  One whose predicate holds is
-        appended to ``_waiters`` — where its process would have parked a
-        fresh wait had it been resumed.  The first one whose predicate
-        fails is processed the way the run loop processes a wake event,
-        and the rest of the batch goes back on the queue under the same
-        key: nothing NORMAL at this instant can sort between two wake
-        events of one fire (their sequence numbers were consecutive),
-        but the URGENT boot of a process the winner spawned does run
-        before the next waiter is looked at, as it always did.
+        Runs are taken oldest first, one guard call each.  One whose
+        guard holds goes to the end of ``_waiters`` as it is — where its
+        members' processes would have parked fresh waits, in this order,
+        had they been resumed.  The oldest wait of the first run whose
+        guard fails is processed the way the run loop processes a wake
+        event, and the rest of the batch goes back on the queue under
+        the same key: nothing NORMAL at this instant can sort between
+        two wake events of one fire (their sequence numbers were
+        consecutive), but the URGENT boot of a process the winner
+        spawned does run before the next waiter is looked at, as it
+        always did — so the next dispatch asks the run's guard afresh.
         """
-        # hot-path: one pass per completion over every parked submitter
+        # hot-path: one pass per completion, over runs and not waiters
         batch = sweep.batch
         index = sweep.index
         end = len(batch)
-        repark = self._waiters.append
-        # Guards seen to hold in this dispatch: pure, and nothing runs before
-        # the winner ends it, so an equal guard has the same verdict.
-        holding: set = set()
         while index < end:
-            ev = batch[index]
-            index += 1
+            run = batch[index]
+            if not run:
+                index += 1      # everyone in it was interrupted
+                continue
+            if run.guard():
+                self._waiters.append(run)
+                self._gated = True
+                index += 1
+                continue
+            ev = run.popleft()
             callbacks = ev.callbacks
             if not callbacks:
-                continue        # nobody left to wake: drop, don't re-park
-            blocked = ev.blocked
-            if blocked in holding:
-                repark(ev)
-                continue
-            if blocked():
-                holding.add(blocked)
-                repark(ev)
-                self._gated = True
-                continue
+                continue        # never subscribed to: drop, ask again
+            if not run:
+                index += 1
             if index < end:
                 sim = self.sim
                 sweep.index = index

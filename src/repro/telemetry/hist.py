@@ -14,7 +14,10 @@ histogram yields the window in between) — the property the windowed
 sampler (:mod:`.timeseries`) and the SLO burn-rate engine (:mod:`.slo`)
 are built on: the hot path only ever increments a bucket counter, and
 p50/p95/p99/p999 over any window fall out of snapshot differences at
-sampling time.
+sampling time.  The sampler's own tick-to-tick window needs no
+snapshot: :meth:`cut`, :meth:`window_quantiles` and :meth:`rank_to`
+read only the buckets recorded into since the last cut (``copy`` /
+``diff`` / ``rank_le`` are the reference they are tested against).
 
 Quantiles are deterministic by construction: :meth:`quantile` walks the
 cumulative counts to the nearest-rank sample and returns that bucket's
@@ -41,6 +44,8 @@ DEFAULT_SUB_BITS = 7
 QUANTILES: tuple[tuple[float, str], ...] = (
     (0.50, "p50"), (0.95, "p95"), (0.99, "p99"), (0.999, "p999"),
 )
+#: the same fractions in the micro-units :meth:`quantile` ranks by
+_QUANTILE_MICROS = tuple(int(q * 1_000_000) for q, _label in QUANTILES)
 
 
 class HistogramError(Exception):
@@ -50,7 +55,8 @@ class HistogramError(Exception):
 class LogHistogram:
     """Sparse log-linear histogram of non-negative integer values."""
 
-    __slots__ = ("sub_bits", "_n_sub", "_half", "counts", "count", "total")
+    __slots__ = ("sub_bits", "_n_sub", "_half", "counts", "count", "total",
+                 "recent", "_ranks")
 
     def __init__(self, sub_bits: int = DEFAULT_SUB_BITS) -> None:
         if not 1 <= sub_bits <= 20:
@@ -62,6 +68,10 @@ class LogHistogram:
         self.counts: dict[int, int] = {}
         self.count = 0       # total observations
         self.total = 0       # exact integer sum of observed values
+        #: bucket index -> count recorded since the last :meth:`cut`
+        self.recent: dict[int, int] = {}
+        #: bucket index -> observations at or below it, as of that cut
+        self._ranks: dict[int, int] = {}
 
     # -- bucket arithmetic -------------------------------------------------
 
@@ -89,6 +99,7 @@ class LogHistogram:
         """Record ``count`` observations of an integer-ns value."""
         idx = self.bucket_index(value_ns)
         self.counts[idx] = self.counts.get(idx, 0) + count
+        self.recent[idx] = self.recent.get(idx, 0) + count
         self.count += count
         self.total += value_ns * count
 
@@ -134,6 +145,49 @@ class LogHistogram:
         limit = self.bucket_index(value)
         return sum(cnt for idx, cnt in self.counts.items() if idx <= limit)
 
+    def cut(self) -> list[tuple[int, int]]:
+        """Close the window open since the previous cut: its occupied
+        ``(index, count)`` pairs, ascending — the buckets of ``diff``
+        against a ``copy`` taken then, without reading any other."""
+        window = sorted(self.recent.items())
+        if window:
+            self.recent = {}
+            ranks = self._ranks
+            for limit in ranks:
+                for idx, cnt in window:
+                    if idx > limit:
+                        break
+                    ranks[limit] += cnt
+        return window
+
+    def window_quantiles(self, window: list[tuple[int, int]]) -> list[int]:
+        """:meth:`quantile` at each of :data:`QUANTILES` over a non-empty
+        window of :meth:`cut`, in one pass over its buckets."""
+        count = 0
+        for _idx, cnt in window:
+            count += cnt
+        out, at, seen = [], 0, window[0][1]
+        for q_micro in _QUANTILE_MICROS:
+            rank = (q_micro * count + 999_999) // 1_000_000 or 1
+            while seen < rank:
+                at += 1
+                seen += window[at][1]
+            out.append(self.bucket_upper(window[at][0]))
+        return out
+
+    def rank_to(self, value: int) -> int:
+        """:meth:`rank_le` as the rank at the last cut (kept by ``cut``;
+        read in full on the first call) plus the open window's share."""
+        limit = self.bucket_index(value)
+        open_window = 0
+        for idx, cnt in self.recent.items():
+            if idx <= limit:
+                open_window += cnt
+        rank = self._ranks.get(limit)
+        if rank is None:
+            rank = self._ranks[limit] = self.rank_le(value) - open_window
+        return rank + open_window
+
     @property
     def minimum(self) -> int:
         """Upper bound of the smallest occupied bucket (0 when empty)."""
@@ -156,6 +210,7 @@ class LogHistogram:
         self._check_compatible(other)
         for idx, cnt in other.counts.items():
             self.counts[idx] = self.counts.get(idx, 0) + cnt
+            self.recent[idx] = self.recent.get(idx, 0) + cnt
         self.count += other.count
         self.total += other.total
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import typing as t
 
 from ..sim.stats import iops as _iops
-from .hist import QUANTILES, LatencyHistograms, LogHistogram
+from .hist import QUANTILES, LatencyHistograms
 from .metrics import MetricsRegistry
 from .perfetto import spans_to_perfetto
 from .prometheus import registry_to_prometheus
@@ -80,8 +80,8 @@ class Telemetry:
         self._faults: t.Any = None
         #: (name, kind) -> last cumulative count, for windowed rates
         self._rate_prev: dict[tuple[str, str], tuple[int, int]] = {}
-        #: hist key -> snapshot at the previous tick, for window diffs
-        self._hist_prev: dict[tuple[str, str, str], LogHistogram] = {}
+        #: owner -> the sampler sources' series handles, bound on first use
+        self._bound: dict[t.Any, t.Any] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -178,55 +178,68 @@ class Telemetry:
     def _sample_components(self, bank: SeriesBank, now: int) -> None:
         """Default source: gauges and windowed rates of the attached
         component set (pure reads — the determinism contract)."""
-        if self._fabric is not None:
-            fabric = self._fabric
-            bank.series("fabric_bytes_total", kind="posted").append(
-                now, fabric.posted_bytes)
-            bank.series("fabric_bytes_total", kind="nonposted").append(
-                now, fabric.read_bytes)
+        bound = self._bound
+        series = bank.series
+        fabric = self._fabric
+        if fabric is not None:
+            if fabric not in bound:
+                bound[fabric] = [series("fabric_bytes_total", kind=kind)
+                                 for kind in ("posted", "nonposted")]
+            for ts, total in zip(bound[fabric],
+                                 (fabric.posted_bytes, fabric.read_bytes)):
+                ts.append(now, total)
         for dev in self._devices:
-            bank.series("io_completed_total",
-                        device=dev.name).append(now, dev.completed)
-            rate = self._windowed_rate(("iops", dev.name),
-                                       dev.completed, now)
+            key = ("iops", dev.name)
+            if dev not in bound:
+                bound[dev] = series("io_completed_total", device=dev.name)
+            bound[dev].append(now, dev.completed)
+            rate = self._windowed_rate(key, dev.completed, now)
             if rate is not None:
-                bank.series("io_iops", device=dev.name).append(now, rate)
+                if key not in bound:
+                    bound[key] = series("io_iops", device=dev.name)
+                bound[key].append(now, rate)
         for client in self._clients:
-            bank.series("client_inflight", client=client.name).append(
-                now, len(client._inflight))
+            key = ("inflight", client)
+            if key not in bound:
+                bound[key] = series("client_inflight", client=client.name)
+            bound[key].append(now, len(client._inflight))
         for ctrl in self._controllers:
-            sq_total, cq_total = ctrl.queue_occupancy()
-            bank.series("nvme_queue_occupancy", ctrl=ctrl.name,
-                        queue="sq").append(now, sq_total)
-            bank.series("nvme_queue_occupancy", ctrl=ctrl.name,
-                        queue="cq").append(now, cq_total)
+            if ctrl not in bound:
+                bound[ctrl] = [
+                    series("nvme_queue_occupancy", ctrl=ctrl.name, queue=q)
+                    for q in ("sq", "cq")]
+            for ts, total in zip(bound[ctrl], ctrl.queue_occupancy()):
+                ts.append(now, total)
         for vol in self._volumes:
-            bank.series("cluster_paths_live", volume=vol.name).append(
-                now, vol.live_paths)
-            for device_id, health in zip(vol.layout.devices,
-                                         vol.path_health()):
-                bank.series("cluster_path_health", volume=vol.name,
-                            device_id=device_id).append(now, health)
+            key = ("paths", vol)
+            if key not in bound:
+                bound[key] = [
+                    series("cluster_paths_live", volume=vol.name),
+                    *(series("cluster_path_health", volume=vol.name,
+                             device_id=dev) for dev in vol.layout.devices)]
+            for ts, value in zip(bound[key],
+                                 (vol.live_paths, *vol.path_health())):
+                ts.append(now, value)
 
     def _sample_hists(self, bank: SeriesBank, now: int) -> None:
         """Default source: windowed latency quantiles per histogram key
-        (snapshot diff since the previous tick; empty windows emit
-        nothing — there was no traffic to summarise)."""
+        (the buckets recorded into since the previous tick; empty
+        windows emit nothing — there was no traffic to summarise)."""
         if self.hists is None:
             return
+        bound = self._bound
         for key in self.hists.keys():
             hist = self.hists.hist(*key)
-            if hist is None:
+            window = hist.cut() if hist is not None else None
+            if not window:
                 continue
-            prev = self._hist_prev.get(key)
-            window = hist.diff(prev) if prev is not None else hist
-            self._hist_prev[key] = hist.copy()
-            if not window.count:
-                continue
-            tenant, op, device = key
-            for q, label in QUANTILES:
-                bank.series(f"latency_{label}_ns", tenant=tenant, op=op,
-                            device=device).append(now, window.quantile(q))
+            if key not in bound:
+                tenant, op, device = key
+                bound[key] = [bank.series(f"latency_{label}_ns",
+                                          tenant=tenant, op=op, device=device)
+                              for _q, label in QUANTILES]
+            for ts, value in zip(bound[key], hist.window_quantiles(window)):
+                ts.append(now, value)
 
     # -- collection --------------------------------------------------------
 

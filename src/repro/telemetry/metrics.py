@@ -112,16 +112,22 @@ class MetricsRegistry:
         fam = self._family(name, GAUGE, help, "")
         fam.series[_label_key(labels)] = value
 
-    def observe(self, name: str, value_ns: int, help: str = "",
-                **labels: t.Any) -> None:
-        """Record one observation into a summary series (integer ns)."""
+    def recorder(self, name: str, help: str = "",
+                 **labels: t.Any) -> LatencyRecorder:
+        """The recorder behind one summary series — :meth:`observe`, bound:
+        a per-I/O site keeps it, so family and label key are built once."""
         fam = self._family(name, SUMMARY, help, "ns")
         key = _label_key(labels)
         rec = fam.series.get(key)
         if rec is None or not isinstance(rec, LatencyRecorder):
             rec = LatencyRecorder(name)
             fam.series[key] = rec
-        rec.record(value_ns)
+        return rec
+
+    def observe(self, name: str, value_ns: int, help: str = "",
+                **labels: t.Any) -> None:
+        """Record one observation into a summary series (integer ns)."""
+        self.recorder(name, help, **labels).record(value_ns)
 
     def summary_set(self, name: str, stats: BoxplotStats, help: str = "",
                     **labels: t.Any) -> None:

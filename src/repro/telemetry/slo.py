@@ -88,18 +88,22 @@ class SloAlert:
 
 
 class _TenantState:
-    """Per-tenant counter history and alert state."""
+    """Per-tenant counter history, window baselines, series and alert."""
 
-    __slots__ = ("samples", "alert")
+    __slots__ = ("samples", "appended", "cursors", "series", "alert")
 
     def __init__(self, capacity: int) -> None:
         #: (t_ns, cumulative good, cumulative total), oldest first
         self.samples: collections.deque[tuple[int, int, int]] = \
             collections.deque(maxlen=capacity)
+        self.appended = 0       # samples ever appended: the next serial
+        self.cursors = [0, 0]   # serial of the [fast, slow] baseline
+        #: (bank, burn_fast, burn_slow, compliance): handles, bound once
+        self.series: tuple = (None,)
         self.alert: SloAlert | None = None
 
 
-def _window_burn(samples: collections.deque, now: int,
+def _window_burn(state: _TenantState, slot: int, now: int,
                  window_ns: int, budget: float) -> tuple[float, int]:
     """(burn rate, total requests) over the trailing window.
 
@@ -107,14 +111,20 @@ def _window_burn(samples: collections.deque, now: int,
     ``now - window_ns`` (so the window covers *at least* ``window_ns``
     once enough history exists); with no sample that old yet, the
     oldest sample is the baseline — the cold-start window is simply
-    shorter.  An empty window burns nothing.
+    shorter.  An empty window burns nothing.  Time only moves forward,
+    so the search resumes at ``cursors[slot]``, the previous baseline.
     """
+    samples = state.samples
     cutoff = now - window_ns
-    base = samples[0]
-    for sample in samples:
-        if sample[0] > cutoff:
-            break
-        base = sample
+    first = state.appended - len(samples)       # serial of samples[0]
+    cursor = state.cursors[slot]
+    if cursor < first:
+        cursor = first                          # baseline was evicted
+    newest = state.appended - 1
+    while cursor < newest and samples[cursor + 1 - first][0] <= cutoff:
+        cursor += 1
+    state.cursors[slot] = cursor
+    base = samples[cursor - first]
     last = samples[-1]
     good = last[1] - base[1]
     total = last[2] - base[2]
@@ -144,7 +154,7 @@ class SloEngine:
             tenant = key[0]
             hist = self.hists.hist(*key)
             ok, errors = self.hists.totals(key)
-            good = hist.rank_le(objective) if hist is not None else 0
+            good = hist.rank_to(objective) if hist is not None else 0
             prev_good, prev_total = out.get(tenant, (0, 0))
             out[tenant] = (prev_good + good, prev_total + ok + errors)
         return out
@@ -159,19 +169,20 @@ class SloEngine:
             if state is None:
                 state = self._tenants[tenant] = _TenantState(self.history)
             state.samples.append((now, good, total))
+            state.appended += 1
 
-            fast, n_fast = _window_burn(state.samples, now,
+            fast, n_fast = _window_burn(state, 0, now,
                                         spec.fast_window_ns, spec.budget)
-            slow, _ = _window_burn(state.samples, now,
+            slow, _ = _window_burn(state, 1, now,
                                    spec.slow_window_ns, spec.budget)
             compliance = good / total if total else 1.0
 
-            bank.series("slo_burn_fast", slo=spec.name,
-                        tenant=tenant).append(now, round(fast, 6))
-            bank.series("slo_burn_slow", slo=spec.name,
-                        tenant=tenant).append(now, round(slow, 6))
-            bank.series("slo_compliance", slo=spec.name,
-                        tenant=tenant).append(now, round(compliance, 6))
+            if state.series[0] is not bank:     # label keys: built once
+                state.series = (bank, *(
+                    bank.series(f"slo_{name}", slo=spec.name, tenant=tenant)
+                    for name in ("burn_fast", "burn_slow", "compliance")))
+            for ts, value in zip(state.series[1:], (fast, slow, compliance)):
+                ts.append(now, round(value, 6))
 
             firing = (fast > spec.burn_threshold
                       and slow > spec.burn_threshold

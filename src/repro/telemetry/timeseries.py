@@ -9,7 +9,8 @@ live paths, windowed latency quantiles) into ring-buffered
 
 Determinism contract (the sampling-interval contract the tests pin):
 
-* the sampler schedules plain ``sim.timeout`` events, so it *does* add
+* the sampler sleeps on its process's timer (``sim.sleep``: the queue
+  entry a ``sim.timeout`` would be), so it *does* add
   entries to the event queue — but its tick body only **reads**
   component state: it never mutates model state, never draws from any
   RNG stream, and never blocks another process.  Relative order of all
@@ -35,6 +36,7 @@ import json
 import typing as t
 
 from ..sim import Interrupt
+from .metrics import _LabelKey, _label_key
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -43,12 +45,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
 DEFAULT_INTERVAL_NS = 1_000_000
 #: default ring capacity per series (points beyond it evict the oldest)
 DEFAULT_CAPACITY = 4096
-
-_LabelKey = tuple[tuple[str, str], ...]
-
-
-def _label_key(labels: t.Mapping[str, t.Any]) -> _LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 class TimeSeries:
@@ -193,6 +189,6 @@ class TelemetrySampler:
         try:
             while True:
                 self.sample_once()
-                yield self.sim.timeout(self.interval_ns)
+                yield self.sim.sleep(self.interval_ns)
         except Interrupt:
             return

@@ -1,0 +1,29 @@
+"""Host cost of one call, in the two units the performance docs use."""
+
+import sys
+
+
+def cost(fn):
+    """``(calls, executed bytecodes)`` of ``fn()``: Python and C calls as
+    the ledger's ``host_calls_per_io`` counts them, bytecodes as
+    ``benchmarks/opcount.py`` does (``fn``'s own frame included)."""
+    counted = [0, 0]
+
+    def profile(_frame, event, _arg):
+        if event == "call" or event == "c_call":
+            counted[0] += 1
+
+    def trace(frame, event, _arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            counted[1] += 1
+        return trace
+
+    sys.setprofile(profile)
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return tuple(counted)

@@ -314,6 +314,23 @@ class TestAdmissionClamp:
         assert finished == [0, 1, 2, 3, 4]
         assert all(not ev.value.ok for ev in done)
 
+    @pytest.mark.parametrize("end", ["crash", "shutdown"])
+    def test_dying_clamped_clients_leave_no_waiter_behind(self, end):
+        """Lifecycle: parked submissions leave the flow-control signal
+        when their client dies — none is left for a later fire to walk."""
+        for n_parked in (1, 7, 40):
+            sim, client, done, _ = self._clamped_run(n_parked)
+            while client.throttled_ios < n_parked:
+                sim.step()
+            assert client._sq_space.waiting == n_parked
+            if end == "crash":
+                client.crash()
+            else:
+                sim.process(client.shutdown())
+            sim.run(until=sim.all_of(done))
+            assert client._sq_space.waiting == 0
+            assert not any(ev.value.ok for ev in done[1:])
+
 
 class TestCrashUnderLinkContention:
     """A client polling a device-side CQ reads across the NTB; its

@@ -16,7 +16,11 @@ invariants:
 * **fifo = global arrival order** — the fifo arbiter replays doorbell
   stamps in non-decreasing order (window index breaks ties);
 * **strict priority** — the strict arbiter never serves a backlogged
-  tier while a higher tier is backlogged.
+  tier while a higher tier is backlogged;
+* **same grants as the reference** — every policy's ``select`` (which
+  reads ``head == db_tail`` inline) grants what the ``is_empty()``-
+  calling ``select`` it replaced grants, over any doorbell / fetch /
+  refund sequence.
 """
 
 import pytest
@@ -31,11 +35,18 @@ MAX_WIN = 6
 
 
 class FakeWindow:
-    """Just enough of SqWindowState for an arbiter: index + emptiness."""
+    """Just enough of SqWindowState for an arbiter: index + emptiness,
+    which ``select`` reads as ``head == db_tail``."""
+
+    head = 0
 
     def __init__(self, index, backlog=0):
         self.index = index
         self.backlog = backlog
+
+    @property
+    def db_tail(self):
+        return self.backlog
 
     def is_empty(self):
         return self.backlog == 0
@@ -229,6 +240,109 @@ class TestStrictPriority:
             assert weights[win.index] == top, (
                 f"served tier {weights[win.index]} while tier {top} "
                 f"was backlogged")
+
+
+class _FifoReference(FifoArbiter):
+    def select(self, windows):
+        best = None
+        best_stamp = 0
+        for win in windows:
+            if win.is_empty():
+                continue
+            stamps = self._stamps[win.index]
+            # A missing stamp can only mean the entry predates arbiter
+            # attach; treat it as infinitely old.
+            stamp = stamps[0] if stamps else -1
+            if best is None or stamp < best_stamp:
+                best = win
+                best_stamp = stamp
+        return best
+
+
+class _DrrReference(DrrArbiter):
+    def select(self, windows):
+        nwin = self.nwin
+        deficit = self._deficit
+        for _ in range(nwin + 1):
+            idx = self._rr
+            win = windows[idx]
+            if not win.is_empty() and deficit[idx] >= 1:
+                deficit[idx] -= 1
+                return win
+            if win.is_empty():
+                deficit[idx] = 0
+            self._rr = idx = (idx + 1) % nwin
+            if not windows[idx].is_empty():
+                deficit[idx] += self.quantum * self._weight(idx)
+        return None
+
+
+class _StrictReference(StrictArbiter):
+    def select(self, windows):
+        best_prio = None
+        for win in windows:
+            if win.is_empty():
+                continue
+            prio = self._weight(win.index)
+            if best_prio is None or prio > best_prio:
+                best_prio = prio
+        if best_prio is None:
+            return None
+        nwin = self.nwin
+        start = self._rr.get(best_prio, 0)
+        for off in range(nwin):
+            win = windows[(start + off) % nwin]
+            if not win.is_empty() and self._weight(win.index) == best_prio:
+                self._rr[best_prio] = (win.index + 1) % nwin
+                return win
+        return None
+
+
+class TestMatchesIsEmptyReference:
+    """The ``select`` bodies above are the ones at 83442b1, verbatim."""
+
+    @staticmethod
+    def _pair(policy, nwin, quantum, weights):
+        weights = tuple(weights[:nwin - 1])     # the last one: default
+        if policy == "fifo":
+            return FifoArbiter(nwin), _FifoReference(nwin)
+        if policy == "wfq":
+            return (DrrArbiter(nwin, quantum, weights, 2),
+                    _DrrReference(nwin, quantum, weights, 2))
+        return (StrictArbiter(nwin, weights, 2),
+                _StrictReference(nwin, weights, 2))
+
+    @pytest.mark.parametrize("policy", ["fifo", "wfq", "strict"])
+    @given(nwin=st.integers(2, MAX_WIN), quantum=quantum_st,
+           weights=weights_st,
+           ops=st.lists(st.one_of(
+               st.tuples(st.just("ring"), st.integers(0, MAX_WIN - 1),
+                         st.integers(1, 5)),
+               st.tuples(st.just("fetch"), st.booleans())), max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_same_grant_sequence(self, policy, nwin, quantum, weights, ops):
+        def play(arb):
+            windows = make_windows([0] * nwin)
+            grants = []
+            for now, op in enumerate(ops):
+                if op[0] == "ring":
+                    win = windows[op[1] % nwin]
+                    win.backlog += op[2]
+                    arb.on_doorbell(win, op[2], now // 3)
+                    continue
+                win = arb.select(windows)
+                grants.append(None if win is None else win.index)
+                if win is None:
+                    continue
+                if op[1]:
+                    win.backlog -= 1
+                    arb.on_fetch(win)
+                else:
+                    arb.refund(win)     # the fetch was lost: retried
+            return grants, arb.grant_counts
+
+        new, reference = self._pair(policy, nwin, quantum, weights)
+        assert play(new) == play(reference)
 
 
 class TestFactory:

@@ -8,6 +8,8 @@ from repro.sim import (Event, HoldPlan, Interrupt, Resource, Signal,
                        Simulator, Store)
 from repro.sim.resources import Hold
 
+from .hostcost import cost
+
 
 @pytest.fixture()
 def sim():
@@ -778,7 +780,8 @@ class TestSignal:
 
     def test_interrupted_waiters_are_not_pinned(self, sim, gate):
         """Lifecycle: a waiter whose process was interrupted is dropped
-        at the next sweep, not re-parked for the length of the clamp."""
+        at the next sweep, not re-parked for the length of the clamp —
+        and leaves its run, and ``waiting``, at the interrupt itself."""
         gate.park("resident", need=9)
         sim.run()
         baseline = gate.signal.waiting
@@ -787,22 +790,95 @@ class TestSignal:
             sim.run()
             assert gate.signal.waiting == baseline + 1
             gate.interrupt(cycle)
+            assert gate.signal.waiting == baseline      # before any fire
             gate.signal.fire()
             sim.run()
             assert gate.signal.waiting == baseline
         assert gate.resumes == 0
         assert len(gate.trace) == 300
 
+    def test_interrupt_inside_a_queued_sweep(self, sim, gate):
+        """A waiter interrupted between a fire() and its sweep has left
+        the batch too: the sweep wakes its neighbours, in order."""
+        for tag in range(4):
+            gate.park(tag, shared=True)
+        sim.run()
+        gate.give(4)                # sweep queued, nobody woken yet
+        gate.interrupt(1)
+        assert gate.signal.waiting == 0     # the batch is not parked
+        sim.run()                   # the URGENT kick, then the sweep
+        assert gate.trace == [(0, 1, "interrupted"), (0, 0), (0, 2), (0, 3)]
+
+    def test_shared_guard_waiters_park_in_one_run(self, sim, gate):
+        for tag in range(64):
+            gate.park(tag, need=5, shared=True)
+        gate.park("other", need=7, shared=True)
+        gate.park("late", need=5, shared=True)
+        sim.run()
+        assert [len(run) for run in gate.signal._waiters] == [64, 1, 1]
+        assert gate.signal.waiting == 66
+        gate.give(1)
+        sim.run()                   # all three runs lose and re-park whole
+        assert [len(run) for run in gate.signal._waiters] == [64, 1, 1]
+        gate.park("newer", need=5, shared=True)     # joins the tail run
+        sim.run()
+        assert [len(run) for run in gate.signal._waiters] == [64, 1, 2]
+
+    def test_fire_and_sweep_cost_is_independent_of_the_herd(self):
+        """Budget: a fire() whose one shared guard holds costs one guard
+        call and one re-park, for 8 parked waiters as for 256."""
+        def sweep_cost(herd):
+            sim = Simulator(seed=5)
+            gate = Turnstile(sim, Signal(sim))
+            for tag in range(herd):
+                gate.park(tag, need=2, shared=True)
+            sim.run()
+
+            def fire_and_sweep():
+                gate.signal.fire()
+                sim.run()
+
+            fire_and_sweep()        # warm: nothing left to specialise
+            before = sim.events_processed
+            measured = cost(fire_and_sweep)
+            assert sim.events_processed - before == 1
+            assert gate.resumes == 0 and gate.signal.waiting == herd
+            return measured
+
+        small, large = sweep_cost(8), sweep_cost(256)
+        assert small == large
+        assert small[0] <= 20
+
+    #: differential steps the random walks rarely reach: a herd of 70 on
+    #: one guard, an interrupt in the middle of the parked run, a
+    #: newcomer between a fire() and its sweep, winners leaving the head
+    #: of a run whose rest re-parks
+    HERD = ([("herd", 70, 3), ("interrupt", 35), ("give", 1, True),
+             ("park", 3, True, None, True), ("give", 2, True),
+             ("advance", 1), ("interrupt", 20), ("give", 3, True),
+             ("park", 3, True, "refire", True), ("give", 3, True),
+             ("give", 3, False), ("fire",)])
+    #: two guards alternating (A A B A): three runs, B's in the middle
+    ALTERNATING = ([("park", 3, True, None, True)] * 2
+                   + [("park", 2, True, None, True),
+                      ("park", 3, True, None, True),
+                      ("give", 1, True), ("give", 1, True),
+                      ("park", 2, True, "give", True), ("give", 3, True),
+                      ("interrupt", 1), ("give", 2, True)])
+
     @settings(max_examples=300, deadline=None)
     @given(steps=st.lists(st.one_of(
         st.tuples(st.just("park"), st.integers(1, 3), st.booleans(),
                   st.sampled_from([None, "refire", "spawn", "give"]),
                   st.booleans()),
+        st.tuples(st.just("herd"), st.integers(2, 12), st.integers(1, 3)),
         st.tuples(st.just("give"), st.integers(1, 3), st.booleans()),
         st.tuples(st.just("fire")),
         st.tuples(st.just("interrupt"), st.integers(0, 40)),
         st.tuples(st.just("advance"), st.integers(1, 5)),
         st.tuples(st.just("close"))), max_size=40))
+    @example(steps=HERD)
+    @example(steps=ALTERNATING)
     @example(steps=[("park", 1, True, "spawn", False),
                     ("park", 1, True, None, False), ("give", 1, True)])
     @example(steps=[("park", 2, True, None, True),
@@ -831,6 +907,11 @@ class TestSignal:
                                   shared=step[4])
                         # let it boot and park; a fire() just before
                         # this step still has its wake events queued
+                        yield sim.timeout(0)
+                    elif op == "herd":
+                        for _ in range(step[1]):
+                            gate.park(len(gate.procs), need=step[2],
+                                      shared=True)
                         yield sim.timeout(0)
                     elif op == "give":
                         gate.give(step[1], fire=step[2])

@@ -13,12 +13,17 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.telemetry import (HistogramError, LatencyHistograms,
                              LogHistogram, SeriesBank, SloEngine, SloSpec,
-                             TelemetrySampler)
+                             Telemetry, TelemetrySampler)
+from repro.telemetry.hist import QUANTILES
 from repro.run import RunSpec, run
+
+from .hostcost import cost
 
 
 # --- histograms ----------------------------------------------------------
@@ -94,6 +99,32 @@ class TestLogHistogram:
     def test_sub_bits_mismatch_rejected(self):
         with pytest.raises(HistogramError):
             LogHistogram(7).merge(LogHistogram(8))
+
+    @given(values=st.lists(st.one_of(st.none(), st.integers(0, 5_000_000)),
+                           max_size=80),
+           limit=st.integers(0, 5_000_000))
+    @settings(max_examples=100, deadline=None)
+    def test_cut_is_diff_against_the_copy_at_the_previous_cut(self, values,
+                                                              limit):
+        """``cut`` / ``window_quantiles`` / ``rank_to`` read the buckets
+        touched since the last cut; ``copy`` / ``diff`` / ``quantile`` /
+        ``rank_le`` read them all and say the same (None = a cut)."""
+        hist = LogHistogram()
+        snap = hist.copy()
+        for value in values + [None]:
+            if value is not None:
+                hist.record(value)
+                continue
+            assert hist.rank_to(limit) == hist.rank_le(limit)   # window open
+            reference = hist.diff(snap)
+            snap = hist.copy()
+            window = hist.cut()
+            assert window == reference.buckets()
+            if window:
+                assert hist.window_quantiles(window) == [
+                    reference.quantile(q) for q, _label in QUANTILES]
+            assert hist.rank_to(limit) == hist.rank_le(limit)
+            assert hist.cut() == []
 
 
 class TestLatencyHistograms:
@@ -255,6 +286,106 @@ class TestSloEngine:
         doc = json.loads(json.dumps(engine.report()))
         assert doc["tenants"]["h1"]["met"] is True
         assert doc["spec"]["target"] == 0.9
+
+
+HIST_KEYS = [("h1", "read", "d0"), ("h1", "write", "d0"),
+             ("h2", "read", "d0"), ("h2", "read", "d1")]
+
+
+class TestTouchedBucketWindows:
+    """The sampler's per-tick sources read only what a tick changed;
+    what they export is what the snapshot-diff reference computes."""
+
+    @given(steps=st.lists(st.one_of(
+        st.just(("tick",)),
+        st.tuples(st.just("io"), st.sampled_from(HIST_KEYS),
+                  st.integers(0, 400_000), st.booleans())), max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_ticks_match_the_snapshot_diff_reference(self, steps):
+        tele = Telemetry(Simulator())
+        hists = tele.enable_histograms()
+        engine = tele.enable_slo(SloSpec(objective_ns=100_000))
+        bank = tele.sampler.bank
+        snaps, expected, now = {}, {}, 0
+        for step in steps + [("tick",)]:
+            if step[0] == "io":
+                hists.record_io(*step[1], step[2], ok=step[3])
+                continue
+            now += 100
+            counters = {}
+            for key in hists.keys():
+                hist = hists.hist(*key)
+                good, total = counters.get(key[0], (0, 0))
+                counters[key[0]] = (
+                    good + (hist.rank_le(100_000) if hist else 0),
+                    total + sum(hists.totals(key)))
+                if hist is None:
+                    continue            # errors only: no latency series
+                window = hist.diff(snaps[key]) if key in snaps else hist
+                assert sorted(hist.recent.items()) == window.buckets()
+                if window.count:        # an empty window emits nothing
+                    for q, label in QUANTILES:
+                        expected.setdefault((label, key), []).append(
+                            (now, window.quantile(q)))
+                snaps[key] = hist.copy()
+            assert engine._tenant_counters() == counters    # window open
+            tele._sample_hists(bank, now)
+            assert engine._tenant_counters() == counters    # and cut
+            engine.sample(bank, now)
+            for tenant, (good, total) in counters.items():
+                assert engine._tenants[tenant].samples[-1] == (
+                    now, good, total)
+        for (label, (tenant, op, device)), points in expected.items():
+            assert bank.get(f"latency_{label}_ns", tenant=tenant, op=op,
+                            device=device).points() == points
+        assert sum(ts.name.startswith("latency_")
+                   for ts in bank.all_series()) == len(expected)
+
+    @staticmethod
+    def _scan_burn(samples, now, window_ns, budget):
+        """``_window_burn`` as it was at 83442b1: the baseline found by
+        scanning the tenant's whole history from its oldest sample."""
+        cutoff = now - window_ns
+        base = samples[0]
+        for sample in samples:
+            if sample[0] > cutoff:
+                break
+            base = sample
+        last = samples[-1]
+        good = last[1] - base[1]
+        total = last[2] - base[2]
+        if total <= 0:
+            return 0.0, 0
+        return ((total - good) / total) / budget, total
+
+    def test_burn_windows_cost_the_same_at_tick_50_and_tick_5000(self):
+        """The window baselines move forward with the clock: a tick does
+        not re-read the (up to 4096-sample) history, and what it reports
+        is what the scan reports — also once the history evicts."""
+        engine, hists = _engine(fast_window_ns=700, slow_window_ns=450_000)
+        spec = engine.spec
+        bank = SeriesBank()
+        calls = {}
+        for tick in range(5001):
+            now = tick * 100
+            hists.record_io("h1", "read", "d0", 50 if tick % 7 else 5000,
+                            ok=tick % 11 != 0)
+            if tick in (50, 5000):
+                calls[tick] = cost(lambda: engine.sample(bank, now))[0]
+            else:
+                engine.sample(bank, now)
+            samples = engine._tenants["h1"].samples
+            for name, window_ns in (("slo_burn_fast", spec.fast_window_ns),
+                                    ("slo_burn_slow", spec.slow_window_ns)):
+                burn, _n = self._scan_burn(samples, now, window_ns,
+                                           spec.budget)
+                assert bank.get(name, slo="slo", tenant="h1").last == (
+                    now, round(burn, 6)), (tick, name)
+        assert len(samples) == 4096         # the history did evict
+        assert calls[50] == calls[5000]
+        report = engine.report()["tenants"]["h1"]
+        assert (report["good"], report["total"]) == samples[-1][1:]
+        assert report["alerts"]
 
 
 # --- the acceptance story ------------------------------------------------
