@@ -421,3 +421,106 @@ class TestGoldenModeledOutput:
                                        total_ios=100))
             assert self._rig_sums(scn.sim, [scn.device]) \
                 == GOLDEN_RIGS[scn.label]
+
+
+def _sha(value) -> str:
+    """sha256 of a text export, or of the canonical JSON of plain data."""
+    import hashlib
+    import json
+    text = value if isinstance(value, str) else json.dumps(
+        value, sort_keys=True, default=list)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: What each *watcher* reported, taken at commit 21feada — before the
+#: tracer, the span recorder and ShareSan moved onto one probe seam.
+#: The modeled goldens above cannot see a watcher that records the
+#: right run wrongly; these pin the records themselves.
+GOLDEN_OBSERVERS = {
+    # (a) every trace category of two chaos runs
+    "trace/chaos-random": "9c044f2be1829250",
+    "trace/chaos-fixed": "9c1d8753fb960d84",
+    # (b) every export of one fully observed noisy run
+    "noisy/perfetto": "b80c968bc68f6949",
+    "noisy/prometheus": "a9d6f85c1ce215a1",
+    "noisy/timeseries": "39d2ca507e8b4b41",
+    "noisy/slo": "e598f390bdddc6ae",
+    "noisy/sanitizer": "69282d13c3fe7721",
+    # (c) ShareSan's report beyond 31 hosts
+    "scale-out/sanitizer": "f0eaed7b029f9339",
+    # (d) finished spans (index, op, start, end, marks) per Fig. 10 leg
+    "spans/local-linux": "b6bf1c6b563c5531",
+    "spans/nvmeof-remote": "2587458be8b6066e",
+    "spans/ours-local": "a40c39c053027d27",
+    "spans/ours-remote": "96ad272793780c95",
+    # (e) what every seeded-bug fixture makes ShareSan say
+    "fixtures": "b588fefdf2f47818",
+}
+
+
+class TestGoldenObservers:
+    def test_chaos_random_plan_trace(self):
+        from repro.run import RunSpec, run
+        done = run(RunSpec("chaos", faults="random", clients=3,
+                           rw="randrw", iodepth=4, ios=200, seed=11))
+        assert _sha(done.rig.trace_log()) \
+            == GOLDEN_OBSERVERS["trace/chaos-random"]
+
+    def test_chaos_fixed_plan_trace(self):
+        plan = FaultPlan((
+            FaultEvent(200_000, "link_down", "link:host2",
+                       duration_ns=500_000),
+            FaultEvent(400_000, "tlp_drop", "link:host3", probability=0.1,
+                       duration_ns=800_000),
+            FaultEvent(900_000, "ctrl_stall", "ctrl:nvme0",
+                       duration_ns=300_000)))
+        scn = chaos_cluster(3, plan=plan, seed=321)
+        scn.injector.start()
+        for i, client in enumerate(scn.clients):
+            scn.sim.process(fio_generator(
+                client, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
+                               total_ios=150, seed_stream=f"fio{i}")))
+        scn.sim.run(until=scn.sim.timeout(400_000_000))
+        assert _sha(scn.trace_log()) == GOLDEN_OBSERVERS["trace/chaos-fixed"]
+
+    def test_noisy_run_every_export(self):
+        from repro.run import RunSpec, run
+        done = run(RunSpec("noisy", observe={"spans", "slo", "sanitize"},
+                           throttle=True, seed=7))
+        got = {"noisy/perfetto": done.perfetto_json(),
+               "noisy/prometheus": done.prometheus_text(),
+               "noisy/timeseries": done.timeseries_jsonl(),
+               "noisy/slo": done.slo_report_json(),
+               "noisy/sanitizer": done.sanitizer_report()}
+        assert {key: _sha(value) for key, value in got.items()} \
+            == {key: GOLDEN_OBSERVERS[key] for key in got}
+
+    def test_scale_out_sanitizer_report(self):
+        from repro.run import RunSpec, run
+        done = run(RunSpec("scale-out", observe={"sanitize"}, seed=7,
+                           ios=50))
+        assert _sha(done.sanitizer_report()) \
+            == GOLDEN_OBSERVERS["scale-out/sanitizer"]
+
+    def test_fig10_leg_span_tables(self):
+        got = {}
+        for i, name in enumerate(FIG10_SCENARIOS):
+            scn = build_fig10_scenario(name, seed=404 + i, telemetry=True)
+            run_fio(scn.device, FioJob(rw="randrw", total_ios=60))
+            spans = scn.telemetry.spans.finished()
+            assert len(spans) == 60
+            for span in spans:
+                stages = span.stage_durations()
+                assert stages is None \
+                    or sum(stages.values()) == span.duration_ns
+            got[f"spans/{name}"] = _sha(
+                [(s.index, s.op, s.start_ns, s.end_ns, s.marks)
+                 for s in spans])
+        assert got == {key: GOLDEN_OBSERVERS[key] for key in got}
+
+    def test_seeded_bug_fixture_findings(self):
+        from repro.sanitizer import FIXTURES
+        findings = {name: [f.as_dict() for f in fixture().findings]
+                    for name, fixture in FIXTURES.items()}
+        assert all(findings.values())
+        assert _sha(findings) == GOLDEN_OBSERVERS["fixtures"]
