@@ -18,8 +18,7 @@ from repro.sim import Tracer
 def main() -> None:
     bed = PcieTestbed(n_hosts=2, with_nvme=True, seed=5)
     tracer = Tracer(bed.sim)
-    bed.nvme.tracer = tracer
-    bed.fabric.tracer = tracer
+    bed.sim.probe.subscribe(tracer)
 
     manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
                           bed.nvme_device_id, bed.config)

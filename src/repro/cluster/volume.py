@@ -29,7 +29,7 @@ import typing as t
 
 from ..driver.blockdev import BlockDevice, BlockError, BlockRequest
 from ..driver.client import HOST_PATH_STATUSES
-from ..sim import NULL_TRACER, Simulator
+from ..sim import Simulator
 from .layout import Extent, VolumeLayout
 
 #: no optimized path holds a live replica of the addressed chunk
@@ -48,8 +48,7 @@ class ClusterVolume(BlockDevice):
 
     def __init__(self, sim: Simulator, layout: VolumeLayout,
                  paths: t.Sequence[BlockDevice],
-                 queue_depth: int = 64, name: str | None = None,
-                 tracer=NULL_TRACER) -> None:
+                 queue_depth: int = 64, name: str | None = None) -> None:
         if len(paths) != layout.width:
             raise BlockError(
                 f"layout wants {layout.width} paths, got {len(paths)}")
@@ -66,7 +65,6 @@ class ClusterVolume(BlockDevice):
         self.layout = layout
         self.paths = list(paths)
         self.path_states = [ANA_OPTIMIZED] * layout.width
-        self.tracer = tracer
         # Cluster-layer counters (scraped by telemetry).
         self.failovers = 0          # reads redirected to another replica
         self.path_errors = 0        # host-status failures observed
@@ -99,9 +97,9 @@ class ClusterVolume(BlockDevice):
         if self.path_states[member] == ANA_INACCESSIBLE:
             return
         self.path_states[member] = ANA_INACCESSIBLE
-        self.tracer.emit("cluster", "path-down", volume=self.name,
-                         member=member, path=self.paths[member].name,
-                         status=status)
+        for f in self.probe.recovery:
+            f(self, "path-down", volume=self.name, member=member,
+              path=self.paths[member].name, status=status)
 
     # -- data path --------------------------------------------------------
 
@@ -151,8 +149,9 @@ class ClusterVolume(BlockDevice):
                 continue
             if tried_any:
                 self.failovers += 1
-                self.tracer.emit("cluster", "failover", volume=self.name,
-                                 lba=request.lba, member=member)
+                for f in self.probe.recovery:
+                    f(self, "failover", volume=self.name, lba=request.lba,
+                      member=member)
             tried_any = True
             sub = self._sub(request, extent, member_lba)
             yield self.paths[member].submit(sub)

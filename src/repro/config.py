@@ -246,8 +246,6 @@ class NvmeofConfig:
     in_capsule_data_size: int = 4096
     #: Command capsule size (64 B SQE + NVMe-oF header).
     capsule_bytes: int = 72
-    #: Response capsule size (16 B CQE + header).
-    response_bytes: int = 32
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +403,6 @@ class ClusterConfig:
     root complex.
     """
 
-    #: Chips on the NTB path between two hosts (adapter+switch+adapter).
-    ntb_path_chips: int = 3
     #: NTB link bandwidth per direction (Gen3 x8 cabled, effective).
     ntb_link_bandwidth: float = gb_per_s(7.0)
     #: Per-host NTB BAR aperture for mapping remote segments.

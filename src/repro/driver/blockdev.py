@@ -13,7 +13,6 @@ import dataclasses
 import typing as t
 
 from ..sim import Event, LatencyRecorder, Process, Resource, Simulator
-from ..telemetry.hub import NULL_TELEMETRY
 
 
 class BlockError(Exception):
@@ -33,7 +32,8 @@ class BlockRequest:
     status: int = 0               # NVMe status code; 0 = success
     submit_time: int = -1
     complete_time: int = -1
-    #: telemetry span (an :class:`~repro.telemetry.IoSpan`) when enabled
+    #: scratch slot of whoever watches ``io_submitted`` (the span
+    #: recorder parks its :class:`~repro.telemetry.IoSpan` here)
     span: t.Any = None
 
     #: ops that move data (their SQE carries a data pointer)
@@ -77,7 +77,7 @@ class BlockDevice:
         self.capacity_lbas = capacity_lbas
         self.queue_depth = queue_depth
         self._tags = Resource(sim, capacity=queue_depth)
-        self.telemetry = NULL_TELEMETRY
+        self.probe = sim.probe
         #: histogram tenant label; drivers that act for a remote host
         #: override this with the host's name (see DistributedNvmeClient)
         self.tenant = name
@@ -97,11 +97,8 @@ class BlockDevice:
         """
         self._validate(request)
         request.submit_time = self.sim._now
-        tele = self.telemetry
-        if tele.enabled:
-            request.span = tele.spans.begin(
-                self.name, request.op, request.lba,
-                request.nblocks * self.lba_bytes, request.submit_time)
+        for f in self.probe.io_submitted:
+            f(self, request)
         done = Event(self.sim)
         Process(self.sim, self._run(request, done), detached=True)
         return done
@@ -136,12 +133,8 @@ class BlockDevice:
         finally:
             self._tags.release(tag)
         request.complete_time = self.sim._now
-        tele = self.telemetry
-        if request.span is not None:
-            tele.spans.finish(request.span, request.complete_time)
-        if tele.enabled and tele.hists is not None:
-            tele.hists.record_io(self.tenant, request.op, self.name,
-                                 request.latency_ns, ok=request.ok)
+        for f in self.probe.io_completed:
+            f(self, request)
         self.latencies.record(request.latency_ns)
         self.completed += 1
         if not request.ok:

@@ -31,15 +31,14 @@ from ..config import SimulationConfig
 from ..nvme import (CompletionEntry, CompletionQueueState,
                     SubmissionQueueState, sq_doorbell_offset)
 from ..pcie.fabric import FabricFaultError
-from ..sanitizer.hooks import NULL_SANITIZER
-from ..sim import NULL_TRACER, Interrupt, Process, Signal, Simulator, Store
+from ..sim import Interrupt, Process, Signal, Simulator, Store
 from ..sisci import RemoteSegment, SisciNode
 from ..smartio import Placement, SmartIoService
 from ..units import serialize_ns
 from . import metadata as meta
 from .blockdev import BlockDevice, BlockError, BlockRequest
 from .prputil import prps_for_contiguous
-from .qpair import QueuePair, io_sqe, mark_on_delivery, usable_depth
+from .qpair import QueuePair, io_sqe, usable_depth
 
 
 class ClientError(Exception):
@@ -73,7 +72,7 @@ class DistributedNvmeClient(BlockDevice):
                  completion_mode: str = "poll",
                  sharing: str = "auto",
                  slot_index: int | None = None,
-                 name: str | None = None, tracer=NULL_TRACER) -> None:
+                 name: str | None = None) -> None:
         if sq_placement not in ("device", "client"):
             raise ClientError(f"bad sq_placement: {sq_placement}")
         if cq_placement not in ("device", "client"):
@@ -111,7 +110,6 @@ class DistributedNvmeClient(BlockDevice):
         # A cluster host holds one path-client per member device, all
         # sharing this label, so per-tenant series aggregate naturally.
         self.tenant = node.host.name
-        self.tracer = tracer
         #: the queue pair (ring mechanics); built by start()
         self._qp: QueuePair | None = None
         self._inflight: dict = {}       # the pair's cid -> waiter map
@@ -138,8 +136,6 @@ class DistributedNvmeClient(BlockDevice):
         #: commands are clamped to this many; None = unthrottled.
         self.qos_window: int | None = None
         self.throttled_ios = 0
-        #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-        self.sanitizer = NULL_SANITIZER
 
     # ------------------------------------------------------------- bootstrap
 
@@ -208,12 +204,13 @@ class DistributedNvmeClient(BlockDevice):
             self._adopt(
                 SubmissionQueueState(qid=self.qid, base_addr=0,
                                      entries=self.queue_entries,
-                                     cqid=self.qid),
+                                     cqid=self.qid, probe=self.probe),
                 # A device-side CQ (the ablation) is only ever read
                 # across the NTB, by _poll_remote.
                 CompletionQueueState(
                     qid=self.qid, entries=self.queue_entries,
-                    base_addr=cq_seg.phys_addr if self._cq_local else 0))
+                    base_addr=cq_seg.phys_addr if self._cq_local else 0,
+                    probe=self.probe))
         else:
             yield from self._start_shared()
 
@@ -238,11 +235,8 @@ class DistributedNvmeClient(BlockDevice):
 
         self._running = True
         self._started = True
-        san = self.sanitizer
-        if san.enabled:
-            san.on_client_started(self)
-            self._qp.on_issue = (
-                lambda cid, slot: san.on_client_submit(self, cid, slot))
+        for f in self.probe.lifecycle:
+            f(self, "client-started")
         if self.completion_mode == "interrupt":
             notice = self._qp.on_interrupt(self._irq_mailbox,
                                            cfg.host.interrupt_latency_ns)
@@ -306,15 +300,16 @@ class DistributedNvmeClient(BlockDevice):
         self._adopt(
             SubmissionQueueState(qid=self.qid, base_addr=0,
                                  entries=win_len, cqid=self.qid,
-                                 head=tail, tail=tail),
+                                 head=tail, tail=tail, probe=self.probe),
             CompletionQueueState(qid=self.qid, base_addr=mb_seg.phys_addr,
-                                 entries=self.queue_entries),
+                                 entries=self.queue_entries,
+                                 probe=self.probe),
             first_slot=self._win_start, sq_bell=False, cq_bell=False,
             cid_base=meta.make_cid(self._tenant, 0),
             cid_span=meta.CID_SEQ_MASK + 1)
-        self.tracer.emit("client", "shared-qp-joined", client=self.name,
-                         qid=self.qid, tenant=self._tenant,
-                         win_start=self._win_start, win_len=win_len)
+        for f in self.probe.lifecycle:
+            f(self, "shared-qp-joined", self._tenant, self._win_start,
+              win_len)
 
     def _adopt(self, sq: SubmissionQueueState, cq: CompletionQueueState,
                **window) -> None:
@@ -323,7 +318,7 @@ class DistributedNvmeClient(BlockDevice):
         self._qp = qp = QueuePair(
             self.sim, self.node.fabric, self.node.host, self._bar, sq,
             self._sq_conn, cq, on_cqe=self._on_cqe, name=self.name,
-            tracer=self.tracer, **window)
+            **window)
         self.sq, self.cq, self._inflight = sq, cq, qp.inflight
 
     def _setup_remote_interrupts(self) -> t.Generator:
@@ -363,9 +358,8 @@ class DistributedNvmeClient(BlockDevice):
         self._running = False
         self._stop_workers()
         self._fail_inflight(STATUS_HOST_SHUTDOWN)
-        san = self.sanitizer
-        if san.enabled:
-            san.on_client_dead(self, "shutdown")
+        for f in self.probe.lifecycle:
+            f(self, "client-shutdown")
         if self.qid is not None:
             yield from self._rpc(meta.OP_DELETE_QP, qid=self.qid)
             self.qid = None
@@ -384,10 +378,8 @@ class DistributedNvmeClient(BlockDevice):
         self._running = False
         self._stop_workers()
         self._fail_inflight(STATUS_HOST_CRASHED)
-        san = self.sanitizer
-        if san.enabled:
-            san.on_client_dead(self, "crashed")
-        self.tracer.emit("fault", "client-crashed", client=self.name)
+        for f in self.probe.lifecycle:
+            f(self, "client-crashed")
 
     def _stop_workers(self) -> None:
         for proc in (self._poll_proc, self._hb_proc):
@@ -576,14 +568,14 @@ class DistributedNvmeClient(BlockDevice):
                     attempt += 1
                     yield self.sim.timeout(rel.retry_backoff_ns * attempt)
                     continue
-            done = self._qp.submit(sqe, request.span, self.telemetry.spans)
+            done = self._qp.submit(sqe, request)
             if self._shared:
                 # A tenant rings for itself: the pair only stored the
                 # SQE into our slot window of the manager-hosted ring.
                 self._submitted += 1
                 batch_ns = self.config.sharing.doorbell_batch_ns
                 if batch_ns <= 0:
-                    self._ring_shared_sq_doorbell(request.span)
+                    self._ring_shared_sq_doorbell(request)
                 elif self._db_timer is None or not self._db_timer.is_alive:
                     # Batched ring: one doorbell covers every SQE issued
                     # within the window.  Safe because the tail value rung
@@ -610,25 +602,22 @@ class DistributedNvmeClient(BlockDevice):
             # as stale by the queue pair instead of completing anything,
             # so each request completes exactly once.
             self._inflight.pop(sqe.cid, None)
-            if request.span is not None:
-                self.telemetry.spans.unbind(self.qid, sqe.cid)
             self.timeouts += 1
-            self.tracer.emit("recovery", "timeout", client=self.name,
-                             cid=sqe.cid, attempt=attempt)
+            for f in self.probe.recovery:
+                f(self, "timeout", client=self.name, cid=sqe.cid,
+                  attempt=attempt)
             if attempt >= rel.max_retries:
                 cqe = CompletionEntry(cid=sqe.cid,
                                       status=STATUS_HOST_TIMEOUT)
                 break
             attempt += 1
             self.retries += 1
-            self.tracer.emit("recovery", "retry", client=self.name,
-                             cid=sqe.cid, attempt=attempt)
+            for f in self.probe.recovery:
+                f(self, "retry", client=self.name, cid=sqe.cid,
+                  attempt=attempt)
             # Linear backoff; the retry is a fresh command with a fresh
             # cid (reads/writes are idempotent at the block layer).
             yield self.sim.timeout(rel.retry_backoff_ns * attempt)
-        span = request.span
-        if span is not None and span.cid >= 0:
-            self.telemetry.spans.unbind(span.qid, span.cid)
         # Naive completion software path + copy out of the bounce buffer.
         yield self.sim.sleep(cfg.dist_complete_ns)
         request.status = cqe.status
@@ -654,7 +643,7 @@ class DistributedNvmeClient(BlockDevice):
         return (self._running and not self._clamp_holds()
                 and self.sq.is_full())
 
-    def _ring_shared_sq_doorbell(self, span=None) -> None:
+    def _ring_shared_sq_doorbell(self, request=None) -> None:
         """Shared-SQ ring: mirror the absolute submission count into our
         doorbell shadow first (the manager reads it locally at
         release/reclaim — count mod window size hands the ring position
@@ -663,9 +652,6 @@ class DistributedNvmeClient(BlockDevice):
         ring with the window index encoded in the doorbell's high
         half."""
         assert self._meta_conn is not None
-        san = self.sanitizer
-        if san.enabled:
-            san.on_client_doorbell(self)
         self._meta_conn.write(
             meta.shadow_offset(self.qid, self._tenant),
             self._submitted.to_bytes(meta.SHADOW_SIZE, "little"))
@@ -673,8 +659,8 @@ class DistributedNvmeClient(BlockDevice):
             self.node.host.rc, self.node.host,
             self._bar + sq_doorbell_offset(self.qid),
             ((self._tenant << 16) | self.sq.tail).to_bytes(4, "little"))
-        if span is not None:
-            mark_on_delivery(self.sim, db_write, span, "doorbell-delivered")
+        for f in self.probe.doorbell_rung:
+            f(self._qp, db_write, request)
 
     def _doorbell_batcher(self, batch_ns: int) -> t.Generator:
         """Sleep out the batching window, then ring once with the
@@ -720,9 +706,6 @@ class DistributedNvmeClient(BlockDevice):
     def _on_cqe(self, cqe: CompletionEntry) -> None:
         """A completion is about to be delivered and its SQ slot is free
         again: wake submitters parked for space (flow control)."""
-        san = self.sanitizer
-        if san.enabled:
-            san.on_client_dispatch(self, cqe)
         self._sq_space.fire()
 
     def _resync_cq(self) -> int:

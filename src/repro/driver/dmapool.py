@@ -27,26 +27,22 @@ class DmaPool:
         self.size = size
         self.name = name
         self._alloc = RangeAllocator(cpu_base, size, name=name)
-        # ShareSan rides on the host memory's hook (docs/sanitizer.md):
-        # pools are created at arbitrary times, so the wiring point is
-        # the (long-lived) HostMemory they carve their buffers from.
-        san = host.memory.sanitizer
-        if san.enabled:
-            san.on_pool_created(self)
+        # A pool has no simulator of its own: it reports on the probe of
+        # the HostMemory it carves its buffers from.
+        self.probe = host.memory.probe
+        for f in self.probe.mem_event:
+            f(self, "pool", cpu_base, size)
 
     def alloc(self, size: int, alignment: int = 4096) -> tuple[int, int]:
         """Returns ``(cpu_addr, device_addr)`` for a new allocation."""
         cpu_addr = self._alloc.alloc(size, alignment)
-        san = self.host.memory.sanitizer
-        if san.enabled:
-            san.on_pool_alloc(self, cpu_addr,
-                              self._alloc.allocation_size(cpu_addr))
+        for f in self.probe.mem_event:
+            f(self, "alloc", cpu_addr, self._alloc.allocation_size(cpu_addr))
         return cpu_addr, self.to_device(cpu_addr)
 
     def free(self, cpu_addr: int) -> None:
-        san = self.host.memory.sanitizer
-        if san.enabled:
-            san.on_pool_free(self, cpu_addr)
+        for f in self.probe.mem_event:
+            f(self, "free", cpu_addr, 0)
         self._alloc.free(cpu_addr)
 
     def to_device(self, cpu_addr: int) -> int:

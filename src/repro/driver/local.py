@@ -109,10 +109,7 @@ class LocalNvmeDriver(BlockDevice):
                 buf, nbytes, alloc,
                 lambda blob: self.host.memory.write(alloc, blob))
 
-        span = request.span
-        cqe = yield self._qp.submit(sqe, span, self.telemetry.spans)
-        if span is not None:
-            self.telemetry.spans.unbind(span.qid, span.cid)
+        cqe = yield self._qp.submit(sqe, request)
         if self.wake_ns:
             yield self.sim.timeout(self.wake_ns)
         request.status = cqe.status

@@ -26,9 +26,7 @@ import typing as t
 
 from ..config import SimulationConfig
 from ..nvme import CompletionEntry, CompletionQueueState
-from ..sanitizer.hooks import NULL_SANITIZER
-from ..sim import NULL_TRACER, Resource, Simulator
-from ..telemetry.hub import NULL_TELEMETRY
+from ..sim import Resource, Simulator
 from ..sisci import LocalSegment, RemoteSegment, SisciError, SisciNode
 from ..smartio import SmartIoService
 from . import metadata as meta
@@ -117,13 +115,13 @@ class NvmeManager:
 
     def __init__(self, sim: Simulator, smartio: SmartIoService,
                  node: SisciNode, device_id: int,
-                 config: SimulationConfig, tracer=NULL_TRACER) -> None:
+                 config: SimulationConfig) -> None:
         self.sim = sim
+        self.probe = sim.probe
         self.smartio = smartio
         self.node = node
         self.device_id = device_id
         self.config = config
-        self.tracer = tracer
         self.admin: AdminQueues | None = None
         self.metadata_segment: LocalSegment | None = None
         self._ref = None
@@ -138,9 +136,6 @@ class NvmeManager:
         self._admin_lock = Resource(sim, capacity=1)
         # slot -> (last heartbeat value, sim time it last changed)
         self._hb_seen: dict[int, tuple[int, int]] = {}
-        self.telemetry = NULL_TELEMETRY
-        #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-        self.sanitizer = NULL_SANITIZER
         self.rpcs_served = 0
         self.leases_reclaimed = 0
         self.admission_rejections = 0
@@ -202,9 +197,8 @@ class NvmeManager:
         # Device initialised: let clients in.
         self._ref.downgrade()
         self._running = True
-        san = self.sanitizer
-        if san.enabled:
-            san.on_manager_started(self)
+        for f in self.probe.lifecycle:
+            f(self, "manager-started")
         self.sim.process(self._mailbox_worker())
         if self.config.reliability.lease_timeout_ns > 0:
             self.sim.process(self._lease_worker())
@@ -320,14 +314,9 @@ class NvmeManager:
             meta.slot_offset(slot),
             meta.pack_slot(meta.SLOT_RESPONSE, op=req["op"], qid=qid,
                            rpc_status=rpc_status, **extra))
-        tele = self.telemetry
-        if tele.enabled:
-            op_name = {meta.OP_CREATE_QP: "create-qp",
-                       meta.OP_DELETE_QP: "delete-qp"}.get(req["op"],
-                                                           "unknown")
-            tele.metrics.observe(
-                "repro_manager_rpc_latency_ns", self.sim.now - served_at,
-                help="admin mailbox RPC service time", op=op_name)
+        for f in self.probe.lease_changed:
+            f(self, meta.OP_NAMES.get(req["op"], "unknown"), slot, qid, -1,
+              served_at)
 
     # -- shared queue pairs (docs/queue_sharing.md) ----------------------------
 
@@ -372,7 +361,8 @@ class NvmeManager:
         qp.tenants[widx] = _SharedTenant(
             slot=slot, mailbox=mailbox,
             ring=CompletionQueueState(qid=qp.qid, base_addr=0,
-                                      entries=req["entries"]))
+                                      entries=req["entries"],
+                                      probe=self.probe))
         win_tail = qp.win_next_tail[widx]
         seg = self.metadata_segment
         assert seg is not None
@@ -382,12 +372,8 @@ class NvmeManager:
         seg.write(meta.shadow_offset(qp.qid, widx),
                   win_tail.to_bytes(meta.SHADOW_SIZE, "little"))
         self._slot_share[slot] = (qp.qid, widx)
-        san = self.sanitizer
-        if san.enabled:
-            san.on_window_granted(self, qp, widx, slot,
-                                  qp.tenants[widx].ring)
-        self.tracer.emit("manager", "shared-admit", slot=slot,
-                         qid=qp.qid, window=widx)
+        for f in self.probe.lease_changed:
+            f(self, "granted", slot, qp.qid, widx, self.sim.now)
         extra = {"tenant": widx, "win_start": widx * qp.win_entries,
                  "win_len": qp.win_entries,
                  "share_node": qp.sq_seg.id.node_id,
@@ -462,13 +448,10 @@ class NvmeManager:
             qid=qid, sq_seg=sq_seg, cq_seg=cq_seg, entries=entries,
             win_entries=win,
             cq=CompletionQueueState(qid=qid, base_addr=cq_seg.phys_addr,
-                                    entries=entries),
+                                    entries=entries, probe=self.probe),
             tenants=[None] * nwin, win_next_tail=[0] * nwin,
             win_completed=[0] * nwin)
         self._shared_qps[qid] = qp
-        san = self.sanitizer
-        if san.enabled:
-            san.on_shared_qp(self, qp)
         # The demux worker: a CQ consumer with no SQ of its own, polling
         # the shared CQ in manager-local memory.
         qp.demux = QueuePair(
@@ -477,8 +460,8 @@ class NvmeManager:
         self.sim.process(qp.demux.poll(
             f"qp-demux:{self.device_id}:{qid}",
             self.config.host.poll_interval_ns))
-        self.tracer.emit("manager", "shared-qp-created", qid=qid,
-                         windows=nwin)
+        for f in self.probe.lifecycle:
+            f(self, "shared-qp-created", qp)
         return qp
 
     def _release_window(self, slot: int) -> None:
@@ -506,15 +489,11 @@ class NvmeManager:
             # CQEs we drop as orphans) catches up with the departed
             # tenant's absolute submission count.
             qp.draining[widx] = shadow
-        san = self.sanitizer
-        if san.enabled:
-            san.on_window_released(self, qp, widx, slot,
-                                   widx in qp.draining)
         seg.write(meta.share_offset(qid),
                   meta.pack_share(qid, qp.nwindows, qp.win_entries,
                                   qp.tenant_bitmap()))
-        self.tracer.emit("manager", "window-released", slot=slot,
-                         qid=qid, window=widx)
+        for f in self.probe.lease_changed:
+            f(self, "released", slot, qid, widx, self.sim.now)
 
     def _forward_cqe(self, qp: _SharedQp, cqe: CompletionEntry) -> None:
         """Route one CQE of a shared CQ to the issuing tenant's
@@ -527,31 +506,27 @@ class NvmeManager:
         window may already belong to a successor, whose CID sequence
         space is its own, so no misdelivery is possible.
         """
-        san = self.sanitizer
         widx = meta.cid_tenant(cqe.cid)
-        if widx >= len(qp.tenants):
-            self.cqes_orphaned += 1
-            if san.enabled:
-                san.on_cqe_orphaned(self, qp, cqe)
-            return
-        qp.win_completed[widx] += 1
-        if (widx in qp.draining
-                and qp.win_completed[widx] >= qp.draining[widx]):
-            del qp.draining[widx]      # quarantined window now empty
-            if san.enabled:
-                san.on_window_drained(self, qp, widx)
-        ten = qp.tenants[widx]
+        ten = None
+        if widx < len(qp.tenants):
+            qp.win_completed[widx] += 1
+            if (widx in qp.draining
+                    and qp.win_completed[widx] >= qp.draining[widx]):
+                del qp.draining[widx]      # quarantined window now empty
+                for f in self.probe.lease_changed:
+                    f(self, "drained", None, qp.qid, widx, self.sim.now)
+            ten = qp.tenants[widx]
         if ten is None or ten.mailbox is None or ten.ring is None:
             self.cqes_orphaned += 1
-            if san.enabled:
-                san.on_cqe_orphaned(self, qp, cqe)
+            for f in self.probe.cqe_routed:
+                f(self, qp, cqe, widx, None)
             return
         slot, phase = ten.ring.produce_slot()
         cqe.phase = phase
         ten.mailbox.write(slot * 16, cqe.pack())
         self.cqes_forwarded += 1
-        if san.enabled:
-            san.on_cqe_forwarded(self, qp, widx, ten.slot, cqe)
+        for f in self.probe.cqe_routed:
+            f(self, qp, cqe, widx, ten.slot)
 
     # -- liveness leases -----------------------------------------------------------
 
@@ -618,11 +593,9 @@ class NvmeManager:
         self.metadata_segment.write(meta.heartbeat_offset(slot),
                                     bytes(meta.HEARTBEAT_SIZE))
         self.leases_reclaimed += 1
-        san = self.sanitizer
-        if san.enabled:
-            san.on_lease_revoked(self, slot)
-        self.tracer.emit("recovery", "lease-reclaim", slot=slot,
-                         qids=len(owned) + (1 if shared else 0))
+        for f in self.probe.recovery:
+            f(self, "lease-reclaim", slot=slot,
+              qids=len(owned) + (1 if shared else 0))
 
     @property
     def queues_in_use(self) -> int:
@@ -631,7 +604,7 @@ class NvmeManager:
 
     @property
     def shared_qps(self) -> dict[int, _SharedQp]:
-        """Read-only view of the shared QPs (telemetry, tests)."""
+        """Read-only view of the shared QPs (observers, tests)."""
         return self._shared_qps
 
     def window_map(self) -> dict[int, dict[int, int]]:

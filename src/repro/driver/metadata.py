@@ -74,6 +74,8 @@ SLOT_RESPONSE = 2
 # RPC opcodes
 OP_CREATE_QP = 1
 OP_DELETE_QP = 2
+#: what the probe's ``lease_changed`` calls an answered RPC
+OP_NAMES = {OP_CREATE_QP: "create-qp", OP_DELETE_QP: "delete-qp"}
 
 # RPC status
 RPC_OK = 0

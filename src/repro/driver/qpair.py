@@ -31,7 +31,7 @@ import typing as t
 from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
                     SubmissionEntry, SubmissionQueueState,
                     cq_doorbell_offset, sq_doorbell_offset)
-from ..sim import NULL_TRACER, Event, Interrupt, Simulator
+from ..sim import Event, Interrupt, Simulator
 
 #: block-layer op -> NVMe I/O opcode, for every stack
 IO_OPCODES = {"read": IoOpcode.READ, "write": IoOpcode.WRITE,
@@ -57,18 +57,6 @@ def usable_depth(queue_depth: int, entries: int) -> int:
     return min(queue_depth, entries - 1)
 
 
-def mark_on_delivery(sim: Simulator, write, span, boundary: str) -> None:
-    """Stamp ``boundary`` on ``span`` when the posted ``write`` lands.
-    Piggybacks on the write's delivery event — no queue entry, no RNG
-    draw — so simulated timing is identical with telemetry off.  A plain
-    local store (None) has landed already; a dropped write (``callbacks``
-    None) never does."""
-    if write is None:
-        span.mark(boundary, sim.now)
-    elif write.callbacks is not None:
-        write.callbacks.append(lambda _ev: span.mark(boundary, sim.now))
-
-
 class LocalRing:
     """SQ memory in this CPU's own DRAM: the plain-store twin of
     :meth:`RemoteSegment.write <repro.sisci.RemoteSegment.write>`."""
@@ -87,9 +75,10 @@ class QueuePair:
     ``sink`` receives every CQE :meth:`drain` consumes; the default,
     :meth:`complete`, wakes the waiter :meth:`submit` registered
     (``complete_delay`` ns later, for stacks that charge completion
-    processing on the trigger).  ``on_issue(cid, slot)`` and
-    ``on_cqe(cqe)`` let the owning stack observe a store about to happen
-    and a completion about to be delivered.
+    processing on the trigger).  ``on_cqe(cqe)`` tells the owning
+    stack a completion is about to be delivered (flow control); who
+    merely *watches* stores and completions subscribes to the probe's
+    ``sqe_issued`` / ``doorbell_rung`` / ``cqe_seen``.
     """
 
     def __init__(self, sim: Simulator, fabric, host, bar: int,
@@ -100,8 +89,9 @@ class QueuePair:
                  complete_delay: int = 0,
                  sink: t.Callable[[CompletionEntry], None] | None = None,
                  on_cqe: t.Callable[[CompletionEntry], None] | None = None,
-                 name: str = "", tracer=NULL_TRACER) -> None:
+                 name: str = "") -> None:
         self.sim = sim
+        self.probe = sim.probe
         self.sq = sq
         self.sq_mem = sq_mem
         self.cq = cq
@@ -111,9 +101,7 @@ class QueuePair:
         self.complete_delay = complete_delay
         self.sink = sink or self.complete
         self.on_cqe = on_cqe
-        self.on_issue: t.Callable[[int, int], None] | None = None
         self.name = name
-        self.tracer = tracer
         #: cid -> waiter of every command submitted and not yet completed
         self.inflight: dict[int, Event] = {}
         #: completions whose cid had no waiter (retired by a timeout)
@@ -136,10 +124,12 @@ class QueuePair:
         """Both rings in the driving CPU's own DRAM."""
         return cls(sim, fabric, host, bar,
                    SubmissionQueueState(qid=qid, base_addr=sq_addr,
-                                        entries=entries, cqid=qid),
+                                        entries=entries, cqid=qid,
+                                        probe=sim.probe),
                    LocalRing(host.memory, sq_addr),
                    CompletionQueueState(qid=qid, base_addr=cq_addr,
-                                        entries=entries), **kwargs)
+                                        entries=entries, probe=sim.probe),
+                   **kwargs)
 
     # -- submission --------------------------------------------------------
 
@@ -147,37 +137,32 @@ class QueuePair:
         self._cid = (self._cid + 1) % self._cid_span
         return self._cid_base | self._cid
 
-    def submit(self, sqe: SubmissionEntry, span=None, spans=None) -> Event:
+    def submit(self, sqe: SubmissionEntry, request=None) -> Event:
         """Issue ``sqe`` under a fresh cid; the returned event triggers
-        with its CQE.  ``span`` is published in ``spans`` under that
-        on-the-wire identity so the controller can stamp its boundaries."""
+        with its CQE.  ``request`` is the block request it serves, for
+        whoever watches :meth:`issue`."""
         sqe.cid = cid = self.next_cid()
         done = Event(self.sim)
         self.inflight[cid] = done
-        if span is not None:
-            spans.bind(self.sq.qid, cid, span)
-        self.issue(sqe, span)
+        self.issue(sqe, request)
         return done
 
-    def issue(self, sqe: SubmissionEntry, span=None) -> None:
+    def issue(self, sqe: SubmissionEntry, request=None) -> None:
         """SQE store, then the SQ tail doorbell behind it (PCIe posted
         ordering keeps them in program order) — one function, so
         ``doorbell-after-sq-write`` guards every stack here.  The cid is
         the caller's: the NVMe-oF target passes its initiator's through."""
         sq = self.sq
         slot = sq.advance_tail()
-        if self.on_issue is not None:
-            self.on_issue(sqe.cid, slot)
         store = self.sq_mem.write((self.first_slot + slot) * 64, sqe.pack())
-        if span is not None:
-            span.mark("sqe-issued", self.sim.now)
-            mark_on_delivery(self.sim, store, span, "sqe-delivered")
+        for f in self.probe.sqe_issued:
+            f(self, sqe, slot, store, request)
         if self.sq_bell:
             ring = self._post(self._host.rc, self._host,
                               self._bar + sq_doorbell_offset(sq.qid),
                               sq.tail.to_bytes(4, "little"))
-            if span is not None:
-                mark_on_delivery(self.sim, ring, span, "doorbell-delivered")
+            for f in self.probe.doorbell_rung:
+                f(self, ring, request)
 
     # -- completion --------------------------------------------------------
 
@@ -232,8 +217,8 @@ class QueuePair:
             # The cid was retired (its submitter timed out and moved on
             # to a fresh one): drop the completion.
             self.stale += 1
-            self.tracer.emit("recovery", "stale-completion",
-                             client=self.name, cid=cqe.cid)
+        for f in self.probe.cqe_seen:
+            f(self, cqe, done)
 
     def ring_cq(self) -> None:
         """CQ head doorbell.  A mailbox ring has none: whoever forwards
@@ -282,8 +267,9 @@ class QueuePair:
                 self.memory.write(cq.slot_addr(slot),
                                   CompletionEntry(phase=tags[i]).pack())
         self.ring_cq()
-        self.tracer.emit("recovery", "cq-resync", client=self.name,
-                         recovered=len(hits), skipped=span - len(hits))
+        for f in self.probe.recovery:
+            f(self, "cq-resync", client=self.name, recovered=len(hits),
+              skipped=span - len(hits))
         return len(hits)
 
     def fail_all(self, status: int) -> None:

@@ -3,17 +3,18 @@
 One simulator process walks the plan's expanded (time-sorted) action
 list, sleeping between events and applying each to the
 :class:`~repro.faults.registry.FaultPointRegistry`.  Every applied
-action is emitted into the trace stream (category ``"fault"``) and
-counted, so a chaos run leaves an inspectable record of exactly what
-was injected and when — the other half of that record, category
-``"recovery"``, comes from the driver's timeout/lease machinery.
+action is emitted on the probe's ``recovery`` event (the tracer files
+it under category ``"fault"``) and counted, so a chaos run leaves an
+inspectable record of exactly what was injected and when — the other
+half of that record, category ``"recovery"``, comes from the driver's
+timeout/lease machinery.
 """
 
 from __future__ import annotations
 
 import typing as t
 
-from ..sim import NULL_TRACER, Counter, Simulator
+from ..sim import Counter, Simulator
 from .plan import FaultEvent, FaultPlan
 from .registry import FaultError, FaultPointRegistry
 
@@ -22,11 +23,10 @@ class FaultInjector:
     """Applies a plan's events to registered fault points on schedule."""
 
     def __init__(self, sim: Simulator, registry: FaultPointRegistry,
-                 plan: FaultPlan, tracer=NULL_TRACER) -> None:
+                 plan: FaultPlan) -> None:
         self.sim = sim
         self.registry = registry
         self.plan = plan
-        self.tracer = tracer
         self.stats = Counter()
         self.applied: list[FaultEvent] = []
         self._proc = None
@@ -80,5 +80,6 @@ class FaultInjector:
             raise FaultError(f"unhandled action {ev.action!r}")
         self.applied.append(ev)
         self.stats.add(ev.action)
-        self.tracer.emit("fault", ev.action, target=ev.target,
-                         probability=ev.probability, delay_ns=ev.delay_ns)
+        for f in self.sim.probe.recovery:
+            f(self, ev.action, target=ev.target,
+              probability=ev.probability, delay_ns=ev.delay_ns)

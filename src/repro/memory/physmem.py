@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import typing as t
 
-from ..sanitizer.hooks import NULL_SANITIZER
 from ..sim import Signal, Simulator
 
 
@@ -61,8 +60,7 @@ class HostMemory:
         self.name = name
         self._extents: dict[int, bytearray] = {}
         self._watchpoints: list[Watchpoint] = []
-        #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-        self.sanitizer = NULL_SANITIZER
+        self.probe = sim.probe
 
     @property
     def end(self) -> int:
@@ -87,9 +85,8 @@ class HostMemory:
         offset = addr - self.base
         if offset < 0 or offset + length > self.size:
             self._check(addr, length)
-        san = self.sanitizer
-        if san.enabled:
-            san.on_mem_read(self, addr, length)
+        for f in self.probe.mem_event:
+            f(self, "read", addr, length)
         index, within = divmod(offset, self.EXTENT)
         if within + length <= self.EXTENT:
             extent = self._extents.get(index)
@@ -113,9 +110,8 @@ class HostMemory:
         offset = addr - self.base
         if offset < 0 or offset + length > self.size:
             self._check(addr, length)
-        san = self.sanitizer
-        if san.enabled:
-            san.on_mem_write(self, addr, length)
+        for f in self.probe.mem_event:
+            f(self, "write", addr, length)
         if not isinstance(data, (bytes, bytearray)):
             data = bytes(data)
         index, within = divmod(offset, self.EXTENT)

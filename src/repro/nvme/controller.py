@@ -27,9 +27,7 @@ import typing as t
 from ..config import NvmeConfig
 from ..pcie.device import Bar, PCIeFunction
 from ..pcie.fabric import FabricFaultError
-from ..sim import NULL_TRACER, Signal, Simulator
-from ..sanitizer.hooks import NULL_SANITIZER
-from ..telemetry.hub import NULL_TELEMETRY
+from ..sim import Signal, Simulator
 from .constants import (CC_EN, CSTS_RDY, CSTS_SHST_COMPLETE, DOORBELL_BASE,
                         PAGE_SIZE, AdminOpcode, IoOpcode, Status,
                         CNS_ACTIVE_NS_LIST, CNS_CONTROLLER, CNS_NAMESPACE,
@@ -83,10 +81,9 @@ class NvmeController(PCIeFunction):
     BAR_SIZE = 0x4000
 
     def __init__(self, sim: Simulator, name: str, config: NvmeConfig,
-                 media: Media | None = None, tracer=NULL_TRACER) -> None:
+                 media: Media | None = None) -> None:
         super().__init__(sim, name)
         self.config = config
-        self.tracer = tracer
         self.add_bar(0, self.BAR_SIZE)
         self.regs = RegisterFile(config.max_queue_entries,
                                  config.doorbell_stride)
@@ -105,9 +102,6 @@ class NvmeController(PCIeFunction):
         #: ``ctrl:<name>`` (stall / per-command abort injection).
         self.faults = None
         self.fault_point = f"ctrl:{name}"
-        self.telemetry = NULL_TELEMETRY
-        #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-        self.sanitizer = NULL_SANITIZER
         #: optional QosConfig (docs/qos.md); when set and enabled,
         #: shared SQs created afterwards get a fetch arbiter.
         self.qos = None
@@ -116,17 +110,6 @@ class NvmeController(PCIeFunction):
         self.fetches = 0
         self.fetch_retries = 0
         self.bad_doorbells = 0
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        # _trace gates the per-I/O emits on the hot path; keep it in sync
-        # so attaching a tracer after construction still records events.
-        self._tracer = value
-        self._trace = value is not NULL_TRACER
 
     # ------------------------------------------------------------------ MMIO
 
@@ -142,7 +125,14 @@ class NvmeController(PCIeFunction):
             self._msix_write(offset, data)
             return
         if offset >= DOORBELL_BASE:
+            # A refused ring (dead queue, index out of range) is one
+            # that moved the bad-doorbell count.
+            refused = self.bad_doorbells
             self._doorbell_write(offset, data)
+            for f in self.probe.doorbell_landed:
+                f(self, *doorbell_index(offset),
+                  int.from_bytes(data, "little"),
+                  self.bad_doorbells == refused)
             return
         value = int.from_bytes(data, "little")
         if offset == 0x14:        # CC
@@ -190,17 +180,18 @@ class NvmeController(PCIeFunction):
         # Create the admin queue pair from AQA/ASQ/ACQ.
         acq = _ControllerCq(CompletionQueueState(
             qid=0, base_addr=self.regs.acq,
-            entries=self.regs.admin_cq_entries))
+            entries=self.regs.admin_cq_entries, probe=self.probe))
         acq.interrupts_enabled = True
         asq = _ControllerSq(SubmissionQueueState(
             qid=0, base_addr=self.regs.asq,
-            entries=self.regs.admin_sq_entries, cqid=0))
+            entries=self.regs.admin_sq_entries, cqid=0, probe=self.probe))
         asq.signal = Signal(self.sim)
         self.cqs[0] = acq
         self.sqs[0] = asq
         self.regs.csts |= CSTS_RDY
         self.sim.process(self._sq_worker(asq))
-        self.tracer.emit("nvme", "enabled", name=self.name)
+        for f in self.probe.lifecycle:
+            f(self, "enabled")
 
     def _reset(self) -> None:
         for sq in self.sqs.values():
@@ -227,9 +218,6 @@ class NvmeController(PCIeFunction):
     def _doorbell_write(self, offset: int, data: bytes) -> None:
         qid, is_cq = doorbell_index(offset)
         value = int.from_bytes(data, "little")
-        san = self.sanitizer
-        if san.enabled:
-            san.on_doorbell(self, qid, is_cq, value)
         if is_cq:
             cq = self.cqs.get(qid)
             if cq is None or not cq.active:
@@ -268,9 +256,6 @@ class NvmeController(PCIeFunction):
                 sq.db_tail = value
             assert sq.signal is not None
             sq.signal.fire()
-        if self._trace:
-            self.tracer.emit("nvme", "doorbell", qid=qid, cq=is_cq,
-                             value=value)
 
     # ------------------------------------------------------------ MSI-X table
 
@@ -306,6 +291,7 @@ class NvmeController(PCIeFunction):
         # hot-path
         cfg = self.config
         sim = self.sim
+        probe = self.probe
         state = sq.state
         unpack = SubmissionEntry.unpack
         decode_ns = cfg.command_decode_ns
@@ -338,10 +324,8 @@ class NvmeController(PCIeFunction):
             self.fetches += 1
             sqe = unpack(raw)
             yield sim.sleep(decode_ns)
-            self._span_mark(sq, sqe, "fetched")
-            if self._trace:
-                self.tracer.emit("nvme", "fetched", qid=state.qid,
-                                 opcode=sqe.opcode, cid=sqe.cid)
+            for f in probe.sqe_fetched:
+                f(self, state.qid, sqe, None, 0, 0)
             if is_admin:
                 sim.process(self._execute_admin(sq, sqe))
             else:
@@ -358,6 +342,7 @@ class NvmeController(PCIeFunction):
         # hot-path
         cfg = self.config
         sim = self.sim
+        probe = self.probe
         state = sq.state
         windows = sq.windows
         unpack = SubmissionEntry.unpack
@@ -366,7 +351,6 @@ class NvmeController(PCIeFunction):
         arb = sq.arbiter
         nwin = len(windows)
         rr = 0
-        arb_wait = bound_to = None  # recorder handle, and whose it is
         while sq.active:
             if self.faults is not None:
                 yield from self.faults.stall_barrier(self.fault_point)
@@ -409,23 +393,8 @@ class NvmeController(PCIeFunction):
             self.fetches += 1
             sqe = unpack(raw)
             yield sim.sleep(decode_ns)
-            tele = self.telemetry
-            if tele.enabled:
-                if tele is not bound_to:
-                    bound_to = tele
-                    arb_wait = tele.metrics.recorder(
-                        "repro_nvme_arb_wait_ns",
-                        help="time an SQE head waited for shared-SQ "
-                        "arbitration before its fetch was granted",
-                        ctrl=self.name, qid=state.qid)
-                arb_wait.record(wait_ns)
-                tele.spans.mark_cmd(state.qid, sqe.cid, "arb-granted",
-                                    granted_at)
-            self._span_mark(sq, sqe, "fetched")
-            if self._trace:
-                self.tracer.emit("nvme", "fetched", qid=state.qid,
-                                 opcode=sqe.opcode, cid=sqe.cid,
-                                 window=win.index)
+            for f in probe.sqe_fetched:
+                f(self, state.qid, sqe, win, granted_at, wait_ns)
             sim.process(self._execute_io(sq, sqe, win=win),
                         detached=True)
 
@@ -505,14 +474,13 @@ class NvmeController(PCIeFunction):
             return Status.INVALID_QUEUE_ID
         if not 2 <= entries <= self.config.max_queue_entries:
             return Status.INVALID_QUEUE_SIZE
-        cq = _ControllerCq(CompletionQueueState(qid=qid, base_addr=sqe.prp1,
-                                                entries=entries))
+        cq = _ControllerCq(CompletionQueueState(
+            qid=qid, base_addr=sqe.prp1, entries=entries, probe=self.probe))
         cq.interrupts_enabled = interrupts
         cq.vector = vector
         self.cqs[qid] = cq
-        san = self.sanitizer
-        if san.enabled:
-            san.on_queue_created(self, "cq", cq.state)
+        for f in self.probe.lifecycle:
+            f(self, "queue-created", "cq", cq.state, None)
         return Status.SUCCESS
 
     def _admin_create_sq(self, sqe: SubmissionEntry) -> int:
@@ -530,7 +498,8 @@ class NvmeController(PCIeFunction):
         if not 2 <= entries <= self.config.max_queue_entries:
             return Status.INVALID_QUEUE_SIZE
         sq = _ControllerSq(SubmissionQueueState(
-            qid=qid, base_addr=sqe.prp1, entries=entries, cqid=cqid))
+            qid=qid, base_addr=sqe.prp1, entries=entries, cqid=cqid,
+            probe=self.probe))
         sq.signal = Signal(self.sim)
         if shared:
             win_entries = sqe.cdw12 & 0xFFFF
@@ -538,16 +507,15 @@ class NvmeController(PCIeFunction):
                     or entries // win_entries > MAX_SQ_WINDOWS):
                 return Status.INVALID_FIELD
             sq.windows = [SqWindowState(index=i, start=i * win_entries,
-                                        entries=win_entries)
+                                        entries=win_entries,
+                                        probe=self.probe)
                           for i in range(entries // win_entries)]
             qos = self.qos
             if qos is not None and qos.enabled:
                 sq.arbiter = make_arbiter(qos, len(sq.windows))
         self.sqs[qid] = sq
-        san = self.sanitizer
-        if san.enabled:
-            san.on_queue_created(self, "sq", sq.state, shared=shared,
-                                 windows=sq.windows)
+        for f in self.probe.lifecycle:
+            f(self, "queue-created", "sq", sq.state, sq.windows)
         if shared:
             self.sim.process(self._shared_sq_worker(sq))
         else:
@@ -584,8 +552,15 @@ class NvmeController(PCIeFunction):
 
     # ------------------------------------------------------------------- I/O
 
+    #: the media access each I/O opcode pays for
+    _MEDIA_KIND = {IoOpcode.FLUSH: "flush", IoOpcode.READ: "read",
+                   IoOpcode.COMPARE: "read", IoOpcode.WRITE: "write",
+                   IoOpcode.WRITE_ZEROES: "write"}
+
     def _execute_io(self, sq: _ControllerSq, sqe: SubmissionEntry,
                     win: SqWindowState | None = None):
+        """One I/O command: validate, fetch what the host sends, access
+        the media, move what the host receives, complete."""
         if self.faults is not None and self.faults.command_aborted(
                 self.sim.rng, self.fault_point):
             yield from self._complete(sq, sqe, Status.ABORTED_BY_REQUEST, 0,
@@ -603,34 +578,30 @@ class NvmeController(PCIeFunction):
                                       win=win)
             return
 
-        if opcode == IoOpcode.FLUSH:
-            yield from self._media_access("flush", 0, sq, sqe)
-            yield from self._complete(sq, sqe, Status.SUCCESS, 0, win=win)
-            return
-
-        nblocks = sqe.nlb + 1
-        nbytes = nblocks * ns.lba_bytes
-        try:
-            ns.check_range(sqe.slba, nblocks)
-        except NamespaceError:
-            yield from self._complete(sq, sqe, Status.LBA_OUT_OF_RANGE, 0,
-                                      win=win)
-            return
-
-        if opcode == IoOpcode.WRITE_ZEROES:
-            # No data transfer: the controller zeroes the range itself.
-            ok = yield from self._media_access("write", nbytes, sq, sqe)
-            if not ok:
-                yield from self._complete(sq, sqe, Status.WRITE_FAULT, 0,
-                                          win=win)
+        nblocks = nbytes = 0
+        if opcode != IoOpcode.FLUSH:
+            nblocks = sqe.nlb + 1
+            nbytes = nblocks * ns.lba_bytes
+            try:
+                ns.check_range(sqe.slba, nblocks)
+            except NamespaceError:
+                yield from self._complete(sq, sqe, Status.LBA_OUT_OF_RANGE,
+                                          0, win=win)
                 return
-            ns.write_blocks(sqe.slba, bytes(nbytes))
-            yield from self._complete(sq, sqe, Status.SUCCESS, 0, win=win)
-            return
 
+        # WRITE_ZEROES moves no data (the controller zeroes the range
+        # itself); WRITE and COMPARE fetch the host's buffers with
+        # non-posted reads *before* the media access.
+        segs: list[tuple[int, int]] = []
+        parts = []
         try:
-            segs = yield from resolve_prps(sqe.prp1, sqe.prp2, nbytes,
-                                           self._read_prp_page)
+            if opcode in (IoOpcode.READ, IoOpcode.WRITE, IoOpcode.COMPARE):
+                segs = yield from resolve_prps(sqe.prp1, sqe.prp2, nbytes,
+                                               self._read_prp_page)
+            if opcode != IoOpcode.READ:
+                for addr, size in segs:
+                    part = yield from self.dma_read(addr, size)
+                    parts.append(part)
         except PrpError:
             yield from self._complete(sq, sqe, Status.INVALID_FIELD, 0,
                                       win=win)
@@ -640,14 +611,18 @@ class NvmeController(PCIeFunction):
                                       win=win)
             return
 
+        kind = self._MEDIA_KIND[opcode]
+        ok = yield from self.media.access(kind, nbytes)
+        for f in self.probe.media_done:
+            f(self, sq.state.qid, sqe.cid)
+        if not ok:
+            yield from self._complete(
+                sq, sqe, Status.WRITE_FAULT if kind == "write"
+                else Status.UNRECOVERED_READ_ERROR, 0, win=win)
+            return
+
+        status = Status.SUCCESS
         if opcode == IoOpcode.READ:
-            # Media access, then DMA the data out to the host buffers.
-            ok = yield from self._media_access("read", nbytes, sq, sqe)
-            if not ok:
-                yield from self._complete(sq, sqe,
-                                          Status.UNRECOVERED_READ_ERROR, 0,
-                                          win=win)
-                return
             data = ns.read_blocks(sqe.slba, nblocks)
             # Posted writes, one burst: the clamp guarantees the
             # subsequent CQE cannot overtake the data on the same flow.
@@ -657,48 +632,14 @@ class NvmeController(PCIeFunction):
                 burst.append((addr, data[offset: offset + size]))
                 offset += size
             self.fabric.post_writes(self.node, self.host, burst)
-            yield from self._complete(sq, sqe, Status.SUCCESS, 0, win=win)
         elif opcode == IoOpcode.COMPARE:
-            # Fetch the host's reference data, read the medium, compare.
-            parts = []
-            try:
-                for addr, size in segs:
-                    part = yield from self.dma_read(addr, size)
-                    parts.append(part)
-            except FabricFaultError:
-                yield from self._complete(sq, sqe,
-                                          Status.DATA_TRANSFER_ERROR, 0,
-                                          win=win)
-                return
-            ok = yield from self._media_access("read", nbytes, sq, sqe)
-            if not ok:
-                yield from self._complete(sq, sqe,
-                                          Status.UNRECOVERED_READ_ERROR, 0,
-                                          win=win)
-                return
-            stored = ns.read_blocks(sqe.slba, nblocks)
-            status = (Status.SUCCESS if b"".join(parts) == stored
-                      else Status.COMPARE_FAILURE)
-            yield from self._complete(sq, sqe, status, 0, win=win)
-        else:  # WRITE
-            # Fetch data from host buffers (non-posted reads), then media.
-            parts = []
-            try:
-                for addr, size in segs:
-                    part = yield from self.dma_read(addr, size)
-                    parts.append(part)
-            except FabricFaultError:
-                yield from self._complete(sq, sqe,
-                                          Status.DATA_TRANSFER_ERROR, 0,
-                                          win=win)
-                return
-            ok = yield from self._media_access("write", nbytes, sq, sqe)
-            if not ok:
-                yield from self._complete(sq, sqe, Status.WRITE_FAULT, 0,
-                                          win=win)
-                return
+            if b"".join(parts) != ns.read_blocks(sqe.slba, nblocks):
+                status = Status.COMPARE_FAILURE
+        elif opcode == IoOpcode.WRITE:
             ns.write_blocks(sqe.slba, b"".join(parts))
-            yield from self._complete(sq, sqe, Status.SUCCESS, 0, win=win)
+        elif opcode == IoOpcode.WRITE_ZEROES:
+            ns.write_blocks(sqe.slba, bytes(nbytes))
+        yield from self._complete(sq, sqe, status, 0, win=win)
 
     def _read_prp_page(self, addr: int):
         data = yield from self.dma_read(addr, PAGE_SIZE)
@@ -726,11 +667,9 @@ class NvmeController(PCIeFunction):
         # ordering rules; the fabric clamp plus this wait are equivalent).
         yield from self.fabric.write(self.node, self.host,
                                      cq.state.slot_addr(slot), cqe.pack())
-        self._span_mark(sq, sqe, "cqe-delivered")
         self.commands_completed += 1
-        if self._trace:
-            self.tracer.emit("nvme", "completed", qid=sq.state.qid,
-                             cid=sqe.cid, status=int(status))
+        for f in self.probe.cqe_posted:
+            f(self, sq.state.qid, sqe.cid, int(status))
         if cq.interrupts_enabled and not self.regs.intms & (1 << cq.vector):
             entry = self.msix[cq.vector]
             if not entry.masked and entry.addr:
@@ -741,22 +680,6 @@ class NvmeController(PCIeFunction):
                     entry.data.to_bytes(4, "little"))
 
     # -------------------------------------------------------------- helpers
-
-    def _span_mark(self, sq: _ControllerSq, sqe: SubmissionEntry,
-                   boundary: str) -> None:
-        """Stamp a telemetry span boundary for the command, if a client
-        bound one (admin commands and retired cids are silent misses)."""
-        tele = self.telemetry
-        if tele.enabled:
-            tele.spans.mark_cmd(sq.state.qid, sqe.cid, boundary,
-                                self.sim.now)
-
-    def _media_access(self, kind: str, nbytes: int, sq: _ControllerSq,
-                      sqe: SubmissionEntry):
-        """Media access plus the ``media-done`` span boundary."""
-        ok = yield from self.media.access(kind, nbytes)
-        self._span_mark(sq, sqe, "media-done")
-        return ok
 
     def fabric_write_wait(self, addr: int, data: bytes):
         """Posted write, but the caller waits for delivery (ordering)."""

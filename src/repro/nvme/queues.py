@@ -7,14 +7,17 @@ and can be allocated anywhere in physical memory, entirely at the
 discretion of the NVMe controller's driver" (Sec. II).
 
 Both the controller model and the drivers share these index mechanics;
-phase-tag handling for CQs follows NVMe 1.3 §4.1.
+phase-tag handling for CQs follows NVMe 1.3 §4.1.  Every method that
+moves an index first emits ``ring_step`` on the probe its creator
+handed in (staticcheck rule ``sanitizer-hook``), so the observer sees
+the state the protocol mandates *before* it changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..sanitizer.hooks import NULL_SANITIZER
+from ..sim.probe import Probe
 from .constants import CQE_SIZE, SQE_SIZE
 
 
@@ -32,9 +35,9 @@ class SubmissionQueueState:
     cqid: int = 0
     head: int = 0           # consumer index (controller side)
     tail: int = 0           # producer index (driver side)
-    #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-    sanitizer: object = dataclasses.field(default=NULL_SANITIZER,
-                                          repr=False, compare=False)
+    #: the creator's probe (a ring state has no simulator of its own)
+    probe: Probe = dataclasses.field(kw_only=True, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
         if self.entries < 2:
@@ -62,9 +65,8 @@ class SubmissionQueueState:
     def advance_tail(self) -> int:
         if self.is_full():
             raise QueueError(f"SQ{self.qid} overflow")
-        san = self.sanitizer
-        if san.enabled:
-            san.on_sq_advance(self)
+        for f in self.probe.ring_step:
+            f(self, "sq-advance")
         slot = self.tail
         self.tail = (self.tail + 1) % self.entries
         return slot
@@ -72,9 +74,8 @@ class SubmissionQueueState:
     def advance_head(self) -> int:
         if self.is_empty():
             raise QueueError(f"SQ{self.qid} underflow")
-        san = self.sanitizer
-        if san.enabled:
-            san.on_sq_fetch(self)
+        for f in self.probe.ring_step:
+            f(self, "sq-fetch")
         slot = self.head
         self.head = (self.head + 1) % self.entries
         return slot
@@ -102,9 +103,9 @@ class SqWindowState:
     head: int = 0           # consumer index (controller side)
     db_tail: int = 0        # producer tail from the tenant's doorbell
     ready_at: int = 0       # sim time the head entry became fetchable
-    #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-    sanitizer: object = dataclasses.field(default=NULL_SANITIZER,
-                                          repr=False, compare=False)
+    #: the creator's probe (a ring state has no simulator of its own)
+    probe: Probe = dataclasses.field(kw_only=True, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
         if self.entries < 2:
@@ -123,9 +124,8 @@ class SqWindowState:
     def advance_head(self) -> int:
         if self.is_empty():
             raise QueueError(f"window {self.index} underflow")
-        san = self.sanitizer
-        if san.enabled:
-            san.on_window_fetch(self)
+        for f in self.probe.ring_step:
+            f(self, "window-fetch")
         slot = self.head
         self.head = (self.head + 1) % self.entries
         return slot
@@ -147,9 +147,9 @@ class CompletionQueueState:
     tail: int = 0           # producer index (controller side)
     phase: int = 1          # current producer phase tag (starts at 1)
     interrupt_vector: int | None = None
-    #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-    sanitizer: object = dataclasses.field(default=NULL_SANITIZER,
-                                          repr=False, compare=False)
+    #: the creator's probe (a ring state has no simulator of its own)
+    probe: Probe = dataclasses.field(kw_only=True, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
         if self.entries < 2:
@@ -168,9 +168,8 @@ class CompletionQueueState:
 
     def produce_slot(self) -> tuple[int, int]:
         """Claim the next producer slot; returns (index, phase-tag)."""
-        san = self.sanitizer
-        if san.enabled:
-            san.on_cq_produce(self)
+        for f in self.probe.ring_step:
+            f(self, "cq-produce")
         slot = self.tail
         phase = self.phase
         self.tail = (self.tail + 1) % self.entries
@@ -190,9 +189,8 @@ class CompletionQueueState:
         The driver-side state uses ``phase`` as the *expected* tag; it
         flips when the head wraps.
         """
-        san = self.sanitizer
-        if san.enabled:
-            san.on_cq_consume(self)
+        for f in self.probe.ring_step:
+            f(self, "cq-consume")
         slot = self.head
         self.head = (self.head + 1) % self.entries
         if self.head == 0:

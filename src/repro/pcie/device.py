@@ -53,6 +53,7 @@ class PCIeFunction:
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
+        self.probe = sim.probe
         self.name = name
         self.bars: dict[int, Bar] = {}
         self.host: Host | None = None

@@ -39,7 +39,7 @@ Correctness contract (see docs/performance.md):
   that same order, so a hit is byte-identical to the walk even mid-fault
   (fault-registry link events flip ``link_up`` directly);
 * a record holds *which* draw streams a leg consults, never a value, and
-  never ``faults`` or the tracer: both are read per TLP;
+  never ``faults`` or who is subscribed to the probe: both are read per TLP;
 * ``REPRO_NO_ROUTE_CACHE=1`` keeps no record (escape hatch, read at
   Fabric construction): every TLP walks and builds its own.
 """
@@ -52,7 +52,7 @@ import typing as t
 
 from ..config import PcieConfig
 from ..memory import HostMemory
-from ..sim import NULL_TRACER, Event, HoldPlan, Simulator
+from ..sim import Event, HoldPlan, Simulator
 from ..sim.core import URGENT
 from ..units import serialize_ns
 from .address import AddressError
@@ -82,10 +82,13 @@ class _PostedWrite(Event):
         # hot-path
         fabric = self.fabric
         res = self.flow.res
-        if fabric._trace or res.kind != "mem":
-            fabric._finish_local_write(res, self.data, self.addr)
+        data = self.data
+        if res.kind == "mem":
+            res.memory.write(res.addr, data)
         else:
-            res.memory.write(res.addr, self.data)
+            res.bar.function.mmio_write(res.bar, res.offset, data)
+        for f in fabric.probe.tlp_done:
+            f(fabric, False, self.addr, len(data), res, None)
 
 
 #: :meth:`Fabric.post_write`'s return for a dropped write (no delivery
@@ -143,11 +146,11 @@ class Fabric:
     """Transaction router over a :class:`~repro.pcie.topology.Cluster`."""
 
     def __init__(self, sim: Simulator, cluster: Cluster,
-                 config: PcieConfig, tracer=NULL_TRACER) -> None:
+                 config: PcieConfig) -> None:
         self.sim = sim
+        self.probe = sim.probe
         self.cluster = cluster
         self.config = config
-        self.tracer = tracer
         #: optional FaultPointRegistry consulted on every transaction;
         #: None keeps the fault-free hot path branch-light.
         self.faults = None
@@ -167,17 +170,6 @@ class Fabric:
         self._clamps: dict[tuple[Node, Host], list[int]] = {}
         # (path, wire_bytes) -> HoldPlan | ()
         self._occupy_plans: dict[tuple, HoldPlan | tuple] = {}
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        # _trace gates the per-TLP emits on the hot path; keep it in sync
-        # so attaching a tracer after construction still records events.
-        self._tracer = value
-        self._trace = value is not NULL_TRACER
 
     # -- address resolution ----------------------------------------------------
 
@@ -363,7 +355,13 @@ class Fabric:
             yield flow.plan.hold()
         sim = self.sim
         yield sim.sleep(self._arrival(flow) - sim._now)
-        self._finish_local_write(flow.res, data, addr)
+        res = flow.res
+        if res.kind == "mem":
+            res.memory.write(res.addr, data)
+        else:
+            res.bar.function.mmio_write(res.bar, res.offset, data)
+        for f in self.probe.tlp_done:
+            f(self, False, addr, length, res, None)
 
     def _arrival(self, flow: _Flow) -> int:
         """Delivery instant of a posted write whose links are held and
@@ -387,26 +385,12 @@ class Fabric:
         clamp[0] = arrival
         return arrival
 
-    def _finish_local_write(self, res: Resolution, data: bytes,
-                            addr: int) -> None:
-        """Apply a posted write at its delivery instant."""
-        # hot-path
-        if res.kind == "mem":
-            res.memory.write(res.addr, data)
-        else:
-            res.bar.function.mmio_write(res.bar, res.offset, data)
-        if self._trace:
-            self.tracer.emit("pcie", "write-delivered", addr=addr,
-                             final=res.addr if res.kind == "mem"
-                             else res.offset,
-                             size=len(data), crossings=res.crossings)
-
     def _drop_write(self, point: str, addr: int, size: int) -> None:
         """Posted semantics: the write vanishes silently at the severed
         adapter or lossy point; the initiator never learns."""
         self.dropped_writes += 1
-        self.tracer.emit("fault", "write-dropped", point=point, addr=addr,
-                         size=size)
+        for f in self.probe.tlp_done:
+            f(self, False, addr, size, None, point)
 
     def post_write(self, initiator: Node, host: Host, addr: int,
                    data: bytes | bytearray | memoryview,
@@ -549,9 +533,8 @@ class Fabric:
             except IndexError:
                 latency += draw.refill()
         yield sim.sleep(latency)
-        if self._trace:
-            self.tracer.emit("pcie", "read-complete", addr=addr,
-                             size=length, crossings=res.crossings)
+        for f in self.probe.tlp_done:
+            f(self, True, addr, length, res, None)
         return data
 
     def _read_timeout(self, point: str, addr: int) -> t.Generator:
@@ -560,5 +543,6 @@ class Fabric:
         and then sees the failure."""
         self.timed_out_reads += 1
         yield self.sim.timeout(self.config.completion_timeout_ns)
-        self.tracer.emit("fault", "read-timeout", point=point, addr=addr)
+        for f in self.probe.tlp_done:
+            f(self, True, addr, 0, None, point)
         raise FabricFaultError(point, addr)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 
 from ..memory import RangeAllocator
-from ..sanitizer.hooks import NULL_SANITIZER
 from ..sim import Simulator
 from .device import Bar, PCIeFunction
 from .topology import Host
@@ -71,8 +70,6 @@ class NtbFunction(PCIeFunction):
         #: accounting: successful LUT translations and bytes forwarded
         self.translations = 0
         self.bytes_forwarded = 0
-        #: ShareSan hook (docs/sanitizer.md); NULL object when off.
-        self.sanitizer = NULL_SANITIZER
 
     def on_installed(self) -> None:
         self._lut_alloc = RangeAllocator(0, self.aperture,
@@ -134,9 +131,8 @@ class NtbFunction(PCIeFunction):
                 f"hits no LUT window")
         self.translations += 1
         self.bytes_forwarded += length
-        san = self.sanitizer
-        if san.enabled:
-            san.on_ntb_translate(self, bar, addr, length)
+        for f in self.probe.mem_event:
+            f(self, "translate", addr, length)
         return (window.remote_host,
                 window.remote_base + (offset - window.bar_offset))
 

@@ -25,9 +25,9 @@ import numpy as np
 from .config import ReliabilityConfig
 from .faults import FaultEvent, FaultPlan
 from .qos.throttle import AdmissionThrottle
-from .scenarios import (FIG10_SCENARIOS, Rig, build_fig10_scenario,
-                        chaos_cluster, cluster, multihost, noisy_neighbor,
-                        scale_out_cluster)
+from .scenarios import (FIG10_SCENARIOS, NO_SHARESAN, Rig,
+                        build_fig10_scenario, chaos_cluster, cluster,
+                        multihost, noisy_neighbor, scale_out_cluster)
 from .telemetry.hub import Telemetry
 from .telemetry.slo import SloSpec
 from .workloads import (FioJob, OpenLoopJob, OpenLoopResult, fio_generator,
@@ -162,9 +162,8 @@ class RunSpec:
                     f"(only to {', '.join(takes)})")
         if self.kill_ns != RunSpec.kill_ns and self.faults != "kill":
             raise ValueError("kill_ns= needs faults='kill'")
-        if "sanitize" in self.observe and name in FIG10_SCENARIOS:
-            raise ValueError(f"ShareSan is not wired into {name!r}; "
-                             f"pick an NTB cluster scenario")
+        if "sanitize" in self.observe and name in FIG10_SCENARIOS[:2]:
+            raise ValueError(NO_SHARESAN.format(name))
         if "slo" not in self.observe and (
                 self.interval_ns is not None or self.slo is not None
                 or self.throttle):
@@ -307,10 +306,10 @@ class Run:
 def _build(spec: RunSpec) -> Rig:
     name = spec.scenario
     watch: dict[str, t.Any] = dict(
-        seed=spec.seed, telemetry=bool(spec.observe & {"spans", "slo"}))
+        seed=spec.seed, telemetry=bool(spec.observe & {"spans", "slo"}),
+        sanitizer="sanitize" in spec.observe)
     if name in FIG10_SCENARIOS:
         return build_fig10_scenario(name, **watch)
-    watch["sanitizer"] = "sanitize" in spec.observe
     if name == "noisy":
         return noisy_neighbor(
             n_bystanders=spec.bystanders, policy=spec.policy,

@@ -1,35 +1,13 @@
 """ShareSan: cross-host ownership/race sanitizer (docs/sanitizer.md).
 
-Import-light on purpose: ``memory.physmem`` and ``nvme.queues`` pull
-:data:`NULL_SANITIZER` from here at module load, so only the dependency-
-free ``hooks`` module is imported eagerly.  The hub and helpers resolve
-lazily (PEP 562).
+Nothing in the model imports this package: ShareSan watches through
+the probe seam (:mod:`repro.sim.probe`), and whoever wants one imports
+it where the rig is built.
 """
 
-from __future__ import annotations
+from .fixtures import FIXTURES, selftest
+from .report import build_report, render_json, render_text
+from .sanitizer import DETECTORS, Finding, ShareSan
 
-from .hooks import NULL_SANITIZER, NullSanitizer
-
-__all__ = ["NULL_SANITIZER", "NullSanitizer", "ShareSan", "Finding",
-           "DETECTORS", "build_report", "render_json", "render_text",
-           "FIXTURES", "selftest"]
-
-_LAZY = {
-    "ShareSan": "sanitizer",
-    "Finding": "sanitizer",
-    "DETECTORS": "sanitizer",
-    "build_report": "report",
-    "render_json": "report",
-    "render_text": "report",
-    "FIXTURES": "fixtures",
-    "selftest": "fixtures",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    import importlib
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+__all__ = ["ShareSan", "Finding", "DETECTORS", "build_report",
+           "render_json", "render_text", "FIXTURES", "selftest"]

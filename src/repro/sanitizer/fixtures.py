@@ -37,8 +37,7 @@ def _sharing_cluster(n_hosts: int, seed: int = 71):
         cfg, sharing=dataclasses.replace(cfg.sharing, reserved_qps=1))
     bed = PcieTestbed(n_hosts=n_hosts, with_nvme=True, seed=seed,
                       config=cfg)
-    san = ShareSan(bed.sim).attach(controllers=[bed.nvme],
-                                   ntbs=bed.ntbs, hosts=bed.hosts)
+    san = ShareSan(bed.sim).attach(controllers=[bed.nvme])
     manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
                           bed.nvme_device_id, bed.config)
     san.attach(managers=[manager])
@@ -147,7 +146,7 @@ def phase_violation(seed: int = 71) -> ShareSan:
 def dma_freed_buffer(seed: int = 71) -> ShareSan:
     """A store lands in a dmapool allocation after it was freed."""
     bed = PcieTestbed(n_hosts=2, with_nvme=False, seed=seed)
-    san = ShareSan(bed.sim).attach(hosts=bed.hosts)
+    san = ShareSan(bed.sim)
     pool = local_pool(bed.hosts[0], 64 * 1024)
     cpu, _dev = pool.alloc(4096)
     pool.free(cpu)

@@ -7,10 +7,12 @@ to *simulated physical memory* has an implicit owner: the tenant whose
 lease and slot window currently cover it.  ShareSan makes that
 ownership explicit.  It maintains a map of regions and windows keyed by
 (host slot, lease, QP-window epoch) and validates accesses at the
-choke points every byte already flows through: ``memory/physmem.py``
-read/write, ``pcie/ntb.py`` translation, ``nvme/queues.py`` ring-state
-transitions, doorbell rings, and the manager's grant/revoke/handoff
-path.
+choke points every byte already flows through — the probe events
+(:mod:`repro.sim.probe`) ``mem_event`` (``memory/physmem.py``
+read/write, ``pcie/ntb.py`` translation, ``driver/dmapool.py``),
+``ring_step`` (``nvme/queues.py``), the doorbell and SQE/CQE events,
+and the manager's grant/revoke/handoff path (``lease_changed``,
+``cqe_routed``).
 
 Detectors (see docs/sanitizer.md for the catalog):
 
@@ -36,7 +38,7 @@ Detectors (see docs/sanitizer.md for the catalog):
 Zero perturbation: ShareSan is pure observation — it adds no simulator
 events, draws no random numbers and never touches simulated state, so
 any run is bit-identical with the sanitizer on or off.  Off is the
-default via :data:`repro.sanitizer.hooks.NULL_SANITIZER`.
+default: nothing is subscribed to the probe.
 """
 
 from __future__ import annotations
@@ -119,16 +121,14 @@ class Region:
 class ShareSan:
     """The sanitizer hub: ownership map, detectors and counters.
 
-    Wire it up exactly like ``Telemetry``::
+    Creating one subscribes it to the simulator's probe; declare what
+    it watches before that starts::
 
         san = ShareSan(sim).attach(managers=[manager],
-                                   controllers=[bed.nvme],
-                                   ntbs=bed.ntbs, hosts=bed.hosts)
+                                   controllers=[bed.nvme])
         ...
         assert san.findings == []
     """
-
-    enabled = True
 
     def __init__(self, sim, telemetry=None) -> None:
         self.sim = sim
@@ -154,30 +154,38 @@ class ShareSan:
         self._cq_consumers: dict[int, list] = {}
         #: rings with a reported phase-violation: resync, don't cascade
         self._poisoned: set[int] = set()
-        #: display names for ring states (deterministic, no id() leaks)
-        self._ring_names: dict[int, str] = {}
+        #: the ring states it was shown being created, id(state) ->
+        #: (state, display name): only these are validated and counted
+        self._rings: dict[int, tuple[t.Any, str]] = {}
+        #: queue pair -> the started client that owns it
+        self._owners: dict[t.Any, t.Any] = {}
         #: id(host memory) -> (memory, [(start, end, label), ...])
         self._hazards: dict[int, tuple[t.Any, list]] = {}
         #: id(pool) -> (pool, {cpu_addr: size})
         self._pools: dict[int, tuple[t.Any, dict[int, int]]] = {}
+        sim.probe.subscribe(self)
 
     # -- wiring --------------------------------------------------------------
 
     def attach(self, managers=(), controllers=(), clients=(),
-               ntbs=(), hosts=(), memories=(), telemetry=None):
-        """Point every instrumented object's ``sanitizer`` at us.
+               telemetry=None):
+        """Declare the components this run watches — before they start.
 
-        Ring states created later (queue creation, tenant admission)
-        are wired by the corresponding hooks, so attaching before
-        ``manager.start()``/``client.start()`` covers everything."""
+        Ring names, window ownership and memory regions are learnt from
+        the ``lifecycle`` events of queue creation, ``manager.start()``
+        and ``client.start()``; a component that is already up would be
+        watched blind, so naming one raises instead of reporting a
+        clean run that was never checked."""
         if telemetry is not None:
             self.telemetry = telemetry
-        for obj in (*managers, *controllers, *ntbs, *clients):
-            obj.sanitizer = self
-        for host in hosts:
-            host.memory.sanitizer = self
-        for mem in memories:
-            mem.sanitizer = self
+        late = ([ctrl.name for ctrl in controllers if ctrl.sqs]
+                + [f"manager:{mgr.device_id}" for mgr in managers
+                   if mgr.admin is not None]
+                + [client.name for client in clients if client._started])
+        if late:
+            raise ValueError(
+                f"ShareSan attached after {', '.join(late)} started: their "
+                f"rings, windows and regions were never seen")
         return self
 
     @property
@@ -193,11 +201,9 @@ class ShareSan:
         self.stats[key] = self.stats.get(key, 0) + by
 
     def _span_context(self, qid, cid) -> dict | None:
-        tele = self.telemetry
-        if tele is None or not getattr(tele, "enabled", False) \
-                or qid is None or cid is None:
+        if self.telemetry is None or qid is None or cid is None:
             return None
-        span = tele.spans._active.get((qid, cid))
+        span = self.telemetry.spans.active(qid, cid)
         if span is None:
             return None
         return {"index": span.index, "device": span.device,
@@ -228,18 +234,28 @@ class ShareSan:
                                    owner=owner))
 
     def _track_ring(self, state, name: str) -> None:
-        state.sanitizer = self
-        self._ring_names[id(state)] = name
+        self._rings[id(state)] = (state, name)
 
     def _ring_name(self, state) -> str:
-        return self._ring_names.get(id(state), f"ring:qid{state.qid}")
+        return self._rings[id(state)][1]
 
     # -- physical memory ------------------------------------------------------
 
-    def on_mem_read(self, memory, addr: int, length: int) -> None:
-        self._bump("mem_reads")
+    def on_mem_event(self, where, kind: str, addr: int, length: int) -> None:
+        if kind == "write":
+            self._mem_write(where, addr, length)
+        elif kind == "read":
+            self._bump("mem_reads")
+        elif kind == "translate":
+            self._bump("ntb_translations")
+        elif kind == "pool":
+            self._pool_created(where)
+        elif kind == "alloc":
+            self._pool_alloc(where, addr, length)
+        else:
+            self._pool_free(where, addr)
 
-    def on_mem_write(self, memory, addr: int, length: int) -> None:
+    def _mem_write(self, memory, addr: int, length: int) -> None:
         self._bump("mem_writes")
         entry = self._hazards.get(id(memory))
         if entry is None:
@@ -254,23 +270,19 @@ class ShareSan:
                     actor=label)
                 return
 
-    def on_ntb_translate(self, ntb, bar: int, addr: int,
-                         length: int) -> None:
-        self._bump("ntb_translations")
-
     # -- dmapool lifecycle ----------------------------------------------------
 
-    def on_pool_created(self, pool) -> None:
+    def _pool_created(self, pool) -> None:
         self._bump("pools")
         self._pools[id(pool)] = (pool, {})
         self._add_region(pool.host.name, pool.cpu_base, pool.size,
                          "dmapool", pool.name)
 
-    def on_pool_alloc(self, pool, cpu_addr: int, size: int) -> None:
+    def _pool_alloc(self, pool, cpu_addr: int, size: int) -> None:
         self._bump("pool_allocs")
         entry = self._pools.get(id(pool))
         if entry is None:
-            self.on_pool_created(pool)
+            self._pool_created(pool)
             entry = self._pools[id(pool)]
         entry[1][cpu_addr] = size
         hazards = self._hazards.get(id(pool.host.memory))
@@ -279,7 +291,7 @@ class ShareSan:
             hazards[1][:] = [h for h in hazards[1]
                              if not (cpu_addr < h[1] and end > h[0])]
 
-    def on_pool_free(self, pool, cpu_addr: int) -> None:
+    def _pool_free(self, pool, cpu_addr: int) -> None:
         self._bump("pool_frees")
         entry = self._pools.get(id(pool))
         size = entry[1].pop(cpu_addr, None) if entry is not None else None
@@ -296,24 +308,20 @@ class ShareSan:
 
     # -- queue-ring transitions ----------------------------------------------
 
-    def on_sq_advance(self, state) -> None:
-        self._bump("sq_submissions")
+    _RING_STAT = {"sq-advance": "sq_submissions", "sq-fetch": "sq_fetches",
+                  "window-fetch": "window_fetches",
+                  "cq-produce": "cq_produced", "cq-consume": "cq_consumed"}
 
-    def on_sq_fetch(self, state) -> None:
-        self._bump("sq_fetches")
-
-    def on_window_fetch(self, state) -> None:
-        self._bump("window_fetches")
-
-    def on_cq_produce(self, state) -> None:
-        self._bump("cq_produced")
-        self._check_ring(state, self._cq_producers, "producer",
-                         state.tail)
-
-    def on_cq_consume(self, state) -> None:
-        self._bump("cq_consumed")
-        self._check_ring(state, self._cq_consumers, "consumer",
-                         state.head)
+    def on_ring_step(self, state, op: str) -> None:
+        if id(state) not in self._rings:
+            return
+        self._bump(self._RING_STAT[op])
+        if op == "cq-produce":
+            self._check_ring(state, self._cq_producers, "producer",
+                             state.tail)
+        elif op == "cq-consume":
+            self._check_ring(state, self._cq_consumers, "consumer",
+                             state.head)
 
     def _check_ring(self, state, shadows: dict[int, list], side: str,
                     position: int) -> None:
@@ -345,27 +353,26 @@ class ShareSan:
 
     # -- controller ----------------------------------------------------------
 
-    def on_doorbell(self, controller, qid: int, is_cq: bool,
-                    value: int) -> None:
+    def on_doorbell_landed(self, controller, qid: int, is_cq: bool,
+                           value: int, ok: bool) -> None:
         self._bump("cq_doorbells" if is_cq else "sq_doorbells")
 
-    def on_queue_created(self, controller, kind: str, state,
-                         shared: bool = False, windows=None) -> None:
+    def _queue_created(self, controller, kind: str, state, windows) -> None:
         self._bump("controller_queues")
         self._track_ring(state, f"nvme/{kind}{state.qid}")
-        if windows is not None:
-            for win in windows:
-                win.sanitizer = self
+        for win in windows or ():
+            self._track_ring(win, f"nvme/sq{state.qid}/win{win.index}")
         entry_bytes = 64 if kind == "sq" else 16
         self._add_region(controller.host.name, state.base_addr,
                          state.entries * entry_bytes,
-                         f"shared-{kind}-ring" if shared
+                         f"shared-{kind}-ring" if windows is not None
                          else f"{kind}-ring", "controller")
 
     # -- client --------------------------------------------------------------
 
-    def on_client_started(self, client) -> None:
+    def _client_started(self, client) -> None:
         self._bump("clients")
+        self._owners[client._qp] = client
         self._track_ring(client.sq, f"{client.name}/sq{client.qid}")
         self._track_ring(client.cq, f"{client.name}/cq{client.qid}")
         self._add_region(client.node.host.name,
@@ -376,7 +383,10 @@ class ShareSan:
                          client._bounce_seg.phys_addr,
                          client._bounce_seg.size, "bounce", client.name)
 
-    def on_client_submit(self, client, cid: int, slot: int) -> None:
+    def on_sqe_issued(self, qp, sqe, slot: int, store, request) -> None:
+        client, cid = self._owners.get(qp), sqe.cid
+        if client is None:
+            return
         self._bump("submissions")
         self._completed.discard((id(client), cid))
         if not client._shared:
@@ -402,7 +412,12 @@ class ShareSan:
         self._inflight[(qid, cid)] = (client.slot_index, win.epoch,
                                       foreign)
 
-    def on_client_doorbell(self, client) -> None:
+    def on_doorbell_rung(self, qp, ticket, request) -> None:
+        # Only a tenant rings for itself (a private pair rings its own
+        # bell inside issue()): windows exist on shared QPs alone.
+        client = self._owners.get(qp)
+        if qp.sq_bell or client is None:
+            return
         self._bump("doorbells")
         win = self._windows.get((client.qid, client._tenant))
         if win is None or (not win.quarantined
@@ -421,7 +436,10 @@ class ShareSan:
             actor=client.name, qid=client.qid, window=win.index,
             epoch=win.epoch)
 
-    def on_client_dispatch(self, client, cqe) -> None:
+    def on_cqe_seen(self, qp, cqe, waiter) -> None:
+        client = self._owners.get(qp)
+        if client is None:
+            return
         self._bump("dispatches")
         if id(client.cq) in self._poisoned:
             return   # the phase-violation already owns this ring
@@ -435,12 +453,9 @@ class ShareSan:
         else:
             self._completed.add(key)
 
-    def on_client_dead(self, client, reason: str) -> None:
-        self._bump(f"clients_{reason}")
-
     # -- manager -------------------------------------------------------------
 
-    def on_manager_started(self, manager) -> None:
+    def _manager_started(self, manager) -> None:
         self._bump("managers")
         seg = manager.metadata_segment
         self._add_region(manager.node.host.name, seg.phys_addr, seg.size,
@@ -450,7 +465,7 @@ class ShareSan:
             self._track_ring(admin.sq, "manager/adminsq")
             self._track_ring(admin.cq, "manager/admincq")
 
-    def on_shared_qp(self, manager, qp) -> None:
+    def _shared_qp(self, manager, qp) -> None:
         self._bump("shared_qps")
         self._track_ring(qp.cq, f"manager/sharedcq{qp.qid}")
         for widx in range(qp.nwindows):
@@ -461,33 +476,35 @@ class ShareSan:
         self._add_region(manager.node.host.name, qp.cq_seg.phys_addr,
                          qp.cq_seg.size, "shared-cq-ring", "manager")
 
-    def on_window_granted(self, manager, qp, widx: int, slot: int,
-                          ring) -> None:
-        self._bump("window_grants")
-        win = self._windows.setdefault((qp.qid, widx),
-                                       _Window(qid=qp.qid, index=widx))
-        win.owner = slot
-        win.epoch += 1
-        win.grants += 1
-        win.quarantined = False
-        self._track_ring(ring, f"manager/qid{qp.qid}/win{widx}")
-
-    def on_window_released(self, manager, qp, widx: int, slot: int,
-                           draining: bool) -> None:
-        self._bump("window_releases")
-        win = self._windows.get((qp.qid, widx))
-        if win is not None:
-            win.owner = None
-            win.quarantined = draining
-
-    def on_window_drained(self, manager, qp, widx: int) -> None:
-        self._bump("windows_drained")
-        win = self._windows.get((qp.qid, widx))
-        if win is not None:
+    def on_lease_changed(self, manager, what: str, slot, qid: int,
+                         widx: int, since_ns: int) -> None:
+        if what == "granted":
+            self._bump("window_grants")
+            win = self._windows.setdefault((qid, widx),
+                                           _Window(qid=qid, index=widx))
+            win.owner = slot
+            win.epoch += 1
+            win.grants += 1
             win.quarantined = False
+            self._track_ring(manager.shared_qps[qid].tenants[widx].ring,
+                             f"manager/qid{qid}/win{widx}")
+        elif what == "released":
+            self._bump("window_releases")
+            win = self._windows.get((qid, widx))
+            if win is not None:
+                win.owner = None
+                win.quarantined = widx in manager.shared_qps[qid].draining
+        elif what == "drained":
+            self._bump("windows_drained")
+            win = self._windows.get((qid, widx))
+            if win is not None:
+                win.quarantined = False
 
-    def on_cqe_forwarded(self, manager, qp, widx: int, slot: int,
-                         cqe) -> None:
+    def on_cqe_routed(self, manager, qp, cqe, widx: int, slot) -> None:
+        if slot is None:        # orphan: dead or unknown tenant, dropped
+            self._bump("cqes_orphaned")
+            self._inflight.pop((qp.qid, cqe.cid), None)
+            return
         self._bump("cqes_forwarded")
         issued = self._inflight.pop((qp.qid, cqe.cid), None)
         if issued is None or issued[2]:
@@ -502,12 +519,20 @@ class ShareSan:
                 actor=f"slot{slot}", qid=qp.qid, window=widx,
                 epoch=epoch, cid=cqe.cid)
 
-    def on_cqe_orphaned(self, manager, qp, cqe) -> None:
-        self._bump("cqes_orphaned")
-        self._inflight.pop((qp.qid, cqe.cid), None)
+    def on_recovery(self, source, action: str, **detail) -> None:
+        if action == "lease-reclaim":
+            self._bump("leases_revoked")
 
-    def on_lease_revoked(self, manager, slot: int) -> None:
-        self._bump("leases_revoked")
+    _LIFECYCLE = {"queue-created": _queue_created,
+                  "client-started": _client_started,
+                  "manager-started": _manager_started,
+                  "shared-qp-created": _shared_qp}
+
+    def on_lifecycle(self, component, what: str, *detail) -> None:
+        if what in self._LIFECYCLE:
+            self._LIFECYCLE[what](self, component, *detail)
+        elif what in ("client-shutdown", "client-crashed"):
+            self._bump("clients_" + what.removeprefix("client-"))
 
     # -- summaries -----------------------------------------------------------
 

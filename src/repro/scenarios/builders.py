@@ -36,6 +36,10 @@ from .testbed import LocalTestbed, RdmaTestbed
 #: The four Fig. 10 scenario names, in the paper's presentation order.
 FIG10_SCENARIOS = ("local-linux", "nvmeof-remote", "ours-local",
                    "ours-remote")
+#: why the two baselines among them refuse ``sanitizer=True``
+NO_SHARESAN = ("ShareSan has nothing to check on {!r}: one host owns the "
+               "controller and no queue, window or buffer is shared "
+               "across an NTB; pick an NTB cluster scenario")
 
 
 def local_linux(config: SimulationConfig | None = None,
@@ -88,13 +92,19 @@ def ours_remote(config: SimulationConfig | None = None,
 def build_fig10_scenario(name: str,
                          config: SimulationConfig | None = None,
                          seed: int | None = None,
-                         telemetry: bool = False) -> Rig:
+                         telemetry: bool = False,
+                         sanitizer: bool = False) -> Rig:
     builders = dict(zip(FIG10_SCENARIOS, (local_linux, nvmeof_remote,
                                           ours_local, ours_remote)))
     if name not in builders:
         raise ValueError(f"unknown scenario {name!r}; "
                          f"pick one of {FIG10_SCENARIOS}")
-    return builders[name](config=config, seed=seed, telemetry=telemetry)
+    watch = {"telemetry": telemetry}
+    if sanitizer:
+        if name in FIG10_SCENARIOS[:2]:
+            raise ValueError(NO_SHARESAN.format(name))
+        watch["sanitizer"] = True
+    return builders[name](config=config, seed=seed, **watch)
 
 
 def multihost(n_clients: int, config: SimulationConfig | None = None,

@@ -6,16 +6,19 @@ in to watch or perturb it.
     PcieTestbed -> tracer / fault registry -> telemetry hub -> ShareSan
     -> manager(s) -> clients (-> volumes)
 
-and how each hook is attached; every named scenario in
-:mod:`.builders` is a call to it with different arguments and gets the
-same :class:`Rig` back.  Three things about it are *behaviour*, not
+and how each watcher is subscribed to the simulator's probe
+(:mod:`repro.sim.probe`) and each fault hook attached; every named
+scenario in :mod:`.builders` is a call to it with different arguments
+and gets the same :class:`Rig` back.  Three things about it are *behaviour*, not
 style (the golden tests in ``tests/test_determinism.py`` pin them):
 
-* **wiring order** — the fault retrofit comes first, then the hub (it
-  takes ``faults=registry``), then ShareSan (it takes ``telemetry=``);
-  managers and clients are attached *before* ``start()`` (ring state
-  created in ``start()`` must be seen); a client becomes a fault point
-  only *after* it started; a volume is attached to the hub only;
+* **wiring order** — the tracer and the fault retrofit come first, then
+  the hub (it takes ``faults=registry``), then ShareSan (it takes
+  ``telemetry=``; subscribers hear an event in subscription order and
+  a finding quotes the span the hub bound in that same event);
+  managers and clients are attached *before* ``start()`` (ShareSan
+  refuses a component that is already up); a client becomes a fault
+  point only *after* it started; a volume is attached to the hub only;
 * **names** — workload RNG streams are keyed by device name, so
   ``host{h}-nvme`` (``host{h}-d{device_id}`` under a volume) decides
   the draws;
@@ -33,7 +36,7 @@ from ..cluster import ClusterCoordinator, ClusterVolume
 from ..config import ReliabilityConfig, SimulationConfig
 from ..driver import BlockDevice, DistributedNvmeClient, NvmeManager
 from ..faults import FaultInjector, FaultPlan, FaultPointRegistry
-from ..sim import NULL_TRACER, Simulator, Tracer
+from ..sim import Simulator, Tracer
 from ..telemetry.hub import Telemetry
 from .testbed import PcieTestbed
 
@@ -159,8 +162,8 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
     :class:`~repro.cluster.ClusterVolume` over one path client per
     member device the placement scheduler chose; without, one client on
     the first device.  ``reliability`` is plain configuration and
-    always applies.  ``faults=True`` threads one tracer and one fault
-    registry through every link, controller, manager and client
+    always applies.  ``faults=True`` subscribes one tracer and threads
+    one fault registry through every link, controller and client
     (``link:<host>``, ``ctrl:<name>``, ``client:<name>``) and falls
     back to :data:`CHAOS_RELIABILITY` when the profile is all-off —
     under which every injected fault would be a silent hang.
@@ -183,19 +186,14 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
                                 for i in range(1, n_devices)]
     rig = Rig(label, bed.sim, bed, clients=[], controllers=controllers)
 
-    trc = NULL_TRACER
     if faults:
-        # The testbed creates the simulator, so the shared tracer can
-        # only exist now; retrofit it into the already-built components.
-        trc = rig.tracer = Tracer(bed.sim, categories=trace_categories)
-        bed.tracer = trc
-        bed.fabric.tracer = trc
+        rig.tracer = bed.sim.probe.subscribe(
+            Tracer(bed.sim, categories=trace_categories))
         rig.registry = registry = FaultPointRegistry(bed.sim)
         for host, ntb in zip(bed.hosts, bed.ntbs):
             registry.register(f"link:{host.name}", obj=ntb)
         bed.fabric.faults = registry
         for ctrl in controllers:
-            ctrl.tracer = trc
             ctrl.faults = registry
             registry.register(ctrl.fault_point, obj=ctrl)
     if telemetry:
@@ -205,10 +203,10 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
     if sanitizer:
         from ..sanitizer import ShareSan
         rig.sanitizer = ShareSan(bed.sim, telemetry=rig.telemetry).attach(
-            controllers=controllers, ntbs=bed.ntbs, hosts=bed.hosts)
+            controllers=controllers)
 
     def bring_up(component, **kind) -> None:
-        """Attach the observers, *then* start."""
+        """Tell the observers, *then* start."""
         if rig.telemetry is not None:
             rig.telemetry.attach(**kind)
         if rig.sanitizer is not None:
@@ -219,7 +217,7 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
         rig.coordinator = ClusterCoordinator()
     for i, device_id in enumerate(bed.nvme_device_ids):
         manager = NvmeManager(bed.sim, bed.smartio, bed.node(i),
-                              device_id, cfg, tracer=trc)
+                              device_id, cfg)
         bring_up(manager, managers=[manager])
         rig.managers[device_id] = manager
         if rig.coordinator is not None:
@@ -242,7 +240,7 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
                 slot_index=None if host_slots else slot,
                 name=(f"host{host_index}-nvme" if layout is None
                       else f"host{host_index}-d{device_id}"),
-                tracer=trc, **client_kwargs)
+                **client_kwargs)
             bring_up(client, clients=[client])
             if rig.registry is not None:
                 rig.registry.register(f"client:{client.name}", obj=client)
@@ -252,12 +250,12 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
             rig.clients += paths
             continue
         volume = ClusterVolume(bed.sim, layout, paths,
-                               queue_depth=queue_depth, tracer=trc)
+                               queue_depth=queue_depth)
         if rig.telemetry is not None:
             rig.telemetry.attach(volumes=[volume])
         rig.clients.append(volume)
 
     if faults:
         rig.injector = FaultInjector(bed.sim, rig.registry,
-                                     plan or FaultPlan(()), tracer=trc)
+                                     plan or FaultPlan(()))
     return rig

@@ -18,7 +18,7 @@ from ..config import SimulationConfig
 from ..nvme import NvmeController
 from ..nvme.media import Media
 from ..pcie import Cluster, Fabric, Host, NtbFunction
-from ..sim import NULL_TRACER, Simulator
+from ..sim import Simulator
 from ..sisci import SegmentId, SisciNode
 from ..smartio import SmartIoService
 from ..units import MiB
@@ -32,14 +32,12 @@ class PcieTestbed:
                  media: Media | None = None,
                  dram_size: int = 512 * MiB,
                  extra_path_chips: int = 0,
-                 tracer=NULL_TRACER, seed: int | None = None) -> None:
+                 seed: int | None = None) -> None:
         self.config = config or SimulationConfig()
         self.sim = Simulator(seed=self.config.seed
                              if seed is None else seed)
-        self.tracer = tracer
         self.cluster = Cluster(self.sim, self.config.pcie)
-        self.fabric = Fabric(self.sim, self.cluster, self.config.pcie,
-                             tracer=tracer)
+        self.fabric = Fabric(self.sim, self.cluster, self.config.pcie)
 
         self.hosts: list[Host] = []
         self.ntbs: list[NtbFunction] = []
@@ -97,7 +95,7 @@ class PcieTestbed:
                                          host=host)
         self.cluster.connect(host.rc, node, bandwidth=3.2)
         ctrl = NvmeController(self.sim, name, self.config.nvme,
-                              media=media, tracer=self.tracer)
+                              media=media)
         if self.config.qos.enabled:
             # QoS fetch arbitration (docs/qos.md): shared SQs the
             # manager creates on this controller get an arbiter.
@@ -120,16 +118,14 @@ class RdmaTestbed:
     def __init__(self, config: SimulationConfig | None = None,
                  media: Media | None = None,
                  dram_size: int = 512 * MiB,
-                 tracer=NULL_TRACER, seed: int | None = None) -> None:
+                 seed: int | None = None) -> None:
         from ..rdma import IbLink, RdmaNic
 
         self.config = config or SimulationConfig()
         self.sim = Simulator(seed=self.config.seed
                              if seed is None else seed)
-        self.tracer = tracer
         self.cluster = Cluster(self.sim, self.config.pcie)
-        self.fabric = Fabric(self.sim, self.cluster, self.config.pcie,
-                             tracer=tracer)
+        self.fabric = Fabric(self.sim, self.cluster, self.config.pcie)
 
         self.target_host = self.cluster.add_host("target",
                                                  dram_size=dram_size)
@@ -140,7 +136,7 @@ class RdmaTestbed:
                                               host=self.target_host)
         self.cluster.connect(self.target_host.rc, nvme_node, bandwidth=3.2)
         self.nvme = NvmeController(self.sim, "nvme0", self.config.nvme,
-                                   media=media, tracer=tracer)
+                                   media=media)
         self.nvme.install(self.target_host, nvme_node, self.fabric)
 
         # ConnectX-5-class NICs on Gen3 x16-ish links.
@@ -171,17 +167,15 @@ class LocalTestbed:
     def __init__(self, config: SimulationConfig | None = None,
                  media: Media | None = None,
                  dram_size: int = 512 * MiB,
-                 tracer=NULL_TRACER, seed: int | None = None) -> None:
+                 seed: int | None = None) -> None:
         self.config = config or SimulationConfig()
         self.sim = Simulator(seed=self.config.seed
                              if seed is None else seed)
-        self.tracer = tracer
         self.cluster = Cluster(self.sim, self.config.pcie)
-        self.fabric = Fabric(self.sim, self.cluster, self.config.pcie,
-                             tracer=tracer)
+        self.fabric = Fabric(self.sim, self.cluster, self.config.pcie)
         self.host = self.cluster.add_host("host0", dram_size=dram_size)
         node = self.cluster.add_endpoint("host0.nvme0", host=self.host)
         self.cluster.connect(self.host.rc, node, bandwidth=3.2)
         self.nvme = NvmeController(self.sim, "nvme0", self.config.nvme,
-                                   media=media, tracer=tracer)
+                                   media=media)
         self.nvme.install(self.host, node, self.fabric)

@@ -7,12 +7,13 @@ Public surface::
 
 from .core import Simulator
 from .events import AllOf, AnyOf, Event, Timeout
+from .probe import Probe
 from .process import Interrupt, Process
 from .resources import HoldPlan, Request, Resource, Signal, Store
 from .rng import RngRegistry
 from .stats import (BoxplotStats, Counter, LatencyRecorder, iops,
                     throughput_bytes_per_s)
-from .trace import NULL_TRACER, NullTracer, Tracer, TraceRecord
+from .trace import Tracer, TraceRecord
 
 __all__ = [
     "Simulator", "Event", "Timeout", "AnyOf", "AllOf",
@@ -21,5 +22,5 @@ __all__ = [
     "RngRegistry",
     "LatencyRecorder", "BoxplotStats", "Counter", "iops",
     "throughput_bytes_per_s",
-    "Tracer", "TraceRecord", "NullTracer", "NULL_TRACER",
+    "Probe", "Tracer", "TraceRecord",
 ]

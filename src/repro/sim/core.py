@@ -22,6 +22,7 @@ from itertools import count
 
 from .events import (NORMAL, URGENT, AllOf, AnyOf, Event, Timeout,
                      _as_int_delay)
+from .probe import Probe
 from .process import Process
 from .rng import RngRegistry
 
@@ -51,8 +52,8 @@ class Simulator:
         self._resource_sequence = count()
         self._active_process: Process | None = None
         self.rng = RngRegistry(seed)
-        #: free-form registry used by components to find each other
-        self.components: dict[str, t.Any] = {}
+        #: where observers attach (:mod:`repro.sim.probe`)
+        self.probe = Probe()
         #: total events dispatched (perf telemetry; deterministic per run)
         self.events_processed: int = 0
 

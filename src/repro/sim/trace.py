@@ -1,10 +1,12 @@
 """Lightweight structured tracing.
 
-Tracing is off by default and costs one attribute check per emit; when a
-sink is attached, every record is a plain tuple ``(time_ns, category,
+A :class:`Tracer` is an observer of the probe seam
+(:mod:`repro.sim.probe`): ``sim.probe.subscribe(tracer)`` and every
+later event it listens to becomes a record ``(time_ns, category,
 message, payload)``.  Used by tests to assert ordering properties (e.g.
 "the controller never fetched a command before its doorbell write
-arrived") and by examples to narrate a run.
+arrived"), by chaos runs as the audit log of what was injected and how
+the stack recovered, and by examples to narrate a run.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ class TraceRecord:
                 tuple(sorted(self.payload.items())))
 
 
+#: audit-log category of the ``recovery`` actions the stack itself
+#: takes; any other action is the fault injector's ("fault")
+_RECOVERY_CATEGORY = {"timeout": "recovery", "retry": "recovery",
+                      "cq-resync": "recovery", "lease-reclaim": "recovery",
+                      "path-down": "cluster", "failover": "cluster"}
+#: trace message of the window changes worth a record
+_LEASE_MESSAGE = {"granted": "shared-admit", "released": "window-released"}
+
+
 class Tracer:
     """Collects :class:`TraceRecord` items, optionally filtered by category."""
 
@@ -45,10 +56,8 @@ class Tracer:
             return
         if self.categories is not None and category not in self.categories:
             return
-        # Copy the payload: the record must capture the values at emit
-        # time even if the caller keeps mutating the objects it passed.
         self.records.append(
-            TraceRecord(self.sim.now, category, message, dict(payload)))
+            TraceRecord(self.sim.now, category, message, payload))
 
     def disable(self) -> None:
         self._enabled = False
@@ -62,20 +71,60 @@ class Tracer:
     def clear(self) -> None:
         self.records.clear()
 
+    # -- the probe events this observer records ----------------------------
 
-class NullTracer:
-    """No-op stand-in used when tracing is disabled (the default)."""
+    def on_tlp_done(self, fabric, read, addr, size, res, lost_at) -> None:
+        if lost_at is not None:
+            if read:
+                self.emit("fault", "read-timeout", point=lost_at, addr=addr)
+            else:
+                self.emit("fault", "write-dropped", point=lost_at,
+                          addr=addr, size=size)
+        elif read:
+            self.emit("pcie", "read-complete", addr=addr, size=size,
+                      crossings=res.crossings)
+        else:
+            self.emit("pcie", "write-delivered", addr=addr,
+                      final=res.addr if res.kind == "mem" else res.offset,
+                      size=size, crossings=res.crossings)
 
-    records: list[TraceRecord] = []
+    def on_doorbell_landed(self, ctrl, qid, is_cq, value, ok) -> None:
+        if ok:
+            self.emit("nvme", "doorbell", qid=qid, cq=is_cq, value=value)
 
-    def emit(self, category: str, message: str, **payload: t.Any) -> None:
-        pass
+    def on_sqe_fetched(self, ctrl, qid, sqe, win, granted_at,
+                       wait_ns) -> None:
+        window = {} if win is None else {"window": win.index}
+        self.emit("nvme", "fetched", qid=qid, opcode=sqe.opcode,
+                  cid=sqe.cid, **window)
 
-    def filter(self, category: str) -> list[TraceRecord]:
-        return []
+    def on_cqe_posted(self, ctrl, qid, cid, status) -> None:
+        self.emit("nvme", "completed", qid=qid, cid=cid, status=status)
 
-    def clear(self) -> None:
-        pass
+    def on_cqe_seen(self, qp, cqe, waiter) -> None:
+        if waiter is None:
+            self.emit("recovery", "stale-completion", client=qp.name,
+                      cid=cqe.cid)
 
+    def on_lease_changed(self, manager, what, slot, qid, widx,
+                         since_ns) -> None:
+        if what in _LEASE_MESSAGE:
+            self.emit("manager", _LEASE_MESSAGE[what], slot=slot, qid=qid,
+                      window=widx)
 
-NULL_TRACER = NullTracer()
+    def on_recovery(self, source, action, **detail) -> None:
+        self.emit(_RECOVERY_CATEGORY.get(action, "fault"), action, **detail)
+
+    def on_lifecycle(self, component, what, *detail) -> None:
+        if what == "enabled":
+            self.emit("nvme", "enabled", name=component.name)
+        elif what == "shared-qp-created":
+            qp, = detail
+            self.emit("manager", what, qid=qp.qid, windows=qp.nwindows)
+        elif what == "shared-qp-joined":
+            tenant, win_start, win_len = detail
+            self.emit("client", what, client=component.name,
+                      qid=component.qid, tenant=tenant,
+                      win_start=win_start, win_len=win_len)
+        elif what == "client-crashed":
+            self.emit("fault", what, client=component.name)

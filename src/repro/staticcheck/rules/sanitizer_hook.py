@@ -3,16 +3,15 @@
 ShareSan (docs/sanitizer.md) validates ownership at the places every
 byte already flows through: physical-memory stores and queue-ring index
 transitions.  Those choke points only stay exhaustive if *new*
-mutation sites added to them carry the hook too — a ring-index
-mutation the sanitizer never sees is a blind spot in every detector
-downstream.
+mutation sites added to them emit too — a ring-index mutation the
+sanitizer never sees is a blind spot in every detector downstream.
 
 Per function, in ``repro/memory/physmem.py`` and
 ``repro/nvme/queues.py``: assigning (or aug-assigning) ``self.head``,
 ``self.tail``, ``self.db_tail`` or ``self.phase``, or storing into
-``self._extents[...]``, requires the function to mention ``sanitizer``
-(the NULL-object guard idiom ``san = self.sanitizer`` counts).  A
-deliberate unhooked site takes an explicit
+``self._extents[...]``, requires the function to emit on the probe —
+the seam's one idiom, ``for f in self.probe.<event>: f(...)``
+(:mod:`repro.sim.probe`).  A deliberate silent site takes an explicit
 ``# staticcheck: ignore[sanitizer-hook]`` with a justification.
 """
 
@@ -30,6 +29,15 @@ _RING_INDEX = frozenset({"head", "tail", "db_tail", "phase"})
 _SCOPE = ("repro/memory/physmem.py", "repro/nvme/queues.py")
 
 
+def _is_emit(node: ast.AST) -> bool:
+    """``for f in <...>.probe.<event>:`` — the subscriber tuple of one
+    probe event being walked."""
+    return (isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Attribute)
+            and (dotted_name(node.iter.value) or "").split(".")[-1]
+            == "probe")
+
+
 def _is_mutation(target: ast.AST) -> bool:
     if (isinstance(target, ast.Attribute)
             and target.attr in _RING_INDEX
@@ -43,7 +51,7 @@ def _is_mutation(target: ast.AST) -> bool:
 @register
 class SanitizerHook(Rule):
     name = "sanitizer-hook"
-    summary = "physmem/queue mutation sites must carry a ShareSan hook"
+    summary = "physmem/queue mutation sites must emit on the probe"
 
     def applies(self, ctx: FileContext) -> bool:
         return ctx.module_rel in _SCOPE
@@ -53,10 +61,7 @@ class SanitizerHook(Rule):
             mutations: list[ast.AST] = []
             hooked = False
             for node in local_walk(fn):
-                if (isinstance(node, ast.Attribute)
-                        and node.attr == "sanitizer") \
-                        or (isinstance(node, ast.Name)
-                            and node.id == "sanitizer"):
+                if _is_emit(node):
                     hooked = True
                 targets: t.Sequence[ast.AST] = ()
                 if isinstance(node, ast.Assign):
@@ -70,6 +75,6 @@ class SanitizerHook(Rule):
             for target in mutations:
                 yield self.finding(
                     ctx, target,
-                    "memory/ring state mutated without a ShareSan hook "
-                    "in this function: the sanitizer would miss this "
-                    "site (hook it, or suppress with a justification)")
+                    "memory/ring state mutated in a function that emits "
+                    "nothing on the probe: ShareSan would miss this "
+                    "site (emit, or suppress with a justification)")

@@ -23,10 +23,10 @@ The ISSUE-8 time-series layer builds on those:
 * **SLOs** (:mod:`.slo`) — latency objectives with multi-window
   burn-rate alerting over the sampled windows.
 
-Everything is off by default: components carry a ``telemetry``
-attribute pointing at :data:`NULL_TELEMETRY`, and the hot paths pay one
-attribute/None check when disabled (the :class:`~repro.sim.Tracer`
-discipline); histograms/sampler/SLO are further opt-ins on a live hub
+Everything is off by default: a hub records by subscribing to the
+simulator's probe (:mod:`repro.sim.probe`; the event table is in
+docs/observability.md), so with no hub every emit site iterates an
+empty tuple; histograms/sampler/SLO are further opt-ins on a live hub
 (``enable_histograms`` / ``enable_sampler`` / ``enable_slo``).
 
 Instrumented runs are built from :class:`repro.run.RunSpec`
@@ -35,7 +35,7 @@ Instrumented runs are built from :class:`repro.run.RunSpec`
 
 from .hist import (DEFAULT_SUB_BITS, QUANTILES, HistogramError,
                    LatencyHistograms, LogHistogram)
-from .hub import NULL_TELEMETRY, NullTelemetry, Telemetry
+from .hub import Telemetry
 from .metrics import (COUNTER, GAUGE, HISTOGRAM, SUMMARY, MetricFamily,
                       MetricsError, MetricsRegistry)
 from .perfetto import COUNTER_PID, counter_events, span_events, \
@@ -50,7 +50,7 @@ __all__ = [
     "HISTOGRAM", "QUANTILES", "SUMMARY", "STAGES",
     "HistogramError", "IoSpan", "LatencyHistograms", "LogHistogram",
     "MetricFamily", "MetricsError", "MetricsRegistry",
-    "NULL_TELEMETRY", "NullTelemetry", "SeriesBank", "SloAlert",
+    "SeriesBank", "SloAlert",
     "SloEngine", "SloSpec", "SpanRecorder", "Telemetry",
     "TelemetrySampler", "TimeSeries",
     "counter_events", "registry_to_prometheus", "span_events",

@@ -1,25 +1,19 @@
-"""The telemetry hub: one object threaded through every layer.
+"""The telemetry hub: spans, metrics and what they are collected from.
 
 A :class:`Telemetry` instance bundles the span recorder and the metrics
-registry and knows which live components to scrape when a snapshot is
-taken.  Components hold a ``telemetry`` attribute that defaults to
-:data:`NULL_TELEMETRY`; instrumented code pays exactly one attribute
-check when telemetry is off::
+registry.  It has two sides:
 
-    tele = self.telemetry
-    if tele.enabled:
-        tele.spans.mark_cmd(qid, cid, "fetched", self.sim.now)
-
-Wiring is one call: ``telemetry.attach(fabric=..., controllers=[...],
-clients=[...], managers=[...], ntbs=[...], faults=...)`` both registers
-the components for metric collection and sets their ``telemetry``
-attribute.
-
-Metric collection is pull-based: the hot paths keep their existing
-cheap integer accounting (``fabric.posted_writes``,
-``client.retries``, ...) and :meth:`Telemetry.collect` scrapes those
-into the registry on demand — so enabling metrics adds no per-I/O cost
-beyond the span marks.
+* **push** — creating a hub subscribes it to the simulator's probe
+  (:mod:`repro.sim.probe`); the ``on_<event>`` methods at the bottom of
+  the class stamp span boundaries, record arbitration waits, RPC
+  service times and per-tenant latency histograms.  Only components
+  handed to :meth:`Telemetry.attach` are recorded;
+* **pull** — ``telemetry.attach(fabric=..., controllers=[...],
+  clients=[...], managers=[...], ntbs=[...], faults=...)`` also
+  registers the components whose cheap always-on integer accounting
+  (``fabric.posted_writes``, ``client.retries``, ...)
+  :meth:`Telemetry.collect` scrapes into the registry on demand — so
+  metrics add no per-I/O cost beyond the span marks.
 """
 
 from __future__ import annotations
@@ -40,24 +34,8 @@ if t.TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
 
 
-class NullTelemetry:
-    """No-op stand-in used when telemetry is disabled (the default)."""
-
-    enabled = False
-    spans: SpanRecorder | None = None
-    metrics: MetricsRegistry | None = None
-    hists: LatencyHistograms | None = None
-    sampler: TelemetrySampler | None = None
-    slo: SloEngine | None = None
-
-
-NULL_TELEMETRY = NullTelemetry()
-
-
 class Telemetry:
     """Spans + metrics + the component set they are collected from."""
-
-    enabled = True
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -82,6 +60,9 @@ class Telemetry:
         self._rate_prev: dict[tuple[str, str], tuple[int, int]] = {}
         #: owner -> the sampler sources' series handles, bound on first use
         self._bound: dict[t.Any, t.Any] = {}
+        #: every attached component: the push side records only these
+        self._watched: set[t.Any] = set()
+        sim.probe.subscribe(self)
 
     # -- wiring ------------------------------------------------------------
 
@@ -93,8 +74,8 @@ class Telemetry:
                managers: t.Iterable[t.Any] = (),
                volumes: t.Iterable[t.Any] = (),
                faults: t.Any = None) -> "Telemetry":
-        """Register components for collection and point their
-        ``telemetry`` attribute here.  Idempotent per component."""
+        """Register components for collection and for recording.
+        Idempotent per component."""
         if fabric is not None:
             self._fabric = fabric
         if faults is not None:
@@ -118,8 +99,7 @@ class Telemetry:
     def _add(self, bucket: list[t.Any], obj: t.Any) -> None:
         if obj not in bucket:
             bucket.append(obj)
-        if hasattr(obj, "telemetry"):
-            obj.telemetry = self
+        self._watched.add(obj)
 
     # -- time-series / SLO opt-ins -----------------------------------------
 
@@ -505,3 +485,88 @@ class Telemetry:
         if self.slo is None:
             return ""
         return self.slo.report_json()
+
+    # -- probe events (docs/observability.md) ------------------------------
+
+    def on_io_submitted(self, device, request) -> None:
+        if device in self._watched:
+            request.span = self.spans.begin(
+                device.name, request.op, request.lba,
+                request.nblocks * device.lba_bytes, request.submit_time)
+
+    def on_io_completed(self, device, request) -> None:
+        if request.span is not None:
+            self.spans.finish(request.span, request.complete_time)
+        if self.hists is not None and device in self._watched:
+            self.hists.record_io(device.tenant, request.op, device.name,
+                                 request.latency_ns, ok=request.ok)
+
+    def _mark_on_delivery(self, write, span, boundary: str) -> None:
+        """Stamp ``boundary`` when the posted ``write`` lands.  Piggybacks
+        on its delivery event — no queue entry, no RNG draw.  A plain
+        local store (None) has landed already; a dropped write
+        (``callbacks`` None) never does."""
+        if write is None:
+            span.mark(boundary, self.sim.now)
+        elif write.callbacks is not None:
+            write.callbacks.append(
+                lambda _ev: span.mark(boundary, self.sim.now))
+
+    def on_sqe_issued(self, qp, sqe, slot, store, request) -> None:
+        span = request.span if request is not None else None
+        if span is None:
+            return
+        # Published under the on-the-wire identity so the controller's
+        # events find it; dropped when the waiter is released (the
+        # timeout path, which retires the cid instead: on_recovery).
+        qid, cid, spans = qp.sq.qid, sqe.cid, self.spans
+        spans.bind(qid, cid, span)
+        qp.inflight[cid].callbacks.append(
+            lambda _ev: spans.unbind(qid, cid))
+        span.mark("sqe-issued", self.sim.now)
+        self._mark_on_delivery(store, span, "sqe-delivered")
+
+    def on_doorbell_rung(self, qp, ticket, request) -> None:
+        if request is not None and request.span is not None:
+            self._mark_on_delivery(ticket, request.span,
+                                   "doorbell-delivered")
+
+    def on_sqe_fetched(self, ctrl, qid, sqe, win, granted_at,
+                       wait_ns) -> None:
+        if ctrl not in self._watched:
+            return
+        if win is not None:
+            try:
+                arb_wait = self._bound["arb-wait", ctrl, qid]
+            except KeyError:
+                arb_wait = self._bound["arb-wait", ctrl, qid] = \
+                    self.metrics.recorder(
+                        "repro_nvme_arb_wait_ns",
+                        help="time an SQE head waited for shared-SQ "
+                        "arbitration before its fetch was granted",
+                        ctrl=ctrl.name, qid=qid)
+            arb_wait.record(wait_ns)
+        span = self.spans.active(qid, sqe.cid)
+        if span is not None:
+            if win is not None:
+                span.mark("arb-granted", granted_at)
+            span.mark("fetched", self.sim.now)
+
+    def on_media_done(self, ctrl, qid, cid) -> None:
+        if ctrl in self._watched:
+            self.spans.mark_cmd(qid, cid, "media-done", self.sim.now)
+
+    def on_cqe_posted(self, ctrl, qid, cid, status) -> None:
+        if ctrl in self._watched:
+            self.spans.mark_cmd(qid, cid, "cqe-delivered", self.sim.now)
+
+    def on_recovery(self, source, action, **detail) -> None:
+        if action == "timeout":
+            self.spans.unbind(source.qid, detail["cid"])
+
+    def on_lease_changed(self, manager, what, slot, qid, widx,
+                         since_ns) -> None:
+        if widx < 0 and manager in self._watched:      # an RPC, answered
+            self.metrics.observe(
+                "repro_manager_rpc_latency_ns", self.sim.now - since_ns,
+                help="admin mailbox RPC service time", op=what)

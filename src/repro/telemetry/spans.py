@@ -24,9 +24,10 @@ Consecutive boundaries telescope into the seven named **stages** of
 cq-ntb-write, poll), so per-stage durations sum to the end-to-end
 latency *exactly*, by construction.
 
-Recording follows the :class:`~repro.sim.trace.Tracer` discipline: when
-telemetry is disabled the hot path pays one attribute check and zero
-heap allocations.
+The recorder itself is plain data with no simulator reference: the
+:class:`~repro.telemetry.hub.Telemetry` hub drives it from the probe
+events it subscribes to (:mod:`repro.sim.probe`), so with no hub the
+hot path pays an empty ``for`` and zero heap allocations.
 """
 
 from __future__ import annotations
@@ -154,6 +155,10 @@ class SpanRecorder:
 
     def unbind(self, qid: int, cid: int) -> None:
         self._active.pop((qid, cid), None)
+
+    def active(self, qid: int, cid: int) -> IoSpan | None:
+        """The span bound to ``(qid, cid)`` right now, if any."""
+        return self._active.get((qid, cid))
 
     def mark_cmd(self, qid: int, cid: int, boundary: str,
                  time_ns: int) -> None:

@@ -3,15 +3,19 @@
 import sys
 
 
-def cost(fn):
+def cost(fn, files=None):
     """``(calls, executed bytecodes)`` of ``fn()``: Python and C calls as
     the ledger's ``host_calls_per_io`` counts them, bytecodes as
-    ``benchmarks/opcount.py`` does (``fn``'s own frame included)."""
+    ``benchmarks/opcount.py`` does (``fn``'s own frame included).  A set
+    passed as ``files`` collects the source file of every Python frame
+    entered."""
     counted = [0, 0]
 
-    def profile(_frame, event, _arg):
+    def profile(frame, event, _arg):
         if event == "call" or event == "c_call":
             counted[0] += 1
+            if files is not None and event == "call":
+                files.add(frame.f_code.co_filename)
 
     def trace(frame, event, _arg):
         frame.f_trace_opcodes = True

@@ -73,9 +73,11 @@ class BareMetalDriver:
         asq_mem = self.host.alloc_dma(self.qsize * 64)
         acq_mem = self.host.alloc_dma(self.qsize * 16)
         self.asq = SubmissionQueueState(qid=0, base_addr=asq_mem,
-                                        entries=self.qsize)
+                                        entries=self.qsize,
+                                        probe=self.sim.probe)
         self.acq = CompletionQueueState(qid=0, base_addr=acq_mem,
-                                        entries=self.qsize)
+                                        entries=self.qsize,
+                                        probe=self.sim.probe)
         self.reg_write(REG_AQA,
                        ((self.qsize - 1) << 16) | (self.qsize - 1))
         self.reg_write(REG_ASQ, asq_mem, width=8)
@@ -150,9 +152,11 @@ class BareMetalDriver:
             cdw11=(qid << 16) | 1))
         assert cqe.ok, f"create sq failed: {cqe.status:#x}"
         self.io_sq = SubmissionQueueState(qid=qid, base_addr=sq_mem,
-                                          entries=entries, cqid=qid)
+                                          entries=entries, cqid=qid,
+                                          probe=self.sim.probe)
         self.io_cq = CompletionQueueState(qid=qid, base_addr=cq_mem,
-                                          entries=entries)
+                                          entries=entries,
+                                          probe=self.sim.probe)
 
     # -- I/O -------------------------------------------------------------------
 

@@ -339,7 +339,7 @@ class TestGoldenModeledOutput:
         Delivery instants *and* order are pinned."""
         scn = ours_remote(seed=404)
         tracer = Tracer(scn.sim, categories={"pcie"})
-        scn.testbed.fabric.tracer = tracer
+        scn.sim.probe.subscribe(tracer)
         run_fio(scn.device, FioJob(rw="read", bs=65536, iodepth=2,
                                    total_ios=2))
         train = [(r.time_ns, r.payload["final"]) for r in tracer.records

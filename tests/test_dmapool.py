@@ -49,7 +49,7 @@ def test_double_free_raises_without_sanitizer(host):
 
 
 def test_double_free_still_raises_with_sanitizer(host):
-    ShareSan(host.sim).attach(hosts=[host])
+    ShareSan(host.sim)
     pool = local_pool(host, 1 << 16)
     cpu, _ = pool.alloc(4096)
     pool.free(cpu)
@@ -58,7 +58,7 @@ def test_double_free_still_raises_with_sanitizer(host):
 
 
 def test_use_after_free_is_a_finding(host):
-    san = ShareSan(host.sim).attach(hosts=[host])
+    san = ShareSan(host.sim)
     pool = local_pool(host, 1 << 16)
     cpu, _ = pool.alloc(4096)
     host.memory.write(cpu, b"live")          # in-lifetime store: fine
@@ -70,7 +70,7 @@ def test_use_after_free_is_a_finding(host):
 
 
 def test_reuse_clears_the_hazard(host):
-    san = ShareSan(host.sim).attach(hosts=[host])
+    san = ShareSan(host.sim)
     pool = local_pool(host, 1 << 16)
     cpu, _ = pool.alloc(4096)
     pool.free(cpu)
@@ -81,7 +81,7 @@ def test_reuse_clears_the_hazard(host):
 
 
 def test_free_unknown_address_does_not_poison_hazards(host):
-    san = ShareSan(host.sim).attach(hosts=[host])
+    san = ShareSan(host.sim)
     pool = local_pool(host, 1 << 16)
     cpu, _ = pool.alloc(4096)
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def test_free_unknown_address_does_not_poison_hazards(host):
 
 
 def test_pool_registers_a_region(host):
-    san = ShareSan(host.sim).attach(hosts=[host])
+    san = ShareSan(host.sim)
     pool = local_pool(host, 1 << 16)
     regions = [r for r in san.regions if r.kind == "dmapool"]
     assert len(regions) == 1

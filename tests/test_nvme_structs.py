@@ -11,6 +11,7 @@ from repro.nvme import (CompletionEntry, CompletionQueueState,
 from repro.nvme.constants import PAGE_SIZE, parse_status, status_field
 from repro.nvme.registers import (build_cap, cq_doorbell_offset,
                                   doorbell_index, sq_doorbell_offset)
+from repro.sim import Probe
 
 
 class TestSubmissionEntry:
@@ -109,7 +110,8 @@ class TestIdentify:
 
 class TestQueueStates:
     def test_sq_full_empty(self):
-        sq = SubmissionQueueState(qid=1, base_addr=0x1000, entries=4)
+        sq = SubmissionQueueState(qid=1, base_addr=0x1000, entries=4,
+                                  probe=Probe())
         assert sq.is_empty()
         for _ in range(3):
             sq.advance_tail()
@@ -121,12 +123,13 @@ class TestQueueStates:
         assert sq.occupancy() == 2
 
     def test_sq_underflow(self):
-        sq = SubmissionQueueState(qid=1, base_addr=0, entries=4)
+        sq = SubmissionQueueState(qid=1, base_addr=0, entries=4, probe=Probe())
         with pytest.raises(QueueError):
             sq.advance_head()
 
     def test_sq_slot_addr(self):
-        sq = SubmissionQueueState(qid=1, base_addr=0x1000, entries=8)
+        sq = SubmissionQueueState(qid=1, base_addr=0x1000, entries=8,
+                                  probe=Probe())
         assert sq.slot_addr(0) == 0x1000
         assert sq.slot_addr(3) == 0x1000 + 3 * 64
         with pytest.raises(QueueError):
@@ -134,12 +137,13 @@ class TestQueueStates:
 
     def test_min_entries(self):
         with pytest.raises(QueueError):
-            SubmissionQueueState(qid=1, base_addr=0, entries=1)
+            SubmissionQueueState(qid=1, base_addr=0, entries=1, probe=Probe())
         with pytest.raises(QueueError):
-            CompletionQueueState(qid=1, base_addr=0, entries=1)
+            CompletionQueueState(qid=1, base_addr=0, entries=1, probe=Probe())
 
     def test_cq_phase_flip_on_wrap(self):
-        cq = CompletionQueueState(qid=1, base_addr=0x2000, entries=3)
+        cq = CompletionQueueState(qid=1, base_addr=0x2000, entries=3,
+                                  probe=Probe())
         tags = [cq.produce_slot() for _ in range(7)]
         slots = [s for s, _ in tags]
         phases = [p for _, p in tags]
@@ -147,15 +151,18 @@ class TestQueueStates:
         assert phases == [1, 1, 1, 0, 0, 0, 1]
 
     def test_cq_consumer_phase_tracks_producer(self):
-        prod = CompletionQueueState(qid=1, base_addr=0, entries=3)
-        cons = CompletionQueueState(qid=1, base_addr=0, entries=3)
+        prod = CompletionQueueState(qid=1, base_addr=0, entries=3,
+                                    probe=Probe())
+        cons = CompletionQueueState(qid=1, base_addr=0, entries=3,
+                                    probe=Probe())
         for _ in range(10):
             _slot, phase = prod.produce_slot()
             assert cons.consumer_phase() == phase
             cons.consume()
 
     def test_cq_slot_addr(self):
-        cq = CompletionQueueState(qid=1, base_addr=0x2000, entries=8)
+        cq = CompletionQueueState(qid=1, base_addr=0x2000, entries=8,
+                                  probe=Probe())
         assert cq.slot_addr(2) == 0x2000 + 2 * 16
 
 

@@ -18,7 +18,7 @@ from repro.workloads import FioJob, run_fio_many
 def make_traced_cluster(seed=180):
     bed = PcieTestbed(n_hosts=2, with_nvme=True, seed=seed)
     tracer = Tracer(bed.sim)
-    bed.nvme.tracer = tracer
+    bed.sim.probe.subscribe(tracer)
     manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
                           bed.nvme_device_id, bed.config)
     bed.sim.run(until=bed.sim.process(manager.start()))

@@ -435,7 +435,7 @@ class TestPostWrites:
             build_two_host_cluster()
         tracer = Tracer(sim, categories={"pcie"})
         if trace:
-            fabric.tracer = tracer
+            sim.probe.subscribe(tracer)
         window = ntb_b.map_window(devhost, devhost.alloc_dma(32768), 32768)
         local = client.alloc_dma(4096)
         segments = [(window + 4096 * i, bytes([i + 1]) * size)
@@ -621,9 +621,8 @@ def test_ring_mechanics_live_in_the_queue_pair_core():
 def test_observers_and_faults_are_wired_in_the_rig_builder():
     """Who watches or perturbs a cluster is decided in one place
     (DESIGN.md): hubs, sanitizers, fault registries, injectors and
-    random plans are created — and another object's ``faults`` /
-    ``tracer`` retrofitted — only by ``scenarios/rig.py`` and the run
-    module.  Elsewhere only their defining modules and the deliberate
+    random plans are created — and another object's ``faults``
+    retrofitted — only by ``scenarios/rig.py`` and the run module.  Elsewhere only their defining modules and the deliberate
     bug rigs of ``sanitizer/fixtures.py`` may name them; and under
     ``scenarios/`` a manager and a client are each constructed once."""
     root = pathlib.Path(repro.__file__).parent
@@ -643,6 +642,28 @@ def test_observers_and_faults_are_wired_in_the_rig_builder():
                        sorted((root / "scenarios").glob("*.py")))
     assert bring_up.count("NvmeManager(") == 1
     assert bring_up.count("DistributedNvmeClient(") == 1
+    # One seam (repro/sim/probe.py), not a hook per watcher: no NULL
+    # object or per-watcher wrapper is left, only the builder and the
+    # observers themselves subscribe, and the model's packages do not
+    # know the observers exist.
+    sources = {path.relative_to(root).as_posix(): path.read_text()
+               for path in sorted(root.rglob("*.py"))}
+    retired = re.compile(r"NULL_TRACER|NULL_TELEMETRY|NULL_SANITIZER"
+                         r"|_span_mark|\.on_issue\b")
+    assert [rel for rel, text in sources.items()
+            if retired.search(text)] == []
+    subscribers = {rel for rel, text in sources.items()
+                   if "probe.subscribe(" in text}
+    assert subscribers <= {"scenarios/rig.py", "run.py", "sim/trace.py",
+                           "telemetry/hub.py", "sanitizer/sanitizer.py",
+                           "sanitizer/fixtures.py"}
+    assert "scenarios/rig.py" in subscribers
+    watchers = re.compile(r"^\s*(from|import)\s+(repro|\.+)\.?"
+                          r"(telemetry|sanitizer)\b", re.M)
+    assert watchers.search("from ..sanitizer.hooks import NULL_SANITIZER")
+    assert [rel for rel, text in sources.items()
+            if rel.split("/")[0] in ("nvme", "pcie", "driver", "memory")
+            and watchers.search(text)] == []
 
 
 class TestTopologyValidation:

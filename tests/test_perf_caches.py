@@ -333,7 +333,7 @@ class TestRouteCacheInvalidation:
             build_two_host_cluster()
         window = ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
         _warm(sim, fabric, client, window, 64)
-        fabric.tracer = tracer = Tracer(sim, categories={"pcie"})
+        tracer = sim.probe.subscribe(Tracer(sim, categories={"pcie"}))
         fabric.post_write(client.rc, client, window, b"a" * 64)
         sim.run()
         _write_once(sim, fabric, client, window, b"b" * 64)

@@ -8,6 +8,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from repro.memory import OutOfSpace, RangeAllocator
 from repro.nvme import CompletionQueueState, QueueError, SubmissionQueueState
+from repro.sim import Probe
 
 
 class AllocatorMachine(RuleBasedStateMachine):
@@ -67,11 +68,14 @@ class QueuePairMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.sq = SubmissionQueueState(qid=1, base_addr=0x1000,
-                                       entries=self.ENTRIES)
+                                       entries=self.ENTRIES,
+                                       probe=Probe())
         self.cq_prod = CompletionQueueState(qid=1, base_addr=0x2000,
-                                            entries=self.ENTRIES)
+                                            entries=self.ENTRIES,
+                                            probe=Probe())
         self.cq_cons = CompletionQueueState(qid=1, base_addr=0x2000,
-                                            entries=self.ENTRIES)
+                                            entries=self.ENTRIES,
+                                            probe=Probe())
         self.submitted = 0
         self.fetched = 0
         self.completed = 0

@@ -45,7 +45,8 @@ class Rig:
                                   entries, SQ_ADDR, CQ_ADDR, **kwargs)
         # The device's view of the same CQ ring.
         self.device_cq = CompletionQueueState(qid=QID, base_addr=CQ_ADDR,
-                                              entries=entries)
+                                              entries=entries,
+                                              probe=self.sim.probe)
 
     def complete(self, cid, deliver=True):
         """The device (which has fetched everything submitted so far)
@@ -160,7 +161,8 @@ class TestConsume:
         fabric = RecordingFabric()
         got = []
         host = types.SimpleNamespace(memory=memory, rc=object())
-        cq = CompletionQueueState(qid=QID, base_addr=CQ_ADDR, entries=4)
+        cq = CompletionQueueState(qid=QID, base_addr=CQ_ADDR, entries=4,
+                                  probe=sim.probe)
         demux = QueuePair(sim, fabric, host, BAR, None, None, cq,
                           sink=got.append)
         memory.write(CQ_ADDR, CompletionEntry(cid=0x2005, phase=1).pack())

@@ -1,11 +1,11 @@
-"""ShareSan: NULL-object defaults, detector fixtures, zero perturbation.
+"""ShareSan: off by default, detector fixtures, zero perturbation.
 
 Three properties make the sanitizer trustworthy enough to leave wired
 into every hot path:
 
-* **off by default** — every instrumented object carries the shared
-  :data:`NULL_SANITIZER` whose ``enabled`` guard costs one attribute
-  load, so an un-sanitized run pays nothing;
+* **off by default** — every instrumented object emits on its
+  simulator's probe, whose subscriber tuples are empty until a
+  ShareSan is created, so an un-sanitized run pays an empty ``for``;
 * **each detector provably fires** — the fixture pack plants one
   intentional bug per detector and must trip exactly that detector,
   or the sanitizer is theatre;
@@ -21,8 +21,7 @@ import json
 import pytest
 
 from repro.config import SimulationConfig
-from repro.sanitizer import (DETECTORS, FIXTURES, NULL_SANITIZER,
-                             NullSanitizer, ShareSan, build_report,
+from repro.sanitizer import (DETECTORS, FIXTURES, ShareSan, build_report,
                              render_json, render_text, selftest)
 from repro.faults import FaultPlan
 from repro.scenarios import chaos_cluster, scale_out_cluster
@@ -31,35 +30,24 @@ from repro.workloads import FioJob, fio_generator
 
 
 class TestNullObjectDefaults:
-    """Sanitizer off: shared NULL object, no hooks, no cost."""
-
-    def test_null_sanitizer_is_disabled_and_inert(self):
-        assert NullSanitizer.enabled is False
-        assert NULL_SANITIZER.on_mem_write(None, 0, 8) is None
-        assert NULL_SANITIZER.on_anything_future(1, x=2) is None
-        with pytest.raises(AttributeError):
-            NULL_SANITIZER.findings  # noqa: B018 - only on_* resolve
+    """Sanitizer off: nobody subscribed, no hooks, no cost."""
 
     def test_instrumented_objects_default_to_null(self):
         from repro.memory.physmem import HostMemory
-        from repro.nvme.queues import (CompletionQueueState,
-                                       SubmissionQueueState)
         from repro.pcie.ntb import NtbFunction
+        from repro.sim.probe import EVENTS
 
         sim = Simulator(seed=1)
-        assert HostMemory(sim, 1 << 20).sanitizer is NULL_SANITIZER
-        assert SubmissionQueueState(qid=1, base_addr=0x1000,
-                                    entries=16).sanitizer \
-            is NULL_SANITIZER
-        assert CompletionQueueState(qid=1, base_addr=0x2000,
-                                    entries=16).sanitizer \
-            is NULL_SANITIZER
-        assert NtbFunction(sim, "ntb0", aperture=1 << 20).sanitizer \
-            is NULL_SANITIZER
+        assert HostMemory(sim, 1 << 20).probe is sim.probe
+        assert NtbFunction(sim, "ntb0", aperture=1 << 20).probe \
+            is sim.probe
+        assert all(getattr(sim.probe, event) == () for event in EVENTS)
 
     def test_sharesan_starts_clean_and_enabled(self):
-        san = ShareSan(Simulator(seed=1))
-        assert san.enabled is True
+        sim = Simulator(seed=1)
+        san = ShareSan(sim)
+        assert sim.probe.ring_step == (san.on_ring_step,)
+        assert sim.probe.mem_event == (san.on_mem_event,)
         assert san.clean
         assert san.detectors_fired() == set()
 
@@ -171,15 +159,16 @@ class TestScenarioWiring:
     def test_scale_out_threads_sanitizer_through(self):
         scn = scale_out_cluster(40, seed=5, sanitizer=True)
         assert isinstance(scn.sanitizer, ShareSan)
-        # Every host memory got hooked at attach time.
+        # Every host memory reports to the probe it subscribed to.
         for host in scn.testbed.hosts:
-            assert host.memory.sanitizer is scn.sanitizer
+            assert host.memory.probe.mem_event \
+                == (scn.sanitizer.on_mem_event,)
 
     def test_sanitizer_off_leaves_null_objects(self):
         scn = scale_out_cluster(40, seed=5, sanitizer=False)
         assert scn.sanitizer is None
         for host in scn.testbed.hosts:
-            assert host.memory.sanitizer is NULL_SANITIZER
+            assert host.memory.probe.mem_event == ()
 
     def test_chaos_cluster_threads_sanitizer_through(self):
         scn = chaos_cluster(n_clients=2, seed=9, sanitizer=True)

@@ -504,14 +504,26 @@ def test_sanitizer_hook_passes_hooked_mutation(tmp_path):
     findings = run_rule(tmp_path, "sanitizer-hook", """
         class Ring:
             def advance_head(self):
-                san = self.sanitizer
-                if san.enabled:
-                    san.on_sq_fetch(self)
+                for f in self.probe.ring_step:
+                    f(self, "sq-fetch")
                 slot = self.head
                 self.head = (self.head + 1) % self.entries
                 return slot
     """, rel="repro/nvme/queues.py")
     assert findings == []
+
+
+def test_sanitizer_hook_wants_an_emit_not_a_mention(tmp_path):
+    # Naming the probe (or the retired NULL-object guard) is not
+    # emitting on it.
+    findings = run_rule(tmp_path, "sanitizer-hook", """
+        class Ring:
+            def consume(self):
+                probe = self.probe
+                san = self.sanitizer
+                self.head = (self.head + 1) % self.entries
+    """, rel="repro/nvme/queues.py")
+    assert [f.rule for f in findings] == ["sanitizer-hook"]
 
 
 def test_sanitizer_hook_covers_extent_stores_and_suppression(tmp_path):
