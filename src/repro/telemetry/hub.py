@@ -496,7 +496,7 @@ class Telemetry:
 
     def on_io_completed(self, device, request) -> None:
         if request.span is not None:
-            self.spans.finish(request.span, request.complete_time)
+            request.span.end_ns = request.complete_time
         if self.hists is not None and device in self._watched:
             self.hists.record_io(device.tenant, request.op, device.name,
                                  request.latency_ns, ok=request.ok)

@@ -143,9 +143,6 @@ class SpanRecorder:
         self.spans.append(span)
         return span
 
-    def finish(self, span: IoSpan, end_ns: int) -> None:
-        span.end_ns = end_ns
-
     # -- command-identity marks (controller side) --------------------------
 
     def bind(self, qid: int, cid: int, span: IoSpan) -> None:

@@ -73,7 +73,7 @@ class TestSpanRecorder:
         rec = SpanRecorder()
         a = rec.begin("d", "read", 0, 4096, start_ns=10)
         b = rec.begin("d", "write", 8, 4096, start_ns=20)
-        rec.finish(a, 50)
+        a.end_ns = 50
         assert rec.finished() == [a]
         assert rec.clean_spans() == []      # no boundary marks
         assert b.index == a.index + 1
