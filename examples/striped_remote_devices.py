@@ -6,41 +6,30 @@ one host borrow devices installed anywhere in the cluster.  Here a
 client host obtains queue pairs on TWO NVMe controllers — each living
 in a different cluster host — and stripes across them for additive
 bandwidth, all without the data ever passing through another host's CPU.
+The stripe is a cluster volume with one copy per chunk
+(``VolumeLayout(replicas=1)``, docs/cluster.md).
 
 Run:  python examples/striped_remote_devices.py
 """
 
 from repro import BlockRequest, FioJob, run_fio
-from repro.driver import (DistributedNvmeClient, NvmeManager,
-                          StripedBlockDevice)
-from repro.scenarios.testbed import PcieTestbed
+from repro.scenarios import cluster
 from repro.units import KiB
 
 
 def main() -> None:
     print("Building a 3-host cluster: NVMe in host0, NVMe in host1, "
           "client in host2 ...")
-    bed = PcieTestbed(n_hosts=3, with_nvme=False, seed=99)
-    client_node = bed.node(2)
-    members = []
-    for i in range(2):
-        bed.install_nvme(i)
-        device_id = i + 1
-        manager = NvmeManager(bed.sim, bed.smartio, bed.node(i),
-                              device_id, bed.config)
-        bed.sim.run(until=bed.sim.process(manager.start()))
-        member = DistributedNvmeClient(bed.sim, bed.smartio, client_node,
-                                       device_id, bed.config,
-                                       slot_index=0,
-                                       name=f"remote-nvme{i}")
-        bed.sim.run(until=bed.sim.process(member.start()))
-        members.append(member)
-        print(f"  acquired queue pair qid={member.qid} on nvme{i} "
-              f"(host{i})")
-
-    md = StripedBlockDevice(bed.sim, members, stripe_lbas=64)
+    rig = cluster(n_clients=1, n_devices=2, width=2, stripe_lbas=64,
+                  seed=99)
+    md = rig.volumes[0]
+    for path in md.paths:
+        print(f"  acquired queue pair qid={path.qid} on device "
+              f"{path.device_id} ({path.name})")
     print(f"  striped device: {md.name}, "
-          f"{md.capacity_lbas * md.lba_bytes / 1e12:.2f} TB logical")
+          f"{md.capacity_lbas * md.lba_bytes / 2**20:.0f} MiB logical, "
+          f"{md.layout.stripe_lbas}-LBA chunks over "
+          f"{md.layout.width} members")
 
     # Integrity across the stripe boundary.
     payload = bytes((i * 23) % 256 for i in range(128 * 1024))
@@ -52,15 +41,15 @@ def main() -> None:
         assert req.ok and req.result == payload
         return True
 
-    assert bed.sim.run(until=bed.sim.process(check(bed.sim)))
+    assert rig.sim.run(until=rig.sim.process(check(rig.sim)))
     print("  stripe-spanning write/read verified bit-exact")
 
     print("\nSequential 128 KiB reads, QD=8:")
-    single = run_fio(members[0],
+    single = run_fio(md.paths[0],
                      FioJob(rw="read", bs=128 * KiB, iodepth=8,
-                            total_ios=80, region_lbas=1 << 20))
+                            total_ios=80, region_lbas=1 << 19))
     striped = run_fio(md, FioJob(rw="read", bs=128 * KiB, iodepth=8,
-                                 total_ios=80, region_lbas=1 << 20))
+                                 total_ios=80, region_lbas=1 << 19))
     print(f"  one remote device : "
           f"{single.bandwidth_bytes_per_s / 1e9:.2f} GB/s")
     print(f"  striped x2        : "

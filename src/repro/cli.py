@@ -20,15 +20,12 @@ import sys
 import typing as t
 
 from .analysis import Fig10Report, format_table, render_boxplots
+from .qos.arbiter import POLICIES
 from .run import FAULTS, OBSERVERS, SCENARIOS, Run, RunSpec, run
-from .scenarios import (FIG10_SCENARIOS, QOS_POLICIES,
-                        build_fig10_scenario)
+from .scenarios import FIG10_SCENARIOS, build_fig10_scenario
 from .sim import BoxplotStats
 from .units import parse_size
 from .workloads import FioJob, run_fio
-
-#: policies that are expected to protect the bystanders
-_ISOLATING = ("wfq", "strict")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -58,11 +55,13 @@ def _spec(args: argparse.Namespace) -> RunSpec:
     given["bs"] = parse_size(args.bs)
     observe = given["observe"] = frozenset(
         filter(None, args.observe.split(",")))
-    # the throttle acts on SLO alerts and only isolating policies arm
-    # it (fifo/off are the baselines that never throttle)
+    # the throttle acts on SLO alerts; on the noisy rig every isolating
+    # policy arms it, the rig's own included (fifo, the baseline that
+    # leaks, never throttles)
     given["throttle"] = (args.scenario == "noisy" and args.throttle
                          and "slo" in observe
-                         and args.policy in _ISOLATING)
+                         and (args.policy is None
+                              or POLICIES[args.policy].isolates))
     return RunSpec(**given)
 
 
@@ -79,17 +78,17 @@ def _failed_checks(done: Run) -> list[str]:
     if spec.scenario != "noisy":
         return failed
     alerting = [t for t in done.bystanders if done.tenant_alerts(t)]
-    if spec.policy not in _ISOLATING:
-        # fifo/off are the baselines that demonstrably fail to isolate
-        # — the check is non-vacuous only if they do fail.
+    if not POLICIES[done.policy].isolates:
+        # fifo is the baseline that demonstrably fails to isolate — the
+        # check is non-vacuous only if it does fail.
         if not alerting:
-            failed.append(f"{spec.policy} isolated the bystanders "
+            failed.append(f"{done.policy} isolated the bystanders "
                           f"(expected the noisy neighbour to leak)")
         return failed
     if alerting:
-        failed.append(f"bystander alerts under {spec.policy}: {alerting}")
+        failed.append(f"bystander alerts under {done.policy}: {alerting}")
     if not all(done.report["tenants"][t]["met"] for t in done.bystanders):
-        failed.append(f"bystander SLO missed under {spec.policy}")
+        failed.append(f"bystander SLO missed under {done.policy}")
     if not done.tenant_alerts(done.aggressor):
         failed.append("aggressor fired no alert")
     return failed
@@ -258,12 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "simulated ns")
     cmd.add_argument("--interval-ns", type=int, default=None,
                      help="slo: sampling interval, simulated ns")
-    cmd.add_argument("--policy", default=d.policy, choices=QOS_POLICIES,
-                     help="noisy: shared-SQ arbitration policy")
+    cmd.add_argument("--policy", default=d.policy, choices=POLICIES,
+                     help="shared-SQ arbitration policy of any NTB rig "
+                          "(default: wfq on noisy, off elsewhere; a rig "
+                          "with no shared SQ refuses one)")
     cmd.add_argument("--no-throttle", dest="throttle",
                      action="store_false",
                      help="noisy: disable burn-rate admission throttling "
-                          "(armed under wfq/strict with --observe slo)")
+                          "(armed with --observe slo under every policy "
+                          "but fifo)")
     cmd.add_argument("--bystanders", type=int, default=d.bystanders)
     cmd.add_argument("--aggressor-iops", type=float,
                      default=d.aggressor_iops)
@@ -273,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for what the observers export")
     cmd.add_argument("--check", action="store_true",
                      help="exit non-zero on a ShareSan finding, a kill "
-                          "that fired no alert, wfq/strict failing to "
-                          "isolate (or fifo/off visibly isolating)")
+                          "that fired no alert, off/wfq/strict failing "
+                          "to isolate (or fifo visibly isolating)")
     cmd.set_defaults(func=_cmd_run)
 
     fig10 = sub.add_parser("fig10",

@@ -3,10 +3,9 @@
 A :class:`VolumeLayout` is the pure address math of the cluster block
 store — it never touches a device.  A volume of ``capacity_lbas``
 logical blocks is cut into chunks of ``stripe_lbas`` and laid out
-RAID-0-style across ``width`` member devices (the address style of
-``driver/stripe.py``); with ``replicas = R > 1`` every chunk is stored
-R times, on R *distinct* members, which is what gives the ANA-style
-multipath view its surviving paths.
+RAID-0-style across ``width`` member devices; with ``replicas = R > 1``
+every chunk is stored R times, on R *distinct* members, which is what
+gives the ANA-style multipath view its surviving paths.
 
 Placement of chunk ``c`` (``row = c // W``, primary member
 ``d0 = c % W``):
@@ -20,14 +19,14 @@ member holds replica ``k % R`` of some chunk.  The map
 bijection over the member space actually used — no two chunk copies
 overlap and no member LBA below the high-water row is wasted — which
 ``tests/test_cluster_property.py`` asserts over randomized geometries.
-With ``R == 1`` this degenerates to exactly the arithmetic of
-:class:`~repro.driver.stripe.StripedBlockDevice`.
+With ``R == 1`` this is plain RAID-0: chunk ``c`` at member ``c % W``,
+member-local LBA ``(c // W) * stripe_lbas + within`` — the one striping
+layer of the repo (``examples/striped_remote_devices.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 
 class LayoutError(Exception):
@@ -93,11 +92,6 @@ class VolumeLayout:
     def member_lbas(self) -> int:
         """Member-local LBAs a device must provide for this volume."""
         return self.rows * self.replicas * self.stripe_lbas
-
-    @property
-    def physical_lbas(self) -> int:
-        """Total member LBAs consumed across all members."""
-        return self.member_lbas * self.width
 
     # -- forward map ------------------------------------------------------
 
@@ -165,12 +159,3 @@ class VolumeLayout:
             nblocks -= run
             offset += run
         return out
-
-    def members_of(self, lba: int, nblocks: int) -> t.Iterator[int]:
-        """Distinct member indices an extent touches (any replica)."""
-        seen: set[int] = set()
-        for extent in self.split(lba, nblocks):
-            for member, _mlba in extent.targets:
-                if member not in seen:
-                    seen.add(member)
-                    yield member

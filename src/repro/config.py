@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from .qos.arbiter import POLICIES
 from .units import gbit_per_s, gb_per_s
 
 
@@ -230,10 +231,9 @@ class NvmeofConfig:
 
     #: Kernel nvme-rdma initiator: encapsulate command, map data, post.
     initiator_submit_ns: int = 1_500
-    #: Kernel initiator completion processing (after its IRQ).
+    #: Kernel initiator completion processing (after its IRQ; nvme-rdma
+    #: reaps responses interrupt-driven).
     initiator_complete_ns: int = 1_000
-    #: Initiator completion is interrupt-driven (true for nvme-rdma).
-    initiator_uses_interrupts: bool = True
     #: SPDK target: capsule decode + NVMe submission on the target side.
     target_process_ns: int = 450
     #: SPDK target completion handling: reap NVMe CQE, build response.
@@ -317,10 +317,6 @@ class QpSharingConfig:
     #: windows exist per shared QP, capped by the 4-bit CID tenant
     #: namespace (16 tenants).
     window_entries: int = 16
-    #: Client-side doorbell batching for shared-SQ tenants: submissions
-    #: within this many ns ring the (tenant-encoded) doorbell once.
-    #: 0 rings per submission, exactly like a private QP.
-    doorbell_batch_ns: int = 0
 
     @property
     def windows_per_qp(self) -> int:
@@ -343,28 +339,20 @@ class QpSharingConfig:
 class QosConfig:
     """Fetch arbitration + admission throttling for shared SQs.
 
-    Everything defaults to *off* (the zero/False values below) so the
-    calibrated seed runs stay bit-identical; QoS scenarios enable it
-    explicitly.  When off, the shared-SQ worker runs the original
-    one-SQE-per-grant round-robin from docs/queue_sharing.md.
+    The defaults are the calibrated seed runs: every shared SQ fetches
+    under the NVMe round-robin and nothing is throttled.
     """
 
-    #: Master switch.  Off keeps the original round-robin fetch loop.
-    enabled: bool = False
-    #: Arbitration policy applied at the shared-SQ fetch point:
-    #: ``fifo``  — global arrival order across windows (a tenant's deep
-    #:             backlog delays everyone behind it; the baseline that
-    #:             demonstrably fails to isolate),
-    #: ``wfq``   — deficit round-robin, weight-proportional service,
-    #: ``strict``— strict priority by weight, round-robin within a tier.
-    policy: str = "fifo"
+    #: Arbitration policy applied at every shared-SQ fetch point, one
+    #: of ``repro.qos.arbiter.POLICIES`` (docs/qos.md has the table);
+    #: the default is the NVMe spec's round-robin.
+    policy: str = "off"
     #: DRR quantum in SQEs credited each time the round-robin pointer
     #: reaches a backlogged window (multiplied by the window's weight).
     quantum: int = 4
     #: Per-window weights, indexed by window index; windows beyond the
-    #: tuple get ``default_weight``.  Only ``wfq``/``strict`` read them.
+    #: tuple weigh 1.  Only the weighted policies read them.
     weights: tuple[int, ...] = ()
-    default_weight: int = 1
     #: Admission throttling: when a tenant's burn-rate alert (see
     #: docs/observability.md) is active, clamp its driver-side window of
     #: outstanding commands to this many; 0 disables throttling.
@@ -375,14 +363,10 @@ class QosConfig:
     #: (prevents fire/resolve flapping from bouncing the window).
     throttle_cooldown_ns: int = 400_000
 
-    def weight(self, index: int) -> int:
-        if index < len(self.weights):
-            return max(1, self.weights[index])
-        return max(1, self.default_weight)
-
     def __post_init__(self) -> None:
-        if self.policy not in ("fifo", "wfq", "strict"):
-            raise ValueError(f"unknown qos policy {self.policy!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown qos policy {self.policy!r}; "
+                             f"pick one of {tuple(POLICIES)}")
         if self.quantum < 1:
             raise ValueError("quantum must be >= 1 SQE")
         if self.throttle_window < 0:

@@ -10,7 +10,6 @@ from .client import (HOST_PATH_STATUSES, STATUS_HOST_CRASHED,
 from .dmapool import DmaPool, local_pool
 from .manager import ManagerError, NvmeManager
 from .spdk_local import SpdkLocalDriver
-from .stripe import StripedBlockDevice
 from .stock import StockNvmeDriver
 
 __all__ = [
@@ -21,5 +20,5 @@ __all__ = [
     "DistributedNvmeClient", "ClientError",
     "STATUS_HOST_TIMEOUT", "STATUS_HOST_SHUTDOWN", "STATUS_HOST_CRASHED",
     "HOST_PATH_STATUSES",
-    "StockNvmeDriver", "SpdkLocalDriver", "StripedBlockDevice",
+    "StockNvmeDriver", "SpdkLocalDriver",
 ]

@@ -128,7 +128,6 @@ class DistributedNvmeClient(BlockDevice):
         self._win_start = 0
         self._submitted = 0             # absolute, continues predecessor's
         self._sq_space = Signal(sim)    # fired per completion (flow ctl)
-        self._db_timer: Process | None = None
         #: recovery accounting
         self.timeouts = 0
         self.retries = 0
@@ -318,7 +317,7 @@ class DistributedNvmeClient(BlockDevice):
         self._qp = qp = QueuePair(
             self.sim, self.node.fabric, self.node.host, self._bar, sq,
             self._sq_conn, cq, on_cqe=self._on_cqe, name=self.name,
-            **window)
+            ctrl=self._ref.function, **window)
         self.sq, self.cq, self._inflight = sq, cq, qp.inflight
 
     def _setup_remote_interrupts(self) -> t.Generator:
@@ -573,15 +572,7 @@ class DistributedNvmeClient(BlockDevice):
                 # A tenant rings for itself: the pair only stored the
                 # SQE into our slot window of the manager-hosted ring.
                 self._submitted += 1
-                batch_ns = self.config.sharing.doorbell_batch_ns
-                if batch_ns <= 0:
-                    self._ring_shared_sq_doorbell(request)
-                elif self._db_timer is None or not self._db_timer.is_alive:
-                    # Batched ring: one doorbell covers every SQE issued
-                    # within the window.  Safe because the tail value rung
-                    # is read when the timer fires, after all those stores.
-                    self._db_timer = self.sim.process(
-                        self._doorbell_batcher(batch_ns))
+                self._ring_shared_sq_doorbell(request)
 
             if rel.command_timeout_ns <= 0:
                 # Recovery disabled (the default): wait unconditionally.
@@ -643,7 +634,7 @@ class DistributedNvmeClient(BlockDevice):
         return (self._running and not self._clamp_holds()
                 and self.sq.is_full())
 
-    def _ring_shared_sq_doorbell(self, request=None) -> None:
+    def _ring_shared_sq_doorbell(self, request) -> None:
         """Shared-SQ ring: mirror the absolute submission count into our
         doorbell shadow first (the manager reads it locally at
         release/reclaim — count mod window size hands the ring position
@@ -661,14 +652,6 @@ class DistributedNvmeClient(BlockDevice):
             ((self._tenant << 16) | self.sq.tail).to_bytes(4, "little"))
         for f in self.probe.doorbell_rung:
             f(self._qp, db_write, request)
-
-    def _doorbell_batcher(self, batch_ns: int) -> t.Generator:
-        """Sleep out the batching window, then ring once with the
-        latest tail (covers every SQE issued meanwhile)."""
-        yield self.sim.sleep(batch_ns)
-        self._db_timer = None
-        if self._running:
-            self._ring_shared_sq_doorbell()
 
     def _memcpy_ns(self, nbytes: int) -> int:
         cfg = self.config.host

@@ -88,7 +88,8 @@ class LocalNvmeDriver(BlockDevice):
         self._qp = qp = QueuePair.local(
             self.sim, self.fabric, self.host, self.bar, self.qid,
             self.queue_entries, sq_mem, cq_mem,
-            complete_delay=self.trigger_ns, name=self.name)
+            complete_delay=self.trigger_ns, name=self.name,
+            ctrl=self.host.addr_map.lookup(self.bar).target.function)
         self.sim.process(qp.on_interrupt(mailbox, self.irq_ns) if interrupts
                          else qp.poll(self.poll_stream, self.poll_ns))
 

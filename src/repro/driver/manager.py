@@ -456,7 +456,8 @@ class NvmeManager:
         # the shared CQ in manager-local memory.
         qp.demux = QueuePair(
             self.sim, self.node.fabric, self.node.host, self._bar, None,
-            None, qp.cq, sink=functools.partial(self._forward_cqe, qp))
+            None, qp.cq, sink=functools.partial(self._forward_cqe, qp),
+            ctrl=self._ref.function)
         self.sim.process(qp.demux.poll(
             f"qp-demux:{self.device_id}:{qid}",
             self.config.host.poll_interval_ns))

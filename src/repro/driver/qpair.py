@@ -78,7 +78,9 @@ class QueuePair:
     processing on the trigger).  ``on_cqe(cqe)`` tells the owning
     stack a completion is about to be delivered (flow control); who
     merely *watches* stores and completions subscribes to the probe's
-    ``sqe_issued`` / ``doorbell_rung`` / ``cqe_seen``.
+    ``sqe_issued`` / ``doorbell_rung`` / ``cqe_seen``.  ``ctrl`` is the
+    controller the pair's commands go to: every controller numbers its
+    qids from 1, so a watcher names a command ``(ctrl, qid, cid)``.
     """
 
     def __init__(self, sim: Simulator, fabric, host, bar: int,
@@ -89,9 +91,10 @@ class QueuePair:
                  complete_delay: int = 0,
                  sink: t.Callable[[CompletionEntry], None] | None = None,
                  on_cqe: t.Callable[[CompletionEntry], None] | None = None,
-                 name: str = "") -> None:
+                 name: str = "", ctrl=None) -> None:
         self.sim = sim
         self.probe = sim.probe
+        self.ctrl = ctrl
         self.sq = sq
         self.sq_mem = sq_mem
         self.cq = cq

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from ..config import NvmeConfig
+from ..config import NvmeConfig, QosConfig
 from ..pcie.device import Bar, PCIeFunction
 from ..pcie.fabric import FabricFaultError
 from ..sim import Signal, Simulator
@@ -54,8 +54,7 @@ class _ControllerSq:
     #: into per-tenant windows, each a sub-ring with its own doorbell
     #: tail; None for a conventional SQ.
     windows: list[SqWindowState] | None = None
-    #: QoS fetch arbiter (docs/qos.md); None runs the original
-    #: round-robin grant loop.
+    #: a shared SQ's fetch arbiter (docs/qos.md)
     arbiter: Arbiter | None = None
 
 
@@ -81,9 +80,13 @@ class NvmeController(PCIeFunction):
     BAR_SIZE = 0x4000
 
     def __init__(self, sim: Simulator, name: str, config: NvmeConfig,
-                 media: Media | None = None) -> None:
+                 media: Media | None = None,
+                 qos: QosConfig = QosConfig()) -> None:
         super().__init__(sim, name)
         self.config = config
+        #: how every shared SQ created on this controller arbitrates
+        #: its fetches (docs/qos.md)
+        self.qos = qos
         self.add_bar(0, self.BAR_SIZE)
         self.regs = RegisterFile(config.max_queue_entries,
                                  config.doorbell_stride)
@@ -102,9 +105,6 @@ class NvmeController(PCIeFunction):
         #: ``ctrl:<name>`` (stall / per-command abort injection).
         self.faults = None
         self.fault_point = f"ctrl:{name}"
-        #: optional QosConfig (docs/qos.md); when set and enabled,
-        #: shared SQs created afterwards get a fetch arbiter.
-        self.qos = None
         #: accounting
         self.commands_completed = 0
         self.fetches = 0
@@ -241,11 +241,10 @@ class NvmeController(PCIeFunction):
                 if wtail >= win.entries:
                     self.bad_doorbells += 1
                     return
-                if win.is_empty() and wtail != win.db_tail:
-                    win.ready_at = self.sim.now
-                arb = sq.arbiter
-                if arb is not None and wtail != win.db_tail:
-                    arb.on_doorbell(
+                if wtail != win.db_tail:
+                    if win.is_empty():
+                        win.ready_at = self.sim.now
+                    sq.arbiter.on_doorbell(
                         win, (wtail - win.db_tail) % win.entries,
                         self.sim.now)
                 win.db_tail = wtail
@@ -334,10 +333,11 @@ class NvmeController(PCIeFunction):
     def _shared_sq_worker(self, sq: _ControllerSq) -> t.Generator:
         """Fetch-and-dispatch loop for a *shared* (windowed) SQ.
 
-        Round-robin arbitration across tenant windows: each grant
-        services exactly one SQE from the next non-empty window after
-        the previous winner, so no tenant can starve a neighbour no
-        matter how deep its backlog (docs/queue_sharing.md).
+        Each grant services exactly one SQE from the tenant window the
+        SQ's arbiter picks (docs/qos.md); under the default ``off``
+        policy that is the next non-empty window after the previous
+        winner, so no tenant can starve a neighbour no matter how deep
+        its backlog (docs/queue_sharing.md).
         """
         # hot-path
         cfg = self.config
@@ -345,27 +345,16 @@ class NvmeController(PCIeFunction):
         probe = self.probe
         state = sq.state
         windows = sq.windows
+        arb = sq.arbiter
         unpack = SubmissionEntry.unpack
         decode_ns = cfg.command_decode_ns
-        assert sq.signal is not None and windows is not None
-        arb = sq.arbiter
-        nwin = len(windows)
-        rr = 0
+        assert sq.signal is not None and arb is not None
         while sq.active:
             if self.faults is not None:
                 yield from self.faults.stall_barrier(self.fault_point)
                 if not sq.active:
                     return
-            win = None
-            if arb is None:
-                for off in range(nwin):
-                    cand = windows[(rr + off) % nwin]
-                    if not cand.is_empty():
-                        win = cand
-                        rr = (rr + off + 1) % nwin
-                        break
-            else:
-                win = arb.select(windows)
+            win = arb.select(windows)
             if win is None:
                 yield sq.signal.wait()
                 if not sq.active:
@@ -380,13 +369,11 @@ class NvmeController(PCIeFunction):
                 # Same retry discipline as the private path: the window
                 # head is not advanced, so the same slot is re-fetched.
                 self.fetch_retries += 1
-                if arb is not None:
-                    arb.refund(win)
+                arb.refund(win)
                 yield sim.sleep(cfg.doorbell_to_fetch_ns)
                 continue
             win.advance_head()
-            if arb is not None:
-                arb.on_fetch(win)
+            arb.on_fetch(win)
             wait_ns = granted_at - win.ready_at
             # The next entry (if any) has been waiting since this grant.
             win.ready_at = granted_at
@@ -510,9 +497,7 @@ class NvmeController(PCIeFunction):
                                         entries=win_entries,
                                         probe=self.probe)
                           for i in range(entries // win_entries)]
-            qos = self.qos
-            if qos is not None and qos.enabled:
-                sq.arbiter = make_arbiter(qos, len(sq.windows))
+            sq.arbiter = make_arbiter(self.qos, len(sq.windows))
         self.sqs[qid] = sq
         for f in self.probe.lifecycle:
             f(self, "queue-created", "sq", sq.state, sq.windows)

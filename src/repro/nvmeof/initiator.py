@@ -147,9 +147,7 @@ class NvmeofInitiator(BlockDevice):
             completions = recv_cq.poll()
             if not completions:
                 yield recv_cq.signal.wait()
-                if cfg.nvmeof.initiator_uses_interrupts:
-                    yield self.sim.timeout(
-                        cfg.host.interrupt_latency_ns)
+                yield self.sim.timeout(cfg.host.interrupt_latency_ns)
                 continue
             for wc in completions:
                 yield self.sim.timeout(cfg.rdma.cq_poll_ns)

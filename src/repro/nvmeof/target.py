@@ -127,7 +127,9 @@ class SpdkTarget:
             qp=qp, slots=slots, inflight={},
             nvme=qpair.QueuePair.local(
                 self.sim, self.fabric, self.host, self.nvme_bar, qid,
-                self.QUEUE_ENTRIES, sq_mem, cq_mem))
+                self.QUEUE_ENTRIES, sq_mem, cq_mem,
+                ctrl=self.host.addr_map.lookup(self.nvme_bar)
+                .target.function))
         self.connections.append(conn)
         self.sim.process(self._recv_poller(conn))
         self.sim.process(self._nvme_poller(conn))

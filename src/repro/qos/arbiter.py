@@ -1,9 +1,16 @@
-"""Pluggable fetch arbitration for shared (windowed) submission queues.
+"""Fetch arbitration for shared (windowed) submission queues.
 
 The shared-SQ worker (docs/queue_sharing.md) is the single point where
 one tenant's backlog can delay every co-tenant: the controller fetches
 one SQE per grant, and *which window gets the grant* is the whole QoS
-policy.  An :class:`Arbiter` owns that decision.  Three policies:
+policy.  Every shared SQ fetches through one :class:`Arbiter`; which
+one is ``QosConfig.policy``, a key of :data:`POLICIES`:
+
+``off``
+    The NVMe spec's mandatory round-robin: one SQE from the next
+    backlogged window after the previous winner.  No weights, no
+    stamps — and it isolates, because a deep backlog buys its tenant
+    one fetch per turn like everyone else.
 
 ``fifo``
     Global arrival order across windows.  The controller fetches the
@@ -45,21 +52,28 @@ if t.TYPE_CHECKING:  # pragma: no cover
 class Arbiter:
     """Base class: grant decisions over a shared SQ's windows."""
 
-    #: policy label used in metrics/exports
-    policy = "none"
-    #: per-window weights (the weighted policies set their own)
+    #: policy label used in metrics/exports (the :data:`POLICIES` key)
+    policy = ""
+    #: whether the policy protects bystanders from a noisy neighbour
+    #: (``repro run noisy --check`` expects the others to leak)
+    isolates = True
+    #: per-window weights (the weighted policies set their own);
+    #: windows beyond the tuple weigh 1
     weights: tuple[int, ...] = ()
-    default_weight = 1
 
     def __init__(self, nwin: int) -> None:
         self.nwin = nwin
         #: grants per window, for telemetry (read-only outside)
         self.grant_counts = [0] * nwin
 
+    @classmethod
+    def from_config(cls, qos: "QosConfig", nwin: int) -> "Arbiter":
+        return cls(nwin)
+
     def _weight(self, index: int) -> int:
         if index < len(self.weights):
             return max(1, self.weights[index])
-        return max(1, self.default_weight)
+        return 1
 
     def on_doorbell(self, win: "SqWindowState", added: int,
                     now: int) -> None:
@@ -81,6 +95,33 @@ class Arbiter:
         retried.  Restore any credit :meth:`select` consumed."""
 
 
+class RoundRobinArbiter(Arbiter):
+    """Round-robin over the backlogged windows of one priority tier;
+    with every window in tier 0 it is the NVMe spec's arbitration."""
+
+    policy = "off"
+
+    def __init__(self, nwin: int,
+                 tiers: tuple[int, ...] | None = None) -> None:
+        super().__init__(nwin)
+        #: each window's priority tier
+        self._tiers = tiers or (0,) * nwin
+        #: tier -> the window index its next scan starts at
+        self._rr = dict.fromkeys(self._tiers, 0)
+
+    def select(self, windows, tier=0):
+        # hot-path: one call per fetch; ``head == db_tail`` is is_empty()
+        nwin = self.nwin
+        tiers = self._tiers
+        start = self._rr[tier]
+        for off in range(nwin):
+            win = windows[(start + off) % nwin]
+            if win.head != win.db_tail and tiers[win.index] == tier:
+                self._rr[tier] = (win.index + 1) % nwin
+                return win
+        return None
+
+
 class FifoArbiter(Arbiter):
     """Global arrival order: serve the oldest rung entry anywhere.
 
@@ -90,6 +131,7 @@ class FifoArbiter(Arbiter):
     """
 
     policy = "fifo"
+    isolates = False
 
     def __init__(self, nwin: int) -> None:
         super().__init__(nwin)
@@ -140,16 +182,18 @@ class DrrArbiter(Arbiter):
     policy = "wfq"
 
     def __init__(self, nwin: int, quantum: int,
-                 weights: tuple[int, ...],
-                 default_weight: int = 1) -> None:
+                 weights: tuple[int, ...]) -> None:
         super().__init__(nwin)
         self.quantum = quantum
         self.weights = weights
-        self.default_weight = default_weight
         self._deficit = [0] * nwin
         #: credit a window earns per visit: ``quantum * weight``
         self._refill = [quantum * self._weight(i) for i in range(nwin)]
         self._rr = 0
+
+    @classmethod
+    def from_config(cls, qos, nwin):
+        return cls(nwin, qos.quantum, qos.weights)
 
     def select(self, windows):
         # hot-path: one call per fetch; ``head == db_tail`` is is_empty()
@@ -173,47 +217,36 @@ class DrrArbiter(Arbiter):
         self._deficit[win.index] += 1
 
 
-class StrictArbiter(Arbiter):
+class StrictArbiter(RoundRobinArbiter):
     """Strict priority by weight, round-robin within a priority tier."""
 
     policy = "strict"
 
-    def __init__(self, nwin: int, weights: tuple[int, ...],
-                 default_weight: int) -> None:
-        super().__init__(nwin)
+    def __init__(self, nwin: int, weights: tuple[int, ...]) -> None:
         self.weights = weights
-        self.default_weight = default_weight
-        #: round-robin pointer per priority level
-        self._rr: dict[int, int] = {}
+        super().__init__(nwin, tuple(self._weight(i) for i in range(nwin)))
+
+    @classmethod
+    def from_config(cls, qos, nwin):
+        return cls(nwin, qos.weights)
 
     def select(self, windows):
-        best_prio = None
+        tiers = self._tiers
+        top = None
         for win in windows:
-            if win.head == win.db_tail:
-                continue
-            prio = self._weight(win.index)
-            if best_prio is None or prio > best_prio:
-                best_prio = prio
-        if best_prio is None:
-            return None
-        nwin = self.nwin
-        start = self._rr.get(best_prio, 0)
-        for off in range(nwin):
-            win = windows[(start + off) % nwin]
             if win.head != win.db_tail \
-                    and self._weight(win.index) == best_prio:
-                self._rr[best_prio] = (win.index + 1) % nwin
-                return win
-        return None
+                    and (top is None or tiers[win.index] > top):
+                top = tiers[win.index]
+        return None if top is None else super().select(windows, top)
+
+
+#: policy name -> arbiter: the one list of policies (config validation,
+#: the CLI's choices and ``--check``'s expectations all read it)
+POLICIES: dict[str, type[Arbiter]] = {
+    cls.policy: cls for cls in (RoundRobinArbiter, FifoArbiter,
+                                DrrArbiter, StrictArbiter)}
 
 
 def make_arbiter(qos: "QosConfig", nwin: int) -> Arbiter:
     """Build the arbiter for one shared SQ from the scenario config."""
-    if qos.policy == "fifo":
-        return FifoArbiter(nwin)
-    if qos.policy == "wfq":
-        return DrrArbiter(nwin, qos.quantum, qos.weights,
-                          qos.default_weight)
-    if qos.policy == "strict":
-        return StrictArbiter(nwin, qos.weights, qos.default_weight)
-    raise ValueError(f"unknown qos policy {qos.policy!r}")
+    return POLICIES[qos.policy].from_config(qos, nwin)

@@ -10,8 +10,10 @@ never reaches the shared ring at all.
 
 :class:`AdmissionThrottle` is a sim process that periodically reads the
 :class:`~repro.telemetry.slo.SloEngine`'s per-tenant alert state and
-applies/lifts the clamp on the matching
-:class:`~repro.driver.client.DistributedNvmeClient`.  Tenants are
+applies/lifts the clamp on every
+:class:`~repro.driver.client.DistributedNvmeClient` of the tenant (a
+cluster host reaches each member device of its volume through a path
+client of its own).  Tenants are
 scanned in sorted order and the check interval is fixed, so runs are
 deterministic.  The clamp is lifted only after the alert has stayed
 resolved for ``throttle_cooldown_ns`` (hysteresis against burn-rate
@@ -37,17 +39,17 @@ class AdmissionThrottle:
         self.sim = sim
         self.qos = qos
         self.slo = slo
-        self.clients: dict[str, "DistributedNvmeClient"] = {}
+        #: tenant -> its path clients, attach order
+        self.clients: dict[str, list["DistributedNvmeClient"]] = {}
         self.throttles_applied = 0
         self.throttles_released = 0
         self._last_active: dict[str, int] = {}
         self._running = False
-        self._proc = None
 
     def attach(self, clients: t.Iterable["DistributedNvmeClient"]) -> None:
-        """Register the clients (keyed by tenant name) to police."""
+        """Register the clients (grouped by tenant name) to police."""
         for client in clients:
-            self.clients[client.tenant] = client
+            self.clients.setdefault(client.tenant, []).append(client)
 
     @property
     def enabled(self) -> bool:
@@ -57,7 +59,7 @@ class AdmissionThrottle:
         if not self.enabled or self._running:
             return
         self._running = True
-        self._proc = self.sim.process(self._watch())
+        self.sim.process(self._watch())
 
     def stop(self) -> None:
         self._running = False
@@ -72,17 +74,19 @@ class AdmissionThrottle:
                 return
             now = self.sim.now
             for tenant in sorted(self.clients):
-                client = self.clients[tenant]
+                paths = self.clients[tenant]
                 active = any(a.active for a in self.slo.alerts_for(tenant))
                 if active:
                     self._last_active[tenant] = now
-                    if client.qos_window is None:
-                        client.set_qos_window(clamp)
+                    if paths[0].qos_window is None:
+                        for client in paths:
+                            client.set_qos_window(clamp)
                         self.throttles_applied += 1
-                elif client.qos_window is not None:
+                elif paths[0].qos_window is not None:
                     last = self._last_active.get(tenant, now)
                     if now - last >= cooldown:
-                        client.set_qos_window(None)
+                        for client in paths:
+                            client.set_qos_window(None)
                         self.throttles_released += 1
 
     def report(self) -> dict[str, t.Any]:
@@ -91,6 +95,6 @@ class AdmissionThrottle:
             "enabled": self.enabled,
             "throttles_applied": self.throttles_applied,
             "throttles_released": self.throttles_released,
-            "clamped": sorted(t for t, c in self.clients.items()
-                              if c.qos_window is not None),
+            "clamped": sorted(t for t, paths in self.clients.items()
+                              if paths[0].qos_window is not None),
         }

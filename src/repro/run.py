@@ -3,10 +3,12 @@
 
 A spec names a scenario, the load it is put under (one closed-loop fio
 job per tenant; the ``noisy`` rig's open-loop aggressor and
-bystanders), who watches (``observe``: ``spans`` = the telemetry hub
-and its Perfetto/Prometheus exports, ``slo`` = histograms + sampler +
-burn-rate engine on top, ``sanitize`` = ShareSan) and what goes wrong
-(``faults``: a seeded ``random`` plan or a device ``kill``).  The CLI
+bystanders), how its shared SQs arbitrate and whether alerting tenants
+are throttled (``policy``, ``throttle``: any NTB rig), who watches
+(``observe``: ``spans`` = the telemetry hub and its Perfetto/Prometheus
+exports, ``slo`` = histograms + sampler + burn-rate engine on top,
+``sanitize`` = ShareSan) and what goes wrong (``faults``: a seeded
+``random`` plan or a device ``kill``).  The CLI
 (``repro run``), :func:`repro.qos.run_qos`, the tests and CI all build
 runs from it, so observers and faults compose — and because nothing an
 observer does may move the model, a run with ``observe`` empty is I/O
@@ -22,7 +24,7 @@ import typing as t
 
 import numpy as np
 
-from .config import ReliabilityConfig
+from .config import QosConfig, ReliabilityConfig, SimulationConfig
 from .faults import FaultEvent, FaultPlan
 from .qos.throttle import AdmissionThrottle
 from .scenarios import (FIG10_SCENARIOS, NO_SHARESAN, Rig,
@@ -53,6 +55,8 @@ FAULTS = ("none", "random", "kill")
 _DEFAULT_CLIENTS = {"multihost": 4, "scale-out": 64, "chaos": 3,
                     "cluster": 8}
 _CLOSED = tuple(s for s in SCENARIOS if s != "noisy")
+#: the rigs on the NTB fabric: their controllers take the spec's QoS
+_NTB = tuple(s for s in SCENARIOS if s not in FIG10_SCENARIOS[:2])
 #: spec field -> the scenarios it means something to; anywhere else a
 #: non-default value is an error, not a silently dropped argument
 _APPLIES = {
@@ -60,9 +64,9 @@ _APPLIES = {
     "clients": tuple(_DEFAULT_CLIENTS),
     "faults": ("chaos", "cluster"),       # the rigs with fault points
     **dict.fromkeys(("devices", "width", "replicas"), ("cluster",)),
-    **dict.fromkeys(("policy", "throttle", "bystanders", "aggressor_iops",
-                     "bystander_iops", "arrival", "throttle_window",
-                     "aggressor_active"), ("noisy",)),
+    **dict.fromkeys(("policy", "throttle", "throttle_window"), _NTB),
+    **dict.fromkeys(("bystanders", "aggressor_iops", "bystander_iops",
+                     "arrival", "aggressor_active"), ("noisy",)),
 }
 
 #: Reliability profile for a device kill: snappier than
@@ -131,14 +135,17 @@ class RunSpec:
     horizon_ns: int | None = None
     interval_ns: int | None = None    # sampler cadence (``slo``)
     slo: SloSpec | None = None        # objective (``slo``)
-    # -- the noisy rig: arbitration policy and per-tenant open loops
-    policy: str = "wfq"
+    # -- QoS on an NTB rig: how its shared SQs arbitrate (None: the
+    # rig's own, ``wfq`` on ``noisy``, ``off`` elsewhere; a rig that
+    # built no shared SQ refuses a named one) and the admission throttle
+    policy: str | None = None
     throttle: bool = False        # clamp alerting tenants (needs ``slo``)
+    throttle_window: int = 1
+    # -- the noisy rig's per-tenant open loops
     bystanders: int = 3
     aggressor_iops: float = 1_000_000.0
     bystander_iops: float = 50_000.0
     arrival: str = "poisson"      # the aggressor's arrival model
-    throttle_window: int = 1
     aggressor_active: bool = True     # False: the solo baseline
 
     def __post_init__(self) -> None:
@@ -208,7 +215,9 @@ class Run:
 
     @property
     def policy(self) -> str:
-        return self.spec.policy
+        """The arbitration policy the rig's controllers were built
+        with."""
+        return self.rig.testbed.config.qos.policy
 
     @property
     def telemetry(self) -> Telemetry | None:
@@ -298,8 +307,7 @@ class Run:
             tenants[tenant] = entry
         out = {"scenario": self.spec.scenario, "tenants": tenants}
         if self.spec.scenario == "noisy":
-            out.update(policy=self.spec.policy,
-                       throttle=self.throttle_report)
+            out.update(policy=self.policy, throttle=self.throttle_report)
         return out
 
 
@@ -308,13 +316,17 @@ def _build(spec: RunSpec) -> Rig:
     watch: dict[str, t.Any] = dict(
         seed=spec.seed, telemetry=bool(spec.observe & {"spans", "slo"}),
         sanitizer="sanitize" in spec.observe)
+    if name not in _NTB:
+        return build_fig10_scenario(name, **watch)
+    qos: dict[str, t.Any] = dict(
+        throttle_window=spec.throttle_window if spec.throttle else 0)
+    if spec.policy is not None:
+        qos["policy"] = spec.policy
+    if name == "noisy":
+        return noisy_neighbor(n_bystanders=spec.bystanders, **qos, **watch)
+    watch["config"] = SimulationConfig(qos=QosConfig(**qos))
     if name in FIG10_SCENARIOS:
         return build_fig10_scenario(name, **watch)
-    if name == "noisy":
-        return noisy_neighbor(
-            n_bystanders=spec.bystanders, policy=spec.policy,
-            throttle_window=spec.throttle_window if spec.throttle else 0,
-            **watch)
     n_clients = spec.clients or _DEFAULT_CLIENTS[name]
     watch["queue_depth"] = spec.iodepth
     if name == "multihost":
@@ -359,6 +371,12 @@ def run(spec: RunSpec) -> Run:
     """Build the rig, arm the faults, start one job per tenant, drive,
     stop what would keep the queue alive, collect."""
     rig = _build(spec)
+    if spec.policy is not None and not any(
+            manager.shared_qps for manager in rig.managers.values()):
+        raise ValueError(
+            f"policy={spec.policy!r} arbitrates shared SQs and "
+            f"{spec.scenario!r} built none: every client got a private "
+            f"queue pair")
     sim, tele = rig.sim, rig.telemetry
     out = Run(spec, rig, results=[], report={}, throttle_report={})
     noisy = spec.scenario == "noisy"

@@ -200,10 +200,10 @@ class ShareSan:
     def _bump(self, key: str, by: int = 1) -> None:
         self.stats[key] = self.stats.get(key, 0) + by
 
-    def _span_context(self, qid, cid) -> dict | None:
+    def _span_context(self, ctrl, qid, cid) -> dict | None:
         if self.telemetry is None or qid is None or cid is None:
             return None
-        span = self.telemetry.spans.active(qid, cid)
+        span = self.telemetry.spans.active(ctrl, qid, cid)
         if span is None:
             return None
         return {"index": span.index, "device": span.device,
@@ -211,7 +211,8 @@ class ShareSan:
 
     def _report(self, detector: str, message: str, *, actor: str = "",
                 qid: int | None = None, window: int | None = None,
-                epoch: int | None = None, cid: int | None = None) -> None:
+                epoch: int | None = None, cid: int | None = None,
+                ctrl: t.Any = None) -> None:
         key = (detector, actor, qid, window, epoch, cid)
         found = self._index.get(key)
         if found is not None:
@@ -223,7 +224,7 @@ class ShareSan:
         found = Finding(detector=detector, message=message,
                         time_ns=self.sim.now, actor=actor, qid=qid,
                         window=window, epoch=epoch, cid=cid,
-                        span=self._span_context(qid, cid))
+                        span=self._span_context(ctrl, qid, cid))
         self._index[key] = found
         self.findings.append(found)
 
@@ -449,7 +450,8 @@ class ShareSan:
                 DET_DOUBLE_COMPLETION,
                 f"{client.name} received a second completion for cid "
                 f"{cqe.cid:#x} (status {cqe.status:#x})",
-                actor=client.name, qid=client.qid, cid=cqe.cid)
+                actor=client.name, qid=client.qid, cid=cqe.cid,
+                ctrl=qp.ctrl)
         else:
             self._completed.add(key)
 
@@ -517,7 +519,7 @@ class ShareSan:
                 f"window epoch {epoch}) was forwarded to slot {slot} "
                 f"in window {widx} of qid {qp.qid}",
                 actor=f"slot{slot}", qid=qp.qid, window=widx,
-                epoch=epoch, cid=cqe.cid)
+                epoch=epoch, cid=cqe.cid, ctrl=qp.demux.ctrl)
 
     def on_recovery(self, source, action: str, **detail) -> None:
         if action == "lease-reclaim":

@@ -1,6 +1,6 @@
 """Prebuilt testbeds and benchmark scenarios (the paper's Fig. 9)."""
 
-from .builders import (FIG10_SCENARIOS, NO_SHARESAN, QOS_MEDIA, QOS_POLICIES,
+from .builders import (FIG10_SCENARIOS, NO_SHARESAN, QOS_MEDIA,
                        build_fig10_scenario, chaos_cluster, cluster,
                        cluster_scale_out, local_linux, multihost,
                        noisy_neighbor, nvmeof_remote, ours_local,
@@ -15,5 +15,5 @@ __all__ = [
     "ours_local", "ours_remote", "multihost", "scale_out_cluster",
     "chaos_cluster", "CHAOS_RELIABILITY",
     "cluster", "cluster_scale_out", "widen_sharing",
-    "QOS_MEDIA", "QOS_POLICIES", "noisy_neighbor",
+    "QOS_MEDIA", "noisy_neighbor",
 ]

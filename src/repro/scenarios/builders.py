@@ -174,11 +174,6 @@ QOS_MEDIA = MediaConfig(
     channels=8,
 )
 
-#: Arbitration policies :func:`noisy_neighbor` accepts; ``off`` keeps
-#: the original round-robin fetch loop (bit-identical to the seed).
-QOS_POLICIES = ("off", "fifo", "wfq", "strict")
-
-
 def noisy_neighbor(n_bystanders: int = 3,
                    policy: str = "wfq",
                    quantum: int = 4,
@@ -198,15 +193,13 @@ def noisy_neighbor(n_bystanders: int = 3,
     builder only shapes the queue topology; the caller decides what
     load each tenant offers (see :func:`repro.qos.run_qos`).
 
-    ``policy="off"`` leaves :class:`QosConfig` disabled so the run is
-    bit-identical to a seed-configured cluster; any other value enables
-    fetch arbitration with the given knobs.  ``throttle_window`` is
-    recorded in the config for :class:`repro.qos.AdmissionThrottle`;
-    the builder itself does not start the throttle process.
+    ``policy`` and its knobs become the rig's :class:`QosConfig`;
+    ``throttle_window`` is recorded there for
+    :class:`repro.qos.AdmissionThrottle`, the builder itself does not
+    start the throttle process.
     """
-    if policy not in QOS_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; "
-                         f"pick one of {QOS_POLICIES}")
+    qos = QosConfig(policy=policy, quantum=quantum, weights=weights,
+                    throttle_window=throttle_window)
     n_tenants = 1 + n_bystanders
     if n_tenants < 2:
         raise ValueError("need at least one bystander")
@@ -221,13 +214,6 @@ def noisy_neighbor(n_bystanders: int = 3,
     sharing = replace(cfg.sharing, enabled=True, reserved_qps=1,
                       sq_entries=sq_entries,
                       window_entries=window_entries)
-    qos = QosConfig(
-        enabled=policy != "off",
-        policy=policy if policy != "off" else "fifo",
-        quantum=quantum,
-        weights=weights,
-        throttle_window=throttle_window,
-    )
     cfg = replace(cfg, sharing=sharing, qos=qos,
                   nvme=replace(cfg.nvme, media=QOS_MEDIA))
     return multihost(n_tenants, config=cfg, seed=seed,

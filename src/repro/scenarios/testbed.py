@@ -95,11 +95,7 @@ class PcieTestbed:
                                          host=host)
         self.cluster.connect(host.rc, node, bandwidth=3.2)
         ctrl = NvmeController(self.sim, name, self.config.nvme,
-                              media=media)
-        if self.config.qos.enabled:
-            # QoS fetch arbitration (docs/qos.md): shared SQs the
-            # manager creates on this controller get an arbiter.
-            ctrl.qos = self.config.qos
+                              media=media, qos=self.config.qos)
         ctrl.install(host, node, self.fabric)
         device_id = self.smartio.register_device(ctrl)
         self.nvme_device_ids.append(device_id)
@@ -136,7 +132,7 @@ class RdmaTestbed:
                                               host=self.target_host)
         self.cluster.connect(self.target_host.rc, nvme_node, bandwidth=3.2)
         self.nvme = NvmeController(self.sim, "nvme0", self.config.nvme,
-                                   media=media)
+                                   media=media, qos=self.config.qos)
         self.nvme.install(self.target_host, nvme_node, self.fabric)
 
         # ConnectX-5-class NICs on Gen3 x16-ish links.
@@ -177,5 +173,5 @@ class LocalTestbed:
         node = self.cluster.add_endpoint("host0.nvme0", host=self.host)
         self.cluster.connect(self.host.rc, node, bandwidth=3.2)
         self.nvme = NvmeController(self.sim, "nvme0", self.config.nvme,
-                                   media=media)
+                                   media=media, qos=self.config.qos)
         self.nvme.install(self.host, node, self.fabric)

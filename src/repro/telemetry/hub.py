@@ -312,17 +312,15 @@ class Telemetry:
                         depth, help="submission-queue backlog "
                         "(doorbell tail - fetch head)",
                         ctrl=name, qid=qid)
-            arb = sq.arbiter
-            if arb is not None:
-                # QoS fetch arbitration (docs/qos.md): per-window grant
-                # counts.  Only qos-enabled runs carry an arbiter, so
-                # qos-off exports stay byte-identical.
-                for widx, grants in enumerate(arb.grant_counts):
-                    m.counter_set(
-                        "repro_qos_grants_total", grants,
-                        help="shared-SQ fetch grants per tenant window",
-                        ctrl=name, qid=qid, window=widx,
-                        policy=arb.policy)
+            # Fetch arbitration (docs/qos.md): a shared SQ's grants per
+            # tenant window.
+            for win in sq.windows or ():
+                m.counter_set(
+                    "repro_qos_grants_total",
+                    sq.arbiter.grant_counts[win.index],
+                    help="shared-SQ fetch grants per tenant window",
+                    ctrl=name, qid=qid, window=win.index,
+                    policy=sq.arbiter.policy)
         for qid in sorted(ctrl.cqs):
             cq = ctrl.cqs[qid]
             depth = (cq.state.tail - cq.db_head) % cq.state.entries
@@ -519,10 +517,10 @@ class Telemetry:
         # Published under the on-the-wire identity so the controller's
         # events find it; dropped when the waiter is released (the
         # timeout path, which retires the cid instead: on_recovery).
-        qid, cid, spans = qp.sq.qid, sqe.cid, self.spans
-        spans.bind(qid, cid, span)
+        ctrl, qid, cid, spans = qp.ctrl, qp.sq.qid, sqe.cid, self.spans
+        spans.bind(ctrl, qid, cid, span)
         qp.inflight[cid].callbacks.append(
-            lambda _ev: spans.unbind(qid, cid))
+            lambda _ev: spans.unbind(ctrl, qid, cid))
         span.mark("sqe-issued", self.sim.now)
         self._mark_on_delivery(store, span, "sqe-delivered")
 
@@ -546,7 +544,7 @@ class Telemetry:
                         "arbitration before its fetch was granted",
                         ctrl=ctrl.name, qid=qid)
             arb_wait.record(wait_ns)
-        span = self.spans.active(qid, sqe.cid)
+        span = self.spans.active(ctrl, qid, sqe.cid)
         if span is not None:
             if win is not None:
                 span.mark("arb-granted", granted_at)
@@ -554,15 +552,16 @@ class Telemetry:
 
     def on_media_done(self, ctrl, qid, cid) -> None:
         if ctrl in self._watched:
-            self.spans.mark_cmd(qid, cid, "media-done", self.sim.now)
+            self.spans.mark_cmd(ctrl, qid, cid, "media-done", self.sim.now)
 
     def on_cqe_posted(self, ctrl, qid, cid, status) -> None:
         if ctrl in self._watched:
-            self.spans.mark_cmd(qid, cid, "cqe-delivered", self.sim.now)
+            self.spans.mark_cmd(ctrl, qid, cid, "cqe-delivered",
+                                self.sim.now)
 
     def on_recovery(self, source, action, **detail) -> None:
         if action == "timeout":
-            self.spans.unbind(source.qid, detail["cid"])
+            self.spans.unbind(source._qp.ctrl, source.qid, detail["cid"])
 
     def on_lease_changed(self, manager, what, slot, qid, widx,
                          since_ns) -> None:

@@ -125,15 +125,18 @@ class IoSpan:
 class SpanRecorder:
     """Creates, indexes and collects :class:`IoSpan` objects.
 
-    ``bind(qid, cid, span)`` publishes a span under its on-the-wire
-    identity so layers that only see NVMe commands (the controller) can
-    stamp boundaries via :meth:`mark_cmd`; the binding is dropped when
-    the command completes or its cid is retired by a timeout.
+    ``bind(ctrl, qid, cid, span)`` publishes a span under its
+    on-the-wire identity so layers that only see NVMe commands (the
+    controller) can stamp boundaries via :meth:`mark_cmd`; the binding
+    is dropped when the command completes or its cid is retired by a
+    timeout.  The controller is part of the identity: every controller
+    numbers its qids from 1, so on a multi-device rig ``(qid, cid)``
+    alone names several live commands.
     """
 
     def __init__(self) -> None:
         self.spans: list[IoSpan] = []
-        self._active: dict[tuple[int, int], IoSpan] = {}
+        self._active: dict[tuple[t.Any, int, int], IoSpan] = {}
         self._next_index = 0
 
     def begin(self, device: str, op: str, lba: int, nbytes: int,
@@ -145,23 +148,23 @@ class SpanRecorder:
 
     # -- command-identity marks (controller side) --------------------------
 
-    def bind(self, qid: int, cid: int, span: IoSpan) -> None:
+    def bind(self, ctrl: t.Any, qid: int, cid: int, span: IoSpan) -> None:
         span.qid = qid
         span.cid = cid
-        self._active[(qid, cid)] = span
+        self._active[(ctrl, qid, cid)] = span
 
-    def unbind(self, qid: int, cid: int) -> None:
-        self._active.pop((qid, cid), None)
+    def unbind(self, ctrl: t.Any, qid: int, cid: int) -> None:
+        self._active.pop((ctrl, qid, cid), None)
 
-    def active(self, qid: int, cid: int) -> IoSpan | None:
-        """The span bound to ``(qid, cid)`` right now, if any."""
-        return self._active.get((qid, cid))
+    def active(self, ctrl: t.Any, qid: int, cid: int) -> IoSpan | None:
+        """The span bound to ``(ctrl, qid, cid)`` right now, if any."""
+        return self._active.get((ctrl, qid, cid))
 
-    def mark_cmd(self, qid: int, cid: int, boundary: str,
+    def mark_cmd(self, ctrl: t.Any, qid: int, cid: int, boundary: str,
                  time_ns: int) -> None:
-        """Stamp a boundary on the span bound to ``(qid, cid)``; a miss
-        (admin command, retired cid) is a silent no-op."""
-        span = self._active.get((qid, cid))
+        """Stamp a boundary on the span bound to ``(ctrl, qid, cid)``; a
+        miss (admin command, retired cid) is a silent no-op."""
+        span = self._active.get((ctrl, qid, cid))
         if span is not None:
             span.mark(boundary, time_ns)
 

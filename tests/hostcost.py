@@ -1,5 +1,6 @@
 """Host cost of one call, in the two units the performance docs use."""
 
+import gc
 import sys
 
 
@@ -10,6 +11,10 @@ def cost(fn, files=None):
     passed as ``files`` collects the source file of every Python frame
     entered."""
     counted = [0, 0]
+    # A collector pass inside ``fn`` would run the finalizers of earlier
+    # garbage (suspended sim processes' ``finally`` blocks) as calls of
+    # its own: clear that garbage first.
+    gc.collect()
 
     def profile(frame, event, _arg):
         if event == "call" or event == "c_call":

@@ -86,10 +86,9 @@ class TestSharedQpDeterminism:
 
 
 class TestQosDeterminism:
-    """QoS is opt-in: a disabled ``QosConfig`` — whatever its other
-    fields say — must leave every exported byte of a shared-QP run
-    untouched, and an *enabled* run must itself be a pure function of
-    the seed."""
+    """Every shared SQ fetches through an arbiter: the default config is
+    the ``off`` policy to the byte, and a weighted, throttled run is a
+    pure function of the seed."""
 
     def _digest(self, config=None, seed=606):
         scn = multihost(4, config=config, seed=seed, queue_depth=4,
@@ -104,17 +103,18 @@ class TestQosDeterminism:
         series = [r.read_latencies.values().tolist() for r in results]
         return (tele.prometheus_text(), tele.perfetto_json()), series
 
-    def test_disabled_qos_config_is_inert(self):
-        """enabled=False with aggressive-looking knobs == the default
-        config, byte for byte — no arbiter, no extra metrics."""
-        loud = replace(DEFAULT_CONFIG, qos=QosConfig(
-            enabled=False, policy="wfq", quantum=9, weights=(3, 1),
-            throttle_window=5))
+    def test_default_config_is_the_off_policy(self):
+        """Round-robin is a policy, not the absence of one: the default
+        config and ``policy="off"`` (whatever the weighted policies'
+        knobs say) export the same bytes, grants included."""
+        off = replace(DEFAULT_CONFIG, qos=QosConfig(
+            policy="off", quantum=9, weights=(3, 1)))
         baseline_bytes, baseline_series = self._digest()
-        loud_bytes, loud_series = self._digest(config=loud)
-        assert loud_bytes == baseline_bytes
-        assert loud_series == baseline_series
-        assert "repro_qos_grants_total" not in baseline_bytes[0]
+        off_bytes, off_series = self._digest(config=off)
+        assert off_bytes == baseline_bytes
+        assert off_series == baseline_series
+        assert 'repro_qos_grants_total{ctrl="nvme0",policy="off"' \
+            in baseline_bytes[0]
 
     def test_enabled_qos_run_is_seed_deterministic(self):
         from repro.qos import run_qos

@@ -1,16 +1,12 @@
 """Tests for Write Zeroes / Compare commands and the striping layer."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.driver import (BlockError, BlockRequest, DistributedNvmeClient,
-                          NvmeManager, StripedBlockDevice)
+from repro.cluster import ClusterVolume, LayoutError, VolumeLayout
+from repro.driver import BlockError, BlockRequest
 from repro.nvme import Status
-from repro.scenarios import (FIG10_SCENARIOS, build_fig10_scenario,
+from repro.scenarios import (FIG10_SCENARIOS, build_fig10_scenario, cluster,
                              ours_remote)
-from repro.scenarios.testbed import PcieTestbed
 from repro.workloads import FioJob, run_fio
 
 
@@ -105,44 +101,34 @@ class TestCompare:
             BlockRequest("compare", lba=0)
 
 
-def build_striped(n_devices=2, seed=230, stripe_lbas=8):
-    """One client host with queue pairs on N controllers, each living in
-    a different cluster host, composed into a RAID-0."""
-    bed = PcieTestbed(n_hosts=n_devices + 1, with_nvme=False, seed=seed)
-    members = []
-    client_node = bed.node(n_devices)    # last host is the client
-    for i in range(n_devices):
-        ctrl = bed.install_nvme(i)
-        device_id = bed.smartio.register_device.__self__ and None
-        # install_nvme registered it; find its id (registration order).
-        device_id = i + 1
-        manager = NvmeManager(bed.sim, bed.smartio, bed.node(i),
-                              device_id, bed.config)
-        bed.sim.run(until=bed.sim.process(manager.start()))
-        client = DistributedNvmeClient(
-            bed.sim, bed.smartio, client_node, device_id, bed.config,
-            slot_index=0, name=f"member{i}")
-        bed.sim.run(until=bed.sim.process(client.start()))
-        members.append(client)
-    md = StripedBlockDevice(bed.sim, members, stripe_lbas=stripe_lbas)
-    return bed, md, members
+def build_striped(stripe_lbas=8, seed=230):
+    """One client host striping over two controllers, each in a
+    different cluster host: a width-2, unreplicated cluster volume —
+    RAID-0 (``VolumeLayout`` with ``replicas=1``)."""
+    rig = cluster(n_clients=1, n_devices=2, width=2,
+                  stripe_lbas=stripe_lbas, seed=seed)
+    return rig, rig.volumes[0]
 
 
 class TestStripedDevice:
     def test_geometry(self):
-        bed, md, members = build_striped()
-        assert md.capacity_lbas == 2 * members[0].capacity_lbas
+        rig, md = build_striped()
+        assert (md.layout.width, md.layout.replicas) == (2, 1)
+        assert md.capacity_lbas == 2 * md.layout.member_lbas
+        assert all(path.capacity_lbas >= md.layout.member_lbas
+                   for path in md.paths)
         assert md.lba_bytes == 512
 
     def test_validation(self):
-        bed, md, members = build_striped()
+        rig, md = build_striped()
         with pytest.raises(BlockError):
-            StripedBlockDevice(bed.sim, members[:1])
-        with pytest.raises(BlockError):
-            StripedBlockDevice(bed.sim, members, stripe_lbas=0)
+            ClusterVolume(rig.sim, md.layout, md.paths[:1])
+        with pytest.raises(LayoutError):
+            VolumeLayout("md1", md.layout.devices, stripe_lbas=0,
+                         capacity_lbas=64)
 
     def test_roundtrip_spanning_stripes(self):
-        bed, md, members = build_striped(stripe_lbas=8)
+        rig, md = build_striped(stripe_lbas=8)
         payload = bytes((i * 17) % 256 for i in range(6 * 4096))
 
         def flow(sim):
@@ -153,12 +139,12 @@ class TestStripedDevice:
                                                nblocks=48))
             return req
 
-        req = bed.sim.run(until=bed.sim.process(flow(bed.sim)))
+        req = rig.sim.run(until=rig.sim.process(flow(rig.sim)))
         assert req.ok
         assert req.result == payload
 
     def test_data_actually_striped_across_devices(self):
-        bed, md, members = build_striped(stripe_lbas=8)
+        rig, md = build_striped(stripe_lbas=8)
         payload = b"A" * 4096 + b"B" * 4096   # two stripes
 
         def flow(sim):
@@ -166,53 +152,30 @@ class TestStripedDevice:
                                                data=payload))
             assert req.ok
 
-        bed.sim.run(until=bed.sim.process(flow(bed.sim)))
-        # stripe 0 -> device 0 lba 0; stripe 1 -> device 1 lba 0.
-        ns0 = bed.hosts[0].functions[1].namespaces[1]
-        ns1 = bed.hosts[1].functions[1].namespaces[1]
+        rig.sim.run(until=rig.sim.process(flow(rig.sim)))
+        # stripe 0 -> member 0 lba 0; stripe 1 -> member 1 lba 0.
+        ctrl = dict(zip(rig.testbed.nvme_device_ids, rig.controllers))
+        ns0, ns1 = (ctrl[device].namespaces[1]
+                    for device in md.layout.devices)
         assert ns0.read_blocks(0, 8) == b"A" * 4096
         assert ns1.read_blocks(0, 8) == b"B" * 4096
 
     def test_flush_fans_out(self):
-        bed, md, members = build_striped()
+        rig, md = build_striped()
 
         def flow(sim):
             req = yield md.submit(BlockRequest("flush"))
             return req
 
-        req = bed.sim.run(until=bed.sim.process(flow(bed.sim)))
+        req = rig.sim.run(until=rig.sim.process(flow(rig.sim)))
         assert req.ok
+        assert all(path.completed == 1 for path in md.paths)
 
     def test_throughput_additive(self):
         """Large sequential reads hit both devices: bandwidth well above
         a single member's media limit."""
-        bed, md, members = build_striped(stripe_lbas=64, seed=231)
+        rig, md = build_striped(stripe_lbas=64, seed=231)
         result = run_fio(md, FioJob(rw="read", bs=128 * 1024, iodepth=8,
                                     total_ios=100, region_lbas=1 << 20))
         single_member_cap = 2.5e9
         assert result.bandwidth_bytes_per_s > 1.25 * single_member_cap
-
-    @given(st.integers(0, 200), st.integers(1, 64))
-    @settings(max_examples=30, deadline=None)
-    def test_split_covers_extent_exactly(self, lba, nblocks):
-        chunks = StripedBlockDevice._split(
-            _GeometryOnly(stripe_lbas=8, members=3, lba_bytes=512),
-            lba, nblocks)
-        total = sum(c.nblocks for c in chunks)
-        assert total == nblocks
-        offsets = [c.offset_bytes for c in chunks]
-        assert offsets == sorted(offsets)
-        assert offsets[0] == 0
-        # chunks never cross a stripe boundary
-        for c in chunks:
-            within = c.device_lba % 8
-            assert within + c.nblocks <= 8
-
-
-class _GeometryOnly:
-    """Duck-typed stand-in so _split can be property-tested directly."""
-
-    def __init__(self, stripe_lbas, members, lba_bytes):
-        self.stripe_lbas = stripe_lbas
-        self.members = [None] * members
-        self.lba_bytes = lba_bytes

@@ -2,6 +2,7 @@
 ordering, and contention."""
 
 import ast
+import gc
 import pathlib
 import re
 import sys
@@ -389,6 +390,7 @@ class TestOccupancyEventBudget:
             if event == "call" or event == "c_call":
                 calls[0] += 1
 
+        gc.collect()    # no finalizer of an earlier test's garbage in fn
         sys.setprofile(profile)
         try:
             fn()
@@ -664,6 +666,38 @@ def test_observers_and_faults_are_wired_in_the_rig_builder():
     assert [rel for rel, text in sources.items()
             if rel.split("/")[0] in ("nvme", "pcie", "driver", "memory")
             and watchers.search(text)] == []
+
+
+def test_one_fetch_arbitration_path():
+    """QoS is a policy, not a mode (docs/qos.md): every shared SQ
+    fetches through an arbiter, so no master switch, arbiter-less branch
+    or doorbell-batching knob is left, and the policy names are spelled
+    in ``qos/arbiter.py`` alone — no other module keeps a list of them
+    or compares against one."""
+    from repro.qos.arbiter import POLICIES
+    root = pathlib.Path(repro.__file__).parent
+    sources = {path.relative_to(root).as_posix(): path.read_text()
+               for path in sorted(root.rglob("*.py"))}
+    retired = re.compile(r"qos\.enabled|arbiter is None|doorbell_batch_ns")
+    assert [rel for rel, text in sources.items()
+            if retired.search(text)] == []
+    spelled = []
+    for rel, text in sources.items():
+        if rel == "qos/arbiter.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                names, most = node.elts, 1
+            elif isinstance(node, ast.Dict):
+                names, most = node.keys, 1
+            elif isinstance(node, ast.Compare):
+                names, most = [node.left, *node.comparators], 0
+            else:
+                continue
+            if sum(isinstance(name, ast.Constant) and name.value in POLICIES
+                   for name in names) > most:
+                spelled.append(f"{rel}:{node.lineno}")
+    assert spelled == []
 
 
 class TestTopologyValidation:

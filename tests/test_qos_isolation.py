@@ -17,10 +17,15 @@ assertions below.
 """
 
 import re
+import types
 
 import pytest
 
-from repro.qos import run_qos
+from repro.config import QosConfig
+from repro.qos import AdmissionThrottle, run_qos
+from repro.run import RunSpec
+from repro.run import run as run_spec
+from repro.scenarios import cluster
 
 #: shorter than the ``repro qos`` default — the gates already hold here
 #: and tier-1 time matters
@@ -127,6 +132,50 @@ class TestIsolationRatios:
                 assert result is not None
                 assert result.completed == result.issued
                 assert result.errors == 0
+
+
+class TestPolicyOnAnyRig:
+    """``policy=`` and the throttle are the rig's QoS config, not the
+    noisy rig's privilege."""
+
+    def test_scale_out_arbitrates_under_the_named_policy(self):
+        done = run_spec(RunSpec("scale-out", clients=40, ios=10,
+                                policy="wfq", observe={"spans"}))
+        grants = re.findall(r'^repro_qos_grants_total\{.*policy="(\w+)".*'
+                            r'\} (\d+)$', done.prometheus_text(), re.M)
+        assert {policy for policy, _n in grants} == {"wfq"}
+        # 27 private queue pairs, then 13 tenants on the shared reserve
+        assert sum(int(n) for _policy, n in grants) == 13 * 10
+
+    @pytest.mark.parametrize("spec", [
+        RunSpec("multihost", policy="wfq"),         # 4 private QPs
+        RunSpec("ours-remote", policy="off"),
+    ], ids=["multihost", "ours-remote"])
+    def test_a_rig_without_a_shared_sq_refuses_a_policy(self, spec):
+        with pytest.raises(ValueError, match="built none"):
+            run_spec(spec)
+
+    def test_throttle_clamps_every_path_of_a_tenant(self):
+        """A cluster host reaches each member of its volume through a
+        path client of its own; the clamp covers all of them."""
+        rig = cluster(n_clients=2, n_devices=2, width=2, seed=3)
+
+        class OneTenantAlerts:
+            def alerts_for(self, tenant):
+                return [types.SimpleNamespace(active=tenant == "host2")]
+
+        throttle = AdmissionThrottle(rig.sim, QosConfig(throttle_window=2),
+                                     OneTenantAlerts())
+        throttle.attach(rig.subclients)
+        assert {tenant: len(paths)
+                for tenant, paths in throttle.clients.items()} \
+            == {"host2": 2, "host3": 2}
+        throttle.start()
+        rig.sim.run(until=rig.sim.timeout(300_000))
+        throttle.stop()
+        assert throttle.report()["clamped"] == ["host2"]
+        assert [path.qos_window for path in rig.subclients] \
+            == [2, 2, None, None]
 
 
 class TestShareSanReplay:

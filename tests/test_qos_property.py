@@ -20,7 +20,8 @@ invariants:
 * **same grants as the reference** — every policy's ``select`` (which
   reads ``head == db_tail`` inline) grants what the ``is_empty()``-
   calling ``select`` it replaced grants, over any doorbell / fetch /
-  refund sequence.
+  refund sequence; and ``off`` grants what the shared-SQ worker's own
+  round-robin loop granted before it became a policy.
 """
 
 import pytest
@@ -28,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import QosConfig
-from repro.qos import (DrrArbiter, FifoArbiter, StrictArbiter,
-                       make_arbiter)
+from repro.qos import (POLICIES, Arbiter, DrrArbiter, FifoArbiter,
+                       RoundRobinArbiter, StrictArbiter, make_arbiter)
 
 MAX_WIN = 6
 
@@ -69,6 +70,36 @@ def drain_one(arb, windows):
     return win
 
 
+def play(arb, nwin, ops):
+    """Drive ``arb`` through ``ops`` — ``("ring", window, n)`` rings n
+    entries, ``("fetch", ok)`` grants one fetch that lands or is lost
+    (then refunded and retried) — returning the grant order and the
+    arbiter's grant counts."""
+    windows = make_windows([0] * nwin)
+    grants = []
+    for now, op in enumerate(ops):
+        if op[0] == "ring":
+            win = windows[op[1] % nwin]
+            win.backlog += op[2]
+            arb.on_doorbell(win, op[2], now // 3)
+            continue
+        win = arb.select(windows)
+        grants.append(None if win is None else win.index)
+        if win is None:
+            continue
+        if op[1]:
+            win.backlog -= 1
+            arb.on_fetch(win)
+        else:
+            arb.refund(win)     # the fetch was lost: retried
+    return grants, arb.grant_counts
+
+
+ops_st = st.lists(st.one_of(
+    st.tuples(st.just("ring"), st.integers(0, MAX_WIN - 1),
+              st.integers(1, 5)),
+    st.tuples(st.just("fetch"), st.booleans())), max_size=120)
+
 backlogs_st = st.lists(st.integers(min_value=0, max_value=40),
                        min_size=2, max_size=MAX_WIN)
 weights_st = st.lists(st.integers(min_value=1, max_value=8),
@@ -98,8 +129,8 @@ class TestWorkConservation:
     @settings(max_examples=100, deadline=None)
     def test_every_policy_never_grants_empty(self, backlogs, quantum,
                                              weights):
-        for policy in ("fifo", "wfq", "strict"):
-            qos = QosConfig(enabled=True, policy=policy, quantum=quantum,
+        for policy in POLICIES:
+            qos = QosConfig(policy=policy, quantum=quantum,
                             weights=tuple(weights))
             windows = make_windows(list(backlogs))
             arb = make_arbiter(qos, len(windows))
@@ -232,7 +263,7 @@ class TestStrictPriority:
     @settings(max_examples=100, deadline=None)
     def test_higher_tier_always_first(self, backlogs, weights):
         windows = make_windows(list(backlogs))
-        arb = StrictArbiter(3, tuple(weights), 1)
+        arb = StrictArbiter(3, tuple(weights))
         while any(not w.is_empty() for w in windows):
             win = drain_one(arb, windows)
             top = max(weights[w.index] for w in windows
@@ -303,59 +334,62 @@ class TestMatchesIsEmptyReference:
 
     @staticmethod
     def _pair(policy, nwin, quantum, weights):
-        weights = tuple(weights[:nwin - 1])     # the last one: default
+        weights = tuple(weights[:nwin - 1])     # the last one weighs 1
         if policy == "fifo":
             return FifoArbiter(nwin), _FifoReference(nwin)
         if policy == "wfq":
-            return (DrrArbiter(nwin, quantum, weights, 2),
-                    _DrrReference(nwin, quantum, weights, 2))
-        return (StrictArbiter(nwin, weights, 2),
-                _StrictReference(nwin, weights, 2))
+            return (DrrArbiter(nwin, quantum, weights),
+                    _DrrReference(nwin, quantum, weights))
+        return (StrictArbiter(nwin, weights),
+                _StrictReference(nwin, weights))
 
     @pytest.mark.parametrize("policy", ["fifo", "wfq", "strict"])
     @given(nwin=st.integers(2, MAX_WIN), quantum=quantum_st,
-           weights=weights_st,
-           ops=st.lists(st.one_of(
-               st.tuples(st.just("ring"), st.integers(0, MAX_WIN - 1),
-                         st.integers(1, 5)),
-               st.tuples(st.just("fetch"), st.booleans())), max_size=120))
+           weights=weights_st, ops=ops_st)
     @settings(max_examples=150, deadline=None)
     def test_same_grant_sequence(self, policy, nwin, quantum, weights, ops):
-        def play(arb):
-            windows = make_windows([0] * nwin)
-            grants = []
-            for now, op in enumerate(ops):
-                if op[0] == "ring":
-                    win = windows[op[1] % nwin]
-                    win.backlog += op[2]
-                    arb.on_doorbell(win, op[2], now // 3)
-                    continue
-                win = arb.select(windows)
-                grants.append(None if win is None else win.index)
-                if win is None:
-                    continue
-                if op[1]:
-                    win.backlog -= 1
-                    arb.on_fetch(win)
-                else:
-                    arb.refund(win)     # the fetch was lost: retried
-            return grants, arb.grant_counts
-
         new, reference = self._pair(policy, nwin, quantum, weights)
-        assert play(new) == play(reference)
+        assert play(new, nwin, ops) == play(reference, nwin, ops)
+
+
+class _InlineRoundRobin(Arbiter):
+    """The shared-SQ worker's own grant loop from before round-robin
+    became the ``off`` policy (it ran when no arbiter was configured;
+    the base class adds nothing to it but the grant counts)."""
+
+    def __init__(self, nwin):
+        super().__init__(nwin)
+        self.rr = 0
+
+    def select(self, windows):
+        for off in range(self.nwin):
+            cand = windows[(self.rr + off) % self.nwin]
+            if not cand.is_empty():
+                self.rr = (self.rr + off + 1) % self.nwin
+                return cand
+        return None
+
+
+class TestOffIsTheInlineRoundRobin:
+    @given(nwin=st.integers(2, MAX_WIN), ops=ops_st)
+    @settings(max_examples=200, deadline=None)
+    def test_same_grant_sequence(self, nwin, ops):
+        arb = make_arbiter(QosConfig(policy="off"), nwin)
+        assert play(arb, nwin, ops) == play(_InlineRoundRobin(nwin), nwin,
+                                            ops)
 
 
 class TestFactory:
     def test_policies_map_to_classes(self):
-        assert isinstance(
-            make_arbiter(QosConfig(enabled=True, policy="fifo"), 4),
-            FifoArbiter)
-        assert isinstance(
-            make_arbiter(QosConfig(enabled=True, policy="wfq"), 4),
-            DrrArbiter)
-        assert isinstance(
-            make_arbiter(QosConfig(enabled=True, policy="strict"), 4),
-            StrictArbiter)
+        assert QosConfig().policy == "off"
+        classes = {"off": RoundRobinArbiter, "fifo": FifoArbiter,
+                   "wfq": DrrArbiter, "strict": StrictArbiter}
+        assert set(POLICIES) == set(classes)
+        for policy, cls in classes.items():
+            arb = make_arbiter(QosConfig(policy=policy), 4)
+            assert type(arb) is cls and arb.policy == policy
+        assert [p for p, cls in POLICIES.items() if not cls.isolates] \
+            == ["fifo"]
 
     def test_bad_policy_rejected_by_config(self):
         with pytest.raises(ValueError):
@@ -364,9 +398,3 @@ class TestFactory:
             QosConfig(quantum=0)
         with pytest.raises(ValueError):
             QosConfig(throttle_window=-1)
-
-    def test_weight_lookup_falls_back_to_default(self):
-        qos = QosConfig(weights=(3, 2), default_weight=5)
-        assert qos.weight(0) == 3
-        assert qos.weight(1) == 2
-        assert qos.weight(2) == 5

@@ -27,16 +27,13 @@ from repro.workloads import FioJob, run_fio_many
 
 
 def sharing_config(reserved_qps=1, max_queue_pairs=None, sq_entries=None,
-                   window_entries=None, doorbell_batch_ns=None):
+                   window_entries=None):
     cfg = SimulationConfig()
     share = dataclasses.replace(cfg.sharing, reserved_qps=reserved_qps)
     if sq_entries is not None:
         share = dataclasses.replace(share, sq_entries=sq_entries)
     if window_entries is not None:
         share = dataclasses.replace(share, window_entries=window_entries)
-    if doorbell_batch_ns is not None:
-        share = dataclasses.replace(share,
-                                    doorbell_batch_ns=doorbell_batch_ns)
     cfg = dataclasses.replace(cfg, sharing=share)
     if max_queue_pairs is not None:
         cfg = dataclasses.replace(
@@ -262,14 +259,3 @@ class TestWindowHandoff:
         assert issued == [8 * i for i in range(n)]
         assert all(ev.value.ok for ev in done)
         assert 0 < client.throttled_ios <= 10
-
-    def test_doorbell_batching_completes(self):
-        cfg = sharing_config(reserved_qps=1, max_queue_pairs=3,
-                             doorbell_batch_ns=2_000)
-        bed, manager = make_cluster(4, cfg)
-        a = start_client(bed, 1, sharing="force")
-        b = start_client(bed, 2, sharing="force")
-        job = FioJob(rw="randread", bs=4096, iodepth=8, total_ios=100)
-        results = run_fio_many([(a, job), (b, job)])
-        assert all(r.ios == 100 and r.errors == 0 for r in results)
-        assert bed.nvme.bad_doorbells == 0

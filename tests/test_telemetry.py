@@ -81,22 +81,27 @@ class TestSpanRecorder:
     def test_bind_mark_unbind(self):
         rec = SpanRecorder()
         span = rec.begin("d", "read", 0, 4096, start_ns=0)
-        rec.bind(qid=3, cid=7, span=span)
+        other = rec.begin("d", "read", 8, 4096, start_ns=0)
+        rec.bind(ctrl="nvme0", qid=3, cid=7, span=span)
+        # every controller numbers its qids from 1: same (qid, cid),
+        # another command
+        rec.bind("nvme1", 3, 7, other)
         assert (span.qid, span.cid) == (3, 7)
-        rec.mark_cmd(3, 7, "fetched", 42)
+        rec.mark_cmd("nvme0", 3, 7, "fetched", 42)
+        assert span.marks == [("fetched", 42)] and other.marks == []
+        rec.unbind("nvme0", 3, 7)
+        rec.mark_cmd("nvme0", 3, 7, "media-done", 50)     # silent no-op
+        rec.unbind("nvme0", 3, 7)                 # tolerant double-unbind
         assert span.marks == [("fetched", 42)]
-        rec.unbind(3, 7)
-        rec.mark_cmd(3, 7, "media-done", 50)     # silent no-op
-        rec.unbind(3, 7)                         # tolerant double-unbind
-        assert span.marks == [("fetched", 42)]
+        assert rec.active("nvme1", 3, 7) is other
 
     def test_mark_cmd_miss_is_silent(self):
-        SpanRecorder().mark_cmd(1, 2, "fetched", 9)
+        SpanRecorder().mark_cmd("nvme0", 1, 2, "fetched", 9)
 
     def test_clear(self):
         rec = SpanRecorder()
         span = rec.begin("d", "read", 0, 4096, start_ns=0)
-        rec.bind(1, 1, span)
+        rec.bind("nvme0", 1, 1, span)
         rec.clear()
         assert rec.spans == []
         next_span = rec.begin("d", "read", 0, 4096, start_ns=0)
@@ -250,6 +255,19 @@ class TestInstrumentedScenarios:
             assert sum(stages.values()) == span.duration_ns
             assert all(v >= 0 for v in stages.values())
             assert span.qid == scenario.device.qid
+
+    def test_cluster_path_spans_are_clean(self):
+        """Both controllers number their qids from 1, so a command is
+        named by its controller too: in a fault-free cluster run (no
+        span touched by recovery) every path client's span follows the
+        canonical path exactly once."""
+        done = run(RunSpec("cluster", clients=8, devices=2, iodepth=4,
+                           ios=200, observe={"spans"}))
+        paths = {path.name for path in done.rig.subclients}
+        spans = [s for s in done.telemetry.spans.spans if s.device in paths]
+        assert len(spans) == 1600
+        assert all(span.clean for span in spans)
+        assert done.telemetry.spans._active == {}
 
     def test_telemetry_does_not_perturb_timing(self):
         # The acceptance criterion: runs with telemetry off must be
