@@ -106,6 +106,10 @@ class CompletionQueue:
         return len(self._entries)
 
 
+#: addresses :meth:`ProtectionDomain.lookup_local` remembers at most
+_LOCAL_MEMO = 1024
+
+
 class ProtectionDomain:
     """Registers memory regions and hands out rkeys."""
 
@@ -113,6 +117,9 @@ class ProtectionDomain:
         self.host = host
         self._next_rkey = 0x1000
         self._regions: dict[int, MemoryRegion] = {}
+        #: local buffer address -> the MR that held it last time (checked
+        #: again on a hit)
+        self._local: dict[int, MemoryRegion] = {}
 
     def register(self, addr: int, length: int) -> MemoryRegion:
         if length <= 0:
@@ -129,6 +136,28 @@ class ProtectionDomain:
             return self._regions[rkey]
         except KeyError:
             raise RdmaError(f"unknown rkey {rkey:#x}") from None
+
+    def lookup_local(self, wr: SendWR) -> MemoryRegion:
+        """The MR holding a SEND's local buffer; :class:`RdmaError` if
+        none does.  Senders reuse a few registered buffers (staging
+        slots, taken in turn), so the MR found for an address is kept
+        and only scanned for again when it no longer covers the buffer."""
+        # hot-path
+        start = wr.local_addr
+        end = start + wr.length
+        local = self._local
+        if start in local:
+            mr = local[start]
+            if end <= mr.addr + mr.length:
+                return mr
+        for mr in self._regions.values():
+            if mr.addr <= start and end <= mr.addr + mr.length:
+                if len(local) >= _LOCAL_MEMO:
+                    local.clear()
+                local[start] = mr
+                return mr
+        raise RdmaError(
+            f"local buffer [{start:#x},+{wr.length}) not registered")
 
 
 class QueuePair:
@@ -161,18 +190,5 @@ class QueuePair:
             raise RdmaError(f"{self.name}: QP not connected")
         if wr.opcode is WrOpcode.SEND and wr.inline_data is None \
                 and wr.length > 0:
-            self.pd.lookup_local(wr)   # validates below
+            self.pd.lookup_local(wr)
         self.nic.enqueue(self, wr)
-
-
-# Small helper used above: validate a local buffer belongs to *some* MR.
-def _lookup_local(pd: ProtectionDomain, wr: SendWR) -> None:
-    for mr in pd._regions.values():
-        if wr.local_addr >= mr.addr and \
-                wr.local_addr + wr.length <= mr.addr + mr.length:
-            return
-    raise RdmaError(
-        f"local buffer [{wr.local_addr:#x},+{wr.length}) not registered")
-
-
-ProtectionDomain.lookup_local = _lookup_local  # type: ignore[attr-defined]

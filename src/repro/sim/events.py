@@ -6,19 +6,23 @@ callbacks invoked when the simulator processes it.  Processes
 (:mod:`repro.sim.process`) suspend by yielding events.
 
 Events deliberately carry *no* timing information themselves — scheduling
-is owned by :class:`repro.sim.core.Simulator`.
+is owned by :class:`repro.sim.core.Simulator`, whose queue orders events
+by ``(instant, priority, FIFO position)``: a push lands behind every
+event already due at the same instant and priority.
 
 One-shot for everyone but an owner: a *timer* — the sleep timer of a
 :class:`~repro.sim.process.Process`, a release timer of a
 :class:`~repro.sim.resources.HoldPlan` — is a plain event whose outcome
 never changes (``None``, ok) and which its one owner arms again whenever
 it is idle.  Idle is ``callbacks is None`` (never armed, or dispatched);
-arming is ``callbacks = [...]``, ``_processed = False`` and one push
-with a fresh sequence number — legal inside the timer's own dispatch,
+arming is ``callbacks = [...]``, ``_processed = False`` and one push to
+the end of its instant's list — legal inside the timer's own dispatch,
 where the run loop has already detached the callback list and goes on to
 read only ``_ok``/``_defused``.  An owner that finds its timer armed
 uses a fresh event instead; whoever is handed a timer waits on it at
-once and keeps no reference (staticcheck rule ``sleep-discipline``).
+once and keeps no reference (staticcheck rule ``sleep-discipline``).  A
+process's sleep timer is armed already subscribed with the process's
+resume, so the yield that follows appends nothing.
 
 The constructors and :meth:`Event._process` are the innermost loops of
 the whole simulator (every timeout, resource grant and process switch
@@ -31,7 +35,6 @@ directly instead of going through the ``triggered`` property.
 from __future__ import annotations
 
 import typing as t
-from heapq import heappush
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Simulator
@@ -113,12 +116,16 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
+        at = sim._at
         if delay:
             sim._schedule(self, delay)
-        else:
+        elif sim._now in at:
             # Zero-delay is the overwhelmingly common case (grants,
-            # store hand-offs, signal fires); push directly.
-            heappush(sim._queue, (sim._now, NORMAL, next(sim._sequence), self))
+            # store hand-offs, signal fires), and during a run the
+            # current instant's list is there to append to.
+            at[sim._now].append(self)
+        else:
+            sim._push(self, 0)
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -134,11 +141,7 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        sim = self.sim
-        if delay:
-            sim._schedule(self, delay)
-        else:
-            heappush(sim._queue, (sim._now, NORMAL, next(sim._sequence), self))
+        self.sim._schedule(self, delay)
         return self
 
     def trigger(self, event: "Event") -> None:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import typing as t
 
-from heapq import heappush
-
-from .events import URGENT, Event, _PENDING
+from .events import Event, _PENDING
 from .resources import Hold, _GatedWait
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -60,8 +58,9 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current instant, ahead of normal events, so a
         # newly spawned process observes the state that existed when it
-        # was spawned.  The boot event is the first arming of the timer
-        # Simulator.sleep() arms for this process from then on (events.py).
+        # was spawned (the URGENT lane of the queue).  The boot event is
+        # the first arming of the timer Simulator.sleep() arms for this
+        # process from then on, subscribed with _resume (events.py).
         self._timer = self._target = boot = Event.__new__(Event)
         boot.sim = sim
         boot.callbacks = [self._resume]
@@ -69,7 +68,7 @@ class Process(Event):
         boot._ok = True
         boot._processed = False
         boot._defused = False
-        heappush(sim._queue, (sim._now, URGENT, next(sim._sequence), boot))
+        sim._urgent.append(boot)
 
     @property
     def is_alive(self) -> bool:
@@ -91,7 +90,7 @@ class Process(Event):
         kick.defuse()
         self._detach()      # now: nothing due at this instant resumes it
         kick.callbacks.append(self._interrupted)
-        self.sim._push(kick, 0, URGENT)
+        self.sim._urgent.append(kick)
 
     def _detach(self) -> None:
         """Unsubscribe from the event the process is parked on."""
@@ -111,6 +110,15 @@ class Process(Event):
         if self._value is _PENDING:
             self._detach()
             self._resume(kick)
+
+    def _unsubscribe_timer(self) -> None:
+        """The process parks on something other than its armed sleep
+        timer, or ends: a ``sleep()`` it did not yield (staticcheck rule
+        ``sleep-discipline``) must not resume it when the timer fires."""
+        try:
+            self._timer.callbacks.remove(self._resume)
+        except ValueError:
+            pass
 
     # -- driving the generator ------------------------------------------------
 
@@ -133,6 +141,8 @@ class Process(Event):
                     target = generator.throw(
                         t.cast(BaseException, event._value))
             except StopIteration as stop:
+                if self._timer.callbacks:
+                    self._unsubscribe_timer()
                 if self._detached and not self.callbacks:
                     self._value = stop.value
                     self._processed = True
@@ -141,6 +151,8 @@ class Process(Event):
                     self.succeed(stop.value)
                 break
             except BaseException as exc:
+                if self._timer.callbacks:
+                    self._unsubscribe_timer()
                 self.fail(exc)
                 break
 
@@ -163,7 +175,10 @@ class Process(Event):
 
             if callbacks is None:  # pragma: no cover - defensive
                 raise RuntimeError("target event is being processed")
-            callbacks.append(resume)
+            if target is not self._timer:   # else sleep() subscribed us
+                callbacks.append(resume)
+                if self._timer.callbacks:
+                    self._unsubscribe_timer()
             self._target = target
             break
         sim._active_process = None

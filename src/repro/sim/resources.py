@@ -25,7 +25,7 @@ import typing as t
 from collections import deque
 from heapq import heappush
 
-from .events import NORMAL, Event, _PENDING
+from .events import Event, _PENDING
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -97,13 +97,16 @@ class Resource:
         free again.  A granted request's unit may be returned this way
         instead of through :meth:`release`."""
         if self._waiting:
-            # Same zero-delay NORMAL grant event, same fresh sequence
-            # number, as an uncontended request() schedules.
+            # Same zero-delay NORMAL grant event, at the same place in
+            # the queue, as an uncontended request() schedules.
             nxt = self._waiting.popleft()
             nxt._value = nxt
             sim = self.sim
-            heappush(sim._queue,
-                     (sim._now, NORMAL, next(sim._sequence), nxt))
+            at = sim._at
+            if sim._now in at:
+                at[sim._now].append(nxt)
+            else:
+                sim._push(nxt, 0)
         elif self._free < self.capacity:
             self._free += 1
         else:
@@ -124,8 +127,11 @@ class Resource:
         if self._free:
             self._free -= 1
             req._value = req
-            heappush(sim._queue,
-                     (sim._now, NORMAL, next(sim._sequence), req))
+            at = sim._at
+            if sim._now in at:
+                at[sim._now].append(req)
+            else:
+                sim._push(req, 0)
         else:
             req._value = _PENDING
             self._waiting.append(req)
@@ -184,12 +190,17 @@ class HoldPlan:
         for resource in resources:
             resource._free -= 1
         sim = self.sim
+        at = sim._at
         for hold, give, timer in self.timers:
             if timer.callbacks is None:
                 timer.callbacks = [give]
                 timer._processed = False
-                heappush(sim._queue, (sim._now + hold, NORMAL,
-                                      next(sim._sequence), timer))
+                when = sim._now + hold
+                if when in at:
+                    at[when].append(timer)
+                else:
+                    at[when] = [timer]
+                    heappush(sim._times, when)
             else:
                 timer = sim.timeout(hold)
                 timer.callbacks.append(give)
@@ -259,12 +270,17 @@ class Hold(Event):
             return
         self._request = None
         sim = plan.sim
+        at = sim._at
         for hold, give, timer in plan.timers:       # as HoldPlan.take
             if timer.callbacks is None:
                 timer.callbacks = [give]
                 timer._processed = False
-                heappush(sim._queue, (sim._now + hold, NORMAL,
-                                      next(sim._sequence), timer))
+                when = sim._now + hold
+                if when in at:
+                    at[when].append(timer)
+                else:
+                    at[when] = [timer]
+                    heappush(sim._times, when)
             else:
                 timer = sim.timeout(hold)
                 timer.callbacks.append(give)
@@ -306,15 +322,18 @@ class Store:
     def put(self, item: t.Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
         # hot-path: inline succeed on the fresh getter event (same
-        # ordering — zero-delay NORMAL push with a fresh sequence number).
+        # ordering — a zero-delay NORMAL push).
         if self._getters:
             ev = self._getters.popleft()
             if ev._value is not _PENDING:
                 raise RuntimeError(f"{ev!r} already triggered")
             ev._value = item
             sim = self.sim
-            heappush(sim._queue,
-                     (sim._now, NORMAL, next(sim._sequence), ev))
+            at = sim._at
+            if sim._now in at:
+                at[sim._now].append(ev)
+            else:
+                sim._push(ev, 0)
         else:
             self._items.append(item)
 
@@ -330,8 +349,11 @@ class Store:
         ev._defused = False
         if self._items:
             ev._value = self._items.popleft()
-            heappush(sim._queue,
-                     (sim._now, NORMAL, next(sim._sequence), ev))
+            at = sim._at
+            if sim._now in at:
+                at[sim._now].append(ev)
+            else:
+                sim._push(ev, 0)
         else:
             ev._value = _PENDING
             self._getters.append(ev)
@@ -367,10 +389,11 @@ class _Sweep(Event):
 
     Unlike every other event it may be dispatched more than once: each
     dispatch wakes at most one waiter and re-queues the rest of the
-    batch under the sweep's original ``(time, NORMAL, seq)`` key.
+    batch on the queue's front lane — behind URGENT events, ahead of
+    every NORMAL event still due at this instant.
     """
 
-    __slots__ = ("batch", "index", "seq")
+    __slots__ = ("batch", "index")
 
 
 class Signal:
@@ -473,8 +496,11 @@ class Signal:
                 sweep._value = value
                 sweep.batch = batch
                 sweep.index = 0
-                sweep.seq = next(sim._sequence)
-                heappush(sim._queue, (sim._now, NORMAL, sweep.seq, sweep))
+                at = sim._at
+                if sim._now in at:
+                    at[sim._now].append(sweep)
+                else:
+                    sim._push(sweep, 0)
             else:
                 batch.append(entry)
 
@@ -486,12 +512,12 @@ class Signal:
         members' processes would have parked fresh waits, in this order,
         had they been resumed.  The oldest wait of the first run whose
         guard fails is processed the way the run loop processes a wake
-        event, and the rest of the batch goes back on the queue under
-        the same key: nothing NORMAL at this instant can sort between
-        two wake events of one fire (their sequence numbers were
-        consecutive), but the URGENT boot of a process the winner
-        spawned does run before the next waiter is looked at, as it
-        always did — so the next dispatch asks the run's guard afresh.
+        event, and the rest of the batch goes back on the queue's front
+        lane: nothing NORMAL at this instant can sort between two wake
+        events of one fire (they were pushed back to back), but the
+        URGENT boot of a process the winner spawned does run before the
+        next waiter is looked at, as it always did — so the next
+        dispatch asks the run's guard afresh.
         """
         # hot-path: one pass per completion, over runs and not waiters
         batch = sweep.batch
@@ -514,11 +540,10 @@ class Signal:
             if not run:
                 index += 1
             if index < end:
-                sim = self.sim
                 sweep.index = index
                 sweep.callbacks = [self._sweep]
                 sweep._processed = False
-                heappush(sim._queue, (sim._now, NORMAL, sweep.seq, sweep))
+                self.sim._front.append(sweep)
             ev._value = sweep._value
             ev.callbacks = None
             ev._processed = True

@@ -14,8 +14,9 @@ Determinism contract (the sampling-interval contract the tests pin):
   entries to the event queue — but its tick body only **reads**
   component state: it never mutates model state, never draws from any
   RNG stream, and never blocks another process.  Relative order of all
-  model events is unchanged (the heap key's sequence numbers shift
-  uniformly), so every modeled result — latency series, completion
+  model events is unchanged (a sampler push takes its own FIFO position
+  in its instant and moves no model event past another), so every
+  modeled result — latency series, completion
   order, exported spans — is **bit-identical** with sampling on or
   off (``tests/test_slo.py`` asserts this);
 * two runs with the same seed and the same sampling interval produce

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nvme import (CompletionEntry, IoOpcode, Status,
                         SubmissionEntry)
-from repro.rdma import SendWR, WrOpcode
+from repro.rdma import RdmaError, SendWR, WrOpcode
 from repro.sim import Event
 from repro.nvmeof import CommandCapsule, NvmeofInitiator, ResponseCapsule, SpdkTarget
 from repro.driver.blockdev import BlockRequest
@@ -142,6 +142,40 @@ def test_depth_beyond_the_targets_ring_is_clamped():
     result = run_fio(initiator, FioJob(name="deep", rw="randread", bs=4096,
                                        iodepth=160, total_ios=400))
     assert (result.ios, result.errors) == (400, 0)
+
+
+class TestLocalBuffers:
+    """A SEND's local buffer must lie in a registered MR; the MR found
+    for an address is remembered and checked again on every use."""
+
+    def test_a_send_from_an_unregistered_buffer_is_refused(self):
+        bed, target, initiator = make_stack(queue_depth=2)
+        loose = initiator.host.alloc_dma(4096)
+        sends = bed.initiator_nic.sends
+        with pytest.raises(RdmaError, match="not registered"):
+            initiator.qp.post_send(SendWR(wr_id=1, opcode=WrOpcode.SEND,
+                                          local_addr=loose, length=64))
+        bed.sim.run(until=bed.sim.now + 1_000_000)
+        assert bed.initiator_nic.sends == sends         # nothing went out
+        assert self._still_serves(bed, initiator)
+
+    def test_a_remembered_region_is_checked_again(self):
+        bed, target, initiator = make_stack(queue_depth=2)
+        pd = initiator.pd
+        addr = initiator.host.alloc_dma(4096)
+        mr = pd.register(addr, 4096)
+        assert pd.lookup_local(SendWR(wr_id=1, opcode=WrOpcode.SEND,
+                                      local_addr=addr, length=64)) is mr
+        assert pd.lookup_local(SendWR(wr_id=2, opcode=WrOpcode.SEND,
+                                      local_addr=addr, length=4096)) is mr
+        with pytest.raises(RdmaError, match="not registered"):
+            pd.lookup_local(SendWR(wr_id=3, opcode=WrOpcode.SEND,
+                                   local_addr=addr, length=4097))
+
+    def _still_serves(self, bed, initiator):
+        req = bed.sim.run(until=initiator.submit(
+            BlockRequest("read", lba=0, nblocks=8)))
+        return req.ok
 
 
 class TestHostileCapsules:

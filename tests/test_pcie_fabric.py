@@ -419,10 +419,10 @@ class TestOccupancyEventBudget:
         for _ in range(3):
             deliver()
             read()
-        assert self._calls(post) <= 12
+        assert self._calls(post) <= 9
         sim.run()
-        assert self._calls(deliver) <= 21
-        assert self._calls(read) <= 72
+        assert self._calls(deliver) <= 19
+        assert self._calls(read) <= 61
         assert self._held(cluster, client, devhost) == [0] * 4
 
 

@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event kernel core (events, clock, run)."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.sim import Event, Interrupt, Simulator
+
+from .hostcost import cost
 
 
 @pytest.fixture()
@@ -313,3 +318,72 @@ class TestInterruptTwice:
         sim.process(attacker(sim, proc))
         sim.run()
         assert proc.value == "stopped"
+
+
+class TestKernelCallBudget:
+    """What the queue itself costs, in the ledger's unit (calls): one
+    ``list.append`` per event of an instant that already has a list, one
+    ``heappush``/``heappop`` pair per instant, nothing per dispatch."""
+
+    @staticmethod
+    def calls(fn):
+        """Calls made inside ``fn()``: less the frame of ``fn`` itself
+        and the profiler's teardown, which :func:`cost` also counts."""
+        return cost(fn)[0] - cost(lambda: None)[0]
+
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_same_instant_events_cost_one_call_each(self, n):
+        sim = Simulator(seed=1)
+        seen = []
+        events = [sim.event() for _ in range(n)]
+        for ev in events:
+            ev.callbacks.append(seen.append)
+
+        def trigger_and_run():
+            for ev in events:
+                ev.succeed()
+            sim.run()
+
+        # per event: the succeed frame, the callback, and the queue's one
+        # append; O(1): the instant's heappush/heappop and the first push
+        assert self.calls(trigger_and_run) <= 3 * n + 4
+        assert seen == events
+
+    def test_fixed_cost_of_a_run(self, sim):
+        assert self.calls(sim.run) <= 1
+        assert self.calls(lambda: sim.run(until=sim.now + 5)) <= 3
+        done = sim.event().succeed()
+        sim.run()
+        assert self.calls(lambda: sim.run(until=done)) <= 4
+
+        def fresh():
+            ev = sim.event().succeed()
+            sim.run(until=ev)
+
+        assert self.calls(fresh) <= 12
+
+
+class TestQueueEncapsulation:
+    """Only ``repro.sim`` reaches into the queue's structures; everyone
+    else goes through ``Simulator._push``/``_schedule`` (whose NORMAL
+    case the kernel's own hot paths inline)."""
+
+    SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def test_nothing_outside_the_kernel_touches_the_queue(self):
+        pattern = re.compile(r"\._(times|at|urgent|front)\b")
+        offenders = [
+            f"{path.relative_to(self.SRC)}:{n}"
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path.parent.name != "sim"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+        assert offenders == []
+
+    def test_the_sequence_numbers_are_gone(self):
+        from repro.sim.resources import _Sweep
+        assert not hasattr(Simulator(seed=1), "_sequence")
+        assert "seq" not in _Sweep.__slots__
+        stale = re.compile(r"\._sequence\b|\.seq\b")
+        assert [path.name for path in sorted(self.SRC.rglob("*.py"))
+                if stale.search(path.read_text())] == []

@@ -1,8 +1,15 @@
 """Unit tests for process semantics (spawning, returns, interrupts)."""
 
-import pytest
+import heapq
+import itertools
+import os
 
-from repro.sim import Interrupt, Simulator
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.sim import Event, Interrupt, Signal, Simulator
+from repro.sim.events import NORMAL, URGENT
 
 
 @pytest.fixture()
@@ -152,6 +159,63 @@ class TestInterrupt:
         sim.run()
         assert victim.value == 60
 
+    @pytest.mark.parametrize("at", [40, 100], ids=["mid-sleep", "due-instant"])
+    def test_interrupted_sleeper_is_resumed_exactly_once(self, at):
+        """``sleep()`` arms the process's timer already subscribed with its
+        resume.  Interrupted out of it — earlier, or at the very instant
+        it is due, ahead of it — the process wakes once for the interrupt
+        and never for the stale timer, as with a plain timeout."""
+        def run(factory_name):
+            sim = Simulator(seed=1)
+            wakes = []
+
+            def interrupter(victim_box):
+                yield sim.timeout(at)
+                victim_box[0].interrupt()
+
+            def sleeper():
+                factory = getattr(sim, factory_name)
+                try:
+                    yield factory(100)
+                    wakes.append((sim.now, "timer"))
+                except Interrupt:
+                    wakes.append((sim.now, "interrupt"))
+                for delay in (7, 200):
+                    yield factory(delay)
+                    wakes.append((sim.now, "slept"))
+
+            box = []
+            sim.process(interrupter(box))       # its wake sorts first
+            box.append(sim.process(sleeper()))
+            sim.run()
+            return wakes, sim.events_processed
+
+        wakes, processed = run("sleep")
+        assert wakes == [(at, "interrupt"), (at + 7, "slept"),
+                         (at + 207, "slept")]
+        assert run("timeout") == (wakes, processed)
+
+    @pytest.mark.parametrize("ending", ["returns", "raises"])
+    def test_a_sleep_never_yielded_does_not_wake_a_finished_process(
+            self, ending):
+        """A process that arms its timer with ``sleep()`` and ends without
+        yielding it is not resumed when the timer fires."""
+        sim = Simulator(seed=1)
+
+        def body():
+            yield sim.sleep(3)
+            sim.sleep(5)
+            if ending == "raises":
+                raise ValueError("done")
+            return "done"
+
+        proc = sim.process(body())
+        if ending == "raises":
+            proc.defuse()
+        sim.run()
+        assert sim.now == 8
+        assert proc.ok is (ending == "returns")
+
 
 class TestDetached:
     """``detached=True``: a fire-and-forget process whose end nobody
@@ -221,3 +285,242 @@ class TestDetached:
         with pytest.raises(ValueError, match="device model bug"):
             sim.run()
         assert sim.now == 5
+
+
+# --- kernel differential: the calendar queue against a tuple heap ----------
+
+#: examples per run; CI's main job runs the marked test with more
+KERNEL_EXAMPLES = int(os.environ.get("REPRO_KERNEL_EXAMPLES", "100"))
+
+
+class TupleHeapSim(Simulator):
+    """Reference kernel: the binary heap of ``(time, priority, sequence,
+    event)`` tuples that the calendar queue replaced, dispatching through
+    :meth:`step` — one event per pop.  The package's hot paths append to
+    ``_at[when]``, ``_urgent`` and ``_front`` directly; here those are
+    views that push onto the heap under the old key.  A sweep's
+    continuation (``_front``) reuses the sequence number of its first
+    push, as the old ``_Sweep.seq`` did."""
+
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed)
+        self.heap: list = []
+        self.sequence = itertools.count()
+        self.first_seq: dict = {}
+        sim = self
+
+        class Instant:
+            def __init__(self, when):
+                self.when = when
+
+            def append(self, event):
+                sim._heap_push(self.when, NORMAL, event)
+
+        class Instants:
+            def __contains__(self, when):
+                return True
+
+            def __getitem__(self, when):
+                return Instant(when)
+
+        class Lane:
+            def __init__(self, priority, reuse):
+                self.priority, self.reuse = priority, reuse
+
+            def append(self, event):
+                sim._heap_push(sim._now, self.priority, event, self.reuse)
+
+        self._at, self._times = Instants(), None
+        self._urgent, self._front = Lane(URGENT, False), Lane(NORMAL, True)
+
+    def _heap_push(self, when, priority, event, reuse=False):
+        seq = self.first_seq[event] if reuse else next(self.sequence)
+        self.first_seq.setdefault(event, seq)
+        heapq.heappush(self.heap, (when, priority, seq, event))
+
+    def _push(self, event, delay, priority=NORMAL):
+        self._heap_push(self._now + delay, priority, event)
+
+    def peek(self):
+        return self.heap[0][0] if self.heap else None
+
+    def step(self):
+        when, _prio, _seq, event = heapq.heappop(self.heap)
+        self._now = when
+        self.events_processed += 1
+        event._process()
+
+    def run(self, until=None):
+        if until is None:
+            while self.heap:
+                self.step()
+        elif isinstance(until, Event):
+            if until.processed:
+                if not until.ok:
+                    until.defuse()
+                    raise until._value
+                return until._value
+            if until.callbacks is None:
+                raise RuntimeError("cannot run until an event without callbacks")
+            done: list = []
+            until.callbacks.append(done.append)
+            while self.heap and not done:
+                self.step()
+            if not done:
+                raise RuntimeError("simulation ran out of events")
+            if not until.ok:
+                until.defuse()
+                raise until._value
+            return until._value
+        else:
+            if until < self._now:
+                raise ValueError("until is in the past")
+            while self.heap and self.heap[0][0] <= until:
+                self.step()
+            self._now = until
+
+
+_delays = st.sampled_from([0, 0, 1, 2, 5])
+_fire = st.tuples(st.just("fire"), st.integers(0, 1))
+# signal, gated, program the winner spawns (-1: none)
+_wait = st.tuples(st.just("wait"), st.integers(0, 1), st.booleans(),
+                  st.integers(-1, 4))
+_ops = st.one_of(
+    st.tuples(st.just("sleep"), _delays),
+    st.tuples(st.just("timeout"), _delays),
+    st.tuples(st.just("spawn"), st.integers(0, 4)),
+    _fire, _fire, _wait, _wait,
+    # signal, waiters parked in one gated run, program each winner
+    # runs, delay before a process spawned with them fires the signal
+    st.tuples(st.just("crowd"), st.integers(0, 1), st.integers(2, 4),
+              st.integers(-1, 4), _delays),
+    st.tuples(st.just("interrupt"), st.integers(0, 9)),
+    st.tuples(st.just("trigger"), st.integers(0, 2), _delays),
+    st.tuples(st.just("await"), st.integers(0, 2)),
+    st.tuples(st.just("join"), st.integers(0, 9)),
+    st.tuples(st.just("boom"), _delays),
+    st.tuples(st.just("raise")),
+)
+_driver = st.one_of(
+    st.tuples(st.just("run")),
+    st.tuples(st.just("until"), st.integers(0, 6)),
+    st.tuples(st.just("until_proc"), st.integers(0, 9)),
+    st.tuples(st.just("until_event"), st.integers(0, 2)),
+    st.tuples(st.just("step"), st.integers(1, 6)),
+)
+
+
+def _play(sim_class, programs, roots, driver):
+    """Run one random schedule; returns the ``(time, tag)`` dispatch
+    trace, ``events_processed`` and the final clock."""
+    sim = sim_class(seed=5)
+    trace: list = []
+    procs: list = []
+    signals = [Signal(sim), Signal(sim)]
+    events = [sim.event() for _ in range(3)]
+    ticks = [0]
+    # one guard object per signal, so gated waits park in runs; signal
+    # 0's never holds, so a fire wakes its runs waiter by waiter through
+    # the sweep's continuation (the front lane)
+    guards = [lambda: False, lambda: ticks[0] % 3 != 0]
+    spawns = [0]
+
+    def spawn(index, first=()):
+        if spawns[0] < 32:
+            spawns[0] += 1
+            pid = len(procs)
+            ops = programs[index % len(programs)] if index >= 0 else []
+            procs.append(sim.process(body(pid, list(first) + ops)))
+
+    def boom(_ev):
+        trace.append((sim.now, "boom"))
+        raise KeyError("boom")
+
+    def body(pid, ops):
+        for k, op in enumerate(ops):
+            ticks[0] += 1
+            kind = op[0]
+            trace.append((sim.now, (pid, k, kind)))
+            try:
+                if kind == "sleep":
+                    yield sim.sleep(op[1])
+                elif kind == "timeout":
+                    yield sim.timeout(op[1])
+                elif kind == "spawn":
+                    spawn(op[1])
+                elif kind == "fire":
+                    signals[op[1]].fire((pid, k))
+                elif kind == "wait":
+                    _kind, which, gated, child = op
+                    yield signals[which].wait(guards[which] if gated else None)
+                    if child >= 0:
+                        spawn(child)
+                elif kind == "crowd":
+                    _kind, which, n, child, delay = op
+                    for _ in range(n):
+                        spawn(child, [("wait", which, True, -1)])
+                    spawn(-1, [("sleep", delay), ("fire", which)])
+                elif kind == "interrupt":
+                    target = procs[op[1] % len(procs)]
+                    if target.is_alive and target is not sim.active_process:
+                        target.interrupt((pid, k))
+                elif kind == "trigger":
+                    if not events[op[1]].triggered:
+                        events[op[1]].succeed((pid, k), delay=op[2])
+                elif kind == "await":
+                    yield events[op[1]]
+                elif kind == "join":
+                    target = procs[op[1] % len(procs)]
+                    if target is not sim.active_process:
+                        yield target
+                elif kind == "boom":
+                    ev = sim.event()
+                    ev.callbacks.append(boom)
+                    ev.succeed(delay=op[1])
+            except Exception as exc:        # Interrupt, a joined failure
+                trace.append((sim.now, (pid, k, type(exc).__name__)))
+            if kind == "raise":
+                raise RuntimeError((pid, k))
+            trace.append((sim.now, (pid, k, "woke")))
+        return pid
+
+    def drive(action):
+        kind = action[0]
+        if kind == "run":
+            sim.run()
+        elif kind == "until":
+            sim.run(until=sim.now + action[1])
+        elif kind == "until_proc":
+            sim.run(until=procs[action[1] % len(procs)])
+        elif kind == "until_event":
+            sim.run(until=events[action[1]])
+        else:
+            for _ in range(action[1]):
+                if sim.peek() is None:
+                    break
+                sim.step()
+
+    for index in roots:
+        spawn(index)
+    for action in list(driver) + [("run",)] * 40:
+        try:
+            drive(action)
+        except Exception as exc:            # a raising callback, a stop
+            trace.append((sim.now, ("raised", type(exc).__name__)))
+        trace.append((sim.now, ("peek", sim.peek())))
+        if action == ("run",) and sim.peek() is None:
+            break
+    return trace, sim.events_processed, sim.now
+
+
+@pytest.mark.kernel_differential
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None, database=None,
+          derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(programs=st.lists(st.lists(_ops, max_size=12), min_size=1, max_size=5),
+       roots=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       driver=st.lists(_driver, max_size=6))
+def test_calendar_queue_dispatches_like_the_tuple_heap(programs, roots, driver):
+    """Same random schedule, both kernels: identical ``(time, tag)``
+    dispatch traces, ``events_processed`` and clock."""
+    assert _play(Simulator, programs, roots, driver) == \
+        _play(TupleHeapSim, programs, roots, driver)

@@ -231,7 +231,7 @@ def occupy_reference(plan, owners, tag):
             resource.give()
         raise
     for hold, give, _timer in plan.timers:
-        timer = plan.sim.sleep(hold)
+        timer = plan.sim.timeout(hold)  # subscribed before the yield: no sleep
         timer.callbacks.append(give)
     yield timer
 
