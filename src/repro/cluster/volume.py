@@ -28,7 +28,7 @@ from __future__ import annotations
 import typing as t
 
 from ..driver.blockdev import BlockDevice, BlockError, BlockRequest
-from ..driver.client import HOST_PATH_STATUSES
+from ..driver.qpair import HOST_PATH_STATUSES
 from ..sim import Simulator
 from .layout import Extent, VolumeLayout
 

@@ -261,16 +261,16 @@ class ReliabilityConfig:
     without this subsystem; chaos scenarios enable it explicitly.
     """
 
-    #: Client: time to wait for a command completion before aborting and
-    #: retrying it.  0 disables command timeouts (wait forever, the
-    #: paper's fault-free behaviour).  When enabling, keep this well
-    #: above the p99 completion latency of the workload or healthy
-    #: commands get duplicated by spurious retries.
+    #: Every stack: time to wait for a command completion before
+    #: aborting and retrying it.  0 disables command timeouts (wait
+    #: forever, the paper's fault-free behaviour).  When enabling, keep
+    #: this well above the p99 completion latency of the workload or
+    #: healthy commands get duplicated by spurious retries.
     command_timeout_ns: int = 0
-    #: Client: bounded retries after a command timeout before the
+    #: Every stack: bounded retries after a command timeout before the
     #: request fails with ``STATUS_HOST_TIMEOUT``.
     max_retries: int = 3
-    #: Client: additional backoff added to the timeout per retry
+    #: Every stack: additional backoff added to the timeout per retry
     #: (attempt ``n`` waits ``command_timeout_ns + n * retry_backoff_ns``).
     retry_backoff_ns: int = 100_000
     #: Client: interval between liveness heartbeat writes into the

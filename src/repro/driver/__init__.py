@@ -4,11 +4,11 @@ block-device abstraction."""
 
 from .adminq import AdminError, AdminQueues
 from .blockdev import BlockDevice, BlockError, BlockRequest
-from .client import (HOST_PATH_STATUSES, STATUS_HOST_CRASHED,
-                     STATUS_HOST_SHUTDOWN, STATUS_HOST_TIMEOUT,
-                     ClientError, DistributedNvmeClient)
+from .client import ClientError, DistributedNvmeClient
 from .dmapool import DmaPool, local_pool
 from .manager import ManagerError, NvmeManager
+from .qpair import (HOST_PATH_STATUSES, STATUS_HOST_CRASHED,
+                    STATUS_HOST_SHUTDOWN, STATUS_HOST_TIMEOUT)
 from .spdk_local import SpdkLocalDriver
 from .stock import StockNvmeDriver
 

@@ -29,34 +29,22 @@ import typing as t
 
 from ..config import SimulationConfig
 from ..nvme import (CompletionEntry, CompletionQueueState,
-                    SubmissionQueueState, sq_doorbell_offset)
+                    SubmissionQueueState, cq_doorbell_offset,
+                    sq_doorbell_offset)
 from ..pcie.fabric import FabricFaultError
-from ..sim import Interrupt, Process, Signal, Simulator, Store
+from ..sim import Interrupt, Process, Simulator, Store
 from ..sisci import RemoteSegment, SisciNode
 from ..smartio import Placement, SmartIoService
 from ..units import serialize_ns
 from . import metadata as meta
 from .blockdev import BlockDevice, BlockError, BlockRequest
 from .prputil import prps_for_contiguous
-from .qpair import QueuePair, io_sqe, usable_depth
+from .qpair import (STATUS_HOST_CRASHED, STATUS_HOST_SHUTDOWN, QueuePair,
+                    io_sqe, usable_depth)
 
 
 class ClientError(Exception):
     pass
-
-
-# Vendor-specific completion statuses (SCT 7) synthesised by the *host*
-# side when the device never answered; they never collide with statuses
-# a controller can return.
-STATUS_HOST_TIMEOUT = 0x7_01    # command timed out after all retries
-STATUS_HOST_SHUTDOWN = 0x7_02   # client shut down with the I/O in flight
-STATUS_HOST_CRASHED = 0x7_03    # client was killed with the I/O in flight
-
-#: the complete host-side set: one of these means "the *path* died",
-#: never "the device answered" — multipath layers key failover on it.
-HOST_PATH_STATUSES = frozenset({STATUS_HOST_TIMEOUT,
-                                STATUS_HOST_SHUTDOWN,
-                                STATUS_HOST_CRASHED})
 
 
 class DistributedNvmeClient(BlockDevice):
@@ -110,7 +98,7 @@ class DistributedNvmeClient(BlockDevice):
         # A cluster host holds one path-client per member device, all
         # sharing this label, so per-tenant series aggregate naturally.
         self.tenant = node.host.name
-        #: the queue pair (ring mechanics); built by start()
+        #: the queue pair (rings, command lifecycle); built by start()
         self._qp: QueuePair | None = None
         self._inflight: dict = {}       # the pair's cid -> waiter map
         self._running = False
@@ -127,14 +115,6 @@ class DistributedNvmeClient(BlockDevice):
         self._tenant = 0
         self._win_start = 0
         self._submitted = 0             # absolute, continues predecessor's
-        self._sq_space = Signal(sim)    # fired per completion (flow ctl)
-        #: recovery accounting
-        self.timeouts = 0
-        self.retries = 0
-        #: admission throttle (docs/qos.md): when set, outstanding
-        #: commands are clamped to this many; None = unthrottled.
-        self.qos_window: int | None = None
-        self.throttled_ios = 0
 
     # ------------------------------------------------------------- bootstrap
 
@@ -205,7 +185,7 @@ class DistributedNvmeClient(BlockDevice):
                                      entries=self.queue_entries,
                                      cqid=self.qid, probe=self.probe),
                 # A device-side CQ (the ablation) is only ever read
-                # across the NTB, by _poll_remote.
+                # across the NTB, by _poll_remote; the pair gets none.
                 CompletionQueueState(
                     qid=self.qid, entries=self.queue_entries,
                     base_addr=cq_seg.phys_addr if self._cq_local else 0,
@@ -260,9 +240,6 @@ class DistributedNvmeClient(BlockDevice):
         the completion path stays client-local polling exactly like a
         private client-side CQ.
         """
-        if self.completion_mode == "interrupt":
-            raise ClientError(
-                "interrupt completion is incompatible with a shared QP")
         mb_seg = self.smartio.alloc_segment_placed(
             self.node, self.device_id, self.queue_entries * 16,
             Placement.CPU_SIDE)
@@ -303,7 +280,8 @@ class DistributedNvmeClient(BlockDevice):
             CompletionQueueState(qid=self.qid, base_addr=mb_seg.phys_addr,
                                  entries=self.queue_entries,
                                  probe=self.probe),
-            first_slot=self._win_start, sq_bell=False, cq_bell=False,
+            first_slot=self._win_start,
+            ring=self._ring_shared_sq_doorbell, cq_bell=False,
             cid_base=meta.make_cid(self._tenant, 0),
             cid_span=meta.CID_SEQ_MASK + 1)
         for f in self.probe.lifecycle:
@@ -316,7 +294,8 @@ class DistributedNvmeClient(BlockDevice):
         CQ memory, doorbells through the NTB-mapped BAR."""
         self._qp = qp = QueuePair(
             self.sim, self.node.fabric, self.node.host, self._bar, sq,
-            self._sq_conn, cq, on_cqe=self._on_cqe, name=self.name,
+            self._sq_conn, cq if self._cq_local else None,
+            reliability=self.config.reliability, name=self.name,
             ctrl=self._ref.function, **window)
         self.sq, self.cq, self._inflight = sq, cq, qp.inflight
 
@@ -356,7 +335,8 @@ class DistributedNvmeClient(BlockDevice):
         """
         self._running = False
         self._stop_workers()
-        self._fail_inflight(STATUS_HOST_SHUTDOWN)
+        if self._qp is not None:
+            self._qp.fail_all(STATUS_HOST_SHUTDOWN)
         for f in self.probe.lifecycle:
             f(self, "client-shutdown")
         if self.qid is not None:
@@ -376,7 +356,8 @@ class DistributedNvmeClient(BlockDevice):
         self.crashed = True
         self._running = False
         self._stop_workers()
-        self._fail_inflight(STATUS_HOST_CRASHED)
+        if self._qp is not None:
+            self._qp.fail_all(STATUS_HOST_CRASHED)
         for f in self.probe.lifecycle:
             f(self, "client-crashed")
 
@@ -387,22 +368,41 @@ class DistributedNvmeClient(BlockDevice):
         self._poll_proc = None
         self._hb_proc = None
 
-    def _fail_inflight(self, status: int) -> None:
-        """Complete every in-flight command with a synthetic host-side
-        CQE and release submitters parked on a full (shared) SQ window."""
-        if self._qp is not None:
-            self._qp.fail_all(status)
-        self._sq_space.fire()
-
     def set_qos_window(self, window: int | None) -> None:
         """Clamp (or, with None, unclamp) outstanding commands
         (docs/qos.md).  Called by :class:`~repro.qos.AdmissionThrottle`
         while this tenant's burn-rate alert is active."""
-        prev = self.qos_window
-        self.qos_window = window
+        qp = self._qp
+        if qp is None:
+            raise ClientError("client not started")
+        prev = qp.window
+        qp.window = window
         if window is None or (prev is not None and window > prev):
             # Widening/lifting the clamp can unblock parked submitters.
-            self._sq_space.fire()
+            qp.space.fire()
+
+    # The pair holds the clamp and the recovery counts (docs/qos.md,
+    # docs/fault_injection.md); before start() there is nothing to hold.
+
+    @property
+    def qos_window(self) -> int | None:
+        return self._qp.window if self._qp is not None else None
+
+    @property
+    def throttled_ios(self) -> int:
+        return self._qp.throttled if self._qp is not None else 0
+
+    @property
+    def timeouts(self) -> int:
+        return self._qp.timeouts if self._qp is not None else 0
+
+    @property
+    def retries(self) -> int:
+        return self._qp.retries if self._qp is not None else 0
+
+    @property
+    def stale_completions(self) -> int:
+        return self._qp.stale if self._qp is not None else 0
 
     def _heartbeat(self) -> t.Generator:
         """Post the liveness counter into the metadata segment."""
@@ -512,103 +512,7 @@ class DistributedNvmeClient(BlockDevice):
             sqe.prp1, sqe.prp2 = prps_for_contiguous(
                 part_device, nbytes, list_device,
                 lambda blob: self.node.host.memory.write(list_local, blob))
-        rel = self.config.reliability
-        attempt = 0
-        parked = False
-        while True:
-            if not self._running:
-                # Killed or shut down between attempts.
-                cqe = CompletionEntry(status=STATUS_HOST_CRASHED
-                                      if self.crashed
-                                      else STATUS_HOST_SHUTDOWN)
-                break
-            qos_window = self.qos_window
-            if (qos_window is not None
-                    and len(self._inflight) >= qos_window):
-                # Admission throttle active (docs/qos.md): hold the
-                # request until a completion shrinks the outstanding
-                # set below the clamped window (the signal also fires
-                # on shutdown/crash and when the clamp is lifted).  The
-                # wait is gated on this very guard, so a fire resumes
-                # only a request that can move on; the request counts
-                # as throttled once, however many fires pass it by.
-                if not parked:
-                    parked = True
-                    self.throttled_ios += 1
-                yield self._sq_space.wait(self._clamp_holds)
-                continue
-            if self.sq.is_full():
-                if rel.command_timeout_ns <= 0:
-                    # Recovery disabled: nothing can be lost, so the
-                    # ring is legitimately full (queue depth above a
-                    # shared slot window) — wait for a completion to
-                    # free a slot (shutdown/crash fire the signal too,
-                    # re-checked at the loop head).
-                    yield self._sq_space.wait(self._full_sq_holds)
-                    continue
-                # The ring may be clogged with commands whose
-                # completions were lost; recover what landed beyond CQ
-                # holes before treating fullness as a fault.
-                self._resync_cq()
-                if self.sq.is_full():
-                    if self._shared:
-                        # A shared slot window fills in healthy
-                        # operation whenever the queue depth exceeds
-                        # it; give in-flight I/Os one timeout period
-                        # to free a slot before calling it a clog.
-                        space = self._sq_space.wait()
-                        expiry = self.sim.timeout(rel.command_timeout_ns)
-                        outcome = yield self.sim.any_of((space, expiry))
-                        if space in outcome:
-                            continue
-                    if attempt >= rel.max_retries:
-                        cqe = CompletionEntry(status=STATUS_HOST_TIMEOUT)
-                        break
-                    attempt += 1
-                    yield self.sim.timeout(rel.retry_backoff_ns * attempt)
-                    continue
-            done = self._qp.submit(sqe, request)
-            if self._shared:
-                # A tenant rings for itself: the pair only stored the
-                # SQE into our slot window of the manager-hosted ring.
-                self._submitted += 1
-                self._ring_shared_sq_doorbell(request)
-
-            if rel.command_timeout_ns <= 0:
-                # Recovery disabled (the default): wait unconditionally.
-                cqe = yield done
-                break
-            expiry = self.sim.timeout(rel.command_timeout_ns)
-            outcome = yield self.sim.any_of((done, expiry))
-            if done in outcome:
-                cqe = outcome[done]
-                break
-            # Timed out.  A dropped CQE write leaves a phase hole in the
-            # CQ ring that wedges the poller; scan past holes first —
-            # the resync may deliver our own completion.
-            if self._resync_cq() and done.triggered:
-                cqe = done.value
-                break
-            # Retire the cid *first*: a late CQE for it is then counted
-            # as stale by the queue pair instead of completing anything,
-            # so each request completes exactly once.
-            self._inflight.pop(sqe.cid, None)
-            self.timeouts += 1
-            for f in self.probe.recovery:
-                f(self, "timeout", client=self.name, cid=sqe.cid,
-                  attempt=attempt)
-            if attempt >= rel.max_retries:
-                cqe = CompletionEntry(cid=sqe.cid,
-                                      status=STATUS_HOST_TIMEOUT)
-                break
-            attempt += 1
-            self.retries += 1
-            for f in self.probe.recovery:
-                f(self, "retry", client=self.name, cid=sqe.cid,
-                  attempt=attempt)
-            # Linear backoff; the retry is a fresh command with a fresh
-            # cid (reads/writes are idempotent at the block layer).
-            yield self.sim.timeout(rel.retry_backoff_ns * attempt)
+        cqe = yield from self._qp.execute(sqe, request)
         # Naive completion software path + copy out of the bounce buffer.
         yield self.sim.sleep(cfg.dist_complete_ns)
         request.status = cqe.status
@@ -620,29 +524,15 @@ class DistributedNvmeClient(BlockDevice):
             yield self.sim.timeout(cfg.iommu_unmap_ns)
         self._parts.put(part)
 
-    # Gates for the two plain ``_sq_space`` waits of _driver_submit (see
-    # Signal.wait): each is the chain of loop guards that leads back to
-    # its own park site, and False as soon as a wake-up would take the
-    # submitter anywhere else.
-
-    def _clamp_holds(self) -> bool:
-        window = self.qos_window
-        return (self._running and window is not None
-                and len(self._inflight) >= window)
-
-    def _full_sq_holds(self) -> bool:
-        return (self._running and not self._clamp_holds()
-                and self.sq.is_full())
-
     def _ring_shared_sq_doorbell(self, request) -> None:
-        """Shared-SQ ring: mirror the absolute submission count into our
-        doorbell shadow first (the manager reads it locally at
+        """The pair's ring step: mirror the absolute submission count
+        into our doorbell shadow first (the manager reads it locally at
         release/reclaim — count mod window size hands the ring position
         to the next tenant, and the count itself tells the manager when
         every command ever submitted to the window has completed), then
-        ring with the window index encoded in the doorbell's high
-        half."""
+        ring with the window index in the doorbell's high half."""
         assert self._meta_conn is not None
+        self._submitted += 1
         self._meta_conn.write(
             meta.shadow_offset(self.qid, self._tenant),
             self._submitted.to_bytes(meta.SHADOW_SIZE, "little"))
@@ -664,40 +554,28 @@ class DistributedNvmeClient(BlockDevice):
         """Ablation path: CQ in device-side memory — every poll is a
         non-posted read across the NTB."""
         cfg = self.config.host
+        cq = self.cq
         try:
             while self._running:
                 # This read across the NTB is the point of the ablation.
                 try:
                     # staticcheck: ignore[no-nonposted-hotpath] deliberate Fig. 8 counter-example
-                    raw = yield from self._cq_conn.read(self.cq.head * 16,
-                                                        16)
+                    raw = yield from self._cq_conn.read(cq.head * 16, 16)
                 except FabricFaultError:
                     # Severed path: back off, poll again when it heals.
                     yield self.sim.timeout(cfg.poll_interval_ns * 10)
                     continue
-                if raw[14] & 1 == self.cq.phase:
-                    self.cq.consume()
+                if raw[14] & 1 == cq.phase:
+                    cq.consume()
                     self._qp.complete(CompletionEntry.unpack(raw))
-                    self._qp.ring_cq()
+                    # The pair holds no remote CQ: ring its head here.
+                    self.node.fabric.post_write(
+                        self.node.host.rc, self.node.host,
+                        self._bar + cq_doorbell_offset(cq.qid),
+                        cq.head.to_bytes(4, "little"))
                 elif self._inflight:
                     yield self.sim.timeout(cfg.poll_interval_ns)
                 else:
                     yield self.sim.timeout(cfg.poll_interval_ns * 10)
         except Interrupt:
             return  # shutdown/crash stopped the poller
-
-    def _on_cqe(self, cqe: CompletionEntry) -> None:
-        """A completion is about to be delivered and its SQ slot is free
-        again: wake submitters parked for space (flow control)."""
-        self._sq_space.fire()
-
-    def _resync_cq(self) -> int:
-        """Recover completions sitting beyond CQ holes
-        (:meth:`QueuePair.resync`); only meaningful for a client-local
-        CQ (the default placement)."""
-        return self._qp.resync() if self._cq_local else 0
-
-    @property
-    def stale_completions(self) -> int:
-        """Completions for a cid the timeout path had already retired."""
-        return self._qp.stale if self._qp is not None else 0

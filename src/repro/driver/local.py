@@ -88,6 +88,7 @@ class LocalNvmeDriver(BlockDevice):
         self._qp = qp = QueuePair.local(
             self.sim, self.fabric, self.host, self.bar, self.qid,
             self.queue_entries, sq_mem, cq_mem,
+            reliability=self.config.reliability,
             complete_delay=self.trigger_ns, name=self.name,
             ctrl=self.host.addr_map.lookup(self.bar).target.function)
         self.sim.process(qp.on_interrupt(mailbox, self.irq_ns) if interrupts
@@ -95,7 +96,7 @@ class LocalNvmeDriver(BlockDevice):
 
     def _driver_submit(self, request: BlockRequest) -> t.Generator:
         assert self._qp is not None, "driver not started"
-        yield self.sim.timeout(self.submit_ns)
+        yield self.sim.sleep(self.submit_ns)
 
         nbytes = request.nblocks * self.lba_bytes
         sqe = io_sqe(request)
@@ -110,9 +111,9 @@ class LocalNvmeDriver(BlockDevice):
                 buf, nbytes, alloc,
                 lambda blob: self.host.memory.write(alloc, blob))
 
-        cqe = yield self._qp.submit(sqe, request)
+        cqe = yield from self._qp.execute(sqe, request)
         if self.wake_ns:
-            yield self.sim.timeout(self.wake_ns)
+            yield self.sim.sleep(self.wake_ns)
         request.status = cqe.status
         if request.op == "read" and cqe.ok:
             request.result = self.host.memory.read(buf, nbytes)

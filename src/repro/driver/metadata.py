@@ -154,13 +154,6 @@ def pack_share(qid: int, nwindows: int, win_entries: int,
                                                    b"\x00")
 
 
-def unpack_share(data: bytes) -> dict:
-    qid, nwindows, win_entries, bitmap = _SHARE_HEADER.unpack(
-        data[:_SHARE_HEADER.size])
-    return {"qid": qid, "nwindows": nwindows, "win_entries": win_entries,
-            "tenant_bitmap": bitmap}
-
-
 def pack_slot(status: int, op: int = 0, qid: int = 0, entries: int = 0,
               sq_addr: int = 0, cq_addr: int = 0,
               rpc_status: int = 0, flags: int = 0, tenant: int = 0,

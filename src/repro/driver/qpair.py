@@ -1,42 +1,51 @@
-"""The host side of one NVMe queue pair: ring mechanics, written once.
+"""The host side of one NVMe queue pair, written once: a command's
+lifecycle and the ring mechanics.
 
 The paper's premise (Sec. II and V, quoted in ``nvme/queues.py``) is
 that a queue pair is memory plus doorbells and may live anywhere the
-controller can DMA to.  So the driver stacks Fig. 10 compares differ in
-*placement* and in their cost tables, not in how a ring works.  How a
-ring works is this module: fresh cid + waiter (:meth:`QueuePair.submit`),
-SQE store and SQ tail ring in one function (:meth:`~QueuePair.issue`),
-:meth:`~QueuePair.pop` / :meth:`~QueuePair.drain`, lost-CQE
-:meth:`~QueuePair.resync`, :meth:`~QueuePair.fail_all`, and the two ways
-a CPU notices a completion (:meth:`~QueuePair.poll`,
-:meth:`~QueuePair.on_interrupt`).
-
-A stack supplies only placement: an object whose ``write(offset, raw)``
-reaches SQ memory (a :class:`~repro.sisci.RemoteSegment` across the NTB,
-a :class:`LocalRing` in this CPU's DRAM), the BAR address its doorbell
-stores go to (local or NTB-mapped) and a CQ state whose ``base_addr`` is
-the ring's address in this CPU's memory.  Either half may be missing:
-the manager's demux worker consumes a shared CQ it never submits to
-(``sq=None`` and its own ``sink``); a shared-QP tenant produces into a
-slot window and rings a tenant-encoded doorbell itself
-(``sq_bell=False``) while its "CQ" is a doorbell-less mailbox
-(``cq_bell=False``).  The NVMe-oF initiator has no ring at all — its
-command travels as a capsule — and shares only :func:`io_sqe`.
+controller can DMA to, so the driver stacks Fig. 10 compares differ in
+*placement* and in their cost tables only.  :class:`Commands` is the
+ring-less half — cids, waiters, the lifecycle (:meth:`~Commands.execute`:
+admission, timeout, CQ resync, fresh-cid retry, ``STATUS_HOST_*``
+verdict) — on which the NVMe-oF initiator runs alone (its ``issue``
+SENDs a capsule).  :class:`QueuePair` adds the rings: SQE store + SQ
+tail ring in one function, pop/drain, lost-CQE resync, and the poll and
+interrupt notice loops.  A stack supplies SQ memory with a
+``write(offset, raw)`` (a :class:`~repro.sisci.RemoteSegment` across the
+NTB, a :class:`LocalRing` in this CPU's DRAM), its BAR and a CQ in this
+CPU's memory.  The manager's demux has no SQ (``sq=None``, own
+``sink``); the device-side-CQ ablation has no local CQ (``cq=None``); a
+shared-QP tenant rings through its own ``ring`` step and reads a
+doorbell-less mailbox (``cq_bell=False``).
 """
 
 from __future__ import annotations
 
 import typing as t
 
+from ..config import ReliabilityConfig
 from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
                     SubmissionEntry, SubmissionQueueState,
                     cq_doorbell_offset, sq_doorbell_offset)
-from ..sim import Event, Interrupt, Simulator
+from ..sim import Event, Interrupt, Signal, Simulator
 
 #: block-layer op -> NVMe I/O opcode, for every stack
 IO_OPCODES = {"read": IoOpcode.READ, "write": IoOpcode.WRITE,
               "flush": IoOpcode.FLUSH, "compare": IoOpcode.COMPARE,
               "write_zeroes": IoOpcode.WRITE_ZEROES}
+
+# Vendor-specific completion statuses (SCT 7) synthesised by the *host*
+# side when the device never answered; they never collide with statuses
+# a controller can return.
+STATUS_HOST_TIMEOUT = 0x7_01    # command timed out after all retries
+STATUS_HOST_SHUTDOWN = 0x7_02   # stack shut down with the I/O in flight
+STATUS_HOST_CRASHED = 0x7_03    # stack was killed with the I/O in flight
+
+#: the complete host-side set: one of these means "the *path* died",
+#: never "the device answered" — multipath layers key failover on it.
+HOST_PATH_STATUSES = frozenset({STATUS_HOST_TIMEOUT,
+                                STATUS_HOST_SHUTDOWN,
+                                STATUS_HOST_CRASHED})
 
 _unpack = CompletionEntry.unpack
 
@@ -69,46 +78,204 @@ class LocalRing:
         self.memory.write(self.base + offset, raw)
 
 
-class QueuePair:
-    """Host-side state and mechanics of one SQ/CQ pair (module docstring).
+class Commands:
+    """Every command a stack runs, from cid to verdict.  A command is
+    whatever the transport's ``issue(command, request)`` sends (an SQE,
+    a staged capsule) and gets only its ``cid`` here.  Every controller
+    numbers its qids from 1, so a watcher names a command ``(ctrl, qid,
+    cid)``; ``complete_delay`` is charged on the waiter's trigger."""
 
-    ``sink`` receives every CQE :meth:`drain` consumes; the default,
-    :meth:`complete`, wakes the waiter :meth:`submit` registered
-    (``complete_delay`` ns later, for stacks that charge completion
-    processing on the trigger).  ``on_cqe(cqe)`` tells the owning
-    stack a completion is about to be delivered (flow control); who
-    merely *watches* stores and completions subscribes to the probe's
-    ``sqe_issued`` / ``doorbell_rung`` / ``cqe_seen``.  ``ctrl`` is the
-    controller the pair's commands go to: every controller numbers its
-    qids from 1, so a watcher names a command ``(ctrl, qid, cid)``.
-    """
+    sq: SubmissionQueueState | None = None
+    qid: int | None = None
+    ring: t.Callable | None = None
+
+    def __init__(self, sim: Simulator,
+                 reliability: ReliabilityConfig | None = None, *,
+                 cid_base: int = 0, cid_span: int = 0x10000,
+                 complete_delay: int = 0, name: str = "",
+                 ctrl=None) -> None:
+        self.sim = sim
+        self.probe = sim.probe
+        self.reliability = reliability or ReliabilityConfig()
+        self.ctrl = ctrl
+        self.name = name
+        self.complete_delay = complete_delay
+        #: cid -> waiter of every command submitted and not yet completed
+        self.inflight: dict[int, Event] = {}
+        #: recovery counts; ``stale``: completions for a retired cid
+        self.stale = self.timeouts = self.retries = 0
+        #: fired per completion and by fail_all(): admission re-checks
+        self.space = Signal(sim)
+        #: admission clamp on outstanding commands (docs/qos.md), and
+        #: how many commands it ever held
+        self.window: int | None = None
+        self.throttled = 0
+        #: nonzero once closed: the status every later command ends with
+        self.closed = 0
+        self._cid = 0
+        self._cid_base = cid_base
+        self._cid_span = cid_span
+
+    def next_cid(self) -> int:
+        self._cid = (self._cid + 1) % self._cid_span
+        return self._cid_base | self._cid
+
+    def submit(self, command, request=None) -> Event:
+        """Issue ``command`` under a fresh cid; the returned event
+        triggers with its CQE.  ``request`` is the block request it
+        serves, for whoever watches :meth:`issue`."""
+        # hot-path: next_cid() inlined
+        self._cid = cid = (self._cid + 1) % self._cid_span
+        command.cid = cid = self._cid_base | cid
+        done = Event(self.sim)
+        self.inflight[cid] = done
+        self.issue(command, request)
+        return done
+
+    def execute(self, command, request=None) -> t.Generator:
+        """Run ``command`` to its verdict; returns the CQE.  Admission
+        in order — closed, clamp, full SQ — then the attempt.  With
+        ``command_timeout_ns`` set, an unanswered attempt has the CQ
+        resynced, else its cid is retired (a late CQE is stale: a request
+        completes once) and, after a linear backoff, it is retried under
+        a fresh cid, ``max_retries`` times before STATUS_HOST_TIMEOUT.
+        The same budget bounds a wait on a clogged SQ."""
+        rel = self.reliability
+        timeout = rel.command_timeout_ns
+        sq = self.sq
+        attempt = 0
+        parked = False
+        while True:
+            if self.closed:
+                cqe = CompletionEntry(status=self.closed)
+                break
+            if self.window is not None and self._clamp_holds():
+                # Gated on this very guard, so a fire resumes only a
+                # command that can move on; counted throttled once.
+                if not parked:
+                    parked = True
+                    self.throttled += 1
+                yield self.space.wait(self._clamp_holds)
+                continue
+            # sq.is_full(), inlined: every command passes here
+            if sq is not None and (sq.tail + 1) % sq.entries == sq.head:
+                if timeout <= 0:
+                    # Nothing can be lost: the ring is legitimately full
+                    # (queue depth above a shared slot window).
+                    yield self.space.wait(self._full_sq_holds)
+                    continue
+                # Maybe clogged by lost completions: recover what landed
+                # beyond CQ holes before calling fullness a fault.
+                self.resync()
+                if sq.is_full():
+                    if self.ring is not None:
+                        # A tenant's window fills in healthy operation:
+                        # give in-flight commands one timeout period.
+                        space = self.space.wait()
+                        expiry = self.sim.timeout(timeout)
+                        outcome = yield self.sim.any_of((space, expiry))
+                        if space in outcome:
+                            continue
+                    if attempt >= rel.max_retries:
+                        cqe = CompletionEntry(status=STATUS_HOST_TIMEOUT)
+                        break
+                    attempt += 1
+                    yield self.sim.timeout(rel.retry_backoff_ns * attempt)
+                    continue
+            done = self.submit(command, request)
+            if timeout <= 0:
+                cqe = yield done
+                break
+            expiry = self.sim.timeout(timeout)
+            outcome = yield self.sim.any_of((done, expiry))
+            if done in outcome:
+                cqe = outcome[done]
+                break
+            if self.resync() and done.triggered:
+                cqe = done.value
+                break
+            cid = command.cid
+            self.inflight.pop(cid, None)
+            self.timeouts += 1
+            for f in self.probe.recovery:
+                f(self, "timeout", client=self.name, cid=cid,
+                  attempt=attempt)
+            if attempt >= rel.max_retries:
+                cqe = CompletionEntry(cid=cid, status=STATUS_HOST_TIMEOUT)
+                break
+            attempt += 1
+            self.retries += 1
+            for f in self.probe.recovery:
+                f(self, "retry", client=self.name, cid=cid,
+                  attempt=attempt)
+            yield self.sim.timeout(rel.retry_backoff_ns * attempt)
+        return cqe
+
+    # Guards of the plain ``space`` waits (Signal.wait): False once a
+    # wake-up would take the command anywhere else.
+
+    def _clamp_holds(self) -> bool:
+        window = self.window
+        return (not self.closed and window is not None
+                and len(self.inflight) >= window)
+
+    def _full_sq_holds(self) -> bool:
+        return (not self.closed and not self._clamp_holds()
+                and self.sq.is_full())
+
+    def complete(self, cqe: CompletionEntry) -> None:
+        """Free the SQ slots the controller fetched (a shared SQ reports
+        the window-relative head), re-check admission, wake the waiter
+        — or count the completion stale if a timeout retired its cid."""
+        sq = self.sq
+        if sq is not None:
+            sq.head = cqe.sq_head
+        self.space.fire()
+        done = self.inflight.pop(cqe.cid, None)
+        if done is not None:
+            done.succeed(cqe, self.complete_delay)
+        else:
+            self.stale += 1
+        for f in self.probe.cqe_seen:
+            f(self, cqe, done)
+
+    def resync(self) -> int:
+        return 0                        # no CQ, nothing to recover
+
+    def fail_all(self, status: int) -> None:
+        """Close: complete every in-flight command with a synthetic
+        host-side CQE (in cid order, for a deterministic wake order),
+        end every later one with ``status``, re-check admission."""
+        self.closed = status
+        waiters = sorted(self.inflight.items())
+        self.inflight.clear()           # in place: owners alias the map
+        for cid, done in waiters:
+            done.succeed(CompletionEntry(cid=cid, status=status))
+        self.space.fire()
+
+
+class QueuePair(Commands):
+    """Host-side state and mechanics of one SQ/CQ pair.  ``sink``
+    receives every CQE :meth:`drain` consumes (default: :meth:`complete`);
+    ``ring(request)``, when given, replaces the SQ tail doorbell.  Who
+    merely watches subscribes to the probe's ``sqe_issued`` /
+    ``doorbell_rung`` / ``cqe_seen``."""
 
     def __init__(self, sim: Simulator, fabric, host, bar: int,
                  sq: SubmissionQueueState | None, sq_mem,
-                 cq: CompletionQueueState, *, first_slot: int = 0,
-                 sq_bell: bool = True, cq_bell: bool = True,
-                 cid_base: int = 0, cid_span: int = 0x10000,
-                 complete_delay: int = 0,
+                 cq: CompletionQueueState | None, *, first_slot: int = 0,
+                 ring: t.Callable | None = None, cq_bell: bool = True,
                  sink: t.Callable[[CompletionEntry], None] | None = None,
-                 on_cqe: t.Callable[[CompletionEntry], None] | None = None,
-                 name: str = "", ctrl=None) -> None:
-        self.sim = sim
-        self.probe = sim.probe
-        self.ctrl = ctrl
+                 **core) -> None:
+        Commands.__init__(self, sim, **core)
         self.sq = sq
         self.sq_mem = sq_mem
         self.cq = cq
+        self.qid = (sq or cq).qid
         self.first_slot = first_slot
-        self.sq_bell = sq_bell
+        self.ring = ring
         self.cq_bell = cq_bell
-        self.complete_delay = complete_delay
         self.sink = sink or self.complete
-        self.on_cqe = on_cqe
-        self.name = name
-        #: cid -> waiter of every command submitted and not yet completed
-        self.inflight: dict[int, Event] = {}
-        #: completions whose cid had no waiter (retired by a timeout)
-        self.stale = 0
         self.running = True
         self.memory = host.memory
         self._read = host.memory.read
@@ -116,9 +283,6 @@ class QueuePair:
         self._post = fabric.post_write
         self._host = host
         self._bar = bar
-        self._cid = 0
-        self._cid_base = cid_base
-        self._cid_span = cid_span
 
     @classmethod
     def local(cls, sim: Simulator, fabric, host, bar: int, qid: int,
@@ -136,20 +300,6 @@ class QueuePair:
 
     # -- submission --------------------------------------------------------
 
-    def next_cid(self) -> int:
-        self._cid = (self._cid + 1) % self._cid_span
-        return self._cid_base | self._cid
-
-    def submit(self, sqe: SubmissionEntry, request=None) -> Event:
-        """Issue ``sqe`` under a fresh cid; the returned event triggers
-        with its CQE.  ``request`` is the block request it serves, for
-        whoever watches :meth:`issue`."""
-        sqe.cid = cid = self.next_cid()
-        done = Event(self.sim)
-        self.inflight[cid] = done
-        self.issue(sqe, request)
-        return done
-
     def issue(self, sqe: SubmissionEntry, request=None) -> None:
         """SQE store, then the SQ tail doorbell behind it (PCIe posted
         ordering keeps them in program order) — one function, so
@@ -160,12 +310,14 @@ class QueuePair:
         store = self.sq_mem.write((self.first_slot + slot) * 64, sqe.pack())
         for f in self.probe.sqe_issued:
             f(self, sqe, slot, store, request)
-        if self.sq_bell:
+        if self.ring is None:
             ring = self._post(self._host.rc, self._host,
                               self._bar + sq_doorbell_offset(sq.qid),
                               sq.tail.to_bytes(4, "little"))
             for f in self.probe.doorbell_rung:
                 f(self, ring, request)
+        else:
+            self.ring(request)
 
     # -- completion --------------------------------------------------------
 
@@ -206,23 +358,6 @@ class QueuePair:
             self.ring_cq()
         return drained
 
-    def complete(self, cqe: CompletionEntry) -> None:
-        """Default sink: free the SQ slots the controller has fetched
-        (on a shared SQ it reports the *window-relative* head, which is
-        exactly what a window-sized ring models), then wake the waiter."""
-        self.sq.head = cqe.sq_head
-        if self.on_cqe is not None:
-            self.on_cqe(cqe)
-        done = self.inflight.pop(cqe.cid, None)
-        if done is not None:
-            done.succeed(cqe, self.complete_delay)
-        else:
-            # The cid was retired (its submitter timed out and moved on
-            # to a fresh one): drop the completion.
-            self.stale += 1
-        for f in self.probe.cqe_seen:
-            f(self, cqe, done)
-
     def ring_cq(self) -> None:
         """CQ head doorbell.  A mailbox ring has none: whoever forwards
         into it acknowledges the real CQ on the tenant's behalf."""
@@ -232,25 +367,18 @@ class QueuePair:
                        self.cq.head.to_bytes(4, "little"))
 
     def resync(self) -> int:
-        """Skip CQ slots whose CQE writes were lost on the fabric.
-
-        The controller's producer advances (and flips phase at the
-        wrap) even when the posted CQE write is dropped, so an outage
-        leaves *holes*: the consumer waits forever at a slot whose
-        entry never arrived while valid entries sit further ahead.
-        Scan one lap forward for entries carrying the phase tag the
-        producer would have stamped there this lap — those are
-        delivered completions beyond holes.  Hand them to the sink in
-        order, advance the consumer past the gap, and ring the CQ
-        doorbell.  Stale ring content still carries the *previous*
-        lap's tag, so the scan cannot mistake it for a fresh entry —
-        provided a skipped hole is stamped with this lap's: left alone
-        it keeps the previous lap's tag, which is the next lap's too,
-        and a later scan wrapping onto it would take it for fresh.
-        The holes' own cids are recovered by their owners' timeouts.
-        Returns the number of recovered completions.
-        """
+        """Skip CQ slots whose CQE writes were lost on the fabric
+        (docs/fault_injection.md, "CQ resync"): scan one lap ahead for
+        entries bearing the phase tag the producer stamped this lap,
+        hand them to the sink in order, stamp the skipped holes with
+        this lap's tag (left alone they would read as fresh one lap
+        later), advance past the gap and ring the CQ doorbell.  The
+        holes' own cids are left to their timeouts.  Returns how many
+        completions were recovered; none without a CQ in this CPU's
+        memory."""
         cq = self.cq
+        if cq is None:
+            return 0
         entries, head, phase = cq.entries, cq.head, cq.phase
         tags = [phase if head + i < entries else phase ^ 1
                 for i in range(entries)]
@@ -274,14 +402,6 @@ class QueuePair:
             f(self, "cq-resync", client=self.name, recovered=len(hits),
               skipped=span - len(hits))
         return len(hits)
-
-    def fail_all(self, status: int) -> None:
-        """Complete every in-flight command with a synthetic host-side
-        CQE; sorted by cid for deterministic wake order."""
-        waiters = sorted(self.inflight.items())
-        self.inflight.clear()           # in place: owners alias the map
-        for cid, done in waiters:
-            done.succeed(CompletionEntry(cid=cid, status=status))
 
     # -- noticing a completion ---------------------------------------------
 

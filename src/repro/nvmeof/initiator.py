@@ -9,6 +9,9 @@ them over an RDMA QP — the stock Linux behaviour the paper benchmarks:
   data back with RDMA_WRITE before the response capsule;
 * response handling is *interrupt-driven* (the kernel initiator arms
   the recv CQ and sleeps), adding the usual IRQ + softirq latency.
+
+Cids, waiters, timeouts and retries are the queue-pair core's
+(:class:`~repro.driver.qpair.Commands`, the ring-less half).
 """
 
 from __future__ import annotations
@@ -20,15 +23,41 @@ from ..nvme import CompletionEntry
 from ..pcie import Host
 from ..rdma import (CompletionQueue, ProtectionDomain, QueuePair, RdmaNic,
                     RecvWR, SendWR, WrOpcode)
-from ..sim import Event, Simulator, Store
+from ..sim import Simulator, Store
 from .capsules import CommandCapsule, ResponseCapsule
 from .target import SpdkTarget
 from ..driver.blockdev import BlockDevice, BlockError, BlockRequest
-from ..driver.qpair import io_sqe, usable_depth
+from ..driver.qpair import Commands, io_sqe, usable_depth
 
 #: per-request staging area: capsule header+SQE+inline, plus data buffer.
 SLOT_DATA_BYTES = 128 * 1024
 SLOT_BYTES = 8192 + SLOT_DATA_BYTES
+
+
+class _Slot:
+    """A staging slot: a capsule, numbered afresh per attempt, then data."""
+
+    __slots__ = ("addr", "mr", "capsule", "cid")
+
+    def __init__(self, addr: int, mr) -> None:
+        self.addr, self.mr, self.capsule, self.cid = addr, mr, None, 0
+
+
+class _CapsuleQueue(Commands):
+    """The initiator's command core: issuing stages and SENDs a capsule."""
+
+    def __init__(self, initiator: "NvmeofInitiator") -> None:
+        super().__init__(initiator.sim, initiator.config.reliability,
+                         name=initiator.name)
+        self._memory, self._qp = initiator.host.memory, initiator.qp
+
+    def issue(self, slot: _Slot, request=None) -> None:
+        capsule = slot.capsule
+        capsule.sqe.cid = slot.cid
+        raw = capsule.pack()
+        self._memory.write(slot.addr, raw)
+        self._qp.post_send(SendWR(wr_id=slot.cid, opcode=WrOpcode.SEND,
+                                  local_addr=slot.addr, length=len(raw)))
 
 
 class NvmeofInitiator(BlockDevice):
@@ -46,9 +75,7 @@ class NvmeofInitiator(BlockDevice):
         self.pd = ProtectionDomain(host)
         self.qp: QueuePair | None = None
         self._slots: Store = Store(sim)
-        self._slot_mr = None
-        self._inflight: dict[int, Event] = {}
-        self._cid = 0
+        self.commands: Commands | None = None     # built by connect()
         self._running = False
 
     # -- connection setup -------------------------------------------------------
@@ -75,9 +102,9 @@ class NvmeofInitiator(BlockDevice):
         # Per-request staging slots (registered once, reused).
         for _ in range(self.queue_depth):
             addr = self.host.alloc_dma(SLOT_BYTES)
-            mr = self.pd.register(addr, SLOT_BYTES)
-            self._slots.put((addr, mr))
+            self._slots.put(_Slot(addr, self.pd.register(addr, SLOT_BYTES)))
 
+        self.commands = _CapsuleQueue(self)
         self._running = True
         self.sim.process(self._response_handler())
 
@@ -86,7 +113,6 @@ class NvmeofInitiator(BlockDevice):
     def _driver_submit(self, request: BlockRequest) -> t.Generator:
         if not self._running:
             raise BlockError("initiator not connected")
-        assert self.qp is not None
         cfg = self.config.nvmeof
         host_cfg = self.config.host
         nbytes = (request.nblocks * self.lba_bytes
@@ -96,17 +122,13 @@ class NvmeofInitiator(BlockDevice):
                              "split it in the workload layer")
 
         # Kernel submission path: blk-mq + nvme-rdma encapsulation.
-        yield self.sim.timeout(host_cfg.block_submit_ns
-                               + cfg.initiator_submit_ns)
+        yield self.sim.sleep(host_cfg.block_submit_ns
+                             + cfg.initiator_submit_ns)
 
-        slot_addr, slot_mr = yield self._slots.get()
-        data_addr = slot_addr + 8192
+        slot = yield self._slots.get()
+        data_addr = slot.addr + 8192
 
-        sqe = io_sqe(request)
-        self._cid = (self._cid + 1) % 0x10000
-        sqe.cid = self._cid
-
-        capsule = CommandCapsule(sqe)
+        slot.capsule = capsule = CommandCapsule(io_sqe(request))
         if request.op in BlockRequest.DATA_OUT_OPS:
             assert request.data is not None
             if nbytes <= cfg.in_capsule_data_size:
@@ -114,27 +136,22 @@ class NvmeofInitiator(BlockDevice):
             else:
                 self.host.memory.write(data_addr, request.data)
                 capsule.buffer_addr = data_addr
-                capsule.rkey = slot_mr.rkey
+                capsule.rkey = slot.mr.rkey
         elif request.op == "read":
             capsule.buffer_addr = data_addr
-            capsule.rkey = slot_mr.rkey
+            capsule.rkey = slot.mr.rkey
 
-        # Stage the capsule and post the SEND (doorbell + WQE costs).
-        raw = capsule.pack()
-        self.host.memory.write(slot_addr, raw)
-        yield self.sim.timeout(self.config.rdma.post_wqe_ns
-                               + self.config.rdma.doorbell_ns)
-        done = Event(self.sim)
-        self._inflight[sqe.cid] = done
-        self.qp.post_send(SendWR(wr_id=sqe.cid, opcode=WrOpcode.SEND,
-                                 local_addr=slot_addr, length=len(raw)))
-
-        cqe: CompletionEntry = yield done
-        yield self.sim.timeout(cfg.initiator_complete_ns)
+        # Post the SEND (doorbell + WQE costs); the core stages the
+        # capsule in the slot under each attempt's cid.
+        yield self.sim.sleep(self.config.rdma.post_wqe_ns
+                             + self.config.rdma.doorbell_ns)
+        cqe: CompletionEntry = yield from self.commands.execute(slot,
+                                                                request)
+        yield self.sim.sleep(cfg.initiator_complete_ns)
         request.status = cqe.status
         if request.op == "read" and cqe.ok:
             request.result = self.host.memory.read(data_addr, nbytes)
-        self._slots.put((slot_addr, slot_mr))
+        self._slots.put(slot)
 
     # -- completion path ----------------------------------------------------------
 
@@ -155,8 +172,6 @@ class NvmeofInitiator(BlockDevice):
                 rsp = ResponseCapsule.unpack(raw)
                 self.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
                                          length=256))
-                done = self._inflight.pop(rsp.cqe.cid, None)
-                if done is not None:
-                    done.succeed(rsp.cqe)
+                self.commands.complete(rsp.cqe)
             # Drain send completions (not interesting for latency).
             self.qp.send_cq.poll(64)

@@ -41,6 +41,10 @@ SLOT_BYTES = 4096 + SLOT_DATA_BYTES
 _DATA_OPCODES = [qpair.IO_OPCODES[op] for op in BlockRequest.DATA_OPS]
 #: of those, the ones whose data travels initiator -> target first
 _DATA_OUT_OPCODES = [qpair.IO_OPCODES[op] for op in BlockRequest.DATA_OUT_OPS]
+#: work-request id bases on a connection's send queue, each plus the cid:
+#: the RDMA_READ pull of write data, the RDMA_WRITE push of read data,
+#: the response SEND
+_PULL, _PUSH, _RSP = 0x1_0000, 0x2_0000, 0x3_0000
 
 
 @dataclasses.dataclass
@@ -145,9 +149,9 @@ class SpdkTarget:
                 yield conn.qp.send_cq.signal.wait()
                 continue
             for wc in completions:
-                if 0x1_0000 <= wc.wr_id < 0x2_0000:   # pull finished
+                if _PULL <= wc.wr_id < _PUSH:         # pull finished
                     waiter = conn.inflight.pop(
-                        ("pull", wc.wr_id - 0x1_0000), None)
+                        ("pull", wc.wr_id - _PULL), None)
                     if waiter is not None:
                         waiter.succeed(wc)
 
@@ -212,7 +216,7 @@ class SpdkTarget:
                 pull_done = Event(self.sim)
                 conn.inflight[("pull", sqe.cid)] = pull_done
                 conn.qp.post_send(SendWR(
-                    wr_id=_pull_id(sqe.cid), opcode=WrOpcode.RDMA_READ,
+                    wr_id=_PULL + sqe.cid, opcode=WrOpcode.RDMA_READ,
                     local_addr=data_addr, length=nbytes,
                     remote_addr=capsule.buffer_addr, rkey=capsule.rkey))
                 wc = yield pull_done
@@ -269,7 +273,7 @@ class SpdkTarget:
             # READ: push the data to the initiator's buffer, then the
             # response capsule; RC ordering keeps data ahead of it.
             conn.qp.post_send(SendWR(
-                wr_id=_data_id(cqe.cid), opcode=WrOpcode.RDMA_WRITE,
+                wr_id=_PUSH + cqe.cid, opcode=WrOpcode.RDMA_WRITE,
                 local_addr=ctx["slot"] + 4096, length=ctx["nbytes"],
                 remote_addr=capsule.buffer_addr, rkey=capsule.rkey))
         conn.slots.append(ctx["slot"])
@@ -280,7 +284,7 @@ class SpdkTarget:
                  cqe: CompletionEntry) -> t.Generator:
         rsp = ResponseCapsule(cqe)
         conn.qp.post_send(SendWR(
-            wr_id=_rsp_id(cqe.cid), opcode=WrOpcode.SEND,
+            wr_id=_RSP + cqe.cid, opcode=WrOpcode.SEND,
             inline_data=rsp.pack(), length=rsp.wire_size))
         yield self.sim.timeout(0)
 
@@ -289,15 +293,3 @@ class SpdkTarget:
         """Answer a command that never reaches the controller."""
         return self._respond(conn, CompletionEntry(cid=cid, status=status,
                                                    phase=0))
-
-
-def _pull_id(cid: int) -> int:
-    return 0x1_0000 + cid
-
-
-def _data_id(cid: int) -> int:
-    return 0x2_0000 + cid
-
-
-def _rsp_id(cid: int) -> int:
-    return 0x3_0000 + cid

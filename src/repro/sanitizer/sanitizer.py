@@ -414,10 +414,11 @@ class ShareSan:
                                       foreign)
 
     def on_doorbell_rung(self, qp, ticket, request) -> None:
-        # Only a tenant rings for itself (a private pair rings its own
-        # bell inside issue()): windows exist on shared QPs alone.
+        # Only a tenant's pair rings through its own ``ring`` step (a
+        # private pair rings the SQ tail): windows exist on shared QPs
+        # alone.
         client = self._owners.get(qp)
-        if qp.sq_bell or client is None:
+        if qp.ring is None or client is None:
             return
         self._bump("doorbells")
         win = self._windows.get((client.qid, client._tenant))

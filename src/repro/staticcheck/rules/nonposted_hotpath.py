@@ -10,9 +10,10 @@ memory.  Any register read (``_reg_read``) or NTB segment read
 point reintroduces the latency the paper works to eliminate.
 
 Detection is intra-class: entry points are methods whose name suggests
-the data path (submit/poll/irq/drain/...), reachability follows
-``self.method()`` edges, and a read is any call of a known non-posted
-primitive.  The deliberate ablation path (CQ in device-side memory)
+the data path (submit/issue/execute/poll/irq/drain/...), reachability
+follows ``self.method()`` edges, and a read is any call of a known
+non-posted primitive.  A transport's ``issue`` is an entry point of its
+own because the core's ``submit`` that calls it lives in a base class.  The deliberate ablation path (CQ in device-side memory)
 carries an explicit ``# staticcheck: ignore[no-nonposted-hotpath]``.
 """
 
@@ -29,7 +30,8 @@ from ..rule import FileContext, Rule
 
 #: method-name fragments that mark an I/O hot-path entry point
 ENTRY_PATTERN = re.compile(
-    r"submit|poll|irq|interrupt|drain|dispatch|ring|complete")
+    r"submit|issue|execute|poll|irq|interrupt|drain|dispatch|ring"
+    r"|complete")
 
 #: attribute names that are always non-posted register reads
 REGISTER_READS = frozenset({"_reg_read", "reg_read"})

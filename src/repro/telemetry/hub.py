@@ -560,8 +560,8 @@ class Telemetry:
                                 self.sim.now)
 
     def on_recovery(self, source, action, **detail) -> None:
-        if action == "timeout":
-            self.spans.unbind(source._qp.ctrl, source.qid, detail["cid"])
+        if action == "timeout":         # source: the command core
+            self.spans.unbind(source.ctrl, source.qid, detail["cid"])
 
     def on_lease_changed(self, manager, what, slot, qid, widx,
                          since_ns) -> None:

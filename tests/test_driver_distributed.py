@@ -322,13 +322,13 @@ class TestAdmissionClamp:
             sim, client, done, _ = self._clamped_run(n_parked)
             while client.throttled_ios < n_parked:
                 sim.step()
-            assert client._sq_space.waiting == n_parked
+            assert client._qp.space.waiting == n_parked
             if end == "crash":
                 client.crash()
             else:
                 sim.process(client.shutdown())
             sim.run(until=sim.all_of(done))
-            assert client._sq_space.waiting == 0
+            assert client._qp.space.waiting == 0
             assert not any(ev.value.ok for ev in done[1:])
 
 

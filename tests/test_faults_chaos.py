@@ -19,11 +19,13 @@ bounded by an explicit horizon — never ``sim.run()`` to exhaustion.
 
 import pytest
 
+import repro.run as run_mod
 from repro.driver import (STATUS_HOST_CRASHED, STATUS_HOST_SHUTDOWN,
                           AdminError, BlockRequest, ClientError,
                           DistributedNvmeClient)
 from repro.driver import metadata as meta
 from repro.faults import FaultEvent, FaultPlan
+from repro.run import RunSpec
 from repro.scenarios import CHAOS_RELIABILITY, chaos_cluster
 from repro.workloads import FioJob, fio_generator
 
@@ -296,6 +298,57 @@ class TestRandomPlanChaos:
             return sc.trace_log(), [(r.ios, r.errors) for r in results]
 
         assert one_run() == one_run()
+
+
+class FetchLedger:
+    """Probe subscriber: every ``(ctrl, qid, cid)`` a controller fetched,
+    and the ones it fetched again."""
+
+    def __init__(self):
+        self.fetched = set()
+        self.twice = []
+
+    def on_sqe_fetched(self, ctrl, qid, sqe, win, granted_at, wait_ns):
+        key = (ctrl.name, qid, sqe.cid)
+        if key in self.fetched:
+            self.twice.append(key)
+        self.fetched.add(key)
+
+
+class TestNoCommandFetchedTwice:
+    """A retry is a fresh command under a fresh cid, and no run here
+    wraps a cid counter or re-creates a queue, so a ``(ctrl, qid, cid)``
+    fetched twice is a command the controller executed twice — ShareSan
+    reports it as a double completion.
+
+    Seed 11 is ROADMAP open item (a): host2's SQE stores into slots 8/9
+    of its SQ land inside a ``link:host2`` outage and are lost; the
+    commands time out and are retried under fresh cids at later slots;
+    the retries' doorbell moves the tail past 8/9, and the controller
+    fetches what those slots still hold — lap 0's cid 0x9 (READ) and
+    0xa (WRITE), long completed — and executes them again.  A replayed
+    WRITE puts whatever that bounce partition holds now on the medium.
+    The CQ resync only delivers their CQEs."""
+
+    @pytest.mark.parametrize("seed", [
+        2,
+        pytest.param(11, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP open item (a): a lost SQE store "
+            "leaves the previous lap's command in its slot")),
+    ])
+    def test_random_plan_fetches_each_command_once(self, seed, monkeypatch):
+        ledger = FetchLedger()
+        build = run_mod._build
+
+        def watched(spec):
+            rig = build(spec)
+            rig.sim.probe.subscribe(ledger)
+            return rig
+
+        monkeypatch.setattr(run_mod, "_build", watched)
+        run_mod.run(RunSpec("chaos", faults="random", clients=3,
+                            rw="randrw", iodepth=4, ios=200, seed=seed))
+        assert ledger.fetched and ledger.twice == []
 
 
 class TestCreateQpRollback:

@@ -186,7 +186,8 @@ class TestHostileCapsules:
 
     def _post(self, bed, initiator, capsule):
         done = Event(bed.sim)
-        initiator._inflight[capsule.sqe.cid] = done
+        # A waiter in the command core, as its submit would register.
+        initiator.commands.inflight[capsule.sqe.cid] = done
         raw = capsule.pack()
         initiator.qp.post_send(SendWR(
             wr_id=capsule.sqe.cid, opcode=WrOpcode.SEND, inline_data=raw,
@@ -282,7 +283,7 @@ class TestHostileCapsules:
                 length=len(raw)))
         for _ in range(2):
             done = Event(bed.sim)
-            initiator._inflight[0x55] = done
+            initiator.commands.inflight[0x55] = done
             bed.sim.run(until=bed.sim.any_of((done,
                                               bed.sim.timeout(5_000_000))))
             assert done.triggered, "the target never answered"

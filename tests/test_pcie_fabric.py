@@ -620,6 +620,36 @@ def test_ring_mechanics_live_in_the_queue_pair_core():
     assert strays == []
 
 
+def test_a_commands_lifecycle_lives_in_the_queue_pair_core():
+    """What happens to a command between its cid and its verdict is
+    written once, in ``repro/driver/qpair.py`` (DESIGN.md): only there
+    are the ``STATUS_HOST_*`` verdicts assigned, and under ``driver/``
+    and ``nvmeof/`` only there is the recovery policy read, a 16-bit
+    cid counter kept, or a ``timeout``/``retry`` recovery emitted.  The
+    multipath layer takes its path-failure set from the core."""
+    root = pathlib.Path(repro.__file__).parent
+    verdicts = re.compile(r"^\s*STATUS_HOST_\w+ *=", re.M)
+    lifecycle = re.compile(r"command_timeout_ns|max_retries"
+                           r"|retry_backoff_ns|% *0x10000"
+                           r"|\"(timeout|retry)\"")
+    strays = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "driver/qpair.py":
+            continue
+        text = path.read_text()
+        if verdicts.search(text):
+            strays.append(f"{rel}: assigns STATUS_HOST_*")
+        if rel.startswith(("driver/", "nvmeof/")):
+            strays += [f"{rel}:{number}"
+                       for number, line in enumerate(text.splitlines(), 1)
+                       if lifecycle.search(line)]
+    assert strays == []
+    volume = (root / "cluster" / "volume.py").read_text()
+    assert "from ..driver.qpair import HOST_PATH_STATUSES" in volume
+    assert "from ..driver.client import" not in volume
+
+
 def test_observers_and_faults_are_wired_in_the_rig_builder():
     """Who watches or perturbs a cluster is decided in one place
     (DESIGN.md): hubs, sanitizers, fault registries, injectors and

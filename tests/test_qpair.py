@@ -88,13 +88,15 @@ class TestSubmit:
 
     def test_window_producer_stores_at_its_slots_and_never_rings(self):
         """A shared-QP tenant: slot window, tenant-tagged cids, doorbell
-        left to the tenant."""
-        rig = Rig(entries=4, first_slot=8, sq_bell=False, cq_bell=False,
+        left to the tenant's own ring step."""
+        rung = []
+        rig = Rig(entries=4, first_slot=8, ring=rung.append, cq_bell=False,
                   cid_base=0x3000, cid_span=0x1000)
         rig.submit()
         assert list(rig.qp.inflight) == [0x3001]
         assert SubmissionEntry.unpack(
             rig.memory.read(SQ_ADDR + 8 * 64, 64)).cid == 0x3001
+        assert rung == [None]               # once, after the store
         rig.complete(0x3001)
         assert rig.qp.drain() == 1
         assert rig.fabric.rings == []

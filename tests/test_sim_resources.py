@@ -559,7 +559,7 @@ class Turnstile:
         open): the guard, as a method, so that every waiter parked with
         ``shared=True`` and the same ``need`` hands the signal an equal
         bound method — the way the 40-odd submissions parked on one
-        client's clamp share ``client._clamp_holds``."""
+        client's clamp share its queue pair's ``_clamp_holds``."""
         self.evaluations += 1
         return self.open and self.tokens < need
 
