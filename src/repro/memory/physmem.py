@@ -1,9 +1,9 @@
 """Host physical memory with real byte contents and write watchpoints.
 
-Memory contents are stored *sparsely* (4 KiB extents materialised on
-first write) so hosts can present gigabytes of DRAM while the simulator
-only pays for pages the workload actually touches — the same technique
-the namespace store uses.  DMA and MMIO still move real bytes, so
+Memory contents live in a paged byte store (:mod:`repro.memory.paged`,
+the one the namespaces use too): hosts present gigabytes of DRAM while
+the simulator only pays for pages the workload wrote, and every read or
+write is one slice of it.  DMA and MMIO still move real bytes, so
 end-to-end tests can verify data integrity through every layer (block
 write on host A -> NVMe media -> block read on host B).
 
@@ -16,9 +16,8 @@ This models busy-polling without simulating billions of poll iterations.
 
 from __future__ import annotations
 
-import typing as t
-
 from ..sim import Signal, Simulator
+from .paged import paged_bytes
 
 
 class MemoryError_(Exception):
@@ -28,27 +27,21 @@ class MemoryError_(Exception):
 class Watchpoint:
     """A write-triggered signal over a physical address range."""
 
-    __slots__ = ("start", "end", "signal", "active")
+    __slots__ = ("start", "end", "signal")
 
     def __init__(self, sim: Simulator, start: int, end: int) -> None:
         self.start = start
         self.end = end
         self.signal = Signal(sim)
-        self.active = True
-
-    def overlaps(self, start: int, end: int) -> bool:
-        return self.active and self.start < end and start < self.end
 
 
 class HostMemory:
-    """Physical DRAM of one host (sparse backing).
+    """Physical DRAM of one host (paged backing).
 
     Addresses are *physical addresses within this host's address space*;
     the base is configurable so tests can assert nothing accidentally
     treats a physical address as a buffer offset.
     """
-
-    EXTENT = 4096
 
     def __init__(self, sim: Simulator, size: int,
                  base: int = 0x1000_0000, name: str = "mem") -> None:
@@ -58,7 +51,7 @@ class HostMemory:
         self.base = base
         self.size = size
         self.name = name
-        self._extents: dict[int, bytearray] = {}
+        self._bytes = paged_bytes(size)
         self._watchpoints: list[Watchpoint] = []
         self.probe = sim.probe
 
@@ -78,31 +71,14 @@ class HostMemory:
     # -- data access ---------------------------------------------------------
 
     def read(self, addr: int, length: int) -> bytes:
-        # hot-path: queue entries and doorbells are small aligned
-        # accesses that never straddle a 4 KiB extent — serve them with
-        # one dict probe and one slice.  Bounds check inlined; _check
-        # re-runs only to build the error message.
+        # hot-path: bounds check inlined; _check re-runs only to build
+        # the error message.
         offset = addr - self.base
         if offset < 0 or offset + length > self.size:
             self._check(addr, length)
         for f in self.probe.mem_event:
             f(self, "read", addr, length)
-        index, within = divmod(offset, self.EXTENT)
-        if within + length <= self.EXTENT:
-            extent = self._extents.get(index)
-            if extent is None:
-                return bytes(length)
-            return bytes(extent[within: within + length])
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            index, within = divmod(offset + pos, self.EXTENT)
-            run = min(length - pos, self.EXTENT - within)
-            extent = self._extents.get(index)
-            if extent is not None:
-                out[pos: pos + run] = extent[within: within + run]
-            pos += run
-        return bytes(out)
+        return self._bytes[offset: offset + length]
 
     def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
         # hot-path
@@ -112,30 +88,11 @@ class HostMemory:
             self._check(addr, length)
         for f in self.probe.mem_event:
             f(self, "write", addr, length)
-        if not isinstance(data, (bytes, bytearray)):
-            data = bytes(data)
-        index, within = divmod(offset, self.EXTENT)
-        if within + length <= self.EXTENT:
-            extent = self._extents.get(index)
-            if extent is None:
-                extent = bytearray(self.EXTENT)
-                self._extents[index] = extent
-            extent[within: within + length] = data
-            if self._watchpoints:
-                self._fire_watchpoints(addr, addr + length)
-            return
-        pos = 0
-        while pos < length:
-            index, within = divmod(offset + pos, self.EXTENT)
-            run = min(length - pos, self.EXTENT - within)
-            extent = self._extents.get(index)
-            if extent is None:
-                extent = bytearray(self.EXTENT)
-                self._extents[index] = extent
-            extent[within: within + run] = data[pos: pos + run]
-            pos += run
-        if self._watchpoints:
-            self._fire_watchpoints(addr, addr + length)
+        self._bytes[offset: offset + length] = data
+        end = addr + length
+        for wp in self._watchpoints:
+            if wp.start < end and addr < wp.end:
+                wp.signal.fire((addr, end))
 
     def read_u32(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 4), "little")
@@ -152,10 +109,6 @@ class HostMemory:
     def fill(self, addr: int, length: int, byte: int = 0) -> None:
         self.write(addr, bytes([byte]) * length)
 
-    def resident_bytes(self) -> int:
-        """Bytes of backing store actually materialised."""
-        return len(self._extents) * self.EXTENT
-
     # -- watchpoints ----------------------------------------------------------
 
     def watch(self, addr: int, length: int) -> Watchpoint:
@@ -167,16 +120,10 @@ class HostMemory:
         return wp
 
     def unwatch(self, wp: Watchpoint) -> None:
-        wp.active = False
         try:
             self._watchpoints.remove(wp)
         except ValueError:
             pass
-
-    def _fire_watchpoints(self, start: int, end: int) -> None:
-        for wp in self._watchpoints:
-            if wp.overlaps(start, end):
-                wp.signal.fire((start, end))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<HostMemory {self.name} base={self.base:#x} "

@@ -1,13 +1,15 @@
 """Namespace: the logical-block store behind the controller.
 
-Data is held sparsely (dict of 4 KiB extents) so a namespace can present
-hundreds of gigabytes while only written regions consume simulator RAM.
-Reads of never-written blocks return zeroes, as a freshly formatted
-device would.
+Data lives in a paged byte store (:mod:`repro.memory.paged`, the one
+host DRAM uses too), so a namespace can present hundreds of gigabytes
+while only written pages consume simulator RAM, and a block read or
+write is one slice of it.  Reads of never-written blocks return zeroes,
+as a freshly formatted device would.
 """
 
 from __future__ import annotations
 
+from ..memory.paged import paged_bytes
 from .constants import PAGE_SIZE
 from .structs import IdentifyNamespace
 
@@ -17,9 +19,7 @@ class NamespaceError(Exception):
 
 
 class Namespace:
-    """One NVMe namespace with real (sparse) data contents."""
-
-    EXTENT = PAGE_SIZE
+    """One NVMe namespace with real (paged) data contents."""
 
     def __init__(self, nsid: int, capacity_lbas: int,
                  lba_bytes: int = 512) -> None:
@@ -27,10 +27,14 @@ class Namespace:
             raise NamespaceError("NSID must be >= 1")
         if lba_bytes & (lba_bytes - 1) or lba_bytes < 512:
             raise NamespaceError("LBA size must be a power of two >= 512")
+        if capacity_lbas < 1:
+            raise NamespaceError("capacity must be at least one LBA")
         self.nsid = nsid
         self.capacity_lbas = capacity_lbas
         self.lba_bytes = lba_bytes
-        self._extents: dict[int, bytearray] = {}
+        self._bytes = paged_bytes(capacity_lbas * lba_bytes)
+        #: pages ever written: what ``written_bytes`` and NUSE report
+        self._written: set[int] = set()
 
     @property
     def capacity_bytes(self) -> int:
@@ -49,53 +53,27 @@ class Namespace:
     def read_blocks(self, slba: int, nblocks: int) -> bytes:
         self.check_range(slba, nblocks)
         start = slba * self.lba_bytes
-        length = nblocks * self.lba_bytes
-        out = bytearray(length)
-        for chunk_start, chunk in self._extent_runs(start, length):
-            out[chunk_start - start: chunk_start - start + len(chunk)] = chunk
-        return bytes(out)
+        return self._bytes[start: start + nblocks * self.lba_bytes]
 
     def write_blocks(self, slba: int, data: bytes) -> None:
-        if len(data) % self.lba_bytes:
+        length = len(data)
+        if length % self.lba_bytes:
             raise NamespaceError(
-                f"write length {len(data)} not a multiple of LBA size")
-        nblocks = len(data) // self.lba_bytes
-        self.check_range(slba, nblocks)
+                f"write length {length} not a multiple of LBA size")
+        self.check_range(slba, length // self.lba_bytes)
         start = slba * self.lba_bytes
-        offset = 0
-        while offset < len(data):
-            pos = start + offset
-            extent_index = pos // self.EXTENT
-            within = pos % self.EXTENT
-            run = min(len(data) - offset, self.EXTENT - within)
-            extent = self._extents.get(extent_index)
-            if extent is None:
-                extent = bytearray(self.EXTENT)
-                self._extents[extent_index] = extent
-            extent[within: within + run] = data[offset: offset + run]
-            offset += run
-
-    def _extent_runs(self, start: int, length: int):
-        """Yield (absolute_offset, bytes) for populated regions."""
-        first = start // self.EXTENT
-        last = (start + length - 1) // self.EXTENT
-        for index in range(first, last + 1):
-            extent = self._extents.get(index)
-            if extent is None:
-                continue
-            ext_start = index * self.EXTENT
-            lo = max(start, ext_start)
-            hi = min(start + length, ext_start + self.EXTENT)
-            yield lo, bytes(extent[lo - ext_start: hi - ext_start])
+        self._bytes[start: start + length] = data
+        self._written.update(range(start // PAGE_SIZE,
+                                   (start + length - 1) // PAGE_SIZE + 1))
 
     def written_bytes(self) -> int:
-        """Bytes of backing store actually materialised."""
-        return len(self._extents) * self.EXTENT
+        """Bytes of the pages ever written: what the store materialised."""
+        return len(self._written) * PAGE_SIZE
 
     def identify(self) -> IdentifyNamespace:
         return IdentifyNamespace(
             nsze=self.capacity_lbas,
             ncap=self.capacity_lbas,
-            nuse=len(self._extents) * self.EXTENT // self.lba_bytes,
+            nuse=self.written_bytes() // self.lba_bytes,
             lba_shift=self.lba_bytes.bit_length() - 1,
         )

@@ -8,8 +8,10 @@ sanitizer never sees is a blind spot in every detector downstream.
 
 Per function, in ``repro/memory/physmem.py`` and
 ``repro/nvme/queues.py``: assigning (or aug-assigning) ``self.head``,
-``self.tail``, ``self.db_tail`` or ``self.phase``, or storing into
-``self._extents[...]``, requires the function to emit on the probe —
+``self.tail``, ``self.db_tail`` or ``self.phase``, or storing into a
+subscript of the instance's own state (``self.<store>[...] = ...``, such
+as a slice of the paged byte store), requires the function to emit on
+the probe —
 the seam's one idiom, ``for f in self.probe.<event>: f(...)``
 (:mod:`repro.sim.probe`).  A deliberate silent site takes an explicit
 ``# staticcheck: ignore[sanitizer-hook]`` with a justification.
@@ -45,7 +47,7 @@ def _is_mutation(target: ast.AST) -> bool:
             and target.value.id == "self"):
         return True
     return (isinstance(target, ast.Subscript)
-            and dotted_name(target.value) == "self._extents")
+            and (dotted_name(target.value) or "").startswith("self."))
 
 
 @register

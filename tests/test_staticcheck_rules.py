@@ -533,6 +533,13 @@ def test_sanitizer_hook_covers_extent_stores_and_suppression(tmp_path):
                 self._extents[index] = data
     """, rel="repro/memory/physmem.py")
     assert [f.rule for f in flagged] == ["sanitizer-hook"]
+    # the paged store's slice store is a backing-store store too
+    flagged = run_rule(tmp_path, "sanitizer-hook", """
+        class Mem:
+            def poke(self, offset, data):
+                self._bytes[offset: offset + len(data)] = data
+    """, rel="repro/memory/physmem.py")
+    assert [f.rule for f in flagged] == ["sanitizer-hook"]
     suppressed = run_rule(tmp_path, "sanitizer-hook", """
         class Mem:
             def poke(self, index, data):
