@@ -110,6 +110,9 @@ class NvmeController(PCIeFunction):
         self.fetches = 0
         self.fetch_retries = 0
         self.bad_doorbells = 0
+        #: how ``resolve_prps`` reads a PRP list page: the fabric read
+        #: itself, with no generator frame of its own to resume
+        self._read_list_page = lambda addr: self.dma_read(addr, PAGE_SIZE)
 
     # ------------------------------------------------------------------ MMIO
 
@@ -582,7 +585,7 @@ class NvmeController(PCIeFunction):
         try:
             if opcode in (IoOpcode.READ, IoOpcode.WRITE, IoOpcode.COMPARE):
                 segs = yield from resolve_prps(sqe.prp1, sqe.prp2, nbytes,
-                                               self._read_prp_page)
+                                               self._read_list_page)
             if opcode != IoOpcode.READ:
                 for addr, size in segs:
                     part = yield from self.dma_read(addr, size)
@@ -625,10 +628,6 @@ class NvmeController(PCIeFunction):
         elif opcode == IoOpcode.WRITE_ZEROES:
             ns.write_blocks(sqe.slba, bytes(nbytes))
         yield from self._complete(sq, sqe, status, 0, win=win)
-
-    def _read_prp_page(self, addr: int):
-        data = yield from self.dma_read(addr, PAGE_SIZE)
-        return data
 
     # ------------------------------------------------------------ completion
 

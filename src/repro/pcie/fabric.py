@@ -54,6 +54,7 @@ from ..config import PcieConfig
 from ..memory import HostMemory
 from ..sim import Event, HoldPlan, Simulator
 from ..sim.core import URGENT
+from ..sim.resources import Hold
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -65,11 +66,15 @@ from .topology import Cluster, Host, Node
 MAX_NTB_CROSSINGS = 3
 
 
-class _PostedWrite(Event):
+class _PostedWrite(Hold):
     """One posted-write TLP in flight; the record *is* its delivery
     event.  It is queued once, for the delivery instant: by the inline
-    issue or, when a link was busy, by :meth:`_held` once the hold
-    started from the boot event has the links — callbacks, no process."""
+    issue or, when a link was busy, by :meth:`_held`.  A queued TLP is
+    its own :class:`~repro.sim.resources.Hold`: it walks its plan's links
+    from the boot event and, once it holds them and the pipe has
+    filled, pushes itself for delivery — callbacks, no process, no
+    second record.  Interrupting a process parked on it does not cancel
+    the walk (a posted write, once issued, is delivered)."""
 
     __slots__ = ("fabric", "flow", "addr", "data", "boot")
 
@@ -439,7 +444,7 @@ class Fabric:
             if boot is None:
                 tlp.boot = boot = Event(sim)
                 sim._push(boot, 0, URGENT)
-            plan.hold(boot).callbacks.append(tlp._held)
+            tlp._start(plan, boot)
             return tlp
         # :meth:`_arrival` with the pipe still to fill, inline (its one
         # call would be a tenth of what an uncontended issue makes).

@@ -171,7 +171,8 @@ class HoldPlan:
         self.sim = sim
         self.resources = tuple(resource for resource, _hold in pairs)
         self.timers = tuple(
-            (hold, _giver(tuple(r for r, h in pairs if h == hold)), Event(sim))
+            (hold, _giver(sim, tuple(r for r, h in pairs if h == hold)),
+             Event(sim))
             for hold in holds)
         for _hold, _give, timer in self.timers:     # idle until armed
             timer.callbacks = timer._value = None
@@ -206,23 +207,32 @@ class HoldPlan:
                 timer.callbacks.append(give)
         return timer
 
-    def hold(self, boot: Event | None = None) -> Event:
+    def hold(self) -> Event:
         """:meth:`take`, or queue FIFO for what is busy (:class:`Hold`);
-        either way the event fires once ``fill`` has elapsed.  With
-        ``boot``, start claiming when that (pending) event is processed."""
+        either way the event fires once ``fill`` has elapsed."""
         # hot-path
-        timer = self.take() if boot is None else None
-        return timer or Hold(self, boot)
+        return self.take() or Hold(self)
 
 
-def _giver(resources: tuple[Resource, ...]) -> t.Callable[[Event], None]:
+def _giver(sim: "Simulator",
+           resources: tuple[Resource, ...]) -> t.Callable[[Event], None]:
     """Release-timer callback returning one unit to each of
     ``resources``, in order (prebuilt: a release allocates nothing)."""
+    at = sim._at
+
     def give_all(_event: Event) -> None:
-        # hot-path
+        # hot-path: Resource.give inline — the oldest waiter's grant is
+        # the same zero-delay NORMAL push, at the same place in the queue
         for resource in resources:
-            if resource._waiting:
-                resource.give()
+            waiting = resource._waiting
+            if waiting:
+                grant = waiting.popleft()
+                grant._value = grant
+                now = sim._now
+                if now in at:
+                    at[now].append(grant)
+                else:
+                    sim._push(grant, 0)
             else:
                 resource._free += 1
     return give_all
@@ -231,21 +241,37 @@ def _giver(resources: tuple[Resource, ...]) -> t.Callable[[Event], None]:
 class Hold(Event):
     """A :meth:`HoldPlan.hold` that must wait: a record that walks the
     plan's resources in order from plain callbacks — a free one is
-    claimed by count, a busy one queued for with a :class:`Request`
-    whose grant resumes the walk — and then starts the release timers.
-    Never queued itself: subscribers run from the last timer's event."""
+    claimed by count, a busy one queued for with the hold's one grant
+    :class:`Request`, armed again for each busy link, whose dispatch
+    resumes the walk — and then starts the release timers.  Never
+    queued itself: :meth:`_held` runs from the last timer's event and
+    fires the subscribers.  A subclass record that is an event of its
+    own (a queued posted write, :mod:`repro.pcie.fabric`) sets its
+    event fields itself, starts the walk with :meth:`_start` and
+    overrides :meth:`_held`."""
 
-    __slots__ = ("plan", "_index", "_request")
+    __slots__ = ("plan", "_index", "_grant")
 
-    def __init__(self, plan: HoldPlan, boot: Event | None) -> None:
-        Event.__init__(self, plan.sim)
+    def __init__(self, plan: HoldPlan) -> None:
+        # hot-path: Event's fields inline (no Event.__init__ frame)
+        self.sim = plan.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
         self.plan = plan
         self._index = 0     # resources[:_index] held or, the last, awaited
-        self._request = None
-        if boot is None:
-            self._claim(None)
-        else:
-            boot.callbacks.append(self._claim)
+        self._grant = None
+        self._claim(None)
+
+    def _start(self, plan: HoldPlan, boot: Event) -> None:
+        """Walk ``plan`` once ``boot`` (pending) is processed; the event
+        fields are the subclass record's own."""
+        self.plan = plan
+        self._index = 0
+        self._grant = None
+        boot.callbacks.append(self._claim)
 
     def _claim(self, _grant: Event | None) -> None:
         # hot-path
@@ -256,19 +282,20 @@ class Hold(Event):
             if resource._free:
                 resource._free -= 1
                 continue
-            req = Request.__new__(Request)
-            req.sim = plan.sim
-            req.callbacks = [self._claim]
-            req._value = _PENDING
-            req._ok = True
-            req._processed = False
-            req._defused = False
-            req.resource = resource
-            resource._waiting.append(req)
-            self._request = req
+            grant = self._grant
+            if grant is None:
+                grant = self._grant = Request.__new__(Request)
+                grant.sim = plan.sim
+                grant._ok = True
+                grant._defused = False
+            # (re-)arm: a grant seen before was dispatched into this call
+            grant.callbacks = [self._claim]
+            grant._value = _PENDING
+            grant._processed = False
+            grant.resource = resource
+            resource._waiting.append(grant)
             self._index = index
             return
-        self._request = None
         sim = plan.sim
         at = sim._at
         for hold, give, timer in plan.timers:       # as HoldPlan.take
@@ -284,9 +311,10 @@ class Hold(Event):
             else:
                 timer = sim.timeout(hold)
                 timer.callbacks.append(give)
-        timer.callbacks.append(self._fire)
+        timer.callbacks.append(self._held)
 
-    def _fire(self, _timer: Event) -> None:
+    def _held(self, _timer: Event) -> None:
+        """Everything held and the pipe filled: fire the subscribers."""
         # hot-path
         callbacks, self.callbacks = self.callbacks, None
         self._value = None
@@ -298,12 +326,13 @@ class Hold(Event):
         """Abandon the claim: leave the FIFO and give back every unit
         taken so far (:meth:`Process.interrupt` does, for the event its
         target is parked on).  A no-op once everything is held — the
-        release timers own the units by then."""
-        req, self._request = self._request, None
-        if req is not None:
-            req.callbacks = []      # a grant already queued wakes nobody
+        grant's last dispatch is behind it, and the release timers own
+        the units by then."""
+        grant, self._grant = self._grant, None
+        if grant is not None and not grant._processed:
+            grant.callbacks = []    # a grant already queued wakes nobody
             *held, awaited = self.plan.resources[:self._index]
-            awaited.release(req)
+            awaited.release(grant)
             for resource in held:
                 resource.give()
 

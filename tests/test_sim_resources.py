@@ -430,6 +430,56 @@ class TestHoldPlan:
         assert (pair.count, pair.queued) == (0, 0)
         assert plan.take() is first                 # idle again: reused
 
+    def test_cancel_with_the_rearmed_grant_queued_returns_every_unit(
+            self, sim):
+        """A hold keeps one grant and arms it again for each busy link
+        it queues on.  Cancelled while that grant waits at the third
+        link, it gives back the two units it took, and nothing it
+        queued for wakes it (or anyone) afterwards."""
+        a, b, c = Resource(sim), Resource(sim), Resource(sim)
+        for link, hold in ((a, 5), (b, 10), (c, 15)):
+            assert HoldPlan(sim, [(link, hold)]).take() is not None
+        hold = HoldPlan(sim, [(a, 20), (b, 20), (c, 20)]).hold()
+        fired = []
+        hold.callbacks.append(fired.append)
+        grant, = a._waiting
+        sim.run(until=5)            # a handed over: the walk queues at b
+        assert a.count == 1 and list(b._waiting) == [grant]
+        sim.run(until=10)           # b handed over: it queues at c
+        assert b.count == 1 and list(c._waiting) == [grant]
+        assert grant.resource is c and not grant.processed
+        hold.cancel()
+        assert (a.count, b.count, c.count, c.queued) == (0, 0, 1, 0)
+        sim.run()                   # c's own release frees it
+        assert fired == [] and not hold.triggered
+        assert (a.count, b.count, c.count) == (0, 0, 0)
+        # three release timers and the two hand-overs, nothing else
+        assert sim.events_processed == 5
+
+    def test_queued_hold_cost_from_issue_to_fill(self, sim):
+        """Budget: a hold that finds its second link busy, from issue to
+        fill: ``hold`` and ``take``, the hold's frame, two walks of
+        ``_claim``, the busy plan's release handing the link over inline,
+        the hold's two release timers and ``_held`` — no ``Event.__init__``
+        or ``Resource.give`` frame (with them: 22 calls, 648 bytecodes)."""
+        a, b = Resource(sim), Resource(sim)
+        busy = HoldPlan(sim, [(b, 5)])
+        plan = HoldPlan(sim, [(a, 10), (b, 20)])
+
+        def issue_to_fill():
+            plan.hold()
+            sim.run()
+
+        empty = cost(lambda: None)
+        for _ in range(3):          # warm: every timer idle again
+            assert busy.take() is not None
+            issue_to_fill()
+        assert busy.take() is not None
+        calls, bytecodes = cost(issue_to_fill)
+        assert sim.events_processed == 4 * 4
+        assert calls - empty[0] == 20
+        assert bytecodes - empty[1] <= 623
+
     @settings(max_examples=300, deadline=None)
     @given(schedule=st.lists(st.tuples(
         st.integers(0, 12),
