@@ -61,8 +61,8 @@ class AdminQueues:
                                value.to_bytes(width, "little"))
 
     def _reg_read(self, offset: int, width: int = 4):
-        data = yield from self.fabric.read(self.host.rc, self.host,
-                                           self.bar + offset, width)
+        data = yield self.fabric.read(self.host.rc, self.host,
+                                      self.bar + offset, width)
         return int.from_bytes(data, "little")
 
     # -- bring-up -----------------------------------------------------------

@@ -126,7 +126,7 @@ class DistributedNvmeClient(BlockDevice):
         # Read the manager's metadata segment.
         meta_node, meta_seg = self.smartio.device_metadata(self.device_id)
         self._meta_conn = self.node.connect_segment(meta_node, meta_seg)
-        raw = yield from self._meta_conn.read(0, meta.HEADER_SIZE)
+        raw = yield self._meta_conn.read(0, meta.HEADER_SIZE)
         header = meta.unpack_header(raw)
         self.lba_bytes = header["lba_bytes"]
         self.capacity_lbas = header["capacity_lbas"]
@@ -436,13 +436,13 @@ class DistributedNvmeClient(BlockDevice):
                                  share_node=share_node,
                                  share_seg=share_seg)
         while True:
-            yield from self._meta_conn.write_wait(offset, payload)
+            yield self._meta_conn.write_wait(offset, payload)
             resend = False
             while True:
                 yield self.sim.timeout(cfg.rpc_poll_ns)
                 try:
-                    raw = yield from self._meta_conn.read(offset,
-                                                          meta.SLOT_SIZE)
+                    raw = yield self._meta_conn.read(offset,
+                                                     meta.SLOT_SIZE)
                 except FabricFaultError:
                     # Path to the manager severed mid-RPC; keep polling
                     # until the link heals (setup path, latency is fine).
@@ -458,7 +458,7 @@ class DistributedNvmeClient(BlockDevice):
                     break
             if not resend:
                 break
-        yield from self._meta_conn.write_wait(
+        yield self._meta_conn.write_wait(
             offset, meta.pack_slot(meta.SLOT_FREE))
         return resp
 
@@ -560,7 +560,7 @@ class DistributedNvmeClient(BlockDevice):
                 # This read across the NTB is the point of the ablation.
                 try:
                     # staticcheck: ignore[no-nonposted-hotpath] deliberate Fig. 8 counter-example
-                    raw = yield from self._cq_conn.read(cq.head * 16, 16)
+                    raw = yield self._cq_conn.read(cq.head * 16, 16)
                 except FabricFaultError:
                     # Severed path: back off, poll again when it heals.
                     yield self.sim.timeout(cfg.poll_interval_ns * 10)

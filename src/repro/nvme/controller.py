@@ -110,8 +110,8 @@ class NvmeController(PCIeFunction):
         self.fetches = 0
         self.fetch_retries = 0
         self.bad_doorbells = 0
-        #: how ``resolve_prps`` reads a PRP list page: the fabric read
-        #: itself, with no generator frame of its own to resume
+        #: how ``resolve_prps`` reads a PRP list page: the fabric read's
+        #: event, for ``resolve_prps`` to yield
         self._read_list_page = lambda addr: self.dma_read(addr, PAGE_SIZE)
 
     # ------------------------------------------------------------------ MMIO
@@ -313,8 +313,7 @@ class NvmeController(PCIeFunction):
                 continue
             slot = state.head
             try:
-                raw = yield from self.dma_read(state.slot_addr(slot),
-                                               SQE_SIZE)
+                raw = yield self.dma_read(state.slot_addr(slot), SQE_SIZE)
             except FabricFaultError:
                 # Fetch lost in the fabric: head is not advanced, so the
                 # controller re-fetches the same slot after a pause —
@@ -366,8 +365,8 @@ class NvmeController(PCIeFunction):
                 continue
             granted_at = sim.now
             try:
-                raw = yield from self.dma_read(win.slot_addr(state.base_addr),
-                                               SQE_SIZE)
+                raw = yield self.dma_read(win.slot_addr(state.base_addr),
+                                          SQE_SIZE)
             except FabricFaultError:
                 # Same retry discipline as the private path: the window
                 # head is not advanced, so the same slot is re-fetched.
@@ -449,7 +448,7 @@ class NvmeController(PCIeFunction):
         if sqe.prp1 == 0 or sqe.prp1 % PAGE_SIZE:
             return Status.INVALID_FIELD, 0
         assert len(payload) == IDENTIFY_SIZE
-        yield from self.fabric_write_wait(sqe.prp1, payload)
+        yield self.dma_write(sqe.prp1, payload)
         return Status.SUCCESS, 0
 
     def _admin_create_cq(self, sqe: SubmissionEntry) -> int:
@@ -588,7 +587,7 @@ class NvmeController(PCIeFunction):
                                                self._read_list_page)
             if opcode != IoOpcode.READ:
                 for addr, size in segs:
-                    part = yield from self.dma_read(addr, size)
+                    part = yield self.dma_read(addr, size)
                     parts.append(part)
         except PrpError:
             yield from self._complete(sq, sqe, Status.INVALID_FIELD, 0,
@@ -649,8 +648,8 @@ class NvmeController(PCIeFunction):
         # CQE write is posted; we wait for delivery only to order the
         # interrupt behind it (hardware achieves the same via PCIe
         # ordering rules; the fabric clamp plus this wait are equivalent).
-        yield from self.fabric.write(self.node, self.host,
-                                     cq.state.slot_addr(slot), cqe.pack())
+        yield self.fabric.write(self.node, self.host,
+                                cq.state.slot_addr(slot), cqe.pack())
         self.commands_completed += 1
         for f in self.probe.cqe_posted:
             f(self, sq.state.qid, sqe.cid, int(status))
@@ -664,10 +663,6 @@ class NvmeController(PCIeFunction):
                     entry.data.to_bytes(4, "little"))
 
     # -------------------------------------------------------------- helpers
-
-    def fabric_write_wait(self, addr: int, data: bytes):
-        """Posted write, but the caller waits for delivery (ordering)."""
-        yield from self.fabric.write(self.node, self.host, addr, data)
 
     @property
     def io_queue_count(self) -> int:

@@ -102,9 +102,9 @@ def resolve_prps(prp1: int, prp2: int, length: int, read_page,
                  page_size: int = PAGE_SIZE):
     """Generator: yield fabric events while resolving PRPs to segments.
 
-    ``read_page(addr) -> generator returning bytes`` performs the DMA
-    read of a PRP list page (charged to the controller).  Returns the
-    ``(addr, size)`` segments of the data buffer.
+    ``read_page(addr)`` returns the event of the DMA read of a PRP list
+    page (charged to the controller), which fires with the page's
+    bytes.  Returns the ``(addr, size)`` segments of the data buffer.
     """
     if length <= 0:
         raise PrpError("transfer length must be positive")
@@ -130,7 +130,7 @@ def resolve_prps(prp1: int, prp2: int, length: int, read_page,
     per_page = page_size // 8
     list_addr = prp2
     while remaining > 0:
-        page = yield from read_page(list_addr)
+        page = yield read_page(list_addr)
         # Determine how many data pointers this page holds: if the
         # remaining transfer needs more than (per_page-1) more pages,
         # the last slot is a chain pointer.  Only the slots the transfer

@@ -99,15 +99,18 @@ class PCIeFunction:
     # -- DMA helpers (the function acting as bus master) --------------------
 
     def dma_read(self, addr: int, length: int):
-        """Generator: read ``length`` bytes at ``addr`` in the function's
-        host address space (non-posted, full round trip)."""
+        """Read ``length`` bytes at ``addr`` in the function's host
+        address space (non-posted, full round trip): the fabric's read
+        event, which fires with the bytes — ``data = yield
+        dev.dma_read(...)``."""
         assert self.fabric is not None and self.host and self.node
         return self.fabric.read(self.node, self.host, addr, length)
 
     def dma_write(self, addr: int, data: bytes):
-        """Generator: posted write; completes when the write is *delivered*
-        (device models typically don't wait on it, but the generator lets
-        them when ordering matters)."""
+        """Posted write whose *delivery* the caller waits on: the
+        fabric's delivery event, ``yield dev.dma_write(...)`` (device
+        models typically don't wait, :meth:`Fabric.post_write`, but may
+        when ordering matters)."""
         assert self.fabric is not None and self.host and self.node
         return self.fabric.write(self.node, self.host, addr, data)
 

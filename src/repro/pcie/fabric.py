@@ -19,6 +19,14 @@ posted writes on the same initiator->destination flow is enforced with a
 monotonic-arrival clamp, so an SQE write always lands before the doorbell
 write that follows it.
 
+**Every TLP is a record**: an event that walks the transaction's steps
+from plain callbacks, no coroutine — a posted write (:class:`_PostedWrite`,
+its own delivery event), a waited write (:class:`_WaitedWrite`) and a
+non-posted read (:class:`_Read`).  A caller yields the one it waits for,
+``data = yield fabric.read(...)``; the steps, their pushes and their
+draws are where a coroutine had them (docs/performance.md, "Order
+preservation").
+
 **Flow records.**  Queue slots, doorbells and bounce-buffer partitions
 are hit by the same initiator with the same ``(host, addr, length)``
 millions of times per run, and nothing such a TLP needs ever changes
@@ -54,7 +62,8 @@ from ..config import PcieConfig
 from ..memory import HostMemory
 from ..sim import Event, HoldPlan, Simulator
 from ..sim.core import URGENT
-from ..sim.resources import Hold
+from ..sim.events import _PENDING
+from ..sim.resources import Hold, Record
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -95,11 +104,143 @@ class _PostedWrite(Hold):
         for f in fabric.probe.tlp_done:
             f(fabric, False, self.addr, len(data), res, None)
 
+    def cancel(self) -> None:
+        """Nothing to cancel: the walk goes on without the waiter."""
 
-#: :meth:`Fabric.post_write`'s return for a dropped write (no delivery
-#: event): callers only ever probe ``.callbacks``, guarding on None.
-_TICKET = _PostedWrite.__new__(_PostedWrite)
-_TICKET.callbacks = None
+
+class _WaitedWrite(_PostedWrite):
+    """A :meth:`Fabric.write`: a posted write whose issuer waits for its
+    delivery, and so owns it.  Its walk starts inline (no boot); the
+    arrival is drawn once the links are held and the pipe has filled,
+    and the delivery runs ahead of the waiter's resume.  Interrupting
+    the waiter stops the TLP where a coroutine would have stopped:
+    queueing, it leaves the FIFO; filling, :meth:`_held` pushes nothing;
+    queued for delivery, it is dispatched and delivers nothing."""
+
+    __slots__ = ()
+
+    def _held(self, _fill: Event) -> None:
+        # hot-path
+        if self.callbacks:      # else the waiter left (cancel)
+            sim = self.sim
+            sim._push(self, self.fabric._arrival(self.flow) - sim._now)
+
+    def cancel(self) -> None:
+        Hold.cancel(self)
+        self.callbacks = []
+
+
+#: What :meth:`Fabric.write` and :meth:`Fabric.post_write` return for a
+#: dropped write: an event already processed (a waiter's ``yield``
+#: resumes at once, with None) whose ``callbacks`` is None, so nothing
+#: can subscribe to a delivery that never comes.
+DROPPED = _PostedWrite.__new__(_PostedWrite)
+DROPPED.callbacks = None
+DROPPED._value = None
+DROPPED._ok = True
+DROPPED._processed = True
+DROPPED._defused = False
+
+
+class _Read(Record):
+    """One non-posted read in flight, walked from callbacks: request
+    leg (links, then the flight on the record's timer), target service
+    (the timer again), completion leg (links, flight).  The last step
+    runs the subscribers inline with the data, where the coroutine's
+    ``return data`` resumed its caller.  A dropped request sits out the
+    completion timeout and fails with :class:`FabricFaultError`, a
+    short MMIO read fails with :class:`AddressError` (``Record._fail``).
+    The data read at the target waits in ``data`` for the way back."""
+
+    __slots__ = ("fabric", "flow", "addr", "length", "data")
+
+    def _sent(self, _fill: Event | None) -> None:
+        """The request holds its links (if any) and has filled: fly.
+        ``Fabric.faults`` is read here, not at issue as the coroutine
+        read it: the two differ only for a registry swapped in while a
+        read is queued or filling, which no rig does."""
+        # hot-path
+        if self.callbacks is None:
+            return              # the waiter left while the pipe filled
+        flow = self.flow
+        latency = flow.fixed
+        for draw in flow.draws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
+        faults = self.fabric.faults
+        if faults is not None:
+            latency += faults.tlp_delay_ns(*flow.ends)
+        self._arm(latency, self._arrived)
+
+    def _arrived(self, _timer: Event) -> None:
+        """At the target: its service time."""
+        # hot-path
+        self._arm(self.flow.service, self._served)
+
+    def _served(self, _timer: Event) -> None:
+        """Serviced: fetch the data, then take the way back."""
+        # hot-path
+        flow = self.flow
+        res = flow.res
+        length = self.length
+        if res.kind == "mem":
+            self.data = res.memory.read(res.addr, length)
+        else:
+            self.data = data = res.bar.function.mmio_read(
+                res.bar, res.offset, length)
+            if len(data) != length:
+                self._fail(AddressError(
+                    f"{res.bar.function.name} returned {len(data)} "
+                    f"bytes for a {length}-byte read"))
+                return
+        plan = flow.rplan
+        if not plan:
+            self._returned(None)
+        elif (fill := plan.take()) is not None:
+            fill.callbacks.append(self._returned)
+        else:
+            self.plan = plan
+            self._index = 0
+            self._step = self._returned
+            self._claim(None)
+
+    def _returned(self, _fill: Event | None) -> None:
+        """The completion holds its links (if any) and has filled."""
+        # hot-path
+        if self.callbacks is None:
+            return              # the waiter left while the pipe filled
+        flow = self.flow
+        latency = flow.rfixed
+        for draw in flow.rdraws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
+        self._arm(latency, self._done)
+
+    def _done(self, _timer: Event) -> None:
+        """The completion is back: the data goes to the subscribers."""
+        # hot-path
+        fabric = self.fabric
+        for f in fabric.probe.tlp_done:
+            f(fabric, True, self.addr, self.length, self.flow.res, None)
+        callbacks, self.callbacks = self.callbacks, None
+        self._value = self.data
+        self._processed = True
+        for callback in callbacks:
+            callback(self)
+
+    def _timed_out(self, point: str) -> None:
+        """The completion timeout of a request dropped at ``point`` ran
+        out."""
+        fabric = self.fabric
+        for f in fabric.probe.tlp_done:
+            f(fabric, True, self.addr, 0, None, point)
+        self._fail(FabricFaultError(point, self.addr))
 
 
 class FabricFaultError(Exception):
@@ -337,13 +478,15 @@ class Fabric:
     # -- transactions ------------------------------------------------------------
 
     def write(self, initiator: Node, host: Host, addr: int,
-              data: bytes | bytearray | memoryview):
-        """Posted memory write (generator; returns at *delivery* time).
+              data: bytes | bytearray | memoryview) -> Event:
+        """Posted memory write whose delivery the caller waits on:
+        returns the delivery event, ``yield fabric.write(...)``.  The
+        TLP is a record (:class:`_WaitedWrite`) walking from the call; a
+        dropped write returns :data:`DROPPED`, already processed.
 
-        Callers that do not need to observe delivery should use
-        :meth:`post_write`, which returns at once — that is the
-        hardware-accurate behaviour for CPU stores and device DMA
-        writes.
+        Callers that do not wait for delivery should use
+        :meth:`post_write`, the hardware-accurate behaviour for CPU
+        stores and device DMA writes: its TLP belongs to no waiter.
         """
         # hot-path
         if type(data) is not bytes:
@@ -353,20 +496,32 @@ class Fabric:
             flow = self._flow(False, initiator, host, addr, length)
         except FabricFaultError as lost:
             self._drop_write(lost.point, addr, length)
-            return
+            return DROPPED
         self.posted_writes += 1
         self.posted_bytes += length
-        if flow.plan:
-            yield flow.plan.hold()
         sim = self.sim
-        yield sim.sleep(self._arrival(flow) - sim._now)
-        res = flow.res
-        if res.kind == "mem":
-            res.memory.write(res.addr, data)
+        tlp = _WaitedWrite.__new__(_WaitedWrite)
+        tlp.sim = sim
+        tlp.callbacks = [tlp._deliver]
+        tlp._value = None
+        tlp._ok = True
+        tlp._processed = False
+        tlp._defused = False
+        tlp._grant = None
+        tlp.fabric = self
+        tlp.flow = flow
+        tlp.addr = addr
+        tlp.data = data
+        plan = flow.plan
+        if not plan:
+            sim._push(tlp, self._arrival(flow) - sim._now)
+        elif (fill := plan.take()) is not None:
+            fill.callbacks.append(tlp._held)
         else:
-            res.bar.function.mmio_write(res.bar, res.offset, data)
-        for f in self.probe.tlp_done:
-            f(self, False, addr, length, res, None)
+            tlp.plan = plan
+            tlp._index = 0
+            tlp._claim(None)
+        return tlp
 
     def _arrival(self, flow: _Flow) -> int:
         """Delivery instant of a posted write whose links are held and
@@ -404,7 +559,7 @@ class Fabric:
 
         Returns an event that triggers at delivery (callers may append
         callbacks to it); a dropped write has no delivery instant and
-        returns an inert ticket whose ``callbacks`` is None.  ``after``
+        returns :data:`DROPPED`, whose ``callbacks`` is None.  ``after``
         is for :meth:`post_writes`.
         """
         # hot-path: with every link on the path free the whole issue runs
@@ -419,7 +574,7 @@ class Fabric:
             flow = self._flow(False, initiator, host, addr, length)
         except FabricFaultError as lost:
             self._drop_write(lost.point, addr, length)
-            return _TICKET
+            return DROPPED
         self.posted_writes += 1
         self.posted_bytes += length
         sim = self.sim
@@ -477,77 +632,65 @@ class Fabric:
         after = None
         for addr, data in segments:
             tlp = self.post_write(initiator, host, addr, data, after)
-            if tlp is not _TICKET:
+            if tlp is not DROPPED:
                 after = tlp
 
-    def read(self, initiator: Node, host: Host, addr: int, length: int):
-        """Non-posted memory read (generator; returns the data bytes).
+    def read(self, initiator: Node, host: Host, addr: int,
+             length: int) -> Event:
+        """Non-posted memory read: returns the event that fires with the
+        data bytes, ``data = yield fabric.read(...)`` — a record
+        (:class:`_Read`) walking the round trip from the call.
 
         Charges the full round trip: request leg, target service,
         completion leg with data serialization — "the longer the path
         between a device and the memory it reads from, the higher the
-        request-completion latency becomes" (paper Sec. V).
+        request-completion latency becomes" (paper Sec. V).  A read the
+        fabric drops fails with :class:`FabricFaultError` once
+        ``PcieConfig.completion_timeout_ns`` has elapsed, mirroring real
+        completion-timeout semantics.
         """
         # hot-path
         if length <= 0:
             raise ValueError("read length must be positive")
+        sim = self.sim
+        rd = _Read.__new__(_Read)
+        rd.sim = sim
+        rd.callbacks = []
+        rd._value = _PENDING
+        rd._ok = True
+        rd._processed = False
+        rd._defused = False
+        rd._grant = None
+        rd._timer = timer = Event.__new__(Event)
+        timer.sim = sim
+        timer.callbacks = None
+        timer._value = None
+        timer._ok = True
+        timer._defused = False
+        rd.fabric = self
+        rd.addr = addr
+        rd.length = length
         try:
             flow = self._flow(True, initiator, host, addr, length)
         except FabricFaultError as lost:
-            yield from self._read_timeout(lost.point, addr)
-        faults = self.faults
+            # The completion never arrives: the initiator sits out its
+            # completion timeout, then sees the failure.
+            self.timed_out_reads += 1
+            point = lost.point
+            rd._arm(self.config.completion_timeout_ns,
+                    lambda _timer: rd._timed_out(point))
+            return rd
         self.reads += 1
         self.read_bytes += length
-        sim = self.sim
-
-        # Request leg (headers only).
-        if flow.plan:
-            yield flow.plan.hold()
-        latency = flow.fixed
-        for draw in flow.draws:
-            try:
-                latency += draw.buf[draw.pos]
-                draw.pos += 1
-            except IndexError:
-                latency += draw.refill()
-        if faults is not None:
-            latency += faults.tlp_delay_ns(*flow.ends)
-        yield sim.sleep(latency)
-
-        # Target service + data fetch.
-        yield sim.sleep(flow.service)
-        res = flow.res
-        if res.kind == "mem":
-            data = res.memory.read(res.addr, length)
+        rd.flow = flow
+        plan = flow.plan
+        if not plan:
+            rd._sent(None)
+        elif (fill := plan.take()) is not None:
+            fill.callbacks.append(rd._sent)
         else:
-            data = res.bar.function.mmio_read(res.bar, res.offset,
-                                              length)
-            if len(data) != length:
-                raise AddressError(
-                    f"{res.bar.function.name} returned {len(data)} "
-                    f"bytes for a {length}-byte read")
-
-        # Completion leg (data flows back).
-        if flow.rplan:
-            yield flow.rplan.hold()
-        latency = flow.rfixed
-        for draw in flow.rdraws:
-            try:
-                latency += draw.buf[draw.pos]
-                draw.pos += 1
-            except IndexError:
-                latency += draw.refill()
-        yield sim.sleep(latency)
-        for f in self.probe.tlp_done:
-            f(self, True, addr, length, res, None)
-        return data
-
-    def _read_timeout(self, point: str, addr: int) -> t.Generator:
-        """Non-posted request into a severed/lossy path: the completion
-        never arrives, so the initiator sits out its completion timeout
-        and then sees the failure."""
-        self.timed_out_reads += 1
-        yield self.sim.timeout(self.config.completion_timeout_ns)
-        for f in self.probe.tlp_done:
-            f(self, True, addr, 0, None, point)
-        raise FabricFaultError(point, addr)
+            rd.plan = plan
+            rd._index = 0
+            rd._step = rd._sent
+            rd._claim(None)
+        return rd

@@ -139,15 +139,14 @@ class RdmaNic(PCIeFunction):
             if wr.inline_data is not None:
                 payload = wr.inline_data
             elif wr.length:
-                payload = yield from self.dma_read(wr.local_addr,
-                                                   wr.length)
+                payload = yield self.dma_read(wr.local_addr, wr.length)
             yield self.sim.timeout(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic,
                                      max(len(payload), 64))
         elif wr.opcode is WrOpcode.RDMA_WRITE:
             remote_mr = peer.pd.lookup(wr.rkey)
             remote_mr.check(wr.remote_addr, wr.length)
-            payload = yield from self.dma_read(wr.local_addr, wr.length)
+            payload = yield self.dma_read(wr.local_addr, wr.length)
             yield self.sim.timeout(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic, wr.length)
         elif wr.opcode is WrOpcode.RDMA_READ:
@@ -178,7 +177,7 @@ class RdmaNic(PCIeFunction):
                 if len(payload) > recv.length:
                     raise RdmaError("recv buffer too small")
                 if payload:
-                    yield from peer_nic.dma_write(recv.addr, payload)
+                    yield peer_nic.dma_write(recv.addr, payload)
                 peer.recv_cq.push(WorkCompletion(
                     recv.wr_id, WrOpcode.SEND, WcStatus.SUCCESS,
                     byte_len=len(payload), is_recv=True))
@@ -188,18 +187,17 @@ class RdmaNic(PCIeFunction):
                 self.sends += 1
             elif wr.opcode is WrOpcode.RDMA_WRITE:
                 yield self.sim.timeout(cfg.nic_rx_ns)
-                yield from peer_nic.dma_write(wr.remote_addr, payload)
+                yield peer_nic.dma_write(wr.remote_addr, payload)
                 qp.send_cq.push(WorkCompletion(
                     wr.wr_id, wr.opcode, WcStatus.SUCCESS,
                     byte_len=wr.length))
                 self.rdma_writes += 1
             else:  # RDMA_READ
                 yield self.sim.timeout(cfg.read_turnaround_ns)
-                data = yield from peer_nic.dma_read(wr.remote_addr,
-                                                    wr.length)
+                data = yield peer_nic.dma_read(wr.remote_addr, wr.length)
                 yield from link.transfer(peer_nic, self, wr.length)
                 yield self.sim.timeout(cfg.nic_rx_ns)
-                yield from self.dma_write(wr.local_addr, data)
+                yield self.dma_write(wr.local_addr, data)
                 qp.send_cq.push(WorkCompletion(
                     wr.wr_id, wr.opcode, WcStatus.SUCCESS,
                     byte_len=wr.length))

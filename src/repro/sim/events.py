@@ -12,7 +12,8 @@ event already due at the same instant and priority.
 
 One-shot for everyone but an owner: a *timer* — the sleep timer of a
 :class:`~repro.sim.process.Process`, a release timer of a
-:class:`~repro.sim.resources.HoldPlan` — is a plain event whose outcome
+:class:`~repro.sim.resources.HoldPlan`, the timer of a transaction
+:class:`~repro.sim.resources.Record` — is a plain event whose outcome
 never changes (``None``, ok) and which its one owner arms again whenever
 it is idle.  Idle is ``callbacks is None`` (never armed, or dispatched);
 arming is ``callbacks = [...]``, ``_processed = False`` and one push to

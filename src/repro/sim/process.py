@@ -93,15 +93,20 @@ class Process(Event):
         self.sim._urgent.append(kick)
 
     def _detach(self) -> None:
-        """Unsubscribe from the event the process is parked on."""
+        """Unsubscribe from the event the process is parked on.  A
+        :class:`Hold` — a bare one, or a transaction record walking for
+        this waiter — and a gated wait are cancelled: what they took
+        never comes back otherwise, and the transaction stops where a
+        coroutine would have.  Every ``cancel`` is idempotent, since an
+        interrupt detaches twice; a posted write's does nothing."""
         target = self._target
         if target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            if type(target) is Hold or type(target) is _GatedWait:
-                target.cancel()     # or what it took never comes back
+            if isinstance(target, Hold) or type(target) is _GatedWait:
+                target.cancel()
 
     def _interrupted(self, kick: Event) -> None:
         """Deliver an :class:`Interrupt`, unless one delivered earlier

@@ -246,9 +246,10 @@ class Hold(Event):
     resumes the walk — and then starts the release timers.  Never
     queued itself: :meth:`_held` runs from the last timer's event and
     fires the subscribers.  A subclass record that is an event of its
-    own (a queued posted write, :mod:`repro.pcie.fabric`) sets its
-    event fields itself, starts the walk with :meth:`_start` and
-    overrides :meth:`_held`."""
+    own (a posted write, :mod:`repro.pcie.fabric`; :class:`Record`)
+    sets its event fields itself, starts the walk — from a boot event
+    with :meth:`_start`, or inline: ``plan``, ``_index`` and
+    :meth:`_claim` — and overrides :meth:`_held`."""
 
     __slots__ = ("plan", "_index", "_grant")
 
@@ -327,7 +328,7 @@ class Hold(Event):
         taken so far (:meth:`Process.interrupt` does, for the event its
         target is parked on).  A no-op once everything is held — the
         grant's last dispatch is behind it, and the release timers own
-        the units by then."""
+        the units by then — and when called again."""
         grant, self._grant = self._grant, None
         if grant is not None and not grant._processed:
             grant.callbacks = []    # a grant already queued wakes nobody
@@ -335,6 +336,71 @@ class Hold(Event):
             awaited.release(grant)
             for resource in held:
                 resource.give()
+
+
+class Record(Hold):
+    """A transaction that walks its steps from plain callbacks for the
+    one waiter that yields it — what a coroutine did one resume at a
+    time — and fires, subscribers run inline, when the walk ends (a
+    non-posted read, :mod:`repro.pcie.fabric`).  Each step runs where
+    the coroutine's resume ran and pushes what its ``yield`` pushed:
+
+    * links: :meth:`HoldPlan.take`'s release timer, subscribed with the
+      step; else the record walks the plan as its own :class:`Hold`
+      (``plan``, ``_index``, ``_step`` set, then :meth:`_claim`) and
+      :meth:`_held` runs ``_step`` from the last release timer;
+    * delays: :meth:`_arm` pushes the record's one owned timer
+      (``_timer``, events.py) where ``sim.sleep`` pushed the
+      coroutine's.
+
+    The subclass sets the event fields, ``_grant = None`` and an idle
+    ``_timer`` (``callbacks is None``) itself, as it starts the walk."""
+
+    __slots__ = ("_timer", "_step")
+
+    def _arm(self, delay: int, step: t.Callable[[Event], None]) -> None:
+        """Run ``step`` once ``delay`` has elapsed: the owned timer,
+        armed and pushed to the end of its instant's list."""
+        # hot-path: Simulator.sleep's push, inline
+        timer = self._timer
+        timer.callbacks = [step]
+        timer._processed = False
+        sim = self.sim
+        when = sim._now + delay
+        at = sim._at
+        if when in at:
+            at[when].append(timer)
+        else:
+            at[when] = [timer]
+            heappush(sim._times, when)
+
+    def _held(self, fill: Event) -> None:
+        """A queued leg holds its links and its pipe has filled."""
+        self._step(fill)
+
+    def _fail(self, exc: BaseException) -> None:
+        """End the walk with ``exc``: the subscribers run now, inline,
+        and a waiting process sees it raised at its ``yield``.  The
+        record is never queued, so nothing raises out of the run loop."""
+        callbacks, self.callbacks = self.callbacks, None
+        self._ok = False
+        self._value = exc
+        self._processed = True
+        for callback in callbacks:
+            callback(self)
+
+    def cancel(self) -> None:
+        """The waiter left (:meth:`Process.interrupt`): stop where the
+        coroutine stopped.  A leg still queueing leaves the FIFO and
+        gives back what it took (:meth:`Hold.cancel`); a running delay
+        is disarmed — its timer still fires, into nothing — and
+        ``callbacks`` becomes None, which a link step that fires later
+        reads as "stop".  Idempotent: an interrupt detaches twice."""
+        Hold.cancel(self)
+        timer = self._timer
+        if timer.callbacks:
+            timer.callbacks = []
+        self.callbacks = None
 
 
 class Store:

@@ -15,7 +15,7 @@ import dataclasses
 import typing as t
 
 from ..pcie import Fabric, Host, NtbFunction
-from ..sim import Simulator
+from ..sim import Event, Simulator
 
 
 class SisciError(Exception):
@@ -104,7 +104,7 @@ class RemoteSegment:
         except ValueError:
             pass
 
-    # -- CPU access through the mapping (generators: real fabric cost) ------
+    # -- CPU access through the mapping (real fabric cost) -----------------
 
     def write(self, offset: int, data: bytes):
         """Posted store(s) through the NTB mapping (fire and forget)."""
@@ -113,21 +113,23 @@ class RemoteSegment:
         return self.node.fabric.post_write(
             self.node.host.rc, self.node.host, self.map_addr + offset, data)
 
-    def write_wait(self, offset: int, data: bytes):
-        """Generator: store and wait for delivery."""
+    def write_wait(self, offset: int, data: bytes) -> Event:
+        """Store and wait for delivery: the fabric's delivery event,
+        ``yield conn.write_wait(...)``."""
         if offset + len(data) > self.size:
             raise SisciError("write beyond segment end")
-        yield from self.node.fabric.write(
+        return self.node.fabric.write(
             self.node.host.rc, self.node.host, self.map_addr + offset, data)
 
-    def read(self, offset: int, length: int):
-        """Generator: load through the mapping (non-posted, full RTT)."""
+    def read(self, offset: int, length: int) -> Event:
+        """Load through the mapping (non-posted, full RTT): the fabric's
+        read event, which fires with the bytes — ``yield
+        conn.read(...)``."""
         if offset + length > self.size:
             raise SisciError("read beyond segment end")
-        data = yield from self.node.fabric.read(
+        return self.node.fabric.read(
             self.node.host.rc, self.node.host, self.map_addr + offset,
             length)
-        return data
 
 
 class SisciNode:

@@ -59,8 +59,8 @@ class BareMetalDriver:
                                value.to_bytes(width, "little"))
 
     def reg_read(self, offset, width=4):
-        data = yield from self.fabric.read(self.host.rc, self.host,
-                                           self.bar + offset, width)
+        data = yield self.fabric.read(self.host.rc, self.host,
+                                      self.bar + offset, width)
         return int.from_bytes(data, "little")
 
     def next_cid(self):

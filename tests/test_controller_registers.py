@@ -87,7 +87,7 @@ class TestShutdownAndMasking:
             drv.reg_write(MSIX_TABLE_OFFSET + 16, 0x1234_5678)  # vec 1
             drv.reg_write(MSIX_TABLE_OFFSET + 24, 0x42)
             yield sim.timeout(2_000)
-            data = yield from fabric.read(
+            data = yield fabric.read(
                 host.rc, host, ctrl.bars[0].base + MSIX_TABLE_OFFSET + 16,
                 16)
             return data
@@ -101,8 +101,8 @@ class TestShutdownAndMasking:
         sim, fabric, host, ctrl, drv = booted(seed=523)
 
         def flow(sim):
-            data = yield from fabric.read(host.rc, host,
-                                          ctrl.bars[0].base + 0x1000, 8)
+            data = yield fabric.read(host.rc, host,
+                                     ctrl.bars[0].base + 0x1000, 8)
             return data
 
         assert sim.run(until=sim.process(flow(sim))) == bytes(8)

@@ -85,7 +85,7 @@ class TestLocalTransactions:
         devhost.memory.write(addr, b"\x5a" * 64)
 
         def proc(sim):
-            data = yield from fabric.read(devhost.rc, devhost, addr, 64)
+            data = yield fabric.read(devhost.rc, devhost, addr, 64)
             return (sim.now, data)
 
         p = sim.process(proc(sim))
@@ -111,7 +111,7 @@ class TestLocalTransactions:
         bar = scratch.bars[0]
 
         def proc(sim):
-            data = yield from fabric.read(devhost.rc, devhost, bar.base, 4)
+            data = yield fabric.read(devhost.rc, devhost, bar.base, 4)
             return (sim.now, data)
 
         p = sim.process(proc(sim))
@@ -125,7 +125,7 @@ class TestLocalTransactions:
         sim, cluster, fabric, devhost, *_ = env
 
         def proc(sim):
-            yield from fabric.read(devhost.rc, devhost, 0xDEAD_0000_0000, 4)
+            yield fabric.read(devhost.rc, devhost, 0xDEAD_0000_0000, 4)
 
         p = sim.process(proc(sim))
         with pytest.raises(AddressError):
@@ -136,8 +136,8 @@ class TestLocalTransactions:
         addr = devhost.alloc_dma(4096)
 
         def proc(sim):
-            yield from scratch.dma_write(addr, b"device-data")
-            data = yield from scratch.dma_read(addr, 11)
+            yield scratch.dma_write(addr, b"device-data")
+            data = yield scratch.dma_read(addr, 11)
             return data
 
         p = sim.process(proc(sim))
@@ -153,8 +153,8 @@ class TestNtbWindows:
         local_addr = ntb_b.map_window(devhost, remote, 8192, label="seg")
 
         def proc(sim):
-            yield from fabric.write(client.rc, client, local_addr + 0x20,
-                                    b"over-the-ntb")
+            yield fabric.write(client.rc, client, local_addr + 0x20,
+                               b"over-the-ntb")
 
         sim.process(proc(sim))
         sim.run()
@@ -168,7 +168,7 @@ class TestNtbWindows:
 
         def timed_write(sim, host, addr, results, tag):
             start = sim.now
-            yield from fabric.write(host.rc, host, addr, b"x" * 64)
+            yield fabric.write(host.rc, host, addr, b"x" * 64)
             results[tag] = sim.now - start
 
         results = {}
@@ -189,7 +189,7 @@ class TestNtbWindows:
 
         def timed_read(sim, addr, results, tag):
             start = sim.now
-            data = yield from fabric.read(client.rc, client, addr, 512)
+            data = yield fabric.read(client.rc, client, addr, 512)
             results[tag] = (sim.now - start, data)
 
         results = {}
@@ -212,8 +212,8 @@ class TestNtbWindows:
         window = ntb_b.map_window(devhost, bar.base, 4096, label="dev-bar")
 
         def proc(sim):
-            yield from fabric.write(client.rc, client, window + 0x40,
-                                    b"\x99")
+            yield fabric.write(client.rc, client, window + 0x40,
+                               b"\x99")
 
         sim.process(proc(sim))
         sim.run()
@@ -228,7 +228,7 @@ class TestNtbWindows:
         unmapped = bar_base + 8 * MiB
 
         def proc(sim):
-            yield from fabric.write(client.rc, client, unmapped, b"x")
+            yield fabric.write(client.rc, client, unmapped, b"x")
 
         sim.process(proc(sim))
         with pytest.raises(NtbError):
@@ -299,8 +299,8 @@ class TestContention:
 
         def writer(sim, tag, offset):
             start = sim.now
-            yield from fabric.write(client.rc, client, window + offset,
-                                    b"z" * 64 * 1024)
+            yield fabric.write(client.rc, client, window + offset,
+                               b"z" * 64 * 1024)
             done[tag] = sim.now - start
 
         sim.process(writer(sim, "a", 0))
@@ -319,8 +319,8 @@ class TestContention:
         def proc(sim):
             for _ in range(2):
                 start = sim.now
-                yield from fabric.write(client.rc, client, window,
-                                        b"z" * 4096)
+                yield fabric.write(client.rc, client, window,
+                                   b"z" * 4096)
                 durations.append(sim.now - start)
 
         sim.process(proc(sim))
@@ -436,7 +436,9 @@ class TestOccupancyEventBudget:
     def test_warmed_tlp_call_budget(self, env):
         """A TLP on a flow the fabric has seen makes one probe for its
         record and then only claims, draws and pushes (24 / 34 / 88
-        calls before the record: six lookups and five helper frames)."""
+        calls before the record: six lookups and five helper frames).
+        A read is a record walking from callbacks, not a coroutine in a
+        process of its own (58 calls)."""
         sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
         window = self._window(devhost, ntb_b)
 
@@ -448,8 +450,7 @@ class TestOccupancyEventBudget:
             sim.run()
 
         def read():
-            sim.run(until=sim.process(
-                fabric.read(client.rc, client, window, 64)))
+            sim.run(until=fabric.read(client.rc, client, window, 64))
 
         for _ in range(3):
             deliver()
@@ -457,7 +458,7 @@ class TestOccupancyEventBudget:
         assert self._calls(post) <= 9
         sim.run()
         assert self._calls(deliver) <= 19
-        assert self._calls(read) <= 61
+        assert self._calls(read) <= 36
         assert self._held(cluster, client, devhost) == [0] * 4
 
 
@@ -530,7 +531,7 @@ class TestInterruptedLinkWaiter:
         def reader(tag, start):
             yield sim.timeout(start)
             try:
-                yield from fabric.read(client.rc, client, window, 4096)
+                yield fabric.read(client.rc, client, window, 4096)
                 done[tag] = sim.now
             except Interrupt:
                 done[tag] = "interrupted"
@@ -554,10 +555,11 @@ class TestInterruptedLinkWaiter:
 
     def test_interrupting_a_process_on_a_queued_write_keeps_the_walk(
             self, env):
-        """A queued posted write is a :class:`Hold` subclass, not a
-        ``Hold``: interrupting a process parked on its delivery must not
-        cancel the TLP's walk (``Process._detach`` tests the exact type).
-        The write still takes its links and is delivered."""
+        """A queued posted write is a :class:`Hold` subclass, which
+        ``Process._detach`` cancels: interrupting a process parked on its
+        delivery must not cancel the TLP's walk (a posted write's
+        ``cancel`` does nothing).  The write still takes its links and
+        is delivered."""
         sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
         buf = devhost.alloc_dma(8192)
         window = ntb_b.map_window(devhost, buf, 8192)

@@ -186,14 +186,14 @@ class TestOwnedTimers:
 def _write_once(sim, fabric, host, addr, payload):
     def proc(sim):
         start = sim.now
-        yield from fabric.write(host.rc, host, addr, payload)
+        yield fabric.write(host.rc, host, addr, payload)
         return sim.now - start
     return sim.run(until=sim.process(proc(sim)))
 
 
 def _read_once(sim, fabric, host, addr, length):
     def proc(sim):
-        return (yield from fabric.read(host.rc, host, addr, length))
+        return (yield fabric.read(host.rc, host, addr, length))
     return sim.run(until=sim.process(proc(sim)))
 
 

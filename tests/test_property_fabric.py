@@ -81,8 +81,8 @@ class TestPostedOrderingProperty:
         out = {}
 
         def proc(sim):
-            yield from fabric.write(a.rc, a, window, b"fence-me")
-            data = yield from fabric.read(a.rc, a, window, 8)
+            yield fabric.write(a.rc, a, window, b"fence-me")
+            data = yield fabric.read(a.rc, a, window, 8)
             out["data"] = data
 
         sim.process(proc(sim))
@@ -103,10 +103,10 @@ class TestLatencyProperties:
 
         def proc(sim):
             start = sim.now
-            yield from fabric.write(a.rc, a, window, b"w" * nbytes)
+            yield fabric.write(a.rc, a, window, b"w" * nbytes)
             out["write"] = sim.now - start
             start = sim.now
-            yield from fabric.read(a.rc, a, window, nbytes)
+            yield fabric.read(a.rc, a, window, nbytes)
             out["read"] = sim.now - start
 
         sim.process(proc(sim))
@@ -217,10 +217,10 @@ def run_script(ops, seed, memo, monkeypatch):
                     if args[1]:
                         yield sim.timeout(args[1])
                 elif kind == "write":
-                    yield from fabric.write(a.rc, a, addr, payload)
+                    yield fabric.write(a.rc, a, addr, payload)
                 else:
                     try:
-                        data = yield from fabric.read(a.rc, a, addr, size)
+                        data = yield fabric.read(a.rc, a, addr, size)
                         log.append((sim.now, "r", addr, data))
                     except FabricFaultError as lost:
                         log.append((sim.now, "timeout", addr,

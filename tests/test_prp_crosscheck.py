@@ -10,25 +10,15 @@ from repro.nvme import PrpError, build_prps, resolve_prps
 from repro.nvme.constants import PAGE_SIZE
 
 
-def _drain(gen):
-    """Run a resolve_prps generator whose read_page needs no sim."""
-    try:
-        next(gen)
-        raise AssertionError("resolver yielded unexpectedly")
-    except StopIteration as stop:
-        return stop.value
-
-
 def _resolve(prp1, prp2, length, list_memory):
-    def read_page(addr):
-        return list_memory[addr]
-        yield  # pragma: no cover - make it a generator
-
-    gen = resolve_prps(prp1, prp2, length, read_page)
-    # resolve_prps is a generator; drive it manually feeding list pages.
+    """Drive resolve_prps with no sim: its ``read_page`` hands back the
+    address as the "event", and each list page it yields for is sent
+    back as that read's bytes."""
+    gen = resolve_prps(prp1, prp2, length, lambda addr: addr)
+    page = None
     try:
-        request = next(gen)
-        raise AssertionError("resolver must not yield events here")
+        while True:
+            page = list_memory[gen.send(page)]
     except StopIteration as stop:
         return stop.value
 

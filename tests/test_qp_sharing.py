@@ -146,11 +146,11 @@ class TestRejectionRollback:
         offset = meta.slot_offset(slot)
 
         def rpc():
-            yield from conn.write_wait(
+            yield conn.write_wait(
                 offset, meta.pack_slot(meta.SLOT_REQUEST, **fields))
             while True:
                 yield bed.sim.timeout(1_000)
-                raw = yield from conn.read(offset, meta.SLOT_SIZE)
+                raw = yield conn.read(offset, meta.SLOT_SIZE)
                 resp = meta.unpack_slot(raw)
                 if resp["status"] == meta.SLOT_RESPONSE:
                     return resp

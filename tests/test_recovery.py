@@ -16,6 +16,7 @@ from repro.config import ReliabilityConfig, SimulationConfig
 from repro.driver import (STATUS_HOST_TIMEOUT, BlockRequest,
                           SpdkLocalDriver, StockNvmeDriver)
 from repro.nvmeof import NvmeofInitiator, SpdkTarget
+from repro.pcie.fabric import DROPPED
 from repro.scenarios.testbed import LocalTestbed, RdmaTestbed
 from repro.telemetry import Telemetry
 
@@ -70,8 +71,8 @@ def lose_cqe_writes(bed, qp, count=1):
     def write(initiator, host, addr, data):
         if len(lost) < count and lo <= addr < hi:
             lost.append(addr)
-            return
-        yield from real(initiator, host, addr, data)
+            return DROPPED      # already processed: instant, event-free
+        return real(initiator, host, addr, data)
 
     bed.fabric.write = write
     return lost

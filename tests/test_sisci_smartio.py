@@ -46,7 +46,7 @@ class TestSegments:
         conn = peer.connect_segment(owner.node_id, 12)
 
         def proc(sim):
-            yield from conn.write_wait(0x80, b"hello-over-ntb")
+            yield conn.write_wait(0x80, b"hello-over-ntb")
 
         bed.sim.process(proc(bed.sim))
         bed.sim.run()
@@ -62,7 +62,7 @@ class TestSegments:
 
         def proc(sim):
             start = sim.now
-            data = yield from conn.read(0, 10)
+            data = yield conn.read(0, 10)
             out["data"] = data
             out["elapsed"] = sim.now - start
 
@@ -89,7 +89,7 @@ class TestSegments:
             conn.write(4090, b"too-long")
 
         def proc(sim):
-            yield from conn.read(4095, 2)
+            yield conn.read(4095, 2)
 
         p = bed.sim.process(proc(bed.sim))
         with pytest.raises(SisciError):
@@ -137,8 +137,8 @@ class TestSmartIoRegistry:
         out = {}
 
         def proc(sim):
-            data = yield from bed.fabric.read(bed.hosts[1].rc,
-                                              bed.hosts[1], window, 8)
+            data = yield bed.fabric.read(bed.hosts[1].rc,
+                                         bed.hosts[1], window, 8)
             out["cap"] = int.from_bytes(data, "little")
 
         bed.sim.process(proc(bed.sim))
@@ -206,8 +206,8 @@ class TestDmaWindows:
         ctrl = bed.nvme
 
         def proc(sim):
-            yield from ctrl.fabric.write(ctrl.node, ctrl.host, dev_addr,
-                                         b"device-sees-remote")
+            yield ctrl.fabric.write(ctrl.node, ctrl.host, dev_addr,
+                                    b"device-sees-remote")
 
         bed.sim.process(proc(bed.sim))
         bed.sim.run()
