@@ -152,9 +152,3 @@ class ClusterCoordinator:
         layout = dataclasses.replace(probe, devices=devices)
         self._layouts[name] = layout
         return layout
-
-    def delete_volume(self, name: str) -> None:
-        layout = self._layouts.pop(name, None)
-        if layout is None:
-            raise PlacementError(f"unknown volume {name!r}")
-        self.scheduler.release(layout)

@@ -83,9 +83,6 @@ class FaultPointRegistry:
             raise FaultError(f"unknown fault point {name!r}; "
                              f"registered: {self.names()}") from None
 
-    def _state(self, name: str) -> PointState | None:
-        return self._points.get(name)
-
     # -- state mutators (used by the injector) ----------------------------
 
     def set_link(self, name: str, up: bool) -> None:

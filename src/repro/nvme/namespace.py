@@ -36,10 +36,6 @@ class Namespace:
         #: pages ever written: what ``written_bytes`` and NUSE report
         self._written: set[int] = set()
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_lbas * self.lba_bytes
-
     def check_range(self, slba: int, nblocks: int) -> None:
         if nblocks <= 0:
             raise NamespaceError("block count must be positive")

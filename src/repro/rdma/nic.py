@@ -24,19 +24,24 @@ import typing as t
 
 from ..config import RdmaConfig
 from ..pcie.device import Bar, PCIeFunction
-from ..sim import Resource, Simulator, Store
+from ..sim import Event, HoldPlan, Resource, Simulator, Store
 from ..units import serialize_ns
 from .verbs import (CompletionQueue, QueuePair, RdmaError, SendWR,
                     WcStatus, WorkCompletion, WrOpcode)
 
 
 class IbLink:
-    """Point-to-point 100 Gb/s-class link between two NICs."""
+    """Point-to-point 100 Gb/s-class link between two NICs.  A message
+    holds its direction for its serialization through a
+    :class:`~repro.sim.HoldPlan` per ``(src, dst, nbytes)``: a fixed-time
+    link hold, as in the PCIe fabric (a resource's ``request()`` is for
+    holds of unknown length)."""
 
     def __init__(self, sim: Simulator, config: RdmaConfig) -> None:
         self.sim = sim
         self.config = config
         self._dirs: dict[tuple, Resource] = {}
+        self._plans: dict[tuple, HoldPlan] = {}
 
     def attach(self, a: "RdmaNic", b: "RdmaNic") -> None:
         a._link, a._peer_nic = self, b
@@ -47,16 +52,14 @@ class IbLink:
     def transfer(self, src: "RdmaNic", dst: "RdmaNic",
                  nbytes: int) -> t.Generator:
         """Occupy the direction for serialization, then propagate."""
-        res = self._dirs[(src, dst)]
-        req = res.request()
-        yield req
-        try:
+        plan = self._plans.get((src, dst, nbytes))
+        if plan is None:
             # ~2% framing/header overhead on the wire.
             wire_bytes = nbytes + max(32, nbytes // 64)
-            yield self.sim.timeout(
-                serialize_ns(wire_bytes, self.config.bandwidth))
-        finally:
-            res.release(req)
+            plan = self._plans[(src, dst, nbytes)] = HoldPlan(self.sim, [
+                (self._dirs[(src, dst)],
+                 serialize_ns(wire_bytes, self.config.bandwidth))])
+        yield plan.hold()
         yield self.sim.timeout(self.config.wire_latency_ns)
 
 
@@ -107,8 +110,6 @@ class RdmaNic(PCIeFunction):
         next WQE — without this overlap a NIC would cap out far below
         real message rates at high queue depth.
         """
-        from ..sim import Event
-
         while True:
             qp, wr = yield self._wqes.get()
             link, peer_nic = self._link, self._peer_nic

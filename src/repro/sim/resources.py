@@ -1,10 +1,12 @@
 """Synchronisation primitives built on events.
 
 ``Resource``
-    Counted FIFO resource (link occupancy, DMA engines, media channels).
+    Counted FIFO resource; ``request()``/``release()`` hold it for an
+    unknown length (block-device tags, admin lock, media channels).
 
 ``HoldPlan``
-    Several resources held for fixed times as one claim (a TLP's links).
+    Resources held for fixed times as one claim: every link hold (a
+    TLP's PCIe links, an InfiniBand direction).
 
 ``Store``
     Unbounded FIFO of Python objects with blocking ``get`` (mailboxes,
@@ -36,17 +38,11 @@ class Request(Event):
 
     __slots__ = ("resource",)
 
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc: t.Any) -> None:
-        self.resource.release(self)
-
 
 class Resource:
     """A counted resource with strict FIFO granting.
 
-    Usage from a process::
+    A hold of unknown length is a request, from a process::
 
         req = resource.request()
         yield req
@@ -55,13 +51,13 @@ class Resource:
         finally:
             resource.release(req)
 
-    Callers that hold units for a fixed time (link occupancy: several
-    links per TLP) use *counted holds* instead: :meth:`take` claims a
-    free unit without allocating a :class:`Request` or scheduling a
-    grant event, :meth:`give` returns it, and a :class:`HoldPlan` does
-    both for a whole set.  Both styles share one free count and one
-    FIFO of waiters; the invariant is *waiters non-empty implies no free
-    unit*, so a free unit can always be claimed on the spot.
+    A fixed-time hold — every link, PCIe or InfiniBand — is a
+    :class:`HoldPlan` instead: it claims free units by count, with no
+    :class:`Request` and no grant event, and its release timers return
+    them (:meth:`take` and :meth:`give` do the same for one unit).
+    Both styles share one free count and one FIFO of waiters; the
+    invariant is *waiters non-empty implies no free unit*, so a free
+    unit can always be claimed on the spot.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
@@ -147,16 +143,11 @@ class Resource:
         else:
             self.give()
 
-    def acquire(self) -> t.Generator[Event, t.Any, Request]:
-        """Convenience sub-generator: ``req = yield from res.acquire()``."""
-        req = self.request()
-        yield req
-        return req
-
 
 class HoldPlan:
-    """Fixed-time occupancy of several FIFO resources at once (a TLP's
-    links), from ``(resource, hold_ns)`` pairs; built once per set.
+    """Fixed-time occupancy of FIFO resources as one claim, the one way
+    a link is held (a TLP's PCIe links, an InfiniBand direction), from
+    ``(resource, hold_ns)`` pairs; built once per set.
     ``resources`` is in acquisition (creation: canonical, deadlock-free)
     order; ``timers`` has one ``(hold_ns, release callback, timer)`` per
     distinct hold, ascending — the last hold, ``fill``, is the longest.

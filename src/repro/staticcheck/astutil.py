@@ -97,14 +97,3 @@ def has_own_yield(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     """True if the function body itself contains ``yield``/``yield from``."""
     return any(isinstance(node, (ast.Yield, ast.YieldFrom))
                for node in local_walk(fn))
-
-
-def call_names_in(node: ast.AST) -> set[str]:
-    """Dotted names of every call target in the subtree of ``node``."""
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            name = dotted_name(sub.func)
-            if name is not None:
-                names.add(name)
-    return names

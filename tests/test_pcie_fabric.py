@@ -627,14 +627,19 @@ def test_no_process_or_generator_occupancy_in_the_fabric():
     """A TLP is a record, not a coroutine (docs/performance.md, "Order
     preservation"): nothing under ``repro/pcie`` spawns a process, and
     links are claimed through a :class:`~repro.sim.HoldPlan` only — no
-    per-link ``request()``/``acquire()`` for a generator to yield on,
-    none of the three occupancy routines the plan replaced."""
-    root = pathlib.Path(repro.__file__).parent / "pcie"
-    tokens = re.compile(r"\bProcess\b|\.process\(|\.request\(|\.acquire\("
-                        r"|yield from self\._\w*(occupy|hold)"
-                        r"|\b_occupy\b|_try_hold|_queued_write")
-    assert [str(path) for path in sorted(root.rglob("*.py"))
-            if tokens.search(path.read_text())] == []
+    per-link ``request()``/``release()``/``acquire()`` for a generator
+    to yield on, none of the three occupancy routines the plan
+    replaced.  The InfiniBand wire (``repro/rdma``) holds its
+    directions the same way ("One way to hold a link")."""
+    root = pathlib.Path(repro.__file__).parent
+    claims = r"\.request\(|\.release\(|\.acquire\("
+    tokens = {"pcie": re.compile(r"\bProcess\b|\.process\(|" + claims
+                                 + r"|yield from self\._\w*(occupy|hold)"
+                                 r"|\b_occupy\b|_try_hold|_queued_write"),
+              "rdma": re.compile(claims)}
+    assert [str(path) for package, pattern in tokens.items()
+            for path in sorted((root / package).rglob("*.py"))
+            if pattern.search(path.read_text())] == []
 
 
 def test_a_transaction_derives_nothing_its_flow_record_holds():

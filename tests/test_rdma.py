@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.rdma import (CompletionQueue, ProtectionDomain, QueuePair,
+from repro.config import RdmaConfig
+from repro.rdma import (CompletionQueue, IbLink, ProtectionDomain, QueuePair,
                         RdmaError, RecvWR, SendWR, WrOpcode, WcStatus)
 from repro.scenarios.testbed import RdmaTestbed
+from repro.sim import Simulator
 
 
 @pytest.fixture()
@@ -170,3 +172,54 @@ class TestLatency:
         elapsed = done[0] - start
         assert elapsed > 11_000   # at least the wire serialization
         assert elapsed < 60_000
+
+
+class _End:
+    """Stands in for a NIC at one end of a bare link."""
+
+
+class TestIbLink:
+    """Each direction of the wire is held through a HoldPlan: a free
+    direction is claimed by count, a busy one queued for FIFO."""
+
+    @staticmethod
+    def _link():
+        sim = Simulator(seed=5)
+        link = IbLink(sim, RdmaConfig())
+        a, b = _End(), _End()
+        link.attach(a, b)
+        return sim, link, a, b
+
+    def test_one_direction_serializes_in_fifo_order(self):
+        """Two transfers issued at one instant: the second leaves the
+        wire one serialization after the first, and each arrives the
+        wire latency later.  4 KiB + 64 framing bytes at 11.5 B/ns is
+        362 ns on the wire; the latency is 450 ns."""
+        sim, link, a, b = self._link()
+        arrivals = []
+
+        def send(tag):
+            yield from link.transfer(a, b, 4096)
+            arrivals.append((tag, sim.now))
+
+        for tag in ("first", "second"):
+            sim.process(send(tag))
+        sim.run()
+        assert arrivals == [("first", 362 + 450),
+                            ("second", 2 * 362 + 450)]
+
+    def test_an_uncontended_transfer_dispatches_two_events(self):
+        """The release timer and the wire latency: no grant event."""
+        def events(body):
+            sim, link, a, b = self._link()
+            sim.process(body(link, a, b))
+            sim.run()
+            return sim.events_processed
+
+        def transfer(link, a, b):
+            yield from link.transfer(a, b, 64)
+
+        def nothing(link, a, b):
+            yield from ()
+
+        assert events(transfer) - events(nothing) == 2

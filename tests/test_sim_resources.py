@@ -88,37 +88,6 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
-    def test_acquire_subgenerator(self, sim):
-        res = Resource(sim, capacity=1)
-        out = []
-
-        def worker(sim):
-            req = yield from res.acquire()
-            out.append(sim.now)
-            yield sim.timeout(10)
-            res.release(req)
-
-        sim.process(worker(sim))
-        sim.process(worker(sim))
-        sim.run()
-        assert out == [0, 10]
-
-    def test_context_manager_releases(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def worker(sim, tag):
-            with res.request() as req:
-                yield req
-                order.append(tag)
-                yield sim.timeout(20)
-
-        sim.process(worker(sim, "a"))
-        sim.process(worker(sim, "b"))
-        sim.run()
-        assert order == ["a", "b"]
-        assert res.count == 0
-
 
 class TestCountedHolds:
     """take()/give() and HoldPlan.take() hold units by count — no
