@@ -8,8 +8,8 @@ from .open_loop import (ARRIVAL_MODELS, OpenLoopJob, OpenLoopResult,
 from .patterns import (BurstyArrivals, MixedBlockProfile, PatternResult,
                        PROFILES, ZipfianAccess, pattern_generator,
                        run_pattern)
-from .replay import (TRACE_OPS, BlockTrace, RecordingDevice,
-                     ReplayResult, TraceEntry, TraceError, replay_trace)
+from .replay import (TRACE_OPS, BlockTrace, RecordingDevice, TraceEntry,
+                     TraceError, replay_trace)
 
 __all__ = ["FioJob", "FioResult", "fio_generator", "run_fio",
            "run_fio_many",
@@ -20,4 +20,4 @@ __all__ = ["FioJob", "FioResult", "fio_generator", "run_fio",
            "PROFILES", "PatternResult", "pattern_generator",
            "run_pattern",
            "BlockTrace", "TraceEntry", "TraceError", "TRACE_OPS",
-           "RecordingDevice", "ReplayResult", "replay_trace"]
+           "RecordingDevice", "replay_trace"]

@@ -6,18 +6,25 @@ any block device.  This is how storage evaluations compare transports
 under *identical* offered load rather than identical closed-loop
 pressure: at QD1 a slower transport also slows the request stream down,
 which flatters it; a replayed trace does not.
+
+A replay is a schedule for the open-loop jobs' issue loop
+(:func:`.open_loop.issue`) and returns their
+:class:`~.open_loop.OpenLoopResult`.  A JSONL trace is untrusted input:
+every malformed line or record is a :class:`TraceError` naming it,
+never a traceback from deeper down.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 import typing as t
-
-import numpy as np
+from functools import partial
 
 from ..driver.blockdev import BlockDevice, BlockRequest
-from ..sim import Event, LatencyRecorder, Signal
+from ..sim import LatencyRecorder
+from .open_loop import OpenLoopResult, issue
 
 #: the only ops a portable trace may carry
 TRACE_OPS = ("read", "write")
@@ -39,16 +46,18 @@ class TraceEntry:
 
     def validate(self) -> "TraceEntry":
         if self.op not in TRACE_OPS:
-            raise TraceError(f"unknown op {self.op!r} "
+            raise TraceError(f"unknown op {reprlib.repr(self.op)} "
                              f"(expected one of {TRACE_OPS})")
         for field in ("arrival_ns", "lba", "nblocks"):
             value = getattr(self, field)
             # bool is an int subclass; a trace with "lba": true is junk.
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TraceError(f"{field} must be an integer, "
-                                 f"got {value!r}")
+                                 f"got {reprlib.repr(value)}")
             if value < 0:
                 raise TraceError(f"{field} must be >= 0, got {value}")
+            if value >= 1 << 64:
+                raise TraceError(f"{field} must fit in 64 bits")
         if self.nblocks == 0:
             raise TraceError("nblocks must be >= 1")
         return self
@@ -160,6 +169,11 @@ class BlockTrace:
             except json.JSONDecodeError as exc:
                 raise TraceError(f"line {lineno}: invalid JSON "
                                  f"({exc.msg})") from None
+            except RecursionError:
+                raise TraceError(f"line {lineno}: JSON nested too "
+                                 f"deeply") from None
+            except ValueError as exc:   # e.g. an integer of 5,000 digits
+                raise TraceError(f"line {lineno}: {exc}") from None
         return cls.from_dicts(records)
 
 
@@ -198,110 +212,49 @@ def _clone(request: BlockRequest) -> BlockRequest:
                         nblocks=request.nblocks)
 
 
-@dataclasses.dataclass
-class ReplayResult:
-    issued: int
-    completed: int
-    errors: int
-    elapsed_ns: int
-    latencies: LatencyRecorder
-    #: queueing delay between scheduled arrival and actual issue —
-    #: nonzero when the device cannot keep up with the offered load
-    max_backlog_ns: int = 0
-
-
 def replay_trace(device: BlockDevice, trace: BlockTrace,
                  payload_byte: int = 0x5A, *,
                  speedup: float = 1.0,
-                 inflight_cap: int | None = None,
-                 open_loop: bool = False) -> ReplayResult:
+                 inflight_cap: int | None = None) -> OpenLoopResult:
     """Replay a trace open-loop against a device.
 
     Arrivals are scheduled at their recorded times (divided by
-    ``speedup`` — 2.0 offers the same stream twice as fast); an I/O
-    whose predecessor backlog pushes it past its arrival time is issued
-    late and the lateness reported (``max_backlog_ns``).
-
+    ``speedup`` — 2.0 offers the same stream twice as fast) and issued
+    by the open-loop jobs' own loop, :func:`~.open_loop.issue`.
     ``inflight_cap`` bounds outstanding requests the way a real
     driver's queue resources would: an arrival past the cap waits for a
-    completion.  With ``open_loop=True`` latency is measured from the
-    *scheduled* arrival instead of the actual submission, so software
-    backlog (cap waits, late issues) shows up in the distribution
-    rather than hiding in a stalled issuer.
+    completion and is issued late (``max_backlog_ns``).  ``latencies``
+    run from the scheduled arrival, ``service_latencies`` from the
+    submission: the two are equal whenever no cap delays an issue.
 
-    The trace's arrival order is validated up front: non-monotonic
-    timestamps raise a record-numbered :class:`TraceError` instead of
-    being silently replayed out of order.
+    The trace is checked up front, naming the offending record in a
+    :class:`TraceError`: arrivals must be time-ordered and every extent
+    must lie on the device, so a bad record fails before any I/O runs.
     """
     if speedup <= 0:
         raise ValueError("speedup must be positive")
     if inflight_cap is not None and inflight_cap < 1:
         raise ValueError("inflight_cap must be >= 1")
     trace.validate_order()
+    for i, entry in enumerate(trace.entries, start=1):
+        if entry.lba + entry.nblocks > device.capacity_lbas:
+            raise TraceError(
+                f"record {i}: lba {entry.lba} + nblocks {entry.nblocks} "
+                f"beyond the end of {device.name} "
+                f"({device.capacity_lbas} blocks)")
+
+    def make_request(entry: TraceEntry) -> BlockRequest:
+        if entry.op == "write":
+            return BlockRequest("write", lba=entry.lba, data=bytes(
+                [payload_byte]) * (entry.nblocks * device.lba_bytes))
+        return BlockRequest("read", lba=entry.lba, nblocks=entry.nblocks)
+
+    schedule = ((entry.arrival_ns if speedup == 1.0
+                 else int(entry.arrival_ns / speedup),
+                 partial(make_request, entry)) for entry in trace.entries)
+    result = OpenLoopResult(None, device.name, LatencyRecorder("replay"),
+                            LatencyRecorder("replay-svc"))
     sim = device.sim
-    result = ReplayResult(0, 0, 0, 0, LatencyRecorder("replay"))
-    start = sim.now
-    state = {"inflight": 0}
-    free = Signal(sim)
-    record_open = open_loop or inflight_cap is not None
-
-    def completer(sim, done: Event, scheduled_at: int) -> t.Generator:
-        request = yield done
-        state["inflight"] -= 1
-        free.fire()
-        result.completed += 1
-        if request.ok:
-            result.latencies.record(sim.now - scheduled_at if open_loop
-                                    else request.latency_ns)
-        else:
-            result.errors += 1
-
-    def issuer(sim) -> t.Generator:
-        done_events: list[Event] = []
-        for entry in trace.entries:
-            offset = (entry.arrival_ns if speedup == 1.0
-                      else int(entry.arrival_ns / speedup))
-            target = start + offset
-            if sim.now < target:
-                yield sim.timeout(target - sim.now)
-            if (inflight_cap is not None
-                    and state["inflight"] >= inflight_cap):
-                while state["inflight"] >= inflight_cap:
-                    yield free.wait()
-            if sim.now > target:
-                result.max_backlog_ns = max(result.max_backlog_ns,
-                                            sim.now - target)
-            if entry.op == "write":
-                payload = bytes([payload_byte]) * (entry.nblocks
-                                                   * device.lba_bytes)
-                request = BlockRequest("write", lba=entry.lba,
-                                       data=payload)
-            else:
-                request = BlockRequest("read", lba=entry.lba,
-                                       nblocks=entry.nblocks)
-            result.issued += 1
-            state["inflight"] += 1
-            done = device.submit(request)
-            if record_open:
-                done_events.append(sim.process(
-                    completer(sim, done, target)))
-            else:
-                done_events.append(done)
-        if not record_open:
-            # Historical path: record device latencies in issue order
-            # once everything lands (byte-identical to the original
-            # replayer for default arguments).
-            if done_events:
-                outcome = yield sim.all_of(done_events)
-                for request in outcome.values():
-                    result.completed += 1
-                    if request.ok:
-                        result.latencies.record(request.latency_ns)
-                    else:
-                        result.errors += 1
-        elif done_events:
-            yield sim.all_of(done_events)
-        result.elapsed_ns = sim.now - start
-
-    sim.run(until=sim.process(issuer(sim)))
-    return result
+    # Uncapped: one slot per entry, so the cap is never reached.
+    return sim.run(until=sim.process(issue(
+        device, schedule, inflight_cap or max(1, len(trace)), result)))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.scenarios import local_linux, multihost
+from repro.scenarios import local_linux, multihost, ours_remote
+from repro.sim.process import Process
 from repro.staticcheck import check_file, get_rule
 from repro.workloads import (ARRIVAL_MODELS, OpenLoopJob, arrival_times,
                              open_loop_generator, peak_rate, rate_at,
@@ -165,6 +166,35 @@ class TestOpenLoopRuns:
         # ~rate * runtime arrivals, all completed
         assert result.issued == pytest.approx(200, rel=0.3)
         assert result.completed == result.issued
+
+
+class TestArrivalCost:
+    def test_an_arrival_costs_no_process_of_its_own(self, monkeypatch):
+        """A completion is a callback on the block layer's done event:
+        an arrival spawns only the block layer's request process and
+        the driver's, and dispatches no boot or end event of a
+        completer.  Each run used to cost one process and two events
+        more per arrival: (49, 698) and (97, 1,390)."""
+        spawned = [0]
+        construct = Process.__init__
+
+        def counting(self, *args, **kwargs):
+            spawned[0] += 1
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        counts = []
+        for arrivals in (16, 32):
+            scenario = ours_remote(seed=440)
+            spawned[0] = 0
+            before = scenario.sim.events_processed
+            result = run_open_loop(scenario.device, OpenLoopJob(
+                rate_iops=50_000.0, total_arrivals=arrivals,
+                inflight_cap=4))
+            assert result.completed == arrivals
+            counts.append((spawned[0],
+                           scenario.sim.events_processed - before))
+        assert counts == [(33, 666), (65, 1326)]
 
 
 class TestDeterminismDiscipline:

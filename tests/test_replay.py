@@ -1,12 +1,34 @@
 """Tests for block-trace record and replay."""
 
+import json
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import cluster, local_linux, nvmeof_remote, \
     ours_remote
-from repro.workloads import (BlockTrace, FioJob, RecordingDevice,
-                             TraceEntry, TraceError, replay_trace,
-                             run_fio)
+from repro.workloads import (TRACE_OPS, BlockTrace, FioJob,
+                             RecordingDevice, TraceEntry, TraceError,
+                             replay_trace, run_fio)
+
+GOOD = {"arrival_ns": 0, "op": "read", "lba": 0, "nblocks": 8}
+
+#: one malformed record each, and a fragment of the error it must raise
+MALFORMED = [
+    ({"arrival_ns": 0, "op": "trim", "lba": 0, "nblocks": 8},
+     "unknown op"),
+    ({"arrival_ns": 0, "op": "read", "lba": -1, "nblocks": 8}, "lba"),
+    ({"arrival_ns": 0, "op": "read", "lba": 0, "nblocks": 0}, "nblocks"),
+    ({"arrival_ns": 0.5, "op": "read", "lba": 0, "nblocks": 8},
+     "integer"),
+    ({"arrival_ns": 0, "op": "read", "lba": True, "nblocks": 8},
+     "integer"),
+    ({"arrival_ns": 0, "op": "read", "lba": 0}, "missing"),
+    ({"arrival_ns": 0, "op": "read", "lba": 0, "nblocks": 8,
+      "extra": 1}, "unknown field"),
+]
 
 
 class TestBlockTrace:
@@ -49,26 +71,11 @@ class TestSerialization:
         text = "\n" + self.TRACE.to_jsonl().replace("\n", "\n\n")
         assert BlockTrace.from_jsonl(text).entries == self.TRACE.entries
 
-    @pytest.mark.parametrize("record, fragment", [
-        ({"arrival_ns": 0, "op": "trim", "lba": 0, "nblocks": 8},
-         "unknown op"),
-        ({"arrival_ns": 0, "op": "read", "lba": -1, "nblocks": 8},
-         "lba"),
-        ({"arrival_ns": 0, "op": "read", "lba": 0, "nblocks": 0},
-         "nblocks"),
-        ({"arrival_ns": 0.5, "op": "read", "lba": 0, "nblocks": 8},
-         "integer"),
-        ({"arrival_ns": 0, "op": "read", "lba": True, "nblocks": 8},
-         "integer"),
-        ({"arrival_ns": 0, "op": "read", "lba": 0}, "missing"),
-        ({"arrival_ns": 0, "op": "read", "lba": 0, "nblocks": 8,
-          "extra": 1}, "unknown field"),
-    ])
+    @pytest.mark.parametrize("record, fragment", MALFORMED)
     def test_malformed_record_rejected_with_its_number(self, record,
                                                        fragment):
-        good = {"arrival_ns": 0, "op": "read", "lba": 0, "nblocks": 8}
         with pytest.raises(TraceError, match="record 2") as err:
-            BlockTrace.from_dicts([good, record])
+            BlockTrace.from_dicts([GOOD, record])
         assert fragment in str(err.value)
 
     def test_out_of_order_arrivals_rejected(self):
@@ -87,6 +94,121 @@ class TestSerialization:
     def test_non_object_line_rejected(self):
         with pytest.raises(TraceError, match="record 1"):
             BlockTrace.from_jsonl("[1, 2, 3]\n")
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.floats() | st.text(max_size=8))
+    return st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8)
+
+
+@st.composite
+def _jsonl(draw):
+    """A valid trace of up to 8 records, then up to two corruptions: a
+    field dropped, a field (or ``extra``) set to any JSON value, or a
+    junk line spliced in."""
+    arrivals = sorted(draw(st.lists(
+        st.integers(0, 5_000) | st.just((1 << 64) - 1), max_size=8)))
+    records = [{"arrival_ns": arrival,
+                "op": draw(st.sampled_from(TRACE_OPS)),
+                "lba": draw(st.integers(0, 64)),
+                "nblocks": draw(st.integers(1, 9))}
+               for arrival in arrivals]
+    junk = (_json_values() | st.sampled_from(
+        [-1, 0, 1 << 40, 1 << 64, 10**400, 0.5, True, "trim"]))
+    lines: list[str | dict] = list(records)
+    for _ in range(draw(st.integers(0, 2))):
+        if records and draw(st.booleans()):
+            record = records[draw(st.integers(0, len(records) - 1))]
+            field = draw(st.sampled_from(TraceEntry.FIELDS + ("extra",)))
+            if draw(st.booleans()):
+                record.pop(field, None)
+            else:
+                record[field] = draw(junk)
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), draw(
+                st.text(max_size=40) | junk.map(json.dumps)))
+    return "\n".join(line if isinstance(line, str) else json.dumps(line)
+                     for line in lines)
+
+
+def _seeded(test):
+    """Run the fuzz on the malformed records above and on the inputs
+    that used to escape as something other than a TraceError."""
+    good = json.dumps(GOOD)
+    escapes = ["[" * 100_000,
+               good.replace('"arrival_ns": 0', '"arrival_ns": ' + "9" * 5_000),
+               json.dumps({**GOOD, "arrival_ns": 10**400}),
+               json.dumps({**GOOD, "arrival_ns": 1, "lba": 1 << 40})]
+    for text in [json.dumps(record) for record, _ in MALFORMED] + escapes:
+        test = example(text=good + "\n" + text)(test)
+    return test
+
+
+class TestTraceBoundary:
+    """A JSONL trace is untrusted input: whatever a line holds, parsing
+    ends in a trace or in a :class:`TraceError` naming the line or
+    record — never in a traceback from deeper down."""
+
+    LINE = json.dumps(GOOD)
+
+    def test_deep_nesting_is_a_trace_error(self):
+        with pytest.raises(TraceError, match="line 2"):
+            BlockTrace.from_jsonl(self.LINE + "\n" + "[" * 100_000)
+
+    def test_oversized_integer_literal_is_a_trace_error(self):
+        line = self.LINE.replace('"arrival_ns": 0', '"arrival_ns": '
+                                 + "9" * 5_000)
+        with pytest.raises(TraceError, match="line 2"):
+            BlockTrace.from_jsonl(self.LINE + "\n" + line)
+
+    @pytest.mark.parametrize("field", ["arrival_ns", "lba", "nblocks"])
+    def test_integer_fields_fit_in_64_bits(self, field):
+        """10**400 used to parse, then overflow a float in
+        ``replay_trace(..., speedup=2.0)`` and ``BlockTrace.scaled``."""
+        edge = BlockTrace.from_dicts([{**GOOD, field: (1 << 64) - 1}])
+        assert getattr(edge.entries[0], field) == (1 << 64) - 1
+        for value in (1 << 64, 10**400):
+            text = self.LINE + "\n" + json.dumps({**GOOD, field: value})
+            with pytest.raises(TraceError, match="record 2.*64 bits"):
+                BlockTrace.from_jsonl(text)
+
+    def test_extent_past_the_device_fails_before_any_issue(self):
+        device = ours_remote(seed=431).device
+        trace = BlockTrace([TraceEntry(0, "read", 0, 8),
+                            TraceEntry(10, "write", 8, 8),
+                            TraceEntry(20, "read",
+                                       device.capacity_lbas + 5, 1)])
+        now = device.sim.now
+        with pytest.raises(TraceError, match="record 3"):
+            replay_trace(device, trace)
+        assert device.completed == 0
+        assert device.sim.now == now
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=_jsonl() | st.text())
+    @_seeded
+    def test_any_input_is_a_trace_or_a_trace_error(self, text):
+        try:
+            trace = BlockTrace.from_jsonl(text)
+        except TraceError as exc:
+            assert re.match(r"(line|record) \d+: ", str(exc))
+            return
+        if len(trace) > 8 or any(e.nblocks > 8 for e in trace.entries):
+            return
+        for speedup in (0.5, 1.0, 3.0):
+            device = ours_remote(seed=432).device
+            if any(e.lba + e.nblocks > device.capacity_lbas
+                   for e in trace.entries):
+                with pytest.raises(TraceError, match="beyond the end"):
+                    replay_trace(device, trace, speedup=speedup)
+                continue
+            result = replay_trace(device, trace, speedup=speedup)
+            assert result.issued == result.completed == len(trace)
+            assert result.errors == 0
 
 
 class TestRecording:
@@ -185,7 +307,7 @@ class TestReplay:
 
 
 class TestRateScaledReplay:
-    """``speedup`` / ``inflight_cap`` / ``open_loop`` replay modes."""
+    """``speedup`` / ``inflight_cap`` replay modes."""
 
     def _record(self, seed=420, ios=60):
         scenario = local_linux(seed=seed)
@@ -230,18 +352,28 @@ class TestRateScaledReplay:
                          inflight_cap=0)
 
     def test_open_loop_latency_charges_backlog(self):
-        """With ``open_loop=True`` latency runs from the *scheduled*
-        arrival, so cap-induced software backlog inflates the recorded
-        distribution instead of hiding in a stalled issuer."""
+        """Latency runs from the *scheduled* arrival, so cap-induced
+        software backlog inflates ``latencies`` instead of hiding in a
+        stalled issuer; ``service_latencies`` of the same replay run
+        from the submission and do not see it."""
         trace = self._record(ios=40)
-        service = replay_trace(ours_remote(seed=428).device,
-                               trace.scaled(0.001), inflight_cap=1)
-        open_lp = replay_trace(ours_remote(seed=428).device,
-                               trace.scaled(0.001), inflight_cap=1,
-                               open_loop=True)
-        assert open_lp.max_backlog_ns > 0
-        assert open_lp.latencies.summary().median > \
-            service.latencies.summary().median
+        replay = replay_trace(ours_remote(seed=428).device,
+                              trace.scaled(0.001), inflight_cap=1)
+        assert replay.max_backlog_ns > 0
+        assert replay.latencies.summary().median > \
+            replay.service_latencies.summary().median
+
+    def test_uncapped_latency_is_the_service_latency(self):
+        """With no cap delaying an issue, every request is submitted at
+        its scheduled arrival: the two recorders agree to the ns."""
+        trace = self._record(ios=40)
+        device = ours_remote(seed=430).device
+        replay = replay_trace(device, trace, speedup=3.0)
+        assert replay.max_backlog_ns == replay.capped_arrivals == 0
+        assert replay.latencies.values().tolist() == \
+            replay.service_latencies.values().tolist()
+        assert replay.bytes_moved == device.lba_bytes * sum(
+            e.nblocks for e in trace.entries)
 
     def test_constructor_bypass_rejected_at_replay(self):
         """A trace built by handing an out-of-order list straight to
