@@ -12,26 +12,26 @@ twice:
 * ``off`` — telemetry disabled entirely (the default for every run);
 * ``on``  — telemetry hub + histograms + SLO engine + sampler at the
   SLO run's default interval (1 ms of simulated time — the cadence the
-  < 10 % gate has always actually measured; docs/performance.md has
-  the cost at 200 us and 100 us).
+  wall ratio is taken at; docs/performance.md has the cost at 200 us
+  and 100 us).
 
 Both arms run with the SLO reliability profile (command timeouts,
 heartbeats, leases) on, as an SLO-watched cluster does.
 
 The simulated results are bit-identical between the two (the sampler
 only reads state — see ``tests/test_slo.py::TestZeroPerturbation``), so
-the wall-clock delta is pure instrumentation overhead.  The gate is
-**< 10 %** overhead; ``BENCH_slo_overhead.json`` records the
-``before``/``after`` trajectory per PR, same shape as
-``BENCH_sim_speed.json``.
+the wall-clock delta is pure instrumentation overhead.
+``BENCH_slo_overhead.json`` records the ``before``/``after`` trajectory
+per PR, same shape as ``BENCH_sim_speed.json``.
 
-Wall-clock on a shared box swings by more than the effect, so the run
-also counts **host calls** (one cProfile pass per arm, exact for a tree
-and an interpreter) with the stack off and on at 1 ms, 200 us and
+Wall-clock on a shared box swings by more than the effect, so the wall
+ratio is printed as an observation and gates nothing.  The gate is
+**host calls** (one cProfile pass per arm, exact for a tree and an
+interpreter), counted with the stack off and on at 1 ms, 200 us and
 100 us — the last is the noisy-neighbour rig's cadence, where a tick's
-cost shows.  ``--check`` gates that row too: the stack-on count at
-100 us may exceed the recorded one (``runs.after.calls``) by at most
-1 %, which machine noise cannot trip.
+cost shows.  ``--check`` fails when the stack-on count at 100 us
+exceeds the recorded one (``runs.after.calls``) by more than 1 %, which
+machine noise cannot trip.
 
 Usage::
 
@@ -64,7 +64,7 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_slo_overhead.json"
 #: sampling interval: the default of ``repro run ... --observe slo``
 INTERVAL_NS = 1_000_000
 #: cadences the call count is taken at (the default, what the docs once
-#: claimed the gate measured, the noisy rig's)
+#: claimed the wall ratio measured, the noisy rig's: the gated row)
 CALL_INTERVALS_NS = (1_000_000, 200_000, 100_000)
 #: slack of the calls gate over the recorded count
 CALLS_SLACK = 0.01
@@ -72,7 +72,7 @@ CALLS_SLACK = 0.01
 HORIZON_NS = 60_000_000
 
 #: (full, quick) I/Os per client.  The quick variant still runs ~1 s
-#: per sample — shorter runs drown the <10 % signal in scheduler noise.
+#: per sample — shorter runs drown the wall ratio in scheduler noise.
 SIZES = (3000, 1000)
 
 
@@ -171,10 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--record", choices=("before", "after"), default=None,
                     help="label under which to record in the trajectory")
     ap.add_argument("--check", action="store_true",
-                    help="fail when the calls at 100 us exceed the record "
-                    "or the wall-clock overhead exceeds the gate")
-    ap.add_argument("--gate", type=float, default=0.10,
-                    help="maximum allowed instrumentation overhead")
+                    help="fail when the calls at 100 us exceed the record")
     ap.add_argument("--out", type=pathlib.Path, default=None,
                     help="also dump this run's raw results as JSON")
     args = ap.parse_args(argv)
@@ -213,11 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"calls at {row} ns within {CALLS_SLACK:.0%} of the record "
               f"({calls['on'][row]} vs {record['on'][row]}, "
               f"{calls['overhead'][row]:+.1%} over telemetry off)")
-        if results["overhead"] > args.gate:
-            print(f"FAIL: SLO telemetry overhead {results['overhead']:+.1%} "
-                  f"exceeds the {args.gate:.0%} gate")
-            return 1
-        print(f"overhead within the {args.gate:.0%} gate")
+        print(f"wall-clock overhead at {INTERVAL_NS} ns "
+              f"{results['overhead']:+.1%} (observed, not gated)")
     return 0
 
 

@@ -413,11 +413,12 @@ class QueuePair(Commands):
         """Busy-poll CQ memory (no interrupts, paper Sec. V): the CPU
         notices a CQE write at its next poll iteration, a draw from the
         seeded ``stream`` uniform in [0, ``interval_ns``]."""
-        # hot-path: the draw mirrors RngRegistry.uniform_ns against a
-        # pre-resolved stream (a zero interval never draws, exactly as
+        # hot-path: the draw is RngRegistry.uniform_ns against the
+        # pre-resolved batch (a zero interval never draws, exactly as
         # uniform_ns short-circuits when low == high).
         sim = self.sim
-        jitter = sim.rng.stream(stream) if interval_ns else None
+        jitter = (sim.rng.integers(stream, 0, interval_ns + 1)
+                  if interval_ns else None)
         wp = self.watch()
         wait = wp.signal.wait
         try:
@@ -427,7 +428,11 @@ class QueuePair(Commands):
                 self.drain()
                 yield wait()
                 if interval_ns:
-                    delay = int(jitter.integers(0, interval_ns + 1))
+                    try:
+                        delay = jitter.buf[jitter.pos]
+                        jitter.pos += 1
+                    except IndexError:
+                        delay = jitter.refill()
                     if delay:
                         yield sim.sleep(delay)
         except Interrupt:

@@ -164,10 +164,10 @@ class NvmeofInitiator(BlockDevice):
             completions = recv_cq.poll()
             if not completions:
                 yield recv_cq.signal.wait()
-                yield self.sim.timeout(cfg.host.interrupt_latency_ns)
+                yield self.sim.sleep(cfg.host.interrupt_latency_ns)
                 continue
             for wc in completions:
-                yield self.sim.timeout(cfg.rdma.cq_poll_ns)
+                yield self.sim.sleep(cfg.rdma.cq_poll_ns)
                 raw = self.host.memory.read(wc.wr_id, wc.byte_len)
                 rsp = ResponseCapsule.unpack(raw)
                 self.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,

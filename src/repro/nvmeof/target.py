@@ -168,10 +168,10 @@ class SpdkTarget:
                 delay = self.sim.rng.uniform_ns(
                     "spdk-recv-poll", 0, cfg.target_poll_interval_ns)
                 if delay:
-                    yield self.sim.timeout(delay)
+                    yield self.sim.sleep(delay)
                 continue
             for wc in completions:
-                yield self.sim.timeout(self.config.rdma.cq_poll_ns)
+                yield self.sim.sleep(self.config.rdma.cq_poll_ns)
                 yield from self._handle_capsule(conn, wc.wr_id,
                                                 wc.byte_len)
                 # Re-post the capsule buffer for the next command.
@@ -186,7 +186,7 @@ class SpdkTarget:
         except ValueError:
             self.malformed_capsules += 1
             return
-        yield self.sim.timeout(self.config.nvmeof.target_process_ns)
+        yield self.sim.sleep(self.config.nvmeof.target_process_ns)
         sqe = capsule.sqe
         if sqe.cid in conn.inflight:
             # Taking it would orphan the first command's context, and
@@ -256,7 +256,7 @@ class SpdkTarget:
                         "spdk-nvme-poll", 0,
                         self.config.nvmeof.target_poll_interval_ns)
                     if delay:
-                        yield self.sim.timeout(delay)
+                        yield self.sim.sleep(delay)
                     continue
                 yield from self._complete_io(conn, cqe)
         finally:
@@ -267,7 +267,7 @@ class SpdkTarget:
         ctx = conn.inflight.pop(cqe.cid, None)
         if ctx is None:
             return
-        yield self.sim.timeout(self.config.nvmeof.target_complete_ns)
+        yield self.sim.sleep(self.config.nvmeof.target_complete_ns)
         capsule: CommandCapsule = ctx["capsule"]
         if ctx["opcode"] == IoOpcode.READ and cqe.ok and ctx["nbytes"]:
             # READ: push the data to the initiator's buffer, then the
@@ -286,7 +286,7 @@ class SpdkTarget:
         conn.qp.post_send(SendWR(
             wr_id=_RSP + cqe.cid, opcode=WrOpcode.SEND,
             inline_data=rsp.pack(), length=rsp.wire_size))
-        yield self.sim.timeout(0)
+        yield self.sim.sleep(0)
 
     def _refuse(self, conn: _Connection, cid: int,
                 status: Status) -> t.Generator:

@@ -34,7 +34,10 @@ between remaps.  Each transaction therefore makes *one* probe, for its
 flow's :class:`_Flow` (one table for posted writes, one for non-posted
 reads): the :class:`Resolution`, the hold plan(s), the hop latency split
 into a fixed part (NTB translation and target write service folded in)
-and the streams it draws from, and the posted-ordering clamp cell.
+and the streams it draws from, and the posted-ordering clamp cell.  A
+record for a new address copies its *route* — everything but the walk's
+outcome — from a second table keyed by what the route depends on
+(:meth:`Fabric._build_flow`), validated by the topology ``version``.
 Correctness contract (see docs/performance.md):
 
 * a record is validated on every hit, in this order: the
@@ -48,8 +51,9 @@ Correctness contract (see docs/performance.md):
   (fault-registry link events flip ``link_up`` directly);
 * a record holds *which* draw streams a leg consults, never a value, and
   never ``faults`` or who is subscribed to the probe: both are read per TLP;
-* ``REPRO_NO_ROUTE_CACHE=1`` keeps no record (escape hatch, read at
-  Fabric construction): every TLP walks and builds its own.
+* ``REPRO_NO_ROUTE_CACHE=1`` keeps no record and no route (escape
+  hatch, read at Fabric construction): every TLP walks and builds its
+  own.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ class _Read(Record):
         else:
             self.plan = plan
             self._index = 0
-            self._step = self._returned
+            self._step = _Read._returned
             self._claim(None)
 
     def _returned(self, _fill: Event | None) -> None:
@@ -282,7 +286,7 @@ class _Flow:
         "ends",         # (first, final) host name: the fault points crossed
         "plan",         # HoldPlan of the way there, () with nothing to hold
         "fixed",        # its latency but for the draws (write: to delivery)
-        "draws",        # (_BufferedDraw, ...), one per switch chip crossed
+        "draws",        # (BufferedDraw, ...), one per switch chip crossed
         "clamp",        # write: [last arrival], shared per (initiator, host)
         "service",      # read: the target's read latency
         "rplan", "rfixed", "rdraws")    # read: the completion's way back
@@ -309,6 +313,9 @@ class Fabric:
         self.timed_out_reads = 0
         # (initiator, host, addr, length) -> _Flow: posted writes, reads.
         self._flows: tuple[dict, dict] = ({}, {})
+        # (read, initiator, node, host, crossings, kind, length) -> the
+        # route a flow record copies (_build_flow), for a cold address.
+        self._routes: dict[tuple, _Flow] = {}
         self._memo = os.environ.get("REPRO_NO_ROUTE_CACHE") != "1"
         # Posted-ordering clamp: (initiator node, final host) -> [last
         # arrival time of a posted write on that flow]; the cell is
@@ -417,34 +424,66 @@ class Fabric:
 
     def _build_flow(self, read: bool, initiator: Node, host: Host,
                     addr: int, length: int) -> _Flow:
-        """Walk, then derive what the record caches from the path."""
+        """Walk, then fill in the route: what the record caches from the
+        path.  Every address of one route shares it (the slots of a
+        ring, the pages of a bounce buffer), so it is derived once per
+        ``(read, initiator, target node, host, crossings, kind,
+        length)`` and ``Cluster.version``; the walk — with its NTB
+        counters and guards — still runs for every new address."""
+        flow = self._walk(host, addr, length)
+        res = flow.res
+        version = self.cluster.version
+        key = (read, initiator, res.node, res.host, res.crossings,
+               res.kind, length)
+        route = self._routes.get(key)
+        if route is None or route.topo != version:
+            route = self._route(read, initiator, res, length)
+            route.topo = version
+            if self._memo:
+                self._routes[key] = route
+        flow.topo = version
+        flow.plan = route.plan
+        flow.fixed = route.fixed
+        flow.draws = route.draws
+        if read:
+            flow.service = route.service
+            flow.rplan = route.rplan
+            flow.rfixed = route.rfixed
+            flow.rdraws = route.rdraws
+        else:
+            flow.clamp = route.clamp
+        return flow
+
+    def _route(self, read: bool, initiator: Node, res: Resolution,
+               length: int) -> _Flow:
+        """Derive a route from the path: a :class:`_Flow` holding only
+        the plans, the latency split and the clamp or service time."""
         cfg = self.config
         cluster = self.cluster
-        flow = self._walk(host, addr, length)
-        flow.topo = cluster.version
-        res = flow.res
+        route = _Flow()
         mem = res.kind == "mem"
         path = cluster.path(initiator, res.node)
-        fixed, flow.draws = cluster.hop_plan(path)
+        fixed, route.draws = cluster.hop_plan(path)
         fixed += res.crossings * cfg.ntb_translation_ns
         if read:
             # Request leg: headers only; the data flows back.
-            flow.plan = self._hold_plan(
+            route.plan = self._hold_plan(
                 path, read_request_cost(length, cfg).bytes_on_wire)
-            flow.service = (cfg.memory_read_latency_ns if mem
-                            else cfg.device_mmio_read_ns)
+            route.service = (cfg.memory_read_latency_ns if mem
+                             else cfg.device_mmio_read_ns)
             rpath = path[::-1]
-            flow.rplan = self._hold_plan(
+            route.rplan = self._hold_plan(
                 rpath, completion_cost(length, cfg).bytes_on_wire)
-            flow.rfixed, flow.rdraws = cluster.hop_plan(rpath)
+            route.rfixed, route.rdraws = cluster.hop_plan(rpath)
         else:
-            flow.plan = self._hold_plan(
+            route.plan = self._hold_plan(
                 path, write_cost(length, cfg).bytes_on_wire)
             fixed += (cfg.memory_write_latency_ns if mem
                       else cfg.device_mmio_write_ns)
-            flow.clamp = self._clamps.setdefault((initiator, res.host), [0])
-        flow.fixed = fixed
-        return flow
+            route.clamp = self._clamps.setdefault((initiator, res.host),
+                                                  [0])
+        route.fixed = fixed
+        return route
 
     # -- link occupancy -----------------------------------------------------------
 
@@ -691,6 +730,6 @@ class Fabric:
         else:
             rd.plan = plan
             rd._index = 0
-            rd._step = rd._sent
+            rd._step = _Read._sent
             rd._claim(None)
         return rd

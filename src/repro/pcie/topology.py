@@ -32,40 +32,6 @@ class TopologyError(Exception):
     pass
 
 
-class _BufferedDraw:
-    """Batched uniform draws from one switch-chip stream.
-
-    ``gen.integers(lo, hi, size=N)`` consumes the underlying bit stream
-    element-wise, so serving from a prefetched batch yields *bit-identical*
-    values, in the same order, as the scalar calls it replaces — at ~1/40th
-    the per-draw cost.  One instance per stream is shared by every hop
-    plan referencing that chip, so the globally served sequence matches
-    what per-call scalar draws in traversal order would produce.
-    The batch is converted to Python ints up front: latencies must stay
-    plain ``int`` (numpy scalars would leak into heap keys and exports).
-    A consumer adds ``buf[pos]`` and steps ``pos``; the ``IndexError``
-    past the batch's end is its cue to :meth:`refill`.
-    """
-
-    __slots__ = ("gen", "lo", "hi", "buf", "pos")
-
-    BATCH = 256
-
-    def __init__(self, gen, lo: int, hi: int) -> None:
-        self.gen = gen
-        self.lo = lo
-        self.hi = hi              # exclusive, mirroring uniform_ns
-        self.buf: list[int] = []
-        self.pos = 0
-
-    def refill(self) -> int:
-        """Fetch the next batch and serve its first value."""
-        self.buf = self.gen.integers(self.lo, self.hi,
-                                     size=self.BATCH).tolist()
-        self.pos = 1
-        return self.buf[0]
-
-
 class Node:
     """A PCIe agent in the cluster graph."""
 
@@ -167,12 +133,6 @@ class Cluster:
         #: (the fabric's flow records) is stale once it differs.
         self.version = 0
         self._paths: dict[tuple[Node, Node], tuple[Node, ...]] = {}
-        # Per-switch-stream batched draws, shared across all hop plans so
-        # the globally served sequence per stream is exactly what scalar
-        # ``integers`` calls in traversal order would have produced.
-        # Survives ``connect()`` — clearing it would skip prefetched
-        # values and diverge from the scalar draw order.
-        self._draw_buffers: dict[str, "_BufferedDraw"] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -245,17 +205,18 @@ class Cluster:
 
     def hop_plan(self, path: tuple[Node, ...]) -> tuple:
         """One-way traversal latency of the intermediate nodes of a
-        path, split as ``(fixed_ns, (_BufferedDraw, ...))``: each switch
+        path, split as ``(fixed_ns, (BufferedDraw, ...))``: each switch
         chip draws uniformly from the paper's 100-150 ns band, root
         complexes add their fixed traversal cost; endpoint nodes at the
         extremes contribute nothing here (their service costs are
         accounted by the target handler).  The plan says which streams
         a traversal draws from, never *which value comes next* — every
         traversal still advances each stream once, so RNG consumption
-        does not depend on who keeps the plan.  Mirrors
-        :meth:`RngRegistry.uniform_ns` exactly (a degenerate lo==hi band
-        folds into the fixed part with no draw, just as ``uniform_ns``
-        short-circuits without one)."""
+        does not depend on who keeps the plan; a chip's stream is batched
+        (:meth:`RngRegistry.integers`), one :class:`BufferedDraw` shared
+        by every plan through it.  Mirrors :meth:`RngRegistry.uniform_ns`
+        exactly (a degenerate lo==hi band folds into the fixed part with
+        no draw, just as ``uniform_ns`` short-circuits without one)."""
         cfg = self.config
         lo, hi = cfg.switch_latency_min_ns, cfg.switch_latency_max_ns
         if hi < lo:
@@ -263,7 +224,6 @@ class Cluster:
         rng = self.sim.rng
         fixed = 0
         draws = []
-        buffers = self._draw_buffers
         for node in path[1:-1]:
             if node.kind == "switch":
                 if hi == lo:
@@ -274,12 +234,8 @@ class Cluster:
                     # flow from an independent stream: one host's draws
                     # do not depend on how its traffic interleaves with
                     # another's.
-                    stream = f"chip:{node.name}:from:{path[0].name}"
-                    buf = buffers.get(stream)
-                    if buf is None:
-                        buf = _BufferedDraw(rng.stream(stream), lo, hi + 1)
-                        buffers[stream] = buf
-                    draws.append(buf)
+                    draws.append(rng.integers(
+                        f"chip:{node.name}:from:{path[0].name}", lo, hi + 1))
             elif node.kind == "rc":
                 fixed += cfg.root_complex_latency_ns
         # An RC at either extreme still forwards the transaction between

@@ -60,7 +60,7 @@ class IbLink:
                 (self._dirs[(src, dst)],
                  serialize_ns(wire_bytes, self.config.bandwidth))])
         yield plan.hold()
-        yield self.sim.timeout(self.config.wire_latency_ns)
+        yield self.sim.sleep(self.config.wire_latency_ns)
 
 
 class RdmaNic(PCIeFunction):
@@ -141,19 +141,19 @@ class RdmaNic(PCIeFunction):
                 payload = wr.inline_data
             elif wr.length:
                 payload = yield self.dma_read(wr.local_addr, wr.length)
-            yield self.sim.timeout(cfg.nic_tx_ns)
+            yield self.sim.sleep(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic,
                                      max(len(payload), 64))
         elif wr.opcode is WrOpcode.RDMA_WRITE:
             remote_mr = peer.pd.lookup(wr.rkey)
             remote_mr.check(wr.remote_addr, wr.length)
             payload = yield self.dma_read(wr.local_addr, wr.length)
-            yield self.sim.timeout(cfg.nic_tx_ns)
+            yield self.sim.sleep(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic, wr.length)
         elif wr.opcode is WrOpcode.RDMA_READ:
             remote_mr = peer.pd.lookup(wr.rkey)
             remote_mr.check(wr.remote_addr, wr.length)
-            yield self.sim.timeout(cfg.nic_tx_ns)
+            yield self.sim.sleep(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic, 64)  # read request
         else:  # pragma: no cover - enum is exhaustive
             raise RdmaError(f"unknown opcode {wr.opcode}")
@@ -171,7 +171,7 @@ class RdmaNic(PCIeFunction):
             yield prev
         try:
             if wr.opcode is WrOpcode.SEND:
-                yield self.sim.timeout(cfg.nic_rx_ns)
+                yield self.sim.sleep(cfg.nic_rx_ns)
                 if not peer.recv_queue:
                     raise RdmaError("receiver-not-ready: no posted recv")
                 recv = peer.recv_queue.pop(0)
@@ -187,17 +187,17 @@ class RdmaNic(PCIeFunction):
                     byte_len=len(payload)))
                 self.sends += 1
             elif wr.opcode is WrOpcode.RDMA_WRITE:
-                yield self.sim.timeout(cfg.nic_rx_ns)
+                yield self.sim.sleep(cfg.nic_rx_ns)
                 yield peer_nic.dma_write(wr.remote_addr, payload)
                 qp.send_cq.push(WorkCompletion(
                     wr.wr_id, wr.opcode, WcStatus.SUCCESS,
                     byte_len=wr.length))
                 self.rdma_writes += 1
             else:  # RDMA_READ
-                yield self.sim.timeout(cfg.read_turnaround_ns)
+                yield self.sim.sleep(cfg.read_turnaround_ns)
                 data = yield peer_nic.dma_read(wr.remote_addr, wr.length)
                 yield from link.transfer(peer_nic, self, wr.length)
-                yield self.sim.timeout(cfg.nic_rx_ns)
+                yield self.sim.sleep(cfg.nic_rx_ns)
                 yield self.dma_write(wr.local_addr, data)
                 qp.send_cq.push(WorkCompletion(
                     wr.wr_id, wr.opcode, WcStatus.SUCCESS,

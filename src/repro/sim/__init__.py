@@ -10,7 +10,7 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .probe import Probe
 from .process import Interrupt, Process
 from .resources import HoldPlan, Request, Resource, Signal, Store
-from .rng import RngRegistry
+from .rng import BufferedDraw, RngRegistry
 from .stats import (BoxplotStats, Counter, LatencyRecorder, iops,
                     throughput_bytes_per_s)
 from .trace import Tracer, TraceRecord
@@ -19,7 +19,7 @@ __all__ = [
     "Simulator", "Event", "Timeout", "AnyOf", "AllOf",
     "Process", "Interrupt",
     "Resource", "Request", "Store", "Signal", "HoldPlan",
-    "RngRegistry",
+    "RngRegistry", "BufferedDraw",
     "LatencyRecorder", "BoxplotStats", "Counter", "iops",
     "throughput_bytes_per_s",
     "Probe", "Tracer", "TraceRecord",

@@ -34,9 +34,20 @@ if t.TYPE_CHECKING:  # pragma: no cover
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource`; triggers when granted."""
+    """A pending claim on a :class:`Resource`; triggers when granted.
+
+    A granted request's value is the request itself, read through
+    :attr:`value`; what is stored is ``None``, so a grant is no
+    reference cycle to outlive its holder (the resumed process receives
+    that ``None``)."""
 
     __slots__ = ("resource",)
+
+    @property
+    def value(self) -> "Request":
+        if self._value is _PENDING:
+            raise RuntimeError("event value is not yet available")
+        return self
 
 
 class Resource:
@@ -96,7 +107,7 @@ class Resource:
             # Same zero-delay NORMAL grant event, at the same place in
             # the queue, as an uncontended request() schedules.
             nxt = self._waiting.popleft()
-            nxt._value = nxt
+            nxt._value = None
             sim = self.sim
             at = sim._at
             if sim._now in at:
@@ -122,7 +133,7 @@ class Resource:
         req.resource = self
         if self._free:
             self._free -= 1
-            req._value = req
+            req._value = None
             at = sim._at
             if sim._now in at:
                 at[sim._now].append(req)
@@ -218,7 +229,7 @@ def _giver(sim: "Simulator",
             waiting = resource._waiting
             if waiting:
                 grant = waiting.popleft()
-                grant._value = grant
+                grant._value = None
                 now = sim._now
                 if now in at:
                     at[now].append(grant)
@@ -339,7 +350,9 @@ class Record(Hold):
     * links: :meth:`HoldPlan.take`'s release timer, subscribed with the
       step; else the record walks the plan as its own :class:`Hold`
       (``plan``, ``_index``, ``_step`` set, then :meth:`_claim`) and
-      :meth:`_held` runs ``_step`` from the last release timer;
+      :meth:`_held` runs ``_step`` from the last release timer — the
+      step's function, not a method bound to the record, which would
+      make the record a reference cycle;
     * delays: :meth:`_arm` pushes the record's one owned timer
       (``_timer``, events.py) where ``sim.sleep`` pushed the
       coroutine's.
@@ -367,7 +380,7 @@ class Record(Hold):
 
     def _held(self, fill: Event) -> None:
         """A queued leg holds its links and its pipe has filled."""
-        self._step(fill)
+        self._step(self, fill)
 
     def _fail(self, exc: BaseException) -> None:
         """End the walk with ``exc``: the subscribers run now, inline,

@@ -101,7 +101,8 @@ def fio_generator(device: BlockDevice, job: FioJob
     max_slot = region // lba_per_io
     if max_slot < 1:
         raise ValueError("region smaller than one I/O")
-    rng = sim.rng.stream(f"{job.seed_stream}:{job.name}:{device.name}")
+    stream = f"{job.seed_stream}:{job.name}:{device.name}"
+    rng = sim.rng.stream(stream)
 
     result = FioResult(
         job=job, device_name=device.name, ios=0, bytes_moved=0,
@@ -115,6 +116,10 @@ def fio_generator(device: BlockDevice, job: FioJob
     # allocation in hot loops).
     base_payload = bytes(rng.integers(0, 256, size=job.bs,
                                       dtype=np.uint8))
+    # A pure random job draws nothing but LBAs from here on: batched
+    # until it ends (a later job on the stream draws its payload raw).
+    slots = (sim.rng.integers(stream, 0, max_slot)
+             if job.rw in ("randread", "randwrite") else None)
 
     start = sim.now
     deadline = (start + job.runtime_ns if job.runtime_ns is not None
@@ -131,7 +136,14 @@ def fio_generator(device: BlockDevice, job: FioJob
     def pick_lba(seq_index: int) -> int:
         if job.rw in ("read", "write"):          # sequential modes
             return (seq_index % max_slot) * lba_per_io
-        return int(rng.integers(0, max_slot)) * lba_per_io
+        if slots is None:
+            return int(rng.integers(0, max_slot)) * lba_per_io
+        try:
+            slot = slots.buf[slots.pos]
+            slots.pos += 1
+        except IndexError:
+            slot = slots.refill()
+        return slot * lba_per_io
 
     def should_stop() -> bool:
         if job.total_ios is not None and state["issued"] >= job.total_ios:
@@ -174,7 +186,11 @@ def fio_generator(device: BlockDevice, job: FioJob
                         f"verify failed at lba {lba}: data corrupted")
 
     workers = [sim.process(worker(sim)) for _ in range(job.iodepth)]
-    yield sim.all_of(workers)
+    try:
+        yield sim.all_of(workers)
+    finally:
+        if slots is not None:
+            sim.rng.release(stream)
     result.elapsed_ns = sim.now - start
     return result
 

@@ -306,6 +306,48 @@ class TestRouteCacheInvalidation:
         _read_once(sim, fabric, client, window, 64)
         assert sim.now - start <= 2 * (around - 300)
 
+    def test_cold_address_shares_the_warm_route_and_still_walks(self):
+        """A new address on a known route copies the route (one entry
+        per route, the same hold plans) — and still walks, so the NTB
+        counts its translation."""
+        sim, cluster, fabric, devhost, client, *_, ntb_b = \
+            build_two_host_cluster()
+        window = ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
+        _warm(sim, fabric, client, window, 64)
+        routes = dict(fabric._routes)
+        translations = ntb_b.translations
+        _write_once(sim, fabric, client, window + 64, b"a" * 64)
+        assert _read_once(sim, fabric, client, window + 64, 64) == b"a" * 64
+        assert fabric._routes == routes and len(routes) == 2
+        assert ntb_b.translations == translations + 2
+        writes, reads = fabric._flows
+        for table in (writes, reads):
+            warm, cold = (table[(client.rc, client, addr, 64)]
+                          for addr in (window, window + 64))
+            assert cold is not warm and cold.plan is warm.plan
+            assert cold.res.addr == warm.res.addr + 64
+
+    def test_connect_after_a_warm_route_rederives_it_for_a_cold_address(
+            self):
+        """The route table is validated by ``Cluster.version`` too: after
+        ``connect()``, a TLP to an address never seen before takes the
+        new, shorter path, not the route derived before the cable."""
+        sim, cluster, fabric, devhost, client, *_, ntb_b = \
+            build_two_host_cluster()
+        window = ntb_b.map_window(devhost, devhost.alloc_dma(4096), 4096)
+        _warm(sim, fabric, client, window, 64)
+        around = _write_once(sim, fabric, client, window, b"a" * 64)
+        start = sim.now
+        _read_once(sim, fabric, client, window, 64)
+        read_around = sim.now - start
+        cluster.connect(client.rc, devhost.rc, bandwidth=7.0)
+        # three chips at >= 100 ns each no longer crossed
+        assert _write_once(sim, fabric, client, window + 64, b"b" * 64) \
+            <= around - 300
+        start = sim.now
+        _read_once(sim, fabric, client, window + 128, 64)
+        assert sim.now - start <= read_around - 600
+
     def test_faults_attached_after_warm_up_are_drawn_for(self):
         sim, cluster, fabric, devhost, client, *_, ntb_b = \
             build_two_host_cluster()
@@ -366,9 +408,10 @@ class TestNoRouteCacheEscapeHatch:
             sim, cluster, fabric, devhost, client, *_ = \
                 build_two_host_cluster()
             _warm(sim, fabric, client, client.alloc_dma(4096), 64)
-            return [len(table) for table in fabric._flows]
+            return [len(table) for table in fabric._flows] \
+                + [len(fabric._routes)]
 
         monkeypatch.setenv("REPRO_NO_ROUTE_CACHE", "1")
-        assert flows() == [0, 0]
+        assert flows() == [0, 0, 0]
         monkeypatch.delenv("REPRO_NO_ROUTE_CACHE")
-        assert flows() == [1, 1]
+        assert flows() == [1, 1, 2]
