@@ -20,7 +20,7 @@ Actions
                           ``probability`` (auto-clear after ``duration_ns``)
 ``tlp_delay``             add ``delay_ns`` forwarding delay at the point
                           (auto-clear after ``duration_ns``)
-``ctrl_stall``            stall a controller's SQ workers (auto
+``ctrl_stall``            stall a controller's fetch loops (auto
                           ``ctrl_resume`` after ``duration_ns``)
 ``ctrl_resume``           resume a stalled controller
 ``ctrl_abort``            set a controller's per-command abort probability

@@ -11,7 +11,7 @@ Components expose *fault points* — stable string names at which a
     delay (a lossy/degraded cable instead of a dead one).
 
 ``ctrl:<name>``
-    An NVMe controller.  Can be *stalled* (its SQ workers stop fetching
+    An NVMe controller.  Can be *stalled* (its fetch loops stop fetching
     until resumed — firmware hiccup, internal GC pause) or given a
     per-command *abort* probability.
 
@@ -167,10 +167,9 @@ class FaultPointRegistry:
             self._count("cmd-abort")
         return aborted
 
-    def stall_barrier(self, name: str) -> t.Generator:
-        """Generator: block while the point is stalled (no-op otherwise)."""
-        while True:
-            state = self._points.get(name)
-            if state is None or state.stall_clear is None:
-                return
-            yield state.stall_clear
+    def stalled(self, name: str) -> Event | None:
+        """The pending event that fires when the point's stall is
+        lifted, or None while it is not stalled: a waiter subscribes and
+        asks again when it fires (the point may be stalled anew)."""
+        state = self._points.get(name)
+        return None if state is None else state.stall_clear

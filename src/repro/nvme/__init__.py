@@ -6,7 +6,8 @@ from .constants import (AdminOpcode, IoOpcode, Status, DOORBELL_BASE,
 from .controller import NvmeController
 from .media import Media, NandMedia, OptaneMedia, NAND_CONFIG
 from .namespace import Namespace, NamespaceError
-from .prp import PrpDescriptor, PrpError, build_prps, page_segments, resolve_prps
+from .prp import (PrpDescriptor, PrpError, build_prps, page_segments,
+                  prp_list_page, prp_segments)
 from .queues import (CompletionQueueState, QueueError, SqWindowState,
                      SubmissionQueueState)
 from .registers import (RegisterFile, build_cap, cq_doorbell_offset,
@@ -22,7 +23,7 @@ __all__ = [
     "Media", "OptaneMedia", "NandMedia", "NAND_CONFIG",
     "Namespace", "NamespaceError",
     "PrpDescriptor", "PrpError", "build_prps", "page_segments",
-    "resolve_prps",
+    "prp_segments", "prp_list_page",
     "SubmissionQueueState", "CompletionQueueState", "SqWindowState",
     "QueueError",
     "RegisterFile", "build_cap", "doorbell_index", "sq_doorbell_offset",

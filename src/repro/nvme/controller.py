@@ -17,6 +17,14 @@ mechanics the paper's driver relies on:
 The controller never takes shortcuts through Python object graphs: every
 byte of every SQE, CQE, PRP list and data block moves through the fabric
 with its full latency/bandwidth accounting.
+
+**Every command is a record**: each SQ's fetch loop (:class:`_Fetch`,
+:class:`_SharedFetch`) and each fetched command (:class:`IoCommand`,
+:class:`AdminCommand`) walks its steps from plain callbacks on the
+events it waits for, its delays on one owned timer — no process per
+command.  Each step runs, and each push lands, where the generator
+processes they replaced had them (docs/performance.md, "Order
+preservation"), so no event is added, removed or reordered.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ import typing as t
 from ..config import NvmeConfig, QosConfig
 from ..pcie.device import Bar, PCIeFunction
 from ..pcie.fabric import FabricFaultError
-from ..sim import Signal, Simulator
+from ..sim import Event, Signal, Simulator
+from ..sim.events import _PENDING
+from ..sim.resources import Record
 from .constants import (CC_EN, CSTS_RDY, CSTS_SHST_COMPLETE, DOORBELL_BASE,
                         PAGE_SIZE, AdminOpcode, IoOpcode, Status,
                         CNS_ACTIVE_NS_LIST, CNS_CONTROLLER, CNS_NAMESPACE,
@@ -36,7 +46,7 @@ from .constants import (CC_EN, CSTS_RDY, CSTS_SHST_COMPLETE, DOORBELL_BASE,
 from ..qos.arbiter import Arbiter, make_arbiter
 from .media import Media, OptaneMedia
 from .namespace import Namespace, NamespaceError
-from .prp import PrpError, resolve_prps
+from .prp import PrpError, prp_list_page, prp_segments
 from .queues import (MAX_SQ_WINDOWS, CompletionQueueState, SqWindowState,
                      SubmissionQueueState)
 from .registers import (MSIX_ENTRY_SIZE, MSIX_TABLE_OFFSET, MSIX_VECTORS,
@@ -74,10 +84,499 @@ class _MsixEntry:
     masked: bool = True
 
 
+#: the media access each I/O opcode pays for; any other opcode is invalid
+_MEDIA_KIND = {IoOpcode.FLUSH: "flush", IoOpcode.READ: "read",
+               IoOpcode.COMPARE: "read", IoOpcode.WRITE: "write",
+               IoOpcode.WRITE_ZEROES: "write"}
+#: the opcodes whose data buffers the PRPs describe
+_PRP_OPCODES = (IoOpcode.READ, IoOpcode.WRITE, IoOpcode.COMPARE)
+
+
+class _Fetch(Record):
+    """The fetch loop of one conventional SQ, admin or I/O, walked from
+    callbacks: wait for a doorbell (then the doorbell-to-fetch delay),
+    DMA-read the head SQE wherever the queue lives, advance the head,
+    decode (the decode delay), spawn the command's record and go round
+    again inline.  A controller stall is waited out by subscribing to
+    the fault point's ``stall_clear``; a fetch the fabric drops leaves
+    the head where it is and is retried after the doorbell-to-fetch
+    delay, as hardware keeps retrying until reset.
+
+    Each step runs where the SQ worker process's resume ran, and each delay
+    arms the record's timer where the process's ``sim.sleep`` pushed
+    (docs/performance.md, "Every command is a record").  The loop ends
+    once the SQ is deleted or the controller reset, the way the process
+    ended: as an event queued with nobody subscribed."""
+
+    __slots__ = ("ctrl", "sq", "sqe", "admin")
+
+    def __init__(self, ctrl: "NvmeController", sq: _ControllerSq) -> None:
+        sim = ctrl.sim
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self._grant = None
+        self._timer = timer = Event.__new__(Event)
+        timer.sim = sim
+        timer._value = None
+        timer._ok = True
+        timer._defused = False
+        self.ctrl = ctrl
+        self.sq = sq
+        self.admin = sq.state.qid == 0
+        self._boot(self._loop)
+
+    def _loop(self, _event: Event | None = None) -> None:
+        """The top of the loop: end once the SQ is gone, wait out a
+        stall, then fetch the head entry or wait for a doorbell."""
+        # hot-path
+        sq = self.sq
+        if not sq.active:
+            self.succeed()
+            return
+        ctrl = self.ctrl
+        faults = ctrl.faults
+        if faults is not None:
+            clear = faults.stalled(ctrl.fault_point)
+            if clear is not None:
+                clear.callbacks.append(self._loop)
+                return
+        state = sq.state
+        if state.head == sq.db_tail:
+            sq.signal.wait().callbacks.append(self._woken)
+            return
+        ctrl.fabric.read(ctrl.node, ctrl.host, state.slot_addr(state.head),
+                         SQE_SIZE).callbacks.append(self._fetched)
+
+    def _woken(self, _wake: Event) -> None:
+        """A doorbell (or the SQ's end): pay the doorbell processing /
+        arbitration cost, per wakeup, then look again."""
+        # hot-path
+        if not self.sq.active:
+            self.succeed()
+            return
+        self._arm(self.ctrl.config.doorbell_to_fetch_ns, self._loop)
+
+    def _retry(self, read: Event) -> None:
+        """The SQE fetch failed: a fetch lost in the fabric is retried
+        after a pause (the head is where it was); anything else is a
+        model bug, raised out of the run."""
+        if not isinstance(read._value, FabricFaultError):
+            raise read._value
+        ctrl = self.ctrl
+        ctrl.fetch_retries += 1
+        self._arm(ctrl.config.doorbell_to_fetch_ns, self._loop)
+
+    def _fetched(self, read: Event) -> None:
+        """The SQE is in: consume the slot and decode it."""
+        # hot-path
+        if not read._ok:
+            self._retry(read)
+            return
+        state = self.sq.state
+        state.head = (state.head + 1) % state.entries
+        ctrl = self.ctrl
+        ctrl.fetches += 1
+        self.sqe = SubmissionEntry.unpack(read._value)
+        self._arm(ctrl.config.command_decode_ns, self._decoded)
+
+    def _decoded(self, _timer: Event) -> None:
+        """Decoded: announce it, start the command, go round again."""
+        # hot-path
+        ctrl = self.ctrl
+        sq = self.sq
+        sqe = self.sqe
+        for f in ctrl.probe.sqe_fetched:
+            f(ctrl, sq.state.qid, sqe, None, 0, 0)
+        if self.admin:
+            AdminCommand(ctrl, sq, sqe, None)
+        else:
+            ctrl.command_record(ctrl, sq, sqe, None)
+        self._loop()
+
+
+class _SharedFetch(_Fetch):
+    """The fetch loop of a *shared* (windowed) SQ.
+
+    Each grant services exactly one SQE from the tenant window the SQ's
+    arbiter picks (docs/qos.md); under the default ``off`` policy that
+    is the next non-empty window after the previous winner, so no tenant
+    can starve a neighbour no matter how deep its backlog
+    (docs/queue_sharing.md).  A dropped fetch refunds the grant and
+    leaves the window head where it is."""
+
+    __slots__ = ("win", "granted_at", "wait_ns")
+
+    def _loop(self, _event: Event | None = None) -> None:
+        # hot-path
+        sq = self.sq
+        if not sq.active:
+            self.succeed()
+            return
+        ctrl = self.ctrl
+        faults = ctrl.faults
+        if faults is not None:
+            clear = faults.stalled(ctrl.fault_point)
+            if clear is not None:
+                clear.callbacks.append(self._loop)
+                return
+        win = sq.arbiter.select(sq.windows)
+        if win is None:
+            sq.signal.wait().callbacks.append(self._woken)
+            return
+        self.win = win
+        self.granted_at = self.sim._now
+        ctrl.fabric.read(ctrl.node, ctrl.host,
+                         win.slot_addr(sq.state.base_addr),
+                         SQE_SIZE).callbacks.append(self._fetched)
+
+    def _fetched(self, read: Event) -> None:
+        # hot-path
+        win = self.win
+        arb = self.sq.arbiter
+        if not read._ok:
+            self._retry(read)
+            arb.refund(win)
+            return
+        win.advance_head()
+        arb.on_fetch(win)
+        granted_at = self.granted_at
+        self.wait_ns = granted_at - win.ready_at
+        # The next entry (if any) has been waiting since this grant.
+        win.ready_at = granted_at
+        ctrl = self.ctrl
+        ctrl.fetches += 1
+        self.sqe = SubmissionEntry.unpack(read._value)
+        self._arm(ctrl.config.command_decode_ns, self._decoded)
+
+    def _decoded(self, _timer: Event) -> None:
+        # hot-path
+        ctrl = self.ctrl
+        sq = self.sq
+        sqe = self.sqe
+        win = self.win
+        for f in ctrl.probe.sqe_fetched:
+            f(ctrl, sq.state.qid, sqe, win, self.granted_at, self.wait_ns)
+        ctrl.command_record(ctrl, sq, sqe, win)
+        self._loop()
+
+
+class Command(Record):
+    """One fetched command, walked from callbacks where its process ran.
+
+    It boots from an URGENT event at the instant it is fetched, where
+    the process booted, so the fetch loop that spawned it moves on to
+    the next SQE first.  Each step runs where the process's resume ran
+    and each delay arms the record's timer where the process's sleep
+    pushed (docs/performance.md, "Every command is a record").  The
+    subclass's ``_execute`` is the first step; :meth:`_complete` is the
+    last, the same for every command: the CQE as a posted write the
+    controller waits on, then the optional MSI-X."""
+
+    __slots__ = ("ctrl", "sq", "sqe", "win", "cq", "status", "result")
+
+    def __init__(self, ctrl: "NvmeController", sq: _ControllerSq,
+                 sqe: SubmissionEntry, win: SqWindowState | None) -> None:
+        # hot-path: one per command; Event's fields inline
+        sim = ctrl.sim
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self._grant = None
+        self._timer = timer = Event.__new__(Event)
+        timer.sim = sim
+        timer._value = None
+        timer._ok = True
+        timer._defused = False
+        self.ctrl = ctrl
+        self.sq = sq
+        self.sqe = sqe
+        self.win = win
+        self._boot(self._execute)
+
+    def _execute(self, _boot: Event) -> None:
+        raise NotImplementedError
+
+    def _complete(self, status: int, result: int) -> None:
+        """Complete with ``status``: the CQE goes out once the
+        completion overhead has elapsed."""
+        # hot-path
+        self.status = int(status)
+        self.result = result
+        ctrl = self.ctrl
+        cq = ctrl.cqs.get(self.sq.state.cqid)
+        if cq is None or not cq.active:
+            self._done()    # queue torn down under us; drop, as hardware would
+            return
+        self.cq = cq
+        self._arm(ctrl.config.completion_overhead_ns, self._post)
+
+    def _post(self, _timer: Event) -> None:
+        """Write the CQE.  It is posted; the controller waits for its
+        delivery only to order the interrupt behind it (hardware
+        achieves the same via PCIe ordering rules; the fabric clamp
+        plus this wait are equivalent)."""
+        # hot-path
+        ctrl = self.ctrl
+        cq_state = self.cq.state
+        slot, phase = cq_state.produce_slot()
+        sq = self.sq
+        win = self.win
+        # On a shared SQ the head reported back is *window-relative*, so
+        # each tenant reclaims only its own sub-ring's slots.
+        cqe = CompletionEntry(self.result,
+                              sq.state.head if win is None else win.head,
+                              sq.state.qid, self.sqe.cid, self.status, phase)
+        write = ctrl.fabric.write(ctrl.node, ctrl.host,
+                                  cq_state.slot_addr(slot), cqe.pack())
+        if write._processed:
+            self._posted(write)     # dropped: nothing to wait for
+        else:
+            write.callbacks.append(self._posted)
+
+    def _posted(self, _write: Event) -> None:
+        """The CQE has landed: count it, then interrupt if enabled."""
+        # hot-path
+        ctrl = self.ctrl
+        ctrl.commands_completed += 1
+        for f in ctrl.probe.cqe_posted:
+            f(ctrl, self.sq.state.qid, self.sqe.cid, self.status)
+        cq = self.cq
+        if cq.interrupts_enabled and not ctrl.regs.intms & (1 << cq.vector):
+            entry = ctrl.msix[cq.vector]
+            if not entry.masked and entry.addr:
+                self._arm(ctrl.config.interrupt_generation_ns,
+                          self._interrupt)
+                return
+        self._done()
+
+    def _interrupt(self, _timer: Event) -> None:
+        ctrl = self.ctrl
+        entry = ctrl.msix[self.cq.vector]
+        ctrl.fabric.post_write(ctrl.node, ctrl.host, entry.addr,
+                               entry.data.to_bytes(4, "little"))
+        self._done()
+
+    def _done(self) -> None:
+        """The command is over."""
+        raise NotImplementedError
+
+
+class IoCommand(Command):
+    """One fetched I/O command: validate, resolve the PRPs (reading any
+    list pages), read the data the host sends, hold a media channel for
+    the access, move the data the host receives, complete.  Nothing
+    subscribes to it (its process was detached): once the command is
+    over it is garbage."""
+
+    __slots__ = ("ns", "kind", "slba", "nblocks", "nbytes", "segs",
+                 "remaining", "parts", "channel")
+
+    def _execute(self, _boot: Event) -> None:
+        """Validate the command and start resolving its PRPs."""
+        # hot-path
+        ctrl = self.ctrl
+        sqe = self.sqe
+        faults = ctrl.faults
+        if faults is not None and faults.command_aborted(ctrl.sim.rng,
+                                                         ctrl.fault_point):
+            self._complete(Status.ABORTED_BY_REQUEST, 0)
+            return
+        opcode = sqe.opcode
+        kind = _MEDIA_KIND.get(opcode)
+        if kind is None:
+            self._complete(Status.INVALID_OPCODE, 0)
+            return
+        ns = ctrl.namespaces.get(sqe.nsid)
+        if ns is None:
+            self._complete(Status.INVALID_FIELD, 0)
+            return
+        self.ns = ns
+        self.kind = kind
+        nblocks = nbytes = 0
+        if opcode != IoOpcode.FLUSH:
+            nblocks = sqe.nlb + 1
+            nbytes = nblocks * ns.lba_bytes
+            self.slba = slba = sqe.slba
+            try:
+                ns.check_range(slba, nblocks)
+            except NamespaceError:
+                self._complete(Status.LBA_OUT_OF_RANGE, 0)
+                return
+        self.nblocks = nblocks
+        self.nbytes = nbytes
+        # WRITE_ZEROES moves no data (the controller zeroes the range
+        # itself); WRITE and COMPARE fetch the host's buffers with
+        # non-posted reads *before* the media access.
+        if opcode in _PRP_OPCODES:
+            try:
+                self.segs, list_addr, self.remaining = prp_segments(
+                    sqe.prp1, sqe.prp2, nbytes)
+            except PrpError:
+                self._complete(Status.INVALID_FIELD, 0)
+                return
+            if list_addr:
+                ctrl.fabric.read(ctrl.node, ctrl.host, list_addr,
+                                 PAGE_SIZE).callbacks.append(self._listed)
+                return
+            if opcode != IoOpcode.READ:
+                self._send()
+                return
+        self._media()
+
+    def _listed(self, read: Event) -> None:
+        """A PRP list page is in: decode it, then read the next one, or
+        what the host sends, or go to the media."""
+        if not read._ok:
+            self._transfer_failed(read)
+            return
+        try:
+            list_addr, self.remaining = prp_list_page(
+                read._value, self.segs, self.remaining)
+        except PrpError:
+            self._complete(Status.INVALID_FIELD, 0)
+            return
+        ctrl = self.ctrl
+        if list_addr:
+            ctrl.fabric.read(ctrl.node, ctrl.host, list_addr,
+                             PAGE_SIZE).callbacks.append(self._listed)
+        elif self.sqe.opcode != IoOpcode.READ:
+            self._send()
+        else:
+            self._media()
+
+    def _send(self) -> None:
+        """Read what the host sends, one segment at a time."""
+        # hot-path
+        self.parts = []
+        addr, size = self.segs[0]
+        ctrl = self.ctrl
+        ctrl.fabric.read(ctrl.node, ctrl.host, addr,
+                         size).callbacks.append(self._sent)
+
+    def _sent(self, read: Event) -> None:
+        # hot-path
+        if not read._ok:
+            self._transfer_failed(read)
+            return
+        parts = self.parts
+        parts.append(read._value)
+        segs = self.segs
+        if len(parts) < len(segs):
+            addr, size = segs[len(parts)]
+            ctrl = self.ctrl
+            ctrl.fabric.read(ctrl.node, ctrl.host, addr,
+                             size).callbacks.append(self._sent)
+        else:
+            self._media()
+
+    def _transfer_failed(self, read: Event) -> None:
+        """A data or PRP-list read failed: lost in the fabric, the
+        command completes with a data transfer error; anything else is
+        a model bug, raised out of the run."""
+        if not isinstance(read._value, FabricFaultError):
+            raise read._value
+        self._complete(Status.DATA_TRANSFER_ERROR, 0)
+
+    def _media(self) -> None:
+        """Queue for a media channel."""
+        # hot-path
+        channel = self.channel = self.ctrl.media.channels.request()
+        channel.callbacks.append(self._granted)
+
+    def _granted(self, _grant: Event) -> None:
+        # hot-path
+        self._arm(self.ctrl.media.access_ns(self.kind, self.nbytes),
+                  self._accessed)
+
+    def _accessed(self, _timer: Event) -> None:
+        """The media access is over: move the data, then complete."""
+        # hot-path
+        ctrl = self.ctrl
+        media = ctrl.media
+        media.channels.release(self.channel)
+        kind = self.kind
+        ok = media.finish(kind)
+        sqe = self.sqe
+        for f in ctrl.probe.media_done:
+            f(ctrl, self.sq.state.qid, sqe.cid)
+        if not ok:
+            self._complete(Status.WRITE_FAULT if kind == "write"
+                           else Status.UNRECOVERED_READ_ERROR, 0)
+            return
+        status = Status.SUCCESS
+        opcode = sqe.opcode
+        ns = self.ns
+        if opcode == IoOpcode.READ:
+            data = ns.read_blocks(self.slba, self.nblocks)
+            # Posted writes, one burst: the clamp guarantees the
+            # subsequent CQE cannot overtake the data on the same flow.
+            offset = 0
+            burst = []
+            for addr, size in self.segs:
+                burst.append((addr, data[offset: offset + size]))
+                offset += size
+            ctrl.fabric.post_writes(ctrl.node, ctrl.host, burst)
+        elif opcode == IoOpcode.COMPARE:
+            if b"".join(self.parts) != ns.read_blocks(self.slba,
+                                                      self.nblocks):
+                status = Status.COMPARE_FAILURE
+        elif opcode == IoOpcode.WRITE:
+            ns.write_blocks(self.slba, b"".join(self.parts))
+        elif opcode == IoOpcode.WRITE_ZEROES:
+            ns.write_blocks(self.slba, bytes(self.nbytes))
+        self._complete(status, 0)
+
+    def _done(self) -> None:
+        """Nothing to do: no one waits on an I/O command."""
+
+
+class AdminCommand(Command):
+    """One fetched admin command: the admin execution time, then the
+    command (an Identify DMA-writes its data to PRP1 and waits for the
+    delivery), then the completion every command shares.  It ends the
+    way its process ended, as an event queued with nobody subscribed:
+    dropping that event would change no order (docs/performance.md,
+    "Order preservation", rule 1) but would move every start-up event
+    count."""
+
+    __slots__ = ()
+
+    def _execute(self, _boot: Event) -> None:
+        self._arm(self.ctrl.config.admin_command_ns, self._admin)
+
+    def _admin(self, _timer: Event) -> None:
+        ctrl = self.ctrl
+        status, result, payload = ctrl._admin_command(self.sqe)
+        if payload is None:
+            self._complete(status, result)
+            return
+        write = ctrl.dma_write(self.sqe.prp1, payload)
+        if write._processed:
+            self._identified(write)
+        else:
+            write.callbacks.append(self._identified)
+
+    def _identified(self, _write: Event) -> None:
+        self._complete(Status.SUCCESS, 0)
+
+    def _done(self) -> None:
+        self.succeed()
+
+
 class NvmeController(PCIeFunction):
     """A single-function NVMe controller endpoint."""
 
     BAR_SIZE = 0x4000
+    #: the record each fetched I/O command becomes; a subclass may stand
+    #: in for it (a seeded firmware bug, sanitizer/fixtures.py)
+    command_record: type[IoCommand] = IoCommand
 
     def __init__(self, sim: Simulator, name: str, config: NvmeConfig,
                  media: Media | None = None,
@@ -110,9 +609,6 @@ class NvmeController(PCIeFunction):
         self.fetches = 0
         self.fetch_retries = 0
         self.bad_doorbells = 0
-        #: how ``resolve_prps`` reads a PRP list page: the fabric read's
-        #: event, for ``resolve_prps`` to yield
-        self._read_list_page = lambda addr: self.dma_read(addr, PAGE_SIZE)
 
     # ------------------------------------------------------------------ MMIO
 
@@ -192,15 +688,22 @@ class NvmeController(PCIeFunction):
         self.cqs[0] = acq
         self.sqs[0] = asq
         self.regs.csts |= CSTS_RDY
-        self.sim.process(self._sq_worker(asq))
+        self._start_fetching(asq)
         for f in self.probe.lifecycle:
             f(self, "enabled")
+
+    def _start_fetching(self, sq: _ControllerSq) -> None:
+        """Start the new SQ's fetch loop, a record booting now."""
+        if sq.windows is None:
+            _Fetch(self, sq)
+        else:
+            _SharedFetch(self, sq)
 
     def _reset(self) -> None:
         for sq in self.sqs.values():
             sq.active = False
             if sq.signal is not None:
-                sq.signal.fire()       # wake workers so they exit
+                sq.signal.fire()       # wake fetch loops so they end
         self.sqs.clear()
         self.cqs.clear()
         self.regs.csts &= ~CSTS_RDY
@@ -286,133 +789,29 @@ class NvmeController(PCIeFunction):
         entry.data = int.from_bytes(raw[8:12], "little")
         entry.masked = bool(int.from_bytes(raw[12:16], "little") & 1)
 
-    # ----------------------------------------------------------- SQ workers
-
-    def _sq_worker(self, sq: _ControllerSq) -> t.Generator:
-        """Fetch-and-dispatch loop for one submission queue."""
-        # hot-path
-        cfg = self.config
-        sim = self.sim
-        probe = self.probe
-        state = sq.state
-        unpack = SubmissionEntry.unpack
-        decode_ns = cfg.command_decode_ns
-        is_admin = state.qid == 0
-        assert sq.signal is not None
-        while sq.active:
-            if self.faults is not None:
-                yield from self.faults.stall_barrier(self.fault_point)
-                if not sq.active:
-                    return
-            if state.head == sq.db_tail:
-                yield sq.signal.wait()
-                if not sq.active:
-                    return
-                # Doorbell processing / arbitration cost, paid per wakeup.
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
-                continue
-            slot = state.head
-            try:
-                raw = yield self.dma_read(state.slot_addr(slot), SQE_SIZE)
-            except FabricFaultError:
-                # Fetch lost in the fabric: head is not advanced, so the
-                # controller re-fetches the same slot after a pause —
-                # hardware keeps retrying until reset.
-                self.fetch_retries += 1
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
-                continue
-            state.head = (state.head + 1) % state.entries
-            self.fetches += 1
-            sqe = unpack(raw)
-            yield sim.sleep(decode_ns)
-            for f in probe.sqe_fetched:
-                f(self, state.qid, sqe, None, 0, 0)
-            if is_admin:
-                sim.process(self._execute_admin(sq, sqe))
-            else:
-                sim.process(self._execute_io(sq, sqe), detached=True)
-
-    def _shared_sq_worker(self, sq: _ControllerSq) -> t.Generator:
-        """Fetch-and-dispatch loop for a *shared* (windowed) SQ.
-
-        Each grant services exactly one SQE from the tenant window the
-        SQ's arbiter picks (docs/qos.md); under the default ``off``
-        policy that is the next non-empty window after the previous
-        winner, so no tenant can starve a neighbour no matter how deep
-        its backlog (docs/queue_sharing.md).
-        """
-        # hot-path
-        cfg = self.config
-        sim = self.sim
-        probe = self.probe
-        state = sq.state
-        windows = sq.windows
-        arb = sq.arbiter
-        unpack = SubmissionEntry.unpack
-        decode_ns = cfg.command_decode_ns
-        assert sq.signal is not None and arb is not None
-        while sq.active:
-            if self.faults is not None:
-                yield from self.faults.stall_barrier(self.fault_point)
-                if not sq.active:
-                    return
-            win = arb.select(windows)
-            if win is None:
-                yield sq.signal.wait()
-                if not sq.active:
-                    return
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
-                continue
-            granted_at = sim.now
-            try:
-                raw = yield self.dma_read(win.slot_addr(state.base_addr),
-                                          SQE_SIZE)
-            except FabricFaultError:
-                # Same retry discipline as the private path: the window
-                # head is not advanced, so the same slot is re-fetched.
-                self.fetch_retries += 1
-                arb.refund(win)
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
-                continue
-            win.advance_head()
-            arb.on_fetch(win)
-            wait_ns = granted_at - win.ready_at
-            # The next entry (if any) has been waiting since this grant.
-            win.ready_at = granted_at
-            self.fetches += 1
-            sqe = unpack(raw)
-            yield sim.sleep(decode_ns)
-            for f in probe.sqe_fetched:
-                f(self, state.qid, sqe, win, granted_at, wait_ns)
-            sim.process(self._execute_io(sq, sqe, win=win),
-                        detached=True)
-
     # --------------------------------------------------------------- admin
 
-    def _execute_admin(self, sq: _ControllerSq, sqe: SubmissionEntry):
-        yield self.sim.timeout(self.config.admin_command_ns)
-        status, result = Status.SUCCESS, 0
-        try:
-            opcode = AdminOpcode(sqe.opcode)
-        except ValueError:
-            yield from self._complete(sq, sqe, Status.INVALID_OPCODE, 0)
-            return
-
+    def _admin_command(self, sqe: SubmissionEntry
+                       ) -> tuple[int, int, bytes | None]:
+        """Execute an admin command: ``(status, result, payload)``, the
+        payload (Identify data) to be DMA-written to PRP1 before the
+        command completes, or None."""
+        opcode = sqe.opcode
         if opcode == AdminOpcode.IDENTIFY:
-            status, result = yield from self._admin_identify(sqe)
-        elif opcode == AdminOpcode.CREATE_IO_CQ:
-            status = self._admin_create_cq(sqe)
-        elif opcode == AdminOpcode.CREATE_IO_SQ:
-            status = self._admin_create_sq(sqe)
-        elif opcode == AdminOpcode.DELETE_IO_SQ:
-            status = self._admin_delete_sq(sqe)
-        elif opcode == AdminOpcode.DELETE_IO_CQ:
-            status = self._admin_delete_cq(sqe)
-        elif opcode in (AdminOpcode.SET_FEATURES, AdminOpcode.GET_FEATURES):
+            status, payload = self._admin_identify(sqe)
+            return status, 0, payload
+        if opcode == AdminOpcode.CREATE_IO_CQ:
+            return self._admin_create_cq(sqe), 0, None
+        if opcode == AdminOpcode.CREATE_IO_SQ:
+            return self._admin_create_sq(sqe), 0, None
+        if opcode == AdminOpcode.DELETE_IO_SQ:
+            return self._admin_delete_sq(sqe), 0, None
+        if opcode == AdminOpcode.DELETE_IO_CQ:
+            return self._admin_delete_cq(sqe), 0, None
+        if opcode in (AdminOpcode.SET_FEATURES, AdminOpcode.GET_FEATURES):
             status, result = self._admin_features(sqe)
-        else:
-            status = Status.INVALID_OPCODE
-        yield from self._complete(sq, sqe, status, result)
+            return status, result, None
+        return Status.INVALID_OPCODE, 0, None
 
     def add_namespace(self, capacity_lbas: int,
                       lba_bytes: int = 512) -> int:
@@ -426,7 +825,9 @@ class NvmeController(PCIeFunction):
         self.namespaces[nsid] = Namespace(nsid, capacity_lbas, lba_bytes)
         return nsid
 
-    def _admin_identify(self, sqe: SubmissionEntry):
+    def _admin_identify(self, sqe: SubmissionEntry
+                        ) -> tuple[int, bytes | None]:
+        """``(status, payload)``: the Identify data for PRP1, or None."""
         cns = sqe.cdw10 & 0xFF
         if cns == CNS_CONTROLLER:
             ident = IdentifyController(nn=len(self.namespaces))
@@ -434,7 +835,7 @@ class NvmeController(PCIeFunction):
         elif cns == CNS_NAMESPACE:
             ns = self.namespaces.get(sqe.nsid)
             if ns is None:
-                return Status.INVALID_FIELD, 0
+                return Status.INVALID_FIELD, None
             payload = ns.identify().pack()
         elif cns == CNS_ACTIVE_NS_LIST:
             # 1024 x u32 NSIDs greater than CDW1.NSID, ascending.
@@ -444,12 +845,11 @@ class NvmeController(PCIeFunction):
                 buf[i * 4:(i + 1) * 4] = nsid.to_bytes(4, "little")
             payload = bytes(buf)
         else:
-            return Status.INVALID_FIELD, 0
+            return Status.INVALID_FIELD, None
         if sqe.prp1 == 0 or sqe.prp1 % PAGE_SIZE:
-            return Status.INVALID_FIELD, 0
+            return Status.INVALID_FIELD, None
         assert len(payload) == IDENTIFY_SIZE
-        yield self.dma_write(sqe.prp1, payload)
-        return Status.SUCCESS, 0
+        return Status.SUCCESS, payload
 
     def _admin_create_cq(self, sqe: SubmissionEntry) -> int:
         qid = sqe.cdw10 & 0xFFFF
@@ -503,10 +903,7 @@ class NvmeController(PCIeFunction):
         self.sqs[qid] = sq
         for f in self.probe.lifecycle:
             f(self, "queue-created", "sq", sq.state, sq.windows)
-        if shared:
-            self.sim.process(self._shared_sq_worker(sq))
-        else:
-            self.sim.process(self._sq_worker(sq))
+        self._start_fetching(sq)
         return Status.SUCCESS
 
     def _admin_delete_sq(self, sqe: SubmissionEntry) -> int:
@@ -536,131 +933,6 @@ class NvmeController(PCIeFunction):
             n = self.config.max_queue_pairs - 1   # I/O queues available
             return Status.SUCCESS, ((n - 1) << 16) | (n - 1)
         return Status.INVALID_FIELD, 0
-
-    # ------------------------------------------------------------------- I/O
-
-    #: the media access each I/O opcode pays for
-    _MEDIA_KIND = {IoOpcode.FLUSH: "flush", IoOpcode.READ: "read",
-                   IoOpcode.COMPARE: "read", IoOpcode.WRITE: "write",
-                   IoOpcode.WRITE_ZEROES: "write"}
-
-    def _execute_io(self, sq: _ControllerSq, sqe: SubmissionEntry,
-                    win: SqWindowState | None = None):
-        """One I/O command: validate, fetch what the host sends, access
-        the media, move what the host receives, complete."""
-        if self.faults is not None and self.faults.command_aborted(
-                self.sim.rng, self.fault_point):
-            yield from self._complete(sq, sqe, Status.ABORTED_BY_REQUEST, 0,
-                                      win=win)
-            return
-        try:
-            opcode = IoOpcode(sqe.opcode)
-        except ValueError:
-            yield from self._complete(sq, sqe, Status.INVALID_OPCODE, 0,
-                                      win=win)
-            return
-        ns = self.namespaces.get(sqe.nsid)
-        if ns is None:
-            yield from self._complete(sq, sqe, Status.INVALID_FIELD, 0,
-                                      win=win)
-            return
-
-        nblocks = nbytes = 0
-        if opcode != IoOpcode.FLUSH:
-            nblocks = sqe.nlb + 1
-            nbytes = nblocks * ns.lba_bytes
-            try:
-                ns.check_range(sqe.slba, nblocks)
-            except NamespaceError:
-                yield from self._complete(sq, sqe, Status.LBA_OUT_OF_RANGE,
-                                          0, win=win)
-                return
-
-        # WRITE_ZEROES moves no data (the controller zeroes the range
-        # itself); WRITE and COMPARE fetch the host's buffers with
-        # non-posted reads *before* the media access.
-        segs: list[tuple[int, int]] = []
-        parts = []
-        try:
-            if opcode in (IoOpcode.READ, IoOpcode.WRITE, IoOpcode.COMPARE):
-                segs = yield from resolve_prps(sqe.prp1, sqe.prp2, nbytes,
-                                               self._read_list_page)
-            if opcode != IoOpcode.READ:
-                for addr, size in segs:
-                    part = yield self.dma_read(addr, size)
-                    parts.append(part)
-        except PrpError:
-            yield from self._complete(sq, sqe, Status.INVALID_FIELD, 0,
-                                      win=win)
-            return
-        except FabricFaultError:
-            yield from self._complete(sq, sqe, Status.DATA_TRANSFER_ERROR, 0,
-                                      win=win)
-            return
-
-        kind = self._MEDIA_KIND[opcode]
-        ok = yield from self.media.access(kind, nbytes)
-        for f in self.probe.media_done:
-            f(self, sq.state.qid, sqe.cid)
-        if not ok:
-            yield from self._complete(
-                sq, sqe, Status.WRITE_FAULT if kind == "write"
-                else Status.UNRECOVERED_READ_ERROR, 0, win=win)
-            return
-
-        status = Status.SUCCESS
-        if opcode == IoOpcode.READ:
-            data = ns.read_blocks(sqe.slba, nblocks)
-            # Posted writes, one burst: the clamp guarantees the
-            # subsequent CQE cannot overtake the data on the same flow.
-            offset = 0
-            burst = []
-            for addr, size in segs:
-                burst.append((addr, data[offset: offset + size]))
-                offset += size
-            self.fabric.post_writes(self.node, self.host, burst)
-        elif opcode == IoOpcode.COMPARE:
-            if b"".join(parts) != ns.read_blocks(sqe.slba, nblocks):
-                status = Status.COMPARE_FAILURE
-        elif opcode == IoOpcode.WRITE:
-            ns.write_blocks(sqe.slba, b"".join(parts))
-        elif opcode == IoOpcode.WRITE_ZEROES:
-            ns.write_blocks(sqe.slba, bytes(nbytes))
-        yield from self._complete(sq, sqe, status, 0, win=win)
-
-    # ------------------------------------------------------------ completion
-
-    def _complete(self, sq: _ControllerSq, sqe: SubmissionEntry,
-                  status: int, result: int,
-                  win: SqWindowState | None = None):
-        # hot-path
-        cq = self.cqs.get(sq.state.cqid)
-        if cq is None or not cq.active:
-            return  # queue torn down under us; drop, as hardware would
-        yield self.sim.sleep(self.config.completion_overhead_ns)
-        slot, phase = cq.state.produce_slot()
-        # On a shared SQ the head reported back is *window-relative*, so
-        # each tenant reclaims only its own sub-ring's slots.
-        sq_head = sq.state.head if win is None else win.head
-        cqe = CompletionEntry(result=result, sq_head=sq_head,
-                              sq_id=sq.state.qid, cid=sqe.cid,
-                              status=int(status), phase=phase)
-        # CQE write is posted; we wait for delivery only to order the
-        # interrupt behind it (hardware achieves the same via PCIe
-        # ordering rules; the fabric clamp plus this wait are equivalent).
-        yield self.fabric.write(self.node, self.host,
-                                cq.state.slot_addr(slot), cqe.pack())
-        self.commands_completed += 1
-        for f in self.probe.cqe_posted:
-            f(self, sq.state.qid, sqe.cid, int(status))
-        if cq.interrupts_enabled and not self.regs.intms & (1 << cq.vector):
-            entry = self.msix[cq.vector]
-            if not entry.masked and entry.addr:
-                yield self.sim.timeout(
-                    self.config.interrupt_generation_ns)
-                self.fabric.post_write(
-                    self.node, self.host, entry.addr,
-                    entry.data.to_bytes(4, "little"))
 
     # -------------------------------------------------------------- helpers
 

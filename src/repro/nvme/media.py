@@ -10,11 +10,12 @@ read/program asymmetry).
 Parallelism is modelled as a pool of channels (a counted Resource): the
 per-command media time is constant, so the drive's max IOPS is
 ``channels / access_time`` — calibrated to the P4800X's ~550-600 kIOPS.
+An access is a ``channels`` grant held for :meth:`Media.access_ns`, then
+released and counted with :meth:`Media.finish` (the controller's
+command record walks these steps from callbacks).
 """
 
 from __future__ import annotations
-
-import typing as t
 
 from ..config import MediaConfig
 from ..sim import Resource, Simulator
@@ -33,60 +34,54 @@ class Media:
         self.writes = 0
         self.media_errors = 0
 
-    def _draw(self, kind: str, nbytes: int) -> int:
+    def access_ns(self, kind: str, nbytes: int) -> int:
+        """How long one access holds the channel it was granted (a
+        ``channels`` request): a draw.  ``kind`` is "read", "write" or
+        "flush"; anything else raises ValueError."""
         raise NotImplementedError
 
-    def access(self, kind: str, nbytes: int) -> t.Generator:
-        """Generator: occupy a channel for the media access time.
-
-        ``kind`` is "read", "write" or "flush".  Returns True on
-        success, False on an (injected) uncorrectable media error — a
-        failed access still occupies the channel for its full duration,
-        as a real drive's internal retries would.
-        """
-        if kind not in ("read", "write", "flush"):
-            raise ValueError(f"unknown media access kind: {kind}")
-        req = self.channels.request()
-        yield req
-        try:
-            yield self.sim.sleep(self._draw(kind, nbytes))
-        finally:
-            self.channels.release(req)
+    def finish(self, kind: str) -> bool:
+        """Count an access whose channel time is over (the caller has
+        released the channel).  True on success, False on an (injected)
+        uncorrectable media error — a failed access still occupied the
+        channel for its full duration, as a real drive's internal
+        retries would."""
+        # hot-path
+        cfg = self.config
         if kind == "read":
             self.reads += 1
+            rate = cfg.read_error_rate
         elif kind == "write":
             self.writes += 1
-        return not self._inject_error(kind)
-
-    def _inject_error(self, kind: str) -> bool:
-        rate = (self.config.read_error_rate if kind == "read"
-                else self.config.write_error_rate if kind == "write"
-                else 0.0)
-        if rate <= 0.0:
-            return False
-        if float(self.sim.rng.stream(f"{self.name}.errors").random()) \
-                < rate:
-            self.media_errors += 1
+            rate = cfg.write_error_rate
+        else:
             return True
-        return False
+        if rate > 0.0 and float(
+                self.sim.rng.stream(f"{self.name}.errors").random()) < rate:
+            self.media_errors += 1
+            return False
+        return True
 
 
 class OptaneMedia(Media):
     """3D-XPoint: consistent, symmetric, low latency."""
 
-    def _draw(self, kind: str, nbytes: int) -> int:
+    def access_ns(self, kind: str, nbytes: int) -> int:
+        # hot-path: once per command, at its channel grant
         cfg = self.config
-        if kind == "flush":
-            # Optane has no volatile write cache to speak of.
-            return 500
         if kind == "read":
             base = self.sim.rng.lognormal_ns(
                 f"{self.name}.read", cfg.read_median_ns, cfg.sigma,
                 cap=cfg.read_cap_ns)
-        else:
+        elif kind == "write":
             base = self.sim.rng.lognormal_ns(
                 f"{self.name}.write", cfg.write_median_ns, cfg.sigma,
                 cap=cfg.write_cap_ns)
+        elif kind == "flush":
+            # Optane has no volatile write cache to speak of.
+            return 500
+        else:
+            raise ValueError(f"unknown media access kind: {kind}")
         extra = max(0, nbytes - 4096)
         return base + round(extra * cfg.per_byte_ns)
 
@@ -113,17 +108,19 @@ class NandMedia(Media):
                  name: str = "nand") -> None:
         super().__init__(sim, config, name)
 
-    def _draw(self, kind: str, nbytes: int) -> int:
+    def access_ns(self, kind: str, nbytes: int) -> int:
         cfg = self.config
-        if kind == "flush":
-            return 20_000
         if kind == "read":
             base = self.sim.rng.lognormal_ns(
                 f"{self.name}.read", cfg.read_median_ns, cfg.sigma,
                 cap=cfg.read_cap_ns)
-        else:
+        elif kind == "write":
             base = self.sim.rng.lognormal_ns(
                 f"{self.name}.write", cfg.write_median_ns, cfg.sigma,
                 cap=cfg.write_cap_ns)
+        elif kind == "flush":
+            return 20_000
+        else:
+            raise ValueError(f"unknown media access kind: {kind}")
         extra = max(0, nbytes - 4096)
         return base + round(extra * cfg.per_byte_ns)

@@ -98,66 +98,71 @@ def build_prps(buffer_addr: int, length: int, list_alloc,
                          list_pages=tuple(blobs))
 
 
-def resolve_prps(prp1: int, prp2: int, length: int, read_page,
-                 page_size: int = PAGE_SIZE):
-    """Generator: yield fabric events while resolving PRPs to segments.
-
-    ``read_page(addr)`` returns the event of the DMA read of a PRP list
-    page (charged to the controller), which fires with the page's
-    bytes.  Returns the ``(addr, size)`` segments of the data buffer.
-    """
+def prp_segments(prp1: int, prp2: int, length: int,
+                 page_size: int = PAGE_SIZE) -> tuple[list, int, int]:
+    """Start resolving a transfer's PRPs, the controller's side of
+    :func:`build_prps`: returns ``(segs, list_addr, remaining)`` — the
+    ``(addr, size)`` segments PRP1 and PRP2 map, and, when a PRP list
+    maps the other ``remaining`` bytes, the address of its first page
+    for the caller to read (DMA, a real round trip) and hand to
+    :func:`prp_list_page`; ``list_addr`` is 0 when ``segs`` is whole.
+    Raises :class:`PrpError` for PRPs the spec forbids."""
+    # hot-path: once per data-moving command
     if length <= 0:
         raise PrpError("transfer length must be positive")
-    first_run = min(length, page_size - (prp1 % page_size))
+    first_run = page_size - prp1 % page_size
+    if length <= first_run:
+        return [(prp1, length)], 0, 0
     segs = [(prp1, first_run)]
     remaining = length - first_run
-    if remaining == 0:
-        return segs
-
     if remaining <= page_size:
         if prp2 == 0:
             raise PrpError("PRP2 required but zero")
         if prp2 % page_size:
             raise PrpError(f"PRP2 not page-aligned: {prp2:#x}")
         segs.append((prp2, remaining))
-        return segs
-
-    # Walk the PRP list chain.
+        return segs, 0, 0
     if prp2 == 0:
         raise PrpError("PRP list pointer (PRP2) is zero")
     if prp2 % 8:
         raise PrpError(f"PRP list pointer not qword-aligned: {prp2:#x}")
+    return segs, prp2, remaining
+
+
+def prp_list_page(page: bytes, segs: list, remaining: int,
+                  page_size: int = PAGE_SIZE) -> tuple[int, int]:
+    """Decode one fetched PRP list page onto ``segs`` for the
+    ``remaining`` bytes still unmapped; returns ``(list_addr,
+    remaining)`` — the next list page to read (its last slot chains to
+    it) and the bytes it must map, or ``(0, 0)`` once ``segs`` is
+    whole.  Raises :class:`PrpError` for a bad entry or a short page."""
+    # Determine how many data pointers this page holds: if the
+    # remaining transfer needs more than (per_page-1) more pages, the
+    # last slot is a chain pointer.  Only the slots the transfer uses
+    # are decoded; the rest of the page is never looked at.
     per_page = page_size // 8
-    list_addr = prp2
-    while remaining > 0:
-        page = yield read_page(list_addr)
-        # Determine how many data pointers this page holds: if the
-        # remaining transfer needs more than (per_page-1) more pages,
-        # the last slot is a chain pointer.  Only the slots the transfer
-        # uses are decoded; the rest of the page is never looked at.
-        needed = (remaining + page_size - 1) // page_size
-        chained = needed > per_page
-        try:
-            data_ptrs = struct.unpack_from(
-                "<%dQ" % (per_page if chained else needed), page)
-        except struct.error:
-            raise PrpError(
-                f"PRP list page too short: {len(page)} bytes") from None
-        if chained:
-            list_addr = data_ptrs[-1]
-            data_ptrs = data_ptrs[:-1]
-            if list_addr == 0:
-                raise PrpError("PRP chain pointer is zero")
-        else:
-            list_addr = 0
-        for pointer in data_ptrs:
-            if pointer == 0:
-                raise PrpError("PRP list entry is zero")
-            if pointer % page_size:
-                raise PrpError(f"PRP list entry not aligned: {pointer:#x}")
-            run = min(remaining, page_size)
-            segs.append((pointer, run))
-            remaining -= run
-            if remaining == 0:
-                break
-    return segs
+    needed = (remaining + page_size - 1) // page_size
+    chained = needed > per_page
+    try:
+        data_ptrs = struct.unpack_from(
+            "<%dQ" % (per_page if chained else needed), page)
+    except struct.error:
+        raise PrpError(
+            f"PRP list page too short: {len(page)} bytes") from None
+    list_addr = 0
+    if chained:
+        list_addr = data_ptrs[-1]
+        data_ptrs = data_ptrs[:-1]
+        if list_addr == 0:
+            raise PrpError("PRP chain pointer is zero")
+    for pointer in data_ptrs:
+        if pointer == 0:
+            raise PrpError("PRP list entry is zero")
+        if pointer % page_size:
+            raise PrpError(f"PRP list entry not aligned: {pointer:#x}")
+        run = min(remaining, page_size)
+        segs.append((pointer, run))
+        remaining -= run
+        if remaining == 0:
+            break
+    return list_addr, remaining

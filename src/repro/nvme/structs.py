@@ -51,12 +51,12 @@ class SubmissionEntry:
     def unpack(cls, data: bytes) -> "SubmissionEntry":
         if len(data) != SQE_SIZE:
             raise ValueError(f"SQE must be {SQE_SIZE} bytes, got {len(data)}")
+        # hot-path: one per fetched command; positional, since keyword
+        # construction was most of a decode's cost
         (dw0, nsid, _rsvd, mptr, prp1, prp2, c10, c11, c12, c13, c14,
          c15) = _SQE_PACK.unpack(data)
-        return cls(opcode=dw0 & 0xFF, fuse=(dw0 >> 8) & 0x3,
-                   psdt=(dw0 >> 14) & 0x3, cid=dw0 >> 16, nsid=nsid,
-                   mptr=mptr, prp1=prp1, prp2=prp2, cdw10=c10, cdw11=c11,
-                   cdw12=c12, cdw13=c13, cdw14=c14, cdw15=c15)
+        return cls(dw0 & 0xFF, dw0 >> 16, nsid, mptr, prp1, prp2, c10, c11,
+                   c12, c13, c14, c15, (dw0 >> 8) & 0x3, (dw0 >> 14) & 0x3)
 
     # -- I/O command helpers --------------------------------------------------
 
@@ -105,12 +105,11 @@ class CompletionEntry:
     def unpack(cls, data: bytes) -> "CompletionEntry":
         if len(data) != CQE_SIZE:
             raise ValueError(f"CQE must be {CQE_SIZE} bytes, got {len(data)}")
+        # hot-path: positional, as SubmissionEntry.unpack
         result, _rsvd, sq_head, sq_id, cid, dw3_hi = _CQE_PACK.unpack(data)
-        phase = dw3_hi & 1
         code = dw3_hi >> 1
-        status = ((code >> 8) & 0x7) << 8 | (code & 0xFF)
-        return cls(result=result, sq_head=sq_head, sq_id=sq_id, cid=cid,
-                   status=status, phase=phase)
+        return cls(result, sq_head, sq_id, cid,
+                   ((code >> 8) & 0x7) << 8 | (code & 0xFF), dw3_hi & 1)
 
     @property
     def ok(self) -> bool:

@@ -3,7 +3,7 @@
 Three pieces (docs/qos.md):
 
 * **Fetch arbitration** (:mod:`.arbiter`) — the policy deciding which
-  tenant window every shared-SQ worker grants the next SQE fetch to:
+  tenant window every shared-SQ fetch loop grants the next SQE fetch to:
   ``off`` (the NVMe round-robin, the default), ``fifo`` (global
   arrival order, the baseline that fails to isolate), ``wfq`` (deficit
   round-robin, weight-proportional) and ``strict`` (priority tiers);

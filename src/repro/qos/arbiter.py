@@ -1,6 +1,6 @@
 """Fetch arbitration for shared (windowed) submission queues.
 
-The shared-SQ worker (docs/queue_sharing.md) is the single point where
+The shared-SQ fetch loop (docs/queue_sharing.md) is the single point where
 one tenant's backlog can delay every co-tenant: the controller fetches
 one SQE per grant, and *which window gets the grant* is the whole QoS
 policy.  Every shared SQ fetches through one :class:`Arbiter`; which

@@ -22,6 +22,7 @@ import typing as t
 from ..config import SimulationConfig
 from ..driver import DistributedNvmeClient, NvmeManager
 from ..driver.dmapool import local_pool
+from ..nvme.controller import IoCommand
 from ..scenarios.testbed import PcieTestbed
 from ..workloads import FioJob, fio_generator, run_fio
 from .sanitizer import (DET_DMA_FREED, DET_DOUBLE_COMPLETION,
@@ -108,18 +109,26 @@ def cqe_misdelivery(seed: int = 71) -> ShareSan:
     return san
 
 
+class _CompletedTwice(IoCommand):
+    """An I/O command whose completion step runs twice.  (No
+    ``__slots__``: an instance keeps its ``again`` mark in a dict.)"""
+
+    def _done(self) -> None:
+        if getattr(self, "again", False):
+            super()._done()
+            return
+        self.again = True
+        self._complete(self.status, self.result)
+
+
 def double_completion(seed: int = 71) -> ShareSan:
     """Firmware fault: every I/O command is completed twice."""
     bed, manager, san = _sharing_cluster(2, seed=seed)
     client = _client(bed, san, 1)
-    real = bed.nvme._complete
-
-    def twice(sq, sqe, status, result, win=None):
-        yield from real(sq, sqe, status, result, win=win)
-        yield from real(sq, sqe, status, result, win=win)
-
-    # Patch after start() so queue setup (admin phase) stays clean.
-    bed.nvme._complete = twice
+    # Swap the record after start() so queue setup (admin phase) stays
+    # clean: from here on each I/O command, once completed, completes
+    # again, at once, with the same status.
+    bed.nvme.command_record = _CompletedTwice
     run_fio(client, FioJob(name="double", rw="randread", total_ios=2,
                            iodepth=1, seed_stream="fx-double"))
     # Drain the trailing duplicate of the final command.

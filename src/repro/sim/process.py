@@ -129,18 +129,19 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         # hot-path: every yield in every process funnels through here,
-        # so the generator and bound method are hoisted and the yielded
-        # target is probed with attribute access instead of isinstance
-        # (non-events surface as AttributeError on the error path).
+        # so the generator is hoisted and the yielded target is probed
+        # with attribute access instead of isinstance (non-events
+        # surface as AttributeError on the error path).  No bound
+        # method is built per call: ``send`` is called as a method, and
+        # ``self._resume`` only to subscribe to an event other than the
+        # process's own timer.
         sim = self.sim
         generator = self._generator
         sim._active_process = self
-        send = generator.send
-        resume = self._resume
         while True:
             try:
                 if event._ok:
-                    target = send(event._value)
+                    target = generator.send(event._value)
                 else:
                     event._defused = True
                     target = generator.throw(
@@ -181,7 +182,7 @@ class Process(Event):
             if callbacks is None:  # pragma: no cover - defensive
                 raise RuntimeError("target event is being processed")
             if target is not self._timer:   # else sleep() subscribed us
-                callbacks.append(resume)
+                callbacks.append(self._resume)
                 if self._timer.callbacks:
                     self._unsubscribe_timer()
             self._target = target

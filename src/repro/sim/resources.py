@@ -358,9 +358,23 @@ class Record(Hold):
       coroutine's.
 
     The subclass sets the event fields, ``_grant = None`` and an idle
-    ``_timer`` (``callbacks is None``) itself, as it starts the walk."""
+    ``_timer`` (``callbacks is None``) itself, as it starts the walk —
+    inline, or from :meth:`_boot` where a spawned process would have
+    started (a controller's fetch loop and commands,
+    :mod:`repro.nvme.controller`)."""
 
     __slots__ = ("_timer", "_step")
+
+    def _boot(self, step: t.Callable[[Event], None]) -> None:
+        """Run ``step`` at this instant from the URGENT lane, where a
+        process spawned now boots: after the rest of the spawning
+        callback, ahead of every NORMAL event still due.  The boot is
+        the owned timer's first arming."""
+        # hot-path
+        timer = self._timer
+        timer.callbacks = [step]
+        timer._processed = False
+        self.sim._urgent.append(timer)
 
     def _arm(self, delay: int, step: t.Callable[[Event], None]) -> None:
         """Run ``step`` once ``delay`` has elapsed: the owned timer,

@@ -150,11 +150,14 @@ class TestRegistry:
             reg.set_abort("ctrl:n", -0.1)
 
     def test_stall_barrier_blocks_until_resume(self):
+        """``stalled`` hands a waiter the event the lift fires; asked
+        again then, it says the point is clear."""
         sim, reg = self.make()
         log = []
 
         def worker():
-            yield from reg.stall_barrier("ctrl:n")
+            while (clear := reg.stalled("ctrl:n")) is not None:
+                yield clear
             log.append(sim.now)
 
         reg.stall("ctrl:n")

@@ -10,6 +10,16 @@ from repro.nvme import NandMedia, Namespace, NamespaceError, OptaneMedia
 from repro.sim import Simulator
 
 
+def access(media, kind, nbytes):
+    """One media access from a process: the channel grant, the hold for
+    ``access_ns`` and ``finish`` that a controller's command walks."""
+    grant = media.channels.request()
+    yield grant
+    yield media.sim.sleep(media.access_ns(kind, nbytes))
+    media.channels.release(grant)
+    return media.finish(kind)
+
+
 class TestOptaneMedia:
     def _run_accesses(self, kind, n=200, nbytes=4096):
         sim = Simulator(seed=4)
@@ -19,7 +29,7 @@ class TestOptaneMedia:
         def proc(sim):
             for _ in range(n):
                 start = sim.now
-                yield from media.access(kind, nbytes)
+                yield from access(media, kind, nbytes)
                 durations.append(sim.now - start)
 
         sim.process(proc(sim))
@@ -50,7 +60,7 @@ class TestOptaneMedia:
         finish = []
 
         def proc(sim, tag):
-            yield from media.access("read", 4096)
+            yield from access(media, "read", 4096)
             finish.append((tag, sim.now))
 
         for tag in range(4):
@@ -70,7 +80,7 @@ class TestOptaneMedia:
         media = OptaneMedia(sim, MediaConfig())
 
         def proc(sim):
-            yield from media.access("erase", 4096)
+            yield from access(media, "erase", 4096)
 
         p = sim.process(proc(sim))
         with pytest.raises(ValueError):
@@ -81,8 +91,8 @@ class TestOptaneMedia:
         media = OptaneMedia(sim, MediaConfig())
 
         def proc(sim):
-            yield from media.access("read", 4096)
-            yield from media.access("write", 4096)
+            yield from access(media, "read", 4096)
+            yield from access(media, "write", 4096)
 
         sim.process(proc(sim))
         sim.run()
@@ -98,11 +108,11 @@ class TestNandMedia:
         def proc(sim):
             for _ in range(50):
                 start = sim.now
-                yield from nand.access("read", 4096)
+                yield from access(nand, "read", 4096)
                 reads.append(sim.now - start)
             for _ in range(50):
                 start = sim.now
-                yield from nand.access("write", 4096)
+                yield from access(nand, "write", 4096)
                 writes.append(sim.now - start)
 
         sim.process(proc(sim))

@@ -48,12 +48,17 @@ class TestSubmissionEntry:
             SubmissionEntry.unpack(b"\x00" * 63)
 
     @given(st.integers(0, 0xFF), st.integers(0, 0xFFFF),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1),
            st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
-           st.integers(0, 2**32 - 1))
+           st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6),
+           st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
-    def test_roundtrip_property(self, opcode, cid, prp1, prp2, cdw10):
-        sqe = SubmissionEntry(opcode=opcode, cid=cid, prp1=prp1, prp2=prp2,
-                              cdw10=cdw10)
+    def test_roundtrip_property(self, opcode, cid, nsid, mptr, prp1, prp2,
+                                cdws, fuse, psdt):
+        """Every field is drawn, so a decode that swaps two of them (a
+        positional one, say) fails."""
+        sqe = SubmissionEntry(opcode, cid, nsid, mptr, prp1, prp2, *cdws,
+                              fuse=fuse, psdt=psdt)
         assert SubmissionEntry.unpack(sqe.pack()) == sqe
 
 
@@ -82,11 +87,14 @@ class TestCompletionEntry:
         assert status == 0x01_02 and phase == 1
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 0xFFFF),
-           st.integers(0, 0xFFFF), st.integers(0, 1))
+           st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+           st.integers(0, 7), st.integers(0, 0xFF), st.integers(0, 1))
     @settings(max_examples=60, deadline=None)
-    def test_roundtrip_property(self, result, sq_head, cid, phase):
-        cqe = CompletionEntry(result=result, sq_head=sq_head, cid=cid,
-                              phase=phase)
+    def test_roundtrip_property(self, result, sq_head, sq_id, cid, sct, sc,
+                                phase):
+        """Every field is drawn, the status as its SCT and SC."""
+        cqe = CompletionEntry(result=result, sq_head=sq_head, sq_id=sq_id,
+                              cid=cid, status=sct << 8 | sc, phase=phase)
         assert CompletionEntry.unpack(cqe.pack()) == cqe
 
 

@@ -6,21 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.driver.prputil import prps_for_contiguous
-from repro.nvme import PrpError, build_prps, resolve_prps
+from repro.nvme import PrpError, build_prps, prp_list_page, prp_segments
 from repro.nvme.constants import PAGE_SIZE
 
 
 def _resolve(prp1, prp2, length, list_memory):
-    """Drive resolve_prps with no sim: its ``read_page`` hands back the
-    address as the "event", and each list page it yields for is sent
-    back as that read's bytes."""
-    gen = resolve_prps(prp1, prp2, length, lambda addr: addr)
-    page = None
-    try:
-        while True:
-            page = list_memory[gen.send(page)]
-    except StopIteration as stop:
-        return stop.value
+    """Resolve PRPs the way the controller's command record does, with
+    no sim: each list page it asks for comes out of ``list_memory``."""
+    segs, list_addr, remaining = prp_segments(prp1, prp2, length)
+    while list_addr:
+        list_addr, remaining = prp_list_page(list_memory[list_addr], segs,
+                                             remaining)
+    return segs
 
 
 class TestDriverControllerAgreement:
@@ -78,7 +75,7 @@ class TestDriverControllerAgreement:
 
 
 def _build_and_resolve(base, length):
-    """build_prps -> list memory -> resolve_prps; returns the segments
+    """build_prps -> list memory -> the parser; returns the segments
     and the list pages written."""
     allocated = []
 
