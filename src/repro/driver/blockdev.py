@@ -5,6 +5,13 @@ Drivers register a :class:`BlockDevice`; workloads submit
 enforces a per-device queue depth (blk-mq tag allocation) and records
 per-request latency from submission to completion callback, which is
 exactly the interval fio reports.
+
+A driver stack serves each request with a :class:`RequestRecord`: the
+tag, the stack's steps and the finish walked from callbacks, with no
+process per request (docs/performance.md, "Every request is a
+record").  A device stacked on other block devices (a recorder, a
+striped volume) writes its path as a generator, ``_driver_submit``,
+run in a process per request.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import dataclasses
 import typing as t
 
 from ..sim import Event, LatencyRecorder, Process, Resource, Simulator
+from ..sim.events import _PENDING
+from ..sim.resources import Record
 
 
 class BlockError(Exception):
@@ -65,7 +74,13 @@ class BlockRequest:
 
 
 class BlockDevice:
-    """Base class: drivers implement :meth:`_driver_submit`."""
+    """Base class: a driver stack names its :class:`RequestRecord` in
+    ``request_record``; a device stacked on other block devices leaves
+    it None and implements :meth:`_driver_submit`."""
+
+    #: the record type that serves one request (None: ``_driver_submit``
+    #: in a process per request)
+    request_record: type[RequestRecord] | None = None
 
     def __init__(self, sim: Simulator, name: str, lba_bytes: int,
                  capacity_lbas: int, queue_depth: int = 64) -> None:
@@ -99,6 +114,9 @@ class BlockDevice:
         request.submit_time = self.sim._now
         for f in self.probe.io_submitted:
             f(self, request)
+        record = self.request_record
+        if record is not None:
+            return record(self, request)
         done = Event(self.sim)
         Process(self.sim, self._run(request, done), detached=True)
         return done
@@ -111,12 +129,16 @@ class BlockDevice:
     # -- internals -------------------------------------------------------------
 
     def _validate(self, request: BlockRequest) -> None:
+        """Refuse, before anything is announced or queued, a request
+        this device can never serve.  A stack extends it with its own
+        limits (not started, a staging buffer too small)."""
         if request.op in BlockRequest.DATA_OUT_OPS:
             assert request.data is not None
-            if len(request.data) % self.lba_bytes:
+            if not request.data or len(request.data) % self.lba_bytes:
                 raise BlockError(
                     f"{request.op} of {len(request.data)} bytes is not a "
-                    f"multiple of the {self.lba_bytes}-byte block size")
+                    f"positive multiple of the {self.lba_bytes}-byte "
+                    f"block size")
             request.nblocks = len(request.data) // self.lba_bytes
         if request.op != "flush":
             if request.lba < 0 or \
@@ -126,23 +148,85 @@ class BlockDevice:
                     f"nblocks={request.nblocks}")
 
     def _run(self, request: BlockRequest, done: Event) -> t.Generator:
+        """A stacked device's request: tag, ``_driver_submit``, finish."""
         tag = self._tags.request()
         yield tag
         try:
             yield from self._driver_submit(request)
         finally:
             self._tags.release(tag)
+        self._completed(request)
+        done.succeed(request)
+
+    def _completed(self, request: BlockRequest) -> None:
+        """The request is over and its tag returned: stamp it, announce
+        it, count it."""
+        # hot-path
         request.complete_time = self.sim._now
         for f in self.probe.io_completed:
             f(self, request)
-        self.latencies.record(request.latency_ns)
+        self.latencies.record(request.complete_time - request.submit_time)
         self.completed += 1
-        if not request.ok:
+        if request.status:
             self.errors += 1
         elif request.op in BlockRequest.DATA_OPS:
             self.bytes_moved += request.nblocks * self.lba_bytes
-        done.succeed(request)
 
     def _driver_submit(self, request: BlockRequest) -> t.Generator:
-        """Driver-specific path: perform the I/O, set status/result."""
+        """A stacked device's path: perform the I/O on the devices
+        below, set status/result."""
         raise NotImplementedError
+
+
+class RequestRecord(Record):
+    """One request served from plain callbacks — the record *is* the
+    event :meth:`BlockDevice.submit` returns, and fires with the
+    request.  It boots on the URGENT lane where the request's process
+    booted, takes a queue tag with the grant event ``Resource.request()``
+    pushes (queueing FIFO for one when none is free), walks the stack's
+    steps from :meth:`_serve` on — each delay on the owned timer
+    (:meth:`~repro.sim.resources.Record._arm`) — and ends in
+    :meth:`_finish`: the tag back, the request stamped and counted, the
+    waiter's event queued.  A waiter that leaves (an interrupted
+    process) cancels nothing: the request goes on without it."""
+
+    __slots__ = ("device", "request")
+
+    def __init__(self, device: BlockDevice, request: BlockRequest) -> None:
+        # hot-path: one per request; Event's fields inline
+        sim = device.sim
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self._timer = timer = Event.__new__(Event)
+        timer.sim = sim
+        timer._value = None
+        timer._ok = True
+        timer._defused = False
+        self.device = device
+        self.request = request
+        self._boot(self._tag)
+
+    def _tag(self, _boot: Event) -> None:
+        # hot-path
+        self._take(self.device._tags, self._serve)
+
+    def _serve(self, _grant: Event) -> None:
+        """The stack's first step, with the tag held."""
+        raise NotImplementedError
+
+    def _finish(self) -> None:
+        """Return the tag, account the request, fire the waiter's event
+        (queued, as ``done.succeed`` queued it)."""
+        # hot-path
+        device = self.device
+        device._tags.give()
+        request = self.request
+        device._completed(request)
+        self.succeed(request)
+
+    def cancel(self) -> None:
+        """Nothing to cancel: the request goes on without the waiter."""

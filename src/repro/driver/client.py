@@ -32,23 +32,148 @@ from ..nvme import (CompletionEntry, CompletionQueueState,
                     SubmissionQueueState, cq_doorbell_offset,
                     sq_doorbell_offset)
 from ..pcie.fabric import FabricFaultError
-from ..sim import Interrupt, Process, Simulator, Store
+from ..sim import Event, Interrupt, Process, Simulator, Store
 from ..sisci import RemoteSegment, SisciNode
 from ..smartio import Placement, SmartIoService
 from ..units import serialize_ns
 from . import metadata as meta
 from .blockdev import BlockDevice, BlockError, BlockRequest
 from .prputil import prps_for_contiguous
-from .qpair import (STATUS_HOST_CRASHED, STATUS_HOST_SHUTDOWN, QueuePair,
-                    io_sqe, usable_depth)
+from .qpair import (STATUS_HOST_CRASHED, STATUS_HOST_SHUTDOWN,
+                    CommandRecord, QueuePair, io_sqe, usable_depth)
 
 
 class ClientError(Exception):
     pass
 
 
+class _ClientRequest(CommandRecord):
+    """One request through the distributed client: the naive submit
+    path, a bounce partition, the copy in, the command on the queue
+    pair, the naive completion path, the copy out (paper Sec. V-VI)."""
+
+    __slots__ = ("part", "nbytes")
+
+    def _serve(self, _grant: Event) -> None:
+        # hot-path
+        client = self.device
+        if client.crashed:
+            # The host is dead: requests still flow through the block
+            # layer (so workloads drain instead of hanging) but every
+            # one fails fast with the host-side status.
+            self.request.status = STATUS_HOST_CRASHED
+            self._finish()
+            return
+        if not client._running:
+            # Shut down with requests still queued in the block layer:
+            # drain them with the distinct host-side status, symmetric
+            # with the crash path above.
+            self.request.status = STATUS_HOST_SHUTDOWN
+            self._finish()
+            return
+        cfg = client.config.host
+        # Naive/unoptimised submission software path (paper Sec. VI).
+        self._arm(cfg.block_submit_ns + cfg.dist_submit_ns, self._submitted)
+
+    def _submitted(self, _timer: Event) -> None:
+        # hot-path
+        self.device._parts.get().callbacks.append(self._staging)
+
+    def _staging(self, part: Event) -> None:
+        """A bounce partition is ours."""
+        # hot-path
+        self.part = part._value
+        client = self.device
+        request = self.request
+        self.nbytes = (request.nblocks * client.lba_bytes
+                       if request.op != "flush" else 0)
+        if client.data_path == "iommu":
+            # Future-work variant: map the request buffer on the fly
+            # instead of copying into the constant bounce segment.
+            self._arm(client.config.host.iommu_map_ns, self._mapped)
+        else:
+            self._mapped(None)
+
+    def _mapped(self, _timer: Event | None) -> None:
+        # hot-path
+        client = self.device
+        if self.request.op in BlockRequest.DATA_OUT_OPS:
+            if client.data_path == "bounce":
+                self._arm(client._memcpy_ns(self.nbytes), self._copied_in)
+                return
+        self._execute()
+
+    def _copied_in(self, _timer: Event) -> None:
+        self._execute()
+
+    def _execute(self) -> None:
+        """Stage the data and the command, then run it."""
+        # hot-path
+        client = self.device
+        request = self.request
+        stride = client._part_stride * self.part
+        list_local = client._bounce_seg.phys_addr + stride
+        memory = client.node.host.memory
+        if request.op in BlockRequest.DATA_OUT_OPS:
+            memory.write(list_local + 4096, request.data)
+        sqe = io_sqe(request, client.nsid)
+        if request.op in BlockRequest.DATA_OPS:
+            list_device = client._bounce_dev_addr + stride
+            sqe.prp1, sqe.prp2 = prps_for_contiguous(
+                list_device + 4096, self.nbytes, list_device,
+                lambda blob: memory.write(list_local, blob))
+        self.command = sqe
+        qp = self.queue = client._qp
+        qp.execute(self)
+
+    def _answered(self, cqe: CompletionEntry) -> None:
+        # hot-path
+        self.cqe = cqe
+        # Naive completion software path + copy out of the bounce buffer.
+        self._arm(self.device.config.host.dist_complete_ns, self._completed)
+
+    def _completed(self, _timer: Event) -> None:
+        # hot-path
+        request = self.request
+        cqe = self.cqe
+        request.status = cqe.status
+        if request.op == "read" and not cqe.status:
+            client = self.device
+            if client.data_path == "bounce":
+                self._arm(client._memcpy_ns(self.nbytes), self._copied_out)
+                return
+            self._read_out()
+        self._unmap()
+
+    def _copied_out(self, _timer: Event) -> None:
+        # hot-path
+        self._read_out()
+        self._unmap()
+
+    def _read_out(self) -> None:
+        client = self.device
+        self.request.result = client.node.host.memory.read(
+            client._bounce_seg.phys_addr + client._part_stride * self.part
+            + 4096, self.nbytes)
+
+    def _unmap(self) -> None:
+        # hot-path
+        client = self.device
+        if client.data_path == "iommu":
+            self._arm(client.config.host.iommu_unmap_ns, self._released)
+        else:
+            self._released(None)
+
+    def _released(self, _timer: Event | None) -> None:
+        # hot-path
+        self.device._parts.put(self.part)
+        self._finish()
+
+
 class DistributedNvmeClient(BlockDevice):
     """Block device backed by a (possibly remote) shared NVMe controller."""
+
+    request_record = _ClientRequest
 
     def __init__(self, sim: Simulator, smartio: SmartIoService,
                  node: SisciNode, device_id: int,
@@ -107,7 +232,9 @@ class DistributedNvmeClient(BlockDevice):
         self.qid: int | None = None
         self._ref = None
         self._meta_conn: RemoteSegment | None = None
-        self._poll_proc: Process | None = None
+        #: the completion-notice loop: the pair's (a record), or the
+        #: device-side-CQ ablation's process; both stop on interrupt()
+        self._notice: t.Any = None
         self._hb_proc: Process | None = None
         #: shared-QP tenancy (docs/queue_sharing.md); populated when the
         #: manager admits us onto a shared queue pair.
@@ -217,14 +344,13 @@ class DistributedNvmeClient(BlockDevice):
         for f in self.probe.lifecycle:
             f(self, "client-started")
         if self.completion_mode == "interrupt":
-            notice = self._qp.on_interrupt(self._irq_mailbox,
-                                           cfg.host.interrupt_latency_ns)
+            self._notice = self._qp.on_interrupt(
+                self._irq_mailbox, cfg.host.interrupt_latency_ns)
         elif self._cq_local:
-            notice = self._qp.poll(f"poll:{self.name}",
-                                   cfg.host.poll_interval_ns)
+            self._notice = self._qp.poll(f"poll:{self.name}",
+                                         cfg.host.poll_interval_ns)
         else:
-            notice = self._poll_remote()
-        self._poll_proc = self.sim.process(notice)
+            self._notice = self.sim.process(self._poll_remote())
         if self.config.reliability.heartbeat_interval_ns > 0:
             self._hb_proc = self.sim.process(self._heartbeat())
 
@@ -362,10 +488,10 @@ class DistributedNvmeClient(BlockDevice):
             f(self, "client-crashed")
 
     def _stop_workers(self) -> None:
-        for proc in (self._poll_proc, self._hb_proc):
-            if proc is not None and proc.is_alive:
-                proc.interrupt()
-        self._poll_proc = None
+        for worker in (self._notice, self._hb_proc):
+            if worker is not None and worker.is_alive:
+                worker.interrupt()
+        self._notice = None
         self._hb_proc = None
 
     def set_qos_window(self, window: int | None) -> None:
@@ -464,65 +590,21 @@ class DistributedNvmeClient(BlockDevice):
 
     # ------------------------------------------------------------ data path
 
-    def _driver_submit(self, request: BlockRequest) -> t.Generator:
-        if self.crashed:
-            # The host is dead: requests still flow through the block
-            # layer (so workloads drain instead of hanging) but every
-            # one fails fast with the host-side status.
-            request.status = STATUS_HOST_CRASHED
-            return
-        if not self._running:
-            if self._started:
-                # Shut down with requests still queued in the block
-                # layer: drain them with the distinct host-side status,
-                # symmetric with the crash path above.
-                request.status = STATUS_HOST_SHUTDOWN
-                return
+    def _validate(self, request: BlockRequest) -> None:
+        """Refuse at submit what this client can never serve: anything
+        before start-up, a transfer beyond one bounce partition.  A
+        crashed or shut-down client still takes requests and completes
+        them with its host-side status (workloads drain, never hang)."""
+        if not self._started and not self.crashed:
             raise ClientError("client not started")
-        cfg = self.config.host
-        nbytes = (request.nblocks * self.lba_bytes
-                  if request.op != "flush" else 0)
-        if nbytes > self._part_size:
-            raise BlockError(
-                f"request of {nbytes} bytes exceeds the bounce partition "
-                f"size {self._part_size}; split it in the workload layer")
-
-        # Naive/unoptimised submission software path (paper Sec. VI).
-        yield self.sim.sleep(cfg.block_submit_ns + cfg.dist_submit_ns)
-
-        part = yield self._parts.get()
-        list_local = self._bounce_seg.phys_addr + part * self._part_stride
-        list_device = self._bounce_dev_addr + part * self._part_stride
-        part_local = list_local + 4096
-        part_device = list_device + 4096
-
-        if self.data_path == "iommu":
-            # Future-work variant: map the request buffer on the fly
-            # instead of copying into the constant bounce segment.
-            yield self.sim.timeout(cfg.iommu_map_ns)
-
-        if request.op in BlockRequest.DATA_OUT_OPS:
-            assert request.data is not None
-            if self.data_path == "bounce":
-                yield self.sim.sleep(self._memcpy_ns(nbytes))
-            self.node.host.memory.write(part_local, request.data)
-
-        sqe = io_sqe(request, self.nsid)
-        if request.op in BlockRequest.DATA_OPS:
-            sqe.prp1, sqe.prp2 = prps_for_contiguous(
-                part_device, nbytes, list_device,
-                lambda blob: self.node.host.memory.write(list_local, blob))
-        cqe = yield from self._qp.execute(sqe, request)
-        # Naive completion software path + copy out of the bounce buffer.
-        yield self.sim.sleep(cfg.dist_complete_ns)
-        request.status = cqe.status
-        if request.op == "read" and cqe.ok:
-            if self.data_path == "bounce":
-                yield self.sim.sleep(self._memcpy_ns(nbytes))
-            request.result = self.node.host.memory.read(part_local, nbytes)
-        if self.data_path == "iommu":
-            yield self.sim.timeout(cfg.iommu_unmap_ns)
-        self._parts.put(part)
+        BlockDevice._validate(self, request)
+        if self._started and request.op != "flush":
+            nbytes = request.nblocks * self.lba_bytes
+            if nbytes > self._part_size:
+                raise BlockError(
+                    f"request of {nbytes} bytes exceeds the bounce "
+                    f"partition size {self._part_size}; split it in the "
+                    f"workload layer")
 
     def _ring_shared_sq_doorbell(self, request) -> None:
         """The pair's ring step: mirror the absolute submission count
@@ -579,3 +661,4 @@ class DistributedNvmeClient(BlockDevice):
                     yield self.sim.timeout(cfg.poll_interval_ns * 10)
         except Interrupt:
             return  # shutdown/crash stopped the poller
+

@@ -6,7 +6,8 @@ bounce buffer — request data is DMA'd directly.  What differs between
 the stock Linux driver and an SPDK-style userspace one is a cost table
 and how the CPU notices completions; :class:`~repro.driver.stock.
 StockNvmeDriver` and :class:`~repro.driver.spdk_local.SpdkLocalDriver`
-are its two parameterisations.
+are its two parameterisations.  A request is a record
+(:class:`_LocalRequest`), no process.
 """
 
 from __future__ import annotations
@@ -16,11 +17,67 @@ import typing as t
 from ..config import SimulationConfig
 from ..nvme.registers import MSIX_TABLE_OFFSET
 from ..pcie import Fabric, Host
-from ..sim import Simulator
+from ..nvme import CompletionEntry
+from ..sim import Event, Simulator
 from .adminq import AdminQueues
-from .blockdev import BlockDevice, BlockRequest
+from .blockdev import BlockDevice, BlockError, BlockRequest
 from .prputil import prps_for_contiguous
-from .qpair import QueuePair, io_sqe, usable_depth
+from .qpair import CommandRecord, QueuePair, io_sqe, usable_depth
+
+
+class _LocalRequest(CommandRecord):
+    """One request through a local driver: the submit path, the data
+    buffer (DMA'd directly, no bounce), the command, the completion
+    cost charged after the wake-up."""
+
+    __slots__ = ("alloc",)
+
+    def _serve(self, _grant: Event) -> None:
+        # hot-path
+        self._arm(self.device.submit_ns, self._submitted)
+
+    def _submitted(self, _timer: Event) -> None:
+        # hot-path
+        driver = self.device
+        request = self.request
+        sqe = io_sqe(request)
+        self.alloc = 0
+        if request.op in BlockRequest.DATA_OPS:
+            # [one PRP-list page][data]: contiguous, page-aligned.
+            host = driver.host
+            nbytes = request.nblocks * driver.lba_bytes
+            self.alloc = alloc = host.alloc_dma(4096 + max(nbytes, 4096))
+            if request.op in BlockRequest.DATA_OUT_OPS:
+                host.memory.write(alloc + 4096, request.data)
+            sqe.prp1, sqe.prp2 = prps_for_contiguous(
+                alloc + 4096, nbytes, alloc,
+                lambda blob: host.memory.write(alloc, blob))
+        self.command = sqe
+        qp = self.queue = driver._qp
+        qp.execute(self)
+
+    def _answered(self, cqe: CompletionEntry) -> None:
+        # hot-path
+        self.cqe = cqe
+        wake_ns = self.device.wake_ns
+        if wake_ns:
+            self._arm(wake_ns, self._woken)
+        else:
+            self._woken(None)
+
+    def _woken(self, _timer: Event | None) -> None:
+        # hot-path
+        request = self.request
+        cqe = self.cqe
+        request.status = cqe.status
+        alloc = self.alloc
+        host = self.device.host
+        if request.op == "read" and not cqe.status:
+            request.result = host.memory.read(
+                alloc + 4096, request.nblocks * self.device.lba_bytes)
+        if alloc:
+            host.free_dma(alloc)
+        self._finish()
 
 
 class LocalNvmeDriver(BlockDevice):
@@ -34,6 +91,8 @@ class LocalNvmeDriver(BlockDevice):
     a mailbox page, then that latency); None means busy-polling CQ
     memory with a draw from ``poll_stream`` in [0, ``poll_ns``].
     """
+
+    request_record = _LocalRequest
 
     def __init__(self, sim: Simulator, fabric: Fabric, host: Host,
                  bar_addr: int, config: SimulationConfig, qid: int,
@@ -91,31 +150,12 @@ class LocalNvmeDriver(BlockDevice):
             reliability=self.config.reliability,
             complete_delay=self.trigger_ns, name=self.name,
             ctrl=self.host.addr_map.lookup(self.bar).target.function)
-        self.sim.process(qp.on_interrupt(mailbox, self.irq_ns) if interrupts
-                         else qp.poll(self.poll_stream, self.poll_ns))
+        if interrupts:
+            qp.on_interrupt(mailbox, self.irq_ns)
+        else:
+            qp.poll(self.poll_stream, self.poll_ns)
 
-    def _driver_submit(self, request: BlockRequest) -> t.Generator:
-        assert self._qp is not None, "driver not started"
-        yield self.sim.sleep(self.submit_ns)
-
-        nbytes = request.nblocks * self.lba_bytes
-        sqe = io_sqe(request)
-        alloc = buf = 0
-        if request.op in BlockRequest.DATA_OPS:
-            # [one PRP-list page][data]: contiguous, page-aligned.
-            alloc = self.host.alloc_dma(4096 + max(nbytes, 4096))
-            buf = alloc + 4096
-            if request.op in BlockRequest.DATA_OUT_OPS:
-                self.host.memory.write(buf, request.data)
-            sqe.prp1, sqe.prp2 = prps_for_contiguous(
-                buf, nbytes, alloc,
-                lambda blob: self.host.memory.write(alloc, blob))
-
-        cqe = yield from self._qp.execute(sqe, request)
-        if self.wake_ns:
-            yield self.sim.sleep(self.wake_ns)
-        request.status = cqe.status
-        if request.op == "read" and cqe.ok:
-            request.result = self.host.memory.read(buf, nbytes)
-        if alloc:
-            self.host.free_dma(alloc)
+    def _validate(self, request: BlockRequest) -> None:
+        if self._qp is None:
+            raise BlockError("driver not started")
+        BlockDevice._validate(self, request)

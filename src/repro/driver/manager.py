@@ -458,9 +458,8 @@ class NvmeManager:
             self.sim, self.node.fabric, self.node.host, self._bar, None,
             None, qp.cq, sink=functools.partial(self._forward_cqe, qp),
             ctrl=self._ref.function)
-        self.sim.process(qp.demux.poll(
-            f"qp-demux:{self.device_id}:{qid}",
-            self.config.host.poll_interval_ns))
+        qp.demux.poll(f"qp-demux:{self.device_id}:{qid}",
+                      self.config.host.poll_interval_ns)
         for f in self.probe.lifecycle:
             f(self, "shared-qp-created", qp)
         return qp

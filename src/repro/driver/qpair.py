@@ -27,7 +27,10 @@ from ..config import ReliabilityConfig
 from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
                     SubmissionEntry, SubmissionQueueState,
                     cq_doorbell_offset, sq_doorbell_offset)
-from ..sim import Event, Interrupt, Signal, Simulator
+from ..sim import Event, Signal, Simulator
+from ..sim.events import URGENT, _PENDING
+from ..sim.resources import Record
+from .blockdev import RequestRecord
 
 #: block-layer op -> NVMe I/O opcode, for every stack
 IO_OPCODES = {"read": IoOpcode.READ, "write": IoOpcode.WRITE,
@@ -53,11 +56,16 @@ _unpack = CompletionEntry.unpack
 def io_sqe(request, nsid: int = 1) -> SubmissionEntry:
     """The NVMe command for a block request; PRPs are left to the stack
     (they point into *its* buffer staging)."""
-    sqe = SubmissionEntry(opcode=IO_OPCODES[request.op], nsid=nsid)
-    if request.op != "flush":
-        sqe.slba = request.lba
-        sqe.nlb = request.nblocks - 1
-    return sqe
+    # hot-path: one per request; positional, with SLBA in cdw10/11 and
+    # the 0-based NLB in cdw12 (what the slba/nlb setters store), since
+    # keyword construction and the setters cost more than the rest
+    op = request.op
+    if op == "flush":
+        return SubmissionEntry(IO_OPCODES[op], 0, nsid)
+    lba = request.lba
+    return SubmissionEntry(IO_OPCODES[op], 0, nsid, 0, 0, 0,
+                           lba & 0xFFFF_FFFF, (lba >> 32) & 0xFFFF_FFFF,
+                           (request.nblocks - 1) & 0xFFFF)
 
 
 def usable_depth(queue_depth: int, entries: int) -> int:
@@ -132,84 +140,105 @@ class Commands:
         self.issue(command, request)
         return done
 
-    def execute(self, command, request=None) -> t.Generator:
-        """Run ``command`` to its verdict; returns the CQE.  Admission
-        in order — closed, clamp, full SQ — then the attempt.  With
-        ``command_timeout_ns`` set, an unanswered attempt has the CQ
-        resynced, else its cid is retired (a late CQE is stale: a request
-        completes once) and, after a linear backoff, it is retried under
-        a fresh cid, ``max_retries`` times before STATUS_HOST_TIMEOUT.
-        The same budget bounds a wait on a clogged SQ."""
-        rel = self.reliability
-        timeout = rel.command_timeout_ns
+    def execute(self, record: CommandRecord) -> None:
+        """Run ``record.command`` to its verdict and hand the CQE to
+        ``record._answered`` — a step of the request's record, walked
+        from callbacks.  Admission in order — closed, clamp, full SQ —
+        then the attempt.  With ``command_timeout_ns`` set, an
+        unanswered attempt has the CQ resynced, else its cid is retired
+        (a late CQE is stale: a request completes once) and, after a
+        linear backoff, it is retried under a fresh cid,
+        ``max_retries`` times before STATUS_HOST_TIMEOUT.  The same
+        budget bounds a wait on a clogged SQ."""
+        record.attempt = 0
+        record.parked = False
+        self._admit(record)
+
+    def _admit(self, record: CommandRecord) -> None:
+        """Admission, then the attempt; every wait on the way comes
+        back here through the record's ``_admit`` step."""
+        # hot-path
+        if self.closed:
+            record._answered(CompletionEntry(status=self.closed))
+            return
+        if self.window is not None and self._clamp_holds():
+            # Gated on this very guard, so a fire resumes only a
+            # command that can move on; counted throttled once.
+            if not record.parked:
+                record.parked = True
+                self.throttled += 1
+            self.space.wait(self._clamp_holds).callbacks.append(
+                record._admit)
+            return
+        timeout = self.reliability.command_timeout_ns
         sq = self.sq
-        attempt = 0
-        parked = False
-        while True:
-            if self.closed:
-                cqe = CompletionEntry(status=self.closed)
-                break
-            if self.window is not None and self._clamp_holds():
-                # Gated on this very guard, so a fire resumes only a
-                # command that can move on; counted throttled once.
-                if not parked:
-                    parked = True
-                    self.throttled += 1
-                yield self.space.wait(self._clamp_holds)
-                continue
-            # sq.is_full(), inlined: every command passes here
-            if sq is not None and (sq.tail + 1) % sq.entries == sq.head:
-                if timeout <= 0:
-                    # Nothing can be lost: the ring is legitimately full
-                    # (queue depth above a shared slot window).
-                    yield self.space.wait(self._full_sq_holds)
-                    continue
-                # Maybe clogged by lost completions: recover what landed
-                # beyond CQ holes before calling fullness a fault.
-                self.resync()
-                if sq.is_full():
-                    if self.ring is not None:
-                        # A tenant's window fills in healthy operation:
-                        # give in-flight commands one timeout period.
-                        space = self.space.wait()
-                        expiry = self.sim.timeout(timeout)
-                        outcome = yield self.sim.any_of((space, expiry))
-                        if space in outcome:
-                            continue
-                    if attempt >= rel.max_retries:
-                        cqe = CompletionEntry(status=STATUS_HOST_TIMEOUT)
-                        break
-                    attempt += 1
-                    yield self.sim.timeout(rel.retry_backoff_ns * attempt)
-                    continue
-            done = self.submit(command, request)
+        # sq.is_full(), inlined: every command passes here
+        if sq is not None and (sq.tail + 1) % sq.entries == sq.head:
             if timeout <= 0:
-                cqe = yield done
-                break
-            expiry = self.sim.timeout(timeout)
-            outcome = yield self.sim.any_of((done, expiry))
-            if done in outcome:
-                cqe = outcome[done]
-                break
-            if self.resync() and done.triggered:
-                cqe = done.value
-                break
-            cid = command.cid
-            self.inflight.pop(cid, None)
-            self.timeouts += 1
-            for f in self.probe.recovery:
-                f(self, "timeout", client=self.name, cid=cid,
-                  attempt=attempt)
-            if attempt >= rel.max_retries:
-                cqe = CompletionEntry(cid=cid, status=STATUS_HOST_TIMEOUT)
-                break
-            attempt += 1
-            self.retries += 1
-            for f in self.probe.recovery:
-                f(self, "retry", client=self.name, cid=cid,
-                  attempt=attempt)
-            yield self.sim.timeout(rel.retry_backoff_ns * attempt)
-        return cqe
+                # Nothing can be lost: the ring is legitimately full
+                # (queue depth above a shared slot window).
+                self.space.wait(self._full_sq_holds).callbacks.append(
+                    record._admit)
+                return
+            # Maybe clogged by lost completions: recover what landed
+            # beyond CQ holes before calling fullness a fault.
+            self.resync()
+            if sq.is_full():
+                if self.ring is not None:
+                    # A tenant's window fills in healthy operation:
+                    # give in-flight commands one timeout period.
+                    record.pending = space = self.space.wait()
+                    self.sim.any_of((space, self.sim.timeout(timeout))
+                                    ).callbacks.append(record._spaced)
+                    return
+                self._clogged(record)
+                return
+        done = self.submit(record.command, record.request)
+        if timeout <= 0:
+            done.callbacks.append(record._reply)
+            return
+        record.pending = done
+        self.sim.any_of((done, self.sim.timeout(timeout))
+                        ).callbacks.append(record._raced)
+
+    def _clogged(self, record: CommandRecord) -> None:
+        """The SQ stayed full: back off and look again, within the
+        retry budget."""
+        attempt = record.attempt
+        if attempt >= self.reliability.max_retries:
+            record._answered(CompletionEntry(status=STATUS_HOST_TIMEOUT))
+            return
+        record.attempt = attempt = attempt + 1
+        record._arm(self.reliability.retry_backoff_ns * attempt,
+                    record._admit)
+
+    def _resubmit(self, record: CommandRecord, outcome: dict) -> None:
+        """The attempt raced its timeout: answered, recovered by a CQ
+        resync, or retired and — within the budget, after the backoff
+        — tried again under a fresh cid."""
+        done, record.pending = record.pending, None
+        if done in outcome:
+            record._answered(outcome[done])
+            return
+        if self.resync() and done.triggered:
+            record._answered(done.value)
+            return
+        cid = record.command.cid
+        self.inflight.pop(cid, None)
+        self.timeouts += 1
+        attempt = record.attempt
+        for f in self.probe.recovery:
+            f(self, "timeout", client=self.name, cid=cid, attempt=attempt)
+        rel = self.reliability
+        if attempt >= rel.max_retries:
+            record._answered(CompletionEntry(cid=cid,
+                                             status=STATUS_HOST_TIMEOUT))
+            return
+        record.attempt = attempt = attempt + 1
+        self.retries += 1
+        for f in self.probe.recovery:
+            f(self, "retry", client=self.name, cid=cid, attempt=attempt)
+        record._arm(rel.retry_backoff_ns * attempt, record._admit)
 
     # Guards of the plain ``space`` waits (Signal.wait): False once a
     # wake-up would take the command anywhere else.
@@ -252,6 +281,40 @@ class Commands:
         for cid, done in waiters:
             done.succeed(CompletionEntry(cid=cid, status=status))
         self.space.fire()
+
+
+class CommandRecord(RequestRecord):
+    """The request record of a stack that runs NVMe commands: its steps
+    stage a ``command`` for the stack's :class:`Commands` (``queue``),
+    :meth:`Commands.execute` walks it to a verdict from this record's
+    callbacks, and ``_answered(cqe)`` takes the stack's steps up again
+    (``cqe`` is the slot to keep the verdict in)."""
+
+    __slots__ = ("queue", "command", "cqe", "attempt", "parked", "pending")
+
+    def _admit(self, _event: Event | None) -> None:
+        # hot-path
+        self.queue._admit(self)
+
+    def _reply(self, done: Event) -> None:
+        # hot-path
+        self._answered(done._value)
+
+    def _spaced(self, outcome: Event) -> None:
+        """A full tenant window raced one timeout period: freed slots
+        go back to admission, else the SQ counts as clogged."""
+        space, self.pending = self.pending, None
+        if space in outcome._value:
+            self.queue._admit(self)
+        else:
+            self.queue._clogged(self)
+
+    def _raced(self, outcome: Event) -> None:
+        self.queue._resubmit(self, outcome._value)
+
+    def _answered(self, cqe: CompletionEntry) -> None:
+        """The stack's step once the command has its verdict."""
+        raise NotImplementedError
 
 
 class QueuePair(Commands):
@@ -409,50 +472,151 @@ class QueuePair(Commands):
         """Watchpoint over CQ memory (caller unwatches)."""
         return self.memory.watch(self.cq.base_addr, self.cq.entries * 16)
 
-    def poll(self, stream: str, interval_ns: int) -> t.Generator:
+    def poll(self, stream: str, interval_ns: int) -> _Poll:
         """Busy-poll CQ memory (no interrupts, paper Sec. V): the CPU
         notices a CQE write at its next poll iteration, a draw from the
-        seeded ``stream`` uniform in [0, ``interval_ns``]."""
+        seeded ``stream`` uniform in [0, ``interval_ns``].  Returns the
+        started loop (a record; ``interrupt()`` stops it)."""
+        return _Poll(self, stream, interval_ns)
+
+    def on_interrupt(self, mailbox: int, irq_ns: int) -> _Irq:
+        """Interrupt-driven completion: sleep until the MSI-X write
+        lands in ``mailbox``, pay IRQ latency, then drain.  A completion
+        that raced the drain re-fires the watchpoint.  Returns the
+        started loop (a record; ``interrupt()`` stops it)."""
+        return _Irq(self, mailbox, irq_ns)
+
+
+class _Notice(Record):
+    """A queue pair's completion-notice loop, walked from callbacks
+    where its process ran (docs/performance.md, "Every request is a
+    record"): it boots on the URGENT lane, watches memory, and while the
+    pair is ``running`` waits for a write, pays the notice delay on its
+    owned timer and drains.  It ends as the process ended, its event
+    queued with nobody subscribed: once ``running`` is found False, or
+    after :meth:`interrupt` (the owner's shutdown or crash), which
+    leaves the wait at once and unwatches from an URGENT kick event, as
+    an interrupted process did."""
+
+    __slots__ = ("qp", "wp", "waiting")
+
+    def __init__(self, qp: QueuePair) -> None:
+        Record.__init__(self, qp.sim)
+        self.qp = qp
+        self.waiting = None
+        self._boot(self._start)
+
+    def _start(self, _boot: Event) -> None:
+        raise NotImplementedError
+
+    def _wait(self) -> None:
+        """Park on the next write to the watched memory."""
+        # hot-path
+        self.waiting = wait = self.wp.signal.wait()
+        wait.callbacks.append(self._woken)
+
+    def _woken(self, _wake: Event) -> None:
+        raise NotImplementedError
+
+    def _end(self) -> None:
+        self.qp.memory.unwatch(self.wp)
+        self.succeed()
+
+    @property
+    def is_alive(self) -> bool:
+        return self._value is _PENDING
+
+    def interrupt(self) -> None:
+        """Stop the loop: leave the wait or the delay now, unwatch from
+        an URGENT kick at this instant."""
+        if self._value is not _PENDING:
+            raise RuntimeError(f"{self!r} has already terminated")
+        waiting = self.waiting
+        if waiting is not None and waiting.callbacks:
+            waiting.callbacks = []
+        kick = Event(self.sim)
+        kick.callbacks.append(self._kicked)
+        self.sim._push(kick, 0, URGENT)
+
+    def _kicked(self, _kick: Event) -> None:
+        if self._value is _PENDING:
+            self._end()
+
+
+class _Poll(_Notice):
+    """:meth:`QueuePair.poll`: drain, wait, the jitter draw."""
+
+    __slots__ = ("stream", "interval", "jitter")
+
+    def __init__(self, qp: QueuePair, stream: str, interval_ns: int) -> None:
+        self.stream = stream
+        self.interval = interval_ns
+        _Notice.__init__(self, qp)
+
+    def _start(self, _boot: Event) -> None:
         # hot-path: the draw is RngRegistry.uniform_ns against the
         # pre-resolved batch (a zero interval never draws, exactly as
         # uniform_ns short-circuits when low == high).
-        sim = self.sim
-        jitter = (sim.rng.integers(stream, 0, interval_ns + 1)
-                  if interval_ns else None)
-        wp = self.watch()
-        wait = wp.signal.wait
-        try:
-            while self.running:
-                # drain() stops at a miss and nothing lands before the
-                # wait is armed, so no re-check is needed.
-                self.drain()
-                yield wait()
-                if interval_ns:
-                    try:
-                        delay = jitter.buf[jitter.pos]
-                        jitter.pos += 1
-                    except IndexError:
-                        delay = jitter.refill()
-                    if delay:
-                        yield sim.sleep(delay)
-        except Interrupt:
-            return  # the owner's shutdown/crash stopped the poller
-        finally:
-            self.memory.unwatch(wp)
+        interval = self.interval
+        self.jitter = (self.sim.rng.integers(self.stream, 0, interval + 1)
+                       if interval else None)
+        self.wp = self.qp.watch()
+        self._loop(None)
 
-    def on_interrupt(self, mailbox: int, irq_ns: int) -> t.Generator:
-        """Interrupt-driven completion: sleep until the MSI-X write
-        lands in ``mailbox``, pay IRQ latency, then drain.  A completion
-        that raced the drain re-fires the watchpoint."""
-        sim = self.sim
-        wp = self.memory.watch(mailbox, 4)
-        wait = wp.signal.wait
-        try:
-            while self.running:
-                yield wait()
-                yield sim.sleep(irq_ns)
-                self.drain()
-        except Interrupt:
-            return  # the owner's shutdown/crash stopped the handler
-        finally:
-            self.memory.unwatch(wp)
+    def _loop(self, _timer: Event | None) -> None:
+        # hot-path
+        qp = self.qp
+        if not qp.running:
+            self._end()
+            return
+        # drain() stops at a miss and nothing lands before the wait is
+        # armed, so no re-check is needed.
+        qp.drain()
+        self._wait()
+
+    def _woken(self, _wake: Event) -> None:
+        # hot-path
+        if self.interval:
+            jitter = self.jitter
+            try:
+                delay = jitter.buf[jitter.pos]
+                jitter.pos += 1
+            except IndexError:
+                delay = jitter.refill()
+            if delay:
+                self.waiting = self._timer
+                self._arm(delay, self._loop)
+                return
+        self._loop(None)
+
+
+class _Irq(_Notice):
+    """:meth:`QueuePair.on_interrupt`: wait, IRQ latency, drain."""
+
+    __slots__ = ("mailbox", "irq_ns")
+
+    def __init__(self, qp: QueuePair, mailbox: int, irq_ns: int) -> None:
+        self.mailbox = mailbox
+        self.irq_ns = irq_ns
+        _Notice.__init__(self, qp)
+
+    def _start(self, _boot: Event) -> None:
+        self.wp = self.qp.memory.watch(self.mailbox, 4)
+        self._loop()
+
+    def _loop(self) -> None:
+        # hot-path
+        if self.qp.running:
+            self._wait()
+        else:
+            self._end()
+
+    def _woken(self, _wake: Event) -> None:
+        # hot-path
+        self.waiting = self._timer
+        self._arm(self.irq_ns, self._drain)
+
+    def _drain(self, _timer: Event) -> None:
+        # hot-path
+        self.qp.drain()
+        self._loop()

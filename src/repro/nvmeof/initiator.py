@@ -11,7 +11,9 @@ them over an RDMA QP — the stock Linux behaviour the paper benchmarks:
   the recv CQ and sleeps), adding the usual IRQ + softirq latency.
 
 Cids, waiters, timeouts and retries are the queue-pair core's
-(:class:`~repro.driver.qpair.Commands`, the ring-less half).
+(:class:`~repro.driver.qpair.Commands`, the ring-less half); a request
+is a record (:class:`_CapsuleRequest`), and so is the response reaping
+(:class:`_Responses`): no process per I/O.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from ..nvme import CompletionEntry
 from ..pcie import Host
 from ..rdma import (CompletionQueue, ProtectionDomain, QueuePair, RdmaNic,
                     RecvWR, SendWR, WrOpcode)
-from ..sim import Simulator, Store
+from ..sim import Event, Simulator, Store
+from ..sim.resources import Record
 from .capsules import CommandCapsule, ResponseCapsule
 from .target import SpdkTarget
 from ..driver.blockdev import BlockDevice, BlockError, BlockRequest
-from ..driver.qpair import Commands, io_sqe, usable_depth
+from ..driver.qpair import CommandRecord, Commands, io_sqe, usable_depth
 
 #: per-request staging area: capsule header+SQE+inline, plus data buffer.
 SLOT_DATA_BYTES = 128 * 1024
@@ -60,8 +63,78 @@ class _CapsuleQueue(Commands):
                                   local_addr=slot.addr, length=len(raw)))
 
 
+class _CapsuleRequest(CommandRecord):
+    """One request through the kernel initiator: blk-mq and nvme-rdma
+    encapsulation, a staging slot, the capsule built, the SEND posted
+    (WQE and doorbell costs), the command, the response handled."""
+
+    __slots__ = ("slot",)
+
+    def _serve(self, _grant: Event) -> None:
+        # hot-path
+        config = self.device.config
+        # Kernel submission path: blk-mq + nvme-rdma encapsulation.
+        self._arm(config.host.block_submit_ns
+                  + config.nvmeof.initiator_submit_ns, self._submitted)
+
+    def _submitted(self, _timer: Event) -> None:
+        # hot-path
+        self.device._slots.get().callbacks.append(self._staging)
+
+    def _staging(self, slot: Event) -> None:
+        """A staging slot is ours: build the capsule."""
+        # hot-path
+        self.slot = slot = slot._value
+        initiator = self.device
+        request = self.request
+        data_addr = slot.addr + 8192
+        slot.capsule = capsule = CommandCapsule(io_sqe(request))
+        if request.op in BlockRequest.DATA_OUT_OPS:
+            if len(request.data) <= \
+                    initiator.config.nvmeof.in_capsule_data_size:
+                capsule.inline_data = request.data
+            else:
+                initiator.host.memory.write(data_addr, request.data)
+                capsule.buffer_addr = data_addr
+                capsule.rkey = slot.mr.rkey
+        elif request.op == "read":
+            capsule.buffer_addr = data_addr
+            capsule.rkey = slot.mr.rkey
+        # Post the SEND (doorbell + WQE costs); the core stages the
+        # capsule in the slot under each attempt's cid.
+        rdma = initiator.config.rdma
+        self._arm(rdma.post_wqe_ns + rdma.doorbell_ns, self._posted)
+
+    def _posted(self, _timer: Event) -> None:
+        # hot-path
+        self.command = self.slot
+        commands = self.queue = self.device.commands
+        commands.execute(self)
+
+    def _answered(self, cqe: CompletionEntry) -> None:
+        # hot-path
+        self.cqe = cqe
+        self._arm(self.device.config.nvmeof.initiator_complete_ns,
+                  self._completed)
+
+    def _completed(self, _timer: Event) -> None:
+        # hot-path
+        request = self.request
+        cqe = self.cqe
+        request.status = cqe.status
+        initiator = self.device
+        slot = self.slot
+        if request.op == "read" and not cqe.status:
+            request.result = initiator.host.memory.read(
+                slot.addr + 8192, request.nblocks * initiator.lba_bytes)
+        initiator._slots.put(slot)
+        self._finish()
+
+
 class NvmeofInitiator(BlockDevice):
     """NVMe-oF block device over RDMA."""
+
+    request_record = _CapsuleRequest
 
     def __init__(self, sim: Simulator, host: Host, nic: RdmaNic,
                  config: SimulationConfig, queue_depth: int = 32,
@@ -106,72 +179,71 @@ class NvmeofInitiator(BlockDevice):
 
         self.commands = _CapsuleQueue(self)
         self._running = True
-        self.sim.process(self._response_handler())
+        _Responses(self)    # response reaping, for the connection's life
 
     # -- data path -------------------------------------------------------------
 
-    def _driver_submit(self, request: BlockRequest) -> t.Generator:
+    def _validate(self, request: BlockRequest) -> None:
+        """Refuse at submit what the initiator can never serve: anything
+        before the connection, a transfer beyond one staging slot."""
         if not self._running:
             raise BlockError("initiator not connected")
-        cfg = self.config.nvmeof
-        host_cfg = self.config.host
-        nbytes = (request.nblocks * self.lba_bytes
-                  if request.op != "flush" else 0)
-        if nbytes > SLOT_DATA_BYTES:
+        BlockDevice._validate(self, request)
+        if request.op != "flush" and \
+                request.nblocks * self.lba_bytes > SLOT_DATA_BYTES:
             raise BlockError("request exceeds the initiator slot size; "
                              "split it in the workload layer")
 
-        # Kernel submission path: blk-mq + nvme-rdma encapsulation.
-        yield self.sim.sleep(host_cfg.block_submit_ns
-                             + cfg.initiator_submit_ns)
 
-        slot = yield self._slots.get()
-        data_addr = slot.addr + 8192
+class _Responses(Record):
+    """The kernel initiator's response reaping, interrupt-driven, walked
+    from callbacks where its process ran: with the recv CQ empty, wait
+    for a completion and pay the IRQ latency; else reap each completion
+    after the CQ poll cost — unpack the response capsule, re-post its
+    buffer, complete the command — then drain the send CQ (not
+    interesting for latency) and look again."""
 
-        slot.capsule = capsule = CommandCapsule(io_sqe(request))
-        if request.op in BlockRequest.DATA_OUT_OPS:
-            assert request.data is not None
-            if nbytes <= cfg.in_capsule_data_size:
-                capsule.inline_data = request.data
-            else:
-                self.host.memory.write(data_addr, request.data)
-                capsule.buffer_addr = data_addr
-                capsule.rkey = slot.mr.rkey
-        elif request.op == "read":
-            capsule.buffer_addr = data_addr
-            capsule.rkey = slot.mr.rkey
+    __slots__ = ("initiator", "completions", "index")
 
-        # Post the SEND (doorbell + WQE costs); the core stages the
-        # capsule in the slot under each attempt's cid.
-        yield self.sim.sleep(self.config.rdma.post_wqe_ns
-                             + self.config.rdma.doorbell_ns)
-        cqe: CompletionEntry = yield from self.commands.execute(slot,
-                                                                request)
-        yield self.sim.sleep(cfg.initiator_complete_ns)
-        request.status = cqe.status
-        if request.op == "read" and cqe.ok:
-            request.result = self.host.memory.read(data_addr, nbytes)
-        self._slots.put(slot)
+    def __init__(self, initiator: NvmeofInitiator) -> None:
+        Record.__init__(self, initiator.sim)
+        self.initiator = initiator
+        self._boot(self._look)
 
-    # -- completion path ----------------------------------------------------------
+    def _look(self, _event: Event | None = None) -> None:
+        # hot-path
+        initiator = self.initiator
+        if not initiator._running:
+            self.succeed()
+            return
+        recv_cq = initiator.qp.recv_cq
+        completions = recv_cq.poll()
+        if not completions:
+            recv_cq.signal.wait().callbacks.append(self._woken)
+            return
+        self.completions = completions
+        self.index = 0
+        self._arm(initiator.config.rdma.cq_poll_ns, self._reap)
 
-    def _response_handler(self) -> t.Generator:
-        """Interrupt-driven response reaping (kernel initiator)."""
-        assert self.qp is not None
-        cfg = self.config
-        recv_cq = self.qp.recv_cq
-        while self._running:
-            completions = recv_cq.poll()
-            if not completions:
-                yield recv_cq.signal.wait()
-                yield self.sim.sleep(cfg.host.interrupt_latency_ns)
-                continue
-            for wc in completions:
-                yield self.sim.sleep(cfg.rdma.cq_poll_ns)
-                raw = self.host.memory.read(wc.wr_id, wc.byte_len)
-                rsp = ResponseCapsule.unpack(raw)
-                self.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
-                                         length=256))
-                self.commands.complete(rsp.cqe)
-            # Drain send completions (not interesting for latency).
-            self.qp.send_cq.poll(64)
+    def _woken(self, _wake: Event) -> None:
+        # hot-path
+        self._arm(self.initiator.config.host.interrupt_latency_ns,
+                  self._look)
+
+    def _reap(self, _timer: Event) -> None:
+        # hot-path
+        initiator = self.initiator
+        completions = self.completions
+        wc = completions[self.index]
+        self.index += 1
+        raw = initiator.host.memory.read(wc.wr_id, wc.byte_len)
+        rsp = ResponseCapsule.unpack(raw)
+        initiator.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
+                                      length=256))
+        initiator.commands.complete(rsp.cqe)
+        if self.index < len(completions):
+            self._arm(initiator.config.rdma.cq_poll_ns, self._reap)
+            return
+        self.completions = None
+        initiator.qp.send_cq.poll(64)
+        self._look()

@@ -16,6 +16,10 @@ Protocol handling per opcode:
 * ``RDMA_READ`` — request over the wire, peer NIC DMA-reads the remote
   buffer, data returns, DMA-write locally; send completion carries the
   round trip.
+
+The NIC's transmit context (:class:`_Transmit`) and each WQE's remote
+stage (:class:`_RemoteStage`) are records walked from callbacks, no
+process per WQE (docs/performance.md, "Every request is a record").
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import typing as t
 from ..config import RdmaConfig
 from ..pcie.device import Bar, PCIeFunction
 from ..sim import Event, HoldPlan, Resource, Simulator, Store
+from ..sim.events import _PENDING
+from ..sim.resources import Record
 from ..units import serialize_ns
 from .verbs import (CompletionQueue, QueuePair, RdmaError, SendWR,
                     WcStatus, WorkCompletion, WrOpcode)
@@ -49,9 +55,10 @@ class IbLink:
         self._dirs[(a, b)] = Resource(self.sim, 1)
         self._dirs[(b, a)] = Resource(self.sim, 1)
 
-    def transfer(self, src: "RdmaNic", dst: "RdmaNic",
-                 nbytes: int) -> t.Generator:
-        """Occupy the direction for serialization, then propagate."""
+    def plan(self, src: "RdmaNic", dst: "RdmaNic", nbytes: int) -> HoldPlan:
+        """The hold of direction ``src`` -> ``dst`` for one message's
+        serialization."""
+        # hot-path
         plan = self._plans.get((src, dst, nbytes))
         if plan is None:
             # ~2% framing/header overhead on the wire.
@@ -59,7 +66,14 @@ class IbLink:
             plan = self._plans[(src, dst, nbytes)] = HoldPlan(self.sim, [
                 (self._dirs[(src, dst)],
                  serialize_ns(wire_bytes, self.config.bandwidth))])
-        yield plan.hold()
+        return plan
+
+    def transfer(self, src: "RdmaNic", dst: "RdmaNic",
+                 nbytes: int) -> t.Generator:
+        """Occupy the direction for serialization, then propagate — from
+        a process (the NIC's records ride :meth:`plan` and their own
+        timers)."""
+        yield self.plan(src, dst, nbytes).hold()
         yield self.sim.sleep(self.config.wire_latency_ns)
 
 
@@ -83,7 +97,7 @@ class RdmaNic(PCIeFunction):
         self.rdma_reads = 0
 
     def on_installed(self) -> None:
-        self.sim.process(self._engine())
+        _Transmit(self)     # the transmit context, for the NIC's life
 
     def mmio_read(self, bar: Bar, offset: int, length: int) -> bytes:
         return bytes(length)
@@ -96,115 +110,266 @@ class RdmaNic(PCIeFunction):
     def enqueue(self, qp: QueuePair, wr: SendWR) -> None:
         self._wqes.put((qp, wr))
 
-    # -- engine ------------------------------------------------------------------
 
-    def _engine(self) -> t.Generator:
-        """Two-stage pipeline.
+class _Transmit(Record):
+    """The NIC's transmit context, one per NIC, walked from callbacks:
+    take the next WQE, validate it, fetch its payload (a DMA read, unless
+    inline), the NIC's tx processing, the wire (the link's
+    :class:`HoldPlan`, then the wire latency on the owned timer), then
+    start the WQE's :class:`_RemoteStage` and go round again.  Sequential,
+    it sets the per-QP message rate; the remote stage, chained per QP so
+    RC ordering holds, overlaps it — without that a NIC would cap out far
+    below real message rates at high queue depth.  Each step runs where
+    the engine process's resume ran (docs/performance.md, "Every request
+    is a record")."""
 
-        The *tx stage* (WQE fetch, payload DMA, NIC tx processing, wire
-        serialization) runs sequentially — it models the NIC's transmit
-        context and sets the per-QP message rate.  The *remote stage*
-        (peer NIC rx, placement DMA, completions, and for RDMA_READ the
-        whole remote round trip) runs in a spawned process, chained
-        per-QP so RC ordering holds while the tx engine moves on to the
-        next WQE — without this overlap a NIC would cap out far below
-        real message rates at high queue depth.
-        """
-        while True:
-            qp, wr = yield self._wqes.get()
-            link, peer_nic = self._link, self._peer_nic
-            try:
-                if link is None or peer_nic is None:
-                    raise RdmaError(f"{self.name}: no link attached")
-                payload = yield from self._tx_stage(qp, wr)
-            except RdmaError:
-                qp.send_cq.push(WorkCompletion(
-                    wr.wr_id, wr.opcode, WcStatus.LOCAL_ERROR))
-                continue
-            prev = self._qp_chains.get(qp)
-            done = Event(self.sim)
-            self._qp_chains[qp] = done
-            self.sim.process(self._remote_stage(qp, wr, payload, prev,
-                                                done))
+    __slots__ = ("nic", "qp", "wr", "payload")
 
-    def _tx_stage(self, qp: QueuePair, wr: SendWR) -> t.Generator:
-        """Sender-side work: validate, fetch payload, transmit."""
-        cfg = self.rdma_config
-        link, peer_nic = self._link, self._peer_nic
-        assert link is not None and peer_nic is not None
-        peer = qp.peer
-        assert peer is not None
+    def __init__(self, nic: "RdmaNic") -> None:
+        Record.__init__(self, nic.sim)
+        self.nic = nic
+        self._boot(self._next)
 
-        payload = b""
-        if wr.opcode is WrOpcode.SEND:
-            if wr.inline_data is not None:
-                payload = wr.inline_data
-            elif wr.length:
-                payload = yield self.dma_read(wr.local_addr, wr.length)
-            yield self.sim.sleep(cfg.nic_tx_ns)
-            yield from link.transfer(self, peer_nic,
-                                     max(len(payload), 64))
-        elif wr.opcode is WrOpcode.RDMA_WRITE:
-            remote_mr = peer.pd.lookup(wr.rkey)
-            remote_mr.check(wr.remote_addr, wr.length)
-            payload = yield self.dma_read(wr.local_addr, wr.length)
-            yield self.sim.sleep(cfg.nic_tx_ns)
-            yield from link.transfer(self, peer_nic, wr.length)
-        elif wr.opcode is WrOpcode.RDMA_READ:
-            remote_mr = peer.pd.lookup(wr.rkey)
-            remote_mr.check(wr.remote_addr, wr.length)
-            yield self.sim.sleep(cfg.nic_tx_ns)
-            yield from link.transfer(self, peer_nic, 64)  # read request
-        else:  # pragma: no cover - enum is exhaustive
-            raise RdmaError(f"unknown opcode {wr.opcode}")
-        return payload
+    def _next(self, _event: Event | None = None) -> None:
+        # hot-path
+        self.nic._wqes.get().callbacks.append(self._took)
 
-    def _remote_stage(self, qp: QueuePair, wr: SendWR, payload: bytes,
-                      prev, done) -> t.Generator:
-        """Receiver-side work, ordered per QP behind earlier WQEs."""
-        cfg = self.rdma_config
-        link, peer_nic = self._link, self._peer_nic
-        assert link is not None and peer_nic is not None
-        peer = qp.peer
-        assert peer is not None
-        if prev is not None and not prev.processed:
-            yield prev
+    def _took(self, get: Event) -> None:
+        """Validate the WQE and fetch what it sends."""
+        # hot-path
+        qp, wr = get._value
+        self.qp = qp
+        self.wr = wr
+        nic = self.nic
+        self.payload = b""
+        opcode = wr.opcode
         try:
-            if wr.opcode is WrOpcode.SEND:
-                yield self.sim.sleep(cfg.nic_rx_ns)
-                if not peer.recv_queue:
-                    raise RdmaError("receiver-not-ready: no posted recv")
-                recv = peer.recv_queue.pop(0)
-                if len(payload) > recv.length:
-                    raise RdmaError("recv buffer too small")
-                if payload:
-                    yield peer_nic.dma_write(recv.addr, payload)
-                peer.recv_cq.push(WorkCompletion(
-                    recv.wr_id, WrOpcode.SEND, WcStatus.SUCCESS,
-                    byte_len=len(payload), is_recv=True))
-                qp.send_cq.push(WorkCompletion(
-                    wr.wr_id, wr.opcode, WcStatus.SUCCESS,
-                    byte_len=len(payload)))
-                self.sends += 1
-            elif wr.opcode is WrOpcode.RDMA_WRITE:
-                yield self.sim.sleep(cfg.nic_rx_ns)
-                yield peer_nic.dma_write(wr.remote_addr, payload)
-                qp.send_cq.push(WorkCompletion(
-                    wr.wr_id, wr.opcode, WcStatus.SUCCESS,
-                    byte_len=wr.length))
-                self.rdma_writes += 1
-            else:  # RDMA_READ
-                yield self.sim.sleep(cfg.read_turnaround_ns)
-                data = yield peer_nic.dma_read(wr.remote_addr, wr.length)
-                yield from link.transfer(peer_nic, self, wr.length)
-                yield self.sim.sleep(cfg.nic_rx_ns)
-                yield self.dma_write(wr.local_addr, data)
-                qp.send_cq.push(WorkCompletion(
-                    wr.wr_id, wr.opcode, WcStatus.SUCCESS,
-                    byte_len=wr.length))
-                self.rdma_reads += 1
+            if nic._link is None or nic._peer_nic is None:
+                raise RdmaError(f"{nic.name}: no link attached")
+            if opcode is WrOpcode.SEND:
+                if wr.inline_data is not None:
+                    self.payload = wr.inline_data
+                elif wr.length:
+                    nic.dma_read(wr.local_addr, wr.length
+                                 ).callbacks.append(self._fetched)
+                    return
+            else:
+                remote_mr = qp.peer.pd.lookup(wr.rkey)
+                remote_mr.check(wr.remote_addr, wr.length)
+                if opcode is WrOpcode.RDMA_WRITE:
+                    nic.dma_read(wr.local_addr, wr.length
+                                 ).callbacks.append(self._fetched)
+                    return
         except RdmaError:
             qp.send_cq.push(WorkCompletion(
-                wr.wr_id, wr.opcode, WcStatus.LOCAL_ERROR))
-        finally:
-            done.succeed()
+                wr.wr_id, opcode, WcStatus.LOCAL_ERROR))
+            self._next()
+            return
+        self._arm(nic.rdma_config.nic_tx_ns, self._processed_tx)
+
+    def _fetched(self, read: Event) -> None:
+        # hot-path
+        if not read._ok:
+            # A model fault: the engine stops and, as its process
+            # failed, a failed event raises it out of the run.
+            self.sim.event().fail(read._value)
+            return
+        self.payload = read._value
+        self._arm(self.nic.rdma_config.nic_tx_ns, self._processed_tx)
+
+    def _processed_tx(self, _timer: Event) -> None:
+        """Serialize onto the wire: a SEND of its payload (64 bytes at
+        least), an RDMA_WRITE of its length, an RDMA_READ's request."""
+        # hot-path
+        nic = self.nic
+        wr = self.wr
+        opcode = wr.opcode
+        if opcode is WrOpcode.SEND:
+            nbytes = max(len(self.payload), 64)
+        elif opcode is WrOpcode.RDMA_WRITE:
+            nbytes = wr.length
+        else:
+            nbytes = 64
+        nic._link.plan(nic, nic._peer_nic, nbytes).hold(
+        ).callbacks.append(self._serialized)
+
+    def _serialized(self, _fill: Event) -> None:
+        # hot-path
+        self._arm(self.nic._link.config.wire_latency_ns, self._sent)
+
+    def _sent(self, _timer: Event) -> None:
+        """On the wire: the remote stage takes over, chained behind the
+        QP's last one; on to the next WQE."""
+        # hot-path
+        nic = self.nic
+        qp = self.qp
+        chains = nic._qp_chains
+        chains[qp] = _RemoteStage(nic, qp, self.wr, self.payload,
+                                  chains.get(qp))
+        self.payload = None
+        self._next()
+
+
+class _RemoteStage(Record):
+    """Receiver-side work of one WQE, walked from callbacks and ordered
+    per QP behind the WQE before it (``prev``, the previous stage, an
+    event that fires when that stage ends): SEND — rx, match a posted
+    receive, place the payload, both completions; RDMA_WRITE — rx,
+    place, the send completion; RDMA_READ — turnaround, the peer's DMA
+    read, the data back over the wire (the link's :class:`HoldPlan`,
+    then the wire latency on the owned timer), rx, placement, the send
+    completion.  It boots on the URGENT lane where the stage's process
+    booted, and ends as that process's ``done`` did: queued with
+    :meth:`~repro.sim.Event.succeed` (docs/performance.md, "Every
+    request is a record")."""
+
+    __slots__ = ("nic", "qp", "wr", "payload", "prev", "recv")
+
+    def __init__(self, nic: RdmaNic, qp: QueuePair, wr: SendWR,
+                 payload: bytes, prev: Event | None) -> None:
+        # hot-path: one per WQE; Event's fields inline
+        sim = nic.sim
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self._grant = None
+        self._timer = timer = Event.__new__(Event)
+        timer.sim = sim
+        timer._value = None
+        timer._ok = True
+        timer._defused = False
+        self.nic = nic
+        self.qp = qp
+        self.wr = wr
+        self.payload = payload
+        self.prev = prev
+        self._boot(self._start)
+
+    def _start(self, _boot: Event) -> None:
+        """Wait for the stage before, then the first delay."""
+        # hot-path
+        prev, self.prev = self.prev, None
+        if prev is not None and not prev._processed:
+            prev.callbacks.append(self._go)
+        else:
+            self._go(None)
+
+    def _go(self, _prev: Event | None) -> None:
+        # hot-path
+        cfg = self.nic.rdma_config
+        if self.wr.opcode is WrOpcode.RDMA_READ:
+            self._arm(cfg.read_turnaround_ns, self._turned)
+        else:
+            self._arm(cfg.nic_rx_ns, self._received)
+
+    def _received(self, _timer: Event) -> None:
+        """SEND and RDMA_WRITE: place the payload at the peer."""
+        # hot-path
+        wr = self.wr
+        payload = self.payload
+        peer_nic = self.nic._peer_nic
+        if wr.opcode is WrOpcode.RDMA_WRITE:
+            self._after(peer_nic.dma_write(wr.remote_addr, payload),
+                        self._written)
+            return
+        peer = self.qp.peer
+        if not peer.recv_queue:     # receiver not ready: no posted recv
+            self._error()
+            return
+        self.recv = recv = peer.recv_queue.pop(0)
+        if len(payload) > recv.length:      # recv buffer too small
+            self._error()
+            return
+        if payload:
+            self._after(peer_nic.dma_write(recv.addr, payload), self._sent)
+        else:
+            self._sent(None)
+
+    def _after(self, write: Event, step: t.Callable[[Event], None]) -> None:
+        """``step`` once the waited write has landed (at once if it was
+        dropped: nothing to wait for)."""
+        # hot-path
+        if write._processed:
+            step(write)
+        else:
+            write.callbacks.append(step)
+
+    def _sent(self, _write: Event | None) -> None:
+        # hot-path
+        qp = self.qp
+        wr = self.wr
+        nbytes = len(self.payload)
+        qp.peer.recv_cq.push(WorkCompletion(
+            self.recv.wr_id, WrOpcode.SEND, WcStatus.SUCCESS,
+            byte_len=nbytes, is_recv=True))
+        qp.send_cq.push(WorkCompletion(
+            wr.wr_id, wr.opcode, WcStatus.SUCCESS, byte_len=nbytes))
+        self.nic.sends += 1
+        self._end()
+
+    def _written(self, _write: Event) -> None:
+        wr = self.wr
+        self.qp.send_cq.push(WorkCompletion(
+            wr.wr_id, wr.opcode, WcStatus.SUCCESS, byte_len=wr.length))
+        self.nic.rdma_writes += 1
+        self._end()
+
+    def _turned(self, _timer: Event) -> None:
+        """RDMA_READ: the peer NIC reads the remote buffer."""
+        wr = self.wr
+        self.nic._peer_nic.dma_read(wr.remote_addr, wr.length
+                                    ).callbacks.append(self._fetched)
+
+    def _fetched(self, read: Event) -> None:
+        if not read._ok:
+            # A model fault: the stage ends and, as its process failed,
+            # a failed event raises it out of the run.
+            self.succeed()
+            self.sim.event().fail(read._value)
+            return
+        self.payload = read._value
+        nic = self.nic
+        nic._link.plan(nic._peer_nic, nic, self.wr.length).hold(
+        ).callbacks.append(self._crossing)
+
+    def _crossing(self, _fill: Event) -> None:
+        """The data holds the wire back and has serialized: propagate."""
+        self._arm(self.nic._link.config.wire_latency_ns, self._crossed)
+
+    def _crossed(self, _timer: Event) -> None:
+        self._arm(self.nic.rdma_config.nic_rx_ns, self._landed)
+
+    def _landed(self, _timer: Event) -> None:
+        self._after(self.nic.dma_write(self.wr.local_addr, self.payload),
+                    self._read)
+
+    def _read(self, _write: Event) -> None:
+        wr = self.wr
+        self.qp.send_cq.push(WorkCompletion(
+            wr.wr_id, wr.opcode, WcStatus.SUCCESS, byte_len=wr.length))
+        self.nic.rdma_reads += 1
+        self._end()
+
+    def _error(self) -> None:
+        """The SEND found no usable receive: a local error, and the
+        stage is over."""
+        wr = self.wr
+        self.qp.send_cq.push(WorkCompletion(
+            wr.wr_id, wr.opcode, WcStatus.LOCAL_ERROR))
+        self._end()
+
+    def _end(self) -> None:
+        """The stage is over: fire the chain event, then queue the
+        no-subscriber event the stage's process queued as it ended —
+        dropping it would change no order (docs/performance.md, "Order
+        preservation", rule 1) but would move every NVMe-oF event
+        count."""
+        # hot-path
+        self.succeed()
+        timer = self._timer
+        timer.callbacks = []
+        timer._processed = False
+        self.sim._push(timer, 0)

@@ -355,15 +355,37 @@ class Record(Hold):
       make the record a reference cycle;
     * delays: :meth:`_arm` pushes the record's one owned timer
       (``_timer``, events.py) where ``sim.sleep`` pushed the
-      coroutine's.
+      coroutine's;
+    * a hold of unknown length: :meth:`_take` queues that timer as the
+      grant a ``request()`` would have pushed.
 
     The subclass sets the event fields, ``_grant = None`` and an idle
     ``_timer`` (``callbacks is None``) itself, as it starts the walk —
     inline, or from :meth:`_boot` where a spawned process would have
     started (a controller's fetch loop and commands,
-    :mod:`repro.nvme.controller`)."""
+    :mod:`repro.nvme.controller`; a block request,
+    :mod:`repro.driver.blockdev`; an RDMA remote stage,
+    :mod:`repro.rdma.nic`)."""
 
     __slots__ = ("_timer", "_step")
+
+    def __init__(self, sim: "Simulator") -> None:
+        """The event fields, pending, and an idle owned timer — for a
+        record made once per run (a loop); one made per I/O sets them
+        inline."""
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self._grant = None
+        self._timer = timer = Event.__new__(Event)
+        timer.sim = sim
+        timer.callbacks = None
+        timer._value = None
+        timer._ok = True
+        timer._defused = False
 
     def _boot(self, step: t.Callable[[Event], None]) -> None:
         """Run ``step`` at this instant from the URGENT lane, where a
@@ -391,6 +413,29 @@ class Record(Hold):
         else:
             at[when] = [timer]
             heappush(sim._times, when)
+
+    def _take(self, resource: Resource,
+              step: t.Callable[[Event], None]) -> None:
+        """Run ``step`` holding one unit of ``resource``, a hold of
+        unknown length (a block-device tag): a free unit is claimed with
+        the grant event :meth:`Resource.request` pushes — the owned
+        timer, at the end of this instant's list — else the owned timer
+        queues FIFO as that grant, pushed by :meth:`Resource.give`.  The
+        unit goes back with ``resource.give()``."""
+        # hot-path
+        timer = self._timer
+        timer.callbacks = [step]
+        timer._processed = False
+        if resource._free:
+            resource._free -= 1
+            sim = self.sim
+            at = sim._at
+            if sim._now in at:
+                at[sim._now].append(timer)
+            else:
+                sim._push(timer, 0)
+        else:
+            resource._waiting.append(timer)
 
     def _held(self, fill: Event) -> None:
         """A queued leg holds its links and its pipe has filled."""

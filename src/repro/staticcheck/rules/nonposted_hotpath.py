@@ -10,10 +10,13 @@ memory.  Any register read (``_reg_read``) or NTB segment read
 point reintroduces the latency the paper works to eliminate.
 
 Detection is intra-class: entry points are methods whose name suggests
-the data path (submit/issue/execute/poll/irq/drain/...), reachability
-follows ``self.method()`` edges, and a read is any call of a known
-non-posted primitive.  A transport's ``issue`` is an entry point of its
-own because the core's ``submit`` that calls it lives in a base class.  The deliberate ablation path (CQ in device-side memory)
+the data path (submit/issue/execute/poll/irq/drain/...) and every method
+of a record class (one whose base is named ``*Record``: a request
+record's steps are the data path, whatever they are called),
+reachability follows ``self.method()`` edges, and a read is any call of
+a known non-posted primitive.  A transport's ``issue`` is an entry
+point of its own because the core's ``submit`` that calls it lives in a
+base class.  The deliberate ablation path (CQ in device-side memory)
 carries an explicit ``# staticcheck: ignore[no-nonposted-hotpath]``.
 """
 
@@ -54,6 +57,12 @@ def _is_nonposted_read(call: ast.Call) -> str | None:
     return None
 
 
+def _is_record(cls: ast.ClassDef | None) -> bool:
+    """A record class: some base is named ``*Record``."""
+    return cls is not None and any(
+        (dotted_name(base) or "").endswith("Record") for base in cls.bases)
+
+
 @register
 class NoNonpostedHotpath(Rule):
     name = "no-nonposted-hotpath"
@@ -68,19 +77,19 @@ class NoNonpostedHotpath(Rule):
                            | ast.AsyncFunctionDef]] = {}
         for cls, fn in iter_functions(ctx.tree):
             classes.setdefault(cls, {})[fn.name] = fn
-        for methods in classes.values():
-            yield from self._check_class(ctx, methods)
+        for cls, methods in classes.items():
+            yield from self._check_class(ctx, methods, _is_record(cls))
 
     def _check_class(self, ctx: FileContext,
                      methods: dict[str, ast.FunctionDef
-                                        | ast.AsyncFunctionDef]
-                     ) -> t.Iterator[Finding]:
+                                        | ast.AsyncFunctionDef],
+                     record: bool) -> t.Iterator[Finding]:
         # Breadth-first reachability over self.<method>() edges, keeping
         # the entry point each method was first reached from (for the
         # finding message).
         reached: dict[str, str] = {}
         frontier = [name for name in methods
-                    if ENTRY_PATTERN.search(name)]
+                    if record or ENTRY_PATTERN.search(name)]
         for name in frontier:
             reached[name] = name
         while frontier:

@@ -28,8 +28,8 @@ relative-error bound); it never understates it.
 :class:`LatencyHistograms` keys one histogram per
 ``(tenant, op, device)`` and is what the telemetry hub exposes as
 ``Telemetry.hists``; per-command recording happens in the block layer
-(:meth:`~repro.driver.blockdev.BlockDevice._run`) with the tenant label
-the driver client assigned.
+(:meth:`~repro.driver.blockdev.BlockDevice._completed`) with the tenant
+label the driver client assigned.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Models the fio usage in the paper's evaluation (Sec. VI): random
 read/write, configurable block size, queue depth and duration, per-I/O
 completion-latency recording.  ``iodepth`` is implemented the way fio's
-async engines behave: that many I/Os are kept outstanding at all times.
+async engines behave: that many I/Os are kept outstanding at all times,
+each by a worker record (:class:`_Worker`), no process per I/O.
 
 The paper runs 60-second wall-clock tests; simulated runs are configured
 by I/O count or simulated time instead — QD1 latency distributions on a
@@ -19,7 +20,8 @@ import typing as t
 import numpy as np
 
 from ..driver.blockdev import BlockDevice, BlockRequest
-from ..sim import BoxplotStats, LatencyRecorder, Simulator
+from ..sim import BoxplotStats, Event, LatencyRecorder
+from ..sim.resources import Record
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,6 +87,126 @@ class FioResult:
                                self.write_latencies.values()])
 
 
+class _Job:
+    """One fio job's shared state: what it picks next, what it counted."""
+
+    def __init__(self, device: BlockDevice, job: FioJob,
+                 result: FioResult, rng, slots, base_payload: bytes,
+                 max_slot: int, lba_per_io: int,
+                 deadline: int | None) -> None:
+        self.device = device
+        self.job = job
+        self.result = result
+        self.rng = rng
+        self.slots = slots
+        self.base_payload = base_payload
+        self.max_slot = max_slot
+        self.lba_per_io = lba_per_io
+        self.deadline = deadline
+        self.issued = 0
+        self.done = 0
+
+    def pick_op(self) -> str:
+        job = self.job
+        if job.rw in ("randread", "read"):
+            return "read"
+        if job.rw in ("randwrite", "write"):
+            return "write"
+        return ("read" if self.rng.integers(0, 100) < job.rwmixread
+                else "write")
+
+    def pick_lba(self, seq_index: int) -> int:
+        if self.job.rw in ("read", "write"):          # sequential modes
+            return (seq_index % self.max_slot) * self.lba_per_io
+        slots = self.slots
+        if slots is None:
+            return int(self.rng.integers(0, self.max_slot)) * self.lba_per_io
+        try:
+            slot = slots.buf[slots.pos]
+            slots.pos += 1
+        except IndexError:
+            slot = slots.refill()
+        return slot * self.lba_per_io
+
+    def should_stop(self) -> bool:
+        job = self.job
+        if job.total_ios is not None and self.issued >= job.total_ios:
+            return True
+        deadline = self.deadline
+        return deadline is not None and self.device.sim.now >= deadline
+
+
+class _Worker(Record):
+    """One of a job's ``iodepth`` outstanding I/Os, walked from
+    callbacks: submit, account the completion (in verify mode, read it
+    back first), submit the next.  It boots on the URGENT lane and ends
+    as its process did, an event queued for the job's ``all_of`` — a
+    failed one if a read-back differs (docs/performance.md, "Every
+    request is a record")."""
+
+    __slots__ = ("fio", "op", "lba", "request")
+
+    def __init__(self, fio: _Job) -> None:
+        Record.__init__(self, fio.device.sim)
+        self.fio = fio
+        self._boot(self._next)
+
+    def _next(self, _event: Event | None = None) -> None:
+        # hot-path
+        fio = self.fio
+        if fio.should_stop():
+            self.succeed()
+            return
+        index = fio.issued
+        fio.issued = index + 1
+        self.op = op = fio.pick_op()
+        self.lba = lba = fio.pick_lba(index)
+        if op == "write":
+            payload = (index.to_bytes(8, "little")
+                       + lba.to_bytes(8, "little")
+                       + fio.base_payload[16:])
+            request = BlockRequest("write", lba=lba, data=payload)
+        else:
+            request = BlockRequest("read", lba=lba,
+                                   nblocks=fio.lba_per_io)
+        self.request = request
+        fio.device.submit(request).callbacks.append(self._completed)
+
+    def _completed(self, done: Event) -> None:
+        # hot-path
+        completed = done._value
+        fio = self.fio
+        fio.done += 1
+        result = fio.result
+        if not completed.ok:
+            result.errors += 1
+            self._next()
+            return
+        job = fio.job
+        op = self.op
+        if fio.done > job.ramp_ios:
+            if op == "read":
+                result.read_latencies.record(completed.latency_ns)
+            else:
+                result.write_latencies.record(completed.latency_ns)
+            result.ios += 1
+            result.bytes_moved += job.bs
+        if job.verify and op == "write":
+            fio.device.submit(BlockRequest(
+                "read", lba=self.lba, nblocks=fio.lba_per_io)
+            ).callbacks.append(self._verified)
+            return
+        self._next()
+
+    def _verified(self, done: Event) -> None:
+        check = done._value
+        if check.ok and check.result != self.request.data:
+            self.fail(AssertionError(
+                f"verify failed at lba {self.lba}: data corrupted"))
+            return
+        self._next()
+
+
 def fio_generator(device: BlockDevice, job: FioJob
                   ) -> t.Generator[t.Any, t.Any, FioResult]:
     """Process body running one fio job against a block device.
@@ -124,68 +246,9 @@ def fio_generator(device: BlockDevice, job: FioJob
     start = sim.now
     deadline = (start + job.runtime_ns if job.runtime_ns is not None
                 else None)
-    state = {"issued": 0, "done": 0, "stop": False}
-
-    def pick_op() -> str:
-        if job.rw in ("randread", "read"):
-            return "read"
-        if job.rw in ("randwrite", "write"):
-            return "write"
-        return "read" if rng.integers(0, 100) < job.rwmixread else "write"
-
-    def pick_lba(seq_index: int) -> int:
-        if job.rw in ("read", "write"):          # sequential modes
-            return (seq_index % max_slot) * lba_per_io
-        if slots is None:
-            return int(rng.integers(0, max_slot)) * lba_per_io
-        try:
-            slot = slots.buf[slots.pos]
-            slots.pos += 1
-        except IndexError:
-            slot = slots.refill()
-        return slot * lba_per_io
-
-    def should_stop() -> bool:
-        if job.total_ios is not None and state["issued"] >= job.total_ios:
-            return True
-        if deadline is not None and sim.now >= deadline:
-            return True
-        return False
-
-    def worker(sim: Simulator) -> t.Generator:
-        while not should_stop():
-            index = state["issued"]
-            state["issued"] += 1
-            op = pick_op()
-            lba = pick_lba(index)
-            if op == "write":
-                payload = (index.to_bytes(8, "little")
-                           + lba.to_bytes(8, "little")
-                           + base_payload[16:])
-                request = BlockRequest("write", lba=lba, data=payload)
-            else:
-                request = BlockRequest("read", lba=lba,
-                                       nblocks=lba_per_io)
-            completed = yield device.submit(request)
-            state["done"] += 1
-            if not completed.ok:
-                result.errors += 1
-                continue
-            if state["done"] > job.ramp_ios:
-                if op == "read":
-                    result.read_latencies.record(completed.latency_ns)
-                else:
-                    result.write_latencies.record(completed.latency_ns)
-                result.ios += 1
-                result.bytes_moved += job.bs
-            if job.verify and op == "write":
-                check = yield device.submit(
-                    BlockRequest("read", lba=lba, nblocks=lba_per_io))
-                if check.ok and check.result != request.data:
-                    raise AssertionError(
-                        f"verify failed at lba {lba}: data corrupted")
-
-    workers = [sim.process(worker(sim)) for _ in range(job.iodepth)]
+    fio = _Job(device, job, result, rng, slots, base_payload, max_slot,
+               lba_per_io, deadline)
+    workers = [_Worker(fio) for _ in range(job.iodepth)]
     try:
         yield sim.all_of(workers)
     finally:

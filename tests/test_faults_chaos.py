@@ -436,7 +436,7 @@ class TestShutdownFailsInflight:
             assert ev.value.status == STATUS_HOST_SHUTDOWN
             assert not ev.value.ok
         assert not client._inflight
-        assert client._poll_proc is None and client._hb_proc is None
+        assert client._notice is None and client._hb_proc is None
 
         sc.registry.resume("ctrl:nvme0")   # let the RPC drain
         sc.sim.run(until=teardown)

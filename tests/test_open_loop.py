@@ -171,12 +171,14 @@ class TestOpenLoopRuns:
 class TestArrivalCost:
     def test_an_arrival_costs_no_process_of_its_own(self, monkeypatch):
         """A completion is a callback on the block layer's done event,
-        and the controller's command a record: an arrival spawns only
-        the block layer's request process, and dispatches no boot or
-        end event of a completer.  Each run used to cost one process and
-        two events more per arrival, (49, 698) and (97, 1,390); then one
-        process more, the command's, (33, 666) and (65, 1,326) — the
-        record boots from the same URGENT event."""
+        and the controller's command and the block layer's request are
+        records: a run spawns its issue loop and nothing per arrival,
+        and dispatches no boot or end event of a completer.  Each run
+        used to cost one process and two events more per arrival, (49,
+        698) and (97, 1,390); then one process more, the command's, (33,
+        666) and (65, 1,326); then the request's process, (17, 666) and
+        (33, 1,326) — each record boots from the same URGENT event its
+        process did."""
         spawned = [0]
         construct = Process.__init__
 
@@ -196,7 +198,7 @@ class TestArrivalCost:
             assert result.completed == arrivals
             counts.append((spawned[0],
                            scenario.sim.events_processed - before))
-        assert counts == [(17, 666), (33, 1326)]
+        assert counts == [(1, 666), (1, 1326)]
 
 
 class TestDeterminismDiscipline:

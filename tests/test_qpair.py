@@ -235,7 +235,7 @@ class TestNotice:
     def test_poll_draws_from_its_stream_and_unwatches_when_stopped(self):
         rig = Rig(entries=4)
         done = rig.submit()
-        proc = rig.sim.process(rig.qp.poll("poll:test", 100))
+        proc = rig.qp.poll("poll:test", 100)
         rig.sim.run(until=rig.sim.timeout(1_000))
         assert not done.triggered
         rig.complete(1)
@@ -251,7 +251,7 @@ class TestNotice:
         rig = Rig(entries=4)
         mailbox = 0x1000_8000
         done = rig.submit()
-        rig.sim.process(rig.qp.on_interrupt(mailbox, 900))
+        rig.qp.on_interrupt(mailbox, 900)
         rig.sim.run(until=rig.sim.timeout(500))
         rig.complete(1)                     # CQE alone wakes nobody
         rig.sim.run(until=rig.sim.timeout(500))

@@ -115,7 +115,7 @@ class TestBatchedEqualsScalar:
         lands (the Rig's simulator has seed 5)."""
         with batch_of(batch):
             rig = Rig(entries=4)
-            rig.sim.process(rig.qp.poll("poll:test", interval))
+            rig.qp.poll("poll:test", interval)
             delays = []
             for cid in range(1, n + 1):
                 done = rig.submit()

@@ -141,6 +141,36 @@ def test_nonposted_flags_reg_read_in_poller(tmp_path):
     assert len(findings) == 1
 
 
+RECORD_STEP_READ = """
+    class _ClientRequest(CommandRecord):
+        def _staging(self, part):
+            self.part = part._value
+            self._stage()
+
+        def _stage(self):
+            self.header = self._meta_conn.read(0, 16)
+"""
+
+
+def test_nonposted_flags_read_in_a_record_step(tmp_path):
+    """A request record's steps are the data path whatever their names:
+    every method of a ``*Record`` class is an entry point."""
+    findings = run_rule(tmp_path, "no-nonposted-hotpath", RECORD_STEP_READ,
+                        rel="repro/driver/client.py")
+    assert [f.rule for f in findings] == ["no-nonposted-hotpath"]
+    assert "self._meta_conn.read()" in findings[0].message
+    assert "hot-path method _stage" in findings[0].message
+
+
+def test_nonposted_same_steps_outside_a_record_pass(tmp_path):
+    """Without the record base the same names are no entry points (the
+    control path keeps its reads)."""
+    findings = run_rule(tmp_path, "no-nonposted-hotpath",
+                        RECORD_STEP_READ.replace("(CommandRecord)", ""),
+                        rel="repro/driver/client.py")
+    assert findings == []
+
+
 # --- doorbell-after-sq-write ---------------------------------------------
 
 def test_doorbell_flags_ring_before_sq_write(tmp_path):
