@@ -20,7 +20,6 @@ import dataclasses
 import typing as t
 
 from ..sim import Event, LatencyRecorder, Process, Resource, Simulator
-from ..sim.events import _PENDING
 from ..sim.resources import Record
 
 
@@ -179,36 +178,22 @@ class BlockDevice:
 
 
 class RequestRecord(Record):
-    """One request served from plain callbacks — the record *is* the
+    """One request served from plain callbacks; the record *is* the
     event :meth:`BlockDevice.submit` returns, and fires with the
-    request.  It boots on the URGENT lane where the request's process
-    booted, takes a queue tag with the grant event ``Resource.request()``
-    pushes (queueing FIFO for one when none is free), walks the stack's
-    steps from :meth:`_serve` on — each delay on the owned timer
-    (:meth:`~repro.sim.resources.Record._arm`) — and ends in
-    :meth:`_finish`: the tag back, the request stamped and counted, the
-    waiter's event queued.  A waiter that leaves (an interrupted
-    process) cancels nothing: the request goes on without it."""
+    request.  Steps: boot on the URGENT lane at ``submit``; take a
+    queue tag (:meth:`~repro.sim.resources.Record._take`: the grant
+    event ``Resource.request()`` pushes, or a FIFO place for one); the
+    stack's steps from :meth:`_serve` on, each delay on the owned timer;
+    :meth:`_finish`.  A waiter that leaves (an interrupted process)
+    cancels nothing: the request goes on without it."""
 
     __slots__ = ("device", "request")
 
     def __init__(self, device: BlockDevice, request: BlockRequest) -> None:
-        # hot-path: one per request; Event's fields inline
-        sim = device.sim
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self._timer = timer = Event.__new__(Event)
-        timer.sim = sim
-        timer._value = None
-        timer._ok = True
-        timer._defused = False
+        # hot-path: one per request
         self.device = device
         self.request = request
-        self._boot(self._tag)
+        Record.__init__(self, device.sim, self._tag)
 
     def _tag(self, _boot: Event) -> None:
         # hot-path
@@ -219,8 +204,9 @@ class RequestRecord(Record):
         raise NotImplementedError
 
     def _finish(self) -> None:
-        """Return the tag, account the request, fire the waiter's event
-        (queued, as ``done.succeed`` queued it)."""
+        """Return the tag, account the request, queue the record for
+        its waiter (``succeed``: queued whether or not the waiter is
+        still there)."""
         # hot-path
         device = self.device
         device._tags.give()

@@ -28,7 +28,7 @@ from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
                     SubmissionEntry, SubmissionQueueState,
                     cq_doorbell_offset, sq_doorbell_offset)
 from ..sim import Event, Signal, Simulator
-from ..sim.events import URGENT, _PENDING
+from ..sim.events import _PENDING
 from ..sim.resources import Record
 from .blockdev import RequestRecord
 
@@ -488,23 +488,20 @@ class QueuePair(Commands):
 
 
 class _Notice(Record):
-    """A queue pair's completion-notice loop, walked from callbacks
-    where its process ran (docs/performance.md, "Every request is a
-    record"): it boots on the URGENT lane, watches memory, and while the
-    pair is ``running`` waits for a write, pays the notice delay on its
-    owned timer and drains.  It ends as the process ended, its event
-    queued with nobody subscribed: once ``running`` is found False, or
-    after :meth:`interrupt` (the owner's shutdown or crash), which
-    leaves the wait at once and unwatches from an URGENT kick event, as
-    an interrupted process did."""
+    """A queue pair's completion-notice loop, walked from callbacks: it
+    boots on the URGENT lane, watches memory, and while the pair is
+    ``running`` waits for a write, pays the notice delay on its owned
+    timer and drains.  It unwatches and ends (:meth:`_stop`) once
+    ``running`` is found False, or after :meth:`interrupt` (the owner's
+    shutdown or crash), which leaves the wait at once and stops from an
+    URGENT kick, where :meth:`Process.interrupt` delivers."""
 
     __slots__ = ("qp", "wp", "waiting")
 
     def __init__(self, qp: QueuePair) -> None:
-        Record.__init__(self, qp.sim)
         self.qp = qp
         self.waiting = None
-        self._boot(self._start)
+        Record.__init__(self, qp.sim, self._start)
 
     def _start(self, _boot: Event) -> None:
         raise NotImplementedError
@@ -518,9 +515,10 @@ class _Notice(Record):
     def _woken(self, _wake: Event) -> None:
         raise NotImplementedError
 
-    def _end(self) -> None:
-        self.qp.memory.unwatch(self.wp)
-        self.succeed()
+    def _stop(self, _kick: Event | None = None) -> None:
+        if self._value is _PENDING:
+            self.qp.memory.unwatch(self.wp)
+            self._end()
 
     @property
     def is_alive(self) -> bool:
@@ -534,13 +532,7 @@ class _Notice(Record):
         waiting = self.waiting
         if waiting is not None and waiting.callbacks:
             waiting.callbacks = []
-        kick = Event(self.sim)
-        kick.callbacks.append(self._kicked)
-        self.sim._push(kick, 0, URGENT)
-
-    def _kicked(self, _kick: Event) -> None:
-        if self._value is _PENDING:
-            self._end()
+        self._kick(self._stop)
 
 
 class _Poll(_Notice):
@@ -567,7 +559,7 @@ class _Poll(_Notice):
         # hot-path
         qp = self.qp
         if not qp.running:
-            self._end()
+            self._stop()
             return
         # drain() stops at a miss and nothing lands before the wait is
         # armed, so no re-check is needed.
@@ -609,7 +601,7 @@ class _Irq(_Notice):
         if self.qp.running:
             self._wait()
         else:
-            self._end()
+            self._stop()
 
     def _woken(self, _wake: Event) -> None:
         # hot-path

@@ -22,9 +22,7 @@ with its full latency/bandwidth accounting.
 :class:`_SharedFetch`) and each fetched command (:class:`IoCommand`,
 :class:`AdminCommand`) walks its steps from plain callbacks on the
 events it waits for, its delays on one owned timer — no process per
-command.  Each step runs, and each push lands, where the generator
-processes they replaced had them (docs/performance.md, "Order
-preservation"), so no event is added, removed or reordered.
+command (docs/performance.md, "Every command is a record").
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from ..config import NvmeConfig, QosConfig
 from ..pcie.device import Bar, PCIeFunction
 from ..pcie.fabric import FabricFaultError
 from ..sim import Event, Signal, Simulator
-from ..sim.events import _PENDING
 from ..sim.resources import Record
 from .constants import (CC_EN, CSTS_RDY, CSTS_SHST_COMPLETE, DOORBELL_BASE,
                         PAGE_SIZE, AdminOpcode, IoOpcode, Status,
@@ -96,38 +93,21 @@ class _Fetch(Record):
     """The fetch loop of one conventional SQ, admin or I/O, walked from
     callbacks: wait for a doorbell (then the doorbell-to-fetch delay),
     DMA-read the head SQE wherever the queue lives, advance the head,
-    decode (the decode delay), spawn the command's record and go round
+    decode (the decode delay), start the command's record and go round
     again inline.  A controller stall is waited out by subscribing to
     the fault point's ``stall_clear``; a fetch the fabric drops leaves
     the head where it is and is retried after the doorbell-to-fetch
-    delay, as hardware keeps retrying until reset.
-
-    Each step runs where the SQ worker process's resume ran, and each delay
-    arms the record's timer where the process's ``sim.sleep`` pushed
-    (docs/performance.md, "Every command is a record").  The loop ends
-    once the SQ is deleted or the controller reset, the way the process
-    ended: as an event queued with nobody subscribed."""
+    delay, as hardware keeps retrying until reset.  The loop boots on
+    the URGENT lane and ends (:meth:`~repro.sim.resources.Record._end`)
+    once the SQ is deleted or the controller reset."""
 
     __slots__ = ("ctrl", "sq", "sqe", "admin")
 
     def __init__(self, ctrl: "NvmeController", sq: _ControllerSq) -> None:
-        sim = ctrl.sim
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self._grant = None
-        self._timer = timer = Event.__new__(Event)
-        timer.sim = sim
-        timer._value = None
-        timer._ok = True
-        timer._defused = False
         self.ctrl = ctrl
         self.sq = sq
         self.admin = sq.state.qid == 0
-        self._boot(self._loop)
+        Record.__init__(self, ctrl.sim, self._loop)
 
     def _loop(self, _event: Event | None = None) -> None:
         """The top of the loop: end once the SQ is gone, wait out a
@@ -135,7 +115,7 @@ class _Fetch(Record):
         # hot-path
         sq = self.sq
         if not sq.active:
-            self.succeed()
+            self._end()
             return
         ctrl = self.ctrl
         faults = ctrl.faults
@@ -156,7 +136,7 @@ class _Fetch(Record):
         arbitration cost, per wakeup, then look again."""
         # hot-path
         if not self.sq.active:
-            self.succeed()
+            self._end()
             return
         self._arm(self.ctrl.config.doorbell_to_fetch_ns, self._loop)
 
@@ -214,7 +194,7 @@ class _SharedFetch(_Fetch):
         # hot-path
         sq = self.sq
         if not sq.active:
-            self.succeed()
+            self._end()
             return
         ctrl = self.ctrl
         faults = ctrl.faults
@@ -265,40 +245,23 @@ class _SharedFetch(_Fetch):
 
 
 class Command(Record):
-    """One fetched command, walked from callbacks where its process ran.
-
-    It boots from an URGENT event at the instant it is fetched, where
-    the process booted, so the fetch loop that spawned it moves on to
-    the next SQE first.  Each step runs where the process's resume ran
-    and each delay arms the record's timer where the process's sleep
-    pushed (docs/performance.md, "Every command is a record").  The
-    subclass's ``_execute`` is the first step; :meth:`_complete` is the
-    last, the same for every command: the CQE as a posted write the
-    controller waits on, then the optional MSI-X."""
+    """One fetched command, walked from callbacks.  It boots on the
+    URGENT lane at the instant it is fetched, so the fetch loop that
+    started it moves on to the next SQE first.  The subclass's
+    ``_execute`` is the first step; :meth:`_complete` is the last, the
+    same for every command: the CQE as a posted write the controller
+    waits on, then the optional MSI-X, then :meth:`_done`."""
 
     __slots__ = ("ctrl", "sq", "sqe", "win", "cq", "status", "result")
 
     def __init__(self, ctrl: "NvmeController", sq: _ControllerSq,
                  sqe: SubmissionEntry, win: SqWindowState | None) -> None:
-        # hot-path: one per command; Event's fields inline
-        sim = ctrl.sim
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self._grant = None
-        self._timer = timer = Event.__new__(Event)
-        timer.sim = sim
-        timer._value = None
-        timer._ok = True
-        timer._defused = False
+        # hot-path: one per command
         self.ctrl = ctrl
         self.sq = sq
         self.sqe = sqe
         self.win = win
-        self._boot(self._execute)
+        Record.__init__(self, ctrl.sim, self._execute)
 
     def _execute(self, _boot: Event) -> None:
         raise NotImplementedError
@@ -364,16 +327,17 @@ class Command(Record):
         self._done()
 
     def _done(self) -> None:
-        """The command is over."""
-        raise NotImplementedError
+        """The command is over: end the record (``Record._end``; with
+        nobody subscribed, on the spot)."""
+        self._end()
 
 
 class IoCommand(Command):
     """One fetched I/O command: validate, resolve the PRPs (reading any
     list pages), read the data the host sends, hold a media channel for
     the access, move the data the host receives, complete.  Nothing
-    subscribes to it (its process was detached): once the command is
-    over it is garbage."""
+    subscribes to it: once the command is over it is garbage, left
+    pending."""
 
     __slots__ = ("ns", "kind", "slba", "nblocks", "nbytes", "segs",
                  "remaining", "parts", "channel")
@@ -540,11 +504,7 @@ class IoCommand(Command):
 class AdminCommand(Command):
     """One fetched admin command: the admin execution time, then the
     command (an Identify DMA-writes its data to PRP1 and waits for the
-    delivery), then the completion every command shares.  It ends the
-    way its process ended, as an event queued with nobody subscribed:
-    dropping that event would change no order (docs/performance.md,
-    "Order preservation", rule 1) but would move every start-up event
-    count."""
+    delivery), then the completion every command shares."""
 
     __slots__ = ()
 
@@ -565,9 +525,6 @@ class AdminCommand(Command):
 
     def _identified(self, _write: Event) -> None:
         self._complete(Status.SUCCESS, 0)
-
-    def _done(self) -> None:
-        self.succeed()
 
 
 class NvmeController(PCIeFunction):
@@ -666,7 +623,7 @@ class NvmeController(PCIeFunction):
         was_enabled = self.regs.enabled
         self.regs.cc = value
         if value & CC_EN and not was_enabled:
-            self.sim.process(self._enable())
+            self.sim.process(self._enable(), detached=True)
         elif not (value & CC_EN) and was_enabled:
             self._reset()
         if (value >> 14) & 0x3:   # shutdown notification

@@ -197,24 +197,25 @@ class NvmeofInitiator(BlockDevice):
 
 class _Responses(Record):
     """The kernel initiator's response reaping, interrupt-driven, walked
-    from callbacks where its process ran: with the recv CQ empty, wait
-    for a completion and pay the IRQ latency; else reap each completion
-    after the CQ poll cost — unpack the response capsule, re-post its
-    buffer, complete the command — then drain the send CQ (not
-    interesting for latency) and look again."""
+    from callbacks: with the recv CQ empty, wait for a completion and
+    pay the IRQ latency; else reap each completion after the CQ poll
+    cost — unpack the response capsule, re-post its buffer, complete
+    the command — then drain the send CQ (not interesting for latency)
+    and look again.  It boots on the URGENT lane and ends
+    (:meth:`~repro.sim.resources.Record._end`) once the initiator
+    stops."""
 
     __slots__ = ("initiator", "completions", "index")
 
     def __init__(self, initiator: NvmeofInitiator) -> None:
-        Record.__init__(self, initiator.sim)
         self.initiator = initiator
-        self._boot(self._look)
+        Record.__init__(self, initiator.sim, self._look)
 
     def _look(self, _event: Event | None = None) -> None:
         # hot-path
         initiator = self.initiator
         if not initiator._running:
-            self.succeed()
+            self._end()
             return
         recv_cq = initiator.qp.recv_cq
         completions = recv_cq.poll()

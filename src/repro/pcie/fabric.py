@@ -20,12 +20,11 @@ monotonic-arrival clamp, so an SQE write always lands before the doorbell
 write that follows it.
 
 **Every TLP is a record**: an event that walks the transaction's steps
-from plain callbacks, no coroutine — a posted write (:class:`_PostedWrite`,
-its own delivery event), a waited write (:class:`_WaitedWrite`) and a
+from plain callbacks — a posted write (:class:`_PostedWrite`, its own
+delivery event), a waited write (:class:`_WaitedWrite`) and a
 non-posted read (:class:`_Read`).  A caller yields the one it waits for,
-``data = yield fabric.read(...)``; the steps, their pushes and their
-draws are where a coroutine had them (docs/performance.md, "Order
-preservation").
+``data = yield fabric.read(...)`` (docs/performance.md, "Every TLP is a
+record").
 
 **Flow records.**  Queue slots, doorbells and bounce-buffer partitions
 are hit by the same initiator with the same ``(host, addr, length)``
@@ -66,7 +65,6 @@ from ..config import PcieConfig
 from ..memory import HostMemory
 from ..sim import Event, HoldPlan, Simulator
 from ..sim.core import URGENT
-from ..sim.events import _PENDING
 from ..sim.resources import Hold, Record
 from ..units import serialize_ns
 from .address import AddressError
@@ -84,10 +82,13 @@ class _PostedWrite(Hold):
     event.  It is queued once, for the delivery instant: by the inline
     issue or, when a link was busy, by :meth:`_held`.  A queued TLP is
     its own :class:`~repro.sim.resources.Hold`: it walks its plan's links
-    from the boot event and, once it holds them and the pipe has
-    filled, pushes itself for delivery — callbacks, no process, no
-    second record.  Interrupting a process parked on it does not cancel
-    the walk (a posted write, once issued, is delivered)."""
+    from the issue's URGENT boot event (one per burst,
+    :meth:`Fabric.post_writes`) and, once it holds them and the pipe has
+    filled, pushes itself for delivery.  Interrupting a process parked
+    on it does not cancel the walk (a posted write, once issued, is
+    delivered).  The issue builds it inline, with no constructor frame
+    (``test_queued_post_write_cost_from_issue_to_fill`` has no room for
+    one)."""
 
     __slots__ = ("fabric", "flow", "addr", "data", "boot")
 
@@ -117,9 +118,9 @@ class _WaitedWrite(_PostedWrite):
     delivery, and so owns it.  Its walk starts inline (no boot); the
     arrival is drawn once the links are held and the pipe has filled,
     and the delivery runs ahead of the waiter's resume.  Interrupting
-    the waiter stops the TLP where a coroutine would have stopped:
-    queueing, it leaves the FIFO; filling, :meth:`_held` pushes nothing;
-    queued for delivery, it is dispatched and delivers nothing."""
+    the waiter stops the TLP: queueing, it leaves the FIFO; filling,
+    :meth:`_held` pushes nothing; queued for delivery, it is dispatched
+    and delivers nothing."""
 
     __slots__ = ()
 
@@ -150,8 +151,8 @@ class _Read(Record):
     """One non-posted read in flight, walked from callbacks: request
     leg (links, then the flight on the record's timer), target service
     (the timer again), completion leg (links, flight).  The last step
-    runs the subscribers inline with the data, where the coroutine's
-    ``return data`` resumed its caller.  A dropped request sits out the
+    runs the subscribers inline with the data: the read itself is never
+    queued.  A dropped request sits out the
     completion timeout and fails with :class:`FabricFaultError`, a
     short MMIO read fails with :class:`AddressError` (``Record._fail``).
     The data read at the target waits in ``data`` for the way back."""
@@ -160,9 +161,9 @@ class _Read(Record):
 
     def _sent(self, _fill: Event | None) -> None:
         """The request holds its links (if any) and has filled: fly.
-        ``Fabric.faults`` is read here, not at issue as the coroutine
-        read it: the two differ only for a registry swapped in while a
-        read is queued or filling, which no rig does."""
+        ``Fabric.faults`` is read here, not at issue: the two differ
+        only for a registry swapped in while a read is queued or
+        filling, which no rig does."""
         # hot-path
         if self.callbacks is None:
             return              # the waiter left while the pipe filled
@@ -691,21 +692,7 @@ class Fabric:
         # hot-path
         if length <= 0:
             raise ValueError("read length must be positive")
-        sim = self.sim
-        rd = _Read.__new__(_Read)
-        rd.sim = sim
-        rd.callbacks = []
-        rd._value = _PENDING
-        rd._ok = True
-        rd._processed = False
-        rd._defused = False
-        rd._grant = None
-        rd._timer = timer = Event.__new__(Event)
-        timer.sim = sim
-        timer.callbacks = None
-        timer._value = None
-        timer._ok = True
-        timer._defused = False
+        rd = _Read(self.sim)
         rd.fabric = self
         rd.addr = addr
         rd.length = length

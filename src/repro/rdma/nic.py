@@ -29,7 +29,6 @@ import typing as t
 from ..config import RdmaConfig
 from ..pcie.device import Bar, PCIeFunction
 from ..sim import Event, HoldPlan, Resource, Simulator, Store
-from ..sim.events import _PENDING
 from ..sim.resources import Record
 from ..units import serialize_ns
 from .verbs import (CompletionQueue, QueuePair, RdmaError, SendWR,
@@ -119,16 +118,14 @@ class _Transmit(Record):
     start the WQE's :class:`_RemoteStage` and go round again.  Sequential,
     it sets the per-QP message rate; the remote stage, chained per QP so
     RC ordering holds, overlaps it — without that a NIC would cap out far
-    below real message rates at high queue depth.  Each step runs where
-    the engine process's resume ran (docs/performance.md, "Every request
-    is a record")."""
+    below real message rates at high queue depth.  It boots on the
+    URGENT lane and never ends."""
 
     __slots__ = ("nic", "qp", "wr", "payload")
 
     def __init__(self, nic: "RdmaNic") -> None:
-        Record.__init__(self, nic.sim)
         self.nic = nic
-        self._boot(self._next)
+        Record.__init__(self, nic.sim, self._next)
 
     def _next(self, _event: Event | None = None) -> None:
         # hot-path
@@ -170,8 +167,8 @@ class _Transmit(Record):
     def _fetched(self, read: Event) -> None:
         # hot-path
         if not read._ok:
-            # A model fault: the engine stops and, as its process
-            # failed, a failed event raises it out of the run.
+            # A model fault: the engine stops and a failed event
+            # raises it out of the run.
             self.sim.event().fail(read._value)
             return
         self.payload = read._value
@@ -218,35 +215,21 @@ class _RemoteStage(Record):
     place, the send completion; RDMA_READ — turnaround, the peer's DMA
     read, the data back over the wire (the link's :class:`HoldPlan`,
     then the wire latency on the owned timer), rx, placement, the send
-    completion.  It boots on the URGENT lane where the stage's process
-    booted, and ends as that process's ``done`` did: queued with
-    :meth:`~repro.sim.Event.succeed` (docs/performance.md, "Every
-    request is a record")."""
+    completion.  It boots on the URGENT lane.  Its end is always queued
+    (``succeed``, not :meth:`~repro.sim.resources.Record._end`): the
+    QP's next stage may subscribe to it until it is dispatched."""
 
     __slots__ = ("nic", "qp", "wr", "payload", "prev", "recv")
 
     def __init__(self, nic: RdmaNic, qp: QueuePair, wr: SendWR,
                  payload: bytes, prev: Event | None) -> None:
-        # hot-path: one per WQE; Event's fields inline
-        sim = nic.sim
-        self.sim = sim
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self._grant = None
-        self._timer = timer = Event.__new__(Event)
-        timer.sim = sim
-        timer._value = None
-        timer._ok = True
-        timer._defused = False
+        # hot-path: one per WQE
         self.nic = nic
         self.qp = qp
         self.wr = wr
         self.payload = payload
         self.prev = prev
-        self._boot(self._start)
+        Record.__init__(self, nic.sim, self._start)
 
     def _start(self, _boot: Event) -> None:
         """Wait for the stage before, then the first delay."""
@@ -308,14 +291,14 @@ class _RemoteStage(Record):
         qp.send_cq.push(WorkCompletion(
             wr.wr_id, wr.opcode, WcStatus.SUCCESS, byte_len=nbytes))
         self.nic.sends += 1
-        self._end()
+        self.succeed()
 
     def _written(self, _write: Event) -> None:
         wr = self.wr
         self.qp.send_cq.push(WorkCompletion(
             wr.wr_id, wr.opcode, WcStatus.SUCCESS, byte_len=wr.length))
         self.nic.rdma_writes += 1
-        self._end()
+        self.succeed()
 
     def _turned(self, _timer: Event) -> None:
         """RDMA_READ: the peer NIC reads the remote buffer."""
@@ -325,8 +308,8 @@ class _RemoteStage(Record):
 
     def _fetched(self, read: Event) -> None:
         if not read._ok:
-            # A model fault: the stage ends and, as its process failed,
-            # a failed event raises it out of the run.
+            # A model fault: the stage ends and a failed event raises
+            # it out of the run.
             self.succeed()
             self.sim.event().fail(read._value)
             return
@@ -351,7 +334,7 @@ class _RemoteStage(Record):
         self.qp.send_cq.push(WorkCompletion(
             wr.wr_id, wr.opcode, WcStatus.SUCCESS, byte_len=wr.length))
         self.nic.rdma_reads += 1
-        self._end()
+        self.succeed()
 
     def _error(self) -> None:
         """The SEND found no usable receive: a local error, and the
@@ -359,17 +342,4 @@ class _RemoteStage(Record):
         wr = self.wr
         self.qp.send_cq.push(WorkCompletion(
             wr.wr_id, wr.opcode, WcStatus.LOCAL_ERROR))
-        self._end()
-
-    def _end(self) -> None:
-        """The stage is over: fire the chain event, then queue the
-        no-subscriber event the stage's process queued as it ended —
-        dropping it would change no order (docs/performance.md, "Order
-        preservation", rule 1) but would move every NVMe-oF event
-        count."""
-        # hot-path
         self.succeed()
-        timer = self._timer
-        timer.callbacks = []
-        timer._processed = False
-        self.sim._push(timer, 0)

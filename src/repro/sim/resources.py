@@ -32,6 +32,10 @@ from .events import Event, _PENDING
 if t.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
 
+#: ``Event.__new__`` bound once, for the builds that set an event's
+#: fields inline: one bytecode less per build than the attribute lookup
+_new = Event.__new__
+
 
 class Request(Event):
     """A pending claim on a :class:`Resource`; triggers when granted.
@@ -124,7 +128,7 @@ class Resource:
         # frame) and the uncontended grant inlines succeed(req) minus
         # the double-trigger guard a fresh event cannot need.
         sim = self.sim
-        req = Request.__new__(Request)
+        req = _new(Request)
         req.sim = sim
         req.callbacks = []
         req._ok = True
@@ -247,11 +251,10 @@ class Hold(Event):
     :class:`Request`, armed again for each busy link, whose dispatch
     resumes the walk — and then starts the release timers.  Never
     queued itself: :meth:`_held` runs from the last timer's event and
-    fires the subscribers.  A subclass record that is an event of its
-    own (a posted write, :mod:`repro.pcie.fabric`; :class:`Record`)
-    sets its event fields itself, starts the walk — from a boot event
-    with :meth:`_start`, or inline: ``plan``, ``_index`` and
-    :meth:`_claim` — and overrides :meth:`_held`."""
+    fires the subscribers.  A subclass that is an event of its own (a
+    posted write, :mod:`repro.pcie.fabric`; :class:`Record`) starts the
+    walk — from a boot event with :meth:`_start`, or inline: ``plan``,
+    ``_index`` and :meth:`_claim` — and overrides :meth:`_held`."""
 
     __slots__ = ("plan", "_index", "_grant")
 
@@ -287,7 +290,7 @@ class Hold(Event):
                 continue
             grant = self._grant
             if grant is None:
-                grant = self._grant = Request.__new__(Request)
+                grant = self._grant = _new(Request)
                 grant.sim = plan.sim
                 grant._ok = True
                 grant._defused = False
@@ -341,38 +344,34 @@ class Hold(Event):
 
 
 class Record(Hold):
-    """A transaction that walks its steps from plain callbacks for the
-    one waiter that yields it — what a coroutine did one resume at a
-    time — and fires, subscribers run inline, when the walk ends (a
-    non-posted read, :mod:`repro.pcie.fabric`).  Each step runs where
-    the coroutine's resume ran and pushes what its ``yield`` pushed:
+    """A transaction or loop walked from plain callbacks, one step per
+    event it waits for, that is itself the event its waiter yields.
 
-    * links: :meth:`HoldPlan.take`'s release timer, subscribed with the
+    * Construction sets the event fields (pending), ``_grant`` and an
+      idle owned timer (``_timer``, events.py).  Given ``boot``, it also
+      arms that timer on the URGENT lane with ``boot`` as the first
+      step: it runs at this instant, after the rest of the constructing
+      callback and ahead of every NORMAL event still due.
+    * A delay, :meth:`_arm`, pushes the owned timer to the end of its
+      instant's list, as ``sim.sleep`` does.
+    * A hold of unknown length, :meth:`_take`, claims a unit with the
+      owned timer as its grant event, queued as ``request()`` queues one.
+    * Links: :meth:`HoldPlan.take`'s release timer, subscribed with the
       step; else the record walks the plan as its own :class:`Hold`
       (``plan``, ``_index``, ``_step`` set, then :meth:`_claim`) and
-      :meth:`_held` runs ``_step`` from the last release timer — the
-      step's function, not a method bound to the record, which would
-      make the record a reference cycle;
-    * delays: :meth:`_arm` pushes the record's one owned timer
-      (``_timer``, events.py) where ``sim.sleep`` pushed the
-      coroutine's;
-    * a hold of unknown length: :meth:`_take` queues that timer as the
-      grant a ``request()`` would have pushed.
-
-    The subclass sets the event fields, ``_grant = None`` and an idle
-    ``_timer`` (``callbacks is None``) itself, as it starts the walk —
-    inline, or from :meth:`_boot` where a spawned process would have
-    started (a controller's fetch loop and commands,
-    :mod:`repro.nvme.controller`; a block request,
-    :mod:`repro.driver.blockdev`; an RDMA remote stage,
-    :mod:`repro.rdma.nic`)."""
+      :meth:`_held` runs ``_step`` from the last release timer.
+      ``_step`` is the step's function, not a bound method, which would
+      make the record a reference cycle.
+    * It ends with :meth:`_end` (queued for its subscribers, processed
+      on the spot with none), :meth:`_fail` (subscribers run inline) or,
+      where a later waiter may still subscribe before the end is
+      dispatched, ``succeed()``."""
 
     __slots__ = ("_timer", "_step")
 
-    def __init__(self, sim: "Simulator") -> None:
-        """The event fields, pending, and an idle owned timer — for a
-        record made once per run (a loop); one made per I/O sets them
-        inline."""
+    def __init__(self, sim: "Simulator",
+                 boot: t.Callable[[Event], None] | None = None) -> None:
+        # hot-path: one per command, request, read and WQE
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -380,23 +379,43 @@ class Record(Hold):
         self._processed = False
         self._defused = False
         self._grant = None
-        self._timer = timer = Event.__new__(Event)
+        self._timer = timer = _new(Event)
         timer.sim = sim
-        timer.callbacks = None
         timer._value = None
         timer._ok = True
         timer._defused = False
+        if boot:
+            timer.callbacks = [boot]
+            timer._processed = False
+            sim._urgent.append(timer)
+        else:
+            timer.callbacks = None
 
-    def _boot(self, step: t.Callable[[Event], None]) -> None:
-        """Run ``step`` at this instant from the URGENT lane, where a
-        process spawned now boots: after the rest of the spawning
-        callback, ahead of every NORMAL event still due.  The boot is
-        the owned timer's first arming."""
+    def _end(self, value: t.Any = None) -> None:
+        """End the walk with ``value``.  With subscribers the record is
+        queued, as ``succeed()`` queues it; with none it is processed
+        on the spot, as a detached process ends (docs/performance.md,
+        "Order preservation", rule 1)."""
         # hot-path
-        timer = self._timer
-        timer.callbacks = [step]
-        timer._processed = False
-        self.sim._urgent.append(timer)
+        self._value = value
+        if self.callbacks:
+            sim = self.sim
+            at = sim._at
+            if sim._now in at:
+                at[sim._now].append(self)
+            else:
+                sim._push(self, 0)
+        else:
+            self.callbacks = None
+            self._processed = True
+
+    def _kick(self, step: t.Callable[[Event], None]) -> None:
+        """Run ``step`` at this instant from the URGENT lane, where
+        :meth:`Process.interrupt` delivers, on an event of its own: the
+        owned timer may be armed."""
+        kick = Event(self.sim)
+        kick.callbacks.append(step)
+        self.sim._urgent.append(kick)
 
     def _arm(self, delay: int, step: t.Callable[[Event], None]) -> None:
         """Run ``step`` once ``delay`` has elapsed: the owned timer,
@@ -453,12 +472,12 @@ class Record(Hold):
             callback(self)
 
     def cancel(self) -> None:
-        """The waiter left (:meth:`Process.interrupt`): stop where the
-        coroutine stopped.  A leg still queueing leaves the FIFO and
-        gives back what it took (:meth:`Hold.cancel`); a running delay
-        is disarmed — its timer still fires, into nothing — and
-        ``callbacks`` becomes None, which a link step that fires later
-        reads as "stop".  Idempotent: an interrupt detaches twice."""
+        """The waiter left (:meth:`Process.interrupt`): stop.  A leg
+        still queueing leaves the FIFO and gives back what it took
+        (:meth:`Hold.cancel`); a running delay is disarmed — its timer
+        still fires, into nothing — and ``callbacks`` becomes None,
+        which a link step that fires later reads as "stop".
+        Idempotent: an interrupt detaches twice."""
         Hold.cancel(self)
         timer = self._timer
         if timer.callbacks:
@@ -499,7 +518,7 @@ class Store:
         """Event that triggers with the next available item."""
         # hot-path
         sim = self.sim
-        ev = Event.__new__(Event)
+        ev = _new(Event)
         ev.sim = sim
         ev.callbacks = []
         ev._ok = True

@@ -140,22 +140,21 @@ class _Worker(Record):
     """One of a job's ``iodepth`` outstanding I/Os, walked from
     callbacks: submit, account the completion (in verify mode, read it
     back first), submit the next.  It boots on the URGENT lane and ends
-    as its process did, an event queued for the job's ``all_of`` — a
-    failed one if a read-back differs (docs/performance.md, "Every
-    request is a record")."""
+    (:meth:`~repro.sim.resources.Record._end`, queued for the job's
+    ``all_of``) once the job stops, or fails, queued, if a read-back
+    differs."""
 
     __slots__ = ("fio", "op", "lba", "request")
 
     def __init__(self, fio: _Job) -> None:
-        Record.__init__(self, fio.device.sim)
         self.fio = fio
-        self._boot(self._next)
+        Record.__init__(self, fio.device.sim, self._next)
 
     def _next(self, _event: Event | None = None) -> None:
         # hot-path
         fio = self.fio
         if fio.should_stop():
-            self.succeed()
+            self._end()
             return
         index = fio.issued
         fio.issued = index + 1

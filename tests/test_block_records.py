@@ -207,11 +207,11 @@ def generators(reference):
     rig_module.DistributedNvmeClient = ReferenceClient
     repro.rdma.RdmaNic = ReferenceNic
     QueuePair.poll = lambda qp, stream, ns: Process(
-        qp.sim, reference_poll(qp, stream, ns))
+        qp.sim, reference_poll(qp, stream, ns), detached=True)
     QueuePair.on_interrupt = lambda qp, mailbox, ns: Process(
-        qp.sim, reference_on_interrupt(qp, mailbox, ns))
+        qp.sim, reference_on_interrupt(qp, mailbox, ns), detached=True)
     initiator_module._Responses = lambda ini: Process(
-        ini.sim, reference_response_handler(ini))
+        ini.sim, reference_response_handler(ini), detached=True)
     try:
         yield
     finally:
@@ -388,7 +388,7 @@ class ReferenceNic(RdmaNic):
             done = Event(self.sim)
             self._qp_chains[qp] = done
             self.sim.process(self._remote_stage(qp, wr, payload, prev,
-                                                done))
+                                                done), detached=True)
 
     def _tx_stage(self, qp, wr):
         cfg = self.rdma_config

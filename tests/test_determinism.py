@@ -270,19 +270,39 @@ GOLDEN_TRAIN = [
 #: block layer's done event: the per-arrival completer process and its
 #: two events (boot, end) are gone, over its 1711 arrivals:
 #: 85801 - 2 * 1711 = 82379.
-GOLDEN_EVENTS = {"fig10": 24193, "mh4-randread": 18812, "mh4-rw64k": 19806,
-                 "noisy": 82379, "train": 645}
+#:
+#: All five moved when ends nobody observes stopped being queued (rule
+#: 1): every admin command's end (``Record._end``), the second,
+#: hand-pushed end event of every RDMA remote stage, and the end of the
+#: controller's enable delay (``_enable``, now a detached process), one
+#: per controller brought up:
+#:
+#: * ``fig10``: 28 admin commands and 8 enables over the eight legs'
+#:   bring-ups, and 300 remote stages on the two NVMe-oF legs (3 WQEs
+#:   per read, 2 per write, 60 I/Os each): 24193 - 28 - 8 - 300 = 23857.
+#: * ``mh4-randread``, ``mh4-rw64k``: 10 admin commands and 1 enable
+#:   each: 18812 - 11 = 18801, 19806 - 11 = 19795.
+#: * ``noisy``: 4 admin commands, 1 enable: 82379 - 5 = 82374.
+#: * ``train``: 4 admin commands, 1 enable: 645 - 5 = 640.
+GOLDEN_EVENTS = {"fig10": 23857, "mh4-randread": 18801, "mh4-rw64k": 19795,
+                 "noisy": 82374, "train": 640}
 #: (I/Os, sum of latency ns, sim.now, events_processed) of one run per
 #: cluster bring-up that had no value golden, at commit 65c7b56 — taken
 #: before the four bring-up bodies became one (with the hooks each of
-#: them wires switched on, so a changed attach order shows here)
+#: them wires switched on, so a changed attach order shows here).  The
+#: event counts fell by the ends of the admin commands and of each
+#: controller's enable delay (as for ``GOLDEN_EVENTS``): chaos
+#: 58754 - 8 - 1 = 58745, cluster-kill (two controllers)
+#: 64246 - 36 - 2 = 64208, scale-out 40673 - 62 - 1 = 40610,
+#: multihost-device-host 7055 - 8 - 1 = 7046, ours-local
+#: 3724 - 4 - 1 = 3719, ours-remote 4560 - 4 - 1 = 4555.
 GOLDEN_RIGS = {
-    "chaos": (450, 32592763, 402446776, 58754),
-    "cluster-kill": (480, 311705306, 56001746, 64246),
-    "scale-out": (640, 189175012, 6852208, 40673),
-    "multihost-device-host": (150, 2744057, 2688964, 7055),
-    "ours-local": (100, 1462228, 2588877, 3724),
-    "ours-remote": (100, 1636023, 2641068, 4560),
+    "chaos": (450, 32592763, 402446776, 58745),
+    "cluster-kill": (480, 311705306, 56001746, 64208),
+    "scale-out": (640, 189175012, 6852208, 40610),
+    "multihost-device-host": (150, 2744057, 2688964, 7046),
+    "ours-local": (100, 1462228, 2588877, 3719),
+    "ours-remote": (100, 1636023, 2641068, 4555),
 }
 
 
@@ -431,6 +451,119 @@ class TestGoldenModeledOutput:
                                        total_ios=100))
             assert self._rig_sums(scn.sim, [scn.device]) \
                 == GOLDEN_RIGS[scn.label]
+
+
+class TestNoUnobservedEnd:
+    """Tripwire for ``Record._end``: the loops and commands nobody waits
+    on end on the spot instead of queueing an event no one observes.
+    Four Fig. 10 legs and a shared-QP multihost rig run a few I/Os and
+    are torn down — every notice loop interrupted, the initiator's
+    reaping stopped, every controller reset, so that each fetch loop
+    ends — with every run driven through ``Simulator.step()``, and each
+    event dispatched with no callback is counted by class."""
+
+    #: what ends on the spot (``_RemoteStage._timer``: the owned timer
+    #: of a remote stage, once pushed as a second, empty end)
+    ENDED_ON_THE_SPOT = {"AdminCommand", "_Fetch", "_SharedFetch",
+                         "_Poll", "_Irq", "_Responses",
+                         "_RemoteStage._timer"}
+    #: what may still be dispatched with no callback, and why
+    PINNED = {
+        "_RemoteStage": "a remote stage's end is the QP's chain event: "
+                        "the next stage may subscribe until it is "
+                        "dispatched, so it is always queued",
+    }
+
+    @staticmethod
+    def _drive(monkeypatch):
+        """Patch the kernel and the record factories; returns the count
+        of empty dispatches by class and the records started."""
+        from repro.driver.qpair import QueuePair
+        from repro.nvme import controller
+        from repro.nvmeof import initiator
+        from repro.rdma import nic
+        from repro.sim import Event, Simulator
+
+        empty = {}
+        started = []
+        timers = set()
+
+        def run(sim, until=None):
+            if isinstance(until, Event):
+                if not until.processed:
+                    until.callbacks.append(lambda _event: None)
+                while not until.processed:
+                    sim.step()
+                return until.value
+            while sim.peek() is not None and sim.peek() <= until:
+                sim.step()
+            sim._now = until
+
+        def process(event, dispatch=Event._process):
+            if not event.callbacks:
+                kind = ("_RemoteStage._timer" if id(event) in timers
+                        else type(event).__name__)
+                empty[kind] = empty.get(kind, 0) + 1
+            dispatch(event)
+
+        def kept(factory):
+            def start(*args):
+                record = factory(*args)
+                started.append(record)
+                return record
+            return start
+
+        def stage(*args, factory=nic._RemoteStage):
+            record = factory(*args)
+            timers.add(id(record._timer))   # kept alive by the record
+            started.append(record)
+            return record
+
+        monkeypatch.setattr(Simulator, "run", run)
+        monkeypatch.setattr(Event, "_process", process)
+        for owner, name in ((controller, "_Fetch"),
+                            (controller, "_SharedFetch"),
+                            (controller, "AdminCommand"),
+                            (initiator, "_Responses"),
+                            (QueuePair, "poll"),
+                            (QueuePair, "on_interrupt")):
+            monkeypatch.setattr(owner, name, kept(getattr(owner, name)))
+        monkeypatch.setattr(nic, "_RemoteStage", stage)
+        return empty, started
+
+    @staticmethod
+    def _teardown(rig, started):
+        from repro.nvme.constants import REG_CC
+        for record in started:
+            if record.processed:
+                continue
+            if hasattr(record, "interrupt"):            # a notice loop
+                record.interrupt()
+            elif hasattr(record, "initiator"):          # no disconnect
+                record.initiator._running = False
+                record.initiator.qp.recv_cq.signal.fire()
+        for ctrl in rig.controllers:
+            ctrl.mmio_write(ctrl.bars[0], REG_CC, bytes(4))
+        rig.sim.run(until=rig.sim.now + 100_000)
+
+    def test_no_loop_or_command_end_is_queued_unobserved(self, monkeypatch):
+        empty, started = self._drive(monkeypatch)
+        for name in FIG10_SCENARIOS:
+            rig = build_fig10_scenario(name, seed=404)
+            rig.sim.run(until=rig.sim.process(fio_generator(
+                rig.device, FioJob(rw="randrw", total_ios=8))))
+            self._teardown(rig, started)
+        rig = multihost(2, seed=404, sharing="force")
+        rig.sim.run(until=rig.sim.all_of([rig.sim.process(fio_generator(
+            client, FioJob(name=f"j{i}", rw="randrw", total_ios=8)))
+            for i, client in enumerate(rig.clients)]))
+        self._teardown(rig, started)
+        kinds = {type(record).__name__ for record in started}
+        assert kinds >= {"AdminCommand", "_Fetch", "_SharedFetch", "_Poll",
+                         "_Irq", "_Responses"}
+        assert all(record.processed for record in started)
+        assert not self.ENDED_ON_THE_SPOT & set(empty), empty
+        assert set(empty) <= set(self.PINNED), empty
 
 
 def _sha(value) -> str:

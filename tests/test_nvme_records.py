@@ -145,9 +145,9 @@ class ReferenceController(NvmeController):
 
     def _start_fetching(self, sq):
         if sq.windows is None:
-            self.sim.process(self._sq_worker(sq))
+            self.sim.process(self._sq_worker(sq), detached=True)
         else:
-            self.sim.process(self._shared_sq_worker(sq))
+            self.sim.process(self._shared_sq_worker(sq), detached=True)
 
     def _sq_worker(self, sq):
         cfg = self.config
@@ -182,7 +182,7 @@ class ReferenceController(NvmeController):
             for f in probe.sqe_fetched:
                 f(self, state.qid, sqe, None, 0, 0)
             if is_admin:
-                sim.process(self._execute_admin(sq, sqe))
+                sim.process(self._execute_admin(sq, sqe), detached=True)
             else:
                 sim.process(self._execute_io(sq, sqe), detached=True)
 

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel core (events, clock, run)."""
 
+import ast
 import pathlib
 import re
 
@@ -379,6 +380,95 @@ class TestQueueEncapsulation:
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
         assert offenders == []
+
+    #: The event builds left outside the kernel, each kept inline by the
+    #: budget test named: a constructor call there costs what it pins.
+    #: ``DROPPED`` is a ``_PostedWrite``, which has no constructor.
+    INLINE_BUILDS = {
+        ("pcie/fabric.py", "<module>"):
+            "test_pcie_fabric.py::TestOccupancyEventBudget::"
+            "test_queued_post_write_cost_from_issue_to_fill",
+        ("pcie/fabric.py", "Fabric.post_write"):
+            "test_pcie_fabric.py::TestOccupancyEventBudget::"
+            "test_queued_post_write_cost_from_issue_to_fill",
+        ("pcie/fabric.py", "Fabric.write"):
+            "test_fabric_records.py::TestTransactionCost::"
+            "test_a_waited_write",
+        ("pcie/fabric.py", "_Read._done"):
+            "test_fabric_records.py::TestTransactionCost::"
+            "test_a_read_two_generators_deep",
+    }
+
+    @staticmethod
+    def _event_builds(tree):
+        """``(qualname, line)`` of each ``X.__new__(...)`` call and each
+        write of ``_value``, ``_ok``, ``_processed`` or ``_defused``."""
+        fields = {"_value", "_ok", "_processed", "_defused"}
+
+        def targets(node):
+            if isinstance(node, (ast.Tuple, ast.List)):
+                for elt in node.elts:
+                    yield from targets(elt)
+            else:
+                yield node
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = child.name if scope == "<module>" \
+                        else f"{scope}.{child.name}"
+                    yield from walk(child, inner)
+                    continue
+                if isinstance(child, (ast.Assign, ast.AugAssign,
+                                      ast.AnnAssign)):
+                    written = [target for node in (
+                        child.targets if isinstance(child, ast.Assign)
+                        else [child.target]) for target in targets(node)]
+                    if any(isinstance(target, ast.Attribute)
+                           and target.attr in fields for target in written):
+                        yield scope, child.lineno
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "__new__"):
+                    yield scope, child.lineno
+                yield from walk(child, scope)
+
+        yield from walk(tree, "<module>")
+
+    def test_nothing_outside_the_kernel_builds_an_event(self):
+        """Outside ``repro.sim`` an event is built by its constructor —
+        a record by ``Record.__init__`` — and ended by the kernel: no
+        ``__new__`` build and no write of an event's outcome fields,
+        but for the allow-listed hot paths."""
+        found = {(str(path.relative_to(self.SRC)), scope)
+                 for path in sorted(self.SRC.rglob("*.py"))
+                 if path.parent.name != "sim"
+                 for scope, _line in self._event_builds(
+                     ast.parse(path.read_text()))}
+        assert found == set(self.INLINE_BUILDS)
+        tests = pathlib.Path(__file__).parent
+        for budget in self.INLINE_BUILDS.values():
+            module, cls, name = budget.split("::")
+            source = (tests / module).read_text()
+            assert f"class {cls}" in source and f"def {name}(" in source
+
+    def test_every_record_is_built_by_the_one_constructor(self):
+        import inspect
+
+        import repro.scenarios   # noqa: F401  (imports every layer)
+        from repro.sim.resources import Record
+        assert not hasattr(Record, "_boot")
+        pending = Record.__subclasses__()
+        seen = []
+        while pending:
+            cls = pending.pop()
+            seen.append(cls.__name__)
+            pending.extend(cls.__subclasses__())
+            if "__init__" in vars(cls):
+                assert ".__init__(self" in inspect.getsource(cls.__init__)
+        assert {"RequestRecord", "Command", "_Fetch", "_Read",
+                "_RemoteStage", "_Notice", "_Responses",
+                "_Worker"} <= set(seen)
 
     def test_the_sequence_numbers_are_gone(self):
         from repro.sim.resources import _Sweep
