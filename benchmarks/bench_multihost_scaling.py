@@ -11,6 +11,9 @@ the device, not the NTB fabric, is the bottleneck.
 
 from __future__ import annotations
 
+import os
+import platform
+
 from conftest import run_experiment
 
 from repro.analysis import format_table
@@ -48,6 +51,9 @@ def test_multihost_scaling(benchmark, results_writer):
          for n, agg, per, lat in rows],
         title="Multi-host sharing of one single-function P4800X "
               "(4 KiB randread, QD=2 per client)")
+    art += (f"\nseed 400 + clients; modeled (the same on any machine), "
+            f"run on {platform.machine()}, {os.cpu_count()} vCPU, "
+            f"Python {platform.python_version()}")
     results_writer("multihost_scaling", art)
 
     agg = {n: a for n, a, _p, _l in rows}

@@ -367,7 +367,7 @@ class QueuePair(Commands):
         """SQE store, then the SQ tail doorbell behind it (PCIe posted
         ordering keeps them in program order) — one function, so
         ``doorbell-after-sq-write`` guards every stack here.  The cid is
-        the caller's: the NVMe-oF target passes its initiator's through."""
+        the one :meth:`submit` gave the command."""
         sq = self.sq
         slot = sq.advance_tail()
         store = self.sq_mem.write((self.first_slot + slot) * 64, sqe.pack())
@@ -388,7 +388,7 @@ class QueuePair(Commands):
         """Consume one ready CQE and acknowledge it (a CQ head ring per
         entry); None when the head entry is not ready.  For consumers
         that handle each completion where they stand: the synchronous
-        admin queue, the NVMe-oF target."""
+        admin queue, the NVMe-oF target's CQ loop."""
         cq = self.cq
         raw = self._read(cq.base_addr + cq.head * 16, 16)
         if raw[14] & 1 != cq.phase:

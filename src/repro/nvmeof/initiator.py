@@ -13,7 +13,8 @@ them over an RDMA QP — the stock Linux behaviour the paper benchmarks:
 Cids, waiters, timeouts and retries are the queue-pair core's
 (:class:`~repro.driver.qpair.Commands`, the ring-less half); a request
 is a record (:class:`_CapsuleRequest`), and so is the response reaping
-(:class:`_Responses`): no process per I/O.
+(:class:`_Responses`, the receive loop the target's reactor uses too): no
+process per I/O.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from ..config import SimulationConfig
 from ..nvme import CompletionEntry
 from ..pcie import Host
 from ..rdma import (CompletionQueue, ProtectionDomain, QueuePair, RdmaNic,
-                    RecvWR, SendWR, WrOpcode)
+                    RecvLoop, RecvWR, SendWR, WorkCompletion, WrOpcode)
 from ..sim import Event, Simulator, Store
-from ..sim.resources import Record
 from .capsules import CommandCapsule, ResponseCapsule
 from .target import SpdkTarget
 from ..driver.blockdev import BlockDevice, BlockError, BlockRequest
@@ -195,56 +195,38 @@ class NvmeofInitiator(BlockDevice):
                              "split it in the workload layer")
 
 
-class _Responses(Record):
-    """The kernel initiator's response reaping, interrupt-driven, walked
-    from callbacks: with the recv CQ empty, wait for a completion and
-    pay the IRQ latency; else reap each completion after the CQ poll
-    cost — unpack the response capsule, re-post its buffer, complete
-    the command — then drain the send CQ (not interesting for latency)
-    and look again.  It boots on the URGENT lane and ends
-    (:meth:`~repro.sim.resources.Record._end`) once the initiator
-    stops."""
+class _Responses(RecvLoop):
+    """The initiator's response reaping: a wake-up pays the IRQ latency,
+    a response completes its command, a batch's end drains the send CQ;
+    either ends the loop once the initiator has stopped."""
 
-    __slots__ = ("initiator", "completions", "index")
+    __slots__ = ("initiator",)
 
     def __init__(self, initiator: NvmeofInitiator) -> None:
         self.initiator = initiator
-        Record.__init__(self, initiator.sim, self._look)
-
-    def _look(self, _event: Event | None = None) -> None:
-        # hot-path
-        initiator = self.initiator
-        if not initiator._running:
-            self._end()
-            return
-        recv_cq = initiator.qp.recv_cq
-        completions = recv_cq.poll()
-        if not completions:
-            recv_cq.signal.wait().callbacks.append(self._woken)
-            return
-        self.completions = completions
-        self.index = 0
-        self._arm(initiator.config.rdma.cq_poll_ns, self._reap)
+        RecvLoop.__init__(self, initiator.sim, initiator.qp,
+                          initiator.config.rdma.cq_poll_ns, 256)
 
     def _woken(self, _wake: Event) -> None:
         # hot-path
-        self._arm(self.initiator.config.host.interrupt_latency_ns,
-                  self._look)
+        initiator = self.initiator
+        if initiator._running:
+            self._arm(initiator.config.host.interrupt_latency_ns,
+                      self._look)
+        else:
+            self._end()
 
-    def _reap(self, _timer: Event) -> None:
+    def _took(self, wc: WorkCompletion) -> None:
         # hot-path
         initiator = self.initiator
-        completions = self.completions
-        wc = completions[self.index]
-        self.index += 1
         raw = initiator.host.memory.read(wc.wr_id, wc.byte_len)
-        rsp = ResponseCapsule.unpack(raw)
-        initiator.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
-                                      length=256))
-        initiator.commands.complete(rsp.cqe)
-        if self.index < len(completions):
-            self._arm(initiator.config.rdma.cq_poll_ns, self._reap)
-            return
-        self.completions = None
-        initiator.qp.send_cq.poll(64)
-        self._look()
+        initiator.commands.complete(ResponseCapsule.unpack(raw).cqe)
+        self._reaped()
+
+    def _drained(self) -> None:
+        # hot-path
+        self.qp.send_cq.poll(64)
+        if self.initiator._running:
+            self._look()
+        else:
+            self._end()

@@ -50,6 +50,8 @@ Correctness contract (see docs/performance.md):
   (fault-registry link events flip ``link_up`` directly);
 * a record holds *which* draw streams a leg consults, never a value, and
   never ``faults`` or who is subscribed to the probe: both are read per TLP;
+* no record is kept while ``mem_event`` has subscribers: a replay does not
+  call :meth:`NtbFunction.translate`, so its event would go missing;
 * ``REPRO_NO_ROUTE_CACHE=1`` keeps no record and no route (escape
   hatch, read at Fabric construction): every TLP walks and builds its
   own.
@@ -412,7 +414,9 @@ class Fabric:
                 flow = self._build_flow(read, initiator, host, addr, length)
             except NtbLinkDown as down:
                 raise FabricFaultError(down.point, addr) from None
-            if self._memo:
+            # A replay skips NtbFunction.translate, so a flow whose
+            # crossings someone watches (mem_event) is walked every time.
+            if self._memo and not self.probe.mem_event:
                 flows[key] = flow
         faults = self.faults
         if faults is not None:

@@ -28,6 +28,7 @@ import typing as t
 
 from ..config import RdmaConfig
 from ..pcie.device import Bar, PCIeFunction
+from ..pcie.fabric import DROPPED
 from ..sim import Event, HoldPlan, Resource, Simulator, Store
 from ..sim.resources import Record
 from ..units import serialize_ns
@@ -151,8 +152,7 @@ class _Transmit(Record):
                                  ).callbacks.append(self._fetched)
                     return
             else:
-                remote_mr = qp.peer.pd.lookup(wr.rkey)
-                remote_mr.check(wr.remote_addr, wr.length)
+                qp.peer.pd.check_remote(wr.rkey, wr.remote_addr, wr.length)
                 if opcode is WrOpcode.RDMA_WRITE:
                     nic.dma_read(wr.local_addr, wr.length
                                  ).callbacks.append(self._fetched)
@@ -215,7 +215,8 @@ class _RemoteStage(Record):
     place, the send completion; RDMA_READ — turnaround, the peer's DMA
     read, the data back over the wire (the link's :class:`HoldPlan`,
     then the wire latency on the owned timer), rx, placement, the send
-    completion.  It boots on the URGENT lane.  Its end is always queued
+    completion.  A placement dropped on the fabric fails the WQE
+    (:meth:`_lost`).  It boots on the URGENT lane.  Its end is always queued
     (``succeed``, not :meth:`~repro.sim.resources.Record._end`): the
     QP's next stage may subscribe to it until it is dispatched."""
 
@@ -272,13 +273,29 @@ class _RemoteStage(Record):
             self._sent(None)
 
     def _after(self, write: Event, step: t.Callable[[Event], None]) -> None:
-        """``step`` once the waited write has landed (at once if it was
-        dropped: nothing to wait for)."""
+        """``step`` once the waited write has landed; :meth:`_lost` at
+        once if it was dropped."""
         # hot-path
-        if write._processed:
-            step(write)
+        if write is DROPPED:
+            self._lost()
         else:
             write.callbacks.append(step)
+
+    def _lost(self) -> None:
+        """Nothing landed: the WQE completes in error at both ends — a
+        SEND's receive too (its buffer consumed, holding stale bytes),
+        so no receiver decodes what a dropped placement left behind."""
+        wr = self.wr
+        qp = self.qp
+        if wr.opcode is WrOpcode.SEND:
+            qp.peer.recv_cq.push(WorkCompletion(
+                self.recv.wr_id, WrOpcode.SEND, WcStatus.LOCAL_ERROR,
+                is_recv=True))
+        qp.send_cq.push(WorkCompletion(
+            wr.wr_id, wr.opcode, WcStatus.LOCAL_ERROR
+            if wr.opcode is WrOpcode.RDMA_READ
+            else WcStatus.REMOTE_ACCESS_ERROR))
+        self.succeed()
 
     def _sent(self, _write: Event | None) -> None:
         # hot-path

@@ -9,7 +9,8 @@ design exploits (paper Sec. II):
 * SEND consumes a receiver-posted buffer and generates a receive
   completion (this is how command capsules reach the target's bound SQ);
 * RDMA_WRITE/RDMA_READ move data one-sided with no remote completion;
-* completions are reaped by *polling* CQs.
+* completions are reaped by *polling* CQs (:class:`RecvLoop`, the
+  receive side of both NVMe-oF ends).
 
 Latency/bandwidth accounting happens in :mod:`repro.rdma.nic`.
 """
@@ -21,7 +22,8 @@ import enum
 import typing as t
 
 from ..pcie import Host
-from ..sim import Signal, Simulator
+from ..sim import Event, Signal, Simulator
+from ..sim.resources import Record
 
 
 class RdmaError(Exception):
@@ -137,6 +139,15 @@ class ProtectionDomain:
         except KeyError:
             raise RdmaError(f"unknown rkey {rkey:#x}") from None
 
+    def check_remote(self, rkey: int, addr: int, length: int) -> None:
+        """:class:`RdmaError` unless ``rkey`` names a region holding
+        ``[addr, +length)``: the check a one-sided WQE passes."""
+        # hot-path: a pass is one dict probe and two compares
+        mr = self._regions.get(rkey)
+        if mr is None or addr < mr.addr or \
+                addr + length > mr.addr + mr.length:
+            self.lookup(rkey).check(addr, length)     # raises, saying why
+
     def lookup_local(self, wr: SendWR) -> MemoryRegion:
         """The MR holding a SEND's local buffer; :class:`RdmaError` if
         none does.  Senders reuse a few registered buffers (staging
@@ -192,3 +203,47 @@ class QueuePair:
                 and wr.length > 0:
             self.pd.lookup_local(wr)
         self.nic.enqueue(self, wr)
+
+
+class RecvLoop(Record):
+    """A QP's receive-CQ reaping from callbacks, booted URGENT: a wait
+    on an empty CQ ends in the owner's ``_woken``; each completion costs
+    ``poll_ns``, then the owner's ``_took`` if it succeeded (else its
+    placement was lost) and :meth:`_reaped` re-posts its buffer."""
+
+    __slots__ = ("qp", "poll_ns", "buf_len", "completions", "index", "wc")
+
+    def __init__(self, sim: Simulator, qp: QueuePair, poll_ns: int,
+                 buf_len: int) -> None:
+        self.qp, self.poll_ns, self.buf_len = qp, poll_ns, buf_len
+        Record.__init__(self, sim, self._look)
+
+    def _look(self, _event: Event | None = None) -> None:
+        # hot-path
+        recv_cq = self.qp.recv_cq
+        completions = recv_cq.poll()
+        if not completions:
+            recv_cq.signal.wait().callbacks.append(self._woken)
+            return
+        self.completions, self.index = completions, 0
+        self._arm(self.poll_ns, self._reap)
+
+    _drained = _look
+
+    def _reap(self, _timer: Event) -> None:
+        # hot-path
+        self.wc = wc = self.completions[self.index]
+        self.index += 1
+        if wc.status is WcStatus.SUCCESS:
+            self._took(wc)
+        else:
+            self._reaped()
+
+    def _reaped(self, _event: Event | None = None) -> None:
+        wr_id = self.wc.wr_id
+        self.qp.post_recv(RecvWR(wr_id, wr_id, self.buf_len))
+        if self.index < len(self.completions):
+            self._arm(self.poll_ns, self._reap)
+        else:
+            self.completions = None
+            self._drained()

@@ -8,7 +8,8 @@ client's, the local driver's and the initiator's ``_driver_submit``,
 ``Commands.execute``, ``QueuePair.poll``/``on_interrupt``, the
 initiator's ``_response_handler`` and
 ``RdmaNic._engine``/``_tx_stage``/``_remote_stage`` — are kept here as
-the reference, as they were at 023ce75, on subclasses of the four
+the reference, as they were at 023ce75 (but for a dropped placement,
+which fails its WQE in both since that fix), on subclasses of the four
 Fig. 10 stacks (stock, SPDK-local, NVMe-oF over RDMA, the NTB client)
 that run them instead of the records.  Both are driven through
 the same random schedules — every stack and tenants of one shared queue
@@ -431,7 +432,13 @@ class ReferenceNic(RdmaNic):
                 if len(payload) > recv.length:
                     raise RdmaError("recv buffer too small")
                 if payload:
-                    yield peer_nic.dma_write(recv.addr, payload)
+                    landed = peer_nic.dma_write(recv.addr, payload)
+                    if landed is DROPPED:
+                        peer.recv_cq.push(WorkCompletion(
+                            recv.wr_id, WrOpcode.SEND, WcStatus.LOCAL_ERROR,
+                            is_recv=True))
+                        raise _Lost(WcStatus.REMOTE_ACCESS_ERROR)
+                    yield landed
                 peer.recv_cq.push(WorkCompletion(
                     recv.wr_id, WrOpcode.SEND, WcStatus.SUCCESS,
                     byte_len=len(payload), is_recv=True))
@@ -441,7 +448,10 @@ class ReferenceNic(RdmaNic):
                 self.sends += 1
             elif wr.opcode is WrOpcode.RDMA_WRITE:
                 yield self.sim.sleep(cfg.nic_rx_ns)
-                yield peer_nic.dma_write(wr.remote_addr, payload)
+                landed = peer_nic.dma_write(wr.remote_addr, payload)
+                if landed is DROPPED:
+                    raise _Lost(WcStatus.REMOTE_ACCESS_ERROR)
+                yield landed
                 qp.send_cq.push(WorkCompletion(
                     wr.wr_id, wr.opcode, WcStatus.SUCCESS,
                     byte_len=wr.length))
@@ -451,7 +461,10 @@ class ReferenceNic(RdmaNic):
                 data = yield peer_nic.dma_read(wr.remote_addr, wr.length)
                 yield from link.transfer(peer_nic, self, wr.length)
                 yield self.sim.sleep(cfg.nic_rx_ns)
-                yield self.dma_write(wr.local_addr, data)
+                landed = self.dma_write(wr.local_addr, data)
+                if landed is DROPPED:
+                    raise _Lost(WcStatus.LOCAL_ERROR)
+                yield landed
                 qp.send_cq.push(WorkCompletion(
                     wr.wr_id, wr.opcode, WcStatus.SUCCESS,
                     byte_len=wr.length))
@@ -459,8 +472,17 @@ class ReferenceNic(RdmaNic):
         except RdmaError:
             qp.send_cq.push(WorkCompletion(
                 wr.wr_id, wr.opcode, WcStatus.LOCAL_ERROR))
+        except _Lost as lost:
+            qp.send_cq.push(WorkCompletion(wr.wr_id, wr.opcode, lost.args[0]))
         finally:
             done.succeed()
+
+
+class _Lost(Exception):
+    """A placement dropped on the fabric (the status the WQE ends with):
+    since the fix that stopped a dropped capsule from replaying a stale
+    one, a lost placement completes in error at both ends, and the
+    reference does the same."""
 
 
 # -- the rigs and their schedules ---------------------------------------------
@@ -593,17 +615,21 @@ def _rig(reference, stack, qd, timeouts, iommu, interrupts, seed):
         dev = cls(bed.sim, bed.initiator_host, bed.initiator_nic, cfg,
                   queue_depth=qd)
         bed.sim.run(until=bed.sim.process(dev.connect(target)))
-        handle = target._handle_capsule
 
         def lose(count):
-            swallowed = []
+            """The next ``count`` capsules are never answered: their
+            placements into the target's receive buffers are dropped."""
+            buffers = {wr.addr for wr in target.connections[0].qp.recv_queue}
+            real = bed.fabric.write
+            lost = []
 
-            def handle_capsule(*args):
-                if len(swallowed) < count:     # a capsule never answered
-                    swallowed.append(args)
-                    return
-                yield from handle(*args)
-            target._handle_capsule = handle_capsule
+            def write(initiator, host, addr, data):
+                if len(lost) < count and addr in buffers:
+                    lost.append(addr)
+                    return DROPPED
+                return real(initiator, host, addr, data)
+
+            bed.fabric.write = write
 
         return (bed.sim, [dev], lambda: [dev.commands],
                 [bed.initiator_nic, bed.target_nic], None, lose,
@@ -895,6 +921,7 @@ class TestNoProcessPerRequest:
                     os.path.join("driver", "local.py"),
                     os.path.join("driver", "qpair.py"),
                     os.path.join("nvmeof", "initiator.py"),
+                    os.path.join("nvmeof", "target.py"),
                     os.path.join("rdma", "nic.py"))
 
     def _spawned(self, monkeypatch):

@@ -588,9 +588,12 @@ GOLDEN_OBSERVERS = {
     "noisy/prometheus": "a9d6f85c1ce215a1",
     "noisy/timeseries": "39d2ca507e8b4b41",
     "noisy/slo": "e598f390bdddc6ae",
-    "noisy/sanitizer": "69282d13c3fe7721",
+    # ShareSan's ``ntb_translations`` counts every crossing since flow
+    # records stopped hiding theirs (5,526 -> 17,055 here, 784 ->
+    # 45,764 below); nothing else in either report moved
+    "noisy/sanitizer": "8d8fbb39e4554e19",
     # (c) ShareSan's report beyond 31 hosts
-    "scale-out/sanitizer": "f0eaed7b029f9339",
+    "scale-out/sanitizer": "1167686adc77049e",
     # (d) finished spans (index, op, start, end, marks) per Fig. 10 leg
     "spans/local-linux": "b6bf1c6b563c5531",
     "spans/nvmeof-remote": "2587458be8b6066e",

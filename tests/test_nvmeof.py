@@ -244,6 +244,25 @@ class TestHostileCapsules:
         assert len(conn.slots) == baseline
         assert self._still_serves(bed, initiator)
 
+    def test_read_data_with_no_region_to_land_in_is_refused(self):
+        """The descriptor names a buffer nobody registered: the push
+        would fail at the NIC, so the capsule is refused on arrival (it
+        used to be answered SUCCESS with the buffer never written)."""
+        bed, target, initiator = make_stack()
+        conn = target.connections[0]
+        baseline = len(conn.slots)
+        loose = initiator.host.alloc_dma(4096)
+        sqe = SubmissionEntry(opcode=IoOpcode.READ, cid=0x61, nsid=1)
+        sqe.slba, sqe.nlb = 8, 7
+        pushes = bed.target_nic.rdma_writes
+        cqe = self._post(bed, initiator, CommandCapsule(
+            sqe, buffer_addr=loose, rkey=0xdead))
+        assert cqe.cid == 0x61 and cqe.status == Status.DATA_TRANSFER_ERROR
+        assert bed.target_nic.rdma_writes == pushes
+        assert target.commands_served == 0
+        assert len(conn.slots) == baseline
+        assert self._still_serves(bed, initiator)
+
     @pytest.mark.parametrize("raw", [
         b"\x00" * 32,                                       # too short
         b"\x02" + CommandCapsule(SubmissionEntry(cid=1)).pack()[1:],
@@ -274,10 +293,12 @@ class TestHostileCapsules:
         conn = target.connections[0]
         baseline = len(conn.slots)
         answers = []
+        buf = initiator.host.alloc_dma(4096)
+        rkey = initiator.pd.register(buf, 4096).rkey
         for _ in range(2):
             sqe = SubmissionEntry(opcode=IoOpcode.READ, cid=0x55, nsid=1)
             sqe.nlb = 7
-            raw = CommandCapsule(sqe).pack()
+            raw = CommandCapsule(sqe, buffer_addr=buf, rkey=rkey).pack()
             initiator.qp.post_send(SendWR(
                 wr_id=0x55, opcode=WrOpcode.SEND, inline_data=raw,
                 length=len(raw)))
@@ -291,6 +312,6 @@ class TestHostileCapsules:
         # The refusal never reaches the controller, so it comes back
         # first; the command it collided with is served as usual.
         assert answers == [Status.CID_CONFLICT, Status.SUCCESS]
-        assert conn.inflight == {}
+        assert conn.nvme.inflight == {} and conn.cids == {}
         assert len(conn.slots) == baseline
         assert self._still_serves(bed, initiator)

@@ -78,6 +78,25 @@ def lose_cqe_writes(bed, qp, count=1):
     return lost
 
 
+def lose_capsules(bed, target, count):
+    """The next ``count`` capsule placements into the target's receive
+    buffers are dropped on the fabric: each SEND completes in error at
+    both ends and the target never sees a command."""
+    buffers = {wr.addr for conn in target.connections
+               for wr in conn.qp.recv_queue}
+    real = bed.fabric.write
+    lost = []
+
+    def write(initiator, host, addr, data):
+        if len(lost) < count and addr in buffers:
+            lost.append(addr)
+            return DROPPED
+        return real(initiator, host, addr, data)
+
+    bed.fabric.write = write
+    return lost
+
+
 class TestLocalDriverRecovery:
     @pytest.mark.parametrize("cls", [StockNvmeDriver, SpdkLocalDriver],
                              ids=["stock", "spdk-local"])
@@ -124,12 +143,8 @@ class TestLocalDriverRecovery:
 class TestInitiatorRecovery:
     def test_an_unanswered_capsule_ends_in_host_timeout(self):
         bed, target, initiator = nvmeof_stack(RECOVERY)
-
-        def swallow(conn, buf_addr, length):
-            return                      # a target that never answers
-            yield
-
-        target._handle_capsule = swallow
+        # A target that never answers: no attempt's capsule lands.
+        lost = lose_capsules(bed, target, RECOVERY.max_retries + 1)
         req = bounded(bed.sim, initiator.submit(
             BlockRequest("read", lba=0, nblocks=8)))
         cmds = initiator.commands
@@ -138,6 +153,29 @@ class TestInitiatorRecovery:
             == (RECOVERY.max_retries + 1, RECOVERY.max_retries)
         assert cmds.inflight == {}
         assert len(initiator._slots) == initiator.queue_depth
+        assert len(lost) == RECOVERY.max_retries + 1
+        assert target.commands_served == 0
+
+    def test_a_dropped_capsule_is_not_replayed(self):
+        """The capsule's placement into a receive buffer is dropped: the
+        buffer still holds the capsule it carried one lap of buffers ago
+        (the 7th write, to LBA 0), and a SUCCESS receive completion used
+        to make the target run it again over the 70th write's data."""
+        bed, target, initiator = nvmeof_stack(RECOVERY)
+        for i in range(70):
+            req = bounded(bed.sim, initiator.submit(
+                BlockRequest("write", lba=0, data=bytes([i]) * 4096)))
+            assert req.ok
+        served = target.commands_served
+        lost = lose_capsules(bed, target, 1)
+        req = bounded(bed.sim, initiator.submit(
+            BlockRequest("write", lba=800, data=b"\xcc" * 4096)))
+        assert lost and req.ok
+        assert initiator.commands.timeouts == 1
+        assert target.commands_served == served + 1
+        namespace = bed.nvme.namespaces[1]
+        assert namespace.read_blocks(0, 8) == bytes([69]) * 4096
+        assert namespace.read_blocks(800, 8) == b"\xcc" * 4096
 
     def test_a_late_response_is_counted_stale_and_completes_nothing(self):
         """A timeout below the fabric round trip retires the cid while

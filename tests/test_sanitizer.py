@@ -178,3 +178,21 @@ class TestScenarioWiring:
         cfg = SimulationConfig()
         scale_out_cluster(32, config=cfg, seed=5, sanitizer=True)
         assert cfg == SimulationConfig()
+
+
+class TestTranslationCount:
+    """ShareSan's ``ntb_translations`` is every NTB crossing, whether the
+    fabric walked the path or replayed a flow record (it used to count
+    the walks only: 165 of 1,527 here)."""
+
+    @pytest.mark.parametrize("cache", ["1", "0"], ids=["cached", "walked"])
+    def test_it_equals_the_ntbs_own_counts(self, cache, monkeypatch):
+        from repro.scenarios import build_fig10_scenario
+        from repro.workloads import run_fio
+        monkeypatch.setenv("REPRO_NO_ROUTE_CACHE", "1" if cache == "0"
+                           else "0")
+        rig = build_fig10_scenario("ours-remote", seed=405, sanitizer=True)
+        run_fio(rig.device, FioJob(rw="randread", total_ios=300))
+        ntbs = [ntb.translations for ntb in rig.testbed.ntbs]
+        assert ntbs == [600, 927]
+        assert rig.sanitizer.stats["ntb_translations"] == sum(ntbs)
