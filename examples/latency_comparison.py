@@ -7,7 +7,7 @@ driver remote — and prints boxplots plus the minimum-latency deltas the
 paper quotes (7.7/7.5 us for NVMe-oF, ~1/~2 us for the PCIe driver).
 
 Run:  python examples/latency_comparison.py
-(for the full-sample version see benchmarks/bench_fig10_latency.py)
+(the fig10 rows of tests/test_fidelity.py check the same comparison)
 """
 
 from repro import FioJob, run_fio

@@ -260,32 +260,13 @@ class NvmeManager:
             else:
                 qid = self._free_qids.pop(0)
                 interrupts = bool(req["flags"] & meta.FLAG_INTERRUPTS)
-                lock = self._admin_lock.request()
-                yield lock
-                try:
-                    cq_created = False
-                    try:
-                        yield from self.admin.create_io_cq(
-                            qid, req["entries"], req["cq_addr"],
-                            interrupts=interrupts, vector=qid)
-                        cq_created = True
-                        yield from self.admin.create_io_sq(
-                            qid, req["entries"], req["sq_addr"], cqid=qid)
-                    except AdminError:
-                        # Roll back so nothing leaks: the half-created CQ
-                        # is deleted and the qid returns to the free pool.
-                        if cq_created:
-                            try:
-                                yield from self.admin.delete_io_cq(qid)
-                            except AdminError:
-                                pass   # controller lost it already
-                        self._free_qids.append(qid)
-                        qid = 0
-                        rpc_status = meta.RPC_ADMIN_FAILED
-                    else:
-                        self._client_qids.setdefault(slot, []).append(qid)
-                finally:
-                    self._admin_lock.release(lock)
+                if (yield from self._create_pair(
+                        qid, req["entries"], req["cq_addr"], req["sq_addr"],
+                        cq={"interrupts": interrupts, "vector": qid})):
+                    self._client_qids.setdefault(slot, []).append(qid)
+                else:
+                    qid = 0
+                    rpc_status = meta.RPC_ADMIN_FAILED
         elif req["op"] == meta.OP_DELETE_QP:
             share = self._slot_share.get(slot)
             owned = self._client_qids.get(slot, [])
@@ -297,15 +278,8 @@ class NvmeManager:
             elif req["qid"] not in owned:
                 rpc_status = meta.RPC_BAD_REQUEST
             else:
-                lock = self._admin_lock.request()
-                yield lock
-                try:
-                    yield from self.admin.delete_io_sq(req["qid"])
-                    yield from self.admin.delete_io_cq(req["qid"])
-                finally:
-                    self._admin_lock.release(lock)
+                yield from self._delete_pairs([req["qid"]])
                 owned.remove(req["qid"])
-                self._free_qids.append(req["qid"])
                 qid = req["qid"]
         else:
             rpc_status = meta.RPC_BAD_REQUEST
@@ -317,6 +291,56 @@ class NvmeManager:
         for f in self.probe.lease_changed:
             f(self, meta.OP_NAMES.get(req["op"], "unknown"), slot, qid, -1,
               served_at)
+
+    def _create_pair(self, qid: int, entries: int, cq_addr: int,
+                     sq_addr: int, cq: t.Mapping[str, t.Any] = {},
+                     sq: t.Mapping[str, t.Any] = {}) -> t.Generator:
+        """Under the admin lock, create CQ ``qid`` and then SQ ``qid``
+        (``cq``, ``sq``: their further create arguments).
+        False on an AdminError, after rolling back so nothing leaks: the
+        half-created CQ is deleted and the qid returns to the free
+        pool."""
+        lock = self._admin_lock.request()
+        yield lock
+        try:
+            cq_created = False
+            try:
+                yield from self.admin.create_io_cq(qid, entries, cq_addr,
+                                                   **cq)
+                cq_created = True
+                yield from self.admin.create_io_sq(qid, entries, sq_addr,
+                                                   cqid=qid, **sq)
+            except AdminError:
+                if cq_created:
+                    try:
+                        yield from self.admin.delete_io_cq(qid)
+                    except AdminError:
+                        pass   # controller lost it already
+                self._free_qids.append(qid)
+                return False
+        finally:
+            self._admin_lock.release(lock)
+        return True
+
+    def _delete_pairs(self, qids: t.Iterable[int], forgive: bool = False
+                      ) -> t.Generator:
+        """Under one hold of the admin lock, delete SQ and then CQ of
+        each qid and return it to the free pool.  An AdminError
+        propagates unless ``forgive``: then a half-torn-down pair's qid
+        is reclaimed anyway."""
+        lock = self._admin_lock.request()
+        yield lock
+        try:
+            for qid in qids:
+                try:
+                    yield from self.admin.delete_io_sq(qid)
+                    yield from self.admin.delete_io_cq(qid)
+                except AdminError:
+                    if not forgive:
+                        raise
+                self._free_qids.append(qid)
+        finally:
+            self._admin_lock.release(lock)
 
     # -- shared queue pairs (docs/queue_sharing.md) ----------------------------
 
@@ -418,32 +442,15 @@ class NvmeManager:
         cq_seg.set_available()
         sq_dev = self._ref.map_segment_for_device(sq_seg)
         cq_dev = self._ref.map_segment_for_device(cq_seg)
-        lock = self._admin_lock.request()
-        yield lock
-        try:
-            cq_created = False
-            try:
-                yield from self.admin.create_io_cq(qid, entries, cq_dev)
-                cq_created = True
-                yield from self.admin.create_io_sq(
-                    qid, entries, sq_dev, cqid=qid, shared=True,
-                    window_entries=win)
-            except AdminError:
-                # Roll back completely: half-created CQ, DMA windows,
-                # segments and the qid all return to their pools.
-                if cq_created:
-                    try:
-                        yield from self.admin.delete_io_cq(qid)
-                    except AdminError:
-                        pass   # controller lost it already
-                self._ref.unmap_segment_for_device(sq_dev)
-                self._ref.unmap_segment_for_device(cq_dev)
-                sq_seg.remove()
-                cq_seg.remove()
-                self._free_qids.append(qid)
-                return None
-        finally:
-            self._admin_lock.release(lock)
+        if not (yield from self._create_pair(
+                qid, entries, cq_dev, sq_dev,
+                sq={"shared": True, "window_entries": win})):
+            # Roll back the DMA windows and segments too.
+            self._ref.unmap_segment_for_device(sq_dev)
+            self._ref.unmap_segment_for_device(cq_dev)
+            sq_seg.remove()
+            cq_seg.remove()
+            return None
         qp = _SharedQp(
             qid=qid, sq_seg=sq_seg, cq_seg=cq_seg, entries=entries,
             win_entries=win,
@@ -574,18 +581,7 @@ class NvmeManager:
         shared = slot in self._slot_share
         if shared:
             self._release_window(slot)
-        lock = self._admin_lock.request()
-        yield lock
-        try:
-            for qid in owned:
-                try:
-                    yield from self.admin.delete_io_sq(qid)
-                    yield from self.admin.delete_io_cq(qid)
-                except AdminError:
-                    pass   # half-torn-down queues; reclaim the id anyway
-                self._free_qids.append(qid)
-        finally:
-            self._admin_lock.release(lock)
+        yield from self._delete_pairs(owned, forgive=True)
         # Clear the mailbox slot and the heartbeat word so a
         # reconnecting client starts from a clean slate.
         self.metadata_segment.write(meta.slot_offset(slot),

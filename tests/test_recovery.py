@@ -177,6 +177,36 @@ class TestInitiatorRecovery:
         assert namespace.read_blocks(0, 8) == bytes([69]) * 4096
         assert namespace.read_blocks(800, 8) == b"\xcc" * 4096
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the target posts the RDMA_WRITE push and the response back to "
+        "back and _Connection._sent looks only at pull completions, so a "
+        "push dropped on the fabric is still answered with status 0"))
+    def test_a_dropped_read_push_is_not_acknowledged(self):
+        """A READ never completes with status 0 and bytes other than the
+        medium's: here the target's data push into the initiator host is
+        dropped after the block was rewritten."""
+        bed, target, initiator = nvmeof_stack()
+        for op, data in (("write", b"\xaa"), ("read", None),
+                         ("write", b"\xbb")):
+            req = bounded(bed.sim, initiator.submit(BlockRequest(
+                op, lba=0, nblocks=8, data=data and data * 4096)))
+            assert req.ok
+        real = bed.fabric.write
+        lost = []
+
+        def write(requester, host, addr, data):
+            if not lost and host is bed.initiator_host and len(data) == 4096:
+                lost.append(addr)
+                return DROPPED
+            return real(requester, host, addr, data)
+
+        bed.fabric.write = write
+        req = bounded(bed.sim, initiator.submit(
+            BlockRequest("read", lba=0, nblocks=8)))
+        assert lost
+        assert not req.ok \
+            or req.result == bed.nvme.namespaces[1].read_blocks(0, 8)
+
     def test_a_late_response_is_counted_stale_and_completes_nothing(self):
         """A timeout below the fabric round trip retires the cid while
         the target still serves it; its response arrives for nobody."""
