@@ -27,6 +27,38 @@ from .qos.arbiter import POLICIES
 from .units import gbit_per_s, gb_per_s
 
 
+#: numbers that may be 0: the seed, sigma (no spread) and the counts
+#: where 0 means none (no retry, shared reserve, clamp, in-capsule data)
+_NONE_ALLOWED = frozenset({"sigma", "max_retries", "reserved_qps",
+                           "throttle_window", "in_capsule_data_size",
+                           "seed"})
+
+
+def _check(config) -> None:
+    """Refuse a config no run can honour, one rule per field kind (by
+    name): times (``*_ns``) are >= 0, rates (``*_rate``) in [0, 1], a
+    ``*_min_ns`` is <= its ``*_max_ns``, the fields of
+    :data:`_NONE_ALLOWED` are >= 0, and every other number — sizes,
+    counts, bandwidths — is > 0."""
+    for field in dataclasses.fields(config):
+        name, value = field.name, getattr(config, field.name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if name.endswith("_rate"):
+            ok, rule = 0 <= value <= 1, "in [0, 1]"
+        elif name.endswith("_ns") or name in _NONE_ALLOWED:
+            ok, rule = value >= 0, ">= 0"
+        else:
+            ok, rule = value > 0, "> 0"
+        if name.endswith("_min_ns"):
+            top = name[:-len("_min_ns")] + "_max_ns"
+            ok, rule = ok and value <= getattr(config, top), \
+                f">= 0 and <= {top}"
+        if not ok:
+            raise ValueError(f"{type(config).__name__}.{name} must be "
+                             f"{rule}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # PCIe fabric
 # ---------------------------------------------------------------------------
@@ -34,6 +66,8 @@ from .units import gbit_per_s, gb_per_s
 @dataclasses.dataclass(frozen=True)
 class PcieConfig:
     """Transaction-level PCIe fabric parameters."""
+
+    __post_init__ = _check
 
     #: Per-switch-chip forwarding delay, one direction (paper Sec. VI:
     #: "each PCIe switch chip in the path adds between 100 and 150
@@ -93,6 +127,8 @@ class MediaConfig:
     consistent" — hence the tiny sigma and tight cap.
     """
 
+    __post_init__ = _check
+
     name: str = "optane-p4800x"
     #: Median media access time for a 4 KiB read/write.
     read_median_ns: int = 6_900
@@ -123,6 +159,8 @@ class MediaConfig:
 @dataclasses.dataclass(frozen=True)
 class NvmeConfig:
     """NVMe controller model parameters."""
+
+    __post_init__ = _check
 
     #: Max queue pairs the controller supports (P4800X: 32, one of which
     #: is the admin pair — hence the paper's "shared by up to 31 hosts").
@@ -160,6 +198,8 @@ class HostSoftwareConfig:
     completion ~0.7 us on top of ~8 us media + PCIe transactions) lands
     4 KiB QD1 reads at ~11 us, matching public P4800X fio results.
     """
+
+    __post_init__ = _check
 
     #: fio/blk-mq request construction down to driver entry.
     block_submit_ns: int = 450
@@ -200,6 +240,8 @@ class HostSoftwareConfig:
 class RdmaConfig:
     """ConnectX-5-class RDMA NIC + 100 Gb/s link model."""
 
+    __post_init__ = _check
+
     #: One-way wire/PHY latency between the two hosts, including the
     #: IB switch (~130 ns cut-through) used in the testbed.
     wire_latency_ns: int = 450
@@ -228,6 +270,8 @@ class NvmeofConfig:
     2 network one-ways (~1.15 us each) + target processing ~0.7 us +
     interrupt on the initiator ~1.9 us + capsule/data serialization.
     """
+
+    __post_init__ = _check
 
     #: Kernel nvme-rdma initiator: encapsulate command, map data, post.
     initiator_submit_ns: int = 1_500
@@ -260,6 +304,8 @@ class ReliabilityConfig:
     the calibrated fault-free benchmarks are bit-identical with or
     without this subsystem; chaos scenarios enable it explicitly.
     """
+
+    __post_init__ = _check
 
     #: Every stack: time to wait for a command completion before
     #: aborting and retrying it.  0 disables command timeouts (wait
@@ -303,6 +349,8 @@ class QpSharingConfig:
     than ``reserved_qps`` queue ids remain free — then least-loaded
     shared.
     """
+
+    __post_init__ = _check
 
     #: Master switch.  Off restores the paper's strict 31-client limit
     #: (the 32nd client is refused with RPC_NO_QUEUES).
@@ -367,10 +415,7 @@ class QosConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown qos policy {self.policy!r}; "
                              f"pick one of {tuple(POLICIES)}")
-        if self.quantum < 1:
-            raise ValueError("quantum must be >= 1 SQE")
-        if self.throttle_window < 0:
-            raise ValueError("throttle_window must be >= 0")
+        _check(self)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +432,8 @@ class ClusterConfig:
     root complex.
     """
 
+    __post_init__ = _check
+
     #: NTB link bandwidth per direction (Gen3 x8 cabled, effective).
     ntb_link_bandwidth: float = gb_per_s(7.0)
     #: Per-host NTB BAR aperture for mapping remote segments.
@@ -400,6 +447,8 @@ class ClusterConfig:
 @dataclasses.dataclass(frozen=True)
 class SimulationConfig:
     """Top-level bundle handed to scenario builders."""
+
+    __post_init__ = _check
 
     pcie: PcieConfig = dataclasses.field(default_factory=PcieConfig)
     nvme: NvmeConfig = dataclasses.field(default_factory=NvmeConfig)

@@ -301,8 +301,8 @@ def cluster_scale_out(n_clients: int = 64, n_devices: int = 4,
     With one device this degenerates to the PR-5 shared-QP cluster
     (64 tenants on a 31-QP controller); with four, placement spreads
     the same clients 16-per-device and the aggregate scales with the
-    added media and queue resources — the ratio
-    ``benchmarks/bench_cluster_scaling.py`` records and CI gates.
+    added media and queue resources — the ratio the ``cluster`` rows
+    of ``tests/test_fidelity.py`` hold.
     """
     return cluster(n_clients=n_clients, n_devices=n_devices,
                    width=width, replicas=replicas, config=config,

@@ -36,6 +36,7 @@ directly instead of going through the ``triggered`` property.
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Simulator
@@ -114,19 +115,24 @@ class Event:
         ``delay`` nanoseconds."""
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
+        if delay:
+            if type(delay) is not int:
+                delay = _as_int_delay(delay)
+            if delay < 0:
+                raise ValueError(
+                    f"cannot schedule into the past (delay={delay})")
         self._ok = True
         self._value = value
         sim = self.sim
         at = sim._at
-        if delay:
-            sim._schedule(self, delay)
-        elif sim._now in at:
-            # Zero-delay is the overwhelmingly common case (grants,
-            # store hand-offs, signal fires), and during a run the
-            # current instant's list is there to append to.
-            at[sim._now].append(self)
+        # at the end of the instant's NORMAL list; zero-delay (grants,
+        # hand-offs, fires) finds the current instant's list during a run
+        when = sim._now + delay
+        if when in at:
+            at[when].append(self)
         else:
-            sim._push(self, 0)
+            at[when] = [self]
+            heappush(sim._times, when)
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":

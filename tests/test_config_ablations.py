@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import (MediaConfig, NvmeConfig, PcieConfig,
+from repro.config import (ClusterConfig, HostSoftwareConfig, MediaConfig,
+                          NvmeConfig, NvmeofConfig, PcieConfig,
+                          QpSharingConfig, ReliabilityConfig,
                           SimulationConfig, replace)
 from repro.nvme.media import NAND_CONFIG
 from repro.scenarios import local_linux, ours_local, ours_remote
@@ -114,3 +116,36 @@ class TestBandwidthSensitivity:
 
         assert bw(base, 208) > 3 * bw(narrow, 208)
         assert bw(narrow, 208) < 0.55e9
+
+
+class TestRefusedAtConstruction:
+    """A config no run can honour raises ``ValueError`` where it is
+    built or replaced, not a ``ZeroDivisionError`` or numpy error out of
+    the run: one case per field kind."""
+
+    @pytest.mark.parametrize("cls, bad", [
+        (PcieConfig, {"switch_latency_min_ns": -300,
+                      "switch_latency_max_ns": -200}),
+        (HostSoftwareConfig, {"poll_interval_ns": -5}),
+        (PcieConfig, {"max_payload_size": 0}),
+        (PcieConfig, {"max_read_request_size": 0}),
+        (MediaConfig, {"channels": 0}),
+        (ClusterConfig, {"ntb_link_bandwidth": 0.0}),
+        (PcieConfig, {"switch_latency_min_ns": 200}),
+        (MediaConfig, {"read_error_rate": 1.5}),
+        (MediaConfig, {"sigma": -0.1}),
+    ], ids=["time", "interval", "payload-size", "read-request-size",
+            "count", "bandwidth", "min-above-max", "rate", "sigma"])
+    def test_refused(self, cls, bad):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{field}"):
+            cls(**bad)
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{field}"):
+            replace(cls(), **bad)
+
+    def test_none_is_a_legal_count_where_it_means_off(self):
+        replace(SimulationConfig(), seed=0, reliability=ReliabilityConfig(
+            max_retries=0), sharing=QpSharingConfig(reserved_qps=0),
+            nvmeof=NvmeofConfig(in_capsule_data_size=0),
+            pcie=PcieConfig(switch_latency_min_ns=0,
+                            switch_latency_max_ns=0))

@@ -31,10 +31,12 @@ from repro.analysis import PAPER_CLAIMS, Fig10Report
 from repro.config import SimulationConfig, replace
 from repro.driver import (BlockRequest, DistributedNvmeClient, NvmeManager,
                           SpdkLocalDriver)
+from repro.qos import run_qos
 from repro.scenarios import (CHAOS_RELIABILITY, FIG10_SCENARIOS,
                              build_fig10_scenario, chaos_cluster,
-                             local_linux, multihost, nvmeof_remote,
-                             ours_local, ours_remote)
+                             cluster_scale_out, local_linux, multihost,
+                             nvmeof_remote, ours_local, ours_remote,
+                             scale_out_cluster)
 from repro.scenarios.testbed import LocalTestbed, PcieTestbed
 from repro.telemetry import STAGES
 from repro.units import KiB
@@ -418,6 +420,114 @@ def degraded():
             "timeouts": timeouts}, table
 
 
+# -- Past the 31-host ceiling: shared QPs, more devices, noisy tenants -------
+
+def _scale_out(rig, ios: int, job) -> dict[str, t.Any]:
+    """``job(i)`` on client ``i`` of ``rig``: the aggregate, the mean
+    median, the shared tenants, and what must be zero (jobs short of
+    ``ios`` or in error, timeouts, admission rejections, orphaned CQEs)."""
+    results = run_fio_many([(device, job(i))
+                            for i, device in enumerate(rig.clients)])
+    managers = rig.managers.values()
+    return {"n": len(results), "agg": sum(r.iops for r in results),
+            "med": sum(r.summary("read").median for r in results)
+            / len(results),
+            "shared": sum(1 for c in rig.subclients if c._shared),
+            "faults": (sum(r.ios != ios or r.errors != 0 for r in results),
+                       sum(c.timeouts for c in rig.subclients),
+                       sum(m.admission_rejections for m in managers),
+                       sum(m.cqes_orphaned for m in managers))}
+
+
+def _scale_table(first: str, legs: dict) -> str:
+    """One row per leg; ``scaling`` is the aggregate over the first leg's."""
+    base = next(iter(legs.values()))["agg"]
+    return _md([first, "clients", "shared tenants", "aggregate kIOPS",
+                "per-client kIOPS", "median lat (µs)", "scaling"],
+               [[key, s["n"], s["shared"], f"{s['agg'] / 1e3:.1f}",
+                 f"{s['agg'] / s['n'] / 1e3:.1f}", _us(s["med"]),
+                 f"{s['agg'] / base:.2f}×"] for key, s in legs.items()])
+
+
+@experiment
+def sharing():
+    """The paper's 31 private QPs against shared QPs for 32 and 64
+    clients, 4 KiB randread at QD2 per client."""
+    config = SimulationConfig()
+    private = replace(config, sharing=replace(config.sharing, enabled=False))
+    legs = {}
+    for mode, ios, build in (
+            ("private-31", 80, lambda: multihost(
+                31, config=private, seed=431, queue_depth=2,
+                sharing="never")),
+            ("shared-32", 80, lambda: multihost(32, seed=432,
+                                                queue_depth=2)),
+            ("shared-64", 40, lambda: scale_out_cluster(64, seed=464,
+                                                        queue_depth=2))):
+        legs[mode] = _scale_out(build(), ios, lambda i: FioJob(
+            name=f"qs{i}", rw="randread", bs=4096, iodepth=2,
+            total_ios=ios, region_lbas=1 << 20))
+    return {"agg": {mode: s["agg"] for mode, s in legs.items()},
+            "faults": {mode: s["faults"] for mode, s in legs.items()}}, \
+        _scale_table("mode", legs)
+
+
+@experiment
+def cluster():
+    """64 clients, one volume each, on 1, 2 and 4 controllers, 4 KiB
+    randread at QD8 per client."""
+    legs = {n: _scale_out(cluster_scale_out(64, n_devices=n, seed=11,
+                                            queue_depth=8),
+                          30, lambda i: FioJob(
+                              name=f"v{i}", rw="randread", bs=4096,
+                              iodepth=8, total_ios=30, region_lbas=1 << 20,
+                              seed_stream=f"fio{i}"))
+            for n in (1, 2, 4)}
+    return {"agg": {n: s["agg"] for n, s in legs.items()},
+            "faults": {n: s["faults"] for n, s in legs.items()}}, \
+        _scale_table("devices", legs)
+
+
+#: the noisy rig's runs, seed 7, 4 ms horizon, aggressor at 1 M IOPS:
+#: the bystanders alone, then each policy with the aggressor on
+QOS_RUNS = {"solo": {"policy": "off", "aggressor_active": False},
+            "fifo": {"policy": "fifo"},
+            "wfq": {"policy": "wfq"},
+            "wfq+throttle": {"policy": "wfq", "throttle": True}}
+
+
+@functools.cache
+def qos_runs() -> dict[str, t.Any]:
+    """:data:`QOS_RUNS`, run once per session (tests/test_qos_isolation.py
+    reads the same runs)."""
+    return {label: run_qos(seed=7, horizon_ns=4_000_000, **kwargs)
+            for label, kwargs in QOS_RUNS.items()}
+
+
+@experiment
+def qos():
+    """Worst bystander open-loop p99 beside an aggressor at 2x the
+    shared-SQ fetch loop's capacity, against the solo run."""
+    runs = qos_runs()
+    p99 = {label: run.bystander_p99_ns() for label, run in runs.items()}
+    bystander_alerts = {label: sum(len(run.tenant_alerts(tenant))
+                                   for tenant in run.bystanders)
+                        for label, run in runs.items()}
+    aggressor_alerts = {label: len(run.tenant_alerts(run.aggressor))
+                        for label, run in runs.items()}
+    table = _md(["run", "worst bystander p99 (ns)", "vs solo",
+                 "bystander alerts", "aggressor alerts",
+                 "aggressor kIOPS"],
+                [[label, f"{p99[label]:,.0f}",
+                  f"{p99[label] / p99['solo']:.2f}×",
+                  bystander_alerts[label], aggressor_alerts[label],
+                  "idle" if run.results[0] is None
+                  else f"{run.results[0].achieved_iops / 1e3:.1f}"]
+                 for label, run in runs.items()])
+    return {"p99": p99, "bystander_alerts": bystander_alerts,
+            "aggressor_alerts": aggressor_alerts}, table
+
+
 # -- The table --------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -545,6 +655,26 @@ ROWS = [
         "timeouts[0.05] > 0"),
     Row("degraded", "and costs throughput", ABLATION,
         "kiops[0.05] < kiops[0.0]"),
+    Row("sharing", "every client of every leg finishes its I/Os, with no "
+        "error, timeout, admission rejection or orphaned CQE", ABLATION,
+        "all(f == (0, 0, 0, 0) for f in faults.values())"),
+    Row("sharing", "64 clients on 31 shared QPs keep the private-31 "
+        "aggregate", ABLATION, "agg['shared-64'] / agg['private-31'] >= 0.9"),
+    Row("cluster", "every volume of every leg finishes its I/Os, with no "
+        "error, timeout, admission rejection or orphaned CQE", ABLATION,
+        "all(f == (0, 0, 0, 0) for f in faults.values())"),
+    Row("cluster", "4 devices reach at least 3.5x one device's aggregate",
+        ABLATION, "agg[4] / agg[1] >= 3.5"),
+    Row("qos", "the bystanders alone have a tail to compare with",
+        ABLATION, "p99['solo'] > 0"),
+    Row("qos", "wfq + throttle keeps the bystanders within 1.5x solo",
+        ABLATION, "p99['wfq+throttle'] <= 1.5 * p99['solo']"),
+    Row("qos", "fifo visibly fails to isolate: beyond 5x solo", ABLATION,
+        "p99['fifo'] > 5 * p99['solo']"),
+    Row("qos", "wfq + throttle fires no bystander alert", ABLATION,
+        "bystander_alerts['wfq+throttle'] == 0"),
+    Row("qos", "wfq + throttle fires an aggressor alert", ABLATION,
+        "aggressor_alerts['wfq+throttle'] > 0"),
 ]
 
 

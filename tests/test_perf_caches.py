@@ -44,6 +44,13 @@ class TestIntegralDelays:
         with pytest.raises(ValueError, match="non-integral delay"):
             sim.event().succeed(delay=0.5)
 
+    def test_negative_succeed_delay_raises_and_leaves_it_pending(self):
+        sim = Simulator(seed=0)
+        ev = sim.event()
+        with pytest.raises(ValueError, match="into the past"):
+            ev.succeed(delay=-1)
+        assert not ev.triggered
+
     def test_negative_delay_still_raises(self):
         sim = Simulator(seed=0)
         with pytest.raises(ValueError, match="negative"):

@@ -363,6 +363,24 @@ class TestKernelCallBudget:
 
         assert self.calls(fresh) <= 12
 
+    def test_a_delayed_succeed_is_its_own_frame(self, sim):
+        """``succeed(value, delay)`` checks and enqueues inline: its own
+        frame and one C call (the instant's ``append``, or the
+        ``heappush`` of an instant with no list yet), no
+        ``_schedule``/``_push`` frames.  It lands at the end of that
+        instant's NORMAL list, as a timeout made at the same moment."""
+        seen = []
+        before = sim.timeout(5, "before")
+        on_list, fresh = sim.event(), sim.event()
+        assert self.calls(lambda: on_list.succeed("delayed", 5)) == 2
+        assert self.calls(lambda: fresh.succeed("fresh", 7)) == 2
+        after = sim.timeout(5, "after")
+        for ev in (before, on_list, fresh, after):
+            ev.callbacks.append(lambda ev: seen.append((sim.now, ev.value)))
+        sim.run()
+        assert seen == [(5, "before"), (5, "delayed"), (5, "after"),
+                        (7, "fresh")]
+
 
 class TestQueueEncapsulation:
     """Only ``repro.sim`` reaches into the queue's structures; everyone
