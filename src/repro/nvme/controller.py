@@ -705,11 +705,11 @@ class NvmeController(PCIeFunction):
                     self.bad_doorbells += 1
                     return
                 if wtail != win.db_tail:
+                    now = self.sim._now
                     if win.is_empty():
-                        win.ready_at = self.sim.now
+                        win.ready_at = now
                     sq.arbiter.on_doorbell(
-                        win, (wtail - win.db_tail) % win.entries,
-                        self.sim.now)
+                        win, (wtail - win.db_tail) % win.entries, now)
                 win.db_tail = wtail
             elif value >= sq.state.entries:
                 self.bad_doorbells += 1

@@ -8,7 +8,7 @@ loop busy skipping it.  The cheaper fix is upstream: clamp the
 burn-rate alert (docs/observability.md) is active, so the excess load
 never reaches the shared ring at all.
 
-:class:`AdmissionThrottle` is a sim process that periodically reads the
+:class:`AdmissionThrottle` is a sim loop that periodically reads the
 :class:`~repro.telemetry.slo.SloEngine`'s per-tenant alert state and
 applies/lifts the clamp on every
 :class:`~repro.driver.client.DistributedNvmeClient` of the tenant (a
@@ -23,6 +23,9 @@ flapping).
 from __future__ import annotations
 
 import typing as t
+
+from ..sim import Event
+from ..sim.resources import Record
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..config import QosConfig
@@ -59,35 +62,31 @@ class AdmissionThrottle:
         if not self.enabled or self._running:
             return
         self._running = True
-        self.sim.process(self._watch())
+        _Watch(self)
 
     def stop(self) -> None:
         self._running = False
 
-    def _watch(self) -> t.Generator:
-        interval = self.qos.throttle_check_interval_ns
+    def _check(self) -> None:
+        """One look at the alerts: clamp or release each tenant."""
         cooldown = self.qos.throttle_cooldown_ns
         clamp = self.qos.throttle_window
-        while self._running:
-            yield self.sim.sleep(interval)
-            if not self._running:
-                return
-            now = self.sim.now
-            for tenant in sorted(self.clients):
-                paths = self.clients[tenant]
-                active = any(a.active for a in self.slo.alerts_for(tenant))
-                if active:
-                    self._last_active[tenant] = now
-                    if paths[0].qos_window is None:
-                        for client in paths:
-                            client.set_qos_window(clamp)
-                        self.throttles_applied += 1
-                elif paths[0].qos_window is not None:
-                    last = self._last_active.get(tenant, now)
-                    if now - last >= cooldown:
-                        for client in paths:
-                            client.set_qos_window(None)
-                        self.throttles_released += 1
+        now = self.sim.now
+        for tenant in sorted(self.clients):
+            paths = self.clients[tenant]
+            active = any(a.active for a in self.slo.alerts_for(tenant))
+            if active:
+                self._last_active[tenant] = now
+                if paths[0].qos_window is None:
+                    for client in paths:
+                        client.set_qos_window(clamp)
+                    self.throttles_applied += 1
+            elif paths[0].qos_window is not None:
+                last = self._last_active.get(tenant, now)
+                if now - last >= cooldown:
+                    for client in paths:
+                        client.set_qos_window(None)
+                    self.throttles_released += 1
 
     def report(self) -> dict[str, t.Any]:
         """Deterministic summary for exports/tests."""
@@ -98,3 +97,30 @@ class AdmissionThrottle:
             "clamped": sorted(t for t, paths in self.clients.items()
                               if paths[0].qos_window is not None),
         }
+
+
+class _Watch(Record):
+    """The throttle's check loop, walked from its owned timer: a check
+    every ``throttle_check_interval_ns`` while the throttle runs.  The
+    first wake after :meth:`AdmissionThrottle.stop` ends it, queued, as
+    the loop's process ended."""
+
+    __slots__ = ("throttle",)
+
+    def __init__(self, throttle: AdmissionThrottle) -> None:
+        self.throttle = throttle
+        Record.__init__(self, throttle.sim, self._sleep)
+
+    def _sleep(self, _event: Event | None) -> None:
+        throttle = self.throttle
+        if throttle._running:
+            self._arm(throttle.qos.throttle_check_interval_ns, self._woken)
+        else:
+            self.succeed()
+
+    def _woken(self, _timer: Event) -> None:
+        if not self.throttle._running:
+            self.succeed()
+            return
+        self.throttle._check()
+        self._sleep(None)

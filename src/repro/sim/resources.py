@@ -363,7 +363,8 @@ class Record(Hold):
       ``_step`` is the step's function, not a bound method, which would
       make the record a reference cycle.
     * It ends with :meth:`_end` (queued for its subscribers, processed
-      on the spot with none), :meth:`_fail` (subscribers run inline) or,
+      on the spot with none), :meth:`_deliver` or :meth:`_fail`
+      (subscribers run inline) or,
       where a later waiter may still subscribe before the end is
       dispatched, ``succeed()``."""
 
@@ -459,6 +460,16 @@ class Record(Hold):
     def _held(self, fill: Event) -> None:
         """A queued leg holds its links and its pipe has filled."""
         self._step(self, fill)
+
+    def _deliver(self, value: t.Any) -> None:
+        """End the walk with ``value``, its subscribers run now, inline:
+        the end of a record whose last step is an event of its own, so
+        that queueing the record too would add one."""
+        callbacks, self.callbacks = self.callbacks, None
+        self._value = value
+        self._processed = True
+        for callback in callbacks:
+            callback(self)
 
     def _fail(self, exc: BaseException) -> None:
         """End the walk with ``exc``: the subscribers run now, inline,

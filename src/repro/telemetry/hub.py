@@ -21,12 +21,12 @@ from __future__ import annotations
 import typing as t
 
 from ..sim.stats import iops as _iops
-from .hist import QUANTILES, LatencyHistograms
+from .hist import QUANTILES, LatencyHistograms, LogHistogram
 from .metrics import MetricsRegistry
 from .perfetto import spans_to_perfetto
 from .prometheus import registry_to_prometheus
 from .slo import SloEngine, SloSpec
-from .spans import SpanRecorder
+from .spans import IoSpan, SpanRecorder
 from .timeseries import (DEFAULT_CAPACITY, DEFAULT_INTERVAL_NS, SeriesBank,
                          TelemetrySampler)
 
@@ -485,52 +485,97 @@ class Telemetry:
         return self.slo.report_json()
 
     # -- probe events (docs/observability.md) ------------------------------
+    #
+    # The per-I/O handlers do their work in their own frame: they build
+    # and index the span, stamp its marks (``span.marks.append``, read
+    # ``sim._now``) and bump histogram buckets without calling the
+    # recorder's, the span's or the histogram's methods, which stay for
+    # every other caller.  A posted write's mark piggybacks on its
+    # delivery event: no queue entry, no RNG draw.  A plain local store
+    # (None) has landed already; a dropped write (``callbacks`` None)
+    # never does.
 
     def on_io_submitted(self, device, request) -> None:
+        # hot-path
         if device in self._watched:
-            request.span = self.spans.begin(
-                device.name, request.op, request.lba,
+            spans = self.spans
+            request.span = span = IoSpan(
+                spans._next_index, device.name, request.op, request.lba,
                 request.nblocks * device.lba_bytes, request.submit_time)
+            spans._next_index += 1
+            spans.spans.append(span)
 
     def on_io_completed(self, device, request) -> None:
+        # hot-path
         if request.span is not None:
             request.span.end_ns = request.complete_time
-        if self.hists is not None and device in self._watched:
-            self.hists.record_io(device.tenant, request.op, device.name,
-                                 request.latency_ns, ok=request.ok)
-
-    def _mark_on_delivery(self, write, span, boundary: str) -> None:
-        """Stamp ``boundary`` when the posted ``write`` lands.  Piggybacks
-        on its delivery event — no queue entry, no RNG draw.  A plain
-        local store (None) has landed already; a dropped write
-        (``callbacks`` None) never does."""
-        if write is None:
-            span.mark(boundary, self.sim.now)
-        elif write.callbacks is not None:
-            write.callbacks.append(
-                lambda _ev: span.mark(boundary, self.sim.now))
+        hists = self.hists
+        if hists is None or device not in self._watched:
+            return
+        key = (device.tenant, request.op, device.name)
+        if request.status:
+            errors = hists._errors
+            errors[key] = errors.get(key, 0) + 1
+            return
+        hist = hists._hists.get(key)
+        if hist is None:
+            hist = hists._hists[key] = LogHistogram(hists.sub_bits)
+        value = request.complete_time - request.submit_time
+        # LogHistogram.record, its bucket_index inline
+        if value < hist._n_sub:
+            idx = value
+        else:
+            exp = value.bit_length() - hist.sub_bits
+            idx = hist._n_sub + (exp - 1) * hist._half \
+                + ((value >> exp) - hist._half)
+        counts = hist.counts
+        counts[idx] = counts.get(idx, 0) + 1
+        recent = hist.recent
+        recent[idx] = recent.get(idx, 0) + 1
+        hist.count += 1
+        hist.total += value
 
     def on_sqe_issued(self, qp, sqe, slot, store, request) -> None:
+        # hot-path
         span = request.span if request is not None else None
         if span is None:
             return
         # Published under the on-the-wire identity so the controller's
         # events find it; dropped when the waiter is released (the
         # timeout path, which retires the cid instead: on_recovery).
-        ctrl, qid, cid, spans = qp.ctrl, qp.sq.qid, sqe.cid, self.spans
-        spans.bind(ctrl, qid, cid, span)
+        qid, cid = qp.sq.qid, sqe.cid
+        span.qid = qid
+        span.cid = cid
+        key = (qp.ctrl, qid, cid)
+        active = self.spans._active
+        active[key] = span
         qp.inflight[cid].callbacks.append(
-            lambda _ev: spans.unbind(ctrl, qid, cid))
-        span.mark("sqe-issued", self.sim.now)
-        self._mark_on_delivery(store, span, "sqe-delivered")
+            lambda _ev: active.pop(key, None))
+        sim = self.sim
+        marks = span.marks
+        marks.append(("sqe-issued", sim._now))
+        if store is None:
+            marks.append(("sqe-delivered", sim._now))
+        elif store.callbacks is not None:
+            store.callbacks.append(
+                lambda _ev: marks.append(("sqe-delivered", sim._now)))
 
     def on_doorbell_rung(self, qp, ticket, request) -> None:
-        if request is not None and request.span is not None:
-            self._mark_on_delivery(ticket, request.span,
-                                   "doorbell-delivered")
+        # hot-path
+        span = request.span if request is not None else None
+        if span is None:
+            return
+        sim = self.sim
+        marks = span.marks
+        if ticket is None:
+            marks.append(("doorbell-delivered", sim._now))
+        elif ticket.callbacks is not None:
+            ticket.callbacks.append(
+                lambda _ev: marks.append(("doorbell-delivered", sim._now)))
 
     def on_sqe_fetched(self, ctrl, qid, sqe, win, granted_at,
                        wait_ns) -> None:
+        # hot-path
         if ctrl not in self._watched:
             return
         if win is not None:
@@ -544,20 +589,25 @@ class Telemetry:
                         "arbitration before its fetch was granted",
                         ctrl=ctrl.name, qid=qid)
             arb_wait.record(wait_ns)
-        span = self.spans.active(ctrl, qid, sqe.cid)
+        span = self.spans._active.get((ctrl, qid, sqe.cid))
         if span is not None:
             if win is not None:
-                span.mark("arb-granted", granted_at)
-            span.mark("fetched", self.sim.now)
+                span.marks.append(("arb-granted", granted_at))
+            span.marks.append(("fetched", self.sim._now))
 
     def on_media_done(self, ctrl, qid, cid) -> None:
+        # hot-path
         if ctrl in self._watched:
-            self.spans.mark_cmd(ctrl, qid, cid, "media-done", self.sim.now)
+            span = self.spans._active.get((ctrl, qid, cid))
+            if span is not None:
+                span.marks.append(("media-done", self.sim._now))
 
     def on_cqe_posted(self, ctrl, qid, cid, status) -> None:
+        # hot-path
         if ctrl in self._watched:
-            self.spans.mark_cmd(ctrl, qid, cid, "cqe-delivered",
-                                self.sim.now)
+            span = self.spans._active.get((ctrl, qid, cid))
+            if span is not None:
+                span.marks.append(("cqe-delivered", self.sim._now))
 
     def on_recovery(self, source, action, **detail) -> None:
         if action == "timeout":         # source: the command core

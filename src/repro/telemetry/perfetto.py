@@ -11,7 +11,9 @@ Emits the legacy Chrome ``traceEvents`` JSON that Perfetto
   ``<op> <bytes>B``;
 * one nested ``X`` slice per stage between consecutive boundaries —
   canonical stage names for clean spans, ``-> <boundary>`` labels for
-  irregular ones (retries, faults), so chaos runs stay inspectable.
+  irregular ones (retries, faults), so chaos runs stay inspectable;
+  a clean span's inner mark (``arb-granted``, inside ``fetch``) is an
+  instant ``i`` event on its thread.
 
 Timestamps are microseconds (the trace-event convention); simulation
 integer nanoseconds convert exactly to thousandths.  Output is fully
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import typing as t
 
-from .spans import BOUNDARIES, STAGES, IoSpan
+from .spans import BOUNDARIES, INNER_MARKS, STAGES, IoSpan
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .timeseries import SeriesBank
@@ -59,6 +61,14 @@ def span_events(span: IoSpan, pid: int) -> list[dict[str, t.Any]]:
     }]
     clean = span.clean
     bounds = span.boundaries()
+    if clean:
+        # an inner mark is an instant inside its stage, not a boundary
+        for name, at in bounds:
+            if name in INNER_MARKS:
+                events.append({"name": name, "cat": "mark", "ph": "i",
+                               "s": "t", "ts": _us(at), "pid": pid,
+                               "tid": tid, "args": {"index": span.index}})
+        bounds = [b for b in bounds if b[0] not in INNER_MARKS]
     for i in range(len(bounds) - 1):
         _from_name, t0 = bounds[i]
         to_name, t1 = bounds[i + 1]

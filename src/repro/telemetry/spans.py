@@ -22,7 +22,9 @@ boundary                  instant it is stamped at
 Consecutive boundaries telescope into the seven named **stages** of
 :data:`STAGES` (submit, sq-ntb-write, doorbell, fetch, media,
 cq-ntb-write, poll), so per-stage durations sum to the end-to-end
-latency *exactly*, by construction.
+latency *exactly*, by construction.  A shared (arbitrated) SQ also
+stamps ``arb-granted`` when its arbiter grants the fetch: an *inner*
+mark of the fetch stage (:data:`INNER_MARKS`), not a boundary.
 
 The recorder itself is plain data with no simulator reference: the
 :class:`~repro.telemetry.hub.Telemetry` hub drives it from the probe
@@ -39,6 +41,14 @@ BOUNDARIES: tuple[str, ...] = (
     "sqe-issued", "sqe-delivered", "doorbell-delivered",
     "fetched", "media-done", "cqe-delivered",
 )
+
+#: Marks stamped inside a stage rather than at its ends: the shared-SQ
+#: arbiter's grant falls between ``doorbell-delivered`` and ``fetched``.
+INNER_MARKS: frozenset[str] = frozenset({"arb-granted"})
+
+#: The two mark sequences of a clean span: private SQ, shared SQ.
+_CLEAN_PATHS: tuple[tuple[str, ...], ...] = (
+    BOUNDARIES, BOUNDARIES[:3] + ("arb-granted",) + BOUNDARIES[3:])
 
 #: Canonical stage names; stage ``i`` spans boundary ``i-1`` -> ``i``
 #: (with the span start before the first and the span end after the
@@ -90,9 +100,10 @@ class IoSpan:
     def clean(self) -> bool:
         """True when the span followed the canonical path exactly once:
         every boundary of :data:`BOUNDARIES` stamped once, in order
-        (no retries, drops or resyncs)."""
+        (no retries, drops or resyncs), with at most the fetch stage's
+        inner ``arb-granted`` mark between them."""
         return (self.finished
-                and tuple(name for name, _t in self.marks) == BOUNDARIES)
+                and tuple(name for name, _t in self.marks) in _CLEAN_PATHS)
 
     def boundaries(self) -> list[tuple[str, int]]:
         """All boundaries including the implicit start and end."""
@@ -105,10 +116,13 @@ class IoSpan:
     def stage_durations(self) -> dict[str, int] | None:
         """The seven canonical stage durations, or None for a span that
         strayed from the canonical path (retries, faults, non-NVMe
-        devices).  The values always sum to :attr:`duration_ns`."""
+        devices).  The values always sum to :attr:`duration_ns`; an
+        inner mark splits no stage."""
         if not self.clean:
             return None
-        times = ([self.start_ns] + [t_ns for _n, t_ns in self.marks]
+        times = ([self.start_ns]
+                 + [t_ns for name, t_ns in self.marks
+                    if name not in INNER_MARKS]
                  + [self.end_ns])
         return {name: times[i + 1] - times[i]
                 for i, name in enumerate(STAGES)}

@@ -1,7 +1,7 @@
 """Sim-clock-driven time-series sampling over the telemetry hub.
 
 PR 3's telemetry produces *end-of-run* snapshots; this module adds the
-time axis: a :class:`TelemetrySampler` is a simulation process that
+time axis: a :class:`TelemetrySampler` is a simulation loop that
 ticks at a configurable interval and snapshots live component state
 (IOPS, in-flight per QP, controller queue occupancy, fabric bytes,
 live paths, windowed latency quantiles) into ring-buffered
@@ -9,7 +9,7 @@ live paths, windowed latency quantiles) into ring-buffered
 
 Determinism contract (the sampling-interval contract the tests pin):
 
-* the sampler sleeps on its process's timer (``sim.sleep``: the queue
+* the sampler is a record that ticks on its owned timer (the queue
   entry a ``sim.timeout`` would be), so it *does* add
   entries to the event queue — but its tick body only **reads**
   component state: it never mutates model state, never draws from any
@@ -36,7 +36,8 @@ import collections
 import json
 import typing as t
 
-from ..sim import Interrupt
+from ..sim import Event
+from ..sim.resources import Record
 from .metrics import _LabelKey, _label_key
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -122,8 +123,35 @@ class SeriesBank:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+class _Ticks(Record):
+    """The sampler's tick loop, walked from its owned timer: a sample at
+    boot, then one every interval.  :meth:`stop` ends it where
+    interrupting the loop's process did: the armed timer fires into
+    nothing, and a kick on this instant's URGENT lane queues the end."""
+
+    __slots__ = ("sampler",)
+
+    def __init__(self, sampler: "TelemetrySampler") -> None:
+        self.sampler = sampler
+        Record.__init__(self, sampler.sim, self._tick)
+
+    def _tick(self, _timer: Event) -> None:
+        sampler = self.sampler
+        sampler.sample_once()
+        self._arm(sampler.interval_ns, self._tick)
+
+    def stop(self) -> None:
+        timer = self._timer
+        if timer.callbacks:
+            timer.callbacks = []
+        self._kick(self._stopped)
+
+    def _stopped(self, _kick: Event) -> None:
+        self.succeed()
+
+
 class TelemetrySampler:
-    """A sim process that snapshots registered sources every tick.
+    """A sim loop that snapshots registered sources every tick.
 
     Sources are callables ``fn(bank, now_ns)`` that read component
     state and append to series; the telemetry hub installs the default
@@ -160,19 +188,19 @@ class TelemetrySampler:
 
     @property
     def running(self) -> bool:
-        return self._proc is not None and self._proc.is_alive
+        return self._proc is not None and not self._proc.triggered
 
     def start(self) -> None:
         """Start ticking (first sample at the current sim time)."""
         if self.running:
             return
-        self._proc = self.sim.process(self._loop())
+        self._proc = _Ticks(self)
 
     def stop(self, final_sample: bool = True) -> None:
-        """Stop the tick process (so queue-draining runs terminate);
+        """Stop the tick loop (so queue-draining runs terminate);
         optionally take one last sample at the stop instant."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt()
+        if self.running:
+            self._proc.stop()
         self._proc = None
         if final_sample:
             self.sample_once()
@@ -185,11 +213,3 @@ class TelemetrySampler:
         for fn in self._sources:
             fn(self.bank, now)
         self.ticks += 1
-
-    def _loop(self) -> t.Generator:
-        try:
-            while True:
-                self.sample_once()
-                yield self.sim.sleep(self.interval_ns)
-        except Interrupt:
-            return

@@ -16,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.qos import AdmissionThrottle
+from repro.qos.runner import QOS_SLO
+from repro.scenarios import noisy_neighbor
+from repro.sim import Interrupt, Simulator
 from repro.telemetry import (HistogramError, LatencyHistograms,
                              LogHistogram, SeriesBank, SloEngine, SloSpec,
                              Telemetry, TelemetrySampler)
 from repro.telemetry.hist import QUANTILES
 from repro.run import RunSpec, run
+from repro.workloads import OpenLoopJob, open_loop_generator
 
 from .hostcost import cost
 
@@ -201,6 +205,95 @@ class TestTelemetrySampler:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             TelemetrySampler(Simulator(), interval_ns=0)
+
+
+# --- the sampler's and the throttle's loops are records ------------------
+
+def reference_sampler_start(self):
+    """``TelemetrySampler.start``, its loop a process."""
+    def loop():
+        try:
+            while True:
+                self.sample_once()
+                yield self.sim.sleep(self.interval_ns)
+        except Interrupt:
+            return
+    if not self.running:
+        self._proc = self.sim.process(loop())
+
+
+def reference_sampler_stop(self, final_sample=True):
+    if self._proc is not None and self._proc.is_alive:
+        self._proc.interrupt()
+    self._proc = None
+    if final_sample:
+        self.sample_once()
+
+
+def reference_throttle_start(self):
+    """``AdmissionThrottle.start``, its loop a process."""
+    def watch():
+        while self._running:
+            yield self.sim.sleep(self.qos.throttle_check_interval_ns)
+            if not self._running:
+                return
+            self._check()
+    if self.enabled and not self._running:
+        self._running = True
+        self.sim.process(watch())
+
+
+class TestLoopsAreRecords:
+    """Neither loop resumes a process per tick: each is a record on its
+    owned timer.  Against the generator loops they replaced, on the
+    noisy rig with every hook on, stopped mid-run, run on, started
+    again: the same samples, check instants, clamps, latencies and
+    events."""
+
+    @staticmethod
+    def play(seed):
+        sc = noisy_neighbor(n_bystanders=2, throttle_window=1, seed=seed)
+        tele = sc.telemetry
+        tele.enable_histograms()
+        sampler = tele.enable_sampler(interval_ns=20_000, start=False)
+        admission = AdmissionThrottle(sc.sim, sc.testbed.config.qos,
+                                      tele.enable_slo(QOS_SLO))
+        admission.attach(sc.clients)
+        sim = sc.sim
+        checks, check = [], admission._check
+
+        def logged_check():
+            checks.append(sim.now)
+            check()
+        admission._check = logged_check
+        procs = [sim.process(open_loop_generator(device, OpenLoopJob(
+            name=f"t{i}", rate_iops=800_000.0 if i == 0 else 100_000.0,
+            total_arrivals=None, runtime_ns=900_000, inflight_cap=16)))
+            for i, device in enumerate(sc.clients)]
+        start = sim.now      # the throttle checks every 200 us
+        for after, hooks in ((0, "start"), (450_000, "stop"),
+                             (550_000, "start")):
+            sim.run(until=start + after)
+            for hook in (sampler, admission):
+                getattr(hook, hooks)()
+        sim.run(until=sim.all_of(procs))
+        sampler.stop()
+        admission.stop()
+        sim.run(until=sim.now + 300_000)
+        return (sim.events_processed, sampler.ticks, checks,
+                tele.timeseries_jsonl(), admission.report(),
+                admission.throttles_applied,
+                [proc.value.latencies.values().tolist() for proc in procs])
+
+    def test_same_ticks_clamps_and_events(self, monkeypatch):
+        ours = self.play(seed=5)
+        assert ours[5] > 0              # the clamp was applied
+        monkeypatch.setattr(TelemetrySampler, "start",
+                            reference_sampler_start)
+        monkeypatch.setattr(TelemetrySampler, "stop", reference_sampler_stop)
+        monkeypatch.setattr(AdmissionThrottle, "start",
+                            reference_throttle_start)
+        assert self.play(seed=5) == ours
 
 
 # --- SLO engine ----------------------------------------------------------

@@ -35,6 +35,10 @@ def make_clean_span(start=1000, step=100):
     return span
 
 
+def _us_of(ns):
+    return ns / 1000.0
+
+
 class TestIoSpan:
     def test_clean_span_stage_sums_exactly(self):
         span = make_clean_span()
@@ -60,6 +64,18 @@ class TestIoSpan:
         span.mark("fetched", span.end_ns)   # retry stamped a boundary
         assert span.finished and not span.clean
         assert span.stage_durations() is None
+
+    def test_arb_granted_is_an_inner_mark_of_fetch(self):
+        """A shared SQ's span stamps ``arb-granted`` between
+        ``doorbell-delivered`` and ``fetched``: it stays clean, and the
+        mark splits no stage."""
+        span = make_clean_span()
+        plain = span.stage_durations()
+        span.marks.insert(3, ("arb-granted", span.marks[2][1] + 40))
+        assert span.clean
+        assert span.stage_durations() == plain
+        span.marks.append(span.marks.pop(3))    # after cqe-delivered
+        assert not span.clean and span.stage_durations() is None
 
     def test_as_dict_round_trips_marks(self):
         span = make_clean_span()
@@ -166,6 +182,17 @@ class TestExporters:
         assert [e["name"] for e in stages] == list(STAGES)
         assert sum(e["dur"] for e in stages) == outer[0]["dur"]
 
+    def test_perfetto_inner_mark_is_an_instant(self):
+        span = make_clean_span()
+        span.marks.insert(3, ("arb-granted", span.marks[2][1] + 40))
+        events = json.loads(spans_to_perfetto([span]))["traceEvents"]
+        stages = [e for e in events if e.get("cat") == "stage"]
+        assert [e["name"] for e in stages] == list(STAGES)
+        assert sum(e["dur"] for e in stages) == _us_of(span.duration_ns)
+        mark, = [e for e in events if e.get("cat") == "mark"]
+        assert (mark["name"], mark["ph"], mark["ts"]) == (
+            "arb-granted", "i", _us_of(span.marks[3][1]))
+
     def test_perfetto_unclean_span_uses_arrow_labels(self):
         span = make_clean_span()
         span.mark("fetched", span.end_ns)
@@ -268,6 +295,19 @@ class TestInstrumentedScenarios:
         assert len(spans) == 1600
         assert all(span.clean for span in spans)
         assert done.telemetry.spans._active == {}
+
+    def test_shared_sq_spans_are_clean(self):
+        """On the noisy rig every SQE goes through the shared SQ's
+        arbiter, so every span carries ``arb-granted``; in a fault-free
+        run each one is clean and its stages sum to its duration."""
+        done = run(RunSpec("noisy", observe={"spans"}, seed=7,
+                           horizon_ns=1_000_000))
+        spans = done.telemetry.spans.finished()
+        assert len(spans) == len(done.telemetry.spans.spans) == 1066
+        assert all("arb-granted" in dict(span.marks) for span in spans)
+        assert done.telemetry.spans.clean_spans() == spans
+        for span in spans:
+            assert sum(span.stage_durations().values()) == span.duration_ns
 
     def test_telemetry_does_not_perturb_timing(self):
         # The acceptance criterion: runs with telemetry off must be
