@@ -204,8 +204,6 @@ def _cmd_staticcheck(args: argparse.Namespace) -> int:
         argv += ["--select", args.select]
     if args.json:
         argv += ["--format", "json"]
-    if args.jobs:
-        argv += ["--jobs", str(args.jobs)]
     if args.stats:
         argv += ["--stats"]
     return staticcheck_main(argv)
@@ -292,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--select", help="comma-separated rule names")
     sc.add_argument("--json", action="store_true",
                     help="machine-readable output")
-    sc.add_argument("--jobs", type=int, default=0,
-                    help="scan files with N worker processes")
     sc.add_argument("--stats", action="store_true",
                     help="print findings-per-rule and timing summary")
     sc.set_defaults(func=_cmd_staticcheck)

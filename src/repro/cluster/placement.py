@@ -123,16 +123,6 @@ class ClusterCoordinator:
         self.scheduler.register(device_id, capacity_lbas)
         self._managers[device_id] = manager
 
-    @property
-    def device_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._managers))
-
-    def manager(self, device_id: int) -> t.Any:
-        return self._managers[device_id]
-
-    def layouts(self) -> tuple[VolumeLayout, ...]:
-        return tuple(self._layouts[n] for n in sorted(self._layouts))
-
     def create_volume(self, name: str, capacity_lbas: int,
                       width: int = 1, replicas: int = 1,
                       stripe_lbas: int = 256) -> VolumeLayout:

@@ -603,16 +603,3 @@ class NvmeManager:
         """Read-only view of the shared QPs (observers, tests)."""
         return self._shared_qps
 
-    def window_map(self) -> dict[int, dict[int, int]]:
-        """Tenant identity per shared-SQ window: ``qid -> {window index
-        -> owning client slot}`` for live tenants.  Lets QoS reports
-        resolve the controller's per-window grant counters back to the
-        client (and host) they served (docs/qos.md)."""
-        out: dict[int, dict[int, int]] = {}
-        for qid in sorted(self._shared_qps):
-            qp = self._shared_qps[qid]
-            wins = {i: ten.slot for i, ten in enumerate(qp.tenants)
-                    if ten is not None and ten.mailbox is not None}
-            if wins:
-                out[qid] = wins
-        return out

@@ -431,9 +431,9 @@ class QueuePair(Commands):
 
     def resync(self) -> int:
         """Skip CQ slots whose CQE writes were lost on the fabric
-        (docs/fault_injection.md, "CQ resync"): scan one lap ahead for
-        entries bearing the phase tag the producer stamped this lap,
-        hand them to the sink in order, stamp the skipped holes with
+        (docs/fault_injection.md, "Recovery machinery"): scan one lap
+        ahead for entries bearing the phase tag the producer stamped this
+        lap, hand them to the sink in order, stamp the skipped holes with
         this lap's tag (left alone they would read as fresh one lap
         later), advance past the gap and ring the CQ doorbell.  The
         holes' own cids are left to their timeouts.  Returns how many

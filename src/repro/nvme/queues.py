@@ -43,10 +43,6 @@ class SubmissionQueueState:
         if self.entries < 2:
             raise QueueError("queue must have at least 2 entries")
 
-    @property
-    def entry_size(self) -> int:
-        return SQE_SIZE
-
     def slot_addr(self, index: int) -> int:
         if not 0 <= index < self.entries:
             raise QueueError(f"SQ{self.qid}: slot {index} out of range")
@@ -113,9 +109,6 @@ class SqWindowState:
 
     def is_empty(self) -> bool:
         return self.head == self.db_tail
-
-    def occupancy(self) -> int:
-        return (self.db_tail - self.head) % self.entries
 
     def slot_addr(self, base_addr: int) -> int:
         """Parent-ring address of the current head entry."""

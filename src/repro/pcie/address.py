@@ -92,9 +92,6 @@ class AddressMap:
                     f"the end of {m.label or m}")
         raise AddressError(f"{self.name}: address {addr:#x} is not mapped")
 
-    def mappings(self) -> tuple[Mapping, ...]:
-        return tuple(self._mappings)
-
     def find_free(self, size: int, start: int, limit: int,
                   alignment: int = 0x1000) -> int:
         """First free base >= start where ``size`` bytes fit below limit."""

@@ -34,10 +34,6 @@ class Bar:
         self.size = size
         self.base: int | None = None  # assigned at install
 
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return (self.base is not None and self.base <= addr
-                and addr + length <= self.base + self.size)
-
     def offset_of(self, addr: int) -> int:
         assert self.base is not None
         return addr - self.base

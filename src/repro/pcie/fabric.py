@@ -71,7 +71,7 @@ from ..sim.resources import Hold, Record
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
-from .ntb import NtbFunction, NtbLinkDown
+from .ntb import NtbFault, NtbFunction
 from .tlp import completion_cost, read_request_cost, write_cost
 from .topology import Cluster, Host, Node
 
@@ -252,7 +252,8 @@ class _Read(Record):
 
 class FabricFaultError(Exception):
     """A non-posted transaction ended in a completion timeout because a
-    fault point on its path was down or dropped the TLP.  Raised to the
+    fault point on its path was down or dropped the TLP, or an NTB on
+    it has no LUT window for the address.  Raised to the
     initiator *after* ``PcieConfig.completion_timeout_ns`` has elapsed,
     mirroring real completion-timeout semantics.  Inside the fabric it
     also carries the point from the probe to a posted write's drop."""
@@ -382,7 +383,8 @@ class Fabric:
         (module docstring) and with the walk's NTB side effects replayed
         — or walked and built, where there is none or it is stale — then
         the fault draws.  Raises :class:`FabricFaultError` naming the
-        severed adapter or fault point that swallows the TLP."""
+        severed adapter, the NTB whose LUT the address misses, or the
+        fault point that swallows the TLP."""
         # hot-path
         flows = self._flows[read]
         key = (initiator, host, addr, length)
@@ -412,8 +414,8 @@ class Fabric:
         if flow is None:
             try:
                 flow = self._build_flow(read, initiator, host, addr, length)
-            except NtbLinkDown as down:
-                raise FabricFaultError(down.point, addr) from None
+            except NtbFault as fault:
+                raise FabricFaultError(fault.point, addr) from None
             # A replay skips NtbFunction.translate, so a flow whose
             # crossings someone watches (mem_event) is walked every time.
             if self._memo and not self.probe.mem_event:

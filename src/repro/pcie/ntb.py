@@ -25,15 +25,23 @@ class NtbError(Exception):
     pass
 
 
-class NtbLinkDown(NtbError):
-    """Raised at resolve time when a transaction would traverse a
-    downed NTB adapter link (fault injection).  The fabric converts it
-    into the hardware behaviour: posted writes vanish, non-posted reads
-    end in a completion timeout."""
+class NtbFault(NtbError):
+    """Raised at resolve time when the NTB ``point`` cannot carry a
+    transaction: its link is down (:class:`NtbLinkDown`), or the address
+    hits no LUT window (a late DMA into a window its owner unmapped).
+    The fabric converts it into the hardware behaviour: posted writes
+    vanish, non-posted reads end in a completion timeout."""
+
+    def __init__(self, point: str, message: str) -> None:
+        super().__init__(message)
+        self.point = point
+
+
+class NtbLinkDown(NtbFault):
+    """An :class:`NtbFault` at a downed adapter link (fault injection)."""
 
     def __init__(self, point: str) -> None:
-        super().__init__(f"NTB link down at {point}")
-        self.point = point
+        super().__init__(point, f"NTB link down at {point}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -126,9 +134,9 @@ class NtbFunction(PCIeFunction):
         offset = bar.offset_of(addr)
         window = self._find_window(offset, length)
         if window is None:
-            raise NtbError(
-                f"{self.name}: access at BAR offset {offset:#x} (+{length}) "
-                f"hits no LUT window")
+            raise NtbFault(
+                self.name, f"{self.name}: access at BAR offset {offset:#x} "
+                f"(+{length}) hits no LUT window")
         self.translations += 1
         self.bytes_forwarded += length
         for f in self.probe.mem_event:

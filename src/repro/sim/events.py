@@ -185,9 +185,6 @@ class Event:
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.sim, [self, other])
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
 
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation.

@@ -13,8 +13,8 @@ invariant hold everywhere:
 
 ``python -m repro.staticcheck <paths>`` (or ``repro staticcheck``) parses
 every Python file once and runs each registered rule over the shared AST.
-Findings can be silenced per-line with ``# staticcheck: ignore[rule]`` or
-accepted wholesale in a baseline file; see ``docs/static_analysis.md``.
+Findings are silenced per line with ``# staticcheck: ignore[rule]``;
+see ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

@@ -29,11 +29,9 @@ class Finding:
         }
 
     def fingerprint(self) -> str:
-        """Location-insensitive identity used by the baseline file.
-
-        Hashes the rule, file and *stripped source text* rather than the
-        line number, so unrelated edits above a baselined finding do not
-        invalidate the baseline entry.
-        """
+        """Location-insensitive identity, the JSON output's
+        ``fingerprint``: a hash of the rule, file and *stripped source
+        text* rather than the line number, so unrelated edits above a
+        finding do not change it."""
         blob = "\x1f".join((self.rule, self.path, self.source_line.strip()))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -9,7 +9,6 @@ import pathlib
 import sys
 import typing as t
 
-from . import baseline as baseline_mod
 from .findings import Finding
 from .registry import all_rules, get_rule
 from .rule import FileContext, Rule
@@ -88,45 +87,17 @@ def check_file(path: pathlib.Path, rules: t.Sequence[Rule]
     return findings
 
 
-def _check_one(path_str: str,
-               rule_names: t.Sequence[str] | None) -> list[Finding]:
-    """Process-pool worker: rules are re-resolved by name in the child
-    (rule instances need not pickle; findings do)."""
-    rules = ([get_rule(name) for name in rule_names]
-             if rule_names is not None else all_rules())
-    return check_file(pathlib.Path(path_str), rules)
-
-
 def run(paths: t.Sequence[str | pathlib.Path],
         select: t.Sequence[str] | None = None,
-        baseline: str | pathlib.Path | None = None,
-        jobs: int = 0,
         ) -> tuple[list[Finding], int]:
     """Check ``paths``; returns ``(findings, files_checked)``.
 
-    ``select`` limits the run to the named rules; ``baseline`` filters
-    out findings whose fingerprint the baseline file accepts.  With
-    ``jobs`` > 1 files are scanned by a process pool; results keep the
-    serial (sorted-file) order, so output is identical either way.
-    """
+    ``select`` limits the run to the named rules."""
     rules = ([get_rule(name) for name in select] if select
              else all_rules())
-    accepted = baseline_mod.load(baseline) if baseline else set()
     files = list(iter_python_files(paths))
-    if jobs and jobs > 1 and len(files) > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs) as pool:
-            # map() yields in submission order — determinism is free.
-            batches = list(pool.map(
-                _check_one, [path.as_posix() for path in files],
-                [tuple(select) if select else None] * len(files),
-                chunksize=max(1, len(files) // (4 * jobs))))
-    else:
-        batches = [check_file(path, rules) for path in files]
-    findings = [finding for batch in batches for finding in batch
-                if finding.fingerprint() not in accepted]
-    return findings, len(files)
+    return ([finding for path in files
+             for finding in check_file(path, rules)], len(files))
 
 
 def _list_rules() -> str:
@@ -146,15 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run only the named rules")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="fmt")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="accept findings recorded in this baseline")
-    parser.add_argument("--update-baseline", metavar="FILE",
-                        help="write current findings to FILE and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="scan files with N worker processes "
-                             "(0/1 = serial; order-identical output)")
     parser.add_argument("--stats", action="store_true",
                         help="print findings-per-rule, file count and "
                              "scan time")
@@ -196,18 +160,12 @@ def main(argv: t.Sequence[str] | None = None,
     import time
     start = time.perf_counter()  # staticcheck: ignore[no-wallclock] tool timing, not sim state
     try:
-        findings, nfiles = run(args.paths, select=select,
-                               baseline=args.baseline, jobs=args.jobs)
+        findings, nfiles = run(args.paths, select=select)
     except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_ERROR
     elapsed = time.perf_counter() - start  # staticcheck: ignore[no-wallclock] tool timing, not sim state
     stats = _stats_summary(findings, nfiles, elapsed)
-    if args.update_baseline:
-        count = baseline_mod.write(args.update_baseline, findings)
-        print(f"wrote {count} fingerprint(s) to {args.update_baseline}",
-              file=out)
-        return EXIT_CLEAN
     if args.fmt == "json":
         payload = {"files_checked": nfiles,
                    "findings": [f.to_json() for f in findings]}

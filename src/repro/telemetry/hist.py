@@ -34,8 +34,6 @@ label the driver client assigned.
 
 from __future__ import annotations
 
-import typing as t
-
 #: default sub-bucket resolution: 2**7 = 128 linear buckets per octave
 #: below 128 ns, 64 per octave above -> <= 1.5625 % relative error.
 DEFAULT_SUB_BITS = 7
@@ -188,16 +186,6 @@ class LogHistogram:
             rank = self._ranks[limit] = self.rank_le(value) - open_window
         return rank + open_window
 
-    @property
-    def minimum(self) -> int:
-        """Upper bound of the smallest occupied bucket (0 when empty)."""
-        return self.bucket_upper(min(self.counts)) if self.counts else 0
-
-    @property
-    def maximum(self) -> int:
-        """Upper bound of the largest occupied bucket (0 when empty)."""
-        return self.bucket_upper(max(self.counts)) if self.counts else 0
-
     # -- merge / diff ------------------------------------------------------
 
     def _check_compatible(self, other: "LogHistogram") -> None:
@@ -239,10 +227,6 @@ class LogHistogram:
         out.count = self.count - earlier.count
         out.total = self.total - earlier.total
         return out
-
-    def as_dict(self) -> dict[str, t.Any]:
-        return {"sub_bits": self.sub_bits, "count": self.count,
-                "total": self.total, "buckets": self.buckets()}
 
 
 #: histogram key: (tenant, op, device)

@@ -118,11 +118,6 @@ class PatternResult:
     def iops(self) -> float:
         return self.ios / (self.elapsed_ns / 1e9) if self.elapsed_ns else 0.0
 
-    @property
-    def bandwidth_bytes_per_s(self) -> float:
-        return (self.bytes_moved / (self.elapsed_ns / 1e9)
-                if self.elapsed_ns else 0.0)
-
 
 def pattern_generator(device: BlockDevice, profile: MixedBlockProfile,
                       total_ios: int,

@@ -788,6 +788,11 @@ class TestRecordsMatchTheGenerators:
              ops=[(0, 0, "write", 8, k) for k in range(6)],
              qd=2, clamps=[], timeouts=True, faults=[],
              end=("shutdown", 2_000), iommu=True, interrupts=False)
+    # the read's data DMA lands after the shutdown unmapped its window:
+    # dropped at the NTB, not raised out of the run
+    @example(stack="shared", ops=[(0, 0, "read", 1, 0)], qd=1, clamps=[],
+             timeouts=False, faults=[], end=("shutdown", 1851), iommu=False,
+             interrupts=False)
     def test_same_requests_as_the_generators(self, stack, ops, qd, clamps,
                                              timeouts, faults, end, iommu,
                                              interrupts):

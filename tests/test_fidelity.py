@@ -9,10 +9,9 @@ run; each one also renders the EXPERIMENTS.md table it owns, between
 ``<!-- fidelity:NAME -->`` and ``<!-- /fidelity:NAME -->``.
 
 Modeled output is seeded and machine-independent, so those tables are
-checked exactly (:func:`test_experiments_md_is_current`), and one
-command rewrites them (``PYTHONPATH=src`` in a checkout not installed)::
-
-    python tests/test_fidelity.py
+checked exactly (:func:`test_experiments_md_is_current`), and
+``python -m tests.docblocks`` rewrites them with every other generated
+doc block.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import dataclasses
 import functools
 import itertools
 import pathlib
-import re
 import typing as t
 
 import numpy as np
@@ -43,6 +41,9 @@ from repro.units import KiB
 from repro.workloads import (PROFILES, FioJob, ZipfianAccess, fio_generator,
                              run_fio, run_fio_many, run_pattern)
 
+from .docblocks import Producer, names, render
+from .docblocks import md_table as _md
+
 DOC = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 ABLATION = "ablation, not a paper claim"
 
@@ -53,12 +54,6 @@ EXPERIMENTS: dict[str, t.Callable[[], tuple[dict[str, t.Any], str]]] = {}
 def experiment(fn):
     EXPERIMENTS[fn.__name__] = functools.cache(fn)
     return EXPERIMENTS[fn.__name__]
-
-
-def _md(headers: t.Sequence[str], rows: t.Iterable[t.Sequence]) -> str:
-    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-    lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-    return "\n".join(lines)
 
 
 def _us(ns: float) -> str:
@@ -693,24 +688,15 @@ def rows_table() -> str:
                  f"`{row.band}`"] for row in ROWS])
 
 
-_BLOCK = re.compile(r"(<!-- fidelity:(\w+) -->\n).*?(<!-- /fidelity:\2 -->)",
-                    re.S)
-
-
-def render(text: str) -> str:
-    """``text`` with every marked block regenerated."""
-    return _BLOCK.sub(lambda m: m[1] + (
-        rows_table() if m[2] == "rows" else EXPERIMENTS[m[2]]()[1])
-        + "\n" + m[3],
-        text)
+#: EXPERIMENTS.md's generated blocks (tests/docblocks.py)
+BLOCKS: dict[str, Producer] = {
+    "fidelity:rows": lambda _body: rows_table(),
+    **{f"fidelity:{name}": lambda _body, run=run: run()[1]
+       for name, run in EXPERIMENTS.items()}}
 
 
 def test_experiments_md_is_current() -> None:
     text = DOC.read_text()
-    assert {m[2] for m in _BLOCK.finditer(text)} == {"rows", *EXPERIMENTS}
-    assert render(text) == text, \
-        "EXPERIMENTS.md is stale: run python tests/test_fidelity.py"
-
-
-if __name__ == "__main__":
-    DOC.write_text(render(DOC.read_text()))
+    assert names(text) == set(BLOCKS)
+    assert render(text, BLOCKS) == text, \
+        "EXPERIMENTS.md is stale: run python -m tests.docblocks"

@@ -11,8 +11,8 @@ import pytest
 
 import repro
 from repro.config import PcieConfig
-from repro.pcie import (AddressError, Bar, Cluster, Fabric, NtbError,
-                        NtbFunction, PCIeFunction, TopologyError)
+from repro.pcie import (AddressError, Bar, Cluster, Fabric, FabricFaultError,
+                        NtbError, NtbFunction, PCIeFunction, TopologyError)
 from repro.sim import Interrupt, Process, Simulator, Tracer
 from repro.sim.resources import Hold
 from repro.units import MiB
@@ -220,19 +220,48 @@ class TestNtbWindows:
         assert scratch.backing[0x40] == 0x99
 
     def test_access_outside_window_raises(self, env):
+        """A read whose address misses every LUT window is a fault at
+        that NTB: it fails after the completion timeout."""
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
+        remote = devhost.alloc_dma(4096)
+        ntb_b.map_window(devhost, remote, 4096)
+        # aperture is mapped, but only [window, +4096) has a LUT entry
+        unmapped = ntb_b.bars[0].base + 8 * MiB
+
+        def proc(sim):
+            yield fabric.read(client.rc, client, unmapped, 8)
+
+        sim.process(proc(sim))
+        with pytest.raises(FabricFaultError, match="ntb-b"):
+            sim.run()
+        assert sim.now == fabric.config.completion_timeout_ns
+        assert fabric.timed_out_reads == 1 and fabric.reads == 0
+
+    def test_late_write_into_an_unmapped_window_is_dropped(self, env):
+        """A posted write into a window its owner has unmapped (a DMA
+        landing after a shutdown) vanishes at that NTB, counted and
+        reported; an address no map routes still raises."""
         sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
         remote = devhost.alloc_dma(4096)
         window = ntb_b.map_window(devhost, remote, 4096)
-        bar_base = ntb_b.bars[0].base
-        # aperture is mapped, but only [window, +4096) has a LUT entry
-        unmapped = bar_base + 8 * MiB
+        done = []
 
-        def proc(sim):
-            yield fabric.write(client.rc, client, unmapped, b"x")
+        class Log:
+            def on_tlp_done(self, fabric, read, addr, size, res, lost_at):
+                done.append((read, addr, size, res, lost_at))
 
-        sim.process(proc(sim))
-        with pytest.raises(NtbError):
-            sim.run()
+        sim.probe.subscribe(Log())
+        fabric.post_write(client.rc, client, window, b"a" * 64)
+        sim.run()
+        ntb_b.unmap_window(window)
+        assert fabric.post_write(client.rc, client, window,
+                                 b"b" * 64).callbacks is None
+        sim.run()
+        assert devhost.memory.read(remote, 64) == b"a" * 64
+        assert fabric.dropped_writes == 1 and fabric.posted_writes == 1
+        assert done[-1] == (False, window, 64, None, "ntb-b")
+        with pytest.raises(AddressError):
+            fabric.post_write(client.rc, client, 1 << 60, b"x")
 
     def test_unmap_window(self, env):
         sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env

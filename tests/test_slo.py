@@ -630,6 +630,21 @@ class TestZeroPerturbation:
                            for path in watched.rig.subclients) > 0
 
 
+class TestRunSummary:
+    def test_noisy_summary_names_roles_policy_and_throttle(self):
+        # The CLI's summary of a noisy run: which tenant is which, the
+        # policy the controllers were built with, what the throttle did.
+        done = run(RunSpec("noisy", seed=7, horizon_ns=300_000,
+                           policy="wfq", observe={"slo"}, throttle=True))
+        summary = done.summary()
+        roles = [t["role"] for t in summary["tenants"].values()]
+        assert roles == ["aggressor"] + ["bystander"] * 3
+        assert summary["policy"] == done.policy == "wfq"
+        assert summary["throttle"]["clamped"] == ["host1"]
+        assert all(t["errors"] == 0 and t["issued"] == t["completed"]
+                   for t in summary["tenants"].values())
+
+
 class TestSamplerInterval:
     def test_interval_reaches_the_sampler_through_the_spec(self):
         # At 65c7b56 enable_slo created the sampler at the hub's 1 ms
