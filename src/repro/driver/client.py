@@ -231,7 +231,10 @@ class DistributedNvmeClient(BlockDevice):
         self.crashed = False
         self.qid: int | None = None
         self._ref = None
+        #: what start() takes and shutdown() gives back
         self._meta_conn: RemoteSegment | None = None
+        self._sq_conn = self._cq_conn = None
+        self._sq_seg = self._cq_seg = self._bounce_seg = self._irq_seg = None
         #: the completion-notice loop: the pair's (a record), or the
         #: device-side-CQ ablation's process; both stop on interrupt()
         self._notice: t.Any = None
@@ -437,7 +440,7 @@ class DistributedNvmeClient(BlockDevice):
         """
         from ..nvme.registers import MSIX_ENTRY_SIZE, MSIX_TABLE_OFFSET
 
-        mailbox_seg = self.smartio.alloc_segment_placed(
+        self._irq_seg = mailbox_seg = self.smartio.alloc_segment_placed(
             self.node, self.device_id, 4096, Placement.CPU_SIDE)
         self._irq_mailbox = mailbox_seg.phys_addr
         mailbox_dev = self._ref.map_segment_for_device(mailbox_seg)
@@ -457,7 +460,8 @@ class DistributedNvmeClient(BlockDevice):
         Orderly teardown: stop the completion poller and the heartbeat,
         fail whatever is still in flight with ``STATUS_HOST_SHUTDOWN``
         (the waiters observe a distinct host-side status, never a
-        hang), then release the queue pair.
+        hang), then release the queue pair, the device reference, the
+        connections (their NTB windows) and the segments (their DRAM).
         """
         self._running = False
         self._stop_workers()
@@ -471,6 +475,13 @@ class DistributedNvmeClient(BlockDevice):
         if self._ref is not None:
             self._ref.release()
             self._ref = None
+            for conn in (self._meta_conn, self._sq_conn, self._cq_conn):
+                if conn is not None:
+                    conn.disconnect()
+            for seg in (self._sq_seg, self._cq_seg, self._bounce_seg,
+                        self._irq_seg):
+                if seg is not None:
+                    seg.remove()
 
     def crash(self) -> None:
         """Surprise removal (paper Sec. IV): the host dies without any

@@ -68,8 +68,9 @@ class RangeAllocator:
             f"{self.name}: no room for {length} bytes "
             f"(free={self.free_bytes}, largest runs={self._free[:3]})")
 
-    def free(self, addr: int) -> None:
-        """Release an allocation, coalescing adjacent free runs."""
+    def free(self, addr: int) -> int:
+        """Release an allocation, coalescing adjacent free runs; returns
+        its length."""
         length = self._allocated.pop(addr, None)
         if length is None:
             raise ValueError(f"{self.name}: {addr:#x} was not allocated here")
@@ -87,6 +88,7 @@ class RangeAllocator:
             s, l = self._free[i]
             if s0 + l0 == s:
                 self._free[i - 1: i + 1] = [(s0, l0 + l)]
+        return length
 
     def owns(self, addr: int) -> bool:
         return addr in self._allocated

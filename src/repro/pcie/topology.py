@@ -108,7 +108,13 @@ class Host:
         return self.dram_alloc.alloc(size, alignment)
 
     def free_dma(self, addr: int) -> None:
-        self.dram_alloc.free(addr)
+        """Free an :meth:`alloc_dma` range.  It comes back zeroed, as
+        ``dma_alloc_coherent`` memory does, so a ring built on it holds
+        no stale entry: cleared in the store, with no probe event and no
+        model time."""
+        length = self.dram_alloc.free(addr)
+        offset = addr - self.memory.base
+        self.memory._bytes[offset: offset + length] = bytes(length)
 
     def assign_bar(self, size: int, target: t.Any, label: str) -> int:
         """Assign an MMIO range for a BAR (enumeration-time behaviour)."""

@@ -74,7 +74,7 @@ class IbLink:
         a process (the NIC's records ride :meth:`plan` and their own
         timers)."""
         yield self.plan(src, dst, nbytes).hold()
-        yield self.sim.sleep(self.config.wire_latency_ns)
+        yield self.sim.timeout(self.config.wire_latency_ns)
 
 
 class RdmaNic(PCIeFunction):

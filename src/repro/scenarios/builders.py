@@ -23,8 +23,6 @@ on the NTB fabric is :func:`~.rig.build_rig` with different arguments.
 
 from __future__ import annotations
 
-import typing as t
-
 from ..config import (MediaConfig, QosConfig, ReliabilityConfig,
                       SimulationConfig, replace)
 from ..driver import StockNvmeDriver
@@ -228,7 +226,6 @@ def chaos_cluster(n_clients: int = 4,
                   queue_depth: int = 8,
                   queue_entries: int = 64,
                   reliability: ReliabilityConfig | None = None,
-                  trace_categories: t.Collection[str] | None = None,
                   telemetry: bool = False,
                   sharing: str = "auto",
                   sanitizer: bool = False) -> Rig:
@@ -247,20 +244,18 @@ def chaos_cluster(n_clients: int = 4,
                      sharing=sharing, telemetry=telemetry,
                      sanitizer=sanitizer, faults=True, plan=plan,
                      reliability=reliability,
-                     trace_categories=trace_categories,
                      queue_entries=queue_entries)
 
 
 def cluster(n_clients: int = 8, n_devices: int = 2,
             width: int = 1, replicas: int = 1,
-            stripe_lbas: int = 128, volume_lbas: int = 1 << 20,
+            stripe_lbas: int = 128,
             config: SimulationConfig | None = None,
             seed: int | None = None, queue_depth: int = 16,
             sharing: str = "auto",
             telemetry: bool = False, sanitizer: bool = False,
             faults: bool = False, plan: FaultPlan | None = None,
-            reliability: ReliabilityConfig | None = None,
-            trace_categories: t.Collection[str] | None = None) -> Rig:
+            reliability: ReliabilityConfig | None = None) -> Rig:
     """N controllers in hosts ``0..n_devices-1``, clients behind them.
 
     Every client host gets one volume, placed by the least-loaded
@@ -282,12 +277,11 @@ def cluster(n_clients: int = 8, n_devices: int = 2,
                      label="cluster", n_devices=n_devices,
                      volumes={"width": width, "replicas": replicas,
                               "stripe_lbas": stripe_lbas,
-                              "capacity_lbas": volume_lbas},
+                              "capacity_lbas": 1 << 20},
                      config=cfg, seed=seed, queue_depth=queue_depth,
                      sharing=sharing, telemetry=telemetry,
                      sanitizer=sanitizer, faults=faults, plan=plan,
-                     reliability=reliability,
-                     trace_categories=trace_categories)
+                     reliability=reliability)
 
 
 def cluster_scale_out(n_clients: int = 64, n_devices: int = 4,

@@ -152,7 +152,6 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
               telemetry: bool = False, sanitizer: bool = False,
               faults: bool = False, plan: FaultPlan | None = None,
               reliability: ReliabilityConfig | None = None,
-              trace_categories: t.Collection[str] | None = None,
               **client_kwargs) -> Rig:
     """Controllers (each with its manager) in hosts ``0..n_devices-1``,
     one client in every host of ``client_hosts``.
@@ -170,8 +169,8 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
     """
     if n_devices < 1:
         raise ValueError("need at least one device")
-    if not faults and (plan is not None or trace_categories is not None):
-        raise ValueError("plan= and trace_categories= need faults=True")
+    if not faults and plan is not None:
+        raise ValueError("plan= needs faults=True")
     cfg = config or SimulationConfig()
     if reliability is not None:
         cfg = dataclasses.replace(cfg, reliability=reliability)
@@ -187,8 +186,7 @@ def build_rig(client_hosts: t.Sequence[int], *, label: str = "",
     rig = Rig(label, bed.sim, bed, clients=[], controllers=controllers)
 
     if faults:
-        rig.tracer = bed.sim.probe.subscribe(
-            Tracer(bed.sim, categories=trace_categories))
+        rig.tracer = bed.sim.probe.subscribe(Tracer(bed.sim))
         rig.registry = registry = FaultPointRegistry(bed.sim)
         for host, ntb in zip(bed.hosts, bed.ntbs):
             registry.register(f"link:{host.name}", obj=ntb)

@@ -108,33 +108,6 @@ class Simulator:
     def timeout(self, delay: int, value: t.Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: int) -> Event:
-        """:meth:`timeout` for ``yield sim.sleep(ns)``, minus the
-        allocation: a running process gets its own timer armed again —
-        at the end of its instant's list, like any NORMAL push — and
-        already subscribed with its resume, so it yields the result at
-        once and neither keeps it nor hands it to ``any_of``/``all_of``
-        (staticcheck rule ``sleep-discipline``; :meth:`timeout` is the
-        event for those).  Outside a process, or while that timer is
-        still armed (a sleep never yielded, or interrupted and not yet
-        off the queue), the result is a plain :class:`Timeout`."""
-        # hot-path
-        process = self._active_process
-        if process is not None and type(delay) is int and delay >= 0:
-            timer = process._timer
-            if timer.callbacks is None:
-                timer.callbacks = [process._resume]
-                timer._processed = False
-                when = self._now + delay
-                at = self._at
-                if when in at:
-                    at[when].append(timer)
-                else:
-                    at[when] = [timer]
-                    heappush(self._times, when)
-                return timer
-        return Timeout(self, delay)
-
     def process(self, generator: t.Generator,
                 detached: bool = False) -> Process:
         """Start a new process from a generator (``detached``: see

@@ -10,8 +10,7 @@ is owned by :class:`repro.sim.core.Simulator`, whose queue orders events
 by ``(instant, priority, FIFO position)``: a push lands behind every
 event already due at the same instant and priority.
 
-One-shot for everyone but an owner: a *timer* — the sleep timer of a
-:class:`~repro.sim.process.Process`, a release timer of a
+One-shot for everyone but an owner: a *timer* — a release timer of a
 :class:`~repro.sim.resources.HoldPlan`, the timer of a transaction
 :class:`~repro.sim.resources.Record` — is a plain event whose outcome
 never changes (``None``, ok) and which its one owner arms again whenever
@@ -20,10 +19,10 @@ arming is ``callbacks = [...]``, ``_processed = False`` and one push to
 the end of its instant's list — legal inside the timer's own dispatch,
 where the run loop has already detached the callback list and goes on to
 read only ``_ok``/``_defused``.  An owner that finds its timer armed
-uses a fresh event instead; whoever is handed a timer waits on it at
-once and keeps no reference (staticcheck rule ``sleep-discipline``).  A
-process's sleep timer is armed already subscribed with the process's
-resume, so the yield that follows appends nothing.
+uses a fresh event instead; whoever is handed a timer (a process
+yielding :meth:`~repro.sim.resources.HoldPlan.hold`) waits on it at
+once and keeps no reference.  A process waits on time with
+``sim.timeout``.
 
 The constructors and :meth:`Event._process` are the innermost loops of
 the whole simulator (every timeout, resource grant and process switch

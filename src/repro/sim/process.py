@@ -36,7 +36,7 @@ class Process(Event):
     through the queue like any other process.
     """
 
-    __slots__ = ("_generator", "_target", "_timer", "name", "_detached")
+    __slots__ = ("_generator", "_target", "name", "_detached")
 
     def __init__(self, sim: "Simulator", generator: t.Generator,
                  name: str | None = None, detached: bool = False) -> None:
@@ -45,8 +45,9 @@ class Process(Event):
         except AttributeError:
             raise TypeError(
                 f"process requires a generator, got {generator!r}") from None
-        # hot-path: inline Event field init (every command and block
-        # request spawns a process, so construction is on the data path).
+        # Event field init inline, as in Timeout.__init__.  No command
+        # or block request spawns a process (they are records): processes
+        # are setup, RPC polling and control loops.
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -58,10 +59,8 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current instant, ahead of normal events, so a
         # newly spawned process observes the state that existed when it
-        # was spawned (the URGENT lane of the queue).  The boot event is
-        # the first arming of the timer Simulator.sleep() arms for this
-        # process from then on, subscribed with _resume (events.py).
-        self._timer = self._target = boot = Event.__new__(Event)
+        # was spawned (the URGENT lane of the queue).
+        self._target = boot = Event.__new__(Event)
         boot.sim = sim
         boot.callbacks = [self._resume]
         boot._value = None
@@ -116,25 +115,13 @@ class Process(Event):
             self._detach()
             self._resume(kick)
 
-    def _unsubscribe_timer(self) -> None:
-        """The process parks on something other than its armed sleep
-        timer, or ends: a ``sleep()`` it did not yield (staticcheck rule
-        ``sleep-discipline``) must not resume it when the timer fires."""
-        try:
-            self._timer.callbacks.remove(self._resume)
-        except ValueError:
-            pass
-
     # -- driving the generator ------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         # hot-path: every yield in every process funnels through here,
         # so the generator is hoisted and the yielded target is probed
         # with attribute access instead of isinstance (non-events
-        # surface as AttributeError on the error path).  No bound
-        # method is built per call: ``send`` is called as a method, and
-        # ``self._resume`` only to subscribe to an event other than the
-        # process's own timer.
+        # surface as AttributeError on the error path).
         sim = self.sim
         generator = self._generator
         sim._active_process = self
@@ -147,8 +134,6 @@ class Process(Event):
                     target = generator.throw(
                         t.cast(BaseException, event._value))
             except StopIteration as stop:
-                if self._timer.callbacks:
-                    self._unsubscribe_timer()
                 if self._detached and not self.callbacks:
                     self._value = stop.value
                     self._processed = True
@@ -157,8 +142,6 @@ class Process(Event):
                     self.succeed(stop.value)
                 break
             except BaseException as exc:
-                if self._timer.callbacks:
-                    self._unsubscribe_timer()
                 self.fail(exc)
                 break
 
@@ -181,10 +164,7 @@ class Process(Event):
 
             if callbacks is None:  # pragma: no cover - defensive
                 raise RuntimeError("target event is being processed")
-            if target is not self._timer:   # else sleep() subscribed us
-                callbacks.append(self._resume)
-                if self._timer.callbacks:
-                    self._unsubscribe_timer()
+            callbacks.append(self._resume)
             self._target = target
             break
         sim._active_process = None

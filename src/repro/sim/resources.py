@@ -187,8 +187,8 @@ class HoldPlan:
     def take(self) -> Event | None:
         """Claim every resource now if all are free (no grant event) and
         start the release timers, else claim nothing (None).  Returns
-        the last timer for the caller to ride like a ``sim.sleep``: it
-        fires once ``fill`` has elapsed, after its releases."""
+        the last timer for the caller to wait on at once: it fires once
+        ``fill`` has elapsed, after its releases."""
         # hot-path: one call per TLP, not one per link
         resources = self.resources
         for resource in resources:
@@ -353,7 +353,7 @@ class Record(Hold):
       step: it runs at this instant, after the rest of the constructing
       callback and ahead of every NORMAL event still due.
     * A delay, :meth:`_arm`, pushes the owned timer to the end of its
-      instant's list, as ``sim.sleep`` does.
+      instant's list, as ``sim.timeout`` does.
     * A hold of unknown length, :meth:`_take`, claims a unit with the
       owned timer as its grant event, queued as ``request()`` queues one.
     * Links: :meth:`HoldPlan.take`'s release timer, subscribed with the
@@ -421,7 +421,7 @@ class Record(Hold):
     def _arm(self, delay: int, step: t.Callable[[Event], None]) -> None:
         """Run ``step`` once ``delay`` has elapsed: the owned timer,
         armed and pushed to the end of its instant's list."""
-        # hot-path: Simulator.sleep's push, inline
+        # hot-path: Timeout's push, inline
         timer = self._timer
         timer.callbacks = [step]
         timer._processed = False

@@ -243,8 +243,10 @@ class LatencyHistograms:
     fast it failed.
     """
 
-    def __init__(self, sub_bits: int = DEFAULT_SUB_BITS) -> None:
-        self.sub_bits = sub_bits
+    #: the bucket resolution of every histogram
+    sub_bits = DEFAULT_SUB_BITS
+
+    def __init__(self) -> None:
         self._hists: dict[HistKey, LogHistogram] = {}
         self._errors: dict[HistKey, int] = {}
 

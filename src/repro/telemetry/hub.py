@@ -27,8 +27,7 @@ from .perfetto import spans_to_perfetto
 from .prometheus import registry_to_prometheus
 from .slo import SloEngine, SloSpec
 from .spans import IoSpan, SpanRecorder
-from .timeseries import (DEFAULT_CAPACITY, DEFAULT_INTERVAL_NS, SeriesBank,
-                         TelemetrySampler)
+from .timeseries import DEFAULT_INTERVAL_NS, SeriesBank, TelemetrySampler
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -103,16 +102,13 @@ class Telemetry:
 
     # -- time-series / SLO opt-ins -----------------------------------------
 
-    def enable_histograms(self, sub_bits: int | None = None
-                          ) -> LatencyHistograms:
+    def enable_histograms(self) -> LatencyHistograms:
         """Turn on per-(tenant, op, device) latency histograms."""
         if self.hists is None:
-            self.hists = (LatencyHistograms(sub_bits)
-                          if sub_bits is not None else LatencyHistograms())
+            self.hists = LatencyHistograms()
         return self.hists
 
     def enable_sampler(self, interval_ns: int | None = None,
-                       capacity: int = DEFAULT_CAPACITY,
                        start: bool = True) -> TelemetrySampler:
         """Turn on the windowed time-series sampler with the default
         source set (component gauges/rates plus, when histograms are
@@ -124,7 +120,7 @@ class Telemetry:
         if self.sampler is None:
             self.sampler = TelemetrySampler(
                 self.sim, DEFAULT_INTERVAL_NS if interval_ns is None
-                else interval_ns, capacity)
+                else interval_ns)
             self.sampler.add_source(self._sample_components)
             self.sampler.add_source(self._sample_hists)
         elif interval_ns is not None:

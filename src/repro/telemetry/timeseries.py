@@ -160,10 +160,9 @@ class TelemetrySampler:
     """
 
     def __init__(self, sim: "Simulator",
-                 interval_ns: int = DEFAULT_INTERVAL_NS,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
+                 interval_ns: int = DEFAULT_INTERVAL_NS) -> None:
         self.sim = sim
-        self.bank = SeriesBank(capacity)
+        self.bank = SeriesBank()
         self.ticks = 0
         self._sources: list[t.Callable[[SeriesBank, int], None]] = []
         self._proc: t.Any = None

@@ -150,7 +150,7 @@ def reference_poll(self, stream, interval_ns):
                 except IndexError:
                     delay = jitter.refill()
                 if delay:
-                    yield sim.sleep(delay)
+                    yield sim.timeout(delay)
     except Interrupt:
         return
     finally:
@@ -165,7 +165,7 @@ def reference_on_interrupt(self, mailbox, irq_ns):
     try:
         while self.running:
             yield wait()
-            yield sim.sleep(irq_ns)
+            yield sim.timeout(irq_ns)
             self.drain()
     except Interrupt:
         return
@@ -181,10 +181,10 @@ def reference_response_handler(self):
         completions = recv_cq.poll()
         if not completions:
             yield recv_cq.signal.wait()
-            yield self.sim.sleep(cfg.host.interrupt_latency_ns)
+            yield self.sim.timeout(cfg.host.interrupt_latency_ns)
             continue
         for wc in completions:
-            yield self.sim.sleep(cfg.rdma.cq_poll_ns)
+            yield self.sim.timeout(cfg.rdma.cq_poll_ns)
             raw = self.host.memory.read(wc.wr_id, wc.byte_len)
             rsp = ResponseCapsule.unpack(raw)
             self.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
@@ -267,7 +267,7 @@ class ReferenceClient(ReferenceBlockLayer, DistributedNvmeClient):
                   if request.op != "flush" else 0)
         if nbytes > self._part_size:
             raise BlockError("request exceeds the bounce partition")
-        yield self.sim.sleep(cfg.block_submit_ns + cfg.dist_submit_ns)
+        yield self.sim.timeout(cfg.block_submit_ns + cfg.dist_submit_ns)
         part = yield self._parts.get()
         list_local = self._bounce_seg.phys_addr + part * self._part_stride
         list_device = self._bounce_dev_addr + part * self._part_stride
@@ -277,7 +277,7 @@ class ReferenceClient(ReferenceBlockLayer, DistributedNvmeClient):
             yield self.sim.timeout(cfg.iommu_map_ns)
         if request.op in BlockRequest.DATA_OUT_OPS:
             if self.data_path == "bounce":
-                yield self.sim.sleep(self._memcpy_ns(nbytes))
+                yield self.sim.timeout(self._memcpy_ns(nbytes))
             self.node.host.memory.write(part_local, request.data)
         sqe = io_sqe(request, self.nsid)
         if request.op in BlockRequest.DATA_OPS:
@@ -285,11 +285,11 @@ class ReferenceClient(ReferenceBlockLayer, DistributedNvmeClient):
                 part_device, nbytes, list_device,
                 lambda blob: self.node.host.memory.write(list_local, blob))
         cqe = yield from reference_execute(self._qp, sqe, request)
-        yield self.sim.sleep(cfg.dist_complete_ns)
+        yield self.sim.timeout(cfg.dist_complete_ns)
         request.status = cqe.status
         if request.op == "read" and cqe.ok:
             if self.data_path == "bounce":
-                yield self.sim.sleep(self._memcpy_ns(nbytes))
+                yield self.sim.timeout(self._memcpy_ns(nbytes))
             request.result = self.node.host.memory.read(part_local, nbytes)
         if self.data_path == "iommu":
             yield self.sim.timeout(cfg.iommu_unmap_ns)
@@ -301,7 +301,7 @@ class ReferenceLocal(ReferenceBlockLayer):
 
     def _driver_submit(self, request):
         assert self._qp is not None, "driver not started"
-        yield self.sim.sleep(self.submit_ns)
+        yield self.sim.timeout(self.submit_ns)
         nbytes = request.nblocks * self.lba_bytes
         sqe = io_sqe(request)
         alloc = buf = 0
@@ -315,7 +315,7 @@ class ReferenceLocal(ReferenceBlockLayer):
                 lambda blob: self.host.memory.write(alloc, blob))
         cqe = yield from reference_execute(self._qp, sqe, request)
         if self.wake_ns:
-            yield self.sim.sleep(self.wake_ns)
+            yield self.sim.timeout(self.wake_ns)
         request.status = cqe.status
         if request.op == "read" and cqe.ok:
             request.result = self.host.memory.read(buf, nbytes)
@@ -341,7 +341,7 @@ class ReferenceInitiator(ReferenceBlockLayer, NvmeofInitiator):
                   if request.op != "flush" else 0)
         if nbytes > SLOT_DATA_BYTES:
             raise BlockError("request exceeds the initiator slot size")
-        yield self.sim.sleep(host_cfg.block_submit_ns
+        yield self.sim.timeout(host_cfg.block_submit_ns
                              + cfg.initiator_submit_ns)
         slot = yield self._slots.get()
         data_addr = slot.addr + 8192
@@ -356,10 +356,10 @@ class ReferenceInitiator(ReferenceBlockLayer, NvmeofInitiator):
         elif request.op == "read":
             capsule.buffer_addr = data_addr
             capsule.rkey = slot.mr.rkey
-        yield self.sim.sleep(self.config.rdma.post_wqe_ns
+        yield self.sim.timeout(self.config.rdma.post_wqe_ns
                              + self.config.rdma.doorbell_ns)
         cqe = yield from reference_execute(self.commands, slot, request)
-        yield self.sim.sleep(cfg.initiator_complete_ns)
+        yield self.sim.timeout(cfg.initiator_complete_ns)
         request.status = cqe.status
         if request.op == "read" and cqe.ok:
             request.result = self.host.memory.read(data_addr, nbytes)
@@ -401,19 +401,19 @@ class ReferenceNic(RdmaNic):
                 payload = wr.inline_data
             elif wr.length:
                 payload = yield self.dma_read(wr.local_addr, wr.length)
-            yield self.sim.sleep(cfg.nic_tx_ns)
+            yield self.sim.timeout(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic,
                                      max(len(payload), 64))
         elif wr.opcode is WrOpcode.RDMA_WRITE:
             remote_mr = peer.pd.lookup(wr.rkey)
             remote_mr.check(wr.remote_addr, wr.length)
             payload = yield self.dma_read(wr.local_addr, wr.length)
-            yield self.sim.sleep(cfg.nic_tx_ns)
+            yield self.sim.timeout(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic, wr.length)
         else:
             remote_mr = peer.pd.lookup(wr.rkey)
             remote_mr.check(wr.remote_addr, wr.length)
-            yield self.sim.sleep(cfg.nic_tx_ns)
+            yield self.sim.timeout(cfg.nic_tx_ns)
             yield from link.transfer(self, peer_nic, 64)
         return payload
 
@@ -425,7 +425,7 @@ class ReferenceNic(RdmaNic):
             yield prev
         try:
             if wr.opcode is WrOpcode.SEND:
-                yield self.sim.sleep(cfg.nic_rx_ns)
+                yield self.sim.timeout(cfg.nic_rx_ns)
                 if not peer.recv_queue:
                     raise RdmaError("receiver-not-ready: no posted recv")
                 recv = peer.recv_queue.pop(0)
@@ -447,7 +447,7 @@ class ReferenceNic(RdmaNic):
                     byte_len=len(payload)))
                 self.sends += 1
             elif wr.opcode is WrOpcode.RDMA_WRITE:
-                yield self.sim.sleep(cfg.nic_rx_ns)
+                yield self.sim.timeout(cfg.nic_rx_ns)
                 landed = peer_nic.dma_write(wr.remote_addr, payload)
                 if landed is DROPPED:
                     raise _Lost(WcStatus.REMOTE_ACCESS_ERROR)
@@ -457,10 +457,10 @@ class ReferenceNic(RdmaNic):
                     byte_len=wr.length))
                 self.rdma_writes += 1
             else:
-                yield self.sim.sleep(cfg.read_turnaround_ns)
+                yield self.sim.timeout(cfg.read_turnaround_ns)
                 data = yield peer_nic.dma_read(wr.remote_addr, wr.length)
                 yield from link.transfer(peer_nic, self, wr.length)
-                yield self.sim.sleep(cfg.nic_rx_ns)
+                yield self.sim.timeout(cfg.nic_rx_ns)
                 landed = self.dma_write(wr.local_addr, data)
                 if landed is DROPPED:
                     raise _Lost(WcStatus.LOCAL_ERROR)

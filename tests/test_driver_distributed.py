@@ -107,6 +107,48 @@ class TestClientBootstrap:
                                   sq_placement="bogus")
 
 
+class TestClientLifecycleLoop:
+    """Client start and stop, looped: ``shutdown()`` gives back
+    everything ``start()`` took — DRAM on both hosts, SISCI segments,
+    NTB windows, the queue pair and the SmartIO reference — and the next
+    client on that host runs on the freed memory."""
+
+    CYCLES = 20
+
+    @staticmethod
+    def _held(bed, manager):
+        return (tuple(host.dram_alloc.allocated_bytes for host in bed.hosts),
+                tuple(len(node._segments) for node in bed.sisci_nodes),
+                tuple(ntb.window_count() for ntb in bed.ntbs),
+                manager.queues_in_use,
+                len(bed.smartio._record(bed.nvme_device_id).refs))
+
+    @pytest.mark.parametrize("sharing", ["auto", "force"])
+    def test_start_io_shutdown_leaks_nothing(self, sharing):
+        bed = PcieTestbed(n_hosts=2, with_nvme=True, seed=3)
+        manager = NvmeManager(bed.sim, bed.smartio, bed.node(0),
+                              bed.nvme_device_id, bed.config)
+        bed.sim.run(until=bed.sim.process(manager.start()))
+        held = []
+        for cycle in range(self.CYCLES):
+            client = start_client(bed, 1, sharing=sharing)
+            assert client._shared is (sharing == "force")
+            payload = bytes((cycle + i) % 251 for i in range(4096))
+
+            def flow(lba):
+                req = yield from client.io(BlockRequest(
+                    "write", lba=lba, data=payload))
+                assert req.ok, hex(req.status)
+                req = yield from client.io(BlockRequest(
+                    "read", lba=lba, nblocks=8))
+                assert req.ok and req.result == payload
+                yield from client.shutdown()
+
+            bed.sim.run(until=bed.sim.process(flow(8 * cycle)))
+            held.append(self._held(bed, manager))
+        assert held == [held[0]] * self.CYCLES
+
+
 class TestDataPath:
     def test_remote_write_read_roundtrip(self):
         bed, manager = make_cluster()

@@ -48,8 +48,3 @@ class TestExamples:
     def test_multi_host_sharing(self, capsys):
         out = run_example("multi_host_sharing", capsys)
         assert "cross-host reads verified" in out
-
-    @pytest.mark.slow
-    def test_latency_comparison(self, capsys):
-        out = run_example("latency_comparison", capsys)
-        assert "shape matches the paper: True" in out

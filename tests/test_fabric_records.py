@@ -58,8 +58,8 @@ def read_reference(fabric, initiator, host, addr, length):
     latency = _latency(flow.fixed, flow.draws)
     if faults is not None:
         latency += faults.tlp_delay_ns(*flow.ends)
-    yield sim.sleep(latency)
-    yield sim.sleep(flow.service)
+    yield sim.timeout(latency)
+    yield sim.timeout(flow.service)
     res = flow.res
     if res.kind == "mem":
         data = res.memory.read(res.addr, length)
@@ -71,7 +71,7 @@ def read_reference(fabric, initiator, host, addr, length):
                 f"bytes for a {length}-byte read")
     if flow.rplan:
         yield flow.rplan.hold()
-    yield sim.sleep(_latency(flow.rfixed, flow.rdraws))
+    yield sim.timeout(_latency(flow.rfixed, flow.rdraws))
     for f in fabric.probe.tlp_done:
         f(fabric, True, addr, length, res, None)
     return data
@@ -92,7 +92,7 @@ def write_reference(fabric, initiator, host, addr, data):
     if flow.plan:
         yield flow.plan.hold()
     sim = fabric.sim
-    yield sim.sleep(fabric._arrival(flow) - sim._now)
+    yield sim.timeout(fabric._arrival(flow) - sim._now)
     res = flow.res
     if res.kind == "mem":
         res.memory.write(res.addr, data)

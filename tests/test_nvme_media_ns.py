@@ -15,7 +15,7 @@ def access(media, kind, nbytes):
     ``access_ns`` and ``finish`` that a controller's command walks."""
     grant = media.channels.request()
     yield grant
-    yield media.sim.sleep(media.access_ns(kind, nbytes))
+    yield media.sim.timeout(media.access_ns(kind, nbytes))
     media.channels.release(grant)
     return media.finish(kind)
 

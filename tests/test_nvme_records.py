@@ -116,7 +116,7 @@ def media_access(media, kind, nbytes):
     req = media.channels.request()
     yield req
     try:
-        yield media.sim.sleep(media.access_ns(kind, nbytes))
+        yield media.sim.timeout(media.access_ns(kind, nbytes))
     finally:
         media.channels.release(req)
     if kind == "read":
@@ -166,19 +166,19 @@ class ReferenceController(NvmeController):
                 yield sq.signal.wait()
                 if not sq.active:
                     return
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
+                yield sim.timeout(cfg.doorbell_to_fetch_ns)
                 continue
             slot = state.head
             try:
                 raw = yield self.dma_read(state.slot_addr(slot), SQE_SIZE)
             except FabricFaultError:
                 self.fetch_retries += 1
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
+                yield sim.timeout(cfg.doorbell_to_fetch_ns)
                 continue
             state.head = (state.head + 1) % state.entries
             self.fetches += 1
             sqe = unpack(raw)
-            yield sim.sleep(decode_ns)
+            yield sim.timeout(decode_ns)
             for f in probe.sqe_fetched:
                 f(self, state.qid, sqe, None, 0, 0)
             if is_admin:
@@ -205,7 +205,7 @@ class ReferenceController(NvmeController):
                 yield sq.signal.wait()
                 if not sq.active:
                     return
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
+                yield sim.timeout(cfg.doorbell_to_fetch_ns)
                 continue
             granted_at = sim.now
             try:
@@ -214,7 +214,7 @@ class ReferenceController(NvmeController):
             except FabricFaultError:
                 self.fetch_retries += 1
                 arb.refund(win)
-                yield sim.sleep(cfg.doorbell_to_fetch_ns)
+                yield sim.timeout(cfg.doorbell_to_fetch_ns)
                 continue
             win.advance_head()
             arb.on_fetch(win)
@@ -222,7 +222,7 @@ class ReferenceController(NvmeController):
             win.ready_at = granted_at
             self.fetches += 1
             sqe = unpack(raw)
-            yield sim.sleep(decode_ns)
+            yield sim.timeout(decode_ns)
             for f in probe.sqe_fetched:
                 f(self, state.qid, sqe, win, granted_at, wait_ns)
             sim.process(self._execute_io(sq, sqe, win=win), detached=True)
@@ -331,7 +331,7 @@ class ReferenceController(NvmeController):
         cq = self.cqs.get(sq.state.cqid)
         if cq is None or not cq.active:
             return
-        yield self.sim.sleep(self.config.completion_overhead_ns)
+        yield self.sim.timeout(self.config.completion_overhead_ns)
         slot, phase = cq.state.produce_slot()
         sq_head = sq.state.head if win is None else win.head
         cqe = CompletionEntry(result=result, sq_head=sq_head,

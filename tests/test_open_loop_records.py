@@ -82,7 +82,7 @@ def ReferenceIssue(device, schedule, inflight_cap, result):
     for offset_ns, make_request in schedule:
         target = start + offset_ns
         if sim.now < target:
-            yield sim.sleep(target - sim.now)
+            yield sim.timeout(target - sim.now)
         if inflight >= inflight_cap:
             result.capped_arrivals += 1
             wake = sim.event()

@@ -643,9 +643,9 @@ def test_no_timing_domain_machinery_left():
 
 
 def test_no_sleep_pool_left():
-    """Every sleeper owns its timer (docs/performance.md): no shared
-    free list of sleep events, and so no recycling branch in the run
-    loops, anywhere in the package."""
+    """Every timer has one owner (docs/performance.md, "Every sleeper
+    owns its timer"): no shared free list of timer events, and so no
+    recycling branch in the run loops, anywhere in the package."""
     root = pathlib.Path(repro.__file__).parent
     tokens = re.compile(r"PooledTimeout|_timeout_pool")
     assert [str(path) for path in sorted(root.rglob("*.py"))

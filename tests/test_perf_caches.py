@@ -1,5 +1,5 @@
-"""Perf-PR referee tests: the flow records, the owned sleep timers and
-the integer-delay contract must never change a modeled result.
+"""Perf-PR referee tests: the flow records and the integer-delay
+contract must never change a modeled result.
 
 :class:`repro.pcie.Fabric` keeps one record per flow — everything a TLP
 from that initiator to that ``(host, addr, length)`` needs; these tests
@@ -14,7 +14,7 @@ import pytest
 from repro.faults import FaultPointRegistry
 from repro.memory import HostMemory
 from repro.pcie import FabricFaultError
-from repro.sim import Interrupt, Simulator, Tracer
+from repro.sim import Simulator, Tracer
 from repro.sim.events import Timeout
 
 from .test_pcie_fabric import build_two_host_cluster
@@ -36,8 +36,6 @@ class TestIntegralDelays:
             Timeout(sim, 5.5)
         with pytest.raises(ValueError, match="non-integral delay"):
             sim.timeout(2.5)
-        with pytest.raises(ValueError, match="non-integral delay"):
-            sim.sleep(2.5)
 
     def test_fractional_succeed_delay_raises(self):
         sim = Simulator(seed=0)
@@ -55,137 +53,6 @@ class TestIntegralDelays:
         sim = Simulator(seed=0)
         with pytest.raises(ValueError, match="negative"):
             sim.timeout(-1)
-
-
-# --- sim.sleep: every sleeper owns its timer -----------------------------
-
-class TestPooledSleep:
-    """``sim.sleep`` is ``sim.timeout`` on the queue.  (The name is from
-    when sleeps came off a free list; what makes them cheap now is in
-    TestOwnedTimers.)"""
-
-    def test_sleep_times_match_timeout(self):
-        def run(factory_name):
-            sim = Simulator(seed=3)
-            marks = []
-
-            def proc(sim):
-                factory = getattr(sim, factory_name)
-                for delay in (5, 0, 17, 123, 1):
-                    yield factory(delay)
-                    marks.append(sim.now)
-
-            sim.process(proc(sim))
-            sim.run()
-            return marks, sim.events_processed
-
-        assert run("sleep") == run("timeout")
-
-
-class TestOwnedTimers:
-    def test_a_process_sleeps_on_its_own_timer_every_time(self):
-        sim = Simulator(seed=3)
-        seen = {"a": [], "b": []}
-
-        def proc(tag, delay):
-            for _ in range(16):
-                ev = sim.sleep(delay)
-                seen[tag].append(ev)
-                yield ev
-
-        sim.process(proc("a", 10))
-        sim.process(proc("b", 7))
-        sim.run()
-        assert sim.now == 160
-        assert all(ev is seen["a"][0] for ev in seen["a"])
-        assert all(ev is seen["b"][0] for ev in seen["b"])
-        assert seen["a"][0] is not seen["b"][0]
-
-    def test_sleep_after_interrupt_leaves_the_stale_arming_inert(self):
-        """Interrupted at 40 out of a sleep due at 100, the victim sleeps
-        twice more before 100 — its timer is still on the queue, so both
-        are fresh events — and once after: its own timer again.  The
-        stale entry fires at 100 and wakes nobody."""
-        def run(factory_name):
-            sim = Simulator(seed=3)
-            trace, events = [], []
-
-            def victim():
-                factory = getattr(sim, factory_name)
-                for delay in (100, 30, 50, 5):
-                    ev = factory(delay)
-                    events.append(ev)
-                    try:
-                        yield ev
-                        trace.append((sim.now, "victim"))
-                    except Interrupt:
-                        trace.append((sim.now, "victim interrupted"))
-
-            def attacker(proc):
-                yield sim.timeout(40)
-                proc.interrupt()
-                yield sim.timeout(60)
-                trace.append((sim.now, "attacker"))
-
-            sim.process(attacker(sim.process(victim())))
-            sim.run()
-            return trace, sim.events_processed, events
-
-        trace, processed, events = run("sleep")
-        assert trace == [(40, "victim interrupted"), (70, "victim"),
-                         (100, "attacker"), (120, "victim"), (125, "victim")]
-        assert (trace, processed) == run("timeout")[:2]
-        own, second, third, last = events
-        assert second is not own and third is not own and last is own
-        assert type(second) is type(third) is Timeout
-
-    def test_unyielded_sleeps_do_not_share_the_timer(self):
-        """Sleeps armed in a row with callbacks and never yielded (the
-        reference ``_occupy`` generator does this): each fires once."""
-        sim = Simulator(seed=3)
-        fired = []
-
-        def proc():
-            for delay in (30, 10, 20):
-                sim.sleep(delay).callbacks.append(
-                    lambda _ev, delay=delay: fired.append((sim.now, delay)))
-            yield sim.sleep(5)
-            fired.append((sim.now, "proc"))
-
-        sim.process(proc())
-        sim.run()
-        assert fired == [(5, "proc"), (10, 10), (20, 20), (30, 30)]
-
-    def test_sleep_outside_a_process_is_a_plain_timeout(self):
-        sim = Simulator(seed=3)
-        ev = sim.sleep(5)
-        assert type(ev) is Timeout and sim.sleep(5) is not ev
-        with pytest.raises(ValueError, match="non-integral delay"):
-            sim.sleep(2.5)
-        with pytest.raises(ValueError, match="negative"):
-            sim.sleep(-1)
-        sim.run()
-        assert sim.now == 5 and ev.processed
-
-    def test_sleep_in_a_process_validates_like_timeout(self):
-        sim = Simulator(seed=3)
-        seen = []
-
-        def proc():
-            for bad in (2.5, -1):
-                try:
-                    yield sim.sleep(bad)
-                except ValueError as exc:
-                    seen.append(str(exc))
-            yield sim.sleep(4.0)            # integral float: accepted
-            seen.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        rejected_fraction, rejected_negative, woke_at = seen
-        assert "non-integral" in rejected_fraction
-        assert "negative" in rejected_negative
-        assert woke_at == 4
 
 
 # --- flow-record invalidation ---------------------------------------------

@@ -68,7 +68,7 @@ class NullDevice(BlockDevice):
 
     def _driver_submit(self, request):
         self.lbas.append(request.lba)
-        yield self.sim.sleep(100)
+        yield self.sim.timeout(100)
 
 
 def scalar_fio_lbas(gen, job, max_slot, lba_per_io):

@@ -161,60 +161,32 @@ class TestInterrupt:
 
     @pytest.mark.parametrize("at", [40, 100], ids=["mid-sleep", "due-instant"])
     def test_interrupted_sleeper_is_resumed_exactly_once(self, at):
-        """``sleep()`` arms the process's timer already subscribed with its
-        resume.  Interrupted out of it — earlier, or at the very instant
+        """Interrupted out of a timeout — earlier, or at the very instant
         it is due, ahead of it — the process wakes once for the interrupt
-        and never for the stale timer, as with a plain timeout."""
-        def run(factory_name):
-            sim = Simulator(seed=1)
-            wakes = []
+        and never for the stale timeout."""
+        sim = Simulator(seed=1)
+        wakes = []
 
-            def interrupter(victim_box):
-                yield sim.timeout(at)
-                victim_box[0].interrupt()
+        def interrupter(victim_box):
+            yield sim.timeout(at)
+            victim_box[0].interrupt()
 
-            def sleeper():
-                factory = getattr(sim, factory_name)
-                try:
-                    yield factory(100)
-                    wakes.append((sim.now, "timer"))
-                except Interrupt:
-                    wakes.append((sim.now, "interrupt"))
-                for delay in (7, 200):
-                    yield factory(delay)
-                    wakes.append((sim.now, "slept"))
+        def sleeper():
+            try:
+                yield sim.timeout(100)
+                wakes.append((sim.now, "timer"))
+            except Interrupt:
+                wakes.append((sim.now, "interrupt"))
+            for delay in (7, 200):
+                yield sim.timeout(delay)
+                wakes.append((sim.now, "slept"))
 
-            box = []
-            sim.process(interrupter(box))       # its wake sorts first
-            box.append(sim.process(sleeper()))
-            sim.run()
-            return wakes, sim.events_processed
-
-        wakes, processed = run("sleep")
+        box = []
+        sim.process(interrupter(box))       # its wake sorts first
+        box.append(sim.process(sleeper()))
+        sim.run()
         assert wakes == [(at, "interrupt"), (at + 7, "slept"),
                          (at + 207, "slept")]
-        assert run("timeout") == (wakes, processed)
-
-    @pytest.mark.parametrize("ending", ["returns", "raises"])
-    def test_a_sleep_never_yielded_does_not_wake_a_finished_process(
-            self, ending):
-        """A process that arms its timer with ``sleep()`` and ends without
-        yielding it is not resumed when the timer fires."""
-        sim = Simulator(seed=1)
-
-        def body():
-            yield sim.sleep(3)
-            sim.sleep(5)
-            if ending == "raises":
-                raise ValueError("done")
-            return "done"
-
-        proc = sim.process(body())
-        if ending == "raises":
-            proc.defuse()
-        sim.run()
-        assert sim.now == 8
-        assert proc.ok is (ending == "returns")
 
 
 class TestDetached:
@@ -386,7 +358,6 @@ _fire = st.tuples(st.just("fire"), st.integers(0, 1))
 _wait = st.tuples(st.just("wait"), st.integers(0, 1), st.booleans(),
                   st.integers(-1, 4))
 _ops = st.one_of(
-    st.tuples(st.just("sleep"), _delays),
     st.tuples(st.just("timeout"), _delays),
     st.tuples(st.just("spawn"), st.integers(0, 4)),
     _fire, _fire, _wait, _wait,
@@ -442,9 +413,7 @@ def _play(sim_class, programs, roots, driver):
             kind = op[0]
             trace.append((sim.now, (pid, k, kind)))
             try:
-                if kind == "sleep":
-                    yield sim.sleep(op[1])
-                elif kind == "timeout":
+                if kind == "timeout":
                     yield sim.timeout(op[1])
                 elif kind == "spawn":
                     spawn(op[1])
@@ -459,7 +428,7 @@ def _play(sim_class, programs, roots, driver):
                     _kind, which, n, child, delay = op
                     for _ in range(n):
                         spawn(child, [("wait", which, True, -1)])
-                    spawn(-1, [("sleep", delay), ("fire", which)])
+                    spawn(-1, [("timeout", delay), ("fire", which)])
                 elif kind == "interrupt":
                     target = procs[op[1] % len(procs)]
                     if target.is_alive and target is not sim.active_process:

@@ -215,7 +215,7 @@ def reference_sampler_start(self):
         try:
             while True:
                 self.sample_once()
-                yield self.sim.sleep(self.interval_ns)
+                yield self.sim.timeout(self.interval_ns)
         except Interrupt:
             return
     if not self.running:
@@ -234,7 +234,7 @@ def reference_throttle_start(self):
     """``AdmissionThrottle.start``, its loop a process."""
     def watch():
         while self._running:
-            yield self.sim.sleep(self.qos.throttle_check_interval_ns)
+            yield self.sim.timeout(self.qos.throttle_check_interval_ns)
             if not self._running:
                 return
             self._check()

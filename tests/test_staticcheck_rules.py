@@ -334,37 +334,6 @@ def test_process_passes_generators_and_factories(tmp_path):
     assert findings == []
 
 
-# --- sleep-discipline ----------------------------------------------------
-
-def test_sleep_discipline_flags_kept_composed_and_bare_sleeps(tmp_path):
-    findings = run_rule(tmp_path, "sleep-discipline", """
-        class Poller:
-            def run(self):
-                nap = self.sim.sleep(100)
-                yield nap
-                yield self.sim.any_of([self.sim.sleep(5), self.done])
-                self.sim.sleep(7)
-                self.sim.sleep(9).callbacks.append(self.tick)
-                yield from self.sim.sleep(11)
-    """, rel="repro/nvme/fake.py")
-    assert [f.rule for f in findings] == ["sleep-discipline"] * 5
-    assert [f.line for f in findings] == [4, 6, 7, 8, 9]
-    assert "timeout()" in findings[0].message
-
-
-def test_sleep_discipline_passes_direct_yields_and_timeouts(tmp_path):
-    findings = run_rule(tmp_path, "sleep-discipline", """
-        def poller(sim, fabric, done):
-            yield sim.sleep(100)
-            woke = yield fabric.sim.sleep(
-                fabric.arrival() - sim.now)
-            nap = sim.timeout(5)
-            yield sim.any_of([nap, done])
-            return (yield sim.sleep(1))
-    """, rel="repro/nvme/fake.py")
-    assert findings == []
-
-
 # --- hotpath-alloc -------------------------------------------------------
 
 def test_hotpath_alloc_flags_dataclass_and_comprehensions(tmp_path):

@@ -130,10 +130,10 @@ class ReferenceSpdkTarget(SpdkTarget):
                 delay = self.sim.rng.uniform_ns(
                     "spdk-recv-poll", 0, cfg.target_poll_interval_ns)
                 if delay:
-                    yield self.sim.sleep(delay)
+                    yield self.sim.timeout(delay)
                 continue
             for wc in completions:
-                yield self.sim.sleep(self.config.rdma.cq_poll_ns)
+                yield self.sim.timeout(self.config.rdma.cq_poll_ns)
                 yield from self._handle_capsule(conn, wc.wr_id,
                                                 wc.byte_len)
                 conn.qp.post_recv(RecvWR(wr_id=wc.wr_id, addr=wc.wr_id,
@@ -146,7 +146,7 @@ class ReferenceSpdkTarget(SpdkTarget):
         except ValueError:
             self.malformed_capsules += 1
             return
-        yield self.sim.sleep(self.config.nvmeof.target_process_ns)
+        yield self.sim.timeout(self.config.nvmeof.target_process_ns)
         sqe = capsule.sqe
         if sqe.cid in conn.inflight:
             yield from self._refuse(conn, sqe.cid, Status.CID_CONFLICT)
@@ -202,7 +202,7 @@ class ReferenceSpdkTarget(SpdkTarget):
                         "spdk-nvme-poll", 0,
                         self.config.nvmeof.target_poll_interval_ns)
                     if delay:
-                        yield self.sim.sleep(delay)
+                        yield self.sim.timeout(delay)
                     continue
                 yield from self._complete_io(conn, cqe)
         finally:
@@ -212,7 +212,7 @@ class ReferenceSpdkTarget(SpdkTarget):
         ctx = conn.inflight.pop(cqe.cid, None)
         if ctx is None:
             return
-        yield self.sim.sleep(self.config.nvmeof.target_complete_ns)
+        yield self.sim.timeout(self.config.nvmeof.target_complete_ns)
         capsule = ctx["capsule"]
         if ctx["opcode"] == IoOpcode.READ and cqe.ok and ctx["nbytes"]:
             conn.qp.post_send(SendWR(
@@ -228,7 +228,7 @@ class ReferenceSpdkTarget(SpdkTarget):
         conn.qp.post_send(SendWR(
             wr_id=_RSP + cqe.cid, opcode=WrOpcode.SEND,
             inline_data=rsp.pack(), length=rsp.wire_size))
-        yield self.sim.sleep(0)
+        yield self.sim.timeout(0)
 
     def _refuse(self, conn, cid, status):
         return self._respond(conn, CompletionEntry(cid=cid, status=status,

@@ -165,8 +165,7 @@ class TestNoSilentlyDroppedArguments:
                    for path in rig.subclients)
         assert rig.injector is None and rig.tracer is None
 
-    @pytest.mark.parametrize("dropped", [
-        {"plan": FaultPlan(())}, {"trace_categories": {"fault"}}])
+    @pytest.mark.parametrize("dropped", [{"plan": FaultPlan(())}])
     def test_fault_arguments_need_faults(self, dropped):
         from repro.scenarios import cluster
         with pytest.raises(ValueError, match="faults=True"):
