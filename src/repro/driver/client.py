@@ -38,7 +38,7 @@ from ..smartio import Placement, SmartIoService
 from ..units import serialize_ns
 from . import metadata as meta
 from .blockdev import BlockDevice, BlockError, BlockRequest
-from .prputil import prps_for_contiguous
+from .prputil import PRP_LIST_REACH, prps_for_contiguous
 from .qpair import (STATUS_HOST_CRASHED, STATUS_HOST_SHUTDOWN,
                     CommandRecord, QueuePair, io_sqe, usable_depth)
 
@@ -112,16 +112,19 @@ class _ClientRequest(CommandRecord):
         client = self.device
         request = self.request
         stride = client._part_stride * self.part
-        list_local = client._bounce_seg.phys_addr + stride
-        memory = client.node.host.memory
         if request.op in BlockRequest.DATA_OUT_OPS:
-            memory.write(list_local + 4096, request.data)
+            client.node.host.memory.write(
+                client._bounce_seg.phys_addr + stride + 4096, request.data)
         sqe = io_sqe(request, client.nsid)
         if request.op in BlockRequest.DATA_OPS:
-            list_device = client._bounce_dev_addr + stride
-            sqe.prp1, sqe.prp2 = prps_for_contiguous(
-                list_device + 4096, self.nbytes, list_device,
-                lambda blob: memory.write(list_local, blob))
+            # The partition's PRP list, programmed once, covers any
+            # transfer it holds: only prp2 depends on the size.
+            sqe.prp1 = data = client._bounce_dev_addr + stride + 4096
+            nbytes = self.nbytes
+            if nbytes > 8192:
+                sqe.prp2 = client._prp_list(self.part)
+            elif nbytes > 4096:
+                sqe.prp2 = data + 4096
         self.command = sqe
         qp = self.queue = client._qp
         qp.execute(self)
@@ -274,6 +277,7 @@ class DistributedNvmeClient(BlockDevice):
                 self.node, self.device_id, self.queue_entries * 16,
                 Placement.CPU_SIDE if self.cq_placement == "client"
                 else Placement.DEVICE_SIDE)
+            self._sq_seg, self._cq_seg = sq_seg, cq_seg
             sq_dev_addr = self._ref.map_segment_for_device(sq_seg)
             cq_dev_addr = self._ref.map_segment_for_device(cq_seg)
 
@@ -295,14 +299,15 @@ class DistributedNvmeClient(BlockDevice):
                 self._ref.unmap_segment_for_device(cq_dev_addr)
                 sq_seg.remove()
                 cq_seg.remove()
+                self._sq_seg = self._cq_seg = None
                 resp = None
             elif resp["rpc_status"] != meta.RPC_OK:
+                self._give_back()
                 raise ClientError(f"manager refused queue pair: "
                                   f"{resp['rpc_status']}")
 
         if resp is not None:
             # Private queue pair.
-            self._sq_seg, self._cq_seg = sq_seg, cq_seg
             # CPU-side access paths to the queue memory.
             self._sq_conn = self.node.connect_segment(sq_seg.id.node_id,
                                                       sq_seg.id.segment_id)
@@ -335,6 +340,7 @@ class DistributedNvmeClient(BlockDevice):
             Placement.CPU_SIDE)
         self._bounce_seg = bounce_seg
         self._bounce_dev_addr = self._ref.map_segment_for_device(bounce_seg)
+        self._listed: set[int] = set()    # partitions with a PRP list
         self._parts = Store(self.sim)
         for i in range(nparts):
             self._parts.put(i)
@@ -369,7 +375,7 @@ class DistributedNvmeClient(BlockDevice):
         the completion path stays client-local polling exactly like a
         private client-side CQ.
         """
-        mb_seg = self.smartio.alloc_segment_placed(
+        self._cq_seg = mb_seg = self.smartio.alloc_segment_placed(
             self.node, self.device_id, self.queue_entries * 16,
             Placement.CPU_SIDE)
         resp = yield from self._rpc(
@@ -377,7 +383,7 @@ class DistributedNvmeClient(BlockDevice):
             flags=meta.FLAG_SHARED,
             share_node=mb_seg.id.node_id, share_seg=mb_seg.id.segment_id)
         if resp["rpc_status"] != meta.RPC_OK:
-            mb_seg.remove()
+            self._give_back()
             raise ClientError(f"manager refused shared queue pair: "
                               f"{resp['rpc_status']}")
         self._shared = True
@@ -395,7 +401,6 @@ class DistributedNvmeClient(BlockDevice):
         tail = resp["win_tail"] % win_len
         self._sq_conn = self.node.connect_segment(resp["share_node"],
                                                   resp["share_seg"])
-        self._cq_seg = mb_seg
         self._cq_local = True
         # An SQ producer over our slot window that rings the tenant-
         # encoded doorbell itself, and a doorbell-less mailbox for a CQ.
@@ -472,16 +477,24 @@ class DistributedNvmeClient(BlockDevice):
         if self.qid is not None:
             yield from self._rpc(meta.OP_DELETE_QP, qid=self.qid)
             self.qid = None
-        if self._ref is not None:
-            self._ref.release()
-            self._ref = None
-            for conn in (self._meta_conn, self._sq_conn, self._cq_conn):
-                if conn is not None:
-                    conn.disconnect()
-            for seg in (self._sq_seg, self._cq_seg, self._bounce_seg,
-                        self._irq_seg):
-                if seg is not None:
-                    seg.remove()
+        self._give_back()
+
+    def _give_back(self) -> None:
+        """Release what :meth:`start` took so far: the device reference
+        (its BAR and DMA windows), the connections (their NTB windows)
+        and the segments (their DRAM).  Once; by :meth:`shutdown`, or by
+        a start the manager refuses."""
+        if self._ref is None:
+            return
+        self._ref.release()
+        self._ref = None
+        for conn in (self._meta_conn, self._sq_conn, self._cq_conn):
+            if conn is not None:
+                conn.disconnect()
+        for seg in (self._sq_seg, self._cq_seg, self._bounce_seg,
+                    self._irq_seg):
+            if seg is not None:
+                seg.remove()
 
     def crash(self) -> None:
         """Surprise removal (paper Sec. IV): the host dies without any
@@ -616,6 +629,10 @@ class DistributedNvmeClient(BlockDevice):
                     f"request of {nbytes} bytes exceeds the bounce "
                     f"partition size {self._part_size}; split it in the "
                     f"workload layer")
+            if nbytes > PRP_LIST_REACH:
+                raise BlockError(
+                    f"request of {nbytes} bytes needs a chained PRP "
+                    f"list; split it in the workload layer")
 
     def _ring_shared_sq_doorbell(self, request) -> None:
         """The pair's ring step: mirror the absolute submission count
@@ -635,6 +652,21 @@ class DistributedNvmeClient(BlockDevice):
             ((self._tenant << 16) | self.sq.tail).to_bytes(4, "little"))
         for f in self.probe.doorbell_rung:
             f(self._qp, db_write, request)
+
+    def _prp_list(self, part: int) -> int:
+        """The device address of bounce partition ``part``'s PRP list,
+        one entry per data page after the first.  The first transfer
+        beyond two pages writes it (a host-local store, no model time);
+        the partition never moves, so it stays valid."""
+        list_device = self._bounce_dev_addr + self._part_stride * part
+        if part not in self._listed:
+            self._listed.add(part)
+            list_local = self._bounce_seg.phys_addr + self._part_stride * part
+            memory = self.node.host.memory
+            prps_for_contiguous(
+                list_device + 4096, min(self._part_size, PRP_LIST_REACH),
+                list_device, lambda blob: memory.write(list_local, blob))
+        return list_device
 
     def _memcpy_ns(self, nbytes: int) -> int:
         cfg = self.config.host

@@ -15,6 +15,10 @@ import typing as t
 
 from ..nvme.constants import PAGE_SIZE
 
+#: The most bytes a transfer with one (unchained) PRP list page maps:
+#: PRP1's page and one page per list entry.
+PRP_LIST_REACH = (PAGE_SIZE // 8 + 1) * PAGE_SIZE
+
 
 def prps_for_contiguous(data_device_addr: int, nbytes: int,
                         list_page_device_addr: int,

@@ -35,15 +35,33 @@ class Mapping:
         return self.base <= addr and addr + length <= self.end
 
 
+class Generation:
+    """One counter for everything a fabric walk reads in a cluster: its
+    hosts' address maps (:meth:`AddressMap.add`/``remove``), their
+    NTBs' LUTs and cables (``map_window``/``unmap_window``/
+    ``set_link_state``) and the graph (``Cluster.connect``) each bump
+    it, so one compare validates every flow record (``Fabric._flow``)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value += 1
+
+
 class AddressMap:
     """Sorted, non-overlapping interval map over one address space."""
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str = "",
+                 generation: Generation | None = None) -> None:
         self.name = name
         self._bases: list[int] = []
         self._mappings: list[Mapping] = []
-        #: bumped on every add/remove; flow records validate against it
-        self.version = 0
+        #: bumped on every add/remove (shared by the cluster's maps)
+        self.generation = generation if generation is not None \
+            else Generation()
 
     def add(self, base: int, size: int, target: t.Any,
             label: str = "") -> Mapping:
@@ -62,7 +80,7 @@ class AddressMap:
                 f"{self._mappings[i]}")
         self._bases.insert(i, base)
         self._mappings.insert(i, mapping)
-        self.version += 1
+        self.generation.bump()
         return mapping
 
     def remove(self, mapping: Mapping) -> None:
@@ -71,7 +89,7 @@ class AddressMap:
             raise AddressError(f"{self.name}: mapping not present: {mapping}")
         del self._bases[i]
         del self._mappings[i]
-        self.version += 1
+        self.generation.bump()
 
     def lookup(self, addr: int, length: int = 1) -> Mapping:
         """Find the mapping covering ``[addr, addr+length)``.

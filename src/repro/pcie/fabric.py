@@ -34,24 +34,30 @@ flow's :class:`_Flow` (one table for posted writes, one for non-posted
 reads): the :class:`Resolution`, the hold plan(s), the hop latency split
 into a fixed part (NTB translation and target write service folded in)
 and the streams it draws from, and the posted-ordering clamp cell.  A
-record for a new address copies its *route* — everything but the walk's
-outcome — from a second table keyed by what the route depends on
-(:meth:`Fabric._build_flow`), validated by the topology ``version``.
-Correctness contract (see docs/performance.md):
+walk also proves an *extent*: every address of the mappings and LUT
+windows it crossed resolves the same way, shifted by one offset (an NTB
+LUT entry translates a whole segment by one offset, paper Sec. III).  A
+record for a new address inside the extent of a record of the same
+``(initiator, host, length)`` is that record with its own
+:class:`Resolution`; elsewhere it is walked and copies its *route* —
+everything but the walk's outcome — from a table keyed by what the
+route depends on (:meth:`Fabric._build_flow`).  Correctness contract
+(see docs/performance.md):
 
-* a record is validated on every hit, in this order: the
-  :class:`~repro.pcie.topology.Cluster` ``version`` (``connect()``), the
-  ``version`` of each :class:`~repro.pcie.address.AddressMap` consulted,
-  the ``lut_version`` of each NTB traversed — any mismatch rebuilds it
-  through the walk (:meth:`Fabric.resolve`);
-* ``link_up`` is checked *live* per crossing in traversal order, and the
-  per-NTB ``translations``/``bytes_forwarded`` counters are replayed in
-  that same order, so a hit is byte-identical to the walk even mid-fault
-  (fault-registry link events flip ``link_up`` directly);
+* one :class:`~repro.pcie.address.Generation` per cluster is bumped by
+  every change a walk could see — an address map's ``add``/``remove``,
+  an NTB's ``map_window``/``unmap_window``/``set_link_state``, the
+  cluster's ``connect`` — and the fabric forgets every record, extent
+  and route once it moves: a hit or a copy validates with one compare;
+* a hit or a copy replays the walk's per-NTB ``translations``/
+  ``bytes_forwarded`` counters in traversal order, so accounting is
+  identical to the walk; a downed cable is a walk (the flip moved the
+  generation), which raises where :meth:`NtbFunction.translate` does;
 * a record holds *which* draw streams a leg consults, never a value, and
   never ``faults`` or who is subscribed to the probe: both are read per TLP;
-* no record is kept while ``mem_event`` has subscribers: a replay does not
-  call :meth:`NtbFunction.translate`, so its event would go missing;
+* no record is kept or copied while ``mem_event`` has subscribers: a
+  replay does not call :meth:`NtbFunction.translate`, so its event would
+  go missing;
 * ``REPRO_NO_ROUTE_CACHE=1`` keeps no record and no route (escape
   hatch, read at Fabric construction): every TLP walks and builds its
   own.
@@ -264,7 +270,7 @@ class FabricFaultError(Exception):
         self.addr = addr
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class Resolution:
     """Outcome of walking an address through NTB windows to its target."""
 
@@ -283,10 +289,10 @@ class _Flow:
     length)`` needs (module docstring); a read's also has the way back."""
 
     __slots__ = (
-        "topo",         # Cluster.version at build
         "res",
-        "map_guards",   # ((AddressMap, version-at-build), ...) in walk order
-        "ntb_guards",   # ((NtbFunction, lut_version-at-build), ...) likewise
+        "ntbs",         # the NTBs crossed, in walk order
+        "lo", "last",   # every addr in [lo, last] resolves the same way,
+        "delta",        # to addr + delta (res.addr, or res.offset: mmio)
         "ends",         # (first, final) host name: the fault points crossed
         "plan",         # HoldPlan of the way there, () with nothing to hold
         "fixed",        # its latency but for the draws (write: to delivery)
@@ -294,6 +300,20 @@ class _Flow:
         "clamp",        # write: [last arrival], shared per (initiator, host)
         "service",      # read: the target's read latency
         "rplan", "rfixed", "rdraws")    # read: the completion's way back
+
+    def take_route(self, route: _Flow, read: bool) -> None:
+        """Share ``route``'s plans, latency split and clamp or service
+        time (a route from :meth:`Fabric._route`, or another record)."""
+        self.plan = route.plan
+        self.fixed = route.fixed
+        self.draws = route.draws
+        if read:
+            self.service = route.service
+            self.rplan = route.rplan
+            self.rfixed = route.rfixed
+            self.rdraws = route.rdraws
+        else:
+            self.clamp = route.clamp
 
 
 class Fabric:
@@ -317,10 +337,16 @@ class Fabric:
         self.timed_out_reads = 0
         # (initiator, host, addr, length) -> _Flow: posted writes, reads.
         self._flows: tuple[dict, dict] = ({}, {})
+        # (initiator, host, length) -> [walked _Flow, ...] whose extents
+        # a cold address is looked up in: posted writes, reads.
+        self._walked: tuple[dict, dict] = ({}, {})
         # (read, initiator, node, host, crossings, kind, length) -> the
-        # route a flow record copies (_build_flow), for a cold address.
+        # route a walked record copies (_build_flow).
         self._routes: dict[tuple, _Flow] = {}
         self._memo = os.environ.get("REPRO_NO_ROUTE_CACHE") != "1"
+        # The cluster's generation, and its value the tables hold for.
+        self._generation = cluster.generation
+        self._seen = cluster.generation.value
         # Posted-ordering clamp: (initiator node, final host) -> [last
         # arrival time of a posted write on that flow]; the cell is
         # shared by every write record of the pair (SQE store, doorbell).
@@ -336,90 +362,76 @@ class Fabric:
         return self._walk(host, addr, length).res
 
     def _walk(self, host: Host, addr: int, length: int) -> _Flow:
-        """:meth:`resolve` into a new record: ``res``, the guards and
-        ``ends``.  The NTBs count the crossings themselves."""
+        """:meth:`resolve` into a new record: ``res``, ``ntbs``, ``ends``
+        and the extent the walk proved — the intersection of every
+        mapping and LUT window it crossed, taken back to ``addr``'s
+        space, and the offset by which all of it moved.  The NTBs count
+        the crossings themselves."""
         flow = _Flow()
         first = host.name
-        crossings = 0
-        map_guards: list[tuple] = []
-        ntb_guards: list[tuple] = []
+        lo, hi = 0, 1 << 64     # the extent, in the space of the TLP
+        shift = 0               # addr now - the TLP's addr
+        ntbs: list[NtbFunction] = []
         while True:
-            amap = host.addr_map
-            map_guards.append((amap, amap.version))
-            mapping = amap.lookup(addr, length)
+            mapping = host.addr_map.lookup(addr, length)
+            lo = max(lo, mapping.base - shift)
+            hi = min(hi, mapping.base + mapping.size - shift)
             target = mapping.target
             if isinstance(target, HostMemory):
-                flow.res = Resolution(kind="mem", host=host, node=host.rc,
-                                      crossings=crossings, memory=target,
-                                      addr=addr)
+                flow.res = Resolution("mem", host, host.rc, len(ntbs),
+                                      target, addr)
+                flow.delta = shift
                 break
             if isinstance(target, Bar):
                 fn = target.function
                 if isinstance(fn, NtbFunction):
-                    if crossings >= MAX_NTB_CROSSINGS:
+                    if len(ntbs) >= MAX_NTB_CROSSINGS:
                         raise AddressError(
                             f"NTB window chain longer than "
                             f"{MAX_NTB_CROSSINGS} at {addr:#x}")
-                    ntb_guards.append((fn, fn.lut_version))
-                    host, addr = fn.translate(target, addr, length)
-                    crossings += 1
+                    window = fn.translate(target, addr, length)
+                    ntbs.append(fn)
+                    start = target.base + window.bar_offset
+                    lo = max(lo, start - shift)
+                    hi = min(hi, start + window.size - shift)
+                    moved = window.remote_base - start
+                    host = window.remote_host
+                    addr += moved
+                    shift += moved
                     continue
                 assert fn.node is not None and fn.host is not None
-                flow.res = Resolution(kind="mmio", host=fn.host,
-                                      node=fn.node, crossings=crossings,
+                flow.res = Resolution("mmio", fn.host, fn.node, len(ntbs),
                                       bar=target,
                                       offset=target.offset_of(addr))
+                flow.delta = shift - target.base
                 break
             raise AddressError(
                 f"unroutable target {target!r} at {addr:#x}")
-        flow.map_guards = tuple(map_guards)
-        flow.ntb_guards = tuple(ntb_guards)
+        flow.ntbs = tuple(ntbs)
+        flow.lo = lo
+        flow.last = hi - length
         flow.ends = (first, flow.res.host.name)
         return flow
 
     def _flow(self, read: bool, initiator: Node, host: Host, addr: int,
               length: int) -> _Flow:
-        """The one probe of a transaction: its flow's record, validated
-        (module docstring) and with the walk's NTB side effects replayed
-        — or walked and built, where there is none or it is stale — then
-        the fault draws.  Raises :class:`FabricFaultError` naming the
-        severed adapter, the NTB whose LUT the address misses, or the
-        fault point that swallows the TLP."""
+        """The one probe of a transaction: its flow's record, with the
+        walk's NTB counters replayed — or, where there is none, one
+        filled by :meth:`_fill` — then the fault draws.  The records are
+        valid while the cluster's generation stands (module docstring).
+        Raises :class:`FabricFaultError` naming the severed adapter, the
+        NTB whose LUT the address misses, or the fault point that
+        swallows the TLP."""
         # hot-path
-        flows = self._flows[read]
-        key = (initiator, host, addr, length)
-        flow = flows.get(key)
-        if flow is not None and flow.topo != self.cluster.version:
-            flow = None
+        if self._seen != self._generation.value:
+            self._forget()
+        flow = self._flows[read].get((initiator, host, addr, length))
         if flow is not None:
-            for amap, version in flow.map_guards:
-                if amap.version != version:
-                    flow = None
-                    break
-            else:
-                for fn, lut_version in flow.ntb_guards:
-                    if fn.lut_version != lut_version:
-                        flow = None
-                        break
-                else:
-                    # Guards valid: replay the walk's observable side
-                    # effects exactly — per crossing in order, check
-                    # the live link first (NtbFunction.translate
-                    # raises *before* bumping its own counters).
-                    for fn, _v in flow.ntb_guards:
-                        if not fn.link_up:
-                            raise FabricFaultError(fn.name, addr)
-                        fn.translations += 1
-                        fn.bytes_forwarded += length
-        if flow is None:
-            try:
-                flow = self._build_flow(read, initiator, host, addr, length)
-            except NtbFault as fault:
-                raise FabricFaultError(fault.point, addr) from None
-            # A replay skips NtbFunction.translate, so a flow whose
-            # crossings someone watches (mem_event) is walked every time.
-            if self._memo and not self.probe.mem_event:
-                flows[key] = flow
+            for fn in flow.ntbs:
+                fn.translations += 1
+                fn.bytes_forwarded += length
+        else:
+            flow = self._fill(read, initiator, host, addr, length)
         faults = self.faults
         if faults is not None:
             # link_blocked before tlp_dropped: the latter draws.
@@ -429,36 +441,71 @@ class Fabric:
                 raise FabricFaultError(point, addr)
         return flow
 
+    def _forget(self) -> None:
+        """The generation moved: no record, extent or route holds."""
+        for table in (*self._flows, *self._walked):
+            table.clear()
+        self._routes.clear()
+        self._seen = self._generation.value
+
+    def _fill(self, read: bool, initiator: Node, host: Host, addr: int,
+              length: int) -> _Flow:
+        """A record for a TLP whose flow has none: a copy of the record
+        whose extent covers ``addr`` — its own :class:`Resolution`, the
+        NTB counters replayed as on a hit — else walked and built.  Kept
+        unless the escape hatch is set or someone watches the crossings
+        (``mem_event``: a replay skips :meth:`NtbFunction.translate`)."""
+        keep = self._memo and not self.probe.mem_event
+        if keep:
+            walked = self._walked[read].setdefault(
+                (initiator, host, length), [])
+            for proto in walked:
+                if proto.lo <= addr <= proto.last:
+                    flow = _Flow()
+                    res = proto.res
+                    moved = addr + proto.delta
+                    if res.kind == "mem":
+                        flow.res = Resolution("mem", res.host, res.node,
+                                              res.crossings, res.memory,
+                                              moved)
+                    else:
+                        flow.res = Resolution("mmio", res.host, res.node,
+                                              res.crossings, bar=res.bar,
+                                              offset=moved)
+                    flow.ntbs = proto.ntbs
+                    flow.ends = proto.ends
+                    flow.take_route(proto, read)
+                    for fn in flow.ntbs:
+                        fn.translations += 1
+                        fn.bytes_forwarded += length
+                    self._flows[read][(initiator, host, addr, length)] = flow
+                    return flow
+        try:
+            flow = self._build_flow(read, initiator, host, addr, length)
+        except NtbFault as fault:
+            raise FabricFaultError(fault.point, addr) from None
+        if keep:
+            self._flows[read][(initiator, host, addr, length)] = flow
+            walked.append(flow)
+        return flow
+
     def _build_flow(self, read: bool, initiator: Node, host: Host,
                     addr: int, length: int) -> _Flow:
         """Walk, then fill in the route: what the record caches from the
-        path.  Every address of one route shares it (the slots of a
-        ring, the pages of a bounce buffer), so it is derived once per
-        ``(read, initiator, target node, host, crossings, kind,
-        length)`` and ``Cluster.version``; the walk — with its NTB
-        counters and guards — still runs for every new address."""
+        path.  Every extent of one route shares it (the queue rings and
+        bounce buffers of one host behind one adapter), so it is derived
+        once per ``(read, initiator, target node, host, crossings, kind,
+        length)`` and generation."""
         flow = self._walk(host, addr, length)
         res = flow.res
-        version = self.cluster.version
         key = (read, initiator, res.node, res.host, res.crossings,
                res.kind, length)
         route = self._routes.get(key)
-        if route is None or route.topo != version:
+        if route is None:
             route = self._route(read, initiator, res, length)
-            route.topo = version
             if self._memo:
                 self._routes[key] = route
-        flow.topo = version
-        flow.plan = route.plan
-        flow.fixed = route.fixed
-        flow.draws = route.draws
-        if read:
-            flow.service = route.service
-            flow.rplan = route.rplan
-            flow.rfixed = route.rfixed
-            flow.rdraws = route.rdraws
-        else:
-            flow.clamp = route.clamp
+        flow.take_route(route, read)
         return flow
 
     def _route(self, read: bool, initiator: Node, res: Resolution,

@@ -73,8 +73,6 @@ class NtbFunction(PCIeFunction):
         #: cable state; toggled by fault injection (``link:<host>``)
         self.link_up = True
         self.link_transitions = 0
-        #: bumped on every map/unmap; flow records validate against it
-        self.lut_version = 0
         #: accounting: successful LUT translations and bytes forwarded
         self.translations = 0
         self.bytes_forwarded = 0
@@ -96,7 +94,7 @@ class NtbFunction(PCIeFunction):
         offset = self._lut_alloc.alloc(size, alignment=0x1000)
         self._windows[offset] = NtbWindow(offset, size, remote_host,
                                           remote_base, label)
-        self.lut_version += 1
+        self.host.addr_map.generation.bump()
         bar = self.bars[self.BAR_INDEX]
         assert bar.base is not None
         return bar.base + offset
@@ -109,7 +107,7 @@ class NtbFunction(PCIeFunction):
             raise NtbError(f"{self.name}: no window at {local_addr:#x}")
         del self._windows[offset]
         self._lut_alloc.free(offset)
-        self.lut_version += 1
+        self.host.addr_map.generation.bump()
 
     def window_count(self) -> int:
         return len(self._windows)
@@ -124,16 +122,26 @@ class NtbFunction(PCIeFunction):
         if up != self.link_up:
             self.link_up = up
             self.link_transitions += 1
+            if self.host is not None:
+                self.host.addr_map.generation.bump()
 
     # -- translation (used by the fabric during resolution) -----------------
 
-    def translate(self, bar: Bar, addr: int, length: int) -> tuple[Host, int]:
-        """Translate a local BAR hit into (remote host, remote address)."""
+    def translate(self, bar: Bar, addr: int, length: int) -> NtbWindow:
+        """The LUT entry a local BAR hit goes through, counted as one
+        translation.  The caller forwards the access to
+        ``(window.remote_host, window.remote_base + offset -
+        window.bar_offset)``; the fabric also keeps the window's bounds,
+        within which every address crosses the same way."""
         if not self.link_up:
             raise NtbLinkDown(self.name)
         offset = bar.offset_of(addr)
-        window = self._find_window(offset, length)
-        if window is None:
+        for window in self._windows.values():
+            # Windows are page-aligned, sparse and at most tens: a
+            # containment test per window.
+            if window.contains(offset, length):
+                break
+        else:
             raise NtbFault(
                 self.name, f"{self.name}: access at BAR offset {offset:#x} "
                 f"(+{length}) hits no LUT window")
@@ -141,17 +149,7 @@ class NtbFunction(PCIeFunction):
         self.bytes_forwarded += length
         for f in self.probe.mem_event:
             f(self, "translate", addr, length)
-        return (window.remote_host,
-                window.remote_base + (offset - window.bar_offset))
-
-    def _find_window(self, offset: int, length: int) -> NtbWindow | None:
-        # Windows are page-aligned and sparse; linear scan over the dict
-        # is fine at realistic window counts (tens), but keep a sorted
-        # fallback simple: direct containment test per window.
-        for window in self._windows.values():
-            if window.contains(offset, length):
-                return window
-        return None
+        return window
 
     # NTB BARs are never accessed as plain MMIO registers in this model —
     # every access is translated and forwarded, so reaching the handlers

@@ -22,7 +22,7 @@ import typing as t
 from ..config import PcieConfig
 from ..memory import HostMemory, RangeAllocator
 from ..sim import Resource, Simulator
-from .address import AddressMap
+from .address import AddressMap, Generation
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .device import PCIeFunction
@@ -89,7 +89,8 @@ class Host:
     MMIO_LIMIT = 0x0000_00F0_0000_0000
 
     def __init__(self, sim: Simulator, name: str,
-                 dram_size: int = 1 << 30) -> None:
+                 dram_size: int = 1 << 30,
+                 generation: Generation | None = None) -> None:
         self.sim = sim
         self.name = name
         self.rc = Node(f"{name}.rc", "rc", host=self)
@@ -97,7 +98,8 @@ class Host:
                                  name=f"{name}.dram")
         self.dram_alloc = RangeAllocator(self.DRAM_BASE, dram_size,
                                          name=f"{name}.dram-alloc")
-        self.addr_map = AddressMap(name=f"{name}.addrmap")
+        self.addr_map = AddressMap(name=f"{name}.addrmap",
+                                   generation=generation)
         self.addr_map.add(self.DRAM_BASE, dram_size, self.memory,
                           label="dram")
         self._mmio_cursor = self.MMIO_BASE
@@ -135,9 +137,10 @@ class Cluster:
         self.hosts: dict[str, Host] = {}
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
-        #: bumped by :meth:`connect`: whatever was derived from the graph
-        #: (the fabric's flow records) is stale once it differs.
-        self.version = 0
+        #: bumped by :meth:`connect` and by every change to a host's
+        #: address map, LUT or cable: the fabric's flow records and
+        #: routes are stale once it differs from the value they saw.
+        self.generation = Generation()
         self._paths: dict[tuple[Node, Node], tuple[Node, ...]] = {}
 
     # -- construction -----------------------------------------------------
@@ -145,7 +148,7 @@ class Cluster:
     def add_host(self, name: str, dram_size: int = 1 << 30) -> Host:
         if name in self.hosts:
             raise TopologyError(f"duplicate host name: {name}")
-        host = Host(self.sim, name, dram_size)
+        host = Host(self.sim, name, dram_size, self.generation)
         self.hosts[name] = host
         self._register(host.rc)
         return host
@@ -169,7 +172,7 @@ class Cluster:
         a.neighbors[b] = link
         b.neighbors[a] = link
         self.links.append(link)
-        self.version += 1
+        self.generation.bump()
         self._paths.clear()
         return link
 

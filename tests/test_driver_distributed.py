@@ -441,3 +441,30 @@ class TestMultiHostScaling:
         boot = bed.sim.process(overflow.start())
         with pytest.raises(ClientError):
             bed.sim.run(until=boot)
+
+    def test_refused_starts_give_back_what_they_took(self):
+        """A start the manager refuses leaves nothing behind: no DRAM,
+        segment, DMA or LUT window, nor a SmartIO reference, however
+        often it is tried."""
+        bed, manager = make_cluster(n_hosts=33,
+                                    config=no_sharing_config())
+        for i in range(1, 32):
+            start_client(bed, i)
+        record = bed.smartio._record(bed.nvme_device_id)
+
+        def held():
+            return (tuple(host.dram_alloc.allocated_bytes
+                          for host in bed.hosts),
+                    tuple(len(node._segments) for node in bed.sisci_nodes),
+                    tuple(ntb.window_count() for ntb in bed.ntbs),
+                    len(record.refs))
+
+        baseline = held()
+        for _attempt in range(3):
+            overflow = DistributedNvmeClient(bed.sim, bed.smartio,
+                                             bed.node(32),
+                                             bed.nvme_device_id, bed.config)
+            with pytest.raises(ClientError, match="refused"):
+                bed.sim.run(until=bed.sim.process(overflow.start()))
+            assert held() == baseline
+        assert manager.queues_in_use == 31

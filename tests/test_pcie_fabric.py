@@ -490,6 +490,34 @@ class TestOccupancyEventBudget:
         assert self._calls(read) <= 36
         assert self._held(cluster, client, devhost) == [0] * 4
 
+    def test_cold_tlp_in_a_warmed_window_copies_its_record(self, env):
+        """Budget: a TLP to an address its flow has not seen, inside the
+        LUT window an earlier TLP walked, copies that record (its own
+        :class:`Resolution`, the NTB counters replayed): 4 calls and
+        ~160 bytecodes over a hit, where a walk and a build were 24 and
+        ~420."""
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
+        remote = devhost.alloc_dma(4096)
+        window = ntb_b.map_window(devhost, remote, 4096)
+        data = b"q" * 64
+
+        def post(offset):
+            return lambda: fabric.post_write(client.rc, client,
+                                             window + offset, data)
+
+        for _ in range(3):
+            post(0)()
+            sim.run()
+        translations = ntb_b.translations
+        cold = cost(post(128))
+        sim.run()
+        hit = cost(post(128))
+        sim.run()
+        assert cold[0] - hit[0] == 4
+        assert cold[1] - hit[1] <= 170
+        assert ntb_b.translations == translations + 2
+        assert devhost.memory.read(remote + 128, 64) == data
+
 
 class TestPostWrites:
     """``post_writes`` is ``post_write`` per segment, in order, except

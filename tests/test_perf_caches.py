@@ -203,7 +203,7 @@ class TestRouteCacheInvalidation:
 
     def test_connect_after_a_warm_route_rederives_it_for_a_cold_address(
             self):
-        """The route table is validated by ``Cluster.version`` too: after
+        """The route table is validated by the cluster's generation too: after
         ``connect()``, a TLP to an address never seen before takes the
         new, shorter path, not the route derived before the cable."""
         sim, cluster, fabric, devhost, client, *_, ntb_b = \
@@ -221,6 +221,25 @@ class TestRouteCacheInvalidation:
         start = sim.now
         _read_once(sim, fabric, client, window + 128, 64)
         assert sim.now - start <= read_around - 600
+
+    def test_a_cold_address_copies_only_inside_the_window_walked(self):
+        """A record covers the LUT window its walk crossed, not the NTB
+        BAR: the next window of the BAR, to a page elsewhere, walks."""
+        sim, cluster, fabric, devhost, client, *_, ntb_b = \
+            build_two_host_cluster()
+        near, _gap, far = (devhost.alloc_dma(4096) for _ in range(3))
+        first = ntb_b.map_window(devhost, near, 4096)
+        second = ntb_b.map_window(devhost, far, 4096)
+        assert second == first + 4096
+        _warm(sim, fabric, client, first, 64)
+        _write_once(sim, fabric, client, first + 1024, b"a" * 64)
+        _write_once(sim, fabric, client, second, b"b" * 64)
+        assert devhost.memory.read(near + 1024, 64) == b"a" * 64
+        assert devhost.memory.read(far, 64) == b"b" * 64
+        assert _read_once(sim, fabric, client, second + 64, 64) == bytes(64)
+        (walked,) = fabric._walked[0].values()
+        assert [fabric.resolve(client, flow.lo, 64).addr
+                for flow in walked] == [near, far]
 
     def test_faults_attached_after_warm_up_are_drawn_for(self):
         sim, cluster, fabric, devhost, client, *_, ntb_b = \

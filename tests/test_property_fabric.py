@@ -155,25 +155,32 @@ class TestWireCostProperties:
 # --- flow records against the un-memoised twin -----------------------------
 
 ALIAS = 0xdead_0000                 # an address whose mapping is swapped
-#: target -> TLP size: few flows, so that most TLPs find a record
-SIZES = {"window": 64, "window+": 512, "local": 64, "alias": 4}
-TARGETS = st.sampled_from(sorted(SIZES))
+#: target -> (offset into the window or the alias mapping, TLP size):
+#: few flows, so that most TLPs find a record, and several offsets of
+#: one size in each, so that most cold ones copy one
+TARGETS_AT = {"window": (0, 64), "window+": (512, 512),
+              "window@2k": (2048, 64), "window@end": (4096 - 64, 64),
+              "local": (0, 64), "alias": (0, 4), "alias@2k": (2048, 4),
+              "alias@end": (4096 - 4, 4)}
+TARGETS = st.sampled_from(sorted(TARGETS_AT))
 OPS = st.one_of(
     st.tuples(st.just("post"), TARGETS, st.integers(0, 300)),
     st.tuples(st.sampled_from(["write", "read"]), TARGETS),
     st.tuples(st.just("link"), st.booleans()),
-    st.tuples(st.sampled_from(["remap", "alias", "bump", "connect"])))
+    st.tuples(st.sampled_from(["remap", "shrink", "shift", "alias",
+                               "split", "bump", "connect"])))
 
 
 #: every kind of TLP on every target (so: over every record) ...
-ROUND = [op for target in sorted(SIZES)
+ROUND = [op for target in sorted(TARGETS_AT)
          for op in (("post", target, 0), ("write", target),
                     ("read", target), ("post", target, 100))]
 #: ... before and after everything that can make a record stale.
 EVERY_GUARD = ROUND + [
     op for change in (("remap",), ("alias",), ("bump",), ("connect",),
-                      ("link", False), ("link", True), ("connect",),
-                      ("remap",), ("connect",))
+                      ("link", False), ("link", True), ("shrink",),
+                      ("split",), ("connect",), ("shift",), ("alias",),
+                      ("remap",), ("split",), ("connect",))
     for op in [change] + ROUND]
 
 
@@ -188,9 +195,12 @@ def run_script(ops, seed, memo, monkeypatch):
     window = ntb_a.map_window(b, regions[0], 4096)
     aliased = [HostMemory(sim, 4096, base=ALIAS, name=f"alias{i}")
                for i in range(2)]
-    mapping = a.addr_map.add(ALIAS, 4096, aliased[0], label="alias")
-    addrs = {"window": window, "window+": window + 512,
-             "local": a.alloc_dma(4096), "alias": ALIAS}
+    mappings = [a.addr_map.add(ALIAS, 4096, aliased[0], label="alias")]
+    local = a.alloc_dma(4096)
+    addrs = {target: (local if target == "local"
+                      else ALIAS if target.startswith("alias")
+                      else window) + offset
+             for target, (offset, _size) in TARGETS_AT.items()}
     shortcuts = [(cluster.nodes["a.ad"], cluster.nodes["b.ad"]),
                  (a.rc, cluster.nodes["x"]), (a.rc, b.rc)]
     log = []
@@ -206,12 +216,25 @@ def run_script(ops, seed, memo, monkeypatch):
     for memory in (a.memory, b.memory, *aliased):
         spy(memory)
 
+    def lut(remote_base, size):
+        """The window's LUT entry, replaced (same local address)."""
+        ntb_a.unmap_window(window)
+        assert ntb_a.map_window(b, remote_base, size) == window
+
+    def alias(*halves):
+        """The alias range, remapped: one memory per piece."""
+        for mapping in mappings:
+            a.addr_map.remove(mapping)
+        size = 4096 // len(halves)
+        mappings[:] = [a.addr_map.add(ALIAS + i * size, size, memory,
+                                      label=f"alias{i}")
+                       for i, memory in enumerate(halves)]
+
     def proc(sim):
-        nonlocal window, mapping
         for i, (kind, *args) in enumerate(ops):
             if kind in ("post", "write", "read"):
-                addr, size = addrs[args[0]], SIZES[args[0]]
-                payload = bytes([i + 1]) * size
+                addr, size = addrs[args[0]], TARGETS_AT[args[0]][1]
+                payload = bytes([i % 255 + 1]) * size
                 if kind == "post":
                     fabric.post_write(a.rc, a, addr, payload)
                     if args[1]:
@@ -228,14 +251,18 @@ def run_script(ops, seed, memo, monkeypatch):
             elif kind == "link":
                 ntb_a.set_link_state(args[0])
             elif kind == "remap":       # same window, the other page
-                ntb_a.unmap_window(window)
                 regions.reverse()
-                assert ntb_a.map_window(b, regions[0], 4096) == window
+                lut(regions[0], 4096)
+            elif kind == "shrink":      # its lower half only
+                lut(regions[0], 2048)
+            elif kind == "shift":       # its lower half, to the upper one
+                lut(regions[0] + 2048, 2048)
             elif kind == "alias":       # same address, the other memory
-                a.addr_map.remove(mapping)
                 aliased.reverse()
-                mapping = a.addr_map.add(ALIAS, 4096, aliased[0],
-                                         label="alias")
+                alias(aliased[0])
+            elif kind == "split":       # each half to another memory
+                aliased.reverse()
+                alias(*aliased)
             elif kind == "bump":        # a version bump that moves nothing
                 a.addr_map.remove(a.addr_map.add(
                     0xbeef_0000, 4096, a.memory, label="scratch"))
