@@ -340,7 +340,7 @@ class IoCommand(Command):
     pending."""
 
     __slots__ = ("ns", "kind", "slba", "nblocks", "nbytes", "segs",
-                 "remaining", "parts", "channel")
+                 "remaining", "parts", "sent", "channel")
 
     def _execute(self, _boot: Event) -> None:
         """Validate the command and start resolving its PRPs."""
@@ -419,6 +419,7 @@ class IoCommand(Command):
         """Read what the host sends, one segment at a time."""
         # hot-path
         self.parts = []
+        self.sent = 0
         addr, size = self.segs[0]
         ctrl = self.ctrl
         ctrl.fabric.read(ctrl.node, ctrl.host, addr,
@@ -429,11 +430,11 @@ class IoCommand(Command):
         if not read._ok:
             self._transfer_failed(read)
             return
-        parts = self.parts
-        parts.append(read._value)
+        self.parts.append(read._value)
+        self.sent = index = self.sent + 1
         segs = self.segs
-        if len(parts) < len(segs):
-            addr, size = segs[len(parts)]
+        if index < len(segs):
+            addr, size = segs[index]
             ctrl = self.ctrl
             ctrl.fabric.read(ctrl.node, ctrl.host, addr,
                              size).callbacks.append(self._sent)
@@ -478,15 +479,10 @@ class IoCommand(Command):
         opcode = sqe.opcode
         ns = self.ns
         if opcode == IoOpcode.READ:
-            data = ns.read_blocks(self.slba, self.nblocks)
             # Posted writes, one burst: the clamp guarantees the
             # subsequent CQE cannot overtake the data on the same flow.
-            offset = 0
-            burst = []
-            for addr, size in self.segs:
-                burst.append((addr, data[offset: offset + size]))
-                offset += size
-            ctrl.fabric.post_writes(ctrl.node, ctrl.host, burst)
+            ctrl.fabric.post_writes(ctrl.node, ctrl.host, self.segs,
+                                    ns.read_blocks(self.slba, self.nblocks))
         elif opcode == IoOpcode.COMPARE:
             if b"".join(self.parts) != ns.read_blocks(self.slba,
                                                       self.nblocks):

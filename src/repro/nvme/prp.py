@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from itertools import repeat
 
 from .constants import PAGE_SIZE
 
@@ -149,20 +150,18 @@ def prp_list_page(page: bytes, segs: list, remaining: int,
     except struct.error:
         raise PrpError(
             f"PRP list page too short: {len(page)} bytes") from None
-    list_addr = 0
     if chained:
         list_addr = data_ptrs[-1]
         data_ptrs = data_ptrs[:-1]
         if list_addr == 0:
             raise PrpError("PRP chain pointer is zero")
-    for pointer in data_ptrs:
-        if pointer == 0:
-            raise PrpError("PRP list entry is zero")
-        if pointer % page_size:
-            raise PrpError(f"PRP list entry not aligned: {pointer:#x}")
-        run = min(remaining, page_size)
-        segs.append((pointer, run))
-        remaining -= run
-        if remaining == 0:
-            break
-    return list_addr, remaining
+    # Every used entry is checked, in bulk: none is zero, none leaves a
+    # remainder modulo the page size (``page_size.__rmod__``).
+    if 0 in data_ptrs or any(map(page_size.__rmod__, data_ptrs)):
+        raise PrpError("PRP list entry zero or not page-aligned")
+    # each entry maps a whole page, but for the transfer's last
+    segs.extend(zip(data_ptrs, repeat(page_size)))
+    if chained:
+        return list_addr, remaining - (per_page - 1) * page_size
+    segs[-1] = (data_ptrs[-1], remaining - (needed - 1) * page_size)
+    return 0, 0

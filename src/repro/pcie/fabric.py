@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import typing as t
 
 from ..config import PcieConfig
 from ..memory import HostMemory
@@ -647,13 +646,13 @@ class Fabric:
 
     def post_write(self, initiator: Node, host: Host, addr: int,
                    data: bytes | bytearray | memoryview,
-                   after: _PostedWrite | None = None):
+                   after: _PostedWrite | None = None, length: int = 0):
         """Fire-and-forget posted write.
 
         Returns an event that triggers at delivery (callers may append
         callbacks to it); a dropped write has no delivery instant and
         returns :data:`DROPPED`, whose ``callbacks`` is None.  ``after``
-        is for :meth:`post_writes`.
+        and ``length`` (of bytes ``data``) are for :meth:`post_writes`.
         """
         # hot-path: with every link on the path free the whole issue runs
         # inline — no boot, no grant events.  A contended issue queues for
@@ -662,7 +661,7 @@ class Fabric:
         # probe's replay, fault draws, accounting) have run exactly once.
         if type(data) is not bytes:
             data = bytes(data)
-        length = len(data)
+        length = length or len(data)
         try:
             flow = self._flow(False, initiator, host, addr, length)
         except FabricFaultError as lost:
@@ -716,15 +715,18 @@ class Fabric:
         return tlp
 
     def post_writes(self, initiator: Node, host: Host,
-                    segments: t.Iterable[tuple[int, bytes]]) -> None:
-        """A burst of posted writes issued at one instant, in order (a
-        DMA train): a :meth:`post_write` per ``(addr, data)`` segment,
-        each handed its predecessor, so that those that must queue share
-        a boot event (docs/performance.md, "Order preservation")."""
+                    segments: list[tuple[int, int]], data: bytes) -> None:
+        """A burst of posted writes at one instant, in order (a DMA
+        train): ``data`` cut into a :meth:`post_write` per ``(addr, size)``
+        segment, each handed its predecessor, so those that must queue
+        share a boot event (docs/performance.md, "Order preservation")."""
         # hot-path
         after = None
-        for addr, data in segments:
-            tlp = self.post_write(initiator, host, addr, data, after)
+        offset = 0
+        for addr, size in segments:
+            tlp = self.post_write(initiator, host, addr,
+                                  data[offset: offset + size], after, size)
+            offset += size
             if tlp is not DROPPED:
                 after = tlp
 

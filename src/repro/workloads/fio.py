@@ -54,7 +54,12 @@ class FioJob:
 
 @dataclasses.dataclass
 class FioResult:
-    """Measurements from one job run."""
+    """Measurements from one job run.
+
+    ``elapsed_ns`` is the whole job, warm-up included; ``measured_ns``
+    is the window ``ios`` and ``bytes_moved`` were counted in, from the
+    ``ramp_ios``-th completion (the job's start without a warm-up) to
+    the job's end.  Throughput is taken over the measured window."""
 
     job: FioJob
     device_name: str
@@ -64,18 +69,19 @@ class FioResult:
     read_latencies: LatencyRecorder
     write_latencies: LatencyRecorder
     errors: int = 0
+    measured_ns: int = 0
 
     @property
     def iops(self) -> float:
-        if self.elapsed_ns <= 0:
+        if self.measured_ns <= 0:
             return 0.0
-        return self.ios / (self.elapsed_ns / 1e9)
+        return self.ios / (self.measured_ns / 1e9)
 
     @property
     def bandwidth_bytes_per_s(self) -> float:
-        if self.elapsed_ns <= 0:
+        if self.measured_ns <= 0:
             return 0.0
-        return self.bytes_moved / (self.elapsed_ns / 1e9)
+        return self.bytes_moved / (self.measured_ns / 1e9)
 
     def summary(self, op: str = "read") -> BoxplotStats:
         rec = (self.read_latencies if op == "read"
@@ -105,6 +111,9 @@ class _Job:
         self.deadline = deadline
         self.issued = 0
         self.done = 0
+        #: when the measured window opened: the start, then the instant
+        #: of the ``ramp_ios``-th completion
+        self.warmed_ns = device.sim.now
 
     def pick_op(self) -> str:
         job = self.job
@@ -177,11 +186,13 @@ class _Worker(Record):
         fio = self.fio
         fio.done += 1
         result = fio.result
+        job = fio.job
+        if fio.done == job.ramp_ios:
+            fio.warmed_ns = self.sim._now
         if not completed.ok:
             result.errors += 1
             self._next()
             return
-        job = fio.job
         op = self.op
         if fio.done > job.ramp_ios:
             if op == "read":
@@ -254,6 +265,7 @@ def fio_generator(device: BlockDevice, job: FioJob
         if slots is not None:
             sim.rng.release(stream)
     result.elapsed_ns = sim.now - start
+    result.measured_ns = sim.now - fio.warmed_ns
     return result
 
 

@@ -29,15 +29,18 @@ from repro.nvme import (AdminOpcode, IoOpcode, NamespaceError,
                         build_prps, sq_doorbell_offset)
 from repro.nvme.constants import (CNS_CONTROLLER, PAGE_SIZE, REG_ACQ,
                                   REG_AQA, REG_ASQ, REG_CC, SQE_SIZE)
+from repro.nvme.controller import IoCommand
 from repro.nvme.registers import MSIX_ENTRY_SIZE, MSIX_TABLE_OFFSET
 from repro.nvme.structs import CompletionEntry
 from repro.pcie import Cluster, Fabric
-from repro.pcie.fabric import FabricFaultError
+from repro.pcie.fabric import DROPPED, FabricFaultError
 from repro.qos.arbiter import POLICIES
 from repro.scenarios import ours_remote
 from repro.sim import Process, Simulator
 from repro.units import MiB
 from repro.workloads import FioJob, run_fio
+
+from .hostcost import cost
 
 #: 20 examples in tier-1, 400 in CI (``REPRO_KERNEL_EXAMPLES=2000``)
 EXAMPLES = max(10, int(os.environ.get("REPRO_KERNEL_EXAMPLES", "100")) // 5)
@@ -311,13 +314,8 @@ class ReferenceController(NvmeController):
             return
         status = Status.SUCCESS
         if opcode == IoOpcode.READ:
-            data = ns.read_blocks(sqe.slba, nblocks)
-            offset = 0
-            burst = []
-            for addr, size in segs:
-                burst.append((addr, data[offset: offset + size]))
-                offset += size
-            self.fabric.post_writes(self.node, self.host, burst)
+            self.fabric.post_writes(self.node, self.host, segs,
+                                    ns.read_blocks(sqe.slba, nblocks))
         elif opcode == IoOpcode.COMPARE:
             if b"".join(parts) != ns.read_blocks(sqe.slba, nblocks):
                 status = Status.COMPARE_FAILURE
@@ -693,3 +691,43 @@ class TestNoProcessPerCommand:
         assert [path for path in spawned
                 if path.endswith(os.path.join("nvme", "controller.py"))] \
             == []
+
+
+class TestReadDataCost:
+    """A READ's data leaves the controller as one ``post_write`` per TLP
+    plus a constant (``tests/hostcost.py::cost``): ``Fabric.post_writes``
+    cuts the payload itself, so ``_accessed`` builds no per-TLP pair.
+    ``post_write`` is a stub here, one call each, so the count is the
+    command's own work, not the fabric's."""
+
+    @staticmethod
+    def _accessed_cost(bs):
+        rig = ours_remote(seed=3)
+        ctrl, = rig.controllers
+        seen = []
+
+        class Measured(IoCommand):
+            __slots__ = ()
+
+            def _accessed(self, timer):
+                fabric = self.ctrl.fabric
+                fabric.post_write = lambda *_args: DROPPED
+                try:
+                    seen.append(cost(
+                        lambda: IoCommand._accessed(self, timer)))
+                finally:
+                    del fabric.post_write
+
+        ctrl.command_record = Measured
+        run_fio(rig.device, FioJob(rw="randread", bs=bs, iodepth=1,
+                                   total_ios=2))
+        empty = cost(lambda: None)
+        (calls, bytecodes), = set(seen)      # the same for every READ
+        return calls - empty[0], bytecodes - empty[1]
+
+    def test_one_post_write_per_tlp_plus_a_constant(self):
+        one_page = self._accessed_cost(4096)
+        calls, bytecodes = self._accessed_cost(65536)
+        assert one_page[0] == 12
+        assert calls == one_page[0] + 15
+        assert bytecodes <= one_page[1] + 15 * 32

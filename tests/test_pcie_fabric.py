@@ -520,8 +520,9 @@ class TestOccupancyEventBudget:
 
 
 class TestPostWrites:
-    """``post_writes`` is ``post_write`` per segment, in order, except
-    that the members that must queue share one boot event."""
+    """``post_writes`` is ``post_write`` per segment of its payload, in
+    order, except that the members that must queue share one boot
+    event."""
 
     SIZES = (4096, 4096, 64, 4096, 4096, 4096)
 
@@ -539,7 +540,9 @@ class TestPostWrites:
         segments.insert(3, (local, b"L" * 512))
         ntb_b.set_link_state(link_up)
         if burst:
-            fabric.post_writes(client.rc, client, segments)
+            fabric.post_writes(client.rc, client,
+                               [(addr, len(data)) for addr, data in segments],
+                               b"".join(data for _addr, data in segments))
         else:
             for addr, data in segments:
                 fabric.post_write(client.rc, client, addr, data)

@@ -1,13 +1,17 @@
 """Cross-check: driver-built PRPs must resolve, on the controller side,
 to exactly the driver's buffer — for every size and offset class."""
 
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.driver.prputil import prps_for_contiguous
 from repro.nvme import PrpError, build_prps, prp_list_page, prp_segments
 from repro.nvme.constants import PAGE_SIZE
+
+from .hostcost import cost
 
 
 def _resolve(prp1, prp2, length, list_memory):
@@ -182,3 +186,155 @@ class TestResolverRejectsGarbage:
         with pytest.raises(ValueError):
             prps_for_contiguous(0x10_0000, 514 * PAGE_SIZE, 0x2000,
                                 lambda b: None)
+
+
+def reference_prp_list_page(page, segs, remaining, page_size=PAGE_SIZE):
+    """The per-entry list-page decoder the bulk :func:`prp_list_page`
+    replaced, kept as its reference: one check, one ``min`` and one
+    append per used entry."""
+    per_page = page_size // 8
+    needed = (remaining + page_size - 1) // page_size
+    chained = needed > per_page
+    try:
+        data_ptrs = struct.unpack_from(
+            "<%dQ" % (per_page if chained else needed), page)
+    except struct.error:
+        raise PrpError(
+            f"PRP list page too short: {len(page)} bytes") from None
+    list_addr = 0
+    if chained:
+        list_addr = data_ptrs[-1]
+        data_ptrs = data_ptrs[:-1]
+        if list_addr == 0:
+            raise PrpError("PRP chain pointer is zero")
+    for pointer in data_ptrs:
+        if pointer == 0:
+            raise PrpError("PRP list entry is zero")
+        if pointer % page_size:
+            raise PrpError(f"PRP list entry not aligned: {pointer:#x}")
+        run = min(remaining, page_size)
+        segs.append((pointer, run))
+        remaining -= run
+        if remaining == 0:
+            break
+    return list_addr, remaining
+
+
+PER_PAGE = PAGE_SIZE // 8
+#: where the walk's list pages live; slot 511 of page i chains to i + 1
+LIST_BASE = 0x9000_0000
+#: a bad value for any slot: zero, misaligned, or chain-like (a list
+#: page's address, or any qword-aligned one)
+BAD_ENTRY = st.one_of(
+    st.just(0),
+    st.builds(lambda k, off: k * PAGE_SIZE + off,
+              st.integers(0, 1 << 40), st.integers(1, PAGE_SIZE - 1)),
+    st.integers(0, 3).map(lambda i: LIST_BASE + i * PAGE_SIZE),
+    st.integers(1, 1 << 50).map(lambda k: k * 8))
+#: per list page: slot -> bad value, and the length it is cut to
+PAGES = st.lists(st.tuples(
+    st.dictionaries(st.integers(0, PER_PAGE - 1), BAD_ENTRY, max_size=3),
+    st.one_of(st.none(), st.integers(0, PAGE_SIZE))), min_size=1, max_size=3)
+#: bytes the list maps: short lists, around one full page (511/512
+#: entries), and chains of two and three pages
+REMAINING = st.one_of(st.integers(1, 40 * PAGE_SIZE),
+                      st.integers(510 * PAGE_SIZE, 514 * PAGE_SIZE),
+                      st.integers(1, 1600 * PAGE_SIZE))
+
+
+def _list_pages(pages):
+    """The walk's list memory: good data entries, each page chained to
+    the next, then every page's bad slots written and its cut made."""
+    memory = {}
+    for i, (bad, cut) in enumerate(pages):
+        entries = [0x40_0000 + (i * PER_PAGE + k) * PAGE_SIZE
+                   for k in range(PER_PAGE)]
+        entries[-1] = LIST_BASE + (i + 1) * PAGE_SIZE
+        for slot, value in bad.items():
+            entries[slot] = value
+        blob = struct.pack("<%dQ" % PER_PAGE, *entries)
+        memory[LIST_BASE + i * PAGE_SIZE] = blob[:cut]
+    return memory
+
+
+def _walk(decode, memory, remaining):
+    """Every page ``decode`` asks for, in order (a page not in memory
+    reads as no bytes): each step's ``(list_addr, remaining)``, whether
+    a ``PrpError`` ended the walk, and the segments of a walk that
+    ended well (a command whose PRPs raise completes INVALID_FIELD,
+    whatever it had decoded)."""
+    segs = [(0x3f_f800, 0x800)]          # what PRP1 maps
+    steps = []
+    list_addr = LIST_BASE
+    try:
+        while list_addr:
+            list_addr, remaining = decode(memory.get(list_addr, b""), segs,
+                                          remaining)
+            steps.append((list_addr, remaining))
+    except PrpError:
+        return steps, True, None
+    return steps, False, segs
+
+
+class TestBulkDecodeMatchesReference:
+    """The bulk list-page decode is the per-entry one: the same
+    ``(list_addr, remaining)`` per page, a ``PrpError`` on the same page
+    or none, and the same segments, over chains of up to three pages
+    with zero, misaligned and chain-like values in used and unused slots
+    and pages cut short."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(remaining=REMAINING, pages=PAGES)
+    # a zero, a misaligned and a chain-like entry in a used slot
+    @example(remaining=16 * PAGE_SIZE, pages=[({3: 0}, None)])
+    @example(remaining=16 * PAGE_SIZE, pages=[({14: 0x41_0004}, None)])
+    @example(remaining=16 * PAGE_SIZE,
+             pages=[({0: LIST_BASE + 8}, None)])
+    # ... and in unused slots, past the transfer's last entry
+    @example(remaining=16 * PAGE_SIZE,
+             pages=[({15: 0, 200: 0x41_0004, 511: 8}, None)])
+    # the last entry is a partial page, and both kinds of bad entry
+    @example(remaining=15 * PAGE_SIZE + 1,
+             pages=[({14: 0x41_0004, 3: 0}, None)])
+    # chained: a bad chain pointer, a bad entry on the second page, and
+    # the second page cut short
+    @example(remaining=600 * PAGE_SIZE, pages=[({511: 0}, None)])
+    @example(remaining=1100 * PAGE_SIZE,
+             pages=[({}, None), ({510: 0x41_0800}, None), ({}, None)])
+    @example(remaining=600 * PAGE_SIZE,
+             pages=[({}, None), ({}, 8 * 88 + 3)])
+    # short pages: empty, one entry short, chain slot cut off
+    @example(remaining=16 * PAGE_SIZE, pages=[({}, 0)])
+    @example(remaining=16 * PAGE_SIZE, pages=[({}, 15 * 8 - 1)])
+    @example(remaining=513 * PAGE_SIZE, pages=[({}, PAGE_SIZE - 8)])
+    def test_same_walk_as_the_per_entry_decoder(self, remaining, pages):
+        memory = _list_pages(pages)
+        assert _walk(prp_list_page, memory, remaining) \
+            == _walk(reference_prp_list_page, memory, remaining)
+
+
+class TestListPageCost:
+    """A list page costs the same calls whatever its entry count
+    (``tests/hostcost.py::cost``); the per-entry decoder paid a ``min``
+    and an append for each one."""
+
+    @staticmethod
+    def _calls(entries, remaining):
+        page = struct.pack("<%dQ" % len(entries), *entries)
+        segs = []
+        calls, _bytecodes = cost(
+            lambda: prp_list_page(page, segs, remaining))
+        return calls - cost(lambda: None)[0], segs
+
+    @pytest.mark.parametrize("pages", [1, 2, 15, 200, 511, 512])
+    def test_calls_do_not_grow_with_the_entries(self, pages):
+        entries = [(k + 1) * PAGE_SIZE for k in range(pages)]
+        calls, segs = self._calls(entries, pages * PAGE_SIZE - 100)
+        # the frame, unpack_from, the alignment check, extend
+        assert calls == 4
+        assert len(segs) == pages and segs[-1][1] == PAGE_SIZE - 100
+
+    def test_a_chained_page_too(self):
+        entries = [(k + 1) * PAGE_SIZE for k in range(PER_PAGE)]
+        calls, segs = self._calls(entries, 1000 * PAGE_SIZE)
+        assert calls == 4 and len(segs) == PER_PAGE - 1

@@ -1,5 +1,7 @@
 """Tests for the fio-like workload generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,27 @@ class TestRunFio:
                          FioJob(rw="randread", total_ios=100,
                                 ramp_ios=20))
         assert len(result.read_latencies) == 80
+
+    def test_throughput_is_over_the_measured_window(self):
+        """The window opens at the ``ramp_ios``-th completion: at QD1 a
+        job of that many I/Os on the same rig ends at that instant.  The
+        whole-job rate would count the warm-up's time against the I/Os
+        after it."""
+        job = FioJob(rw="randread", total_ios=100, ramp_ios=20)
+        result = run_fio(local_linux(seed=16).device, job)
+        warm_up = run_fio(local_linux(seed=16).device,
+                          dataclasses.replace(job, total_ios=20, ramp_ios=0))
+        assert result.measured_ns == result.elapsed_ns - warm_up.elapsed_ns
+        assert warm_up.measured_ns == warm_up.elapsed_ns
+        assert result.iops == result.ios / (result.measured_ns / 1e9)
+        assert result.bandwidth_bytes_per_s \
+            == result.bytes_moved / (result.measured_ns / 1e9)
+        assert result.iops > 1.1 * result.ios / (result.elapsed_ns / 1e9)
+
+    def test_a_job_all_warm_up_measured_nothing(self):
+        result = run_fio(local_linux(seed=16).device,
+                         FioJob(rw="randread", total_ios=10, ramp_ios=10))
+        assert result.ios == 0 and result.iops == 0.0
 
     def test_iodepth_increases_throughput(self):
         qd1 = run_fio(local_linux(seed=17).device,
