@@ -140,9 +140,10 @@ class MediaConfig:
     write_cap_ns: int = 10_500
     #: Additional per-byte time beyond the first 4 KiB of a request.
     per_byte_ns: float = 1.0 / gb_per_s(2.4)
-    #: Number of independent internal channels (bounds parallel commands;
-    #: P4800X 4 KiB random read saturates around ~550 kIOPS ≈
-    #: channels / media_latency).
+    #: Number of independent internal channels (bounds parallel
+    #: commands): the 4 KiB media bound is channels / read_median_ns,
+    #: 724.6 kIOPS, above the P4800X's ~550-590 kIOPS spec
+    #: (docs/calibration.md).
     channels: int = 5
     #: Block (LBA) size presented by the namespace.
     lba_bytes: int = 512

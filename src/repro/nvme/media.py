@@ -8,8 +8,11 @@ the comparison would look like on a TLC flash drive, with its wide
 read/program asymmetry).
 
 Parallelism is modelled as a pool of channels (a counted Resource): the
-per-command media time is constant, so the drive's max IOPS is
-``channels / access_time`` — calibrated to the P4800X's ~550-600 kIOPS.
+per-command media time is near-constant, so the 4 KiB IOPS bound is
+``channels / read_median_ns``, 724.6 kIOPS for the P4800X model.
+``per_byte_ns`` is charged on the one channel an access holds, so large
+blocks move at up to ``channels`` times its rate (≈ 10.96 GB/s at
+128 KiB) and the device link binds first (docs/calibration.md).
 An access is a ``channels`` grant held for :meth:`Media.access_ns`, then
 released and counted with :meth:`Media.finish` (the controller's
 command record walks these steps from callbacks).

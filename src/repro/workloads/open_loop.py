@@ -40,6 +40,7 @@ import numpy as np
 from ..driver.blockdev import BlockDevice, BlockRequest
 from ..sim import Event, LatencyRecorder
 from ..sim.resources import Record
+from .fio import region_of, run_jobs
 
 ARRIVAL_MODELS = ("poisson", "bursty", "diurnal")
 
@@ -318,16 +319,10 @@ class _JobIssue(Issue):
                  "base_payload")
 
     def __init__(self, device: BlockDevice, job: OpenLoopJob) -> None:
-        if job.bs % device.lba_bytes:
-            raise ValueError(
-                f"bs {job.bs} not a multiple of the LBA size")
+        region = region_of(device, job.region_lbas, [job.bs])
         self.job = job
-        self.lba_per_io = max(1, job.bs // device.lba_bytes)
-        region = job.region_lbas or device.capacity_lbas
-        region = min(region, device.capacity_lbas)
+        self.lba_per_io = job.bs // device.lba_bytes
         self.max_slot = region // self.lba_per_io
-        if self.max_slot < 1:
-            raise ValueError("region smaller than one I/O")
         self.rng = rng = device.sim.rng.stream(
             f"{job.seed_stream}:{job.name}:{device.name}")
         result = OpenLoopResult(job, device.name,
@@ -396,18 +391,5 @@ def run_open_loop(device: BlockDevice, job: OpenLoopJob) -> OpenLoopResult:
 
 def run_open_loop_many(pairs: t.Sequence[tuple[BlockDevice, OpenLoopJob]]
                        ) -> list[OpenLoopResult]:
-    """Run several open-loop jobs *simultaneously* (multi-tenant load).
-
-    All devices must share one simulator.
-    """
-    if not pairs:
-        return []
-    sim = pairs[0][0].sim
-    for device, _job in pairs:
-        if device.sim is not sim:
-            raise ValueError("all devices must share a simulator")
-    procs = [sim.process(open_loop_generator(device, job))
-             for device, job in pairs]
-    done = sim.all_of(procs)
-    sim.run(until=done)
-    return [proc.value for proc in procs]
+    """Run several open-loop jobs simultaneously (multi-tenant load)."""
+    return run_jobs(open_loop_generator, pairs)

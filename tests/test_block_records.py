@@ -873,7 +873,9 @@ def reference_fio_generator(device, job):
             if job.verify and op == "write":
                 check = yield device.submit(
                     BlockRequest("read", lba=lba, nblocks=lba_per_io))
-                if check.ok and check.result != request.data:
+                if not check.ok:
+                    result.errors += 1
+                elif check.result != request.data:
                     raise AssertionError("verify failed")
 
     workers = [sim.process(worker(sim)) for _ in range(job.iodepth)]

@@ -36,10 +36,11 @@ from repro.scenarios import (CHAOS_RELIABILITY, FIG10_SCENARIOS,
                              nvmeof_remote, ours_local, ours_remote,
                              scale_out_cluster)
 from repro.scenarios.testbed import LocalTestbed, PcieTestbed
+from repro.sim import BoxplotStats
 from repro.telemetry import STAGES
 from repro.units import KiB
-from repro.workloads import (PROFILES, FioJob, ZipfianAccess, fio_generator,
-                             run_fio, run_fio_many, run_pattern)
+from repro.workloads import (PROFILES, FioJob, fio_generator, run_fio,
+                             run_fio_many)
 
 from .docblocks import Producer, names, render
 from .docblocks import md_table as _md
@@ -353,20 +354,18 @@ def under_load():
 
 @experiment
 def profiles():
-    """fio-style application profiles at 8-way concurrency."""
-    runs = (("oltp", 250, ZipfianAccess(region_lbas=1 << 21, alpha=1.2)),
-            ("webserver", 200, ZipfianAccess(region_lbas=1 << 22,
-                                             alpha=1.1)),
-            ("backup", 60, None))
+    """fio-style application profiles at iodepth 8."""
+    runs = (("oltp", 250), ("webserver", 200), ("backup", 60))
     out = {}
     for side, build, base in (("ours", ours_remote, 1100),
                               ("nvmeof", nvmeof_remote, 1120)):
-        for i, (name, ios, access) in enumerate(runs):
-            out[side, name] = run_pattern(
+        for i, (name, ios) in enumerate(runs):
+            out[side, name] = run_fio(
                 build(seed=base + i, queue_depth=16).device,
-                PROFILES[name], total_ios=ios, access=access,
-                concurrency=8)
-    med = {key: r.latencies.summary().median for key, r in out.items()}
+                dataclasses.replace(PROFILES[name], iodepth=8,
+                                    total_ios=ios))
+    med = {key: BoxplotStats.from_values(r.all_latencies()).median
+           for key, r in out.items()}
     table = _md(["profile", "ours kIOPS", "ours med (µs)", "nvmeof kIOPS",
                  "nvmeof med (µs)", "latency ratio"],
                 [[name, f"{out['ours', name].iops / 1e3:.1f}",
@@ -374,7 +373,7 @@ def profiles():
                   f"{out['nvmeof', name].iops / 1e3:.1f}",
                   f"{med['nvmeof', name] / 1e3:.1f}",
                   f"{med['nvmeof', name] / med['ours', name]:.2f}×"]
-                 for name, _ios, _access in runs])
+                 for name, _ios in runs])
     return {"med": med,
             "errors": sum(r.errors for r in out.values())}, table
 
@@ -604,9 +603,10 @@ ROWS = [
     Row("blocksize", "large blocks: NVMe-oF is comparable",
         "Sec. VI: RDMA throughput comparable to local PCIe",
         "bw['nvmeof'][131072] > 0.75 * bw['ours'][131072]"),
-    Row("blocksize", "large blocks reach the media ceiling (ours)",
+    Row("blocksize", "large blocks reach the device link's bound (ours)",
         ABLATION, "bw['ours'][131072] > 1.5e9"),
-    Row("blocksize", "large blocks reach the media ceiling (NVMe-oF)",
+    Row("blocksize",
+        "large blocks approach the device link's bound (NVMe-oF)",
         ABLATION, "bw['nvmeof'][131072] > 1.3e9"),
     Row("bounce", "at 4 KiB the bounce copy is as cheap as map + unmap",
         "Sec. V: bounce buffer, IOMMU as future work",

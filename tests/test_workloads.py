@@ -5,8 +5,27 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.driver import BlockDevice
 from repro.scenarios import local_linux, ours_remote
+from repro.sim import Simulator
 from repro.workloads import FioJob, FioResult, run_fio, run_fio_many
+
+#: a valid size mix, for the cases that break something else
+MIX = ((4096, 1.0, 0.5),)
+
+
+class ReadsFail(BlockDevice):
+    """Takes every write, fails every read (0x281, unrecovered read
+    error), each after 100 ns."""
+
+    def __init__(self, sim):
+        super().__init__(sim, "reads-fail", lba_bytes=512,
+                         capacity_lbas=1 << 20)
+
+    def _driver_submit(self, request):
+        yield self.sim.timeout(100)
+        if request.op == "read":
+            request.status = 0x281
 
 
 class TestJobValidation:
@@ -27,6 +46,39 @@ class TestJobValidation:
     def test_bad_mix(self):
         with pytest.raises(ValueError):
             FioJob(rw="randrw", rwmixread=150)
+
+    @pytest.mark.parametrize("fields", [
+        dict(region_lbas=0), dict(region_lbas=-8), dict(ramp_ios=-1),
+        dict(total_ios=0), dict(total_ios=-3),
+        dict(total_ios=None, runtime_ns=0), dict(runtime_ns=-1)])
+    def test_bad_bounds(self, fields):
+        with pytest.raises(ValueError):
+            FioJob(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(bssplit=()),
+        dict(bssplit=((4096, 0.0, 0.5),)),
+        dict(bssplit=((4096, -1.0, 0.5),)),
+        dict(bssplit=((4096, 1.0, 1.5),)),
+        dict(bssplit=((4096, 1.0, -0.1),)),
+        dict(bssplit=((1000, 1.0, 0.5),)),
+        dict(bssplit=((0, 1.0, 0.5),)),
+        dict(bssplit=MIX, zipf=0.0),
+        dict(bssplit=MIX, zipf=-1.2),
+        dict(zipf=1.2),
+        dict(bssplit=MIX, rw="read"),
+        dict(bssplit=MIX, rw="write"),
+        dict(bssplit=MIX, rw="randread"),
+        dict(bssplit=MIX, bs=8192),
+        dict(bssplit=MIX, rwmixread=70)])
+    def test_bad_size_mix(self, fields):
+        with pytest.raises(ValueError):
+            FioJob(**{"rw": "randrw", **fields})
+
+    def test_a_size_mix(self):
+        job = FioJob(rw="randrw", bssplit=MIX + ((65536, 0.5, 1.0),),
+                     zipf=0.9)
+        assert job.bssplit[1] == (65536, 0.5, 1.0)
 
 
 class TestRunFio:
@@ -114,6 +166,13 @@ class TestRunFio:
                          FioJob(rw="randwrite", total_ios=60,
                                 verify=True, region_lbas=10_000))
         assert result.errors == 0
+
+    def test_a_failed_read_back_is_an_error(self):
+        device = ReadsFail(Simulator(seed=23))
+        result = run_fio(device, FioJob(rw="randwrite", total_ios=20,
+                                        verify=True))
+        assert device.errors == 20
+        assert (result.ios, result.errors) == (20, 20)
 
     def test_region_bound_respected(self):
         scenario = local_linux(seed=19)
