@@ -67,11 +67,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from heapq import heappush
 
 from ..config import PcieConfig
 from ..memory import HostMemory
 from ..sim import Event, HoldPlan, Simulator
-from ..sim.core import URGENT
 from ..sim.resources import Hold, Record
 from ..units import serialize_ns
 from .address import AddressError
@@ -99,10 +99,35 @@ class _PostedWrite(Hold):
 
     __slots__ = ("fabric", "flow", "addr", "data", "boot")
 
-    def _held(self, _fill: Event) -> None:
-        # hot-path: links held and pipe filled
+    def _held(self, _fill: Event | None) -> None:
+        """The links are held and the pipe has filled as of now: draw
+        the arrival, apply the posted-ordering clamp and queue the
+        delivery at the end of its instant's list."""
+        # hot-path
+        flow = self.flow
+        latency = flow.fixed
+        for draw in flow.draws:
+            try:
+                latency += draw.buf[draw.pos]
+                draw.pos += 1
+            except IndexError:
+                latency += draw.refill()
+        faults = self.fabric.faults
+        if faults is not None:
+            latency += faults.tlp_delay_ns(*flow.ends)
         sim = self.sim
-        sim._push(self, self.fabric._arrival(self.flow) - sim._now)
+        when = sim._now + latency
+        clamp = flow.clamp
+        if when < clamp[0]:
+            when = clamp[0]     # posted ordering: never pass an earlier write
+        else:
+            clamp[0] = when
+        at = sim._at
+        if when in at:
+            at[when].append(self)
+        else:
+            at[when] = [self]
+            heappush(sim._times, when)
 
     def _deliver(self, _self: Event) -> None:
         # hot-path
@@ -131,11 +156,10 @@ class _WaitedWrite(_PostedWrite):
 
     __slots__ = ()
 
-    def _held(self, _fill: Event) -> None:
+    def _held(self, fill: Event | None) -> None:
         # hot-path
         if self.callbacks:      # else the waiter left (cancel)
-            sim = self.sim
-            sim._push(self, self.fabric._arrival(self.flow) - sim._now)
+            _PostedWrite._held(self, fill)
 
     def cancel(self) -> None:
         Hold.cancel(self)
@@ -606,7 +630,7 @@ class Fabric:
         tlp.data = data
         plan = flow.plan
         if not plan:
-            sim._push(tlp, self._arrival(flow) - sim._now)
+            _PostedWrite._held(tlp, None)
         elif (fill := plan.take()) is not None:
             fill.callbacks.append(tlp._held)
         else:
@@ -614,28 +638,6 @@ class Fabric:
             tlp._index = 0
             tlp._claim(None)
         return tlp
-
-    def _arrival(self, flow: _Flow) -> int:
-        """Delivery instant of a posted write whose links are held and
-        whose pipe has filled as of now, with the posted-ordering clamp
-        applied."""
-        # hot-path
-        latency = flow.fixed
-        for draw in flow.draws:
-            try:
-                latency += draw.buf[draw.pos]
-                draw.pos += 1
-            except IndexError:
-                latency += draw.refill()
-        faults = self.faults
-        if faults is not None:
-            latency += faults.tlp_delay_ns(*flow.ends)
-        arrival = self.sim._now + latency
-        clamp = flow.clamp
-        if arrival < clamp[0]:
-            return clamp[0]  # posted ordering: never pass an earlier write
-        clamp[0] = arrival
-        return arrival
 
     def _drop_write(self, point: str, addr: int, size: int) -> None:
         """Posted semantics: the write vanishes silently at the severed
@@ -685,16 +687,26 @@ class Fabric:
         plan = flow.plan
         if not plan:
             fill = 0
-        elif plan.take() is not None:
+        elif (boot is None or after.plan is not plan) \
+                and plan.take() is not None:
             fill = plan.fill
         else:
+            # Queue from the burst's boot.  Behind a predecessor queued
+            # on this plan the take must fail, so it is skipped: it is
+            # pure, and since the predecessor's failed only claims,
+            # which make links busier, have run.
+            tlp.plan = plan
+            tlp._index = 0
+            tlp._grant = None
             if boot is None:
                 tlp.boot = boot = Event(sim)
-                sim._push(boot, 0, URGENT)
-            tlp._start(plan, boot)
+                sim._urgent.append(boot)
+            boot.callbacks.append(tlp._claim)
             return tlp
-        # :meth:`_arrival` with the pipe still to fill, inline (its one
-        # call would be a tenth of what an uncontended issue makes).
+        tlp.plan = None
+        # :meth:`_PostedWrite._held` with the pipe still to fill, inline
+        # (its one call would be a tenth of what an uncontended issue
+        # makes).
         latency = fill + flow.fixed
         for draw in flow.draws:
             try:
@@ -705,13 +717,18 @@ class Fabric:
         faults = self.faults
         if faults is not None:
             latency += faults.tlp_delay_ns(*flow.ends)
+        when = sim._now + latency
         clamp = flow.clamp
-        prior = clamp[0] - sim._now
-        if latency < prior:
-            latency = prior  # posted ordering: never pass an earlier write
+        if when < clamp[0]:
+            when = clamp[0]     # posted ordering: never pass an earlier write
         else:
-            clamp[0] = sim._now + latency
-        sim._push(tlp, latency)
+            clamp[0] = when
+        at = sim._at
+        if when in at:
+            at[when].append(tlp)
+        else:
+            at[when] = [tlp]
+            heappush(sim._times, when)
         return tlp
 
     def post_writes(self, initiator: Node, host: Host,

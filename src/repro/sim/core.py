@@ -45,13 +45,12 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 
-from .events import (NORMAL, URGENT, AllOf, AnyOf, Event, Timeout,
-                     _as_int_delay)
+from .events import AllOf, AnyOf, Event, Timeout, _as_int_delay
 from .probe import Probe
 from .process import Process
 from .rng import RngRegistry
 
-__all__ = ["Simulator", "NORMAL", "URGENT"]
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -122,24 +121,19 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: int = 0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: int = 0) -> None:
         if delay:
             if type(delay) is not int:
                 delay = _as_int_delay(delay)
             if delay < 0:
                 raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._push(event, delay, priority)
+        self._push(event, delay)
 
-    def _push(self, event: Event, delay: int, priority: int = NORMAL) -> None:
-        """Raw enqueue for callers that have already validated ``delay``:
-        at the end of its ``(instant, priority)``.  URGENT events are for
-        the current instant only.  (The hot paths inline the NORMAL
-        case: ``at[when].append(event)`` when the instant has a list.)"""
-        if priority == URGENT:
-            if delay:
-                raise ValueError("URGENT events run at the current instant")
-            self._urgent.append(event)
-            return
+    def _push(self, event: Event, delay: int) -> None:
+        """Raw NORMAL enqueue for callers that have already validated
+        ``delay``: at the end of its instant's list.  (The hot paths
+        inline it, ``at[when].append(event)`` when the instant has a
+        list; an URGENT event is appended to ``_urgent``.)"""
         when = self._now + delay
         at = self._at
         if when in at:

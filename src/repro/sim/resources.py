@@ -252,9 +252,10 @@ class Hold(Event):
     resumes the walk — and then starts the release timers.  Never
     queued itself: :meth:`_held` runs from the last timer's event and
     fires the subscribers.  A subclass that is an event of its own (a
-    posted write, :mod:`repro.pcie.fabric`; :class:`Record`) starts the
-    walk — from a boot event with :meth:`_start`, or inline: ``plan``,
-    ``_index`` and :meth:`_claim` — and overrides :meth:`_held`."""
+    posted write, :mod:`repro.pcie.fabric`; :class:`Record`) sets
+    ``plan``, ``_index`` and ``_grant`` and starts the walk — with
+    :meth:`_claim` inline, or subscribed to a boot event — and overrides
+    :meth:`_held`."""
 
     __slots__ = ("plan", "_index", "_grant")
 
@@ -270,14 +271,6 @@ class Hold(Event):
         self._index = 0     # resources[:_index] held or, the last, awaited
         self._grant = None
         self._claim(None)
-
-    def _start(self, plan: HoldPlan, boot: Event) -> None:
-        """Walk ``plan`` once ``boot`` (pending) is processed; the event
-        fields are the subclass record's own."""
-        self.plan = plan
-        self._index = 0
-        self._grant = None
-        boot.callbacks.append(self._claim)
 
     def _claim(self, _grant: Event | None) -> None:
         # hot-path

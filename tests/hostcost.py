@@ -4,12 +4,12 @@ import gc
 import sys
 
 
-def cost(fn, files=None):
+def cost(fn, codes=None):
     """``(calls, executed bytecodes)`` of ``fn()``: Python and C calls as
     the ledger's ``host_calls_per_io`` counts them, bytecodes as
     ``benchmarks/opcount.py`` does (``fn``'s own frame included).  A set
-    passed as ``files`` collects the source file of every Python frame
-    entered."""
+    passed as ``codes`` collects the code object of every Python frame
+    entered (``Simulator._push.__code__ in codes``: was it called?)."""
     counted = [0, 0]
     # A collector pass inside ``fn`` would run the finalizers of earlier
     # garbage (suspended sim processes' ``finally`` blocks) as calls of
@@ -19,8 +19,8 @@ def cost(fn, files=None):
     def profile(frame, event, _arg):
         if event == "call" or event == "c_call":
             counted[0] += 1
-            if files is not None and event == "call":
-                files.add(frame.f_code.co_filename)
+            if codes is not None and event == "call":
+                codes.add(frame.f_code)
 
     def trace(frame, event, _arg):
         frame.f_trace_opcodes = True

@@ -8,12 +8,15 @@ import re
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.config import PcieConfig
+from repro.faults import FaultPointRegistry
 from repro.pcie import (AddressError, Bar, Cluster, Fabric, FabricFaultError,
                         NtbError, NtbFunction, PCIeFunction, TopologyError)
-from repro.sim import Interrupt, Process, Simulator, Tracer
+from repro.sim import HoldPlan, Interrupt, Process, Simulator, Tracer
 from repro.sim.resources import Hold
 from repro.units import MiB
 
@@ -417,7 +420,10 @@ class TestOccupancyEventBudget:
         to fill.  The TLP record is its own hold: it starts the walk
         itself and, filled, pushes its delivery straight from the last
         release timer (through a separate ``HoldPlan.hold``/``Hold`` and
-        a hop from that hold's subscriber: 38 calls, 1,169 bytecodes)."""
+        a hop from that hold's subscriber: 38 calls, 1,169 bytecodes).
+        Its boot goes onto the URGENT lane and its delivery onto its
+        instant's list inline (through ``Simulator._push``, ``Hold._start``
+        and ``Fabric._arrival``: 33 calls, 1,048 bytecodes)."""
         sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
         window = self._window(devhost, ntb_b)
         data = b"q" * 64
@@ -440,8 +446,8 @@ class TestOccupancyEventBudget:
             assert sim.events_processed - before == 4
             sim.run()               # and the delivery
             assert sim.events_processed - before == 5
-        assert calls - empty[0] == 33
-        assert bytecodes - empty[1] <= 1097
+        assert calls - empty[0] == 29
+        assert bytecodes - empty[1] <= 1040
         assert self._held(cluster, client, devhost) == [0] * 4
 
     @staticmethod
@@ -574,6 +580,136 @@ class TestPostWrites:
         delivered, _events, fabric = self._run(burst=True, link_up=False)
         assert fabric.dropped_writes == 6 and fabric.posted_writes == 1
         assert [size for _t, _a, size in delivered] == [512]
+
+    def test_a_follower_behind_a_queued_member_takes_nothing(self):
+        """Budget: one follower's issue in a queued 16-segment burst.
+        Its predecessor queued on the same plan, so its take must fail:
+        it joins the burst's boot with no ``HoldPlan.take`` and no
+        ``Simulator._push`` (7 calls, 201 bytecodes with the take and
+        ``Hold._start``)."""
+        sim, cluster, fabric, devhost, client, *_s, ntb_b = \
+            build_two_host_cluster()
+        remote = devhost.alloc_dma(65536)
+        window = ntb_b.map_window(devhost, remote, 65536)
+        segments = [(window + 4096 * i, 4096) for i in range(16)]
+        data = bytes(range(256)) * 256
+        for _ in range(3):          # a record for every segment
+            fabric.post_writes(client.rc, client, segments, b"w" * 65536)
+            sim.run()
+        plan = fabric._flows[0][(client.rc, client, window, 4096)].plan
+        assert plan.take() is not None          # every link busy
+        members = [fabric.post_write(client.rc, client, window,
+                                     data[:4096], None, 4096)]
+        empty = cost(lambda: members.append(None))
+        members.pop()
+        for i, (addr, size) in enumerate(segments[1:], 1):
+            piece = data[4096 * i: 4096 * (i + 1)]
+            codes = set()
+            calls, bytecodes = cost(lambda: members.append(
+                fabric.post_write(client.rc, client, addr, piece,
+                                  members[-1], size)), codes)
+        assert HoldPlan.take.__code__ not in codes
+        assert Simulator._push.__code__ not in codes
+        assert calls - empty[0] == 5
+        assert bytecodes - empty[1] <= 190
+        boot = members[0].boot
+        assert boot is not None and len(boot.callbacks) == 16
+        assert all(tlp.boot is boot and tlp.plan is plan
+                   for tlp in members)
+        sim.run()
+        assert devhost.memory.read(remote, 65536) == data
+
+    #: where a differential burst member goes, in the client's space:
+    #: a window into device-host DRAM, one onto the device's BAR (a
+    #: longer path over the same links), client DRAM (no link: inline)
+    DESTINATIONS = ("dram", "bar", "local")
+
+    BURSTS = st.lists(st.tuples(
+        st.integers(0, 400),
+        st.lists(st.tuples(st.sampled_from(DESTINATIONS),
+                           st.sampled_from((64, 512, 4096))),
+                 min_size=1, max_size=8)), min_size=1, max_size=5)
+
+    @staticmethod
+    def _play(bursts, drop, burst):
+        """Issue each ``(start, [(destination, size), ...])`` at its
+        start, as one ``post_writes`` or as single ``post_write``
+        calls; ``drop``: the device host's link drops that share of
+        TLPs.  Returns each ``tlp_done`` with its instant and the bytes
+        it left at the target, the event count and the boots the
+        single calls made beyond one per burst."""
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = \
+            build_two_host_cluster()
+        faults = FaultPointRegistry(sim)
+        for name in ("link:client", "link:devhost"):
+            faults.register(name)
+        faults.set_drop("link:devhost", drop)
+        fabric.faults = faults
+        bases = {
+            "dram": ntb_b.map_window(devhost, devhost.alloc_dma(65536),
+                                     65536),
+            "bar": ntb_b.map_window(devhost, scratch.bars[0].base, 4096),
+            "local": client.alloc_dma(65536)}
+        seen = []
+
+        class Log:
+            def on_tlp_done(self, fabric, read, addr, size, res, lost_at):
+                if res is None:
+                    landed = None
+                elif res.kind == "mem":
+                    landed = res.memory.read(res.addr, size)
+                else:
+                    landed = bytes(scratch.backing[res.offset:
+                                                   res.offset + size])
+                seen.append((sim.now, addr, size, lost_at, landed))
+
+        sim.probe.subscribe(Log())
+        merged = [0]
+
+        def issue(tag, start, members):
+            yield sim.timeout(start)
+            segments = []
+            for i, (where, size) in enumerate(members):
+                slot = (4096 - size) if where == "bar" else 4096 * i
+                segments.append((bases[where] + slot, size))
+            data = b"".join(bytes([16 * tag + i + 1]) * size
+                            for i, (_w, size) in enumerate(members))
+            if burst:
+                fabric.post_writes(client.rc, client, segments, data)
+                return
+            offset = boots = 0
+            for addr, size in segments:
+                tlp = fabric.post_write(client.rc, client, addr,
+                                        data[offset: offset + size])
+                offset += size
+                boots += getattr(tlp, "boot", None) is not None
+            merged[0] += max(boots - 1, 0)
+
+        for tag, (start, members) in enumerate(bursts):
+            sim.process(issue(tag, start, members))
+        sim.run()
+        return seen, sim.events_processed, merged[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(bursts=BURSTS, drop=st.sampled_from((0.0, 0.3)))
+    @example(bursts=[(0, [("dram", 4096)]),
+                     (0, [("dram", 4096), ("local", 64), ("bar", 64),
+                          ("dram", 4096), ("dram", 4096)])], drop=0.0)
+    @example(bursts=[(0, [("bar", 4096)] * 2),
+                     (0, [("bar", 4096), ("dram", 512), ("bar", 512),
+                          ("dram", 512), ("bar", 4096)] * 2)], drop=0.3)
+    def test_a_burst_delivers_as_single_posts_do(self, bursts, drop):
+        """A burst mixing plans, inline members between queued ones and
+        members dropped mid-burst: every delivery at the instant, with
+        the bytes and the ``tlp_done`` that single ``post_write`` calls
+        give, and the same events but for the boots the burst shares.
+        A follower skips its take only behind a member queued on the
+        same plan; keyed on the burst having a boot, a member behind an
+        inline one (or one queued elsewhere) would queue needlessly."""
+        single, single_events, merged = self._play(bursts, drop, False)
+        burst, burst_events, _m = self._play(bursts, drop, True)
+        assert burst == single
+        assert burst_events == single_events - merged
 
 
 class TestInterruptedLinkWaiter:
@@ -709,8 +845,8 @@ def test_a_transaction_derives_nothing_its_flow_record_holds():
     the bodies a TLP runs through call none of them."""
     derivations = {"resolve", "_walk", "path", "hop_plan", "links_on",
                    "hop_latency", "_hold_plan", "_build_flow"}
-    per_tlp = {"post_write", "post_writes", "write", "read", "_arrival",
-               "_held", "_deliver"}
+    per_tlp = {"post_write", "post_writes", "write", "read", "_held",
+               "_deliver"}
     source = pathlib.Path(repro.__file__).parent / "pcie" / "fabric.py"
     bodies = [node for node in ast.walk(ast.parse(source.read_text()))
               if isinstance(node, ast.FunctionDef) and node.name in per_tlp]

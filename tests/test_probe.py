@@ -149,8 +149,9 @@ class TestZeroSubscribers:
 
         for _ in range(5):
             read()
-        files = set()
-        calls, _bytecodes = cost(read, files)
+        codes = set()
+        calls, _bytecodes = cost(read, codes)
+        files = {code.co_filename for code in codes}
         assert [name for name in sorted(files)
                 if "sim/probe.py" in name or "/telemetry/" in name
                 or "/sanitizer/" in name] == []

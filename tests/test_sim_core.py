@@ -383,21 +383,24 @@ class TestKernelCallBudget:
 
 
 class TestQueueEncapsulation:
-    """Only ``repro.sim`` reaches into the queue's structures; everyone
-    else goes through ``Simulator._push``/``_schedule`` (whose NORMAL
-    case the kernel's own hot paths inline)."""
+    """Only ``repro.sim`` reaches into the queue's structures and builds
+    events field by field; everyone else goes through
+    ``Simulator._push``/``_schedule`` and the constructors, but for the
+    allow-listed hot paths, each pinned by a budget test."""
 
     SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
-    def test_nothing_outside_the_kernel_touches_the_queue(self):
-        pattern = re.compile(r"\._(times|at|urgent|front)\b")
-        offenders = [
-            f"{path.relative_to(self.SRC)}:{n}"
-            for path in sorted(self.SRC.rglob("*.py"))
-            if path.parent.name != "sim"
-            for n, line in enumerate(path.read_text().splitlines(), 1)
-            if pattern.search(line)]
-        assert offenders == []
+    #: The pushes left outside the kernel, each kept inline by the
+    #: budget test named: a TLP record's boot onto the URGENT lane and
+    #: its delivery onto its instant's list.
+    INLINE_PUSHES = {
+        ("pcie/fabric.py", "_PostedWrite._held"):
+            "test_pcie_fabric.py::TestOccupancyEventBudget::"
+            "test_queued_post_write_cost_from_issue_to_fill",
+        ("pcie/fabric.py", "Fabric.post_write"):
+            "test_pcie_fabric.py::TestPostWrites::"
+            "test_a_follower_behind_a_queued_member_takes_nothing",
+    }
 
     #: The event builds left outside the kernel, each kept inline by the
     #: budget test named: a constructor call there costs what it pins.
@@ -418,9 +421,45 @@ class TestQueueEncapsulation:
     }
 
     @staticmethod
-    def _event_builds(tree):
-        """``(qualname, line)`` of each ``X.__new__(...)`` call and each
-        write of ``_value``, ``_ok``, ``_processed`` or ``_defused``."""
+    def _scoped(tree, hit):
+        """``(qualname, line)`` of each node of ``tree`` that ``hit``."""
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = child.name if scope == "<module>" \
+                        else f"{scope}.{child.name}"
+                    yield from walk(child, inner)
+                    continue
+                if hit(child):
+                    yield scope, child.lineno
+                yield from walk(child, scope)
+
+        yield from walk(tree, "<module>")
+
+    def _found(self, hit, allowed):
+        """Where outside ``repro.sim`` ``hit`` holds; it must be exactly
+        the scopes ``allowed`` names, and each budget named must exist."""
+        found = {(str(path.relative_to(self.SRC)), scope)
+                 for path in sorted(self.SRC.rglob("*.py"))
+                 if path.parent.name != "sim"
+                 for scope, _line in self._scoped(
+                     ast.parse(path.read_text()), hit)}
+        assert found == set(allowed)
+        tests = pathlib.Path(__file__).parent
+        for budget in allowed.values():
+            module, cls, name = budget.split("::")
+            source = (tests / module).read_text()
+            assert f"class {cls}" in source and f"def {name}(" in source
+
+    def test_nothing_outside_the_kernel_touches_the_queue(self):
+        queue = {"_times", "_at", "_urgent", "_front"}
+        self._found(lambda node: isinstance(node, ast.Attribute)
+                    and node.attr in queue, self.INLINE_PUSHES)
+
+    @staticmethod
+    def _event_build(node):
+        """An ``X.__new__(...)`` call, or a write of ``_value``, ``_ok``,
+        ``_processed`` or ``_defused``."""
         fields = {"_value", "_ok", "_processed", "_defused"}
 
         def targets(node):
@@ -430,45 +469,22 @@ class TestQueueEncapsulation:
             else:
                 yield node
 
-        def walk(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                    inner = child.name if scope == "<module>" \
-                        else f"{scope}.{child.name}"
-                    yield from walk(child, inner)
-                    continue
-                if isinstance(child, (ast.Assign, ast.AugAssign,
-                                      ast.AnnAssign)):
-                    written = [target for node in (
-                        child.targets if isinstance(child, ast.Assign)
-                        else [child.target]) for target in targets(node)]
-                    if any(isinstance(target, ast.Attribute)
-                           and target.attr in fields for target in written):
-                        yield scope, child.lineno
-                if (isinstance(child, ast.Call)
-                        and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == "__new__"):
-                    yield scope, child.lineno
-                yield from walk(child, scope)
-
-        yield from walk(tree, "<module>")
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            written = [target for each in (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]) for target in targets(each)]
+            return any(isinstance(target, ast.Attribute)
+                       and target.attr in fields for target in written)
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__")
 
     def test_nothing_outside_the_kernel_builds_an_event(self):
         """Outside ``repro.sim`` an event is built by its constructor —
         a record by ``Record.__init__`` — and ended by the kernel: no
         ``__new__`` build and no write of an event's outcome fields,
         but for the allow-listed hot paths."""
-        found = {(str(path.relative_to(self.SRC)), scope)
-                 for path in sorted(self.SRC.rglob("*.py"))
-                 if path.parent.name != "sim"
-                 for scope, _line in self._event_builds(
-                     ast.parse(path.read_text()))}
-        assert found == set(self.INLINE_BUILDS)
-        tests = pathlib.Path(__file__).parent
-        for budget in self.INLINE_BUILDS.values():
-            module, cls, name = budget.split("::")
-            source = (tests / module).read_text()
-            assert f"class {cls}" in source and f"def {name}(" in source
+        self._found(self._event_build, self.INLINE_BUILDS)
 
     def test_every_record_is_built_by_the_one_constructor(self):
         import inspect

@@ -310,8 +310,8 @@ class TupleHeapSim(Simulator):
         self.first_seq.setdefault(event, seq)
         heapq.heappush(self.heap, (when, priority, seq, event))
 
-    def _push(self, event, delay, priority=NORMAL):
-        self._heap_push(self._now + delay, priority, event)
+    def _push(self, event, delay):
+        self._heap_push(self._now + delay, NORMAL, event)
 
     def peek(self):
         return self.heap[0][0] if self.heap else None
