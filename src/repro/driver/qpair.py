@@ -365,9 +365,10 @@ class QueuePair(Commands):
 
     def issue(self, sqe: SubmissionEntry, request=None) -> None:
         """SQE store, then the SQ tail doorbell behind it (PCIe posted
-        ordering keeps them in program order) — one function, so
-        ``doorbell-after-sq-write`` guards every stack here.  The cid is
-        the one :meth:`submit` gave the command."""
+        ordering keeps them in program order) — one function for every
+        stack, checked by ``doorbell-after-sq-write`` and by
+        ``tests/test_ordering_and_integrity.py``.  The cid is the one
+        :meth:`submit` gave the command."""
         sq = self.sq
         slot = sq.advance_tail()
         store = self.sq_mem.write((self.first_slot + slot) * 64, sqe.pack())

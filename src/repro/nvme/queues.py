@@ -9,8 +9,8 @@ discretion of the NVMe controller's driver" (Sec. II).
 Both the controller model and the drivers share these index mechanics;
 phase-tag handling for CQs follows NVMe 1.3 §4.1.  Every method that
 moves an index first emits ``ring_step`` on the probe its creator
-handed in (staticcheck rule ``sanitizer-hook``), so the observer sees
-the state the protocol mandates *before* it changes.
+handed in (``tests/test_probe.py`` fails on one that does not), so the
+observer sees the state the protocol mandates *before* it changes.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ invariant hold everywhere:
 
 ``python -m repro.staticcheck <paths>`` (or ``repro staticcheck``) parses
 every Python file once and runs each registered rule over the shared AST.
-Findings are silenced per line with ``# staticcheck: ignore[rule]``;
-see ``docs/static_analysis.md``.
+Findings are silenced per line with a ``# staticcheck: ignore`` comment
+naming the rule in brackets; see ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

@@ -92,8 +92,3 @@ def marked_functions(tree: ast.Module, lines: list[str],
             seen.add(id(fn))
             yield fn
 
-
-def has_own_yield(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True if the function body itself contains ``yield``/``yield from``."""
-    return any(isinstance(node, (ast.Yield, ast.YieldFrom))
-               for node in local_walk(fn))

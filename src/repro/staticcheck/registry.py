@@ -38,6 +38,12 @@ def all_rules() -> list[Rule]:
     return [cls() for _, cls in sorted(_RULES.items())]
 
 
+def rule_names() -> set[str]:
+    """The name of every registered rule."""
+    _load_builtins()
+    return set(_RULES)
+
+
 def get_rule(name: str) -> Rule:
     _load_builtins()
     try:

@@ -7,7 +7,6 @@ then import it below (and add fixture tests — see
 docs/static_analysis.md).
 """
 
-from . import (doorbell_order, hotpath_alloc, lease_guard,  # noqa: F401
-               nonposted_hotpath, no_wallclock, process_yields,
-               sanitizer_hook, seeded_rng, units_discipline,
-               window_epoch)
+from . import (doorbell_order, hotpath_alloc,  # noqa: F401
+               nonposted_hotpath, no_wallclock, seeded_rng,
+               units_discipline)

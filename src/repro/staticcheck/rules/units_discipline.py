@@ -5,11 +5,11 @@ event queue stays totally ordered with no floating-point drift.  A
 ``float`` smuggled into a ``*_ns`` parameter or a ``timeout()`` call
 defeats that (and ``heapq`` comparisons between mixed int/float times
 are exactly the kind of platform-sensitive tie-break that breaks
-bit-reproducibility).  Flags:
+bit-reproducibility).  A fractional ``timeout()`` delay is not flagged:
+``Timeout`` raises ``ValueError`` on it at run time.  Flags:
 
 * keyword arguments named ``*_ns`` whose value is a float literal or a
   true-division expression (``/`` always yields float);
-* ``timeout(...)`` calls whose delay is such an expression;
 * assignments binding such an expression to a ``*_ns`` name — except
   when explicitly annotated ``: float``, which declares a deliberate
   fractional quantity;
@@ -88,11 +88,6 @@ class UnitsDiscipline(Rule):
                     f"string literal passed to {kw.arg}=: sizes are "
                     f"integer bytes; convert with units.parse_size()")
         name = dotted_name(node.func)
-        if name is not None and name.rsplit(".", 1)[-1] == "timeout":
-            if node.args and _is_floaty(node.args[0]):
-                yield self.finding(
-                    ctx, node.args[0],
-                    f"float delay passed to timeout(): {_FIX_HINT}")
         # Latency recorders, the telemetry metrics registry and the
         # per-tenant histograms take integer ns: rec.record(v),
         # metrics.observe(name, v, ...),

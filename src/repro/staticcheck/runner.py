@@ -10,7 +10,7 @@ import sys
 import typing as t
 
 from .findings import Finding
-from .registry import all_rules, get_rule
+from .registry import all_rules, get_rule, rule_names
 from .rule import FileContext, Rule
 from .suppress import Suppressions
 
@@ -76,7 +76,12 @@ def check_file(path: pathlib.Path, rules: t.Sequence[Rule]
                         line=line, col=(exc.offset or 1) - 1,
                         message=f"cannot parse: {exc.msg}")]
     suppressions = Suppressions(ctx.lines)
-    findings: list[Finding] = []
+    findings = [Finding(rule="unknown-rule", path=path.as_posix(),
+                        line=line, col=0,
+                        message=f"ignore[{name}] names no registered "
+                                f"rule: it silences nothing")
+                for name, line in suppressions.mentioned.items()
+                if name not in rule_names()]
     for rule in rules:
         if not rule.applies(ctx):
             continue

@@ -1,4 +1,4 @@
-"""``# staticcheck: ignore[rule]`` suppression comments.
+"""Suppression comments: ``# staticcheck: ignore`` and rule names.
 
 A marker on the offending line silences the named rule(s) for that
 line::
@@ -7,8 +7,9 @@ line::
 
 A marker on a *comment-only* line applies to the next line, for
 statements too long to carry a trailing comment.  Several rules may be
-listed, comma-separated.  Unknown rule names are reported by the runner
-so typos cannot silently disable nothing.
+listed, comma-separated.  A name that is no registered rule is reported
+by the runner (``unknown-rule``), so a typo or a retired rule's name
+cannot sit in the tree silencing nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class Suppressions:
 
     def __init__(self, lines: list[str]) -> None:
         self._by_line: dict[int, set[str]] = {}
-        self.mentioned: set[str] = set()
+        #: rule name -> the first line naming it
+        self.mentioned: dict[str, int] = {}
         for i, text in enumerate(lines, start=1):
             # Collect *every* pragma on the line — a second
             # ``ignore[...]`` after the first must not be dropped.
@@ -35,7 +37,8 @@ class Suppressions:
                           if name.strip()}
             if not rules:
                 continue
-            self.mentioned |= rules
+            for name in rules:
+                self.mentioned.setdefault(name, i)
             self._by_line.setdefault(i, set()).update(rules)
             if _COMMENT_ONLY.match(text):
                 # Standalone comment: also covers the following line.

@@ -25,6 +25,7 @@ from repro.driver import (STATUS_HOST_CRASHED, STATUS_HOST_SHUTDOWN,
                           DistributedNvmeClient)
 from repro.driver import metadata as meta
 from repro.faults import FaultEvent, FaultPlan
+from repro.nvme import AdminOpcode
 from repro.run import RunSpec
 from repro.scenarios import CHAOS_RELIABILITY, chaos_cluster
 from repro.workloads import FioJob, fio_generator
@@ -402,6 +403,53 @@ class TestCreateQpRollback:
         sc.sim.run(until=sc.sim.process(retry.start()))
         assert retry.qid is not None
         assert manager.queues_in_use == 2
+
+
+class AdminLog:
+    """Probe subscriber: ``(opcode, qid)`` of every admin command
+    issued, in issue order."""
+
+    def __init__(self):
+        self.commands = []
+
+    def on_sqe_issued(self, qp, sqe, slot, store, request):
+        if qp.sq.qid == 0:
+            self.commands.append((sqe.opcode, sqe.cdw10 & 0xFFFF))
+
+
+class TestQueueLifecycleIsSerialised:
+    """Queue create and delete run under the manager's admin lock (paper
+    Sec. IV): a client's RPC and the lease worker's reclaim can be in
+    the manager at once, and the admin queue hands a completion to
+    whichever waiter pops it first, so one lifecycle call's commands
+    must run back to back, never interleaved with another's."""
+
+    def test_concurrent_deletes_and_creates_run_one_after_another(self):
+        sc = chaos_cluster(n_clients=2, seed=5)
+        manager, sim, nvme = sc.manager, sc.sim, sc.testbed.nvme
+        qids = [client.qid for client in sc.subclients]
+        rings = {qid: (nvme.sqs[qid].state.entries,
+                       nvme.cqs[qid].state.base_addr,
+                       nvme.sqs[qid].state.base_addr) for qid in qids}
+        log = sim.probe.subscribe(AdminLog())
+
+        deletes = [sim.process(manager._delete_pairs([qid]))
+                   for qid in qids]
+        sim.run(until=sim.all_of(deletes))
+        assert log.commands == [
+            (op, qid) for qid in qids
+            for op in (AdminOpcode.DELETE_IO_SQ, AdminOpcode.DELETE_IO_CQ)]
+        assert not set(qids) & (set(nvme.sqs) | set(nvme.cqs))
+
+        log.commands.clear()
+        creates = [sim.process(manager._create_pair(qid, *rings[qid]))
+                   for qid in qids]
+        sim.run(until=sim.all_of(creates))
+        assert [proc.value for proc in creates] == [True, True]
+        assert log.commands == [
+            (op, qid) for qid in qids
+            for op in (AdminOpcode.CREATE_IO_CQ, AdminOpcode.CREATE_IO_SQ)]
+        assert set(qids) <= set(nvme.sqs) & set(nvme.cqs)
 
 
 class TestShutdownFailsInflight:

@@ -6,6 +6,8 @@ data always lands before its CQE, and concurrent multi-host traffic
 never corrupts data.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,46 @@ def make_traced_cluster(seed=180):
     return bed, client, tracer
 
 
+class StoreLedger:
+    """Probe subscriber: the SQE stores of one private SQ in issue
+    order, and every SQ tail doorbell of it that landed before a store
+    it covers had."""
+
+    def __init__(self, qid):
+        self.qid = qid
+        self.stores = collections.deque()
+        self.tail = 0
+        self.covered = 0
+        self.early = []
+
+    def on_sqe_issued(self, qp, sqe, slot, store, request):
+        if qp.sq.qid == self.qid:
+            self.stores.append((sqe.cid, store))
+
+    def on_doorbell_landed(self, ctrl, qid, is_cq, value, ok):
+        if qid != self.qid or is_cq or not ok:
+            return
+        entries = ctrl.sqs[qid].state.entries
+        for _ in range((value - self.tail) % entries):
+            cid, store = self.stores.popleft()
+            self.covered += 1
+            if store is not None and not store.processed:
+                self.early.append((value, cid))
+        self.tail = value
+
+
 class TestControllerOrdering:
+    def test_sq_doorbell_lands_after_the_sqes_it_covers(self):
+        """The controller may fetch an SQE the instant the tail doorbell
+        covering it lands, so the SQE store must land first (paper Fig. 8:
+        both are posted writes, kept in program order on the wire)."""
+        bed, client, _tracer = make_traced_cluster()
+        ledger = bed.sim.probe.subscribe(StoreLedger(client.qid))
+        run_fio_many([(client, FioJob(rw="randrw", bs=4096, iodepth=8,
+                                      total_ios=200))])
+        assert ledger.covered == 200
+        assert ledger.early == []
+
     def test_fetch_never_precedes_doorbell(self):
         bed, client, tracer = make_traced_cluster()
 

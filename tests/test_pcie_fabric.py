@@ -698,6 +698,8 @@ class TestPostWrites:
     @example(bursts=[(0, [("bar", 4096)] * 2),
                      (0, [("bar", 4096), ("dram", 512), ("bar", 512),
                           ("dram", 512), ("bar", 4096)] * 2)], drop=0.3)
+    @example(bursts=[(0, [("bar", 512), ("bar", 512)]),
+                     (273, [("bar", 64), ("dram", 512)])], drop=0.0)
     def test_a_burst_delivers_as_single_posts_do(self, bursts, drop):
         """A burst mixing plans, inline members between queued ones and
         members dropped mid-burst: every delivery at the instant, with

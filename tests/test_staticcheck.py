@@ -38,8 +38,7 @@ def test_at_least_six_rules_registered():
     names = {rule.name for rule in all_rules()}
     assert names >= {
         "no-wallclock", "seeded-rng-only", "no-nonposted-hotpath",
-        "doorbell-after-sq-write", "units-discipline",
-        "sim-process-yields",
+        "doorbell-after-sq-write", "units-discipline", "hotpath-alloc",
     }
     assert len(names) >= 6
 
@@ -158,8 +157,8 @@ def test_suppression_for_other_rule_does_not_silence(tmp_path):
 def test_select_limits_rules(tmp_path):
     path = write_fixture(tmp_path, "repro/sim/x.py", """
         import time
-        def setup(sim):
-            sim.timeout(1.5)
+        def setup(Job):
+            Job(delay_ns=1.5)
             return time.time()
     """)
     findings, _ = run([path], select=["units-discipline"])
@@ -219,15 +218,15 @@ def test_multiple_pragmas_on_one_line(tmp_path):
     # the second pragma must not be swallowed by the first.
     path = write_fixture(tmp_path, "repro/sim/x.py", """
         import time
-        def stamp(sim):
-            return sim.timeout(1.5), time.time()  # staticcheck: ignore[units-discipline] fixture # staticcheck: ignore[no-wallclock] fixture
+        def stamp(Job):
+            return Job(delay_ns=1.5), time.time()  # staticcheck: ignore[units-discipline] fixture # staticcheck: ignore[no-wallclock] fixture
     """)
     rules = [get_rule("units-discipline"), get_rule("no-wallclock")]
     # Each rule alone would flag the line ...
     unsuppressed = write_fixture(tmp_path, "repro/sim/y.py", """
         import time
-        def stamp(sim):
-            return sim.timeout(1.5), time.time()
+        def stamp(Job):
+            return Job(delay_ns=1.5), time.time()
     """)
     assert {f.rule for f in check_file(unsuppressed, rules)} == {
         "units-discipline", "no-wallclock"}
@@ -244,7 +243,22 @@ def test_multiple_pragmas_mixed_with_comma_list(tmp_path):
     assert sup.matches("rule-b", 1)
     assert sup.matches("rule-c", 1)
     assert not sup.matches("rule-d", 1)
-    assert sup.mentioned == {"rule-a", "rule-b", "rule-c"}
+    assert set(sup.mentioned) == {"rule-a", "rule-b", "rule-c"}
+
+
+def test_a_pragma_naming_no_rule_is_a_finding(tmp_path):
+    path = write_fixture(tmp_path, "repro/sim/x.py", """
+        import time
+        x = 1  # staticcheck: ignore[no-such-rule] typo
+        # staticcheck: ignore[no-wallclock, lease-guard] retired rule
+        y = time.time()
+    """)
+    findings = check_file(path, all_rules())
+    assert [(f.rule, f.line) for f in findings] == [
+        ("unknown-rule", 3), ("unknown-rule", 4)]
+    assert "no-such-rule" in findings[0].message
+    assert "lease-guard" in findings[1].message
+    assert sc_main([str(path)], out=io.StringIO()) == 1
 
 
 # --- stats ----------------------------------------------------------------
