@@ -45,10 +45,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
 import pathlib
-import pstats
 import sys
 import time
 
@@ -57,6 +55,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from repro.scenarios import cluster                           # noqa: E402
 from repro.run import SLO_RELIABILITY, DEFAULT_SLO          # noqa: E402
 from repro.workloads import FioJob, fio_generator             # noqa: E402
+
+from bench_sim_speed import host_calls                        # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFAULT_JSON = REPO_ROOT / "BENCH_slo_overhead.json"
@@ -136,14 +136,13 @@ def run_suite(quick: bool, repeats: int) -> dict:
 
 def count_calls() -> dict:
     """Host calls of the quick workload, stack off and on per cadence
-    (exact: the simulation is deterministic, cProfile counts)."""
+    (exact: the simulation is deterministic, cProfile counts per code
+    object, ``bench_sim_speed.host_calls``)."""
     def calls(instrument: bool, interval_ns: int = INTERVAL_NS):
-        profile = cProfile.Profile()
-        profile.enable()
-        sample = run_once(SIZES[1], instrument, interval_ns=interval_ns)
-        profile.disable()
-        return (sum(entry[1] for entry in pstats.Stats(profile).stats.values()),
-                sample["checksum"])
+        count, sample = host_calls(
+            lambda ios: run_once(ios, instrument, interval_ns=interval_ns),
+            SIZES[1])
+        return count, sample["checksum"]
 
     off, checksum = calls(False)
     out: dict = {"ios": 4 * SIZES[1], "off": off, "on": {}, "overhead": {}}

@@ -53,6 +53,8 @@ class AdminQueues:
         self.sq, self.cq = self._qp.sq, self._qp.cq
         self._sq_device_addr = sq_dev
         self._cq_device_addr = cq_dev
+        #: cid -> a CQE popped by another command's waiter
+        self._landed: dict = {}
 
     # -- low level ----------------------------------------------------------
 
@@ -93,17 +95,20 @@ class AdminQueues:
     # -- command path ------------------------------------------------------------
 
     def submit(self, sqe: SubmissionEntry) -> t.Generator:
-        """Issue one admin command and poll for its completion."""
+        """Issue one admin command and poll for its completion.  A CQE
+        popped for another command in flight is kept for its waiter."""
         qp = self._qp
-        sqe.cid = qp.next_cid()
+        sqe.cid = cid = qp.next_cid()
         qp.issue(sqe)
         wp = qp.watch()
         try:
-            while True:
+            while cid not in self._landed:
                 cqe = qp.pop()
-                if cqe is not None:
-                    return cqe
-                yield wp.signal.wait()
+                if cqe is None:
+                    yield wp.signal.wait()
+                else:
+                    self._landed[cqe.cid] = cqe
+            return self._landed.pop(cid)
         finally:
             self.host.memory.unwatch(wp)
 

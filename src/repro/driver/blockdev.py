@@ -20,7 +20,7 @@ import dataclasses
 import typing as t
 
 from ..sim import Event, LatencyRecorder, Process, Resource, Simulator
-from ..sim.resources import Record
+from ..sim.resources import Record, Step
 
 
 class BlockError(Exception):
@@ -102,9 +102,10 @@ class BlockDevice:
 
     # -- public API -------------------------------------------------------
 
-    def submit(self, request: BlockRequest) -> Event:
+    def submit(self, request: BlockRequest, step: Step | None = None) -> Event:
         """Queue a request; the returned event triggers with the request
-        when it completes (its ``status``/``result`` fields filled).
+        when it completes (its ``status``/``result`` fields filled) and
+        runs ``step`` when given.
 
         Latency is measured from *this* call — including any wait for a
         free queue tag — matching what fio reports under overload.
@@ -115,8 +116,10 @@ class BlockDevice:
             f(self, request)
         record = self.request_record
         if record is not None:
-            return record(self, request)
+            return record(self, request, step)
         done = Event(self.sim)
+        if step:
+            done.callbacks = [step]
         Process(self.sim, self._run(request, done), detached=True)
         return done
 
@@ -189,11 +192,12 @@ class RequestRecord(Record):
 
     __slots__ = ("device", "request")
 
-    def __init__(self, device: BlockDevice, request: BlockRequest) -> None:
+    def __init__(self, device: BlockDevice, request: BlockRequest,
+                 step: Step | None = None) -> None:
         # hot-path: one per request
         self.device = device
         self.request = request
-        Record.__init__(self, device.sim, self._tag)
+        Record.__init__(self, device.sim, self._tag, step)
 
     def _tag(self, _boot: Event) -> None:
         # hot-path

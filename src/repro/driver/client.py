@@ -77,7 +77,7 @@ class _ClientRequest(CommandRecord):
 
     def _submitted(self, _timer: Event) -> None:
         # hot-path
-        self.device._parts.get().callbacks.append(self._staging)
+        self.device._parts.get(self._staging)
 
     def _staging(self, part: Event) -> None:
         """A bounce partition is ours."""

@@ -128,14 +128,17 @@ class Commands:
         self._cid = (self._cid + 1) % self._cid_span
         return self._cid_base | self._cid
 
-    def submit(self, command, request=None) -> Event:
+    def submit(self, command, request=None, step=None) -> Event:
         """Issue ``command`` under a fresh cid; the returned event
-        triggers with its CQE.  ``request`` is the block request it
-        serves, for whoever watches :meth:`issue`."""
+        triggers with its CQE and runs ``step`` when given.  ``request``
+        is the block request it serves, for whoever watches
+        :meth:`issue`."""
         # hot-path: next_cid() inlined
         self._cid = cid = (self._cid + 1) % self._cid_span
         command.cid = cid = self._cid_base | cid
         done = Event(self.sim)
+        if step:
+            done.callbacks = [step]
         self.inflight[cid] = done
         self.issue(command, request)
         return done
@@ -167,8 +170,7 @@ class Commands:
             if not record.parked:
                 record.parked = True
                 self.throttled += 1
-            self.space.wait(self._clamp_holds).callbacks.append(
-                record._admit)
+            self.space.wait(self._clamp_holds, record._admit)
             return
         timeout = self.reliability.command_timeout_ns
         sq = self.sq
@@ -177,8 +179,7 @@ class Commands:
             if timeout <= 0:
                 # Nothing can be lost: the ring is legitimately full
                 # (queue depth above a shared slot window).
-                self.space.wait(self._full_sq_holds).callbacks.append(
-                    record._admit)
+                self.space.wait(self._full_sq_holds, record._admit)
                 return
             # Maybe clogged by lost completions: recover what landed
             # beyond CQ holes before calling fullness a fault.
@@ -193,11 +194,10 @@ class Commands:
                     return
                 self._clogged(record)
                 return
-        done = self.submit(record.command, record.request)
         if timeout <= 0:
-            done.callbacks.append(record._reply)
+            self.submit(record.command, record.request, record._reply)
             return
-        record.pending = done
+        record.pending = done = self.submit(record.command, record.request)
         self.sim.any_of((done, self.sim.timeout(timeout))
                         ).callbacks.append(record._raced)
 
@@ -510,8 +510,7 @@ class _Notice(Record):
     def _wait(self) -> None:
         """Park on the next write to the watched memory."""
         # hot-path
-        self.waiting = wait = self.wp.signal.wait()
-        wait.callbacks.append(self._woken)
+        self.waiting = self.wp.signal.wait(None, self._woken)
 
     def _woken(self, _wake: Event) -> None:
         raise NotImplementedError

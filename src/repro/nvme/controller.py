@@ -126,10 +126,10 @@ class _Fetch(Record):
                 return
         state = sq.state
         if state.head == sq.db_tail:
-            sq.signal.wait().callbacks.append(self._woken)
+            sq.signal.wait(None, self._woken)
             return
         ctrl.fabric.read(ctrl.node, ctrl.host, state.slot_addr(state.head),
-                         SQE_SIZE).callbacks.append(self._fetched)
+                         SQE_SIZE, self._fetched)
 
     def _woken(self, _wake: Event) -> None:
         """A doorbell (or the SQ's end): pay the doorbell processing /
@@ -205,13 +205,13 @@ class _SharedFetch(_Fetch):
                 return
         win = sq.arbiter.select(sq.windows)
         if win is None:
-            sq.signal.wait().callbacks.append(self._woken)
+            sq.signal.wait(None, self._woken)
             return
         self.win = win
         self.granted_at = self.sim._now
         ctrl.fabric.read(ctrl.node, ctrl.host,
-                         win.slot_addr(sq.state.base_addr),
-                         SQE_SIZE).callbacks.append(self._fetched)
+                         win.slot_addr(sq.state.base_addr), SQE_SIZE,
+                         self._fetched)
 
     def _fetched(self, read: Event) -> None:
         # hot-path
@@ -297,11 +297,10 @@ class Command(Record):
                               sq.state.head if win is None else win.head,
                               sq.state.qid, self.sqe.cid, self.status, phase)
         write = ctrl.fabric.write(ctrl.node, ctrl.host,
-                                  cq_state.slot_addr(slot), cqe.pack())
+                                  cq_state.slot_addr(slot), cqe.pack(),
+                                  self._posted)
         if write._processed:
             self._posted(write)     # dropped: nothing to wait for
-        else:
-            write.callbacks.append(self._posted)
 
     def _posted(self, _write: Event) -> None:
         """The CQE has landed: count it, then interrupt if enabled."""
@@ -340,7 +339,7 @@ class IoCommand(Command):
     pending."""
 
     __slots__ = ("ns", "kind", "slba", "nblocks", "nbytes", "segs",
-                 "remaining", "parts", "sent", "channel")
+                 "remaining", "parts", "sent")
 
     def _execute(self, _boot: Event) -> None:
         """Validate the command and start resolving its PRPs."""
@@ -387,7 +386,7 @@ class IoCommand(Command):
                 return
             if list_addr:
                 ctrl.fabric.read(ctrl.node, ctrl.host, list_addr,
-                                 PAGE_SIZE).callbacks.append(self._listed)
+                                 PAGE_SIZE, self._listed)
                 return
             if opcode != IoOpcode.READ:
                 self._send()
@@ -408,8 +407,8 @@ class IoCommand(Command):
             return
         ctrl = self.ctrl
         if list_addr:
-            ctrl.fabric.read(ctrl.node, ctrl.host, list_addr,
-                             PAGE_SIZE).callbacks.append(self._listed)
+            ctrl.fabric.read(ctrl.node, ctrl.host, list_addr, PAGE_SIZE,
+                             self._listed)
         elif self.sqe.opcode != IoOpcode.READ:
             self._send()
         else:
@@ -422,8 +421,7 @@ class IoCommand(Command):
         self.sent = 0
         addr, size = self.segs[0]
         ctrl = self.ctrl
-        ctrl.fabric.read(ctrl.node, ctrl.host, addr,
-                         size).callbacks.append(self._sent)
+        ctrl.fabric.read(ctrl.node, ctrl.host, addr, size, self._sent)
 
     def _sent(self, read: Event) -> None:
         # hot-path
@@ -436,8 +434,7 @@ class IoCommand(Command):
         if index < len(segs):
             addr, size = segs[index]
             ctrl = self.ctrl
-            ctrl.fabric.read(ctrl.node, ctrl.host, addr,
-                             size).callbacks.append(self._sent)
+            ctrl.fabric.read(ctrl.node, ctrl.host, addr, size, self._sent)
         else:
             self._media()
 
@@ -450,10 +447,9 @@ class IoCommand(Command):
         self._complete(Status.DATA_TRANSFER_ERROR, 0)
 
     def _media(self) -> None:
-        """Queue for a media channel."""
+        """Hold a media channel: the owned timer is the grant."""
         # hot-path
-        channel = self.channel = self.ctrl.media.channels.request()
-        channel.callbacks.append(self._granted)
+        self._take(self.ctrl.media.channels, self._granted)
 
     def _granted(self, _grant: Event) -> None:
         # hot-path
@@ -465,7 +461,7 @@ class IoCommand(Command):
         # hot-path
         ctrl = self.ctrl
         media = ctrl.media
-        media.channels.release(self.channel)
+        media.channels.give()
         kind = self.kind
         ok = media.finish(kind)
         sqe = self.sqe
@@ -513,11 +509,9 @@ class AdminCommand(Command):
         if payload is None:
             self._complete(status, result)
             return
-        write = ctrl.dma_write(self.sqe.prp1, payload)
+        write = ctrl.dma_write(self.sqe.prp1, payload, self._identified)
         if write._processed:
-            self._identified(write)
-        else:
-            write.callbacks.append(self._identified)
+            self._identified(write)     # dropped
 
     def _identified(self, _write: Event) -> None:
         self._complete(Status.SUCCESS, 0)

@@ -13,8 +13,8 @@ per-command media time is near-constant, so the 4 KiB IOPS bound is
 ``per_byte_ns`` is charged on the one channel an access holds, so large
 blocks move at up to ``channels`` times its rate (≈ 10.96 GB/s at
 128 KiB) and the device link binds first (docs/calibration.md).
-An access is a ``channels`` grant held for :meth:`Media.access_ns`, then
-released and counted with :meth:`Media.finish` (the controller's
+An access is a ``channels`` unit held for :meth:`Media.access_ns`, then
+given back and counted with :meth:`Media.finish` (the controller's
 command record walks these steps from callbacks).
 """
 
@@ -25,7 +25,11 @@ from ..sim import Resource, Simulator
 
 
 class Media:
-    """Base latency model; subclasses provide per-op timing draws."""
+    """Base latency model: read and write times are lognormal draws
+    from the config; a subclass sets what a flush takes."""
+
+    #: channel time of a flush
+    flush_ns = 0
 
     def __init__(self, sim: Simulator, config: MediaConfig,
                  name: str = "media") -> None:
@@ -38,14 +42,29 @@ class Media:
         self.media_errors = 0
 
     def access_ns(self, kind: str, nbytes: int) -> int:
-        """How long one access holds the channel it was granted (a
-        ``channels`` request): a draw.  ``kind`` is "read", "write" or
-        "flush"; anything else raises ValueError."""
-        raise NotImplementedError
+        """How long one access holds the channel unit it took: a draw.
+        ``kind`` is "read", "write" or "flush"; anything else raises
+        ValueError."""
+        # hot-path: once per command, at its channel grant
+        cfg = self.config
+        if kind == "read":
+            base = self.sim.rng.lognormal_ns(
+                f"{self.name}.read", cfg.read_median_ns, cfg.sigma,
+                cap=cfg.read_cap_ns)
+        elif kind == "write":
+            base = self.sim.rng.lognormal_ns(
+                f"{self.name}.write", cfg.write_median_ns, cfg.sigma,
+                cap=cfg.write_cap_ns)
+        elif kind == "flush":
+            return self.flush_ns
+        else:
+            raise ValueError(f"unknown media access kind: {kind}")
+        extra = max(0, nbytes - 4096)
+        return base + round(extra * cfg.per_byte_ns)
 
     def finish(self, kind: str) -> bool:
         """Count an access whose channel time is over (the caller has
-        released the channel).  True on success, False on an (injected)
+        given the channel back).  True on success, False on an (injected)
         uncorrectable media error — a failed access still occupied the
         channel for its full duration, as a real drive's internal
         retries would."""
@@ -69,24 +88,8 @@ class Media:
 class OptaneMedia(Media):
     """3D-XPoint: consistent, symmetric, low latency."""
 
-    def access_ns(self, kind: str, nbytes: int) -> int:
-        # hot-path: once per command, at its channel grant
-        cfg = self.config
-        if kind == "read":
-            base = self.sim.rng.lognormal_ns(
-                f"{self.name}.read", cfg.read_median_ns, cfg.sigma,
-                cap=cfg.read_cap_ns)
-        elif kind == "write":
-            base = self.sim.rng.lognormal_ns(
-                f"{self.name}.write", cfg.write_median_ns, cfg.sigma,
-                cap=cfg.write_cap_ns)
-        elif kind == "flush":
-            # Optane has no volatile write cache to speak of.
-            return 500
-        else:
-            raise ValueError(f"unknown media access kind: {kind}")
-        extra = max(0, nbytes - 4096)
-        return base + round(extra * cfg.per_byte_ns)
+    #: Optane has no volatile write cache to speak of
+    flush_ns = 500
 
 
 #: NAND timing: reads ~70 us, programs ~600 us median, heavy-tailed.
@@ -107,23 +110,8 @@ NAND_CONFIG = MediaConfig(
 class NandMedia(Media):
     """TLC flash: asymmetric and jittery (for ablation experiments)."""
 
+    flush_ns = 20_000
+
     def __init__(self, sim: Simulator, config: MediaConfig = NAND_CONFIG,
                  name: str = "nand") -> None:
         super().__init__(sim, config, name)
-
-    def access_ns(self, kind: str, nbytes: int) -> int:
-        cfg = self.config
-        if kind == "read":
-            base = self.sim.rng.lognormal_ns(
-                f"{self.name}.read", cfg.read_median_ns, cfg.sigma,
-                cap=cfg.read_cap_ns)
-        elif kind == "write":
-            base = self.sim.rng.lognormal_ns(
-                f"{self.name}.write", cfg.write_median_ns, cfg.sigma,
-                cap=cfg.write_cap_ns)
-        elif kind == "flush":
-            return 20_000
-        else:
-            raise ValueError(f"unknown media access kind: {kind}")
-        extra = max(0, nbytes - 4096)
-        return base + round(extra * cfg.per_byte_ns)

@@ -79,7 +79,7 @@ class _CapsuleRequest(CommandRecord):
 
     def _submitted(self, _timer: Event) -> None:
         # hot-path
-        self.device._slots.get().callbacks.append(self._staging)
+        self.device._slots.get(self._staging)
 
     def _staging(self, slot: Event) -> None:
         """A staging slot is ours: build the capsule."""

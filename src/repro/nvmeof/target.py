@@ -204,7 +204,7 @@ class _Connection(RecvLoop):
             if _PULL <= wc.wr_id < _PUSH:
                 self.pulled = wc
                 self._arm(0, self._pulled)
-        send_cq.signal.wait().callbacks.append(self._sent)
+        send_cq.signal.wait(None, self._sent)
 
     def _pulled(self, _timer: Event) -> None:
         command = self.pulling

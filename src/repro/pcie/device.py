@@ -94,21 +94,21 @@ class PCIeFunction:
 
     # -- DMA helpers (the function acting as bus master) --------------------
 
-    def dma_read(self, addr: int, length: int):
+    def dma_read(self, addr: int, length: int, step=None):
         """Read ``length`` bytes at ``addr`` in the function's host
         address space (non-posted, full round trip): the fabric's read
         event, which fires with the bytes — ``data = yield
-        dev.dma_read(...)``."""
+        dev.dma_read(...)`` — and runs ``step`` when given."""
         assert self.fabric is not None and self.host and self.node
-        return self.fabric.read(self.node, self.host, addr, length)
+        return self.fabric.read(self.node, self.host, addr, length, step)
 
-    def dma_write(self, addr: int, data: bytes):
+    def dma_write(self, addr: int, data: bytes, step=None):
         """Posted write whose *delivery* the caller waits on: the
-        fabric's delivery event, ``yield dev.dma_write(...)`` (device
-        models typically don't wait, :meth:`Fabric.post_write`, but may
-        when ordering matters)."""
+        fabric's delivery event, ``yield dev.dma_write(...)``, which
+        runs ``step`` when given (device models typically don't wait,
+        :meth:`Fabric.post_write`, but may when ordering matters)."""
         assert self.fabric is not None and self.host and self.node
-        return self.fabric.write(self.node, self.host, addr, data)
+        return self.fabric.write(self.node, self.host, addr, data, step)
 
     def __repr__(self) -> str:  # pragma: no cover
         where = self.host.name if self.host else "uninstalled"

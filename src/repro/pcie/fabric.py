@@ -72,7 +72,7 @@ from heapq import heappush
 from ..config import PcieConfig
 from ..memory import HostMemory
 from ..sim import Event, HoldPlan, Simulator
-from ..sim.resources import Hold, Record
+from ..sim.resources import Hold, Record, Step
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -235,9 +235,7 @@ class _Read(Record):
         plan = flow.rplan
         if not plan:
             self._returned(None)
-        elif (fill := plan.take()) is not None:
-            fill.callbacks.append(self._returned)
-        else:
+        elif plan.take(self._returned) is None:
             self.plan = plan
             self._index = 0
             self._step = _Read._returned
@@ -448,13 +446,14 @@ class Fabric:
         # hot-path
         if self._seen != self._generation.value:
             self._forget()
-        flow = self._flows[read].get((initiator, host, addr, length))
-        if flow is not None:
+        try:
+            flow = self._flows[read][initiator, host, addr, length]
+        except KeyError:
+            flow = self._fill(read, initiator, host, addr, length)
+        else:
             for fn in flow.ntbs:
                 fn.translations += 1
                 fn.bytes_forwarded += length
-        else:
-            flow = self._fill(read, initiator, host, addr, length)
         faults = self.faults
         if faults is not None:
             # link_blocked before tlp_dropped: the latter draws.
@@ -594,11 +593,14 @@ class Fabric:
     # -- transactions ------------------------------------------------------------
 
     def write(self, initiator: Node, host: Host, addr: int,
-              data: bytes | bytearray | memoryview) -> Event:
+              data: bytes | bytearray | memoryview,
+              step: Step | None = None) -> Event:
         """Posted memory write whose delivery the caller waits on:
-        returns the delivery event, ``yield fabric.write(...)``.  The
-        TLP is a record (:class:`_WaitedWrite`) walking from the call; a
-        dropped write returns :data:`DROPPED`, already processed.
+        returns the delivery event, ``yield fabric.write(...)``, which
+        runs ``step`` after the delivery when given.  The TLP is a
+        record (:class:`_WaitedWrite`) walking from the call; a dropped
+        write returns :data:`DROPPED`, already processed, and the
+        caller runs its step itself.
 
         Callers that do not wait for delivery should use
         :meth:`post_write`, the hardware-accurate behaviour for CPU
@@ -618,7 +620,7 @@ class Fabric:
         sim = self.sim
         tlp = _WaitedWrite.__new__(_WaitedWrite)
         tlp.sim = sim
-        tlp.callbacks = [tlp._deliver]
+        tlp.callbacks = [tlp._deliver, step] if step else [tlp._deliver]
         tlp._value = None
         tlp._ok = True
         tlp._processed = False
@@ -631,9 +633,7 @@ class Fabric:
         plan = flow.plan
         if not plan:
             _PostedWrite._held(tlp, None)
-        elif (fill := plan.take()) is not None:
-            fill.callbacks.append(tlp._held)
-        else:
+        elif plan.take(tlp._held) is None:
             tlp.plan = plan
             tlp._index = 0
             tlp._claim(None)
@@ -747,11 +747,12 @@ class Fabric:
             if tlp is not DROPPED:
                 after = tlp
 
-    def read(self, initiator: Node, host: Host, addr: int,
-             length: int) -> Event:
+    def read(self, initiator: Node, host: Host, addr: int, length: int,
+             step: Step | None = None) -> Event:
         """Non-posted memory read: returns the event that fires with the
         data bytes, ``data = yield fabric.read(...)`` — a record
-        (:class:`_Read`) walking the round trip from the call.
+        (:class:`_Read`) walking the round trip from the call, born
+        subscribed with ``step`` when given.
 
         Charges the full round trip: request leg, target service,
         completion leg with data serialization — "the longer the path
@@ -764,7 +765,7 @@ class Fabric:
         # hot-path
         if length <= 0:
             raise ValueError("read length must be positive")
-        rd = _Read(self.sim)
+        rd = _Read(self.sim, None, step)
         rd.fabric = self
         rd.addr = addr
         rd.length = length
@@ -784,9 +785,7 @@ class Fabric:
         plan = flow.plan
         if not plan:
             rd._sent(None)
-        elif (fill := plan.take()) is not None:
-            fill.callbacks.append(rd._sent)
-        else:
+        elif plan.take(rd._sent) is None:
             rd.plan = plan
             rd._index = 0
             rd._step = _Read._sent

@@ -130,7 +130,7 @@ class _Transmit(Record):
 
     def _next(self, _event: Event | None = None) -> None:
         # hot-path
-        self.nic._wqes.get().callbacks.append(self._took)
+        self.nic._wqes.get(self._took)
 
     def _took(self, get: Event) -> None:
         """Validate the WQE and fetch what it sends."""
@@ -148,14 +148,12 @@ class _Transmit(Record):
                 if wr.inline_data is not None:
                     self.payload = wr.inline_data
                 elif wr.length:
-                    nic.dma_read(wr.local_addr, wr.length
-                                 ).callbacks.append(self._fetched)
+                    nic.dma_read(wr.local_addr, wr.length, self._fetched)
                     return
             else:
                 qp.peer.pd.check_remote(wr.rkey, wr.remote_addr, wr.length)
                 if opcode is WrOpcode.RDMA_WRITE:
-                    nic.dma_read(wr.local_addr, wr.length
-                                 ).callbacks.append(self._fetched)
+                    nic.dma_read(wr.local_addr, wr.length, self._fetched)
                     return
         except RdmaError:
             qp.send_cq.push(WorkCompletion(
@@ -187,8 +185,7 @@ class _Transmit(Record):
             nbytes = wr.length
         else:
             nbytes = 64
-        nic._link.plan(nic, nic._peer_nic, nbytes).hold(
-        ).callbacks.append(self._serialized)
+        nic._link.plan(nic, nic._peer_nic, nbytes).hold(self._serialized)
 
     def _serialized(self, _fill: Event) -> None:
         # hot-path
@@ -256,8 +253,7 @@ class _RemoteStage(Record):
         payload = self.payload
         peer_nic = self.nic._peer_nic
         if wr.opcode is WrOpcode.RDMA_WRITE:
-            self._after(peer_nic.dma_write(wr.remote_addr, payload),
-                        self._written)
+            self._place(peer_nic, wr.remote_addr, payload, self._written)
             return
         peer = self.qp.peer
         if not peer.recv_queue:     # receiver not ready: no posted recv
@@ -268,18 +264,17 @@ class _RemoteStage(Record):
             self._error()
             return
         if payload:
-            self._after(peer_nic.dma_write(recv.addr, payload), self._sent)
+            self._place(peer_nic, recv.addr, payload, self._sent)
         else:
             self._sent(None)
 
-    def _after(self, write: Event, step: t.Callable[[Event], None]) -> None:
-        """``step`` once the waited write has landed; :meth:`_lost` at
-        once if it was dropped."""
+    def _place(self, nic: "RdmaNic", addr: int, payload: bytes,
+               step: t.Callable[[Event], None]) -> None:
+        """A waited write of ``payload`` through ``nic``: ``step`` once
+        it has landed; :meth:`_lost` at once if it was dropped."""
         # hot-path
-        if write is DROPPED:
+        if nic.dma_write(addr, payload, step) is DROPPED:
             self._lost()
-        else:
-            write.callbacks.append(step)
 
     def _lost(self) -> None:
         """Nothing landed: the WQE completes in error at both ends — a
@@ -320,8 +315,8 @@ class _RemoteStage(Record):
     def _turned(self, _timer: Event) -> None:
         """RDMA_READ: the peer NIC reads the remote buffer."""
         wr = self.wr
-        self.nic._peer_nic.dma_read(wr.remote_addr, wr.length
-                                    ).callbacks.append(self._fetched)
+        self.nic._peer_nic.dma_read(wr.remote_addr, wr.length,
+                                    self._fetched)
 
     def _fetched(self, read: Event) -> None:
         if not read._ok:
@@ -333,7 +328,7 @@ class _RemoteStage(Record):
         self.payload = read._value
         nic = self.nic
         nic._link.plan(nic._peer_nic, nic, self.wr.length).hold(
-        ).callbacks.append(self._crossing)
+            self._crossing)
 
     def _crossing(self, _fill: Event) -> None:
         """The data holds the wire back and has serialized: propagate."""
@@ -343,8 +338,7 @@ class _RemoteStage(Record):
         self._arm(self.nic.rdma_config.nic_rx_ns, self._landed)
 
     def _landed(self, _timer: Event) -> None:
-        self._after(self.nic.dma_write(self.wr.local_addr, self.payload),
-                    self._read)
+        self._place(self.nic, self.wr.local_addr, self.payload, self._read)
 
     def _read(self, _write: Event) -> None:
         wr = self.wr

@@ -223,7 +223,7 @@ class RecvLoop(Record):
         recv_cq = self.qp.recv_cq
         completions = recv_cq.poll()
         if not completions:
-            recv_cq.signal.wait().callbacks.append(self._woken)
+            recv_cq.signal.wait(None, self._woken)
             return
         self.completions, self.index = completions, 0
         self._arm(self.poll_ns, self._reap)

@@ -35,6 +35,8 @@ if t.TYPE_CHECKING:  # pragma: no cover
 #: ``Event.__new__`` bound once, for the builds that set an event's
 #: fields inline: one bytecode less per build than the attribute lookup
 _new = Event.__new__
+#: a record's step: what runs when the event it waits on is dispatched
+Step = t.Callable[[Event], None]
 
 
 class Request(Event):
@@ -165,30 +167,32 @@ class HoldPlan:
     ``(resource, hold_ns)`` pairs; built once per set.
     ``resources`` is in acquisition (creation: canonical, deadlock-free)
     order; ``timers`` has one ``(hold_ns, release callback, timer)`` per
-    distinct hold, ascending — the last hold, ``fill``, is the longest.
-    The timers are the plan's own (events.py); a claim that overlaps the
-    one before it (capacity > 1) finds them armed and uses fresh events."""
+    distinct hold, ascending — the last hold, ``fill``, is the longest;
+    ``early`` and ``last`` split them, for :meth:`Hold._claim`.  The
+    timers are the plan's own (events.py); a claim that overlaps the one
+    before it (capacity > 1) finds them armed and uses fresh events."""
 
-    __slots__ = ("sim", "resources", "timers", "fill")
+    __slots__ = ("sim", "resources", "timers", "early", "last", "fill")
 
     def __init__(self, sim: "Simulator", pairs: t.Iterable[tuple]) -> None:
         pairs = sorted(pairs, key=lambda pair: pair[0].order)
         holds = sorted({hold for _resource, hold in pairs})
         self.sim = sim
         self.resources = tuple(resource for resource, _hold in pairs)
-        self.timers = tuple(
+        self.timers = timers = tuple(
             (hold, _giver(sim, tuple(r for r, h in pairs if h == hold)),
              Event(sim))
             for hold in holds)
-        for _hold, _give, timer in self.timers:     # idle until armed
+        for _hold, _give, timer in timers:          # idle until armed
             timer.callbacks = timer._value = None
+        self.early, self.last = timers[:-1], timers[-1]
         self.fill = holds[-1]
 
-    def take(self) -> Event | None:
+    def take(self, step: Step | None = None) -> Event | None:
         """Claim every resource now if all are free (no grant event) and
         start the release timers, else claim nothing (None).  Returns
-        the last timer for the caller to wait on at once: it fires once
-        ``fill`` has elapsed, after its releases."""
+        the last timer, which fires once ``fill`` has elapsed, after its
+        releases: it runs ``step``, or the caller waits on it at once."""
         # hot-path: one call per TLP, not one per link
         resources = self.resources
         for resource in resources:
@@ -210,14 +214,17 @@ class HoldPlan:
                     heappush(sim._times, when)
             else:
                 timer = sim.timeout(hold)
-                timer.callbacks.append(give)
+                timer.callbacks = [give]
+        if step:
+            timer.callbacks = [give, step]      # the fill, born subscribed
         return timer
 
-    def hold(self) -> Event:
+    def hold(self, step: Step | None = None) -> Event:
         """:meth:`take`, or queue FIFO for what is busy (:class:`Hold`);
-        either way the event fires once ``fill`` has elapsed."""
+        either way the event fires once ``fill`` has elapsed (``step``:
+        born subscribed)."""
         # hot-path
-        return self.take() or Hold(self)
+        return self.take(step) or Hold(self, step)
 
 
 def _giver(sim: "Simulator",
@@ -259,10 +266,10 @@ class Hold(Event):
 
     __slots__ = ("plan", "_index", "_grant")
 
-    def __init__(self, plan: HoldPlan) -> None:
+    def __init__(self, plan: HoldPlan, step: Step | None = None) -> None:
         # hot-path: Event's fields inline (no Event.__init__ frame)
         self.sim = plan.sim
-        self.callbacks = []
+        self.callbacks = [step] if step else []
         self._value = _PENDING
         self._ok = True
         self._processed = False
@@ -297,7 +304,7 @@ class Hold(Event):
             return
         sim = plan.sim
         at = sim._at
-        for hold, give, timer in plan.timers:       # as HoldPlan.take
+        for hold, give, timer in plan.early:        # as HoldPlan.take
             if timer.callbacks is None:
                 timer.callbacks = [give]
                 timer._processed = False
@@ -308,9 +315,19 @@ class Hold(Event):
                     at[when] = [timer]
                     heappush(sim._times, when)
             else:
-                timer = sim.timeout(hold)
-                timer.callbacks.append(give)
-        timer.callbacks.append(self._held)
+                sim.timeout(hold).callbacks = [give]
+        hold, give, timer = plan.last           # the fill: no test per timer
+        if timer.callbacks is None:
+            timer.callbacks = [give, self._held]
+            timer._processed = False
+            when = sim._now + hold
+            if when in at:
+                at[when].append(timer)
+            else:
+                at[when] = [timer]
+                heappush(sim._times, when)
+        else:
+            sim.timeout(hold).callbacks = [give, self._held]
 
     def _held(self, _timer: Event) -> None:
         """Everything held and the pipe filled: fire the subscribers."""
@@ -340,8 +357,9 @@ class Record(Hold):
     """A transaction or loop walked from plain callbacks, one step per
     event it waits for, that is itself the event its waiter yields.
 
-    * Construction sets the event fields (pending), ``_grant`` and an
-      idle owned timer (``_timer``, events.py).  Given ``boot``, it also
+    * Construction sets the event fields (pending; ``step``, its
+      waiter's, born subscribed), ``_grant`` and an idle owned timer
+      (``_timer``, events.py).  Given ``boot``, it also
       arms that timer on the URGENT lane with ``boot`` as the first
       step: it runs at this instant, after the rest of the constructing
       callback and ahead of every NORMAL event still due.
@@ -349,8 +367,8 @@ class Record(Hold):
       instant's list, as ``sim.timeout`` does.
     * A hold of unknown length, :meth:`_take`, claims a unit with the
       owned timer as its grant event, queued as ``request()`` queues one.
-    * Links: :meth:`HoldPlan.take`'s release timer, subscribed with the
-      step; else the record walks the plan as its own :class:`Hold`
+    * Links: :meth:`HoldPlan.take` with the step, born on the fill
+      timer; else the record walks the plan as its own :class:`Hold`
       (``plan``, ``_index``, ``_step`` set, then :meth:`_claim`) and
       :meth:`_held` runs ``_step`` from the last release timer.
       ``_step`` is the step's function, not a bound method, which would
@@ -363,11 +381,11 @@ class Record(Hold):
 
     __slots__ = ("_timer", "_step")
 
-    def __init__(self, sim: "Simulator",
-                 boot: t.Callable[[Event], None] | None = None) -> None:
+    def __init__(self, sim: "Simulator", boot: Step | None = None,
+                 step: Step | None = None) -> None:
         # hot-path: one per command, request, read and WQE
         self.sim = sim
-        self.callbacks = []
+        self.callbacks = [step] if step else []
         self._value = _PENDING
         self._ok = True
         self._processed = False
@@ -408,7 +426,7 @@ class Record(Hold):
         :meth:`Process.interrupt` delivers, on an event of its own: the
         owned timer may be armed."""
         kick = Event(self.sim)
-        kick.callbacks.append(step)
+        kick.callbacks = [step]
         self.sim._urgent.append(kick)
 
     def _arm(self, delay: int, step: t.Callable[[Event], None]) -> None:
@@ -427,8 +445,7 @@ class Record(Hold):
             at[when] = [timer]
             heappush(sim._times, when)
 
-    def _take(self, resource: Resource,
-              step: t.Callable[[Event], None]) -> None:
+    def _take(self, resource: Resource, step: Step) -> None:
         """Run ``step`` holding one unit of ``resource``, a hold of
         unknown length (a block-device tag): a free unit is claimed with
         the grant event :meth:`Resource.request` pushes — the owned
@@ -468,12 +485,8 @@ class Record(Hold):
         """End the walk with ``exc``: the subscribers run now, inline,
         and a waiting process sees it raised at its ``yield``.  The
         record is never queued, so nothing raises out of the run loop."""
-        callbacks, self.callbacks = self.callbacks, None
         self._ok = False
-        self._value = exc
-        self._processed = True
-        for callback in callbacks:
-            callback(self)
+        self._deliver(exc)
 
     def cancel(self) -> None:
         """The waiter left (:meth:`Process.interrupt`): stop.  A leg
@@ -518,13 +531,14 @@ class Store:
         else:
             self._items.append(item)
 
-    def get(self) -> Event:
-        """Event that triggers with the next available item."""
+    def get(self, step: Step | None = None) -> Event:
+        """Event that triggers with the next available item, and runs
+        ``step`` when given."""
         # hot-path
         sim = self.sim
         ev = _new(Event)
         ev.sim = sim
-        ev.callbacks = []
+        ev.callbacks = [step] if step else []
         ev._ok = True
         ev._processed = False
         ev._defused = False
@@ -580,8 +594,8 @@ class _Sweep(Event):
 class Signal:
     """Broadcast wakeup edge.
 
-    ``wait()`` hands back an event; the next ``fire(value)`` triggers all
-    outstanding waits.  Each wait observes at most one fire — callers that
+    ``wait()`` hands back an event (``wait(blocked, step)``: born
+    subscribed); the next ``fire(value)`` triggers all outstanding waits.  Each wait observes at most one fire — callers that
     must not miss edges should re-arm before re-checking state, i.e.::
 
         while not condition():
@@ -633,11 +647,12 @@ class Signal:
         return sum(len(entry) if type(entry) is _Run else 1
                    for entry in self._waiters)
 
-    def wait(self, blocked: t.Callable[[], bool] | None = None) -> Event:
-        if blocked is None:
-            ev = Event(self.sim)
-        else:
-            ev = _GatedWait(self.sim)
+    def wait(self, blocked: t.Callable[[], bool] | None = None,
+             step: Step | None = None) -> Event:
+        ev = Event(self.sim) if blocked is None else _GatedWait(self.sim)
+        if step:
+            ev.callbacks = [step]
+        if blocked is not None:
             run = self._waiters[-1] if self._gated else None
             if type(run) is not _Run or run.guard != blocked:
                 run = _Run()

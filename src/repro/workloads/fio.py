@@ -317,7 +317,7 @@ class _Worker(Record):
             request = BlockRequest("read", lba=lba,
                                    nblocks=fio.lba_per_io)
         self.request = request
-        fio.device.submit(request).callbacks.append(self._completed)
+        fio.device.submit(request, self._completed)
 
     def _completed(self, done: Event) -> None:
         # hot-path
@@ -342,8 +342,8 @@ class _Worker(Record):
             result.bytes_moved += completed.nblocks * fio.lba_bytes
         if job.verify and op == "write":
             fio.device.submit(BlockRequest(
-                "read", lba=completed.lba, nblocks=completed.nblocks)
-            ).callbacks.append(self._verified)
+                "read", lba=completed.lba, nblocks=completed.nblocks),
+                self._verified)
             return
         self._next()
 

@@ -285,8 +285,8 @@ class Issue(Record):
                 return
             if now - target > result.max_backlog_ns:
                 result.max_backlog_ns = now - target
-            self.device.submit(self._request()).callbacks.append(
-                partial(self._completed, target))
+            self.device.submit(self._request(),
+                               partial(self._completed, target))
             self.inflight += 1
             result.issued += 1
             self._next()

@@ -4,12 +4,13 @@ import gc
 import sys
 
 
-def cost(fn, codes=None):
+def cost(fn, codes=None, c_calls=None):
     """``(calls, executed bytecodes)`` of ``fn()``: Python and C calls as
     the ledger's ``host_calls_per_io`` counts them, bytecodes as
     ``benchmarks/opcount.py`` does (``fn``'s own frame included).  A set
     passed as ``codes`` collects the code object of every Python frame
-    entered (``Simulator._push.__code__ in codes``: was it called?)."""
+    entered (``Simulator._push.__code__ in codes``: was it called?); one
+    passed as ``c_calls``, every C function called (:func:`c_called`)."""
     counted = [0, 0]
     # A collector pass inside ``fn`` would run the finalizers of earlier
     # garbage (suspended sim processes' ``finally`` blocks) as calls of
@@ -19,8 +20,11 @@ def cost(fn, codes=None):
     def profile(frame, event, _arg):
         if event == "call" or event == "c_call":
             counted[0] += 1
-            if codes is not None and event == "call":
-                codes.add(frame.f_code)
+            if event == "call":
+                if codes is not None:
+                    codes.add(frame.f_code)
+            elif c_calls is not None:
+                c_calls.add(_arg)
 
     def trace(frame, event, _arg):
         frame.f_trace_opcodes = True
@@ -36,3 +40,11 @@ def cost(fn, codes=None):
         sys.settrace(None)
         sys.setprofile(None)
     return tuple(counted)
+
+
+def c_called(c_calls, owner: type, name: str) -> bool:
+    """Whether ``c_calls`` (from :func:`cost`) holds a call of the C
+    method ``owner.name`` (``c_called(c_calls, dict, "get")``)."""
+    return any(getattr(call, "__name__", None) == name
+               and type(getattr(call, "__self__", None)) is owner
+               for call in c_calls)

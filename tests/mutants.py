@@ -389,6 +389,44 @@ MUTANTS: tuple[Mutant, ...] = (
            "        elif (boot is None or after.plan is not plan) \\\n",
            "        elif (boot is None or after.plan is None) \\\n",
            ("tests/test_pcie_fabric.py::TestPostWrites::test_a_burst_delivers_as_single_posts_do",)),
+    # -- a record's wait is born subscribed ---------------------------------
+    Mutant("fill-step-on-the-first-timer", "src/repro/sim/resources.py",
+           "        for hold, give, timer in self.timers:\n"
+           "            if timer.callbacks is None:\n"
+           "                timer.callbacks = [give]\n",
+           "        for hold, give, timer in self.timers:\n"
+           "            if timer.callbacks is None:\n"
+           "                timer.callbacks = [give] if step is None else [give, step]\n"
+           "                step = None\n",
+           ("tests/test_fabric_records.py::TestRecordsMatchTheCoroutines",)),
+    Mutant("step-subscribed-twice", "src/repro/nvme/controller.py",
+           "                         SQE_SIZE, self._fetched)\n",
+           "                         SQE_SIZE, self._fetched).callbacks.append(\n"
+           "            self._fetched)\n",
+           ("tests/test_nvme_records.py::TestRecordsMatchTheGenerators",)),
+    Mutant("media-channel-given-back-before-the-access-ends",
+           "src/repro/nvme/controller.py",
+           "        # hot-path\n"
+           "        self._arm(self.ctrl.media.access_ns(self.kind, self.nbytes),\n"
+           "                  self._accessed)\n"
+           "\n"
+           "    def _accessed(self, _timer: Event) -> None:\n"
+           "        \"\"\"The media access is over: move the data, then complete.\"\"\"\n"
+           "        # hot-path\n"
+           "        ctrl = self.ctrl\n"
+           "        media = ctrl.media\n"
+           "        media.channels.give()\n",
+           "        # hot-path\n"
+           "        self.ctrl.media.channels.give()\n"
+           "        self._arm(self.ctrl.media.access_ns(self.kind, self.nbytes),\n"
+           "                  self._accessed)\n"
+           "\n"
+           "    def _accessed(self, _timer: Event) -> None:\n"
+           "        \"\"\"The media access is over: move the data, then complete.\"\"\"\n"
+           "        # hot-path\n"
+           "        ctrl = self.ctrl\n"
+           "        media = ctrl.media\n",
+           ("tests/test_nvme_records.py::TestRecordsMatchTheGenerators",)),
 )
 
 

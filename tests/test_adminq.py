@@ -4,6 +4,7 @@ import pytest
 
 from repro.driver import AdminError, AdminQueues, DmaPool, local_pool
 from repro.nvme import AdminOpcode, SubmissionEntry
+from repro.nvme.constants import FEAT_NUM_QUEUES
 from repro.scenarios.testbed import LocalTestbed
 
 
@@ -67,6 +68,42 @@ class TestAdminQueues:
             assert bed.nvme.io_queue_count == 0
 
         bed.sim.run(until=bed.sim.process(flow(bed.sim)))
+
+
+    def test_two_commands_in_flight_each_get_their_own_completion(self):
+        """Two ``submit``s at once on one admin queue pair, no manager
+        lock: the second is issued at the instant the first one's CQE
+        lands, ahead of the first waiter's wake-up, so it is the first
+        to find a CQE ready (the first command's).  Each must still end
+        with the CQE of its own cid."""
+        bed, admin = make_admin()
+        sim = bed.sim
+        got = {}
+
+        def one(name, sqe):
+            cqe = yield from admin.submit(sqe)
+            got[name] = (sqe.cid, cqe.cid, cqe.status)
+
+        def flow(sim):
+            yield from admin.enable_controller()
+            # Watching the admin CQ ahead of the first submit's own
+            # watch: this flow wakes first when the first CQE lands.
+            wp = admin._qp.watch()
+            first = sim.process(one("features", SubmissionEntry(
+                opcode=AdminOpcode.GET_FEATURES, cdw10=FEAT_NUM_QUEUES)))
+            yield wp.signal.wait()
+            bed.host.memory.unwatch(wp)
+            second = sim.process(one("delete", SubmissionEntry(
+                opcode=AdminOpcode.DELETE_IO_SQ, cdw10=9)))
+            yield first
+            yield second
+
+        sim.run(until=sim.process(flow(sim)))
+        issued, landed, status = got["features"]
+        assert landed == issued and status == 0
+        issued, landed, status = got["delete"]
+        assert landed == issued and status != 0
+        assert not admin._landed
 
 
 class TestDmaPool:

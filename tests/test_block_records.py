@@ -224,12 +224,14 @@ def generators(reference):
 class ReferenceBlockLayer:
     """``BlockDevice.submit`` and ``_run``: a process per request."""
 
-    def submit(self, request):
+    def submit(self, request, step=None):
         self._validate(request)
         request.submit_time = self.sim._now
         for f in self.probe.io_submitted:
             f(self, request)
         done = Event(self.sim)
+        if step is not None:
+            done.callbacks.append(step)
         Process(self.sim, self._reference_run(request, done), detached=True)
         return done
 
@@ -572,11 +574,11 @@ def _lose_cqes(fabric, cq, count):
     lo, hi = cq.base_addr, cq.base_addr + cq.entries * 16
     lost = []
 
-    def write(initiator, host, addr, data):
+    def write(initiator, host, addr, data, step=None):
         if len(lost) < count and lo <= addr < hi:
             lost.append(addr)
             return DROPPED
-        return real(initiator, host, addr, data)
+        return real(initiator, host, addr, data, step)
 
     fabric.write = write
 
@@ -623,11 +625,11 @@ def _rig(reference, stack, qd, timeouts, iommu, interrupts, seed):
             real = bed.fabric.write
             lost = []
 
-            def write(initiator, host, addr, data):
+            def write(initiator, host, addr, data, step=None):
                 if len(lost) < count and addr in buffers:
                     lost.append(addr)
                     return DROPPED
-                return real(initiator, host, addr, data)
+                return real(initiator, host, addr, data, step)
 
             bed.fabric.write = write
 

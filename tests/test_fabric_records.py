@@ -381,8 +381,8 @@ class TestTransactionCost:
         empty = cost(lambda: None)
         # boot, two release timers, three owned-timer arms, the end
         assert events == 7
-        assert calls - empty[0] == 55
-        assert bytecodes - empty[1] <= 1799
+        assert calls - empty[0] == 52
+        assert bytecodes - empty[1] <= 1723
 
     def test_a_waited_write(self):
         sim, cluster, fabric, faults, ntb_b, scratch, routes, _m = rig()
@@ -399,8 +399,8 @@ class TestTransactionCost:
         empty = cost(lambda: None)
         # boot, the release timer, the delivery, the end
         assert events == 4
-        assert calls - empty[0] == 40
-        assert bytecodes - empty[1] <= 1130
+        assert calls - empty[0] == 38
+        assert bytecodes - empty[1] <= 1116
 
 
 def test_no_transaction_is_a_coroutine():

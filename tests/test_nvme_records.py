@@ -36,7 +36,7 @@ from repro.pcie import Cluster, Fabric
 from repro.pcie.fabric import DROPPED, FabricFaultError
 from repro.qos.arbiter import POLICIES
 from repro.scenarios import ours_remote
-from repro.sim import Process, Simulator
+from repro.sim import Process, Resource, Simulator
 from repro.units import MiB
 from repro.workloads import FioJob, run_fio
 
@@ -693,6 +693,47 @@ class TestNoProcessPerCommand:
             == []
 
 
+class TestMediaHoldCost:
+    """An I/O command holds its media channel as a block request holds
+    its tag: :meth:`~repro.sim.resources.Record._take`, the owned timer
+    as the grant, and ``give()`` once the access is over — no
+    ``Request`` (with one, ``request()`` and an ``append`` to subscribe:
+    4 calls to queue; ``release()`` and ``give()`` to end)."""
+
+    def test_the_hold_is_a_take_and_a_give(self):
+        rig = ours_remote(seed=3)
+        ctrl, = rig.controllers
+        seen = []
+
+        class Measured(IoCommand):
+            __slots__ = ()
+
+            def _media(self):
+                codes = set()
+                calls, _ = cost(lambda: IoCommand._media(self), codes)
+                seen.append(("media", calls, codes))
+
+            def _accessed(self, timer):
+                codes = set()
+                calls, _ = cost(lambda: IoCommand._accessed(self, timer),
+                                codes)
+                seen.append(("accessed", calls, codes))
+
+        ctrl.command_record = Measured
+        run_fio(rig.device, FioJob(rw="randread", bs=4096, iodepth=1,
+                                   total_ios=2))
+        empty = cost(lambda: None)[0]
+        assert [step for step, *_ in seen] == ["media", "accessed"] * 2
+        for step, calls, codes in seen:
+            assert Resource.request.__code__ not in codes
+            assert Resource.release.__code__ not in codes
+            if step == "media":
+                # _media, Record._take and its push onto the instant
+                assert calls - empty == 3
+            else:
+                assert Resource.give.__code__ in codes
+
+
 class TestReadDataCost:
     """A READ's data leaves the controller as one ``post_write`` per TLP
     plus a constant (``tests/hostcost.py::cost``): ``Fabric.post_writes``
@@ -728,6 +769,6 @@ class TestReadDataCost:
     def test_one_post_write_per_tlp_plus_a_constant(self):
         one_page = self._accessed_cost(4096)
         calls, bytecodes = self._accessed_cost(65536)
-        assert one_page[0] == 12
+        assert one_page[0] == 11
         assert calls == one_page[0] + 15
         assert bytecodes <= one_page[1] + 15 * 32

@@ -149,10 +149,10 @@ def _logged(device, log):
     """Log ``(sim time, op, lba, nblocks)`` of every submission."""
     submit = device.submit
 
-    def logging_submit(request):
+    def logging_submit(request, step=None):
         log.append((device.sim.now, device.name, request.op, request.lba,
                     request.nblocks))
-        return submit(request)
+        return submit(request, step)
     device.submit = logging_submit
 
 
@@ -297,24 +297,29 @@ class TestIssuerCost:
         """One arrival of a Poisson job past ``step``'s frame: the
         queue's ``pop``/``heappop``, ``_process``, ``_arrived``,
         ``_request`` (the request's ``__init__`` and
-        ``__post_init__``), the submission (a bare event here), the
-        completion callback's ``append``, ``_next``, ``draw`` and
+        ``__post_init__``), the submission (a bare event here, born
+        subscribed: no ``append``), ``_next``, ``draw`` and
         ``_arm`` with its ``heappush`` (numpy's draws are no calls to
         the profiler).  The generator took 22: ``_resume``, ``send``,
         its two generator frames, the arrival chain's three frames,
         ``rate_at``, ``sleep`` and three ``sim.now`` where the record
         has ``_arrived``, ``_next``, ``draw`` and ``_arm``."""
         sim = Simulator(seed=1)
+
+        def submit(_request, step):
+            done = Event(sim)
+            done.callbacks = [step]
+            return done
+
         device = _Stub(sim=sim, name="stub", lba_bytes=512,
-                       capacity_lbas=1 << 20,
-                       submit=lambda _request: Event(sim))
+                       capacity_lbas=1 << 20, submit=submit)
         proc = sim.process(open_loop_generator(device, OpenLoopJob(
             rate_iops=100_000.0, total_arrivals=None, runtime_ns=10 ** 9)))
         sim.step()                      # boot: the first arrival armed
         assert type(proc._target) is open_loop._JobIssue
         assert sim.peek() > 0
         sim.step()                      # warm: the first arrival issued
-        assert calls(sim.step) == 14
+        assert calls(sim.step) == 13
         assert device.sim.events_processed == 3
 
 

@@ -20,7 +20,7 @@ from repro.sim import HoldPlan, Interrupt, Process, Simulator, Tracer
 from repro.sim.resources import Hold
 from repro.units import MiB
 
-from .hostcost import cost
+from .hostcost import c_called, cost
 
 
 class ScratchFunction(PCIeFunction):
@@ -375,6 +375,26 @@ class TestOccupancyEventBudget:
         return [link.resource(a, b).count
                 for link, a, b in cluster.links_on(path)]
 
+    def test_a_flow_hit_is_one_subscript(self, env):
+        """Budget: a warmed TLP's probe, ``Fabric._flow`` on a hit, is
+        its own frame and nothing else: the record is found by
+        subscript, with no ``dict.get``, and the crossing's NTB counters
+        are replayed inline (with ``dict.get``: 2 calls)."""
+        sim, cluster, fabric, devhost, client, scratch, ntb_a, ntb_b = env
+        window = self._window(devhost, ntb_b)
+        for _ in range(3):
+            fabric.post_write(client.rc, client, window, b"q" * 64)
+            sim.run()
+        translations = ntb_b.translations
+        empty = cost(lambda: None)
+        c_calls = set()
+        calls, _bytecodes = cost(
+            lambda: fabric._flow(False, client.rc, client, window, 64),
+            c_calls=c_calls)
+        assert calls - empty[0] == 1
+        assert not c_called(c_calls, dict, "get")
+        assert ntb_b.translations == translations + 1
+
     def test_uncontended_occupy_schedules_one_timer(self, env):
         sim, cluster, fabric, devhost, client, *_ = env
         plan = fabric._hold_plan(cluster.path(client.rc, devhost.rc), 4096)
@@ -446,8 +466,8 @@ class TestOccupancyEventBudget:
             assert sim.events_processed - before == 4
             sim.run()               # and the delivery
             assert sim.events_processed - before == 5
-        assert calls - empty[0] == 29
-        assert bytecodes - empty[1] <= 1040
+        assert calls - empty[0] == 27
+        assert bytecodes - empty[1] <= 990
         assert self._held(cluster, client, devhost) == [0] * 4
 
     @staticmethod
@@ -610,8 +630,8 @@ class TestPostWrites:
                                   members[-1], size)), codes)
         assert HoldPlan.take.__code__ not in codes
         assert Simulator._push.__code__ not in codes
-        assert calls - empty[0] == 5
-        assert bytecodes - empty[1] <= 190
+        assert calls - empty[0] == 4
+        assert bytecodes - empty[1] <= 178
         boot = members[0].boot
         assert boot is not None and len(boot.callbacks) == 16
         assert all(tlp.boot is boot and tlp.plan is plan

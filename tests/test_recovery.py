@@ -68,11 +68,11 @@ def lose_cqe_writes(bed, qp, count=1):
     hi = lo + qp.cq.entries * 16
     lost = []
 
-    def write(initiator, host, addr, data):
+    def write(initiator, host, addr, data, step=None):
         if len(lost) < count and lo <= addr < hi:
             lost.append(addr)
             return DROPPED      # already processed: instant, event-free
-        return real(initiator, host, addr, data)
+        return real(initiator, host, addr, data, step)
 
     bed.fabric.write = write
     return lost
@@ -87,11 +87,11 @@ def lose_capsules(bed, target, count):
     real = bed.fabric.write
     lost = []
 
-    def write(initiator, host, addr, data):
+    def write(initiator, host, addr, data, step=None):
         if len(lost) < count and addr in buffers:
             lost.append(addr)
             return DROPPED
-        return real(initiator, host, addr, data)
+        return real(initiator, host, addr, data, step)
 
     bed.fabric.write = write
     return lost
@@ -194,11 +194,11 @@ class TestInitiatorRecovery:
         real = bed.fabric.write
         lost = []
 
-        def write(requester, host, addr, data):
+        def write(requester, host, addr, data, step=None):
             if not lost and host is bed.initiator_host and len(data) == 4096:
                 lost.append(addr)
                 return DROPPED
-            return real(requester, host, addr, data)
+            return real(requester, host, addr, data, step)
 
         bed.fabric.write = write
         req = bounded(bed.sim, initiator.submit(

@@ -62,7 +62,7 @@ def test_live_tree_is_clean():
 
 def test_inserting_unseeded_random_in_submit_path_fails(tmp_path):
     source = CLIENT_PY.read_text()
-    anchor = "self.device._parts.get().callbacks.append(self._staging)"
+    anchor = "self.device._parts.get(self._staging)"
     assert anchor in source
     mutated = source.replace(
         anchor,
@@ -78,7 +78,7 @@ def test_inserting_nonposted_read_in_submit_path_fails(tmp_path):
     # A step of the client's request record: a root of its own, however
     # it is named (docs/static_analysis.md).
     source = CLIENT_PY.read_text()
-    anchor = "self.device._parts.get().callbacks.append(self._staging)"
+    anchor = "self.device._parts.get(self._staging)"
     assert anchor in source
     mutated = source.replace(
         anchor,
