@@ -427,6 +427,22 @@ MUTANTS: tuple[Mutant, ...] = (
            "        ctrl = self.ctrl\n"
            "        media = ctrl.media\n",
            ("tests/test_nvme_records.py::TestRecordsMatchTheGenerators",)),
+    # -- host work that only a call budget counts ---------------------------
+    Mutant("heartbeat-offset-taken-every-beat", "src/repro/driver/client.py",
+           "        offset = meta.heartbeat_offset(self.slot_index)\n"
+           "        try:\n"
+           "            while self._running:\n",
+           "        try:\n"
+           "            while self._running:\n"
+           "                offset = meta.heartbeat_offset(self.slot_index)\n",
+           ("tests/test_recovery.py::TestChaosCost",)),
+    Mutant("sampler-rebinds-volume-series-every-tick",
+           "src/repro/telemetry/hub.py",
+           "            key = (\"paths\", vol)\n"
+           "            if key not in bound:\n",
+           "            key = (\"paths\", vol)\n"
+           "            if True:\n",
+           ("tests/test_slo.py::TestSloCost",)),
 )
 
 

@@ -304,6 +304,26 @@ GOLDEN_RIGS = {
     "ours-local": (100, 1462228, 2588877, 3719),
     "ours-remote": (100, 1636023, 2641068, 4555),
 }
+#: a link cut, TLP drops and a controller stall
+CHAOS_PLAN = FaultPlan((
+    FaultEvent(200_000, "link_down", "link:host2", duration_ns=500_000),
+    FaultEvent(400_000, "tlp_drop", "link:host3", probability=0.1,
+               duration_ns=800_000),
+    FaultEvent(900_000, "ctrl_stall", "ctrl:nvme0", duration_ns=300_000)))
+
+
+def run_chaos(ios: int = 150):
+    """``GOLDEN_RIGS["chaos"]``'s run: :data:`CHAOS_PLAN` against three
+    clients x ``ios`` randrw at seed 321, recovery on.  Returns the
+    rig."""
+    scn = chaos_cluster(3, plan=CHAOS_PLAN, seed=321)
+    scn.injector.start()
+    for i, client in enumerate(scn.clients):
+        scn.sim.process(fio_generator(
+            client, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
+                           total_ios=ios, seed_stream=f"fio{i}")))
+    scn.sim.run(until=scn.sim.timeout(400_000_000))
+    return scn
 
 
 class TestGoldenModeledOutput:
@@ -388,22 +408,9 @@ class TestGoldenModeledOutput:
                 sim.now, sim.events_processed)
 
     def test_chaos_cluster_fixed_plan(self):
-        """bench_sim_speed's chaos scenario: link cut, TLP drops and a
-        controller stall against three clients with recovery on."""
-        plan = FaultPlan((
-            FaultEvent(200_000, "link_down", "link:host2",
-                       duration_ns=500_000),
-            FaultEvent(400_000, "tlp_drop", "link:host3", probability=0.1,
-                       duration_ns=800_000),
-            FaultEvent(900_000, "ctrl_stall", "ctrl:nvme0",
-                       duration_ns=300_000)))
-        scn = chaos_cluster(3, plan=plan, seed=321)
-        scn.injector.start()
-        for i, client in enumerate(scn.clients):
-            scn.sim.process(fio_generator(
-                client, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
-                               total_ios=150, seed_stream=f"fio{i}")))
-        scn.sim.run(until=scn.sim.timeout(400_000_000))
+        """:func:`run_chaos`, the run whose calls
+        tests/test_recovery.py::TestChaosCost pins."""
+        scn = run_chaos()
         assert self._rig_sums(scn.sim, scn.clients) == GOLDEN_RIGS["chaos"]
         assert len(scn.trace_log()) == 16661
         assert (sum(c.retries for c in scn.clients),

@@ -26,6 +26,7 @@ from repro.scenarios import build_fig10_scenario
 from repro.sim.probe import EVENTS
 from repro.telemetry import STAGES
 
+from . import test_slo
 from .docblocks import ROOT, Producer, md_table, names, render, rows
 
 STAGE_LEGS = ("local-linux", "ours-local", "ours-remote")
@@ -53,6 +54,18 @@ def stages(body: str) -> str:
           why.get(f"`{stage}`", [""])[-1]] for stage in STAGES]
         + [["**latency**", *(f"**{latency}**" for _ns, latency in runs),
             ""]])
+
+
+def slo_cost(_body: str) -> str:
+    """docs/observability.md's host cost of the SLO stack: the counts
+    tests/test_slo.py::TestSloCost pins."""
+    budget = test_slo.TestSloCost
+    off, on = budget.OFF_CALLS, budget.ON_CALLS
+    return md_table(
+        ["telemetry stack", "host calls", "vs off"],
+        [["off", f"{off:,}", ""],
+         [f"on, sampler at {budget.INTERVAL_NS // 1000} µs", f"{on:,}",
+          f"{(on / off - 1) * 100:+.1f} %"]])
 
 
 def _subscribers() -> dict[str, list[str]]:
@@ -124,7 +137,8 @@ def calibration(body: str) -> str:
 
 #: doc -> its generated blocks (tests/docblocks.py)
 DOCS: dict[str, dict[str, Producer]] = {
-    "docs/observability.md": {"docs:probe": probe, "docs:stages": stages},
+    "docs/observability.md": {"docs:probe": probe, "docs:stages": stages,
+                              "docs:slo-cost": slo_cost},
     "docs/calibration.md": {f"docs:{table}": calibration for table in (
         "pcie", "media", "host", "rdma")},
 }

@@ -156,7 +156,8 @@ class TestZeroSubscribers:
                 if "sim/probe.py" in name or "/telemetry/" in name
                 or "/sanitizer/" in name] == []
         assert any(name.endswith("nvme/controller.py") for name in files)
-        assert calls <= 644 < self.PARENT_CALLS
+        # 325: the count when it was last taken (CPython 3.11)
+        assert calls <= 325 < self.PARENT_CALLS
 
 
 class TestLateObservers:

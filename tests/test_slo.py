@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 
 from repro.qos import AdmissionThrottle
 from repro.qos.runner import QOS_SLO
-from repro.scenarios import noisy_neighbor
+from repro.scenarios import cluster, noisy_neighbor
 from repro.sim import Interrupt, Simulator
 from repro.telemetry import (HistogramError, LatencyHistograms,
                              LogHistogram, SeriesBank, SloEngine, SloSpec,
                              Telemetry, TelemetrySampler)
 from repro.telemetry.hist import QUANTILES
-from repro.run import RunSpec, run
-from repro.workloads import OpenLoopJob, open_loop_generator
+from repro.run import DEFAULT_SLO, SLO_RELIABILITY, RunSpec, run
+from repro.workloads import (FioJob, OpenLoopJob, fio_generator,
+                             open_loop_generator)
 
-from .hostcost import cost
+from .hostcost import calls, cost
 
 
 # --- histograms ----------------------------------------------------------
@@ -628,6 +629,58 @@ class TestZeroPerturbation:
             if spec.faults != "none":       # the faults did bite
                 assert sum(path.timeouts
                            for path in watched.rig.subclients) > 0
+
+
+class TestSloCost:
+    """Host calls of the SLO-watched cluster (4 clients on 2 devices, 4 x
+    1,000 randrw, :data:`SLO_RELIABILITY`, seed 7, 60 ms), rig build
+    included: once with the telemetry stack off, once with histograms,
+    the SLO engine and the sampler on at the noisy rig's 100 us
+    cadence, where a tick's cost shows.  Both runs model the same I/Os.
+    The counts are exact for a tree and an interpreter (CPython 3.11);
+    each ceiling is the count when it was last taken plus 1 %, the slack
+    of CI's ledger gate.  docs/observability.md renders them."""
+
+    OFF_CALLS = 1_905_091
+    ON_CALLS = 2_362_500
+    SLACK = 0.01
+    INTERVAL_NS = 100_000
+
+    @classmethod
+    def _drive(cls, watched: bool, procs: list, ios: int = 1000) -> None:
+        """Build the rig and run it for 60 ms; its jobs land in
+        ``procs``."""
+        rig = cluster(n_clients=4, n_devices=2, seed=7, telemetry=watched,
+                      reliability=SLO_RELIABILITY)
+        if watched:
+            rig.telemetry.enable_slo(DEFAULT_SLO)
+            sampler = rig.telemetry.enable_sampler(
+                interval_ns=cls.INTERVAL_NS)
+        procs.extend(rig.sim.process(fio_generator(volume, FioJob(
+            name=f"t{i}", rw="randrw", iodepth=4, total_ios=ios,
+            seed_stream=f"slo{i}"))) for i, volume in enumerate(rig.volumes))
+        rig.sim.run(until=rig.sim.timeout(60_000_000))
+        if watched:
+            sampler.stop()
+            rig.telemetry.collect()
+
+    def test_calls_off_and_on_within_one_percent(self):
+        # a few I/Os first, so no first-run cost (an import, a cache
+        # fill) lands in the counts, whatever ran before in the process
+        self._drive(True, [], ios=4)
+        off, on = [], []
+        off_calls = calls(lambda: self._drive(False, off))
+        on_calls = calls(lambda: self._drive(True, on))
+
+        def model(procs):
+            return [(p.value.read_latencies.values().tolist(),
+                     p.value.write_latencies.values().tolist(),
+                     p.value.errors, p.value.elapsed_ns) for p in procs]
+
+        assert model(off) == model(on)
+        assert off_calls <= int(self.OFF_CALLS * (1 + self.SLACK)) \
+            and on_calls <= int(self.ON_CALLS * (1 + self.SLACK)), \
+            (off_calls, on_calls)
 
 
 class TestRunSummary:

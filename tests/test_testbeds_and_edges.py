@@ -151,9 +151,9 @@ class TestLocalTestbed:
 class TestNoSilentlyDroppedArguments:
     """At 65c7b56 ``cluster()`` applied ``reliability=`` only under
     ``faults=True`` and dropped ``plan=`` / ``trace_categories=``
-    without it: ``repro slo --no-kill`` and both arms of
-    bench_slo_overhead.py ran with timeouts, heartbeats and leases off
-    while claiming the SLO profile."""
+    without it: ``repro slo --no-kill`` and both arms of the SLO
+    overhead benchmark of that time ran with timeouts, heartbeats and
+    leases off while claiming the SLO profile."""
 
     def test_reliability_is_plain_config(self):
         from repro.run import SLO_RELIABILITY
