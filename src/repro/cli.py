@@ -195,20 +195,6 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_staticcheck(args: argparse.Namespace) -> int:
-    # Imported lazily: the checker is a dev tool and pulls in nothing
-    # the simulation needs.
-    from .staticcheck import main as staticcheck_main
-    argv = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.json:
-        argv += ["--format", "json"]
-    if args.stats:
-        argv += ["--stats"]
-    return staticcheck_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -282,17 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig10.add_argument("--ios", type=int, default=800)
     fig10.add_argument("--seed", type=int, default=42)
     fig10.set_defaults(func=_cmd_fig10)
-
-    sc = sub.add_parser("staticcheck",
-                        help="run the AST invariant checker "
-                             "(determinism, posted writes, units)")
-    sc.add_argument("paths", nargs="*", default=["src"])
-    sc.add_argument("--select", help="comma-separated rule names")
-    sc.add_argument("--json", action="store_true",
-                    help="machine-readable output")
-    sc.add_argument("--stats", action="store_true",
-                    help="print findings-per-rule and timing summary")
-    sc.set_defaults(func=_cmd_staticcheck)
     return parser
 
 

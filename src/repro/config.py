@@ -36,10 +36,11 @@ _NONE_ALLOWED = frozenset({"sigma", "max_retries", "reserved_qps",
 
 def _check(config) -> None:
     """Refuse a config no run can honour, one rule per field kind (by
-    name): times (``*_ns``) are >= 0, rates (``*_rate``) in [0, 1], a
-    ``*_min_ns`` is <= its ``*_max_ns``, the fields of
-    :data:`_NONE_ALLOWED` are >= 0, and every other number — sizes,
-    counts, bandwidths — is > 0."""
+    name): times (``*_ns``) are integers >= 0 (a float would reach the
+    event heap and make ``sim.now`` a float; ``per_byte_ns`` is a rate,
+    ns per byte), rates (``*_rate``) in [0, 1], a ``*_min_ns`` is <= its
+    ``*_max_ns``, the fields of :data:`_NONE_ALLOWED` are >= 0, and
+    every other number — sizes, counts, bandwidths — is > 0."""
     for field in dataclasses.fields(config):
         name, value = field.name, getattr(config, field.name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -54,6 +55,9 @@ def _check(config) -> None:
             top = name[:-len("_min_ns")] + "_max_ns"
             ok, rule = ok and value <= getattr(config, top), \
                 f">= 0 and <= {top}"
+        if (name.endswith("_ns") and name != "per_byte_ns"
+                and not isinstance(value, int)):
+            ok, rule = False, "an integer (ns)"
         if not ok:
             raise ValueError(f"{type(config).__name__}.{name} must be "
                              f"{rule}, got {value!r}")

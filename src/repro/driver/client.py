@@ -682,9 +682,9 @@ class DistributedNvmeClient(BlockDevice):
         cq = self.cq
         try:
             while self._running:
-                # This read across the NTB is the point of the ablation.
+                # This read across the NTB is the point of the ablation:
+                # the deliberate Fig. 8 counter-example.
                 try:
-                    # staticcheck: ignore[no-nonposted-hotpath] deliberate Fig. 8 counter-example
                     raw = yield self._cq_conn.read(cq.head * 16, 16)
                 except FabricFaultError:
                     # Severed path: back off, poll again when it heals.

@@ -23,7 +23,7 @@ runs one for generated arrivals, :func:`issue` one for any
 :func:`~.replay.replay_trace`'s recorded trace.
 
 Determinism discipline: arrival streams draw only from
-``sim.rng.stream(...)`` (the ``seeded-rng-only`` staticcheck rule),
+``sim.rng.stream(...)`` (``tests/test_rng.py``'s tripwire),
 envelopes are deterministic functions of sim time, and all gaps are
 integer nanoseconds — identical seeds give identical streams.
 """

@@ -50,16 +50,23 @@ def c_called(c_calls, owner: type, name: str) -> bool:
                for call in c_calls)
 
 
-def calls(fn):
+def calls(fn, inside=None):
     """Python and C calls of ``fn()``, counted as :func:`cost` counts
-    them but with no opcode trace: fast enough for a whole rig's run."""
+    them but with no opcode trace: fast enough for a whole rig's run.
+    A dict passed as ``inside``, keyed by code objects, also counts the
+    calls made directly in each of those functions' frames
+    (``inside[QueuePair.resync.__code__]``)."""
     counted = 0
     gc.collect()        # as in cost(): no earlier garbage's finalizers
 
-    def profile(_frame, event, _arg):
+    def profile(frame, event, _arg):
         nonlocal counted
         if event == "call" or event == "c_call":
             counted += 1
+            if inside is not None:
+                caller = frame.f_back if event == "call" else frame
+                if caller is not None and caller.f_code in inside:
+                    inside[caller.f_code] += 1
 
     sys.setprofile(profile)
     try:

@@ -8,19 +8,9 @@ runs the entry's pytest selection in the copy, with ``PYTHONPATH`` at
 the copy's ``src/``.  The mutant is *caught* when that run fails (pytest
 exit 1); a selection that passes, a collection or usage error, a
 time-out and an ``old`` text that is missing or appears twice are all
-reported as not caught.
-
-``kind`` says what a catch proves:
-
-* ``killed`` -- a test of the model fails.  An entry naming a ``rule``
-  stands for a static rule that was retired, or for the half of one
-  (docs/static_analysis.md, "Retired rules"): its test asserts the
-  property the rule guarded.
-* ``rule-only`` -- tier-1 passes on the mutant and only ``rule`` flags
-  it: the selection is the static checker's live-tree test, and the
-  runner also requires ``rule`` itself among the findings.  Every kept
-  rule but the two determinism conventions (``no-wallclock``,
-  ``seeded-rng-only``) has one.
+reported as not caught.  A section named after a static rule holds
+the defects that rule once flagged, each now caught by a test
+(docs/static_analysis.md).
 
 Tier-1 (``tests/test_mutants.py``) checks only that every ``old`` text
 is still there; CI runs every mutant on each Python it tests::
@@ -45,9 +35,6 @@ SRC = ROOT / "src"
 #: seconds one selection may run before the mutant counts as not caught
 TIMEOUT_S = 600
 
-#: the selection of every ``rule-only`` entry
-LIVE_TREE = ("tests/test_staticcheck.py::test_live_tree_is_clean",)
-
 
 @dataclasses.dataclass(frozen=True)
 class Mutant:
@@ -56,8 +43,6 @@ class Mutant:
     old: str
     new: str
     selection: tuple[str, ...]  #: pytest arguments that must fail
-    kind: str = "killed"        #: ``killed`` or ``rule-only``
-    rule: str | None = None     #: the static rule this mutant judges
 
     def mutate(self, source: str) -> str:
         found = source.count(self.old)
@@ -72,24 +57,24 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("process-body-without-yield", "src/repro/nvme/controller.py",
            "        yield self.sim.timeout(self.config.enable_latency_ns)\n",
            "        self.sim.timeout(self.config.enable_latency_ns)\n",
-           ("tests/test_adminq.py::TestAdminQueues::test_enable_disable_cycle",),
-           rule="sim-process-yields"),
+           ("tests/test_adminq.py::TestAdminQueues::test_enable_disable_cycle",)),
     Mutant("fault-plan-without-yield", "src/repro/faults/injector.py",
            "                yield self.sim.timeout(due - self.sim.now)\n",
            "                self.sim.timeout(due - self.sim.now)\n",
            ("tests/test_faults_unit.py::TestInjector"
-            "::test_plan_times_are_relative_to_start",),
-           rule="sim-process-yields"),
+            "::test_plan_times_are_relative_to_start",)),
     # -- units-discipline ---------------------------------------------------
     Mutant("fractional-timeout", "src/repro/nvme/controller.py",
            "        yield self.sim.timeout(self.config.enable_latency_ns)\n",
            "        yield self.sim.timeout(self.config.enable_latency_ns / 3)\n",
-           ("tests/test_adminq.py::TestAdminQueues::test_enable_disable_cycle",),
-           rule="units-discipline"),
+           ("tests/test_adminq.py::TestAdminQueues::test_enable_disable_cycle",)),
     Mutant("float-ns-keyword", "src/repro/scenarios/rig.py",
            "    lease_check_interval_ns=250_000,\n",
            "    lease_check_interval_ns=2.5e5,\n",
-           LIVE_TREE, kind="rule-only", rule="units-discipline"),
+           # the config is built at import, so every test module that
+           # imports the package fails to collect; the example imports
+           # it inside a test, which then fails
+           ("tests/test_examples_smoke.py::TestExamples::test_quickstart",)),
     # -- doorbell-after-sq-write --------------------------------------------
     Mutant("doorbell-before-sqe-store", "src/repro/driver/qpair.py",
            "        store = self.sq_mem.write((self.first_slot + slot) * 64, sqe.pack())\n"
@@ -108,8 +93,7 @@ MUTANTS: tuple[Mutant, ...] = (
            "            f(self, sqe, slot, store, request)\n"
            "        if self.ring is None:\n",
            ("tests/test_ordering_and_integrity.py::TestControllerOrdering"
-            "::test_sq_doorbell_lands_after_the_sqes_it_covers",),
-           rule="doorbell-after-sq-write"),
+            "::test_sq_doorbell_lands_after_the_sqes_it_covers",)),
     Mutant("cq-doorbell-before-consume", "src/repro/driver/client.py",
            "                if raw[14] & 1 == cq.phase:\n"
            "                    cq.consume()\n"
@@ -127,7 +111,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "                        cq.head.to_bytes(4, \"little\"))\n"
            "                    cq.consume()\n"
            "                    self._qp.complete(CompletionEntry.unpack(raw))\n",
-           LIVE_TREE, kind="rule-only", rule="doorbell-after-sq-write"),
+           ("tests/test_ordering_and_integrity.py::TestControllerOrdering"
+            "::test_cq_doorbell_names_a_head_already_consumed",)),
     # -- lease-guard --------------------------------------------------------
     Mutant("create-pair-without-admin-lock", "src/repro/driver/manager.py",
            "        lock = self._admin_lock.request()\n"
@@ -170,8 +155,7 @@ MUTANTS: tuple[Mutant, ...] = (
            "        finally:\n"
            "            pass\n"
            "        return True\n",
-           ("tests/test_faults_chaos.py::TestQueueLifecycleIsSerialised",),
-           rule="lease-guard"),
+           ("tests/test_faults_chaos.py::TestQueueLifecycleIsSerialised",)),
     Mutant("delete-pairs-without-admin-lock", "src/repro/driver/manager.py",
            "        lock = self._admin_lock.request()\n"
            "        yield lock\n"
@@ -197,20 +181,19 @@ MUTANTS: tuple[Mutant, ...] = (
            "                self._free_qids.append(qid)\n"
            "        finally:\n"
            "            pass\n",
-           ("tests/test_faults_chaos.py::TestQueueLifecycleIsSerialised",),
-           rule="lease-guard"),
+           ("tests/test_faults_chaos.py::TestQueueLifecycleIsSerialised",)),
     # -- hotpath-alloc ------------------------------------------------------
     Mutant("comprehension-on-a-hot-path", "src/repro/rdma/verbs.py",
            "        mr = self._regions.get(rkey)\n",
            "        mr = {key: mr for key, mr in self._regions.items()}.get(rkey)\n",
-           LIVE_TREE, kind="rule-only", rule="hotpath-alloc"),
+           ("tests/test_recovery.py::TestRecoveryOffCost"
+            "::test_one_io_within_two_calls[nvmeof]",)),
     # -- window-epoch -------------------------------------------------------
     Mutant("window-granted-at-ring-start", "src/repro/driver/manager.py",
            "        win_tail = qp.win_next_tail[widx]\n",
            "        win_tail = 0\n",
            ("tests/test_qp_sharing.py::TestWindowHandoff"
-            "::test_shadow_handoff_on_reuse",),
-           rule="window-epoch"),
+            "::test_shadow_handoff_on_reuse",)),
     Mutant("window-released-without-handoff", "src/repro/driver/manager.py",
            "        qp.win_next_tail[widx] = shadow\n"
            "        if ten is not None and ten.mailbox is not None:\n"
@@ -226,27 +209,34 @@ MUTANTS: tuple[Mutant, ...] = (
            "            ten.mailbox.disconnect()\n"
            "        qp.tenants[widx] = None\n",
            ("tests/test_qp_sharing.py::TestWindowHandoff"
-            "::test_shadow_handoff_on_reuse",),
-           rule="window-epoch"),
+            "::test_shadow_handoff_on_reuse",)),
     # -- sanitizer-hook -----------------------------------------------------
     Mutant("unseen-memory-write", "src/repro/memory/physmem.py",
            "        for f in self.probe.mem_event:\n"
            "            f(self, \"write\", addr, length)\n",
            "",
-           ("tests/test_probe.py::test_the_hand_built_cluster_saw_every_flavour",),
-           rule="sanitizer-hook"),
+           ("tests/test_probe.py::test_the_hand_built_cluster_saw_every_flavour",)),
     Mutant("unseen-cq-consume", "src/repro/nvme/queues.py",
            "        for f in self.probe.ring_step:\n"
            "            f(self, \"cq-consume\")\n",
            "",
-           ("tests/test_probe.py::test_the_hand_built_cluster_saw_every_flavour",),
-           rule="sanitizer-hook"),
+           ("tests/test_probe.py::test_the_hand_built_cluster_saw_every_flavour",)),
     # -- no-nonposted-hotpath -----------------------------------------------
     Mutant("nonposted-read-on-cancel", "src/repro/driver/blockdev.py",
            "        \"\"\"Nothing to cancel: the request goes on without the waiter.\"\"\"\n",
            "        \"\"\"Nothing to cancel: the request goes on without the waiter.\"\"\"\n"
            "        self.device._cq_conn.read(0, 16)\n",
-           LIVE_TREE, kind="rule-only", rule="no-nonposted-hotpath"),
+           ("tests/test_ordering_and_integrity.py::TestPostedOnlyDataPath"
+            "::test_nor_for_a_waiter_that_leaves_mid_request",)),
+    # -- no-wallclock, seeded-rng-only --------------------------------------
+    Mutant("wallclock-in-the-kernel", "src/repro/sim/core.py",
+           "from itertools import count\n",
+           "from itertools import count\nfrom time import perf_counter\n",
+           ("tests/test_rng.py::test_no_module_reads_a_clock_or_draws_unseeded",)),
+    Mutant("unseeded-payload-draw", "src/repro/workloads/open_loop.py",
+           "        self.base_payload = bytes(rng.integers(0, 256, size=job.bs,\n",
+           "        self.base_payload = bytes(np.random.randint(0, 256, size=job.bs,\n",
+           ("tests/test_rng.py::test_no_module_reads_a_clock_or_draws_unseeded",)),
     # -- open-loop issuer, telemetry hub and tick loops as records --------
     Mutant("cap-wait-run-inline", "src/repro/workloads/open_loop.py",
            "            self._arm(0, self._arrived)\n",
@@ -443,6 +433,18 @@ MUTANTS: tuple[Mutant, ...] = (
            "            key = (\"paths\", vol)\n"
            "            if True:\n",
            ("tests/test_slo.py::TestSloCost",)),
+    Mutant("resubmit-takes-one-more-call", "src/repro/driver/qpair.py",
+           "        done, record.pending = record.pending, None\n"
+           "        if done in outcome:\n",
+           "        done, record.pending = record.pending, None\n"
+           "        len(outcome)\n"
+           "        if done in outcome:\n",
+           ("tests/test_recovery.py::TestChaosCost::test_recovery_paths_exactly",)),
+    Mutant("resync-takes-one-more-call", "src/repro/driver/qpair.py",
+           "        entries, head, phase = cq.entries, cq.head, cq.phase\n",
+           "        entries, head, phase = cq.entries, cq.head, cq.phase\n"
+           "        abs(head)\n",
+           ("tests/test_recovery.py::TestChaosCost::test_recovery_paths_exactly",)),
 )
 
 
@@ -463,12 +465,6 @@ def run(mutant: Mutant, timeout: float = TIMEOUT_S) -> Outcome:
             target.write_text(mutant.mutate(target.read_text()))
         except ValueError as exc:
             return Outcome(False, str(exc))
-        if mutant.kind == "rule-only":
-            from repro.staticcheck import run as check
-            findings, _ = check([target], select=[mutant.rule])
-            if not findings:
-                return Outcome(False, f"{mutant.id}: {mutant.rule} does "
-                                      f"not flag the mutant")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-x", "-q",

@@ -20,8 +20,8 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bogus"])
 
-    def test_four_subcommands(self):
-        assert "{list,run,fig10,staticcheck}" in build_parser().format_help()
+    def test_three_subcommands(self):
+        assert "{list,run,fig10}" in build_parser().format_help()
 
     def test_bad_rw_rejected(self):
         with pytest.raises(SystemExit):

@@ -3,7 +3,6 @@ physically expected direction (sensitivity testing of the calibration)."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.config import (ClusterConfig, HostSoftwareConfig, MediaConfig,
@@ -134,8 +133,12 @@ class TestRefusedAtConstruction:
         (PcieConfig, {"switch_latency_min_ns": 200}),
         (MediaConfig, {"read_error_rate": 1.5}),
         (MediaConfig, {"sigma": -0.1}),
+        # a float time reaches the event heap: an ours-remote run built
+        # with it ends on a float ``sim.now``
+        (NvmeConfig, {"completion_overhead_ns": 200.5}),
     ], ids=["time", "interval", "payload-size", "read-request-size",
-            "count", "bandwidth", "min-above-max", "rate", "sigma"])
+            "count", "bandwidth", "min-above-max", "rate", "sigma",
+            "fractional-time"])
     def test_refused(self, cls, bad):
         field = next(iter(bad))
         with pytest.raises(ValueError, match=f"{cls.__name__}.{field}"):

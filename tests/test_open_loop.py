@@ -1,18 +1,15 @@
 """Tests for the open-loop traffic service (workloads/open_loop.py)."""
 
 import itertools
-import pathlib
 
 import numpy as np
 import pytest
 
-import repro
 from repro.scenarios import local_linux, multihost, ours_remote
 from repro.sim.process import Process
-from repro.staticcheck import check_file, get_rule
 from repro.workloads import (ARRIVAL_MODELS, OpenLoopJob, arrival_times,
-                             open_loop_generator, peak_rate, rate_at,
-                             run_open_loop, run_open_loop_many)
+                             peak_rate, rate_at, run_open_loop,
+                             run_open_loop_many)
 
 
 def take(job, n, seed=0):
@@ -203,10 +200,16 @@ class TestArrivalCost:
 
 class TestDeterminismDiscipline:
     def test_open_loop_passes_seeded_rng_only(self):
-        """The generator draws only from the registry's seeded streams
-        (and the other determinism rules hold too)."""
-        src = (pathlib.Path(repro.__file__).resolve().parent
-               / "workloads" / "open_loop.py")
-        for rule in ("seeded-rng-only", "no-wallclock",
-                     "units-discipline"):
-            assert check_file(src, [get_rule(rule)]) == []
+        """The issuer draws only from the registry's seeded streams, in
+        integer nanoseconds: a seed replays its run to the nanosecond and
+        another seed runs another (that no module reads a clock or draws
+        unseeded is ``tests/test_rng.py``'s tripwire)."""
+        def run(seed):
+            scenario = ours_remote(seed=seed)
+            result = run_open_loop(scenario.device, OpenLoopJob(
+                rate_iops=50_000.0, total_arrivals=100))
+            return scenario.sim.now, result.latencies.values().tolist()
+
+        first = run(7)
+        assert first == run(7) != run(8)
+        assert type(first[0]) is int

@@ -1,9 +1,10 @@
 """Cross-layer ordering and end-to-end data-integrity tests.
 
 These pin the causal properties the paper's design relies on:
-the controller never observes a doorbell before the SQE it covers, read
-data always lands before its CQE, and concurrent multi-host traffic
-never corrupts data.
+the controller never observes a doorbell before the SQE it covers, the
+I/O path of a client host issues no non-posted read, read data always
+lands before its CQE, and concurrent multi-host traffic never corrupts
+data.
 """
 
 import collections
@@ -12,12 +13,17 @@ import numpy as np
 import pytest
 
 from repro.driver import BlockRequest, DistributedNvmeClient, NvmeManager
+from repro.driver.blockdev import BlockDevice, RequestRecord
+from repro.pcie.fabric import Fabric
+from repro.scenarios import multihost, ours_local, ours_remote
 from repro.scenarios.testbed import PcieTestbed
-from repro.sim import Tracer
+from repro.sim import Interrupt, Tracer
 from repro.workloads import FioJob, run_fio_many
 
+from .test_determinism import run_chaos
 
-def make_traced_cluster(seed=180):
+
+def make_traced_cluster(seed=180, **client_kwargs):
     bed = PcieTestbed(n_hosts=2, with_nvme=True, seed=seed)
     tracer = Tracer(bed.sim)
     bed.sim.probe.subscribe(tracer)
@@ -25,7 +31,8 @@ def make_traced_cluster(seed=180):
                           bed.nvme_device_id, bed.config)
     bed.sim.run(until=bed.sim.process(manager.start()))
     client = DistributedNvmeClient(bed.sim, bed.smartio, bed.node(1),
-                                   bed.nvme_device_id, bed.config)
+                                   bed.nvme_device_id, bed.config,
+                                   **client_kwargs)
     bed.sim.run(until=bed.sim.process(client.start()))
     tracer.clear()
     return bed, client, tracer
@@ -59,6 +66,25 @@ class StoreLedger:
         self.tail = value
 
 
+class HeadLedger:
+    """Probe subscriber: the heads one host-side CQ reached, one per
+    consume (``heads[0]`` is where it started), and each CQ head
+    doorbell of it that landed, with how many consumes preceded it."""
+
+    def __init__(self, cq):
+        self.cq = cq
+        self.heads = [cq.head]
+        self.landed = []
+
+    def on_ring_step(self, state, op):
+        if state is self.cq and op == "cq-consume":
+            self.heads.append((state.head + 1) % state.entries)
+
+    def on_doorbell_landed(self, ctrl, qid, is_cq, value, ok):
+        if qid == self.cq.qid and is_cq and ok:
+            self.landed.append((value, len(self.heads) - 1))
+
+
 class TestControllerOrdering:
     def test_sq_doorbell_lands_after_the_sqes_it_covers(self):
         """The controller may fetch an SQE the instant the tail doorbell
@@ -70,6 +96,21 @@ class TestControllerOrdering:
                                       total_ios=200))])
         assert ledger.covered == 200
         assert ledger.early == []
+
+    def test_cq_doorbell_names_a_head_already_consumed(self):
+        """A CQ head doorbell hands slots back to the controller, so it
+        may name only entries the host has consumed: the poller of a
+        device-side CQ (the Fig. 8 ablation) rings once per consume,
+        after it, and its last doorbell names the final head."""
+        bed, client, _tracer = make_traced_cluster(cq_placement="device")
+        ledger = bed.sim.probe.subscribe(HeadLedger(client.cq))
+        run_fio_many([(client, FioJob(rw="randread", bs=4096, iodepth=8,
+                                      total_ios=200))])
+        assert len(ledger.heads) == 201
+        assert [value for value, _ in ledger.landed] == ledger.heads[1:]
+        assert all(consumed >= rung for rung, (_, consumed)
+                   in enumerate(ledger.landed, 1))
+        assert ledger.landed[-1][0] == client.cq.head
 
     def test_fetch_never_precedes_doorbell(self):
         bed, client, tracer = make_traced_cluster()
@@ -107,6 +148,117 @@ class TestControllerOrdering:
         completions = [r for r in tracer.filter("nvme")
                        if r.message == "completed"]
         assert len(completions) == 10
+
+
+class ReadLog:
+    """Every non-posted read the fabric starts (when, and its initiator)
+    and the span of block I/O, from the first request submitted to the
+    last one completed."""
+
+    def __init__(self):
+        self.reads = []
+        self.first = self.last = None
+
+    def completed(self, request):
+        if self.first is None or request.submit_time < self.first:
+            self.first = request.submit_time
+        if self.last is None or request.complete_time > self.last:
+            self.last = request.complete_time
+
+    def during_io(self, rig):
+        """The reads a client host issued while I/O was in flight."""
+        hosts = {client.node.host.rc for client in rig.subclients}
+        return [(now, who.name) for now, who in self.reads
+                if who in hosts and self.first <= now <= self.last]
+
+
+@pytest.fixture
+def read_log(monkeypatch):
+    log = ReadLog()
+    read, completed = Fabric.read, BlockDevice._completed
+
+    def logged_read(fabric, initiator, host, addr, length, step=None):
+        log.reads.append((fabric.sim.now, initiator))
+        return read(fabric, initiator, host, addr, length, step)
+
+    def logged_completion(device, request):
+        completed(device, request)
+        log.completed(request)
+
+    monkeypatch.setattr(Fabric, "read", logged_read)
+    monkeypatch.setattr(BlockDevice, "_completed", logged_completion)
+    return log
+
+
+def run_randrw(rig, ios=100):
+    run_fio_many([(client, FioJob(name=f"j{i}", rw="randrw", iodepth=4,
+                                  total_ios=ios, seed_stream=f"fio{i}"))
+                  for i, client in enumerate(rig.clients)])
+    return rig
+
+
+class TestPostedOnlyDataPath:
+    """Paper Fig. 8: SQEs are pushed across the NTB and CQs are polled
+    in the client's own memory, so between a client's first submit and
+    its last completion no client host issues a non-posted read (the
+    controller reads SQEs and data; a host only writes)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ours_remote(seed=1),
+        lambda: ours_local(seed=1),
+        lambda: multihost(4, seed=1),
+        lambda: multihost(4, seed=1, sharing="force"),
+        lambda: ours_remote(seed=1, completion_mode="interrupt"),
+        lambda: ours_remote(seed=1, data_path="iommu"),
+    ], ids=["ours-remote", "ours-local", "multihost-private",
+            "multihost-shared", "interrupts", "iommu"])
+    def test_no_client_read_while_io_is_in_flight(self, read_log, build):
+        rig = run_randrw(build())
+        assert read_log.reads and read_log.last > read_log.first
+        assert read_log.during_io(rig) == []
+
+    def test_nor_under_faults_and_recovery(self, read_log):
+        rig = run_chaos()
+        assert sum(client.completed for client in rig.clients) == 450
+        assert read_log.during_io(rig) == []
+
+    def test_nor_for_a_waiter_that_leaves_mid_request(self, read_log,
+                                                        monkeypatch):
+        """An interrupted waiter cancels the request record it waited
+        on; the request goes on, and still reads nothing."""
+        cancels = []
+        cancel = RequestRecord.cancel
+        monkeypatch.setattr(RequestRecord, "cancel", lambda record: (
+            cancels.append(record), cancel(record)))
+        rig = ours_remote(seed=1)
+        client, sim = rig.device, rig.sim
+        submitted = []
+
+        def waiter(sim):
+            try:
+                for i in range(20):
+                    submitted.append(BlockRequest("read", lba=8 * i,
+                                                  nblocks=8))
+                    yield client.submit(submitted[-1])
+            except Interrupt:
+                return
+
+        def leave(sim, proc):
+            yield sim.timeout(30_000)
+            proc.interrupt()
+
+        proc = sim.process(waiter(sim))
+        sim.process(leave(sim, proc))
+        sim.run(until=sim.now + 1_000_000)
+        assert len(set(cancels)) == 1 and len(submitted) > 1
+        assert client.completed == len(submitted)
+        assert read_log.during_io(rig) == []
+
+    def test_the_device_side_cq_ablation_reads(self, read_log):
+        """The control: with the CQ in device-side memory every poll is
+        a read across the NTB, and the log sees them."""
+        rig = run_randrw(ours_remote(seed=1, cq_placement="device"))
+        assert len(read_log.during_io(rig)) > 100
 
 
 class TestReadDataBeforeCqe:

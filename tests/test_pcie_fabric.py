@@ -883,17 +883,16 @@ def test_a_transaction_derives_nothing_its_flow_record_holds():
 def test_ring_mechanics_live_in_the_queue_pair_core():
     """How the host side of an NVMe ring works — doorbell offsets, tail
     advance, the phase-tagged consume — is written once, in
-    ``repro/driver/qpair.py`` (DESIGN.md).  Outside it, ``repro/nvme``
-    (which defines the primitives) and the staticcheck rule that names
-    them, only two functions of the distributed client may touch them:
-    the deliberate ``_poll_remote`` ablation (CQ read across the NTB)
-    and the tenant-encoded shared-window doorbell."""
+    ``repro/driver/qpair.py`` (DESIGN.md).  Outside it and ``repro/nvme``
+    (which defines the primitives), only two functions of the
+    distributed client may touch them: the deliberate ``_poll_remote``
+    ablation (CQ read across the NTB) and the tenant-encoded
+    shared-window doorbell."""
     root = pathlib.Path(repro.__file__).parent
     tokens = re.compile(r"sq_doorbell_offset\(|cq_doorbell_offset\("
                         r"|\.consume\(\)|\.advance_tail\(\)"
                         r"|\[14\] *& *1|consumer_phase\(")
     allowed = {"driver/qpair.py": None,
-               "staticcheck/rules/doorbell_order.py": None,
                "driver/client.py": {"_poll_remote",
                                     "_ring_shared_sq_doorbell"}}
     strays = []

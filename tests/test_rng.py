@@ -8,16 +8,20 @@ refills and across a hand-back to raw draws (:meth:`RngRegistry.release`).
 The differentials shrink ``BufferedDraw.BATCH`` to a few values so a
 handful of draws crosses several refills; ``test_real_batch_*`` cross the
 real one.  Their size follows the kernel differential's: small here, large
-in CI (``REPRO_KERNEL_EXAMPLES``).
+in CI (``REPRO_KERNEL_EXAMPLES``).  The last test is a tripwire: no module
+of the package reads a host clock or draws outside the registry.
 """
 
+import ast
 import contextlib
 import os
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.driver.blockdev import BlockDevice
 from repro.sim import BufferedDraw, Simulator
 from repro.sim.rng import _name_key
@@ -195,3 +199,27 @@ class TestRegistryRefusesRawAccess:
         with pytest.raises(ValueError, match="batched as"):
             sim.rng.lognormal_ns("s", 1_000, 0.1)
         assert sim.rng.uniform_ns("s", 4, 4) == 4       # draws nothing
+
+
+def test_no_module_reads_a_clock_or_draws_unseeded():
+    """A run is a function of its seed: no module of the package imports
+    ``time``, ``datetime`` or ``random``, and only ``sim/rng.py`` calls
+    into ``np.random`` (every other draw is a registry stream's)."""
+    root = pathlib.Path(repro.__file__).parent
+    banned = {"time", "datetime", "random"}
+    strays = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.Call) and rel != "sim/rng.py":
+                names = [ast.unparse(node.func)]
+            else:
+                continue
+            strays += [f"{rel}:{node.lineno}: {name}" for name in names
+                       if name.split(".")[0] in banned
+                       or name.startswith(("np.random.", "numpy.random"))]
+    assert strays == []
